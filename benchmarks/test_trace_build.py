@@ -84,11 +84,11 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         lambda: ScenarioTrace.build(scenario, zoo, max_workers=workers)
     )
 
-    # Both store formats.  The ``reload`` row times bare ``store.load``
-    # (what every store hit pays: identity validation, which the binary
-    # format answers from a 4 KiB header probe without decoding columns);
-    # the ``materialized`` row adds first ``.outcomes`` access, so the
-    # lazy column decode can never hide — an outcome consumer pays that.
+    # The ``reload`` row times bare ``store.load`` (what every store hit
+    # pays: identity validation, answered from a 4 KiB header probe
+    # without decoding columns); the ``materialized`` row adds first
+    # ``.outcomes`` access, so the lazy column decode can never hide — an
+    # outcome consumer pays that.
     store = TraceStore(tmp_path_factory.mktemp("traces"))
     store.save(serial, zoo)
 
@@ -97,18 +97,13 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         _ = trace.outcomes
         return trace
 
-    json_store = TraceStore(tmp_path_factory.mktemp("traces-json"), write_format="json")
-    json_store.save(serial, zoo)
-
     reload_s, reloaded = best_of(lambda: store.load(scenario, zoo))
     materialized_s, materialized = best_of(reload_materialized)
-    json_reload_s, json_reloaded = best_of(lambda: json_store.load(scenario, zoo))
 
     # Identical outcomes on every path — speed never changes results.
     assert parallel.outcomes == serial.outcomes
     assert reloaded.outcomes == serial.outcomes
     assert materialized.outcomes == serial.outcomes
-    assert json_reloaded.outcomes == serial.outcomes
     # Reloads are lazy: outcome consumers never pay for rendering.
     assert not reloaded.frames_materialized
 
@@ -116,7 +111,6 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
     parallel_tp = work / parallel_s
     reload_tp = work / reload_s
     materialized_tp = work / materialized_s
-    json_reload_tp = work / json_reload_s
     collapse = _collapse_reasons(workers, effective, work)
     parallel_label = f"w={workers}" if effective == workers else f"w={workers}->{effective}"
     parallel_line = (
@@ -137,8 +131,6 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         f"  ({serial_s / reload_s:.0f}x)",
         f"  ... + outcomes      {materialized_s:8.4f}s  {materialized_tp:10.0f} model-frames/s"
         f"  ({serial_s / materialized_s:.2f}x)",
-        f"  reload (json)       {json_reload_s:8.4f}s  {json_reload_tp:10.0f} model-frames/s"
-        f"  ({serial_s / json_reload_s:.2f}x)",
     ]
     report(
         "trace_build",
@@ -157,27 +149,19 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
             "parallel_s": round(parallel_s, 4),
             "reload_s": round(reload_s, 6),
             "materialized_s": round(materialized_s, 4),
-            "json_reload_s": round(json_reload_s, 4),
             "serial_model_frames_per_s": round(serial_tp, 1),
             "parallel_model_frames_per_s": round(parallel_tp, 1),
             "reload_model_frames_per_s": round(reload_tp, 1),
             "materialized_model_frames_per_s": round(materialized_tp, 1),
-            "json_reload_model_frames_per_s": round(json_reload_tp, 1),
             "parallel_speedup": round(serial_s / parallel_s, 3),
             "reload_speedup": round(serial_s / reload_s, 3),
             "materialized_speedup": round(serial_s / materialized_s, 3),
-            "json_reload_speedup": round(serial_s / json_reload_s, 3),
-            "binary_over_json": round(json_reload_s / materialized_s, 3),
         },
     )
 
-    # The reload paths skip rendering and the zoo sweep entirely; they
-    # must beat a full rebuild comfortably at any scale, and the binary
-    # format must not lose to the JSON fallback it replaces as default —
-    # even with its deferred column decode paid in full.
+    # The reload path skips rendering and the zoo sweep entirely; it must
+    # beat a full rebuild comfortably at any scale.
     assert reload_s < serial_s
-    assert json_reload_s < serial_s
-    assert materialized_s < json_reload_s
 
     if os.environ.get("REPRO_BENCH_ENFORCE_FLOOR"):
         baseline = json.loads(_BASELINE.read_text(encoding="utf-8"))

@@ -585,29 +585,27 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Self-healing store maintenance: scrub / gc / repair over any root.
+    """Self-healing store maintenance: scrub / gc / repair / migrate over any root.
 
     Targets come from the global ``--trace-store`` / ``--run-store``
     options plus ``--queue``; each named root is maintained in turn.
     ``gc`` is dry-run by default — it *reports* what a real pass would
     reclaim (quarantined entries, stale temps, dead job records past the
-    TTL) and deletes only under ``--apply``.  ``scrub`` exits non-zero
-    when it had to quarantine something, so a cron'd scrub doubles as an
-    integrity alarm; ``repair`` and ``gc`` exit zero on success.
+    TTL) and deletes only under ``--apply``.  ``migrate`` rewrites legacy
+    JSON (and flat-layout) entries as sharded ``.col`` entries.  ``scrub``
+    and ``migrate`` exit non-zero when they had to quarantine something,
+    so a cron'd scrub doubles as an integrity alarm; ``repair`` and
+    ``gc`` exit zero on success.
     """
     from .runtime import iolayer
     from .runtime.runstore import RunStore
-    from .runtime.store import TraceStore
+    from .runtime.store import EntryStore, TraceStore
 
-    # `migrate` opens the stores with an explicit write format, which is
-    # what triggers the on-open re-encode; the other actions use the
-    # session default (REPRO_STORE_FORMAT or binary).
-    write_format = args.format if args.action == "migrate" else None
     targets: list[tuple[str, object]] = []
     if args.trace_store:
-        targets.append(("traces", TraceStore(args.trace_store, write_format=write_format)))
+        targets.append(("traces", TraceStore(args.trace_store)))
     if args.run_store:
-        targets.append(("runs", RunStore(args.run_store, write_format=write_format)))
+        targets.append(("runs", RunStore(args.run_store)))
     if args.queue:
         from .service import JobQueue
 
@@ -627,13 +625,14 @@ def _cmd_store(args: argparse.Namespace) -> int:
                 print(f"  {problem}")
             quarantined += report.quarantined
         elif args.action == "migrate":
-            migrated = getattr(store, "format_migrated", None)
-            if migrated is None:
-                print(f"{label}: job queues have a single format; nothing to migrate")
-            else:
-                print(f"{label}: {migrated} entries re-encoded as "
-                      f"{store.write_format} on open "
+            if isinstance(store, EntryStore):
+                migrated = store.migrate()
+                print(f"{label}: {migrated} legacy entries migrated to .col, "
+                      f"{store.corrupt_entries} unparseable quarantined "
                       f"({len(store)} entries total)")
+                quarantined += store.corrupt_entries
+            else:
+                print(f"{label}: job queues have a single format; nothing to migrate")
         elif args.action == "gc":
             report = store.gc(ttl_seconds=args.ttl, dry_run=not args.apply)
             print(f"{label}: {report.summary()}")
@@ -646,7 +645,7 @@ def _cmd_store(args: argparse.Namespace) -> int:
         if iolayer.is_degraded(root):
             print(f"{label}: root is DEGRADED (read-only): "
                   f"{iolayer.degraded_reason(root)}", file=sys.stderr)
-    return 1 if (args.action == "scrub" and quarantined) else 0
+    return 1 if quarantined else 0
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -874,16 +873,12 @@ def build_parser() -> argparse.ArgumentParser:
     queue_cmd.set_defaults(func=_cmd_queue)
 
     store_cmd = commands.add_parser(
-        "store", help="self-healing store maintenance: scrub, gc (TTL), repair")
+        "store", help="self-healing store maintenance: scrub, gc (TTL), repair, migrate")
     store_cmd.add_argument("action", choices=("scrub", "gc", "repair", "migrate"),
                            help="scrub: re-verify + quarantine; gc: reclaim expired "
                                 "artifacts (dry-run unless --apply); repair: heal "
-                                "index<->disk drift; migrate: re-encode entries in "
-                                "the --format on-disk format")
-    store_cmd.add_argument("--format", choices=("binary", "json"), default="binary",
-                           help="migrate: target write format (binary re-encodes JSON "
-                                "entries on open; json only switches future writes — "
-                                "binary entries stay readable either way)")
+                                "index<->disk drift; migrate: rewrite legacy JSON and "
+                                "flat-layout entries as sharded .col entries")
     store_cmd.add_argument("--queue", default=None, metavar="DIR",
                            help="also maintain this job queue directory")
     from .runtime.maintenance import DEFAULT_TTL_SECONDS as _DEFAULT_TTL

@@ -29,14 +29,15 @@ whole speed story: :meth:`RunStore.load_metrics` and the trace identity
 checks read ≤4 KiB of header and never touch a column byte.
 
 Decoding goes back to *pure Python* values (``.tolist()``), so a decoded
-payload is bit-identical to what the JSON writer would have produced —
-the property the ``store``/``fastrun`` differential checks assert across
-formats.
+payload is bit-identical to the ``trace_to_dict``/``run_to_dict`` payload
+that was encoded — the property the ``store``/``fastrun`` differential
+checks assert.
 
 Like every persistence-tier module, writes and reads route through the
 :mod:`repro.runtime.iolayer` seam; this module itself only encodes and
 decodes buffers plus offers :func:`load_entry_payload` as the
-format-dispatching read used by maintenance/quarantine/audit.
+suffix-dispatching read used by maintenance/quarantine/audit (``.col``
+entries and the job queue's JSON records).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ COLFMT_SCHEMA_VERSION = 1
 #: File magic: 8 bytes, embeds the container major version.
 MAGIC = b"RPROCOL1"
 
-#: Suffix of binary column entries (JSON twins keep ``.json``).
+#: Suffix of binary column entries (legacy JSON entries used ``.json``).
 COL_SUFFIX = ".col"
 
 #: Alignment of the data segment start and of each column within it.
@@ -76,7 +77,7 @@ PARSE_ERRORS = (json.JSONDecodeError, ColumnFormatError)
 
 
 def entry_stem(name: str) -> str:
-    """Entry name minus its format suffix; identical for ``.json``/``.col`` twins."""
+    """Entry name minus its ``.col`` (or legacy ``.json``) suffix."""
     for suffix in (".json", COL_SUFFIX):
         if name.endswith(suffix):
             return name[: -len(suffix)]
@@ -122,14 +123,14 @@ def _pack(kind: str, meta: dict, columns: list[tuple[str, np.ndarray]]) -> bytes
     return bytes(out)
 
 
-def _parse_header(buffer, *, check_bounds: bool = True) -> tuple[dict, int]:
+def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
     """Validate magic/version and return ``(header, data_start)``.
 
     Raises :class:`ColumnFormatError` for anything that cannot be a valid
     container — truncation, wrong magic, bad version, malformed header
-    JSON, or (with ``check_bounds``, i.e. when ``buffer`` is the whole
-    file rather than a prefix probe) a column descriptor pointing outside
-    the buffer.
+    JSON, or a column descriptor pointing past ``size``: the length of the
+    whole file, which defaults to ``len(buffer)`` (``buffer`` *is* the
+    file) and is passed explicitly when ``buffer`` is a prefix probe.
     """
     if len(buffer) < len(MAGIC) + 4:
         raise ColumnFormatError(f"buffer too short for container ({len(buffer)} bytes)")
@@ -148,13 +149,13 @@ def _parse_header(buffer, *, check_bounds: bool = True) -> tuple[dict, int]:
     if header.get("colfmt_version") != COLFMT_SCHEMA_VERSION:
         raise ColumnFormatError(f"unsupported colfmt_version {header.get('colfmt_version')!r}")
     data_start = -(-header_end // _DATA_ALIGN) * _DATA_ALIGN
-    if check_bounds:
-        for descriptor in header.get("columns", ()):
-            if not isinstance(descriptor, dict):
-                raise ColumnFormatError("column descriptor is not an object")
-            end = data_start + descriptor.get("offset", 0) + descriptor.get("nbytes", 0)
-            if descriptor.get("offset", -1) < 0 or end > len(buffer):
-                raise ColumnFormatError(f"column {descriptor.get('name')!r} out of bounds")
+    limit = len(buffer) if size is None else size
+    for descriptor in header.get("columns", ()):
+        if not isinstance(descriptor, dict):
+            raise ColumnFormatError("column descriptor is not an object")
+        end = data_start + descriptor.get("offset", 0) + descriptor.get("nbytes", 0)
+        if descriptor.get("offset", -1) < 0 or end > limit:
+            raise ColumnFormatError(f"column {descriptor.get('name')!r} out of bounds")
     return header, data_start
 
 
@@ -176,16 +177,22 @@ def read_header(path: str | Path, *, root: str | Path | None = None) -> dict:
     """Parse only the JSON header of a ``.col`` file (≤ a few KiB read).
 
     This is the warm-path primitive: metrics, fingerprints, and identity
-    checks live in the header, so the column payload is never read.
+    checks live in the header, so the column payload is never read.  The
+    column directory is still checked against the file's size, so an
+    entry torn after its header (a partial write) raises
+    :class:`ColumnFormatError` here rather than serving a hit whose
+    columns are missing.
     """
     path = Path(path)
     probe = iolayer.read_bytes(path, root=root, count=_HEADER_PROBE)
+    # A short probe is the whole file; only a full one needs the size asked.
+    size = len(probe) if len(probe) < _HEADER_PROBE else path.stat().st_size
     if len(probe) >= len(MAGIC) + 4:
         header_len = int.from_bytes(bytes(probe[len(MAGIC) : len(MAGIC) + 4]), "little")
         needed = len(MAGIC) + 4 + header_len
         if 0 < header_len and needed > len(probe) and needed <= 64 * 1024 * 1024:
             probe = iolayer.read_bytes(path, root=root, count=needed)
-    header, _ = _parse_header(probe, check_bounds=False)
+    header, _ = _parse_header(probe, size=size)
     return header
 
 
@@ -268,7 +275,7 @@ def decode_trace_outcomes(buffer) -> dict:
 
 
 def decode_trace(buffer) -> dict:
-    """Full trace payload, bit-identical to what the JSON writer stored."""
+    """Full trace payload, bit-identical to the encoded ``trace_to_dict`` output."""
     header, _ = _parse_header(buffer)
     if header.get("kind") != "trace":
         raise ColumnFormatError(f"expected trace container, got {header.get('kind')!r}")
@@ -361,7 +368,7 @@ def read_run_header(path: str | Path, *, root: str | Path | None = None) -> dict
 
 
 def decode_run(buffer) -> dict:
-    """Full run payload, bit-identical to what the JSON writer stored."""
+    """Full run payload, bit-identical to the encoded ``run_to_dict`` output."""
     header, data_start = _parse_header(buffer)
     if header.get("kind") != "run":
         raise ColumnFormatError(f"expected run container, got {header.get('kind')!r}")
@@ -408,10 +415,10 @@ def decode_run(buffer) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Format-dispatching entry read for maintenance / quarantine / audit.
+# Suffix-dispatching entry read for maintenance / quarantine / audit.
 
 def load_entry_payload(path: str | Path, *, root: str | Path | None = None) -> dict:
-    """Parse an entry of either format into its JSON-shaped payload dict.
+    """Parse a ``.col`` entry or a JSON job record into its payload dict.
 
     Raises :class:`FileNotFoundError` for a missing entry, one of
     :data:`PARSE_ERRORS` for a corrupt one, and any other ``OSError``

@@ -3,13 +3,14 @@
 Quarantined entries, dead-letter jobs, and stale temp files are all
 *evidence* the moment they appear — and garbage a week later.  This
 module is the generic maintenance engine the trace store, run store, and
-job queue all wire up (``repro store scrub|gc|repair`` on the CLI):
+job queue all wire up through one mixin, :class:`MaintainedRoot`
+(``repro store scrub|gc|repair`` on the CLI):
 
 ``scrub`` — :func:`scrub_entries`
     Re-verify every *indexed* entry under its shard lock: it must exist,
-    parse as a JSON object, live in the shard its digest names, and pass
-    the store's own identity validation (schema version, fingerprints
-    matching the file name, payload shape).  Anything that fails is
+    parse, live in the shard its digest names, and pass the store's own
+    identity validation (schema version, fingerprints matching the file
+    name, payload shape).  Anything that fails is
     quarantined (moved to ``root/_quarantine``, index record dropped) —
     exactly what the lazy load path would eventually do, done eagerly.
 
@@ -38,6 +39,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Callable
+from typing import ClassVar
 
 from . import colfmt, iolayer, shards
 
@@ -102,19 +104,17 @@ class RepairReport:
 
 def scrub_entries(
     root: Path,
-    pattern: str | tuple[str, ...],
     validate: Callable[[str, dict], str | None],
-    *,
-    digest_for: Callable[[str], str | None] | None = None,
+    digest_for: Callable[[str], str | None],
 ) -> ScrubReport:
     """Re-verify every indexed entry under its shard lock; quarantine failures.
 
     ``validate(name, payload)`` returns a problem string (entry is
-    quarantined) or None (entry is sound); ``digest_for(name)`` — when
-    given — recovers the shard digest from the file name so misfiled
-    entries are caught too.  Missing-on-disk entries are reported and
-    their ghost index records dropped (the quarantine move is a no-op for
-    a file that is not there).  Entries whose bytes cannot be *read*
+    quarantined) or None (entry is sound); ``digest_for(name)`` recovers
+    the shard digest from the file name so misfiled entries are caught
+    too.  Missing-on-disk entries are reported and their ghost index
+    records dropped (the quarantine move is a no-op for a file that is
+    not there).  Entries whose bytes cannot be *read*
     (transient I/O failure, after the seam's retries) are reported but
     **not** quarantined — unavailability is not evidence of corruption.
     """
@@ -136,15 +136,15 @@ def _entry_problem(
     shard: Path,
     name: str,
     validate: Callable[[str, dict], str | None],
-    digest_for: Callable[[str], str | None] | None,
+    digest_for: Callable[[str], str | None],
 ) -> tuple[str | None, bool]:
     """``(problem, quarantinable)`` for one indexed entry.
 
     ``problem`` is None when the entry checks out.  ``quarantinable`` is
     False exactly for read-I/O failures: the entry may be perfectly valid
     on a disk that is briefly unhappy, so scrub reports it and leaves it
-    for a later pass to vindicate or convict.  Both entry formats parse
-    via :func:`repro.runtime.colfmt.load_entry_payload`.
+    for a later pass to vindicate or convict.  Entries parse via
+    :func:`repro.runtime.colfmt.load_entry_payload`.
     """
     path = shard / name
     try:
@@ -157,33 +157,32 @@ def _entry_problem(
         return f"unreadable ({exc}) — left in place", False
     if not isinstance(payload, dict):
         return "not a JSON object", True
-    if digest_for is not None:
-        digest = digest_for(name)
-        if digest is None:
-            return "file name does not parse as an entry name", True
-        if shards.shard_prefix(digest) != shard.name:
-            return f"entry filed in shard {shard.name} but digest names {digest[:2]}", True
+    digest = digest_for(name)
+    if digest is None:
+        return "file name does not parse as an entry name", True
+    if shards.shard_prefix(digest) != shard.name:
+        return f"entry filed in shard {shard.name} but digest names {digest[:2]}", True
     return validate(name, payload), True
 
 
 def gc_entries(
     root: Path,
+    pattern: str,
+    collect: Callable[[dict], bool] | None,
     *,
     ttl_seconds: float = DEFAULT_TTL_SECONDS,
     dry_run: bool = True,
     now: float | None = None,
-    pattern: str | tuple[str, ...] | None = None,
-    collect: Callable[[dict], bool] | None = None,
 ) -> GcReport:
     """TTL sweep over quarantine, stale temps, and optional terminal entries.
 
     Removes (or, by default, only reports — ``dry_run``) every file under
     ``root/_quarantine`` and every ``*.tmp*`` file whose mtime is older
-    than ``ttl_seconds``.  When ``pattern`` and ``collect`` are given,
-    entries matching the pattern whose parsed payload satisfies
-    ``collect(payload)`` are removed too once past the TTL — how the job
-    queue expires dead-letter records.  Byte counts are accumulated in
-    either mode so a dry run prices the real one.
+    than ``ttl_seconds``.  When ``collect`` is given, entries matching
+    ``pattern`` whose parsed payload satisfies ``collect(payload)`` are
+    removed too once past the TTL — how the job queue expires dead-letter
+    records.  Byte counts are accumulated in either mode so a dry run
+    prices the real one.
     """
     clock = time.time() if now is None else now
     report = GcReport(root=str(root), dry_run=dry_run)
@@ -201,7 +200,7 @@ def gc_entries(
             for path in _safe_scan(shard, "*.tmp*", root):
                 if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
                     report.temps_removed += 1
-            if pattern is None or collect is None:
+            if collect is None:
                 continue
             for path in _safe_scan(shard, pattern, root):
                 if ".tmp" in path.name:
@@ -214,15 +213,11 @@ def gc_entries(
     return report
 
 
-def _safe_scan(directory: Path, pattern: str | tuple[str, ...], root: Path) -> list[Path]:
-    patterns = (pattern,) if isinstance(pattern, str) else pattern
-    found: list[Path] = []
-    for glob in patterns:
-        try:
-            found.extend(iolayer.scan(directory, glob, root=root))
-        except OSError:  # repro: allow[exceptions/swallow] counted by the seam; unscannable dir yields nothing
-            continue
-    return sorted(set(found)) if len(patterns) > 1 else found
+def _safe_scan(directory: Path, pattern: str, root: Path) -> list[Path]:
+    try:
+        return iolayer.scan(directory, pattern, root=root)
+    except OSError:
+        return []  # counted by the seam; an unscannable dir yields nothing
 
 
 def _age_and_size(path: Path, root: Path) -> tuple[float, int] | None:
@@ -289,13 +284,13 @@ def _collect_entry_locked(
 
 def repair_entries(
     root: Path,
-    pattern: str | tuple[str, ...],
-    meta_for: Callable[[str, dict], dict],
+    pattern: str,
+    meta_for: Callable[[dict], dict],
 ) -> RepairReport:
     """Heal index↔disk drift: drop ghosts, re-index orphans, quarantine junk.
 
-    ``meta_for(name, payload)`` supplies the index identity block for a
-    re-indexed orphan (each store's own ``_index_meta``).  Runs shard by
+    ``meta_for(payload)`` supplies the index identity block for a
+    re-indexed orphan (each root's own ``_index_meta``).  Runs shard by
     shard under the shard lock, rewriting each index at most once.
     Orphans that fail to *parse* are quarantined; orphans that fail to
     *read* (transient I/O) are skipped for a later pass — repair must not
@@ -324,9 +319,74 @@ def repair_entries(
                     shards.quarantine_entry_locked(root, shard, name)
                     report.quarantined += 1
                     continue
-                indexed[name] = meta_for(name, payload)
+                indexed[name] = meta_for(payload)
                 report.orphans_indexed += 1
                 changed = True
             if changed:
                 shards.write_index_locked(shard, indexed)
     return report
+
+
+class MaintainedRoot:
+    """Health and maintenance for one sharded root, written once.
+
+    The trace store, run store, and job queue mix this in and supply its
+    hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
+    ``_digest_from_name`` (file name -> shard digest, or None),
+    ``_scrub_problem`` (why a parsed entry is unsound, or None),
+    ``_index_meta`` (a payload's shard-index identity block), and
+    :attr:`_gc_collect` (which parsed entries expire like quarantined
+    files; None collects no entries).
+    """
+
+    ENTRY_GLOB: ClassVar[str]
+    _digest_from_name: Callable[[str], str | None]
+    _scrub_problem: Callable[[str, dict], str | None]
+    _index_meta: Callable[[dict], dict]
+    _gc_collect: Callable[[dict], bool] | None = None
+
+    root: Path
+
+    def _open_root(self, root: str | Path, label: str) -> None:
+        """Create or reopen the root directory; sweep crashed writers' temps."""
+        self.root = Path(root)
+        if self.root.exists() and not self.root.is_dir():
+            raise NotADirectoryError(f"{label} path {self.root} exists and is not a directory")
+        self.root.mkdir(parents=True, exist_ok=True)
+        #: Abandoned temp files swept at open (crashed writers' leftovers).
+        self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
+
+    def audit(self) -> tuple[int, list[str]]:
+        """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
+        return shards.audit_entries(self.root, self.ENTRY_GLOB)
+
+    @property
+    def degraded(self) -> bool:
+        """True while this root is in read-only (capacity) mode."""
+        return iolayer.is_degraded(self.root)
+
+    @property
+    def io_errors(self) -> int:
+        """I/O errors observed under this root (skipped paths included)."""
+        return iolayer.io_error_count(self.root)
+
+    def scrub(self) -> ScrubReport:
+        """Re-verify every indexed entry; quarantine the unsound ones."""
+        return scrub_entries(self.root, self._scrub_problem, self._digest_from_name)
+
+    def gc(
+        self,
+        *,
+        ttl_seconds: float = DEFAULT_TTL_SECONDS,
+        dry_run: bool = True,
+        now: float | None = None,
+    ) -> GcReport:
+        """TTL-collect quarantine, stale temps, and terminal entries (dry-run default)."""
+        return gc_entries(
+            self.root, self.ENTRY_GLOB, self._gc_collect,
+            ttl_seconds=ttl_seconds, dry_run=dry_run, now=now,
+        )
+
+    def repair(self) -> RepairReport:
+        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
+        return repair_entries(self.root, self.ENTRY_GLOB, self._index_meta)

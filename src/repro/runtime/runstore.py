@@ -4,9 +4,9 @@ PR 2 made building traces cheap and reloading them near-free; after that
 the suite's dominant cost became the run tier itself — every table,
 figure, sensitivity point, and fuzz sweep replays ``run_policy`` from
 scratch, and nothing remembers a finished run across processes.  This
-module is the run tier's analogue of :class:`~repro.runtime.store.TraceStore`:
-schema-validated entries (binary columnar by default, JSON as the fully
-supported fallback format — see :mod:`repro.runtime.colfmt`),
+module is the run tier's analogue of :class:`~repro.runtime.store.TraceStore`
+and shares its :class:`~repro.runtime.store.EntryStore` base:
+schema-validated binary columnar entries (:mod:`repro.runtime.colfmt`),
 content-addressed, atomic writes.
 
 **Cache key.**  A run's frame records are a pure function of four inputs,
@@ -38,22 +38,21 @@ that only need metrics (tables, figures, fuzz drivers) hit
 :meth:`RunStore.load_metrics`, which skips rebuilding
 :class:`~repro.runtime.records.FrameRecord` objects entirely — that is
 what makes a warm sweep as cheap as a trace reload.  Floats survive the
-JSON round-trip exactly (shortest-round-trip repr), so a warm sweep is
-bit-identical to a cold one.
+round-trip exactly (float64 columns; the metrics sit in the JSON header
+in shortest-round-trip repr), so a warm sweep is bit-identical to a cold
+one.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
-from ..util import jsonsafe
 from ..vision.bbox import BoundingBox
-from . import colfmt, iolayer, maintenance, shards
+from . import colfmt, iolayer, shards
 from .metrics import RunMetrics, aggregate
-from .store import STORE_FORMATS, resolve_write_format
+from .store import EntryStore
 from ..core.records import FrameRecord, RunResult
 
 SCHEMA_VERSION = 1
@@ -243,14 +242,13 @@ def metrics_from_dict(payload: dict, key: RunKey) -> RunMetrics:
         raise RunSchemaError(f"malformed run metrics: {exc}") from exc
 
 
-def _run_file_name(digest: str, fmt: str = "binary") -> str:
-    """The entry file name for one run-key digest in the given format.
+def _run_file_name(digest: str) -> str:
+    """The entry file name for one run-key digest.
 
     The algorithm version is part of the name, so bumping it orphans
     stale files (treated as misses) rather than erroring on them.
     """
-    suffix = colfmt.COL_SUFFIX if fmt == "binary" else ".json"
-    return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}{suffix}"
+    return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}{colfmt.COL_SUFFIX}"
 
 
 def _index_meta(payload: dict) -> dict:
@@ -265,303 +263,8 @@ def _index_meta(payload: dict) -> dict:
     }
 
 
-class RunStore:
-    """A sharded directory of persisted policy runs, content-addressed by run key.
-
-    Mirrors :class:`~repro.runtime.store.TraceStore`: entries shard by
-    run-key-digest prefix under ``root/<2-hex>/``, each shard carries an
-    index, and all writes are atomic (temp + ``os.replace``) under the
-    shard's advisory lock (:mod:`repro.runtime.shards`) — so service
-    worker threads, parallel sweep workers, and whole separate processes
-    can race on the same keys and only ever leave complete files behind.
-    Loads re-validate the full identity block.  An entry that cannot even
-    be parsed is the same as a missing one — a miss, counted in
-    :attr:`corrupt_entries` and removed; a parseable entry that does not
-    match its key is a loud :class:`RunSchemaError`.  Never a silently
-    wrong run.
-    """
-
-    #: Globs matching this store's entry files, both formats.
-    ENTRY_PATTERNS = ("run-*.json", "run-*.col")
-
-    def __init__(self, root: str | Path, *, write_format: str | None = None) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(f"run store path {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Format new saves are written in ("binary" | "json"); both
-        #: formats are always *read*.
-        self.write_format = resolve_write_format(write_format)
-        #: Unreadable entries encountered (and removed) by this instance.
-        self.corrupt_entries = 0
-        #: Abandoned temp files swept at open (crashed writers' leftovers).
-        self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
-        self._migrate_legacy_entries()
-        #: JSON entries re-encoded to the binary format by this open.
-        self.format_migrated = 0
-        self._migrate_format_entries()
-
-    def _migrate_legacy_entries(self) -> None:
-        """Move flat-layout entries (pre-sharding stores) into their shards."""
-
-        def digest_for(path: Path) -> str | None:
-            parts = path.stem.split("-")  # run-v<A>-<digest32>
-            return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
-
-        def meta_for(path: Path) -> dict | None:
-            try:
-                payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-            except (OSError, json.JSONDecodeError):
-                self.corrupt_entries += 1
-                return None
-            if not isinstance(payload, dict):
-                self.corrupt_entries += 1
-                return None
-            return _index_meta(payload)
-
-        shards.migrate_flat_entries(self.root, "run-*.json", digest_for, meta_for)
-
-    def _migrate_format_entries(self) -> None:
-        """Re-encode existing JSON entries as binary columns (binary writer only).
-
-        Same discipline as :meth:`TraceStore._migrate_format_entries`:
-        per-entry shard locking, the ``.json`` twin superseded in the same
-        critical section, unreadable/unencodable entries skipped, and a
-        degraded disk aborts the sweep rather than failing the open.
-        """
-        if self.write_format != "binary":
-            return
-        for path in list(shards.iter_entry_paths(self.root, "run-*.json")):
-            if path.parent == self.root:
-                continue  # legacy flat leftovers: not this migration's job
-            shard = path.parent
-            try:
-                with shards.shard_lock(shard):
-                    if not path.exists():  # another opener migrated it first
-                        continue
-                    try:
-                        payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-                    except (OSError, json.JSONDecodeError):  # repro: allow[exceptions/swallow] unreadable/corrupt entries stay JSON; scrub handles them
-                        continue
-                    if not isinstance(payload, dict):
-                        continue
-                    try:
-                        data = colfmt.encode_run(payload)
-                    except (KeyError, TypeError, ValueError, IndexError):  # repro: allow[exceptions/swallow] unencodable payloads stay JSON (still servable)
-                        continue
-                    name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
-                    shards.write_entry_locked(
-                        shard, name, data, _index_meta(payload), supersedes=(path.name,)
-                    )
-                    self.format_migrated += 1
-            except iolayer.StoreDegraded:
-                break
-
-    def path_for(self, key: RunKey) -> Path:
-        """The (sharded) file a run persists to.
-
-        Prefers whichever format actually exists on disk (binary probed
-        first); for a not-yet-saved key, the write-format name.
-        """
-        digest = key.digest()
-        shard = shards.shard_dir(self.root, digest)
-        for fmt in STORE_FORMATS:
-            path = shard / _run_file_name(digest, fmt)
-            if path.exists():
-                return path
-        return shard / _run_file_name(digest, self.write_format)
-
-    def save(self, result: RunResult, key: RunKey) -> Path:
-        """Persist a finished run; returns the file written.
-
-        The sibling-format twin (if any) is superseded under the same
-        shard lock, so at most one format serves a logical entry.
-        """
-        digest = key.digest()
-        payload = run_to_dict(result, key)
-        if self.write_format == "binary":
-            data: str | bytes = colfmt.encode_run(payload)
-        else:
-            data = jsonsafe.dumps(payload)
-        other = "json" if self.write_format == "binary" else "binary"
-        return shards.write_entry(
-            self.root,
-            digest,
-            _run_file_name(digest, self.write_format),
-            data,
-            _index_meta(payload),
-            supersedes=(_run_file_name(digest, other),),
-        )
-
-    def commit(self, result: RunResult, key: RunKey) -> tuple[Path, bool]:
-        """Idempotently persist a run: ``(path, True)`` only for the first commit.
-
-        The at-most-once-in-effect primitive for crash-safe execution: a
-        re-executed job (lease expired, worker killed after ``save`` but
-        before acknowledging) produces bit-identical content, so a second
-        commit observes the existing readable entry and writes nothing.
-        A torn entry left by a crashed writer is quarantined by the
-        ``load_metrics`` probe and then overwritten — corrupt bytes are
-        never served and never block a retry.
-        """
-        if self.load_metrics(key) is not None:
-            return self.path_for(key), False
-        return self.save(result, key), True
-
-    def _payload(
-        self, key: RunKey, *, header_only: bool = False, _retry: bool = True
-    ) -> dict | None:
-        """The decoded payload for ``key`` from either format, or None.
-
-        ``header_only`` skips the record columns of a binary entry — the
-        identity block and pre-aggregated metrics live in its JSON header,
-        so :meth:`load_metrics` (the warm-sweep hot path) reads a few KiB
-        regardless of run length.  JSON entries always parse fully.
-
-        A read ``OSError`` (post-retry, through the seam) is a plain miss:
-        the entry is *unavailable*, not corrupt, and must never be
-        quarantined for it.  Only a genuine parse failure quarantines.
-        """
-        digest = key.digest()
-        shard = shards.shard_dir(self.root, digest)
-        binary_path = shard / _run_file_name(digest, "binary")
-        payload: dict | None
-        try:
-            if header_only:
-                payload = colfmt.read_run_header(binary_path, root=self.root)
-            else:
-                buffer = iolayer.read_bytes(binary_path, root=self.root, map=True)
-                payload = colfmt.decode_run(buffer)
-        except FileNotFoundError:
-            payload = None  # fall through to the JSON twin
-        except OSError:
-            return None  # unavailable, not corrupt: a miss, already counted
-        except colfmt.ColumnFormatError:
-            # Corrupt binary: quarantine, then retry once — serving the
-            # JSON twin (same content address) or a repaired entry.
-            self._quarantine(digest, binary_path.name)
-            if _retry:
-                return self._payload(key, header_only=header_only, _retry=False)
-            return None
-        if payload is not None:
-            return payload
-
-        json_path = shard / _run_file_name(digest, "json")
-        try:
-            payload = jsonsafe.loads(iolayer.read_text(json_path, root=self.root))
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None  # unavailable, not corrupt
-        except json.JSONDecodeError:
-            payload = None
-        if not isinstance(payload, dict):
-            if not self._quarantine(digest, json_path.name) and _retry:
-                # A concurrent writer replaced the entry mid-read; retry
-                # once against the now-complete file.
-                return self._payload(key, header_only=header_only, _retry=False)
-            return None
-        return payload
-
-    def _quarantine(self, digest: str, name: str) -> bool:
-        """Quarantine one corrupt entry; True when it was moved (counted)."""
-        try:
-            quarantined = shards.quarantine_corrupt_entry(self.root, digest, name)
-        except iolayer.StoreDegraded:
-            # Quarantine bookkeeping hit a full disk: the entry is still
-            # unservable, so this load is a miss either way.
-            self.corrupt_entries += 1
-            return True
-        if quarantined:
-            self.corrupt_entries += 1
-        return quarantined
-
-    def load(self, key: RunKey) -> RunResult | None:
-        """Load the persisted run for ``key``, or None if absent.
-
-        Unreadable entries (torn by a crash) are misses too — counted in
-        :attr:`corrupt_entries` and removed, never served.
-        """
-        payload = self._payload(key)
-        if payload is None:
-            return None
-        return run_from_dict(payload, key)
-
-    def load_metrics(self, key: RunKey) -> RunMetrics | None:
-        """Load only the pre-aggregated metrics of a persisted run.
-
-        The warm-sweep fast path: a binary entry serves this from its
-        few-KiB column header (record columns never read); a JSON entry
-        costs one parse + one dataclass construction.
-        """
-        payload = self._payload(key, header_only=True)
-        if payload is None:
-            return None
-        return metrics_from_dict(payload, key)
-
-    def __contains__(self, key: RunKey) -> bool:
-        return self.path_for(key).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS))
-
-    def clear(self) -> int:
-        """Delete every persisted run (both formats); returns how many were removed."""
-        removed = 0
-        for path in list(shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS)):
-            if path.parent == self.root:  # legacy flat file written after open
-                path.unlink(missing_ok=True)
-                removed += 1
-                continue
-            if shards.remove_entry(self.root, path.stem.split("-")[2], path.name):
-                removed += 1
-        return removed
-
-    def audit(self) -> tuple[int, list[str]]:
-        """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, self.ENTRY_PATTERNS)
-
-    # ------------------------------------------------------------ health
-
-    @property
-    def degraded(self) -> bool:
-        """True while this store's root is in read-only (capacity) mode."""
-        return iolayer.is_degraded(self.root)
-
-    @property
-    def io_errors(self) -> int:
-        """I/O errors observed under this root (skipped paths included)."""
-        return iolayer.io_error_count(self.root)
-
-    # ------------------------------------------------------- maintenance
-
-    def scrub(self) -> maintenance.ScrubReport:
-        """Re-verify schema + recomputed run-key digest of every entry."""
-        return maintenance.scrub_entries(
-            self.root, self.ENTRY_PATTERNS, _scrub_problem, digest_for=_digest_from_name
-        )
-
-    def gc(
-        self,
-        *,
-        ttl_seconds: float = maintenance.DEFAULT_TTL_SECONDS,
-        dry_run: bool = True,
-        now: float | None = None,
-    ) -> maintenance.GcReport:
-        """TTL-collect quarantined files and stale temps (dry-run default)."""
-        return maintenance.gc_entries(
-            self.root, ttl_seconds=ttl_seconds, dry_run=dry_run, now=now
-        )
-
-    def repair(self) -> maintenance.RepairReport:
-        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
-        return maintenance.repair_entries(
-            self.root, self.ENTRY_PATTERNS, lambda name, payload: _index_meta(payload)
-        )
-
-
 def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a run entry file name (either format)."""
+    """The shard digest encoded in a run entry file name (``.col`` or legacy)."""
     stem = colfmt.entry_stem(name)
     parts = stem.split("-") if stem != name else []
     return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
@@ -608,3 +311,75 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     if not isinstance(payload.get("metrics"), dict):
         return "metrics block is not an object"
     return None
+
+
+class RunStore(EntryStore):
+    """A sharded directory of persisted policy runs, content-addressed by run key.
+
+    Entries shard by run-key-digest prefix under ``root/<2-hex>/`` (see
+    :class:`~repro.runtime.store.EntryStore`), so service worker threads,
+    parallel sweep workers, and whole separate processes can race on the
+    same keys and only ever leave complete files behind.  Loads
+    re-validate the full identity block: a parseable entry that does not
+    match its key is a loud :class:`RunSchemaError`.  Never a silently
+    wrong run.
+    """
+
+    KIND = "run"
+    ENTRY_GLOB = "run-*" + colfmt.COL_SUFFIX
+    _encode = staticmethod(colfmt.encode_run)
+    _digest_from_name = staticmethod(_digest_from_name)
+    _scrub_problem = staticmethod(_scrub_problem)
+    _index_meta = staticmethod(_index_meta)
+
+    def path_for(self, key: RunKey) -> Path:
+        """The (sharded) file a run persists to."""
+        digest = key.digest()
+        return shards.shard_dir(self.root, digest) / _run_file_name(digest)
+
+    def save(self, result: RunResult, key: RunKey) -> Path:
+        """Persist a finished run; returns the file written."""
+        digest = key.digest()
+        return self._write(digest, _run_file_name(digest), run_to_dict(result, key))
+
+    def commit(self, result: RunResult, key: RunKey) -> tuple[Path, bool]:
+        """Idempotently persist a run: ``(path, True)`` only for the first commit.
+
+        The at-most-once-in-effect primitive for crash-safe execution: a
+        re-executed job (lease expired, worker killed after ``save`` but
+        before acknowledging) produces bit-identical content, so a second
+        commit observes the existing readable entry and writes nothing.
+        A torn entry left by a crashed writer is quarantined by the
+        ``load_metrics`` probe and then overwritten — corrupt bytes are
+        never served and never block a retry.
+        """
+        if self.load_metrics(key) is not None:
+            return self.path_for(key), False
+        return self.save(result, key), True
+
+    def load(self, key: RunKey) -> RunResult | None:
+        """Load the persisted run for ``key``, or None if absent.
+
+        Unreadable entries (torn by a crash) are misses too — counted in
+        :attr:`corrupt_entries` and quarantined, never served.
+        """
+        payload = self._read(
+            self.path_for(key),
+            lambda path: colfmt.decode_run(iolayer.read_bytes(path, root=self.root, map=True)),
+        )
+        return None if payload is None else run_from_dict(payload, key)
+
+    def load_metrics(self, key: RunKey) -> RunMetrics | None:
+        """Load only the pre-aggregated metrics of a persisted run.
+
+        The warm-sweep fast path: the identity block and metrics live in
+        the entry's few-KiB column header, so the record columns are never
+        read regardless of run length.
+        """
+        payload = self._read(
+            self.path_for(key), lambda path: colfmt.read_run_header(path, root=self.root)
+        )
+        return None if payload is None else metrics_from_dict(payload, key)
+
+    def __contains__(self, key: RunKey) -> bool:
+        return self.path_for(key).exists()

@@ -20,7 +20,7 @@ by).  Tools can enumerate a store's contents — and audit that every
 indexed entry still parses — without opening every payload.
 
 **Advisory locks.**  All mutations (entry writes, removals, stale-temp
-cleanup, legacy migration) happen under an ``fcntl`` advisory lock on the
+cleanup, format migration) happen under an ``fcntl`` advisory lock on the
 shard's ``.lock`` file, so concurrent writers serialize per shard and an
 index update can never lose a racing writer's entry.  Readers never need
 the lock: entry writes stay atomic (temp file + ``os.replace``), so a
@@ -147,11 +147,6 @@ def _replace_atomically(shard: Path, name: str, data: str | bytes) -> Path:
     return iolayer.write_text(shard / name, data, root=shard.parent)
 
 
-def _patterns(pattern: str | tuple[str, ...]) -> tuple[str, ...]:
-    """Normalize the single-glob / glob-tuple pattern argument."""
-    return (pattern,) if isinstance(pattern, str) else tuple(pattern)
-
-
 def read_index(shard: Path) -> dict[str, dict]:
     """The shard's index entries (``{}`` for a missing or unreadable index).
 
@@ -186,38 +181,20 @@ def write_index_locked(shard: Path, entries: dict[str, dict]) -> None:
     _write_index(shard, entries)
 
 
-def write_entry(
-    root: Path,
-    digest: str,
-    name: str,
-    data: str | bytes,
-    meta: dict,
-    *,
-    supersedes: tuple[str, ...] = (),
-) -> Path:
+def write_entry(root: Path, digest: str, name: str, data: str | bytes, meta: dict) -> Path:
     """Atomically persist one entry and record it in the shard index.
 
     Runs entirely under the shard lock: the entry write is temp +
     ``os.replace`` (readers never see a torn file even without the lock),
     and the index read-modify-write is protected against concurrent
-    writers of *other* entries in the same shard.  ``supersedes`` names
-    sibling files this write replaces — the same logical entry under its
-    other format's name — removed under the same lock acquisition so a
-    store can never serve a stale twin.
+    writers of *other* entries in the same shard.
     """
     shard = shard_dir(root, digest)
     with shard_lock(shard):
-        return write_entry_locked(shard, name, data, meta, supersedes=supersedes)
+        return write_entry_locked(shard, name, data, meta)
 
 
-def write_entry_locked(
-    shard: Path,
-    name: str,
-    data: str | bytes,
-    meta: dict,
-    *,
-    supersedes: tuple[str, ...] = (),
-) -> Path:
+def write_entry_locked(shard: Path, name: str, data: str | bytes, meta: dict) -> Path:
     """Entry write + index update for callers already holding the shard lock.
 
     The job queue's claim sweep mutates several entries per shard under
@@ -228,16 +205,6 @@ def write_entry_locked(
     path = _replace_atomically(shard, name, data)
     entries = read_index(shard)
     entries[name] = meta
-    for stale in supersedes:
-        if stale == name:
-            continue
-        try:
-            (shard / stale).unlink(missing_ok=True)
-        except OSError:
-            # The new entry is durable regardless; the surviving twin is
-            # de-indexed below so repair can reclaim it as an orphan.
-            iolayer.record_io_error(shard.parent)
-        entries.pop(stale, None)
     _write_index(shard, entries)
     return path
 
@@ -294,7 +261,7 @@ def remove_entry_locked(shard: Path, name: str) -> bool:
     return existed
 
 
-def quarantine_corrupt_entry(root: Path, digest: str, name: str) -> bool:
+def quarantine_corrupt_entry(root: Path, shard: Path, name: str) -> bool:
     """Quarantine an entry that failed to parse — unless a writer fixed it.
 
     Returns True when the entry was (still) corrupt and has been moved to
@@ -304,13 +271,12 @@ def quarantine_corrupt_entry(root: Path, digest: str, name: str) -> bool:
     load).  Runs under the shard lock so the check-and-move cannot race a
     live writer.
 
-    Only genuine *parse* failures (of either format) quarantine.  An
-    ``OSError`` out of the re-read means the entry is *unavailable*, not
-    provably corrupt — quarantining on that evidence is how a transient
-    ``EIO`` used to destroy valid entries — so it is counted and reported
-    as False (the caller already treated its own read error as a miss).
+    Only genuine *parse* failures quarantine.  An ``OSError`` out of the
+    re-read means the entry is *unavailable*, not provably corrupt —
+    quarantining on that evidence is how a transient ``EIO`` used to
+    destroy valid entries — so it is counted and reported as False (the
+    caller already treated its own read error as a miss).
     """
-    shard = shard_dir(root, digest)
     with shard_lock(shard):
         path = shard / name
         corrupt = False
@@ -360,13 +326,13 @@ def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
 def clean_stale_temps(root: Path) -> int:
     """Remove abandoned ``*.tmp*`` files left by killed writers.
 
-    Sweeps the root (legacy flat layout) and every shard, taking each
-    shard's lock first: a temp file observed *while holding the lock*
-    cannot belong to a live writer, so everything swept is a crash
-    leftover.  Returns how many files were removed.  Paths that cannot
-    be scanned or unlinked are *not* silently dropped: each failure is
-    counted in ``iolayer.io_error_count(root)`` and the sweep moves on —
-    a stale temp is cosmetic, an uncounted I/O error is not.
+    Sweeps the root itself and every shard, taking each shard's lock
+    first: a temp file observed *while holding the lock* cannot belong to
+    a live writer, so everything swept is a crash leftover.  Returns how
+    many files were removed.  Paths that cannot be scanned or unlinked are
+    *not* silently dropped: each failure is counted in
+    ``iolayer.io_error_count(root)`` and the sweep moves on — a stale temp
+    is cosmetic, an uncounted I/O error is not.
     """
     removed = 0
     if not root.is_dir():
@@ -400,83 +366,30 @@ def _unlink_or_count(stale: Path, root: Path) -> int:
     return 1
 
 
-def migrate_flat_entries(
-    root: Path, pattern: str, digest_for: "callable", meta_for: "callable"
-) -> int:
-    """Move legacy flat-layout entries into their shards; returns the count.
+def iter_entry_paths(root: Path, pattern: str) -> Iterator[Path]:
+    """Every entry file matching the ``pattern`` glob, shard by shard.
 
-    ``digest_for(path) -> str | None`` names the shard digest for a legacy
-    file (None skips it); ``meta_for(path) -> dict | None`` supplies its
-    index record (None marks the file unreadable — it is removed rather
-    than migrated, since a flat corrupt file would otherwise survive every
-    later audit).  Idempotent and concurrency-safe: the actual move runs
-    under the target shard's lock and tolerates the file having been
-    migrated by another opener meanwhile.
+    The glob names the suffix (``trace-*.col``): a bare ``prefix-*`` would
+    also match in-flight ``*.tmp*`` files.
     """
-    migrated = 0
-    if not root.is_dir():
-        return 0
-    for path in sorted(root.glob(pattern)):
-        if not path.is_file() or ".tmp" in path.name:
-            continue
-        digest = digest_for(path)
-        if digest is None:
-            continue
-        shard = shard_dir(root, digest)
-        with shard_lock(shard):
-            if not path.exists():  # another opener migrated it first
-                continue
-            meta = meta_for(path)
-            if meta is None:
-                path.unlink()
-                continue
-            target = shard / path.name
-            # The legacy file is already fully written, so moving it into
-            # its shard needs no temp — the seam's rename is enough.
-            iolayer.replace(path, target, root=root)
-            entries = read_index(shard)
-            entries[path.name] = meta
-            _write_index(shard, entries)
-            migrated += 1
-    return migrated
-
-
-def iter_entry_paths(root: Path, pattern: str | tuple[str, ...]) -> Iterator[Path]:
-    """Every entry file matching ``pattern`` (shards first, then legacy root).
-
-    ``pattern`` may be a tuple of globs — entries come in two formats
-    (``.json`` / ``.col``) and a bare ``prefix-*`` glob would also match
-    in-flight ``*.tmp*`` files.
-    """
-    patterns = _patterns(pattern)
     for shard in shard_dirs(root):
-        yield from sorted({p for glob in patterns for p in shard.glob(glob)})
-    if root.is_dir():
-        yield from sorted(
-            {p for glob in patterns for p in root.glob(glob) if p.is_file()}
-        )
+        yield from sorted(shard.glob(pattern))
 
 
-def audit_entries(root: Path, pattern: str | tuple[str, ...]) -> tuple[int, list[str]]:
-    """Audit a store: every indexed entry must exist and parse in its format.
+def audit_entries(root: Path, pattern: str) -> tuple[int, list[str]]:
+    """Audit a store: every indexed entry must exist and parse.
 
     Returns ``(entries_checked, problems)`` where ``problems`` is a list of
     human-readable findings: indexed-but-missing files, unparseable
     payloads, and files present on disk but absent from their shard index.
-    A clean store returns ``(n, [])``.  Both entry formats are parsed via
+    A clean store returns ``(n, [])``.  Entries are parsed via
     :func:`repro.runtime.colfmt.load_entry_payload`.
     """
-    patterns = _patterns(pattern)
     problems: list[str] = []
     checked = 0
     for shard in shard_dirs(root):
         indexed = read_index(shard)
-        on_disk = {
-            p.name
-            for glob in patterns
-            for p in shard.glob(glob)
-            if ".tmp" not in p.name
-        }
+        on_disk = {p.name for p in shard.glob(pattern) if ".tmp" not in p.name}
         for name in sorted(indexed):
             checked += 1
             path = shard / name

@@ -1,25 +1,28 @@
-"""On-disk persistence for scenario traces.
+"""On-disk persistence for scenario traces, and the shared entry-store base.
 
 Trace construction (every zoo model over every frame) dominates wall-clock
 for the whole benchmark suite; a built trace is a pure function of the
 (scenario, zoo) pair, so it is safe to persist and reuse across processes.
-This module mirrors the characterization bundle serialization
-(:mod:`repro.characterization.serialization`): plain JSON with a schema
+Like the characterization bundle serialization
+(:mod:`repro.characterization.serialization`), entries carry a schema
 version that fails loudly on mismatch.
 
+:class:`EntryStore` is the plumbing both content-addressed stores share
+(this module's :class:`TraceStore` and
+:class:`~repro.runtime.runstore.RunStore`): open, write, read, quarantine,
+clear, the one-shot legacy upgrade, and — through
+:class:`~repro.runtime.maintenance.MaintainedRoot` — audit, health, and
+maintenance.
+
 Format — one entry per (scenario, zoo) pair, named
-``trace-v<algo>-<scenario_fp16>-<zoo_fp12>.col`` (binary columnar, the
-default writer — see :mod:`repro.runtime.colfmt`) or ``....json`` (the
-fully supported fallback format; force it with ``write_format="json"`` or
-``REPRO_STORE_FORMAT=json``).  Loads probe the binary name first and fall
-back to JSON, so mixed-format stores are fully served; opening a store
-with the binary writer re-encodes existing JSON entries in place (the
-same open-time migration discipline PR 5 used for flat→sharded layouts).
+``trace-v<algo>-<scenario_fp16>-<zoo_fp12>.col``: a binary columnar
+container (:mod:`repro.runtime.colfmt`) holding the dict payload below.
 Entries are sharded by scenario-fingerprint prefix (``root/<2-hex>/``) with
 a per-shard index and advisory-lock–guarded writes — see
-:mod:`repro.runtime.shards`; stores written by the old flat layout are
-migrated into shards on open.  The logical payload is identical across
-formats (the differential checks assert bit-equality).  Fields:
+:mod:`repro.runtime.shards`.  Stores written before the binary format
+(``.json`` entries) or before sharding (flat layout) are upgraded once by
+``repro store migrate`` (:meth:`EntryStore.migrate`); until then their
+entries are misses.  Fields:
 
 ``schema_version``
     Integer; readers reject anything but their own version.
@@ -39,16 +42,16 @@ Frames (rendered pixels + scene states) are *not* stored: rendering is
 deterministic, so loads return a **lazy** trace that attaches the persisted
 outcomes and defers rendering until someone actually reads ``.frames``.
 Outcome-only consumers (tables, metrics, oracle summaries) therefore pay
-pure JSON-parse cost on reload; policy runs render on first frame access
-through the batched renderer and see a trace indistinguishable from a
-fresh build.
+only a header probe plus a column decode on reload; policy runs render on
+first frame access through the batched renderer and see a trace
+indistinguishable from a fresh build.
 """
 
 from __future__ import annotations
 
-import json
-import os
+from collections.abc import Callable
 from pathlib import Path
+from typing import ClassVar, TypeVar
 
 from ..data.scenario import Scenario
 from ..models.detector import DetectionOutcome
@@ -60,19 +63,7 @@ from .trace import ScenarioTrace
 
 SCHEMA_VERSION = 1
 
-#: Entry formats a store can write; both are always readable.
-STORE_FORMATS = ("binary", "json")
-
-#: Environment override for the default writer format.
-FORMAT_ENV = "REPRO_STORE_FORMAT"
-
-
-def resolve_write_format(write_format: str | None) -> str:
-    """The entry format new saves use: argument, env override, or binary."""
-    resolved = write_format or os.environ.get(FORMAT_ENV) or "binary"
-    if resolved not in STORE_FORMATS:
-        raise ValueError(f"unknown store format {resolved!r}; expected one of {STORE_FORMATS}")
-    return resolved
+_T = TypeVar("_T")
 
 # Version of the *outcome-producing algorithm* (detector, scene difficulty,
 # noise streams).  Fingerprints pin what a trace was built FROM; this pins
@@ -113,11 +104,10 @@ def trace_to_dict(trace: ScenarioTrace, zoo: ModelZoo) -> dict:
 
 
 def _validate_trace_payload(payload: dict, scenario: Scenario, zoo: ModelZoo) -> None:
-    """Identity checks shared by both entry formats (raises :class:`TraceSchemaError`).
+    """Identity checks for a trace payload (raises :class:`TraceSchemaError`).
 
-    Everything verified here lives in the binary header's ``meta`` block,
-    so the columnar load path can validate without decoding any outcome
-    columns.
+    Everything verified here lives in the column header's ``meta`` block,
+    so the load path can validate without decoding any outcome columns.
     """
     version = payload.get("schema_version")
     if version != SCHEMA_VERSION:
@@ -182,315 +172,21 @@ def trace_from_dict(payload: dict, scenario: Scenario, zoo: ModelZoo) -> Scenari
     return ScenarioTrace(scenario=scenario, frames=None, outcomes=outcomes)
 
 
-def _trace_file_name(
-    scenario_fingerprint: str, zoo_fingerprint: str, fmt: str = "binary"
-) -> str:
-    """The entry file name for a (scenario, zoo) pair in the given format.
+def _trace_file_name(scenario_fingerprint: str, zoo_fingerprint: str) -> str:
+    """The entry file name for a (scenario, zoo) pair.
 
     The algorithm version is part of the name, so bumping it simply
     orphans stale files (treated as misses and rebuilt) rather than
     erroring on them.
     """
-    suffix = colfmt.COL_SUFFIX if fmt == "binary" else ".json"
     return (
         f"trace-v{ALGORITHM_VERSION}-{scenario_fingerprint[:16]}"
-        f"-{zoo_fingerprint[:12]}{suffix}"
+        f"-{zoo_fingerprint[:12]}{colfmt.COL_SUFFIX}"
     )
 
 
-class TraceStore:
-    """A sharded directory of persisted traces, content-addressed by fingerprints.
-
-    Entries live under ``root/<fp-prefix>/`` with a per-shard index and
-    advisory-lock–guarded atomic writes (:mod:`repro.runtime.shards`), so
-    any number of processes, threads, and service workers can share one
-    store.  Every load re-validates identity; an entry that cannot even be
-    *parsed* (torn by a crash, truncated disk) is treated exactly like a
-    missing one — a miss, counted in :attr:`corrupt_entries` and removed —
-    while a parseable entry that does not match is a loud
-    :class:`TraceSchemaError`.  The worst outcome is a rebuild, never a
-    silently wrong trace.
-    """
-
-    #: Globs matching this store's entry files, both formats.
-    ENTRY_PATTERNS = ("trace-*.json", "trace-*.col")
-
-    def __init__(self, root: str | Path, *, write_format: str | None = None) -> None:
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(f"trace store path {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
-        #: Format new saves are written in ("binary" | "json"); both
-        #: formats are always *read*.
-        self.write_format = resolve_write_format(write_format)
-        #: Unreadable entries encountered (and removed) by this instance —
-        #: a non-zero value after a sweep means a writer died mid-life or
-        #: the disk corrupted an entry; the entry was re-treated as a miss.
-        self.corrupt_entries = 0
-        #: Abandoned temp files swept at open (crashed writers' leftovers).
-        self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
-        self._migrate_legacy_entries()
-        #: JSON entries re-encoded to the binary format by this open.
-        self.format_migrated = 0
-        self._migrate_format_entries()
-
-    def _migrate_legacy_entries(self) -> None:
-        """Move flat-layout entries (pre-sharding stores) into their shards."""
-
-        def digest_for(path: Path) -> str | None:
-            parts = path.stem.split("-")  # trace-v<A>-<fp16>-<zoo12>
-            return parts[2] if len(parts) == 4 and len(parts[2]) == 16 else None
-
-        def meta_for(path: Path) -> dict | None:
-            try:
-                payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-            except (OSError, json.JSONDecodeError):
-                self.corrupt_entries += 1
-                return None
-            if not isinstance(payload, dict):
-                self.corrupt_entries += 1
-                return None
-            return _index_meta(payload)
-
-        shards.migrate_flat_entries(self.root, "trace-*.json", digest_for, meta_for)
-
-    def _migrate_format_entries(self) -> None:
-        """Re-encode existing JSON entries as binary columns (binary writer only).
-
-        Runs under each entry's shard lock; the ``.json`` file is removed
-        in the same critical section (``supersedes``), so no logical entry
-        ever has two live twins.  Entries that cannot be read or encoded
-        are skipped, and a degraded (full) disk aborts the sweep — opening
-        a store must never fail because migration could not proceed; the
-        JSON reader serves the leftovers either way.
-        """
-        if self.write_format != "binary":
-            return
-        for path in list(shards.iter_entry_paths(self.root, "trace-*.json")):
-            if path.parent == self.root:
-                continue  # legacy flat leftovers: not this migration's job
-            shard = path.parent
-            try:
-                with shards.shard_lock(shard):
-                    if not path.exists():  # another opener migrated it first
-                        continue
-                    try:
-                        payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-                    except (OSError, json.JSONDecodeError):  # repro: allow[exceptions/swallow] unreadable/corrupt entries stay JSON; scrub handles them
-                        continue
-                    if not isinstance(payload, dict):
-                        continue
-                    try:
-                        data = colfmt.encode_trace(payload)
-                    except (KeyError, TypeError, ValueError, IndexError):  # repro: allow[exceptions/swallow] unencodable payloads stay JSON (still servable)
-                        continue
-                    name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
-                    shards.write_entry_locked(
-                        shard, name, data, _index_meta(payload), supersedes=(path.name,)
-                    )
-                    self.format_migrated += 1
-            except iolayer.StoreDegraded:
-                break
-
-    def path_for(self, scenario: Scenario, zoo: ModelZoo) -> Path:
-        """The (sharded) file a (scenario, zoo) trace persists to.
-
-        Prefers whichever format actually exists on disk (binary probed
-        first); for a not-yet-saved pair, the write-format name.
-        """
-        fingerprint = scenario.fingerprint()
-        shard = shards.shard_dir(self.root, fingerprint)
-        zoo_fingerprint = zoo.fingerprint()
-        for fmt in STORE_FORMATS:
-            path = shard / _trace_file_name(fingerprint, zoo_fingerprint, fmt)
-            if path.exists():
-                return path
-        return shard / _trace_file_name(fingerprint, zoo_fingerprint, self.write_format)
-
-    def save(self, trace: ScenarioTrace, zoo: ModelZoo) -> Path:
-        """Persist a built trace; returns the file written.
-
-        The write is atomic (temp file + rename) and the shard index is
-        updated under the shard's advisory lock, so concurrent readers
-        never observe a half-written trace and concurrent writers never
-        lose each other's index records.  The sibling-format twin (if any)
-        is superseded under the same lock, so at most one format serves a
-        logical entry.
-        """
-        payload = trace_to_dict(trace, zoo)
-        fingerprint = payload["scenario_fingerprint"]
-        zoo_fingerprint = payload["zoo_fingerprint"]
-        if self.write_format == "binary":
-            data: str | bytes = colfmt.encode_trace(payload)
-        else:
-            data = jsonsafe.dumps(payload)
-        other = "json" if self.write_format == "binary" else "binary"
-        return shards.write_entry(
-            self.root,
-            fingerprint,
-            _trace_file_name(fingerprint, zoo_fingerprint, self.write_format),
-            data,
-            _index_meta(payload),
-            supersedes=(_trace_file_name(fingerprint, zoo_fingerprint, other),),
-        )
-
-    def load(
-        self, scenario: Scenario, zoo: ModelZoo, *, _retry: bool = True
-    ) -> ScenarioTrace | None:
-        """Load the persisted trace for (scenario, zoo), or None if absent.
-
-        Probes the binary entry first (header-only read: identity checks
-        live in the column header, outcome columns decode lazily on first
-        ``.outcomes`` access), then the JSON fallback.  A missing entry is
-        a miss.  An entry whose *bytes cannot be read* (transient ``EIO``,
-        after the seam's bounded retries) is also just a miss — counted in
-        ``io_errors``, never quarantined: unavailability is not evidence
-        of corruption, and quarantining on it used to destroy valid
-        entries.  Only an entry that *parses wrong* is treated as corrupt:
-        counted in :attr:`corrupt_entries` and quarantined so it can never
-        shadow a future rebuild.
-        """
-        fingerprint = scenario.fingerprint()
-        zoo_fingerprint = zoo.fingerprint()
-        shard = shards.shard_dir(self.root, fingerprint)
-
-        binary_path = shard / _trace_file_name(fingerprint, zoo_fingerprint, "binary")
-        try:
-            header = colfmt.read_header(binary_path, root=self.root)
-        except FileNotFoundError:
-            header = None  # fall through to the JSON twin
-        except OSError:
-            return None  # unavailable, not corrupt: a miss, already counted
-        except colfmt.ColumnFormatError:
-            # Corrupt binary: quarantine it, then retry once — the retry
-            # serves the JSON twin if one exists (entries are content-
-            # addressed, so any parseable twin is the correct data), or
-            # re-reads a concurrently repaired entry.
-            self._quarantine(fingerprint, binary_path.name)
-            if _retry:
-                return self.load(scenario, zoo, _retry=False)
-            return None
-        if header is not None:
-            meta = header.get("meta") if isinstance(header.get("meta"), dict) else {}
-            _validate_trace_payload(meta, scenario, zoo)
-            root = self.root
-
-            def load_outcomes() -> dict[str, list[DetectionOutcome]]:
-                buffer = iolayer.read_bytes(binary_path, root=root, map=True)
-                return _outcomes_from_rows(colfmt.decode_trace_outcomes(buffer))
-
-            return ScenarioTrace(
-                scenario=scenario, frames=None, outcomes_loader=load_outcomes
-            )
-
-        json_path = shard / _trace_file_name(fingerprint, zoo_fingerprint, "json")
-        try:
-            payload = jsonsafe.loads(iolayer.read_text(json_path, root=self.root))
-        except FileNotFoundError:
-            return None
-        except OSError:
-            return None  # unavailable, not corrupt
-        except json.JSONDecodeError:
-            payload = None
-        if not isinstance(payload, dict):
-            if not self._quarantine(fingerprint, json_path.name) and _retry:
-                # A concurrent writer replaced the entry while we looked at
-                # it; one retry reads the now-complete file (or misses).
-                return self.load(scenario, zoo, _retry=False)
-            return None
-        return trace_from_dict(payload, scenario, zoo)
-
-    def _quarantine(self, digest: str, name: str) -> bool:
-        """Quarantine one corrupt entry; True when it was moved (counted)."""
-        try:
-            quarantined = shards.quarantine_corrupt_entry(self.root, digest, name)
-        except iolayer.StoreDegraded:
-            # Quarantine bookkeeping hit a full disk: the entry is still
-            # unservable, so this load is a miss either way.
-            self.corrupt_entries += 1
-            return True
-        if quarantined:
-            self.corrupt_entries += 1
-        return quarantined
-
-    def get(
-        self,
-        scenario: Scenario,
-        zoo: ModelZoo,
-        max_workers: int | None = None,
-    ) -> ScenarioTrace:
-        """Load the trace, building (and persisting) it on a miss."""
-        trace = self.load(scenario, zoo)
-        if trace is None:
-            trace = ScenarioTrace.build(scenario, zoo, max_workers=max_workers)
-            self.save(trace, zoo)
-        return trace
-
-    def __contains__(self, key: tuple[Scenario, ModelZoo]) -> bool:
-        scenario, zoo = key
-        return self.path_for(scenario, zoo).exists()
-
-    def __len__(self) -> int:
-        return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS))
-
-    def clear(self) -> int:
-        """Delete every persisted trace (both formats); returns how many were removed."""
-        removed = 0
-        for path in list(shards.iter_entry_paths(self.root, self.ENTRY_PATTERNS)):
-            if path.parent == self.root:  # legacy flat file written after open
-                path.unlink(missing_ok=True)
-                removed += 1
-                continue
-            digest = path.stem.split("-")[2]
-            if shards.remove_entry(self.root, digest, path.name):
-                removed += 1
-        return removed
-
-    def audit(self) -> tuple[int, list[str]]:
-        """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, self.ENTRY_PATTERNS)
-
-    # ------------------------------------------------------------ health
-
-    @property
-    def degraded(self) -> bool:
-        """True while this store's root is in read-only (capacity) mode."""
-        return iolayer.is_degraded(self.root)
-
-    @property
-    def io_errors(self) -> int:
-        """I/O errors observed under this root (skipped paths included)."""
-        return iolayer.io_error_count(self.root)
-
-    # ------------------------------------------------------- maintenance
-
-    def scrub(self) -> maintenance.ScrubReport:
-        """Re-verify schema + fingerprints of every indexed trace entry."""
-        return maintenance.scrub_entries(
-            self.root, self.ENTRY_PATTERNS, _scrub_problem, digest_for=_digest_from_name
-        )
-
-    def gc(
-        self,
-        *,
-        ttl_seconds: float = maintenance.DEFAULT_TTL_SECONDS,
-        dry_run: bool = True,
-        now: float | None = None,
-    ) -> maintenance.GcReport:
-        """TTL-collect quarantined files and stale temps (dry-run default)."""
-        return maintenance.gc_entries(
-            self.root, ttl_seconds=ttl_seconds, dry_run=dry_run, now=now
-        )
-
-    def repair(self) -> maintenance.RepairReport:
-        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
-        return maintenance.repair_entries(
-            self.root, self.ENTRY_PATTERNS, lambda name, payload: _index_meta(payload)
-        )
-
-
 def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a trace entry file name (either format)."""
+    """The shard digest encoded in a trace entry file name (``.col`` or legacy)."""
     stem = colfmt.entry_stem(name)
     parts = stem.split("-") if stem != name else []
     return parts[2] if len(parts) == 4 and len(parts[2]) == 16 else None
@@ -502,9 +198,8 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     Scrub has no live scenario/zoo to compare against, so it verifies the
     *internal* identity discipline: schema and algorithm versions, the
     fingerprint prefixes baked into the file name, and the outcome shape.
-    Payloads of both formats arrive here fully decoded
-    (:func:`repro.runtime.colfmt.load_entry_payload`), so the same checks
-    cover JSON and binary entries.
+    Payloads arrive here fully decoded
+    (:func:`repro.runtime.colfmt.load_entry_payload`).
     """
     if payload.get("schema_version") != SCHEMA_VERSION:
         return f"schema_version {payload.get('schema_version')!r} != {SCHEMA_VERSION}"
@@ -541,3 +236,199 @@ def _index_meta(payload: dict) -> dict:
         "algorithm_version": payload.get("algorithm_version"),
         "frame_count": payload.get("frame_count"),
     }
+
+
+class EntryStore(maintenance.MaintainedRoot):
+    """A sharded directory of ``.col`` entries, content-addressed by digest.
+
+    Entries live under ``root/<digest-prefix>/`` with a per-shard index and
+    advisory-lock–guarded atomic writes (:mod:`repro.runtime.shards`), so
+    any number of processes, threads, and service workers can share one
+    store.  Subclasses are thin typed facades that supply the codec:
+    :attr:`KIND` (the entry-name prefix), ``_encode`` (payload dict ->
+    container bytes), and the :class:`~repro.runtime.maintenance.MaintainedRoot`
+    hooks.  An entry that cannot be *parsed* (torn by a crash, truncated
+    disk) is treated exactly like a missing one — a miss, counted in
+    :attr:`corrupt_entries` and quarantined — while a parseable entry that
+    does not match its key is a loud schema error from the facade.  The
+    worst outcome is a recompute, never a silently wrong result.
+    """
+
+    #: Entry-name prefix ("trace" / "run"); also labels errors.
+    KIND: ClassVar[str]
+    _encode: Callable[[dict], bytes]
+
+    def __init__(self, root: str | Path) -> None:
+        self._open_root(root, f"{self.KIND} store")
+        #: Corrupt entries encountered (and quarantined) by this instance —
+        #: a non-zero value after a sweep means a writer died mid-write or
+        #: the disk corrupted an entry; each was re-treated as a miss.
+        self.corrupt_entries = 0
+
+    def _write(self, digest: str, name: str, payload: dict) -> Path:
+        """Atomically persist ``payload`` as entry ``name`` in ``digest``'s shard."""
+        return shards.write_entry(
+            self.root, digest, name, self._encode(payload), self._index_meta(payload)
+        )
+
+    def _read(self, path: Path, decode: Callable[[Path], _T]) -> _T | None:
+        """``decode(path)`` of one entry under the read discipline all entries share.
+
+        A missing entry is a miss.  So is one whose bytes cannot be read
+        (an ``OSError`` after the seam's bounded retries, counted in
+        ``io_errors``): unavailability is not evidence of corruption, and
+        quarantining on it would destroy valid entries.  Only an entry
+        that *parses wrong* (:class:`~repro.runtime.colfmt.ColumnFormatError`)
+        is corrupt: it is quarantined and counted, then the read is
+        retried once, which serves an entry a concurrent writer just
+        repaired (or misses).
+        """
+        for _ in range(2):
+            try:
+                return decode(path)
+            except OSError:
+                return None
+            except colfmt.ColumnFormatError:
+                self._quarantine(path)
+        return None
+
+    def _quarantine(self, path: Path) -> None:
+        """Quarantine one corrupt entry, counting it in :attr:`corrupt_entries`."""
+        try:
+            if shards.quarantine_corrupt_entry(self.root, path.parent, path.name):
+                self.corrupt_entries += 1
+        except iolayer.StoreDegraded:
+            # Quarantine bookkeeping hit a full disk: the entry is still
+            # unservable, so this load is a miss either way.
+            self.corrupt_entries += 1
+
+    def __len__(self) -> int:
+        return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_GLOB))
+
+    def clear(self) -> int:
+        """Delete every entry (file + index record); returns how many were removed."""
+        removed = 0
+        for path in list(shards.iter_entry_paths(self.root, self.ENTRY_GLOB)):
+            with shards.shard_lock(path.parent):
+                removed += shards.remove_entry_locked(path.parent, path.name)
+        return removed
+
+    def migrate(self) -> int:
+        """Rewrite legacy JSON entries as sharded ``.col`` entries; returns how many.
+
+        The one reader of the pre-binary format left, behind ``repro store
+        migrate``.  Legacy ``<KIND>-*.json`` entries are found by glob, not
+        by index — flat files at the root (the pre-sharding layout) and
+        sharded ones alike.  Each is re-encoded under its target shard's
+        lock and its JSON file removed in the same critical section, so
+        concurrent migrators never convert an entry twice.  An entry that
+        does not parse or encode is quarantined and counted in
+        :attr:`corrupt_entries`; one that cannot be read is left for a
+        later run.  A degraded (full) disk stops the sweep.
+        """
+        legacy = f"{self.KIND}-*.json"
+        migrated = 0
+        for directory in (self.root, *shards.shard_dirs(self.root)):
+            for path in sorted(directory.glob(legacy)):
+                digest = self._digest_from_name(path.name)
+                shard = None if digest is None else shards.shard_dir(self.root, digest)
+                if shard is None or directory not in (self.root, shard):
+                    continue  # not an entry name, or misfiled: scrub's business
+                try:
+                    with shards.shard_lock(shard):
+                        migrated += self._migrate_locked(path, shard)
+                except iolayer.StoreDegraded:
+                    return migrated
+        return migrated
+
+    def _migrate_locked(self, path: Path, shard: Path) -> int:
+        """Convert one legacy entry into ``shard`` (lock held); 1 when converted."""
+        try:
+            payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
+            data = self._encode(payload) if isinstance(payload, dict) else None
+        except OSError:
+            return 0  # gone (another migrator won) or unavailable: not corrupt
+        except (ValueError, LookupError, TypeError):
+            data = None  # bad JSON (a ValueError) or a payload the codec rejects
+        if data is None:
+            shards.quarantine_entry_locked(self.root, path.parent, path.name)
+            self.corrupt_entries += 1
+            return 0
+        name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
+        shards.write_entry_locked(shard, name, data, self._index_meta(payload))
+        shards.remove_entry_locked(path.parent, path.name)
+        return 1
+
+
+class TraceStore(EntryStore):
+    """A sharded directory of persisted traces, keyed by (scenario, zoo) fingerprints.
+
+    Every load re-validates identity against the live scenario and zoo; a
+    mismatching entry is a loud :class:`TraceSchemaError`.
+    """
+
+    KIND = "trace"
+    ENTRY_GLOB = "trace-*" + colfmt.COL_SUFFIX
+    _encode = staticmethod(colfmt.encode_trace)
+    _digest_from_name = staticmethod(_digest_from_name)
+    _scrub_problem = staticmethod(_scrub_problem)
+    _index_meta = staticmethod(_index_meta)
+
+    def path_for(self, scenario: Scenario, zoo: ModelZoo) -> Path:
+        """The (sharded) file a (scenario, zoo) trace persists to."""
+        fingerprint = scenario.fingerprint()
+        return shards.shard_dir(self.root, fingerprint) / _trace_file_name(
+            fingerprint, zoo.fingerprint()
+        )
+
+    def save(self, trace: ScenarioTrace, zoo: ModelZoo) -> Path:
+        """Persist a built trace; returns the file written.
+
+        The write is atomic (temp file + rename) and the shard index is
+        updated under the shard's advisory lock, so concurrent readers
+        never observe a half-written trace and concurrent writers never
+        lose each other's index records.
+        """
+        payload = trace_to_dict(trace, zoo)
+        fingerprint = payload["scenario_fingerprint"]
+        return self._write(
+            fingerprint, _trace_file_name(fingerprint, payload["zoo_fingerprint"]), payload
+        )
+
+    def load(self, scenario: Scenario, zoo: ModelZoo) -> ScenarioTrace | None:
+        """Load the persisted trace for (scenario, zoo), or None if absent.
+
+        Reads only the column header (identity checks live there); outcome
+        columns decode lazily on first ``.outcomes`` access.  Misses and
+        corrupt entries follow :meth:`EntryStore._read`.
+        """
+        path = self.path_for(scenario, zoo)
+        root = self.root
+        header = self._read(path, lambda entry: colfmt.read_header(entry, root=root))
+        if header is None:
+            return None
+        meta = header.get("meta") if isinstance(header.get("meta"), dict) else {}
+        _validate_trace_payload(meta, scenario, zoo)
+
+        def load_outcomes() -> dict[str, list[DetectionOutcome]]:
+            buffer = iolayer.read_bytes(path, root=root, map=True)
+            return _outcomes_from_rows(colfmt.decode_trace_outcomes(buffer))
+
+        return ScenarioTrace(scenario=scenario, frames=None, outcomes_loader=load_outcomes)
+
+    def get(
+        self,
+        scenario: Scenario,
+        zoo: ModelZoo,
+        max_workers: int | None = None,
+    ) -> ScenarioTrace:
+        """Load the trace, building (and persisting) it on a miss."""
+        trace = self.load(scenario, zoo)
+        if trace is None:
+            trace = ScenarioTrace.build(scenario, zoo, max_workers=max_workers)
+            self.save(trace, zoo)
+        return trace
+
+    def __contains__(self, key: tuple[Scenario, ModelZoo]) -> bool:
+        scenario, zoo = key
+        return self.path_for(scenario, zoo).exists()

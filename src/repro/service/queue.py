@@ -114,6 +114,37 @@ def job_index_meta(record: dict) -> dict:
     }
 
 
+def _digest_from_name(name: str) -> str | None:
+    """The shard digest encoded in a job record file name, or None."""
+    parts = name[: -len(".json")].split("-") if name.endswith(".json") else []
+    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
+
+
+def _scrub_problem(name: str, record: dict) -> str | None:
+    """Why a parsed job record is unsound, or None when it checks out.
+
+    Recomputes the job digest from the identity block — a record whose
+    spec/fingerprint was torn into another record's slot cannot pass —
+    and requires a known state plus an executable scenario block.
+    """
+    if record.get("schema_version") != QUEUE_SCHEMA_VERSION:
+        return f"schema_version {record.get('schema_version')!r} != {QUEUE_SCHEMA_VERSION}"
+    if record.get("state") not in JOB_STATES:
+        return f"unknown state {record.get('state')!r}"
+    spec = record.get("policy_spec")
+    fingerprint = record.get("scenario_fingerprint")
+    if not isinstance(spec, str) or not isinstance(fingerprint, str):
+        return "identity block incomplete"
+    digest = job_digest(spec, fingerprint)
+    if record.get("job_id") != digest:
+        return "job_id does not match recomputed digest"
+    if _job_file_name(digest) != name:
+        return "file name does not match recomputed digest"
+    if not isinstance(record.get("scenario"), dict):
+        return "scenario block missing (record is not executable)"
+    return None
+
+
 @dataclass(frozen=True)
 class Lease:
     """One granted claim: proof of ownership of a job until ``deadline``.
@@ -135,18 +166,19 @@ class Lease:
     attempt: int
 
 
-class JobQueue:
+class JobQueue(maintenance.MaintainedRoot):
     """A sharded on-disk queue of unit jobs with lease/heartbeat semantics.
 
     All records live under ``root/<2-hex>/job-v1-<digest32>.json`` — the
     same shard/lock/atomic-write discipline as the trace and run stores
     (:mod:`repro.runtime.shards`), so any number of processes can enqueue,
-    claim, and complete concurrently.  ``lease_duration`` is the crash
-    detection horizon; ``max_attempts`` bounds retries before a job is
-    dead-lettered; backoff between retries is ``min(cap, base * 2**(n-1))``
-    scaled by seeded jitter in ``[0.5, 1.0]`` — deterministic per
-    ``(backoff_seed, job, attempt)``.  ``clock`` is injectable so lease
-    expiry is testable without sleeping.
+    claim, and complete concurrently; audit, health, scrub, gc, and
+    repair come from :class:`~repro.runtime.maintenance.MaintainedRoot`.
+    ``lease_duration`` is the crash detection horizon; ``max_attempts``
+    bounds retries before a job is dead-lettered; backoff between retries
+    is ``min(cap, base * 2**(n-1))`` scaled by seeded jitter in
+    ``[0.5, 1.0]`` — deterministic per ``(backoff_seed, job, attempt)``.
+    ``clock`` is injectable so lease expiry is testable without sleeping.
 
     Counters (this instance's view, not global): ``claims_granted``,
     ``jobs_completed``, ``jobs_failed``, ``leases_expired``,
@@ -163,6 +195,21 @@ class JobQueue:
     increment ``clock_skew_events`` so supervisors can see that lease
     arithmetic ran on a misbehaving clock.
     """
+
+    ENTRY_GLOB = "job-*.json"
+    _digest_from_name = staticmethod(_digest_from_name)
+    _scrub_problem = staticmethod(_scrub_problem)
+    _index_meta = staticmethod(job_index_meta)
+
+    @staticmethod
+    def _gc_collect(record: dict) -> bool:
+        """GC reclaims dead letters past the TTL, never ``done`` records.
+
+        Dead-lettered jobs are terminal evidence, expired like quarantined
+        files; ``done`` records are what makes re-submitting a warm sweep
+        free.
+        """
+        return record.get("state") == "dead"
 
     def __init__(
         self,
@@ -181,10 +228,7 @@ class JobQueue:
             raise ServiceError("max_attempts must be at least 1")
         if backoff_base < 0 or backoff_cap < backoff_base:
             raise ServiceError("backoff must satisfy 0 <= base <= cap")
-        self.root = Path(root)
-        if self.root.exists() and not self.root.is_dir():
-            raise NotADirectoryError(f"queue path {self.root} exists and is not a directory")
-        self.root.mkdir(parents=True, exist_ok=True)
+        self._open_root(root, "queue")
         self.lease_duration = lease_duration
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
@@ -205,7 +249,6 @@ class JobQueue:
         self.clock_skew_events = 0
         self.degraded_refusals = 0
         self._last_reading: float | None = None
-        self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
 
     # ----------------------------------------------------------------- clock
 
@@ -315,7 +358,7 @@ class JobQueue:
         return None
 
     def _claim_in_shard_locked(self, shard: Path, owner: str, now: float) -> Lease | None:
-        for path in sorted(shard.glob("job-*.json")):
+        for path in sorted(shard.glob(self.ENTRY_GLOB)):
             record = self._read_record_locked(shard, path)
             if record is None:
                 continue
@@ -569,7 +612,7 @@ class JobQueue:
         now = self._now()
         for shard in shards.shard_dirs(self.root):
             with shards.shard_lock(shard):
-                for path in sorted(shard.glob("job-*.json")):
+                for path in sorted(shard.glob(self.ENTRY_GLOB)):
                     record = self._read_record_locked(shard, path)
                     if record is None or record["state"] != "dead":
                         continue
@@ -594,7 +637,7 @@ class JobQueue:
         expired = 0
         for shard in shards.shard_dirs(self.root):
             with shards.shard_lock(shard):
-                for path in sorted(shard.glob("job-*.json")):
+                for path in sorted(shard.glob(self.ENTRY_GLOB)):
                     record = self._read_record_locked(shard, path)
                     if record is None:
                         continue
@@ -607,7 +650,7 @@ class JobQueue:
 
     def records(self) -> Iterator[dict]:
         """Every readable job record (no lock: entry writes are atomic)."""
-        for path in shards.iter_entry_paths(self.root, "job-*.json"):
+        for path in shards.iter_entry_paths(self.root, self.ENTRY_GLOB):
             try:
                 payload = json.loads(iolayer.read_text(path, root=self.root))
             # Lock-free read: a concurrent writer mid-replace is expected,
@@ -658,58 +701,6 @@ class JobQueue:
         """True when no job is pending or leased (done and dead may remain)."""
         return self.outstanding() == 0
 
-    def audit(self) -> tuple[int, list[str]]:
-        """Cross-check shard indexes against job files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, "job-*.json")
-
-    # -------------------------------------------------------------- health
-
-    @property
-    def degraded(self) -> bool:
-        """True while the queue root is in read-only (capacity) mode."""
-        return iolayer.is_degraded(self.root)
-
-    @property
-    def io_errors(self) -> int:
-        """I/O errors observed under the queue root (skipped paths included)."""
-        return iolayer.io_error_count(self.root)
-
-    # --------------------------------------------------------- maintenance
-
-    def scrub(self) -> maintenance.ScrubReport:
-        """Re-verify schema + recomputed job digest of every record."""
-        return maintenance.scrub_entries(
-            self.root, "job-*.json", _scrub_problem, digest_for=_digest_from_name
-        )
-
-    def gc(
-        self,
-        *,
-        ttl_seconds: float = maintenance.DEFAULT_TTL_SECONDS,
-        dry_run: bool = True,
-        now: float | None = None,
-    ) -> maintenance.GcReport:
-        """TTL-collect quarantine/temps and dead-letter records (dry-run default).
-
-        Dead-lettered jobs are terminal evidence: old enough, they are
-        reclaimed like quarantined files.  ``done`` records are *never*
-        collected — they are what makes re-submitting a warm sweep free.
-        """
-        return maintenance.gc_entries(
-            self.root,
-            ttl_seconds=ttl_seconds,
-            dry_run=dry_run,
-            now=now,
-            pattern="job-*.json",
-            collect=lambda record: record.get("state") == "dead",
-        )
-
-    def repair(self) -> maintenance.RepairReport:
-        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
-        return maintenance.repair_entries(
-            self.root, "job-*.json", lambda name, record: job_index_meta(record)
-        )
-
     # ------------------------------------------------------------- plumbing
 
     def _read_record_locked(self, shard: Path, path: Path) -> dict | None:
@@ -741,34 +732,3 @@ class JobQueue:
         history = record.setdefault("history", [])
         history.append({"state": state, "detail": detail, "at": now, "attempt": record["attempts"]})
         del history[:-HISTORY_LIMIT]
-
-
-def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a job record file name, or None."""
-    parts = name[: -len(".json")].split("-") if name.endswith(".json") else []
-    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
-
-
-def _scrub_problem(name: str, record: dict) -> str | None:
-    """Why a parsed job record is unsound, or None when it checks out.
-
-    Recomputes the job digest from the identity block — a record whose
-    spec/fingerprint was torn into another record's slot cannot pass —
-    and requires a known state plus an executable scenario block.
-    """
-    if record.get("schema_version") != QUEUE_SCHEMA_VERSION:
-        return f"schema_version {record.get('schema_version')!r} != {QUEUE_SCHEMA_VERSION}"
-    if record.get("state") not in JOB_STATES:
-        return f"unknown state {record.get('state')!r}"
-    spec = record.get("policy_spec")
-    fingerprint = record.get("scenario_fingerprint")
-    if not isinstance(spec, str) or not isinstance(fingerprint, str):
-        return "identity block incomplete"
-    digest = job_digest(spec, fingerprint)
-    if record.get("job_id") != digest:
-        return "job_id does not match recomputed digest"
-    if _job_file_name(digest) != name:
-        return "file name does not match recomputed digest"
-    if not isinstance(record.get("scenario"), dict):
-        return "scenario block missing (record is not executable)"
-    return None

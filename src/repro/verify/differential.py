@@ -17,8 +17,9 @@ cross-engine correctness witness:
     scalar ``detect`` vs ``detect_batch`` — bit-identical outcomes for
     every model on every frame;
 ``store``
-    save -> load -> rebuild round-trip through :class:`TraceStore` —
-    persisted outcomes reload exactly, identity validation passes;
+    save -> load through :class:`TraceStore`, plus a legacy JSON entry
+    upgraded by ``migrate`` -> load — persisted outcomes reload exactly,
+    identity validation passes;
 ``trace``
     trace invariants — monotone frame indices and timestamps, aligned
     outcome lengths, confidence/IoU/quality bounds, detection-flag
@@ -79,10 +80,11 @@ from ..models.detector import detect
 from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..core.records import FrameRecord
-from ..runtime import shards
+from ..runtime import colfmt, shards
 from ..runtime.runner import run_policy
-from ..runtime.store import TraceStore
+from ..runtime.store import TraceStore, trace_to_dict
 from ..runtime.trace import ScenarioTrace
+from ..util import jsonsafe
 
 # All check names, in the order verify_scenario runs them.
 CHECKS = (
@@ -189,13 +191,12 @@ def check_detect_equality(
 def check_store_roundtrip(
     trace: ScenarioTrace, zoo: ModelZoo, store_root: str | Path | None = None
 ) -> CheckResult:
-    """Both store formats must reload bit-identically — in either direction.
+    """A persisted trace must reload bit-identically, from a save or a migration.
 
-    Exercises the full dual-format matrix on one root: a JSON entry read
-    through the binary-preferring store (fallback path), a binary entry
-    superseding its JSON twin and read through a JSON-writer store, index
-    records identical across formats, and migrate-on-open re-encoding a
-    JSON entry in place.
+    Two directions on one root: ``save`` -> ``load`` (lazy on frames and
+    on outcome columns), and ``migrate`` -> ``load`` of a legacy JSON
+    entry written the way stores before the binary format wrote it —
+    same outcomes, same index record.
     """
     scenario = trace.scenario
 
@@ -219,50 +220,31 @@ def check_store_roundtrip(
                 )
         return None
 
-    def index_meta(path: Path) -> dict | None:
-        return shards.read_index(path.parent).get(path.name)
-
     def roundtrip(root: Path) -> CheckResult:
-        # Open the binary store before any JSON entry exists, so
-        # migrate-on-open stays out of steps 1-3.
-        binary_store = TraceStore(root, write_format="binary")
-        json_store = TraceStore(root, write_format="json")
+        store = TraceStore(root)
 
-        # 1. JSON write -> binary-preferring read (the fallback path).
-        json_path = json_store.save(trace, zoo)
-        if json_path.suffix != ".json" or not json_path.exists():
-            return _fail("store", f"JSON save produced no .json file at {json_path}")
-        json_meta = index_meta(json_path)
-        if failure := compare(binary_store.load(scenario, zoo), "json->binary-store"):
+        # 1. save -> load.
+        col_path = store.save(trace, zoo)
+        if col_path.suffix != colfmt.COL_SUFFIX or not col_path.exists():
+            return _fail("store", f"save produced no .col file at {col_path}")
+        meta = shards.read_index(col_path.parent).get(col_path.name)
+        if failure := compare(store.load(scenario, zoo), "save->load"):
             return failure
+        if store.load(scenario, zoo).outcomes_materialized:
+            return _fail("store", "load decoded outcomes eagerly (must stay lazy)")
 
-        # 2. Binary write supersedes the twin; JSON-writer store reads it.
-        col_path = binary_store.save(trace, zoo)
-        if col_path.suffix != ".col" or not col_path.exists():
-            return _fail("store", f"binary save produced no .col file at {col_path}")
-        if json_path.exists():
-            return _fail("store", "binary save left its superseded JSON twin behind")
-        loaded = json_store.load(scenario, zoo)
-        if loaded is not None and loaded.outcomes_materialized:
-            return _fail("store", "binary load decoded outcomes eagerly (must stay lazy)")
-        if failure := compare(loaded, "binary->json-store"):
-            return failure
-
-        # 3. Identical index records regardless of the bytes on disk.
-        if json_meta != index_meta(col_path):
-            return _fail("store", "index records differ between the two formats")
-
-        # 4. Migrate-on-open: a JSON entry is re-encoded binary in place.
-        json_store.save(trace, zoo)
-        migrated = TraceStore(root, write_format="binary")
-        if migrated.format_migrated != 1:
-            return _fail(
-                "store",
-                f"expected 1 entry migrated on open, got {migrated.format_migrated}",
-            )
-        if json_path.exists() or not col_path.exists():
-            return _fail("store", "migration did not replace the JSON entry with binary")
-        if failure := compare(migrated.load(scenario, zoo), "migrated"):
+        # 2. migrate -> load: a legacy JSON entry is rewritten as .col.
+        shards.remove_entry(root, scenario.fingerprint(), col_path.name)
+        legacy = col_path.with_name(colfmt.entry_stem(col_path.name) + ".json")
+        legacy.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
+        if store.load(scenario, zoo) is not None:
+            return _fail("store", "a legacy JSON entry was served before migration")
+        store.migrate()
+        if legacy.exists() or not col_path.exists():
+            return _fail("store", "migration did not replace the JSON entry with .col")
+        if shards.read_index(col_path.parent).get(col_path.name) != meta:
+            return _fail("store", "migrated entry's index record differs from a saved one")
+        if failure := compare(store.load(scenario, zoo), "migrate->load"):
             return failure
         return _ok("store")
 

@@ -3,11 +3,10 @@
 Three contracts share this file because they share one failure surface:
 
 * the ``colfmt`` container and codecs must round-trip payloads
-  *bit-identically* — the binary format is an encoding of the JSON
+  *bit-identically* — the binary format is an encoding of the dict
   payload, never a reinterpretation of it;
-* the stores must treat the two formats as one store — either format
-  written, either reader, same bytes out, same index records, corrupt
-  entries of either format quarantined the same way;
+* store loads stay lazy on the column payload, and corrupt entries are
+  quarantined rather than served;
 * transient read errors must never destroy data — an EIO on a valid
   entry is a miss, not a quarantine (the bug this PR fixes), while
   non-finite floats must never produce invalid JSON on disk.
@@ -29,7 +28,7 @@ from repro.runtime import (
     run_to_dict,
     trace_to_dict,
 )
-from repro.runtime import colfmt, iolayer, shards
+from repro.runtime import colfmt, iolayer
 from repro.runtime.export import load_metrics_dicts, save_metrics
 from repro.runtime.iolayer import RETRY_ATTEMPTS, FsFaultEvent, FsFaultPlan
 from repro.runtime.metrics import aggregate
@@ -117,44 +116,7 @@ class TestContainer:
 
 
 class TestCrossFormat:
-    def test_trace_equal_through_both_formats(self, trace, scenario, zoo, tmp_path):
-        json_store = TraceStore(tmp_path, write_format="json")
-        json_path = json_store.save(trace, zoo)
-        json_meta = shards.read_index(json_path.parent)[json_path.name]
-
-        binary_store = TraceStore(tmp_path, write_format="binary")
-        assert binary_store.format_migrated == 1, "open must re-encode the JSON entry"
-        assert not json_path.exists()
-        col_path = binary_store.path_for(scenario, zoo)
-        assert col_path.suffix == colfmt.COL_SUFFIX and col_path.exists()
-        # Index records are format-independent: bit-identical either way.
-        assert shards.read_index(col_path.parent)[col_path.name] == json_meta
-
-        via_binary = binary_store.load(scenario, zoo)
-        via_json_reader = TraceStore(tmp_path, write_format="json").load(scenario, zoo)
-        assert via_binary.outcomes == trace.outcomes
-        assert via_json_reader.outcomes == trace.outcomes
-
-    def test_run_equal_through_both_formats(self, result, key, tmp_path):
-        json_store = RunStore(tmp_path, write_format="json")
-        json_store.save(result, key)
-        via_json = json_store.load(key)
-
-        binary_store = RunStore(tmp_path, write_format="binary")
-        assert binary_store.format_migrated == 1
-        via_binary = binary_store.load(key)
-        assert via_binary.records == result.records == via_json.records
-        assert binary_store.load_metrics(key) == json_store.load_metrics(key)
-
-    def test_binary_save_supersedes_json_twin(self, result, key, tmp_path):
-        json_path = RunStore(tmp_path, write_format="json").save(result, key)
-        # Fresh binary-writer store: saving replaces the twin atomically
-        # under the same shard lock (no double-indexed entry).
-        store = RunStore(tmp_path)
-        col_path = store.save(result, key)
-        assert col_path.suffix == colfmt.COL_SUFFIX
-        assert not json_path.exists()
-        assert len(store) == 1
+    """Store-level behaviour of the container: lazy decode, corrupt entries."""
 
     def test_lazy_outcomes_until_first_access(self, trace, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)

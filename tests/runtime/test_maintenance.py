@@ -211,7 +211,7 @@ class TestRepair:
             tmp_path / "runs", tmp_path / "traces", zoo, scenarios, policies
         )
         shard = entry_paths(tmp_path / "runs", "run-*.col")[0].parent
-        junk = shard / "run-v1-deadbeefdeadbeefdeadbeefdeadbeef.json"
+        junk = shard / "run-v1-deadbeefdeadbeefdeadbeefdeadbeef.col"
         junk.write_text('{"torn', encoding="utf-8")
         report = run_store.repair()
         assert report.quarantined == 1

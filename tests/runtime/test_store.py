@@ -15,6 +15,8 @@ from repro.runtime import (
     trace_from_dict,
     trace_to_dict,
 )
+from repro.runtime import colfmt, iolayer
+from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
 
 
 @pytest.fixture(scope="module")
@@ -74,12 +76,12 @@ class TestRoundTrip:
 
 class TestValidation:
     def test_wrong_schema_version_fails_loudly(self, trace, scenario, zoo, tmp_path):
-        # JSON writer: the test tampers with the payload via a text edit.
-        store = TraceStore(tmp_path, write_format="json")
+        # Tamper with the payload, then re-encode it at the entry path.
+        store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
-        payload = json.loads(path.read_text())
+        payload = trace_to_dict(trace, zoo)
         payload["schema_version"] = 99
-        path.write_text(json.dumps(payload))
+        path.write_bytes(colfmt.encode_trace(payload))
         with pytest.raises(TraceSchemaError, match="schema"):
             store.load(scenario, zoo)
 
@@ -137,3 +139,26 @@ class TestStoreBackedCache:
         store.get(scenario, zoo)
         assert store.clear() == 1
         assert len(store) == 0
+
+
+class TestTornEntry:
+    def test_torn_entry_with_intact_header_is_a_counted_miss(
+        self, trace, scenario, zoo, tmp_path
+    ):
+        # A partial write that keeps the header but loses columns must not
+        # load as a lazy trace whose outcomes fail later: the header probe
+        # checks the column directory against the file size.
+        store = TraceStore(tmp_path)
+        plan = FsFaultPlan(events=(
+            FsFaultEvent(op="write", index=0, kind="partial_write", param=0.5,
+                         match="trace-*"),
+        ))
+        with iolayer.fault_plan(plan):
+            path = store.save(trace, zoo)
+        assert path.stat().st_size < len(colfmt.encode_trace(trace_to_dict(trace, zoo)))
+        assert store.load(scenario, zoo) is None
+        assert store.corrupt_entries == 1
+        assert not path.exists(), "the torn entry must be quarantined"
+        rebuilt = store.get(scenario, zoo)  # miss -> rebuild -> persist
+        assert rebuilt.outcomes == trace.outcomes
+        assert store.load(scenario, zoo).outcomes == trace.outcomes

@@ -5,7 +5,8 @@ one TraceStore/RunStore pair, so the stores' concurrency story has to be
 *proven*, not assumed:
 
 * entries land in fingerprint-prefix shards with a per-shard index;
-* pre-sharding flat stores migrate in place on open;
+* legacy entries (pre-sharding flat files, pre-binary JSON) are misses
+  until ``migrate()`` rewrites them as sharded ``.col`` entries;
 * parallel writers of the same key leave exactly one valid entry;
 * a writer killed mid-write (stale temp file) is cleaned on next open and
   its leftovers are never served as hits;
@@ -13,7 +14,6 @@ one TraceStore/RunStore pair, so the stores' concurrency story has to be
   counted in ``corrupt_entries``, and is quarantined.
 """
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -22,10 +22,11 @@ from repro.baselines import SingleModelPolicy
 from repro.data import scenario_by_name
 from repro.models import default_zoo
 from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceStore, run_policy
-from repro.runtime import shards
+from repro.runtime import run_to_dict, shards, trace_to_dict
 from repro.runtime.runstore import RUN_ALGORITHM_VERSION
 from repro.runtime.store import ALGORITHM_VERSION
 from repro.sim import xavier_nx_with_oakd
+from repro.util import jsonsafe
 
 
 @pytest.fixture(scope="module")
@@ -102,7 +103,7 @@ class TestShardLayout:
     def test_audit_flags_unindexed_and_missing(self, tmp_path, trace, scenario, zoo):
         store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
-        stray = path.with_name("trace-v1-" + "0" * 16 + "-" + "0" * 12 + ".json")
+        stray = path.with_name("trace-v1-" + "0" * 16 + "-" + "0" * 12 + ".col")
         stray.write_text("{}", encoding="utf-8")
         checked, problems = store.audit()
         assert any("not indexed" in p for p in problems)
@@ -127,32 +128,53 @@ class TestShardLayout:
 
 
 class TestLegacyMigration:
-    def _flat_trace_file(self, root, trace, zoo, scenario):
-        from repro.runtime.store import trace_to_dict
+    """Legacy JSON entries are misses on open; ``migrate()`` upgrades them."""
 
+    def _flat_trace_file(self, root, trace, zoo, scenario):
         name = (
             f"trace-v{ALGORITHM_VERSION}-{scenario.fingerprint()[:16]}"
             f"-{zoo.fingerprint()[:12]}.json"
         )
+        root.mkdir(parents=True, exist_ok=True)
         path = root / name
-        path.write_text(json.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
+        path.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
         return path
 
-    def test_flat_trace_store_migrates_on_open(self, tmp_path, trace, scenario, zoo):
+    def _sharded_run_file(self, root, result, key):
+        # Indexed, like every entry a pre-binary sharded store wrote.
+        name = f"run-v{RUN_ALGORITHM_VERSION}-{key.digest()[:32]}.json"
+        text = jsonsafe.dumps(run_to_dict(result, key))
+        return shards.write_entry(root, key.digest(), name, text, {})
+
+    def test_open_leaves_legacy_entries_as_misses(
+        self, tmp_path, trace, scenario, zoo, result, key
+    ):
+        flat = self._flat_trace_file(tmp_path / "t", trace, zoo, scenario)
+        sharded = self._sharded_run_file(tmp_path / "r", result, key)
+        tstore, rstore = TraceStore(tmp_path / "t"), RunStore(tmp_path / "r")
+        assert flat.exists() and sharded.exists(), "opening a store must not touch them"
+        assert tstore.load(scenario, zoo) is None
+        assert rstore.load_metrics(key) is None
+        assert tstore.corrupt_entries == rstore.corrupt_entries == 0
+        assert len(tstore) == len(rstore) == 0
+
+    def test_flat_trace_entry_migrates(self, tmp_path, trace, scenario, zoo):
         flat = self._flat_trace_file(tmp_path, trace, zoo, scenario)
         store = TraceStore(tmp_path)
+        assert store.migrate() == 1
         assert not flat.exists(), "legacy flat entry must move into its shard"
+        assert store.path_for(scenario, zoo).exists()
         assert store.load(scenario, zoo).outcomes == trace.outcomes
         assert store.audit()[1] == []
+        assert store.migrate() == 0
 
-    def test_flat_run_store_migrates_on_open(self, tmp_path, result, key):
-        from repro.runtime.runstore import run_to_dict
-
-        name = f"run-v{RUN_ALGORITHM_VERSION}-{key.digest()[:32]}.json"
-        (tmp_path / name).write_text(json.dumps(run_to_dict(result, key)), encoding="utf-8")
+    def test_sharded_run_entry_migrates(self, tmp_path, result, key):
+        legacy = self._sharded_run_file(tmp_path, result, key)
         store = RunStore(tmp_path)
-        assert not (tmp_path / name).exists()
+        assert store.migrate() == 1
+        assert not legacy.exists()
         assert store.load(key).records == result.records
+        assert store.audit()[1] == []
 
     def test_corrupt_flat_entry_is_removed_and_counted(self, tmp_path, scenario, zoo):
         name = (
@@ -161,8 +183,10 @@ class TestLegacyMigration:
         )
         (tmp_path / name).write_text("{truncated", encoding="utf-8")
         store = TraceStore(tmp_path)
+        assert store.migrate() == 0
         assert store.corrupt_entries == 1
         assert not (tmp_path / name).exists()
+        assert len(list((tmp_path / "_quarantine").iterdir())) == 1
         assert store.load(scenario, zoo) is None  # a miss, not an error
 
 

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -332,7 +334,7 @@ class TestQueueCommands:
 
 
 class TestStoreMaintenance:
-    """``repro store scrub|gc|repair``: exit codes and dry-run discipline."""
+    """``repro store scrub|gc|repair|migrate``: exit codes and dry-run discipline."""
 
     def _torn_store(self, tmp_path):
         from repro.runtime import shards
@@ -342,7 +344,7 @@ class TestStoreMaintenance:
         shard.mkdir(parents=True)
         with shards.shard_lock(shard):
             shards.write_entry_locked(
-                shard, "run-v1-" + "ab" * 16 + ".json", '{"torn', {}
+                shard, "run-v1-" + "ab" * 16 + ".col", '{"torn', {}
             )
         return runs
 
@@ -375,6 +377,69 @@ class TestStoreMaintenance:
         assert all(path.exists() for path in quarantined)  # reported, not touched
         assert main(base + ["--apply"]) == 0
         assert not any(path.exists() for path in quarantined)
+
+    def test_migrate_upgrades_legacy_json_entries(self, tmp_path, capsys):
+        from repro.baselines import SingleModelPolicy
+        from repro.data import scenario_by_name
+        from repro.models import default_zoo
+        from repro.runtime import (
+            RunKey, RunStore, ScenarioTrace, TraceStore, aggregate, run_policy,
+            run_to_dict, shards, trace_to_dict,
+        )
+        from repro.sim import xavier_nx_with_oakd
+        from repro.util import jsonsafe
+
+        zoo = default_zoo()
+        scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.05)
+        trace = ScenarioTrace.build(scenario, zoo)
+        policy = SingleModelPolicy("yolov7-tiny", "gpu")
+        result = run_policy(policy, trace)
+        key = RunKey(
+            policy_name=policy.name,
+            policy_fingerprint=policy.fingerprint(),
+            scenario_fingerprint=scenario.fingerprint(),
+            zoo_fingerprint=zoo.fingerprint(),
+            soc_fingerprint=xavier_nx_with_oakd().fingerprint(),
+            engine_seed=1234,
+        )
+        traces, runs = tmp_path / "traces", tmp_path / "runs"
+        # A flat-layout JSON trace entry (a store from before sharding) and
+        # a sharded JSON run entry (a store from before the binary format).
+        trace_col = TraceStore(traces).path_for(scenario, zoo)
+        flat = traces / trace_col.with_suffix(".json").name
+        flat.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
+        run_col = RunStore(runs).path_for(key)
+        sharded = shards.write_entry(  # indexed, as sharded stores were
+            runs, key.digest(), run_col.with_suffix(".json").name,
+            jsonsafe.dumps(run_to_dict(result, key)), {},
+        )
+
+        def migrated(out):
+            return sum(int(n) for n in re.findall(r"(\d+) legacy entries migrated", out))
+
+        command = ["--trace-store", str(traces), "--run-store", str(runs), "store", "migrate"]
+        assert main(command) == 0
+        assert migrated(capsys.readouterr().out) == 2
+        entries = sorted(p.name for p in tmp_path.rglob("*-v1-*"))
+        assert entries == sorted([trace_col.name, run_col.name]), "only .col entries remain"
+        tstore, rstore = TraceStore(traces), RunStore(runs)
+        assert tstore.audit() == (1, []) and rstore.audit() == (1, [])
+        assert tstore.load(scenario, zoo).outcomes == trace.outcomes
+        assert rstore.load(key).records == result.records
+        assert rstore.load_metrics(key) == aggregate(result)
+
+        assert main(command) == 0
+        assert migrated(capsys.readouterr().out) == 0, "a second run finds nothing"
+
+        # An unparseable legacy entry is quarantined and counted, not migrated.
+        sharded.write_text('{"torn', encoding="utf-8")
+        assert main(command) == 1
+        out = capsys.readouterr().out
+        assert migrated(out) == 0
+        assert "runs: 0 legacy entries migrated to .col, 1 unparseable quarantined" in out
+        assert not sharded.exists()
+        assert len(list((runs / "_quarantine").iterdir())) == 1
+        assert RunStore(runs).load(key).records == result.records
 
     def test_repair_covers_every_named_root(self, tmp_path, capsys):
         from repro.service import JobQueue

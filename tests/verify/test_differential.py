@@ -8,7 +8,6 @@ nothing).  Seeded and stdlib-random only, sized for tier-1 time.
 """
 
 import dataclasses
-import json
 import random
 
 import pytest
@@ -137,14 +136,13 @@ class TestHarnessDetectsViolations:
     def test_store_corruption_fails_loudly(self, trace, zoo, tmp_path):
         # Real on-disk corruption surfaces as a TraceSchemaError from the
         # store's own validation, not as a silently wrong trace.
-        from repro.runtime import TraceSchemaError
+        from repro.runtime import TraceSchemaError, colfmt, trace_to_dict
 
-        # JSON writer: the test tampers with the payload via a text edit.
-        store = TraceStore(tmp_path, write_format="json")
+        store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
-        payload = json.loads(path.read_text(encoding="utf-8"))
+        payload = trace_to_dict(trace, zoo)
         payload["scenario_fingerprint"] = "0" * 64
-        path.write_text(json.dumps(payload), encoding="utf-8")
+        path.write_bytes(colfmt.encode_trace(payload))
         with pytest.raises(TraceSchemaError):
             store.load(trace.scenario, zoo)
 
