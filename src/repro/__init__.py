@@ -27,143 +27,41 @@ Quickstart::
 For a single scenario, ``trace = runner.trace(scenario_by_name(...))`` and
 ``aggregate(run_policy(shift, trace, soc=soc))`` mirror the paper's
 one-policy-one-video runs.
+
+Every public name is imported on first access (PEP 562), so ``import
+repro`` — and ``python -m repro``, whose commands each import only what
+they run — does not load the service, verification, or analysis tiers.
 """
 
-from .baselines import (
-    MarlinPolicy,
-    OracleObjective,
-    OraclePolicy,
-    SingleModelPolicy,
-    oracle_accuracy,
-    oracle_energy,
-    oracle_latency,
-)
-from .characterization import CharacterizationBundle, characterize
-from .core import (
-    PAPER_CONFIG,
-    ConfidenceGraph,
-    ContextDetector,
-    DynamicModelLoader,
-    ShiftConfig,
-    ShiftPipeline,
-    ShiftScheduler,
-    TraitTable,
-)
-from .data import (
-    Scenario,
-    ScenarioMatrix,
-    ScenarioRecipe,
-    Segment,
-    SegmentFamily,
-    all_scenarios,
-    build_validation_set,
-    default_matrix,
-    evaluation_scenarios,
-    extended_scenarios,
-    register_scenario,
-    render_scenario,
-    scenario_by_name,
-    scenario_names,
-)
-from .models import ModelSpec, ModelZoo, default_zoo, detect
-from .runtime import (
-    ExperimentRunner,
-    FrameRecord,
-    Policy,
-    RunMetrics,
-    RunResult,
-    ScenarioTrace,
-    TraceCache,
-    TraceStore,
-    aggregate,
-    average_metrics,
-    run_policy,
-    run_policy_on_scenarios,
-)
-from .service import SweepHandle, SweepRequest, SweepService
-from .verify import FuzzReport, fuzz_matrix, fuzz_scenarios, verify_scenario
-from .sim import (
-    AcceleratorClass,
-    ExecutionEngine,
-    SoC,
-    gpu_only_soc,
-    xavier_nx_with_oakd,
-)
-from .vision import BoundingBox, iou
+from .util.lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    # baselines
-    "MarlinPolicy",
-    "OraclePolicy",
-    "OracleObjective",
-    "SingleModelPolicy",
-    "oracle_energy",
-    "oracle_accuracy",
-    "oracle_latency",
-    # characterization
-    "CharacterizationBundle",
-    "characterize",
-    # core
-    "ConfidenceGraph",
-    "ContextDetector",
-    "DynamicModelLoader",
-    "ShiftConfig",
-    "PAPER_CONFIG",
-    "ShiftPipeline",
-    "ShiftScheduler",
-    "TraitTable",
-    # data
-    "Scenario",
-    "ScenarioMatrix",
-    "ScenarioRecipe",
-    "Segment",
-    "SegmentFamily",
-    "build_validation_set",
-    "default_matrix",
-    "evaluation_scenarios",
-    "extended_scenarios",
-    "all_scenarios",
-    "register_scenario",
-    "render_scenario",
-    "scenario_by_name",
-    "scenario_names",
-    # service
-    "SweepHandle",
-    "SweepRequest",
-    "SweepService",
-    # verify
-    "FuzzReport",
-    "fuzz_matrix",
-    "fuzz_scenarios",
-    "verify_scenario",
-    # models
-    "ModelSpec",
-    "ModelZoo",
-    "default_zoo",
-    "detect",
-    # runtime
-    "ExperimentRunner",
-    "FrameRecord",
-    "Policy",
-    "RunMetrics",
-    "RunResult",
-    "ScenarioTrace",
-    "TraceCache",
-    "TraceStore",
-    "aggregate",
-    "average_metrics",
-    "run_policy",
-    "run_policy_on_scenarios",
-    # sim
-    "AcceleratorClass",
-    "ExecutionEngine",
-    "SoC",
-    "xavier_nx_with_oakd",
-    "gpu_only_soc",
-    # vision
-    "BoundingBox",
-    "iou",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "baselines": (
+        "MarlinPolicy", "OracleObjective", "OraclePolicy", "SingleModelPolicy",
+        "oracle_accuracy", "oracle_energy", "oracle_latency",
+    ),
+    "characterization": ("CharacterizationBundle", "characterize"),
+    "core": (
+        "PAPER_CONFIG", "ConfidenceGraph", "ContextDetector", "DynamicModelLoader",
+        "ShiftConfig", "ShiftPipeline", "ShiftScheduler", "TraitTable",
+    ),
+    "data": (
+        "Scenario", "ScenarioMatrix", "ScenarioRecipe", "Segment", "SegmentFamily",
+        "all_scenarios", "build_validation_set", "default_matrix", "evaluation_scenarios",
+        "extended_scenarios", "register_scenario", "render_scenario", "scenario_by_name",
+        "scenario_names",
+    ),
+    "models": ("ModelSpec", "ModelZoo", "default_zoo", "detect"),
+    "runtime": (
+        "ExperimentRunner", "FrameRecord", "Policy", "RunMetrics", "RunResult",
+        "ScenarioTrace", "TraceCache", "TraceStore", "aggregate", "average_metrics",
+        "run_policy", "run_policy_on_scenarios",
+    ),
+    "service": ("SweepHandle", "SweepRequest", "SweepService"),
+    "sim": ("AcceleratorClass", "ExecutionEngine", "SoC", "gpu_only_soc", "xavier_nx_with_oakd"),
+    "verify": ("FuzzReport", "fuzz_matrix", "fuzz_scenarios", "verify_scenario"),
+    "vision": ("BoundingBox", "iou"),
+})
+__all__.insert(0, "__version__")

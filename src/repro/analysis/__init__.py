@@ -18,21 +18,13 @@ and declare lock-guarded state so the guard is enforced::
     self._state = threading.Lock()  # repro: guards[_jobs, _closed]
 """
 
-from .base import Checker, Project, Registry
-from .engine import LintConfig, LintResult, default_registry, run_lint
-from .findings import Finding, Rule
-from .source import SourceModule, parse_module
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "Checker",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "Project",
-    "Registry",
-    "Rule",
-    "SourceModule",
-    "default_registry",
-    "parse_module",
-    "run_lint",
-]
+# Lazy (PEP 562): ``repro lint``'s options are declared on every CLI run,
+# the checkers load only when lint runs.
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "base": ("Checker", "Project", "Registry"),
+    "engine": ("LintConfig", "LintResult", "default_registry", "run_lint"),
+    "findings": ("Finding", "Rule"),
+    "source": ("SourceModule", "parse_module"),
+})

@@ -12,8 +12,6 @@ import json
 from pathlib import Path
 from typing import IO
 
-from .engine import LintConfig, default_registry, run_lint, write_baseline
-
 EXIT_CLEAN = 0
 EXIT_FINDINGS = 1
 EXIT_USAGE = 2
@@ -49,6 +47,10 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
 
 def run(args: argparse.Namespace, stream: IO[str]) -> int:
     """Execute a parsed ``lint`` invocation; returns the exit code."""
+    # Imported here, not at module level: declaring the options (above)
+    # must not load the checkers for every other repro command.
+    from .engine import LintConfig, default_registry, run_lint, write_baseline
+
     registry = default_registry()
 
     if args.list_rules:

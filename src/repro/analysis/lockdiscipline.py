@@ -61,6 +61,7 @@ RENAME_CALLS = frozenset({"os.replace", "os.rename", "os.renames"})
 #: the seam's implementation, and its raw sites carry explicit
 #: ``# repro: allow[locks/raw-write]`` pragmas.
 IO_SEAM_MODULES = frozenset({
+    "runtime.bundlestore",
     "runtime.colfmt",
     "runtime.shards",
     "runtime.store",

@@ -141,8 +141,16 @@ def save_bundle(bundle: CharacterizationBundle, path: str | Path) -> None:
 
 
 def load_bundle(path: str | Path) -> CharacterizationBundle:
-    """Read a bundle written by :func:`save_bundle`."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read a bundle written by :func:`save_bundle`.
+
+    Content that does not decode (torn, not JSON, not UTF-8) raises
+    :class:`BundleSchemaError`; a file that cannot be read raises its
+    ``OSError``.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BundleSchemaError(f"bundle file does not decode: {exc}") from exc
     if not isinstance(payload, dict):
         raise BundleSchemaError("bundle file does not contain a JSON object")
     return bundle_from_dict(payload)

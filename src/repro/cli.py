@@ -32,29 +32,19 @@ second time.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
+from typing import TYPE_CHECKING
 
-from .characterization import save_bundle
-from .core import objective_names
-from .experiments import (
-    ExperimentContext,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-    headline_claims,
-    render_table,
-    table1,
-    table2,
-    table3,
-    table4,
-)
-from .runtime import aggregate, run_policy
-from .service import ServiceError
+# Every command imports what it runs inside its own function, so a warm
+# `sweep` never loads the HTTP tier, the verifier, or the lint engine.
+if TYPE_CHECKING:
+    from .experiments.context import ExperimentContext
 
 
 def _context(args: argparse.Namespace) -> ExperimentContext:
+    from .experiments.context import ExperimentContext
+
     return ExperimentContext(
         scale=args.scale,
         validation_size=args.validation,
@@ -65,6 +55,9 @@ def _context(args: argparse.Namespace) -> ExperimentContext:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
+    from .experiments.report import render_table
+    from .experiments.tables import table1, table2, table3, table4
+
     ctx = _context(args)
     if args.number == 1:
         print(render_table(table1(ctx)))
@@ -81,6 +74,9 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
+    from .experiments.figures import figure1, figure2, figure3, figure4, figure5
+    from .experiments.report import render_table
+
     ctx = _context(args)
     if args.number == 1:
         print(render_table(figure1(ctx).table))
@@ -106,7 +102,7 @@ def _policy_resolver(ctx: ExperimentContext, objective: str):
     when a shift policy is actually requested, so baseline-only commands
     never pay for characterization.
     """
-    from .service import policy_resolver
+    from .service.jobs import policy_resolver
 
     def resolve(name: str):
         if name == "shift":
@@ -123,6 +119,10 @@ def _build_policy(name: str, ctx: ExperimentContext, objective: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    from .runtime.metrics import aggregate
+    from .runtime.runner import run_policy
+    from .service.jobs import ServiceError
+
     ctx = _context(args)
     try:
         policy = _build_policy(args.policy, ctx, args.objective)
@@ -146,6 +146,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
+    from .characterization.serialization import save_bundle
+
     ctx = _context(args)
     bundle = ctx.bundle
     save_bundle(bundle, args.out)
@@ -155,14 +157,17 @@ def _cmd_characterize(args: argparse.Namespace) -> int:
 
 
 def _cmd_headline(args: argparse.Namespace) -> int:
+    from .experiments.report import render_table
+    from .experiments.tables import headline_claims
+
     ctx = _context(args)
     print(render_table(headline_claims(ctx).table))
     return 0
 
 
 def _sweep_table(title: str, results: dict) -> str:
-    from .experiments.report import TableData
-    from .runtime import average_metrics
+    from .experiments.report import TableData, render_table
+    from .runtime.metrics import average_metrics
 
     table = TableData(
         title=title,
@@ -183,7 +188,8 @@ def _sweep_table(title: str, results: dict) -> str:
 def _serve_requests(args: argparse.Namespace, jobs_path: str, workers: int) -> int:
     """Run a jobs file's requests through the sweep service; shared by
     ``serve`` and ``sweep --jobs``."""
-    from .service import SweepRequest, SweepService, load_jobs_file
+    from .service.jobs import ServiceError, SweepRequest, load_jobs_file
+    from .service.service import SweepService
 
     ctx = _context(args)
     try:
@@ -289,8 +295,11 @@ def _serve_procs(args: argparse.Namespace) -> int:
     import time
     from pathlib import Path
 
+    from .characterization.serialization import save_bundle
     from .runtime.runstore import RunKey, RunStore
-    from .service import JobQueue, SweepRequest, decompose, load_jobs_file
+    from .service.jobs import ServiceError, SweepRequest, decompose, load_jobs_file
+    from .service.procs import WorkerSupervisor
+    from .service.queue import JobQueue
 
     if args.run_store is None:
         print("serve --procs needs --run-store DIR: workers commit results there "
@@ -333,8 +342,6 @@ def _serve_procs(args: argparse.Namespace) -> int:
         bundle_path = queue_dir / "shift-bundle.json"
         save_bundle(ctx.bundle, bundle_path)
         shift_args = ["--shift-bundle", str(bundle_path), "--objective", args.objective]
-
-    from .service import WorkerSupervisor
 
     spawn = _worker_spawner(args, queue_dir, extra_args=shift_args)
     supervisor = WorkerSupervisor(spawn, args.procs, respawn_budget=args.procs * 8)
@@ -467,9 +474,14 @@ def _serve_http(args: argparse.Namespace) -> int:
         resolver = None
         shift_args: list[str] = []
         if args.shift_bundle:
-            from .characterization import load_bundle
+            from .characterization import BundleSchemaError, load_bundle
 
-            bundle = load_bundle(args.shift_bundle)
+            try:
+                bundle = load_bundle(args.shift_bundle)
+            except (BundleSchemaError, OSError) as exc:
+                print(f"serve --http: cannot load --shift-bundle {args.shift_bundle}: {exc}",
+                      file=sys.stderr)
+                return 2
             resolver = policy_resolver(bundle=bundle, objective=args.objective)
             shift_args = ["--shift-bundle", str(args.shift_bundle),
                           "--objective", args.objective]
@@ -559,7 +571,7 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue(args: argparse.Namespace) -> int:
-    from .service import JOB_STATES, JobQueue
+    from .service.queue import JOB_STATES, JobQueue
 
     queue = JobQueue(args.queue_dir)
     if args.requeue_dead:
@@ -588,7 +600,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
     """Self-healing store maintenance: scrub / gc / repair / migrate over any root.
 
     Targets come from the global ``--trace-store`` / ``--run-store``
-    options plus ``--queue``; each named root is maintained in turn.
+    options plus ``--queue``; each named root is maintained in turn.  A
+    trace store brings its characterization-bundle root
+    (``<trace-store>/_characterization``) along.
     ``gc`` is dry-run by default — it *reports* what a real pass would
     reclaim (quarantined entries, stale temps, dead job records past the
     TTL) and deletes only under ``--apply``.  ``migrate`` rewrites legacy
@@ -598,16 +612,18 @@ def _cmd_store(args: argparse.Namespace) -> int:
     ``gc`` exit zero on success.
     """
     from .runtime import iolayer
+    from .runtime.bundlestore import BundleStore
     from .runtime.runstore import RunStore
     from .runtime.store import EntryStore, TraceStore
 
     targets: list[tuple[str, object]] = []
     if args.trace_store:
         targets.append(("traces", TraceStore(args.trace_store)))
+        targets.append(("characterization", BundleStore.under(args.trace_store)))
     if args.run_store:
         targets.append(("runs", RunStore(args.run_store)))
     if args.queue:
-        from .service import JobQueue
+        from .service.queue import JobQueue
 
         targets.append(("queue", JobQueue(args.queue)))
     if not targets:
@@ -649,6 +665,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .service.jobs import ServiceError
+
     if args.jobs is not None:
         if args.policies is not None:
             print("give either POLICIES or --jobs FILE, not both", file=sys.stderr)
@@ -704,7 +722,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .data import scenario_by_name
     from .verify import CHECKS, default_sample_count, fuzz_scenarios, sample_matrix
 
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
+    selected = ",".join(CHECKS) if args.checks is None else args.checks
+    checks = [c.strip() for c in selected.split(",") if c.strip()]
     if not checks:
         print(f"no checks selected; available: {', '.join(CHECKS)}", file=sys.stderr)
         return 2
@@ -761,15 +780,31 @@ def _non_negative_int(value: str) -> int:
     return number
 
 
+def _finite_positive_float(value: str) -> float:
+    number = float(value)
+    if not (math.isfinite(number) and number > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
+    return number
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The argument parser (exposed for tests and docs tooling)."""
+    """The argument parser (exposed for tests and docs tooling).
+
+    Declaring the options imports no command module beyond the queue
+    worker (whose options ``work`` shares) and the lint front-end.
+    """
+    from .analysis.cli import configure_parser as configure_lint
+    from .core import objective_names
+    from .runtime.maintenance import DEFAULT_TTL_SECONDS
+    from .service.worker import configure_parser as configure_work
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SHIFT reproduction: regenerate the paper's experiments",
     )
-    parser.add_argument("--scale", type=float, default=1.0,
+    parser.add_argument("--scale", type=_finite_positive_float, default=1.0,
                         help="scenario length multiplier (default 1.0 = paper scale)")
-    parser.add_argument("--validation", type=int, default=800,
+    parser.add_argument("--validation", type=_positive_int, default=800,
                         help="characterization sample count (default 800)")
     parser.add_argument("--workers", type=_positive_int, default=None,
                         help="worker processes for trace building (default: serial)")
@@ -788,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_cmd.add_argument("number", type=int, help="figure number (1-5)")
     figure_cmd.add_argument("--full-grid", action="store_true",
                             help="figure 5: paper-sized (~1,900-config) sweep")
-    figure_cmd.add_argument("--sweep-scale", type=float, default=0.15,
+    figure_cmd.add_argument("--sweep-scale", type=_finite_positive_float, default=0.15,
                             help="figure 5: extra scenario shortening (default 0.15)")
     figure_cmd.set_defaults(func=_cmd_figure)
 
@@ -858,9 +893,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     work_cmd = commands.add_parser(
         "work", help="one queue worker process: claim, execute, commit until drained")
-    from .service.worker import configure_parser as _configure_work
-
-    _configure_work(work_cmd)
+    configure_work(work_cmd)
     work_cmd.set_defaults(func=_cmd_work)
 
     queue_cmd = commands.add_parser(
@@ -881,12 +914,10 @@ def build_parser() -> argparse.ArgumentParser:
                                 "flat-layout entries as sharded .col entries")
     store_cmd.add_argument("--queue", default=None, metavar="DIR",
                            help="also maintain this job queue directory")
-    from .runtime.maintenance import DEFAULT_TTL_SECONDS as _DEFAULT_TTL
-
-    store_cmd.add_argument("--ttl", type=float, default=_DEFAULT_TTL,
+    store_cmd.add_argument("--ttl", type=float, default=DEFAULT_TTL_SECONDS,
                            help="gc: age in seconds before quarantined entries, stale "
                                 "temps, and dead job records are reclaimed "
-                                f"(default {_DEFAULT_TTL:.0f} = 7 days)")
+                                f"(default {DEFAULT_TTL_SECONDS:.0f} = 7 days)")
     store_cmd.add_argument("--apply", action="store_true",
                            help="gc: actually delete (default is a dry-run report)")
     store_cmd.set_defaults(func=_cmd_store)
@@ -905,9 +936,7 @@ def build_parser() -> argparse.ArgumentParser:
                             help="sample seed for the generated matrix (default 0)")
     verify_cmd.add_argument("--scenarios", default=None,
                             help="comma-separated scenario names to verify instead of sampling")
-    from .verify import CHECKS as _ALL_CHECKS
-
-    verify_cmd.add_argument("--checks", default=",".join(_ALL_CHECKS),
+    verify_cmd.add_argument("--checks", default=None,
                             help="comma-separated subset of checks (default: all)")
     verify_cmd.add_argument("--store", default=None, metavar="DIR",
                             help="run store round-trips under DIR instead of a temp dir")
@@ -923,9 +952,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     lint_cmd = commands.add_parser(
         "lint", help="static analysis: determinism, lock discipline, schema, layering")
-    from .analysis.cli import configure_parser as _configure_lint
-
-    _configure_lint(lint_cmd)
+    configure_lint(lint_cmd)
     lint_cmd.set_defaults(func=_cmd_lint)
     return parser
 

@@ -18,6 +18,12 @@ them.  Construction follows the paper's six steps:
    into a single prediction by distance-weighted averaging.
 6. **Map** — the result is stored as a plain lookup: node -> {model ->
    (predicted accuracy, distance)}.  Runtime prediction is a dict lookup.
+
+Steps 1–2 run in :meth:`ConfidenceGraph.build`; steps 3–6 run on the first
+:meth:`~ConfidenceGraph.predict` or :meth:`~ConfidenceGraph.dense` call.
+A warm sweep whose runs are all store hits needs only
+:meth:`~ConfidenceGraph.fingerprint`, which reads the nodes, so it never
+pays for the search.
 """
 
 from __future__ import annotations
@@ -82,15 +88,16 @@ class DenseConfidenceLookup:
         self.accuracy = np.full((count, self.bin_count, count), np.nan, dtype=np.float64)
         self.distance = np.full((count, self.bin_count, count), np.nan, dtype=np.float64)
         self.valid = np.zeros((count, self.bin_count, count), dtype=bool)
+        prediction_map = graph._predictions()
         for source_idx, model in enumerate(self.models):
             for bin_idx in range(self.bin_count):
                 key = (model, bin_idx)
-                if key not in graph._prediction_map:
+                if key not in prediction_map:
                     fallback = graph._nearest_populated_bin(model, bin_idx)
                     if fallback is None:  # pragma: no cover - model has nodes by construction
                         continue
                     key = fallback
-                for prediction in graph._prediction_map[key].values():
+                for prediction in prediction_map[key].values():
                     target_idx = self.model_index.get(prediction.model_name)
                     if target_idx is None:  # pragma: no cover - map models ⊆ graph models
                         continue
@@ -125,9 +132,10 @@ class ConfidenceGraph:
 
     Build once from characterization observations with :meth:`build`; the
     distance threshold can be re-applied cheaply via
-    :meth:`with_distance_threshold` (the graph structure is reused, only
-    the bounded search and consolidation re-run) — the sensitivity analysis
-    sweeps this parameter.
+    :meth:`with_distance_threshold` (the graph structure and its edge
+    costs are reused, only the bounded search and consolidation re-run) —
+    the sensitivity analysis sweeps this parameter.  The prediction map is
+    built on the first lookup, not at construction.
     """
 
     def __init__(
@@ -135,13 +143,16 @@ class ConfidenceGraph:
         nodes: dict[NodeKey, _Node],
         bin_width: float,
         distance_threshold: float,
+        _edge_costs: dict[NodeKey, tuple[tuple[NodeKey, float], ...]] | None = None,
     ) -> None:
         if not nodes:
             raise ValueError("a confidence graph needs at least one node")
         self._nodes = nodes
         self.bin_width = bin_width
         self.distance_threshold = distance_threshold
-        self._prediction_map = self._build_prediction_map()
+        # Step 3 per node, filled on demand; shared by every threshold view.
+        self._edge_costs = {} if _edge_costs is None else _edge_costs
+        self._prediction_map: dict[NodeKey, dict[str, Prediction]] | None = None
         self._dense: DenseConfidenceLookup | None = None
         self._fingerprint: str | None = None
 
@@ -163,13 +174,19 @@ class ConfidenceGraph:
             raise ValueError("distance_threshold must be non-negative")
 
         # Step 1: nodes with expected accuracy per (model, bin).
+        top = int(math.ceil(1.0 / bin_width)) - 1
         sums: dict[NodeKey, float] = {}
         counts: dict[NodeKey, int] = {}
+        keys_per_observation: list[list[NodeKey]] = []
         for obs in observations:
+            keys = []
             for model, (confidence, iou) in obs.readings.items():
-                key = (model, cls.bin_index_static(confidence, bin_width))
+                # Inlined bin_index_static: same clamp, same division.
+                key = (model, min(int(min(max(confidence, 0.0), 1.0) / bin_width), top))
                 sums[key] = sums.get(key, 0.0) + iou
                 counts[key] = counts.get(key, 0) + 1
+                keys.append(key)
+            keys_per_observation.append(keys)
         nodes = {
             key: _Node(
                 key=key,
@@ -180,18 +197,15 @@ class ConfidenceGraph:
         }
 
         # Step 2: co-occurrence edges between different models' nodes.
-        for obs in observations:
-            keys = [
-                (model, cls.bin_index_static(confidence, bin_width))
-                for model, (confidence, _iou) in obs.readings.items()
-            ]
-            for i in range(len(keys)):
-                for j in range(i + 1, len(keys)):
-                    a, b = keys[i], keys[j]
+        for keys in keys_per_observation:
+            for i, a in enumerate(keys):
+                edges_a = nodes[a].edges
+                for b in keys[i + 1 :]:
                     if a[0] == b[0]:
                         continue
-                    nodes[a].edges[b] = nodes[a].edges.get(b, 0.0) + 1.0
-                    nodes[b].edges[a] = nodes[b].edges.get(a, 0.0) + 1.0
+                    edges_b = nodes[b].edges
+                    edges_a[b] = edges_a.get(b, 0.0) + 1.0
+                    edges_b[a] = edges_b.get(a, 0.0) + 1.0
 
         return cls(nodes=nodes, bin_width=bin_width, distance_threshold=distance_threshold)
 
@@ -209,11 +223,21 @@ class ConfidenceGraph:
 
     # --------------------------------------------------------- traversal
 
-    def _edge_cost(self, source: NodeKey, target: NodeKey) -> float:
-        """Step 3: per-node normalized, inverted edge weight."""
-        node = self._nodes[source]
-        max_weight = max(node.edges.values())
-        return 1.0 - node.edges[target] / max_weight
+    def _costs_from(self, key: NodeKey) -> tuple[tuple[NodeKey, float], ...]:
+        """Step 3: ``key``'s edges as (neighbour, normalized inverted weight).
+
+        Computed once per node and cached in the table every threshold
+        view shares; the edge order is the node's own.
+        """
+        costs = self._edge_costs.get(key)
+        if costs is None:
+            edges = self._nodes[key].edges
+            max_weight = max(edges.values()) if edges else 0.0
+            costs = tuple(
+                (neighbour, 1.0 - weight / max_weight) for neighbour, weight in edges.items()
+            )
+            self._edge_costs[key] = costs
+        return costs
 
     def _bounded_search(self, start: NodeKey) -> dict[NodeKey, float]:
         """Step 4: all nodes within ``distance_threshold`` of ``start``."""
@@ -223,11 +247,7 @@ class ConfidenceGraph:
             dist, key = heapq.heappop(frontier)
             if dist > distances.get(key, math.inf):
                 continue
-            node = self._nodes[key]
-            if not node.edges:
-                continue
-            for neighbour in node.edges:
-                cost = self._edge_cost(key, neighbour)
+            for neighbour, cost in self._costs_from(key):
                 candidate = dist + cost
                 if candidate > self.distance_threshold:
                     continue
@@ -256,9 +276,13 @@ class ConfidenceGraph:
             for model in weight_sum
         }
 
-    def _build_prediction_map(self) -> dict[NodeKey, dict[str, Prediction]]:
-        """Step 6: the runtime lookup map."""
-        return {key: self._consolidate(self._bounded_search(key)) for key in self._nodes}
+    def _predictions(self) -> dict[NodeKey, dict[str, Prediction]]:
+        """Step 6: the runtime lookup map (built on first use, then cached)."""
+        if self._prediction_map is None:
+            self._prediction_map = {
+                key: self._consolidate(self._bounded_search(key)) for key in self._nodes
+            }
+        return self._prediction_map
 
     # ------------------------------------------------------------ lookup
 
@@ -269,13 +293,14 @@ class ConfidenceGraph:
         characterization, the nearest populated bin of the same model is
         used — the runtime must stay total over unseen confidence values.
         """
+        prediction_map = self._predictions()
         key = (model_name, self.bin_index(confidence))
-        if key not in self._prediction_map:
+        if key not in prediction_map:
             fallback = self._nearest_populated_bin(model_name, key[1])
             if fallback is None:
                 return []
             key = fallback
-        return sorted(self._prediction_map[key].values(), key=lambda p: p.model_name)
+        return sorted(prediction_map[key].values(), key=lambda p: p.model_name)
 
     def _nearest_populated_bin(self, model_name: str, bin_idx: int) -> NodeKey | None:
         candidates = [key for key in self._nodes if key[0] == model_name]
@@ -328,6 +353,7 @@ class ConfidenceGraph:
             nodes=self._nodes,
             bin_width=self.bin_width,
             distance_threshold=distance_threshold,
+            _edge_costs=self._edge_costs,
         )
 
     # ---------------------------------------------------------- metadata

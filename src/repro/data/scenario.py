@@ -120,8 +120,8 @@ class Scenario:
         Used by tests and quick examples; every segment keeps at least
         two frames so context transitions survive.
         """
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
+        if not (math.isfinite(factor) and factor > 0):
+            raise ValueError(f"scale factor must be a finite positive number, got {factor}")
         scaled_segments = tuple(
             replace(segment, frames=max(2, int(round(segment.frames * factor))))
             for segment in self.segments

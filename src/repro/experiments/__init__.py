@@ -1,60 +1,24 @@
-"""Experiment harness: regenerate every table and figure of the paper."""
+"""Experiment harness: regenerate every table and figure of the paper.
 
-from .context import ExperimentContext
-from .figures import (
-    EALPoint,
-    Figure1Result,
-    Figure2Result,
-    TimelineResult,
-    figure1,
-    figure2,
-    figure3,
-    figure4,
-    figure5,
-)
-from .report import TableData, format_cell, render_markdown, render_table
-from .sensitivity import (
-    FULL_GRID,
-    QUICK_GRID,
-    SensitivityResult,
-    SweepPoint,
-    sensitivity_analysis,
-)
-from .tables import (
-    HeadlineClaims,
-    Table3Result,
-    headline_claims,
-    table1,
-    table2,
-    table3,
-    table4,
-)
+Names are imported on first access (PEP 562), so a command that needs
+only :class:`ExperimentContext` does not load every generator.
+"""
 
-__all__ = [
-    "ExperimentContext",
-    "TableData",
-    "render_table",
-    "render_markdown",
-    "format_cell",
-    "table1",
-    "table2",
-    "table3",
-    "table4",
-    "Table3Result",
-    "headline_claims",
-    "HeadlineClaims",
-    "figure1",
-    "figure2",
-    "figure3",
-    "figure4",
-    "figure5",
-    "Figure1Result",
-    "Figure2Result",
-    "TimelineResult",
-    "EALPoint",
-    "sensitivity_analysis",
-    "SensitivityResult",
-    "SweepPoint",
-    "QUICK_GRID",
-    "FULL_GRID",
-]
+from ..util.lazy import lazy_exports
+
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "context": ("ExperimentContext",),
+    "figures": (
+        "EALPoint", "Figure1Result", "Figure2Result", "TimelineResult", "figure1",
+        "figure2", "figure3", "figure4", "figure5",
+    ),
+    "report": ("TableData", "format_cell", "render_markdown", "render_table"),
+    "sensitivity": (
+        "FULL_GRID", "QUICK_GRID", "SensitivityResult", "SweepPoint",
+        "sensitivity_analysis",
+    ),
+    "tables": (
+        "HeadlineClaims", "Table3Result", "headline_claims", "table1", "table2", "table3",
+        "table4",
+    ),
+})

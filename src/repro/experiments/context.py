@@ -9,14 +9,23 @@ scales, the benchmark harness near full scale.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from ..characterization import CharacterizationBundle, characterize
+from ..characterization.profiler import DEFAULT_PERF_REPEATS
 from ..core import ConfidenceGraph
 from ..data import Scenario, evaluation_scenarios, scenario_by_name
 from ..models import ModelZoo, default_zoo
-from ..runtime import ExperimentRunner, RunStore, TraceCache, TraceStore
+from ..runtime import (
+    BundleKey,
+    BundleStore,
+    ExperimentRunner,
+    RunStore,
+    TraceCache,
+    TraceStore,
+)
 from ..sim import SoC, xavier_nx_with_oakd
 
 
@@ -25,7 +34,9 @@ class ExperimentContext:
     """Lazily cached building blocks shared by all experiments.
 
     ``trace_store`` points the trace tier at a directory so traces persist
-    across processes (a second benchmark/CLI invocation rebuilds nothing);
+    across processes (a second benchmark/CLI invocation rebuilds nothing),
+    and keeps the characterization bundle beside them (under
+    ``_characterization/``, so the offline phase runs once per store);
     ``run_store`` does the same for the run tier (finished policy runs,
     keyed by policy/trace/SoC/seed fingerprints — a repeat sweep is a pure
     metrics reload); ``max_workers`` > 1 fans trace building across worker
@@ -50,8 +61,8 @@ class ExperimentContext:
     _runner: ExperimentRunner | None = None
 
     def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError("scale must be positive")
+        if not (math.isfinite(self.scale) and self.scale > 0):
+            raise ValueError(f"scale must be a finite positive number, got {self.scale}")
         if self.validation_size <= 0:
             raise ValueError("validation_size must be positive")
         if self.max_workers is not None and self.max_workers < 1:
@@ -66,15 +77,29 @@ class ExperimentContext:
 
     @property
     def bundle(self) -> CharacterizationBundle:
-        """The offline characterization (built once)."""
+        """The offline characterization (built once; loaded from the store if kept)."""
         if self._bundle is None:
-            self._bundle = characterize(
-                self.zoo,
-                self.soc,
-                validation_size=self.validation_size,
-                validation_seed=self.validation_seed,
-            )
+            if self.trace_store is None:
+                self._bundle = self._characterize()
+            else:
+                key = BundleKey(
+                    zoo_fingerprint=self.zoo.fingerprint(),
+                    soc_fingerprint=self.soc.fingerprint(),
+                    validation_size=self.validation_size,
+                    validation_seed=self.validation_seed,
+                    perf_repeats=DEFAULT_PERF_REPEATS,
+                )
+                self._bundle = BundleStore.under(self.trace_store).get(key, self._characterize)
         return self._bundle
+
+    def _characterize(self) -> CharacterizationBundle:
+        return characterize(
+            self.zoo,
+            self.soc,
+            validation_size=self.validation_size,
+            validation_seed=self.validation_seed,
+            perf_repeats=DEFAULT_PERF_REPEATS,
+        )
 
     @property
     def cache(self) -> TraceCache:

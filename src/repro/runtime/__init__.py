@@ -16,6 +16,7 @@ from .metrics import (
     average_metrics,
     efficiency_series,
 )
+from .bundlestore import BundleKey, BundleStore
 from .experiment import ExperimentRunner
 from .iolayer import FsFaultEvent, FsFaultPlan, StoreDegraded, StoreError
 from .maintenance import GcReport, RepairReport, ScrubReport
@@ -57,6 +58,8 @@ __all__ = [
     "ScenarioTrace",
     "TraceCache",
     "ExperimentRunner",
+    "BundleKey",
+    "BundleStore",
     "TraceStore",
     "TraceSchemaError",
     "trace_to_dict",

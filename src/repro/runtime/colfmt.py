@@ -1,4 +1,4 @@
-"""Schema-versioned binary columnar format for trace and run entries.
+"""Schema-versioned binary columnar format for trace, run, and bundle entries.
 
 ROADMAP item 2: JSON entries made the warm path parse-bound — reloading a
 trace spent its time in ``json.loads`` plus per-row object rebuild, and a
@@ -24,7 +24,8 @@ NaN metric cannot corrupt it) holding everything *small*: schema and
 algorithm versions, fingerprints, metrics, vocabularies — exactly the
 fields maintenance sweeps and warm metric reads need.  ``meta`` is the
 entry's JSON payload minus its bulk field (``outcomes`` for traces,
-``records`` for runs), which lives in the columns.  That split is the
+``records`` for runs, the bundle's ``observations`` for characterization
+bundles), which lives in the columns.  That split is the
 whole speed story: :meth:`RunStore.load_metrics` and the trace identity
 checks read ≤4 KiB of header and never touch a column byte.
 
@@ -415,6 +416,92 @@ def decode_run(buffer) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Bundle payloads: {"schema_version", ..., "bundle": bundle_to_dict(...)}.
+# The bundle's observations become columns: sample_index [n], difficulty
+# [n], and confidence / iou [n, models].  Everything else (identity block,
+# trait tables) stays in the header.  The header is written with sorted
+# keys, so the two dict orders a bundle depends on are kept as lists:
+# ``models`` (every observation's readings order) and ``accuracy_models``.
+
+def encode_bundle(payload: dict) -> bytes:
+    """Pack a bundle entry payload into a container.
+
+    Every observation must read the same models in the same order (what
+    ``characterize`` produces); anything else cannot fill the
+    [samples, models] columns and raises :class:`ColumnFormatError`.
+    """
+    bundle = payload["bundle"]
+    observations = bundle["observations"]
+    models = list(observations[0]["readings"]) if observations else []
+    n = len(observations)
+    sample_index = np.zeros(n, dtype=np.int64)
+    difficulty = np.zeros(n, dtype=np.float64)
+    confidence = np.zeros((n, len(models)), dtype=np.float64)
+    iou = np.zeros((n, len(models)), dtype=np.float64)
+    for i, obs in enumerate(observations):
+        readings = obs["readings"]
+        if list(readings) != models:
+            raise ColumnFormatError(
+                f"observation {i} reads models {list(readings)}, expected {models}"
+            )
+        sample_index[i] = obs["sample_index"]
+        difficulty[i] = obs["difficulty"]
+        for j, reading in enumerate(readings.values()):
+            confidence[i, j], iou[i, j] = reading
+    meta = {key: value for key, value in payload.items() if key != "bundle"}
+    meta["bundle"] = {key: value for key, value in bundle.items() if key != "observations"}
+    meta["models"] = models
+    meta["accuracy_models"] = list(bundle["accuracy"])
+    return _pack(
+        "bundle",
+        meta,
+        [
+            ("sample_index", sample_index),
+            ("difficulty", difficulty),
+            ("confidence", confidence),
+            ("iou", iou),
+        ],
+    )
+
+
+def decode_bundle(buffer) -> dict:
+    """Full bundle entry payload, equal to the encoded one (dict orders included)."""
+    header, data_start = _parse_header(buffer)
+    if header.get("kind") != "bundle":
+        raise ColumnFormatError(f"expected bundle container, got {header.get('kind')!r}")
+    meta = header["meta"]
+    sample_index = column_array(buffer, header, data_start, "sample_index").tolist()
+    difficulty = column_array(buffer, header, data_start, "difficulty").tolist()
+    confidence = column_array(buffer, header, data_start, "confidence").tolist()
+    iou = column_array(buffer, header, data_start, "iou").tolist()
+    try:
+        models = meta["models"]
+        bundle = dict(meta["bundle"])
+        bundle["accuracy"] = {
+            name: bundle["accuracy"][name] for name in meta["accuracy_models"]
+        }
+        bundle["observations"] = [
+            {
+                "sample_index": sample_index[i],
+                "difficulty": difficulty[i],
+                "readings": {
+                    model: [confidence[i][j], iou[i][j]] for j, model in enumerate(models)
+                },
+            }
+            for i in range(len(sample_index))
+        ]
+    except (KeyError, TypeError, IndexError) as exc:
+        raise ColumnFormatError(f"malformed bundle container: {exc!r}") from exc
+    payload = {
+        key: value
+        for key, value in meta.items()
+        if key not in ("bundle", "models", "accuracy_models")
+    }
+    payload["bundle"] = bundle
+    return payload
+
+
+# ---------------------------------------------------------------------------
 # Suffix-dispatching entry read for maintenance / quarantine / audit.
 
 def load_entry_payload(path: str | Path, *, root: str | Path | None = None) -> dict:
@@ -434,6 +521,8 @@ def load_entry_payload(path: str | Path, *, root: str | Path | None = None) -> d
             return decode_trace(buffer)
         if kind == "run":
             return decode_run(buffer)
+        if kind == "bundle":
+            return decode_bundle(buffer)
         raise ColumnFormatError(f"unknown container kind {kind!r}")
     payload = jsonsafe.loads(iolayer.read_text(path, root=root))
     if not isinstance(payload, dict):

@@ -2,9 +2,9 @@
 
 Quarantined entries, dead-letter jobs, and stale temp files are all
 *evidence* the moment they appear — and garbage a week later.  This
-module is the generic maintenance engine the trace store, run store, and
-job queue all wire up through one mixin, :class:`MaintainedRoot`
-(``repro store scrub|gc|repair`` on the CLI):
+module is the generic maintenance engine the trace, run, and bundle
+stores and the job queue all wire up through one mixin,
+:class:`MaintainedRoot` (``repro store scrub|gc|repair`` on the CLI):
 
 ``scrub`` — :func:`scrub_entries`
     Re-verify every *indexed* entry under its shard lock: it must exist,
@@ -330,8 +330,8 @@ def repair_entries(
 class MaintainedRoot:
     """Health and maintenance for one sharded root, written once.
 
-    The trace store, run store, and job queue mix this in and supply its
-    hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
+    The entry stores (trace, run, bundle) and the job queue mix this in
+    and supply its hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
     ``_digest_from_name`` (file name -> shard digest, or None),
     ``_scrub_problem`` (why a parsed entry is unsound, or None),
     ``_index_meta`` (a payload's shard-index identity block), and

@@ -7,10 +7,11 @@ Like the characterization bundle serialization
 (:mod:`repro.characterization.serialization`), entries carry a schema
 version that fails loudly on mismatch.
 
-:class:`EntryStore` is the plumbing both content-addressed stores share
-(this module's :class:`TraceStore` and
-:class:`~repro.runtime.runstore.RunStore`): open, write, read, quarantine,
-clear, the one-shot legacy upgrade, and — through
+:class:`EntryStore` is the plumbing the content-addressed stores share
+(this module's :class:`TraceStore`,
+:class:`~repro.runtime.runstore.RunStore` and
+:class:`~repro.runtime.bundlestore.BundleStore`): open, write, read,
+quarantine, clear, the one-shot legacy upgrade, and — through
 :class:`~repro.runtime.maintenance.MaintainedRoot` — audit, health, and
 maintenance.
 
@@ -254,7 +255,7 @@ class EntryStore(maintenance.MaintainedRoot):
     worst outcome is a recompute, never a silently wrong result.
     """
 
-    #: Entry-name prefix ("trace" / "run"); also labels errors.
+    #: Entry-name prefix ("trace" / "run" / "bundle"); also labels errors.
     KIND: ClassVar[str]
     _encode: Callable[[dict], bytes]
 

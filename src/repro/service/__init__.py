@@ -34,58 +34,24 @@ repro serve --http PORT [--procs N]``, ``python -m repro work QUEUE_DIR``
 ``scripts/loadgen.py`` (``--chaos`` for the kill-schedule variant,
 ``--http`` for the over-the-wire variant), and the stdlib client
 ``scripts/sweep_client.py``.
+
+Names are imported on first access (PEP 562): a queue worker process
+loads the queue and worker modules, not the HTTP front-end.
 """
 
-from .http import (
-    HTTP_API_VERSION,
-    QueueBackend,
-    ServiceBackend,
-    SweepFrontend,
-    SweepHTTPServer,
-    metrics_from_wire,
-    serve_in_thread,
-)
-from .jobs import (
-    ServiceBusy,
-    ServiceError,
-    SweepRequest,
-    UnitJob,
-    decompose,
-    load_jobs_file,
-    policy_resolver,
-    requests_from_payload,
-)
-from .procs import WorkerSupervisor
-from .queue import JOB_STATES, JobQueue, Lease, job_digest
-from .service import SweepHandle, SweepService, overlapping_requests
-from .worker import QueueWorker, WorkerHooks, WorkerKilled, WorkerTerminated
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "HTTP_API_VERSION",
-    "QueueBackend",
-    "ServiceBackend",
-    "SweepFrontend",
-    "SweepHTTPServer",
-    "metrics_from_wire",
-    "serve_in_thread",
-    "ServiceBusy",
-    "ServiceError",
-    "SweepRequest",
-    "UnitJob",
-    "decompose",
-    "load_jobs_file",
-    "policy_resolver",
-    "requests_from_payload",
-    "WorkerSupervisor",
-    "JOB_STATES",
-    "JobQueue",
-    "Lease",
-    "job_digest",
-    "SweepHandle",
-    "SweepService",
-    "overlapping_requests",
-    "QueueWorker",
-    "WorkerHooks",
-    "WorkerKilled",
-    "WorkerTerminated",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "http": (
+        "HTTP_API_VERSION", "QueueBackend", "ServiceBackend", "SweepFrontend",
+        "SweepHTTPServer", "metrics_from_wire", "serve_in_thread",
+    ),
+    "jobs": (
+        "ServiceBusy", "ServiceError", "SweepRequest", "UnitJob", "decompose",
+        "load_jobs_file", "policy_resolver", "requests_from_payload",
+    ),
+    "procs": ("WorkerSupervisor",),
+    "queue": ("JOB_STATES", "JobQueue", "Lease", "job_digest"),
+    "service": ("SweepHandle", "SweepService", "overlapping_requests"),
+    "worker": ("QueueWorker", "WorkerHooks", "WorkerKilled", "WorkerTerminated"),
+})

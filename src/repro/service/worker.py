@@ -32,6 +32,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import sys
 import threading
 import time
 from pathlib import Path
@@ -385,7 +386,8 @@ def run(args: argparse.Namespace) -> int:
     ``--shift-bundle`` loads a saved characterization bundle and derives
     the confidence graph from its observations — the same construction
     the experiment context uses, so shift run keys match the
-    supervisor's.
+    supervisor's.  A bundle file that cannot be read or decoded exits 2
+    with one line on stderr.
 
     SIGTERM and SIGINT are graceful: the handler raises
     :class:`WorkerTerminated` out of whatever the loop is doing, the
@@ -420,10 +422,15 @@ def run(args: argparse.Namespace) -> int:
         arm_fault_plan(FsFaultPlan.load(args.fs_fault_plan))
     resolver = None
     if args.shift_bundle is not None:
-        from ..characterization import load_bundle
+        from ..characterization import BundleSchemaError, load_bundle
         from ..core import ConfidenceGraph
 
-        bundle = load_bundle(args.shift_bundle)
+        try:
+            bundle = load_bundle(args.shift_bundle)
+        except (BundleSchemaError, OSError) as exc:
+            print(f"repro work: cannot load --shift-bundle {args.shift_bundle}: {exc}",
+                  file=sys.stderr)
+            return 2
         resolver = default_policy_resolver(
             bundle=bundle,
             graph=ConfidenceGraph.build(bundle.observations),

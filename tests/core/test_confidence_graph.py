@@ -1,10 +1,16 @@
 """Tests for the confidence graph (§III-A, six-step construction)."""
 
+import heapq
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.characterization import ConfidenceObservation
+from repro.characterization import ConfidenceObservation, characterize
 from repro.core import ConfidenceGraph
+from repro.core.confidence_graph import Prediction
+from repro.models import default_zoo
+from repro.sim import xavier_nx_with_oakd
 
 
 def _obs(index, readings, difficulty=0.5):
@@ -184,3 +190,113 @@ class TestProperties:
         b = ConfidenceGraph.build(observations)
         for model in a.models():
             assert a.predict(model, 0.5) == b.predict(model, 0.5)
+
+
+def _eager_reference(observations, bin_width=0.1, distance_threshold=0.5):
+    """The six steps as first written, all at construction: the oracle.
+
+    Returns ``(nodes, prediction_map)`` with ``nodes`` as key ->
+    (expected accuracy, observation count, edge items in order).  Step 3
+    recomputes each node's maximum edge weight on every edge visit.
+    """
+    sums, counts = {}, {}
+    for obs in observations:
+        for model, (confidence, iou) in obs.readings.items():
+            key = (model, ConfidenceGraph.bin_index_static(confidence, bin_width))
+            sums[key] = sums.get(key, 0.0) + iou
+            counts[key] = counts.get(key, 0) + 1
+    edges = {key: {} for key in sums}
+    for obs in observations:
+        keys = [
+            (model, ConfidenceGraph.bin_index_static(confidence, bin_width))
+            for model, (confidence, _iou) in obs.readings.items()
+        ]
+        for i in range(len(keys)):
+            for j in range(i + 1, len(keys)):
+                a, b = keys[i], keys[j]
+                if a[0] == b[0]:
+                    continue
+                edges[a][b] = edges[a].get(b, 0.0) + 1.0
+                edges[b][a] = edges[b].get(a, 0.0) + 1.0
+
+    def edge_cost(source, target):
+        return 1.0 - edges[source][target] / max(edges[source].values())
+
+    def bounded_search(start):
+        distances = {start: 0.0}
+        frontier = [(0.0, start)]
+        while frontier:
+            dist, key = heapq.heappop(frontier)
+            if dist > distances.get(key, math.inf):
+                continue
+            for neighbour in edges[key]:
+                candidate = dist + edge_cost(key, neighbour)
+                if candidate > distance_threshold:
+                    continue
+                if candidate < distances.get(neighbour, math.inf):
+                    distances[neighbour] = candidate
+                    heapq.heappush(frontier, (candidate, neighbour))
+        return distances
+
+    def consolidate(reachable):
+        weight_sum, acc_sum, dist_sum = {}, {}, {}
+        for key, distance in reachable.items():
+            model = key[0]
+            weight = 1.0 / (0.1 + distance)
+            weight_sum[model] = weight_sum.get(model, 0.0) + weight
+            acc_sum[model] = acc_sum.get(model, 0.0) + weight * (sums[key] / counts[key])
+            dist_sum[model] = dist_sum.get(model, 0.0) + weight * distance
+        return {
+            model: Prediction(model, acc_sum[model] / weight_sum[model],
+                              dist_sum[model] / weight_sum[model])
+            for model in weight_sum
+        }
+
+    nodes = {key: (sums[key] / counts[key], counts[key], list(edges[key].items())) for key in sums}
+    return nodes, {key: consolidate(bounded_search(key)) for key in sums}
+
+
+@pytest.fixture(scope="module")
+def characterized_observations():
+    return characterize(default_zoo(), xavier_nx_with_oakd(), validation_size=120).observations
+
+
+class TestOnDemandMap:
+    """The map is built on first lookup from per-node edge costs; same floats."""
+
+    def test_nodes_match_the_eager_construction(self, characterized_observations):
+        graph = ConfidenceGraph.build(characterized_observations)
+        nodes, _ = _eager_reference(characterized_observations)
+        assert list(nodes) == list(graph._nodes)
+        for key, (accuracy, count, edges) in nodes.items():
+            node = graph._nodes[key]
+            assert (node.expected_accuracy, node.observation_count) == (accuracy, count)
+            assert list(node.edges.items()) == edges
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.2, 0.9])
+    def test_map_equals_the_eager_loop(self, characterized_observations, threshold):
+        base = ConfidenceGraph.build(characterized_observations)
+        graph = base if threshold == 0.5 else base.with_distance_threshold(threshold)
+        _, expected = _eager_reference(characterized_observations, distance_threshold=threshold)
+        assert graph._predictions() == expected
+        for model, bin_idx in graph.node_keys():
+            confidence = (bin_idx + 0.5) * graph.bin_width
+            assert graph.predict(model, confidence) == sorted(
+                expected[(model, bin_idx)].values(), key=lambda p: p.model_name
+            )
+
+    def test_views_share_edge_costs(self, characterized_observations):
+        base = ConfidenceGraph.build(characterized_observations)
+        views = [base.with_distance_threshold(t) for t in (0.2, 0.9)]
+        views[0].dense()
+        assert all(view._edge_costs is base._edge_costs for view in views)
+        assert len(base._edge_costs) == base.node_count
+        assert base._prediction_map is None, "a view's lookup leaves the base map unbuilt"
+
+    def test_fingerprint_does_not_build_the_map(self, characterized_observations):
+        graph = ConfidenceGraph.build(characterized_observations)
+        graph.fingerprint()
+        assert graph._prediction_map is None and graph._dense is None
+        assert graph._edge_costs == {}
+        graph.predict("yolov7", 0.5)
+        assert graph._prediction_map is not None

@@ -96,8 +96,9 @@ class TestScenario:
         scenario = Scenario(
             name="x", description="", indoor=False, seed=1, segments=(_segment(),),
         )
-        with pytest.raises(ValueError):
-            scenario.scaled(0.0)
+        for factor in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                scenario.scaled(factor)
 
 
 class TestEvaluationScenarios:

@@ -45,8 +45,9 @@ class TestContext:
             ctx.scenario("nope")
 
     def test_invalid_params_rejected(self):
-        with pytest.raises(ValueError):
-            ExperimentContext(scale=0.0)
+        for scale in (0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                ExperimentContext(scale=scale)
         with pytest.raises(ValueError):
             ExperimentContext(validation_size=0)
 

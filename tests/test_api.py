@@ -1,5 +1,11 @@
 """Public API surface tests: the names a downstream user depends on."""
 
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import repro
 
 
@@ -40,3 +46,25 @@ class TestPublicAPI:
 
         assert callable(experiments.table3)
         assert callable(experiments.figure5)
+
+    def test_cli_loads_only_what_its_commands_run(self):
+        # A fresh interpreter: this test process has imported everything.
+        code = textwrap.dedent("""
+            import sys
+            import repro.cli
+
+            repro.cli.build_parser()
+            heavy = ("repro.service.http", "repro.verify.differential", "repro.analysis.engine")
+            loaded = [name for name in heavy if name in sys.modules]
+            assert not loaded, loaded
+            import repro
+
+            missing = [name for name in repro.__all__ if not hasattr(repro, name)]
+            assert not missing, missing
+            assert "repro.verify.differential" in sys.modules  # resolved on demand
+        """)
+        package_root = Path(repro.__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(package_root)}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr

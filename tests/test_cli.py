@@ -23,6 +23,24 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "shift", "s", "--objective", "nope"])
 
+    @pytest.mark.parametrize("argv", [
+        ["--scale", "0", "table", "1"],
+        ["--scale", "-0.5", "table", "1"],
+        ["--scale", "nan", "table", "1"],
+        ["--scale", "inf", "table", "1"],
+        ["--validation", "0", "table", "1"],
+        ["figure", "5", "--sweep-scale", "0"],
+        ["figure", "5", "--sweep-scale", "nan"],
+        ["figure", "5", "--sweep-scale", "inf"],
+    ])
+    def test_unusable_sizes_exit_2_before_any_work(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "finite positive" in err or "at least 1" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_table2_static(self, capsys):
@@ -315,6 +333,26 @@ class TestQueueCommands:
         out = capsys.readouterr().out
         assert "2 done" in out and "0 problems" in out
 
+    @pytest.mark.parametrize("content", [b'{"schema_version": 1, "accur', b"\xff\xfe\x00", None])
+    def test_work_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys, content):
+        bundle = tmp_path / "torn.json"
+        if content is not None:
+            bundle.write_bytes(content)
+        code = main(["work", str(tmp_path / "q"), "--run-store", str(tmp_path / "r"),
+                     "--shift-bundle", str(bundle)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
+
+    def test_serve_http_procs_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys):
+        bundle = tmp_path / "torn.json"
+        bundle.write_text('{"schema_version": 1, "accur', encoding="utf-8")
+        code = main(["--run-store", str(tmp_path / "r"), "serve", "--http", "0",
+                     "--procs", "1", "--shift-bundle", str(bundle)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
+
     def test_queue_requeue_dead(self, tmp_path, capsys):
         from repro.data import scenario_by_name
         from repro.service import JobQueue, SweepRequest, decompose
@@ -440,6 +478,29 @@ class TestStoreMaintenance:
         assert not sharded.exists()
         assert len(list((runs / "_quarantine").iterdir())) == 1
         assert RunStore(runs).load(key).records == result.records
+
+    def test_trace_store_brings_its_characterization_root(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        out_path = str(tmp_path / "bundle.json")
+        assert main(FAST + ["--trace-store", str(traces), "characterize", "--out", out_path]) == 0
+        capsys.readouterr()
+        for action in ("scrub", "gc", "repair", "migrate"):
+            assert main(["--trace-store", str(traces), "store", action]) == 0
+            out = capsys.readouterr().out
+            assert "traces:" in out and "characterization:" in out
+            if action == "scrub":
+                assert "_characterization: 1 entries checked, 0 problems" in out
+
+        [entry] = list((traces / "_characterization").rglob("bundle-*.col"))
+        entry.write_bytes(entry.read_bytes()[:-64])
+        assert main(["--trace-store", str(traces), "store", "scrub"]) == 1
+        out = capsys.readouterr().out
+        [line] = [line for line in out.splitlines() if line.startswith("characterization:")]
+        assert line.endswith("1 problems, 1 quarantined")
+        assert not entry.exists()
+        # The next process that needs the bundle characterizes again.
+        assert main(FAST + ["--trace-store", str(traces), "characterize", "--out", out_path]) == 0
+        assert entry.exists()
 
     def test_repair_covers_every_named_root(self, tmp_path, capsys):
         from repro.service import JobQueue
