@@ -17,77 +17,36 @@ stores, and then *proves* the serve was sound:
 * **free warm re-serve** — a second service over the same stores answers
   the same mix with zero runs and zero trace builds, identically.
 
-``--chaos`` replays the same seeded mix through the crash-safe process
-path instead: the deduplicated unit jobs go into an on-disk
-:class:`~repro.service.JobQueue`, ``--procs`` real ``python -m repro
-work`` processes drain it, and a seeded kill schedule SIGKILLs
-``--kills`` of them mid-drain (each death is respawned).  The same
-soundness gates then run against the survivors' work — plus **zero lost
-jobs** (every enqueued job ends ``done``, none dead-lettered) and a warm
-in-process re-serve over the queue-written stores, proving the two
-execution tiers commit byte-identical, fingerprint-compatible entries.
-
-``--http`` replays the mix through the network tier: a real
-:class:`~repro.service.SweepHTTPServer` on an ephemeral localhost port,
-``--clients`` concurrent stdlib HTTP clients submitting and streaming
-over actual sockets.  The same four gates run on the reconstructed wire
-rows — zero duplicates, zero corrupt entries, serial bit-equality,
-free warm re-serve across a *server restart* — plus a deterministic
-admission probe (a full server answers 429 + Retry-After, never hangs).
-
-``--fs-chaos`` breaks the *disk* instead of the workers: each spawned
-``python -m repro work`` process is armed with its own seeded
-:class:`~repro.runtime.iolayer.FsFaultPlan` (ENOSPC bursts, EIO, torn
-partial writes and lost renames aimed at run commits) via
-``--fs-fault-plan``.  After the faulted drain, the parent runs the
-documented recovery playbook — scrub both stores and the queue, repair
-shard indexes, re-offer the job set idempotently, re-pend every job
-whose committed effect is torn or missing — and a healthy fleet drains
-the remainder.  Gates: zero lost jobs, zero dead-letters from pure disk
-pressure, exactly one committed entry per job, zero corrupt servable
-entries, serial bit-equality, and a free warm in-process re-serve
-(clean recovery).
+The queue, disk-fault and HTTP tiers are proven elsewhere, each gate in
+one place: the ``faults``, ``fsfaults`` and ``http`` differential checks
+(``python -m repro verify --checks faults,fsfaults,http``), real-process
+SIGKILL recovery in ``tests/service/test_worker.py``, and CI's
+``fault-smoke`` job, which SIGKILLs ``repro serve --procs`` workers
+mid-drain.
 
 Exit code 0 when every property holds, 1 otherwise (CI's
-``service-smoke``, ``chaos-smoke``, ``http-smoke``, and
-``fs-chaos-smoke`` jobs run this at small scale on every PR)::
+``service-smoke`` job runs this at small scale on every PR)::
 
     PYTHONPATH=src python scripts/loadgen.py --requests 8 --workers 4
     PYTHONPATH=src python scripts/loadgen.py --requests 32 --scenario-count 12 \
         --budget 96 --trace-store /tmp/traces --run-store /tmp/runs
-    PYTHONPATH=src python scripts/loadgen.py --chaos --procs 2 --kills 3
-    PYTHONPATH=src python scripts/loadgen.py --http --clients 4
-    PYTHONPATH=src python scripts/loadgen.py --fs-chaos --procs 2
 """
 
 from __future__ import annotations
 
 import argparse
-import os
-import random
-import signal
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
-import repro
 from repro.data.grammar import ScenarioMatrix
 from repro.models.zoo import default_zoo
 from repro.runtime.experiment import ExperimentRunner
-from repro.runtime.runner import run_policy
-from repro.runtime.runstore import RunKey, RunStore
+from repro.runtime.runstore import RunStore
 from repro.runtime.store import TraceStore
-from repro.runtime.trace import ScenarioTrace, TraceCache
-from repro.service import (
-    JobQueue,
-    SweepService,
-    decompose,
-    overlapping_requests,
-    policy_resolver,
-)
-from repro.sim.soc import xavier_nx_with_oakd
+from repro.runtime.trace import TraceCache
+from repro.service import SweepService, overlapping_requests, policy_resolver
 
 DEFAULT_POLICIES = "single:yolov7-tiny@gpu,marlin-tiny,marlin"
 
@@ -128,32 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="assert the stores are already fully populated: the first "
                              "serve must execute zero runs and build zero traces (the "
                              "cross-process warm-restart gate in CI)")
-    parser.add_argument("--chaos", action="store_true",
-                        help="drain the mix through the on-disk job queue with real "
-                             "worker processes and a seeded kill schedule")
-    parser.add_argument("--procs", type=int, default=2,
-                        help="--chaos: worker processes to keep alive (default 2)")
-    parser.add_argument("--kills", type=int, default=3,
-                        help="--chaos: workers to SIGKILL mid-drain (default 3)")
-    parser.add_argument("--chaos-seed", type=int, default=0,
-                        help="--chaos: kill-schedule seed (default 0)")
-    parser.add_argument("--lease", type=float, default=3.0,
-                        help="--chaos: queue lease duration in seconds (default 3)")
-    parser.add_argument("--timeout", type=float, default=300.0,
-                        help="--chaos/--http: overall deadline in seconds (default 300)")
-    parser.add_argument("--fs-chaos", action="store_true",
-                        help="drain the mix through worker processes whose store writes "
-                             "fail, tear, and vanish on a seeded per-worker schedule, "
-                             "then prove the recovery playbook heals everything")
-    parser.add_argument("--fs-chaos-seed", type=int, default=0,
-                        help="--fs-chaos: per-worker fault-plan seed (default 0)")
-    parser.add_argument("--http", action="store_true",
-                        help="drive the mix through a real HTTP server on an ephemeral "
-                             "localhost port with concurrent socket clients")
-    parser.add_argument("--clients", type=int, default=4,
-                        help="--http: concurrent client threads (default 4)")
-    parser.add_argument("--max-pending", type=int, default=64,
-                        help="--http: server admission bound for the main mix (default 64)")
     return parser
 
 
@@ -261,692 +194,14 @@ def run_load(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
     return 0
 
 
-ENGINE_SEED = 1234  # the SweepService / JobQueue default; both tiers must agree
-
-
-def run_chaos(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The crash-safe path under fire: queue + worker processes + SIGKILLs.
-
-    Same seeded request mix as :func:`run_load`, but drained by real
-    ``python -m repro work`` subprocesses over an on-disk queue while a
-    seeded schedule kills ``--kills`` of them.  Every death is respawned;
-    lease expiry migrates the victim's job to a survivor.  The gates
-    prove nothing was lost, duplicated, corrupted, or computed
-    differently from the serial path — and a warm in-process re-serve
-    shows the two execution tiers share one store vocabulary.
-    """
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
-    unique_jobs = {}
-    for request in requests:
-        for job in decompose(request):
-            unique_jobs.setdefault(job.key, job)
-    jobs = list(unique_jobs.values())
-
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
-
-    # Pre-build traces serially so worker wall-clock is dominated by the
-    # thing under test (queue recovery), not by duplicate trace builds.
-    zoo = default_zoo()
-    trace_store = TraceStore(trace_root)
-    t0 = time.perf_counter()
-    built = 0
-    for scenario in {job.scenario.name: job.scenario for job in jobs}.values():
-        if trace_store.load(scenario, zoo) is None:
-            trace_store.save(ScenarioTrace.build(scenario, zoo), zoo)
-            built += 1
-    print(f"traces: {built} built in {time.perf_counter() - t0:.2f}s")
-
-    queue_root = run_root / "_queue"
-    queue = JobQueue(queue_root, lease_duration=args.lease, max_attempts=5)
-    enqueued = queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)
-    print(f"queue: {len(requests)} requests -> {len(jobs)} unique jobs, {enqueued} enqueued")
-
-    env = dict(os.environ)
-    package_root = Path(repro.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    spawned = 0
-
-    def spawn() -> subprocess.Popen:
-        nonlocal spawned
-        spawned += 1
-        return subprocess.Popen(
-            [sys.executable, "-m", "repro", "work", str(queue_root),
-             "--run-store", str(run_root), "--trace-store", str(trace_root),
-             "--worker-id", f"chaos-w{spawned}", "--lease", str(args.lease),
-             "--poll", "0.05"],
-            env=env,
-        )
-
-    rng = random.Random(args.chaos_seed)
-    kills_left = max(0, args.kills)
-    killed = 0
-    # Armed from the start: the first kill fires as soon as any lease is
-    # observed (a worker is mid-job), later ones on a seeded cadence.
-    # Killing on lease activity rather than wall clock keeps the
-    # schedule effective however fast the jobs drain.
-    next_kill = 0.0
-    deadline = time.monotonic() + args.timeout
-    respawn_budget = args.procs * 4 + args.kills
-    timed_out = False
-    t0 = time.perf_counter()
-    procs = [spawn() for _ in range(args.procs)]
-    try:
-        while True:
-            queue.expire_overdue()
-            counts = queue.counts()
-            if counts["pending"] + counts["leased"] == 0:
-                break
-            now = time.monotonic()
-            if now > deadline:
-                timed_out = True
-                break
-            if kills_left and counts["leased"] and now >= next_kill:
-                live = [p for p in procs if p.poll() is None]
-                if live:
-                    victim = rng.choice(live)
-                    victim.send_signal(signal.SIGKILL)
-                    victim.wait()
-                    killed += 1
-                    kills_left -= 1
-                    next_kill = now + rng.uniform(0.1, 0.5)
-            alive = []
-            for proc in procs:
-                if proc.poll() is None:
-                    alive.append(proc)
-                elif respawn_budget > 0:
-                    respawn_budget -= 1
-                    alive.append(spawn())
-            procs = alive
-            if not procs:
-                break
-            time.sleep(0.05)
-    finally:
-        # Two-pass reap: signal everyone first, then wait out one shared
-        # deadline, then SIGKILL stragglers.  A per-process wait(timeout=)
-        # here would raise TimeoutExpired on the first hung worker and
-        # leak every one after it (the serve --procs orphan bug).
-        for proc in procs:
-            proc.terminate()
-        reap_deadline = time.monotonic() + 10.0
-        stubborn = []
-        for proc in procs:
-            try:
-                proc.wait(timeout=max(0.0, reap_deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                stubborn.append(proc)
-        for proc in stubborn:
-            proc.kill()
-        for proc in stubborn:
-            proc.wait()
-    drain_s = time.perf_counter() - t0
-    print(f"chaos drain: {spawned} workers spawned, {killed} SIGKILLed, "
-          f"{drain_s:.2f}s" + (" (TIMED OUT)" if timed_out else ""))
-
-    check(not timed_out, f"queue not drained after {args.timeout:.0f}s")
-    check(killed == args.kills, f"kill schedule fired {killed}/{args.kills} kills")
-
-    # Zero lost jobs: every enqueued job ended done — none pending,
-    # leased, or dead-lettered.
-    counts = queue.counts()
-    check(counts["done"] == len(jobs) and counts["total"] == len(jobs),
-          f"lost jobs: {counts} != {len(jobs)} done")
-
-    # Zero duplicate committed effects: exactly one store entry per job.
-    store = RunStore(run_root)
-    check(len(store) == len(jobs),
-          f"run store holds {len(store)} entries for {len(jobs)} jobs")
-    check(store.corrupt_entries == 0, f"{store.corrupt_entries} corrupt run entries")
-
-    # Serial bit-equality: each committed run, frame for frame.
-    t0 = time.perf_counter()
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    zoo_fp = zoo.fingerprint()
-    for job in jobs:
-        policy = resolve(job.policy_spec)
-        key = RunKey(policy.name, policy.fingerprint(), job.key[1],
-                     zoo_fp, soc_fp, ENGINE_SEED)
-        stored = store.load(key)
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            check(False, f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(resolve(job.policy_spec), trace, engine_seed=ENGINE_SEED,
-                            fast=True)
-        check(stored.records == serial.records,
-              f"{label}: frame records diverge from serial")
-    print(f"serial bit-equality: {len(jobs)} runs verified in {time.perf_counter() - t0:.2f}s")
-
-    for label, audited in (("trace store", trace_store), ("run store", store),
-                           ("queue", queue)):
-        _, problems = audited.audit()
-        check(not problems, f"{label} audit: {problems}")
-
-    # Warm in-process re-serve: the thread service over the queue-written
-    # stores must answer the whole mix without executing anything.
-    t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as warm:
-        for handle in warm.serve(requests):
-            handle.result()
-        check(warm.runs_executed == 0, f"warm re-serve executed {warm.runs_executed} runs")
-        check(warm.trace_builds == 0, f"warm re-serve built {warm.trace_builds} traces")
-        check(warm.corrupt_entries == 0, "warm re-serve hit corrupt entries")
-    print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
-
-    if failures:
-        print("\nCHAOS LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(f"chaos loadgen: all checks passed ({killed} workers killed, 0 lost jobs, "
-          "0 duplicate effects, 0 corrupt entries, serial bit-equality, "
-          "free warm re-serve)")
-    return 0
-
-
-def run_fs_chaos(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The degraded-mode contract under fire: real workers on a breaking disk.
-
-    Same seeded request mix as :func:`run_chaos`, but instead of killing
-    workers the disk itself misbehaves: every spawned ``python -m repro
-    work`` process arms its own seeded
-    :class:`~repro.runtime.iolayer.FsFaultPlan` (``--fs-fault-plan``),
-    so ENOSPC bursts, EIO, partial writes, and lost renames fire inside
-    the real commit paths.  The parent then runs the recovery playbook
-    exactly as an operator would — scrub / repair over both stores and
-    the queue, idempotent re-offer, re-pend of done-but-torn jobs — and
-    a healthy fleet finishes the drain.  The gates prove the contract:
-    nothing lost, nothing dead-lettered by pure disk pressure, nothing
-    duplicated, nothing torn left servable, and bit-equality with the
-    serial path once space returns.
-    """
-    from repro.runtime import shards
-    from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
-    from repro.service.queue import _job_file_name, job_digest
-
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
-    unique_jobs = {}
-    for request in requests:
-        for job in decompose(request):
-            unique_jobs.setdefault(job.key, job)
-    jobs = list(unique_jobs.values())
-
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
-
-    # Pre-build traces on a healthy disk: the fault plans aim at the run
-    # commit and queue-record paths, not at trace construction.
-    zoo = default_zoo()
-    trace_store = TraceStore(trace_root)
-    t0 = time.perf_counter()
-    built = 0
-    for scenario in {job.scenario.name: job.scenario for job in jobs}.values():
-        if trace_store.load(scenario, zoo) is None:
-            trace_store.save(ScenarioTrace.build(scenario, zoo), zoo)
-            built += 1
-    print(f"traces: {built} built in {time.perf_counter() - t0:.2f}s")
-
-    queue_root = run_root / "_queue"
-    queue = JobQueue(queue_root, lease_duration=args.lease, max_attempts=8)
-    enqueued = queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)
-    print(f"queue: {len(requests)} requests -> {len(jobs)} unique jobs, {enqueued} enqueued")
-
-    rng = random.Random(args.fs_chaos_seed)
-    plan_dir = run_root / "_fsplans"
-    plan_dir.mkdir(parents=True, exist_ok=True)
-
-    def worker_plan(index: int) -> Path:
-        """A seeded per-worker plan; destructive kinds target run commits."""
-        plan = FsFaultPlan(
-            label=f"fs-chaos-w{index}",
-            events=(
-                FsFaultEvent(op="write", index=rng.randrange(2, 6),
-                             kind="enospc", count=rng.randrange(4, 9)),
-                FsFaultEvent(op="write", index=rng.randrange(8, 14), kind="eio"),
-                FsFaultEvent(op="write", index=rng.randrange(0, 2),
-                             kind="partial_write",
-                             param=round(0.3 + 0.4 * rng.random(), 3),
-                             match="run-*"),
-                FsFaultEvent(op="replace", index=rng.randrange(0, 3),
-                             kind="lost_rename", match="run-*"),
-            ),
-        )
-        return plan.save(plan_dir / f"plan-w{index}.json")
-
-    env = dict(os.environ)
-    package_root = Path(repro.__file__).resolve().parent.parent
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(package_root)] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    )
-    spawned = 0
-
-    def spawn(faulted: bool) -> subprocess.Popen:
-        nonlocal spawned
-        spawned += 1
-        command = [sys.executable, "-m", "repro", "work", str(queue_root),
-                   "--run-store", str(run_root), "--trace-store", str(trace_root),
-                   "--worker-id", f"fschaos-w{spawned}", "--lease", str(args.lease),
-                   "--poll", "0.05"]
-        if faulted:
-            command += ["--fs-fault-plan", str(worker_plan(spawned))]
-        return subprocess.Popen(command, env=env)
-
-    def reap(procs: list[subprocess.Popen]) -> None:
-        for proc in procs:
-            proc.terminate()
-        reap_deadline = time.monotonic() + 10.0
-        stubborn = []
-        for proc in procs:
-            try:
-                proc.wait(timeout=max(0.0, reap_deadline - time.monotonic()))
-            except subprocess.TimeoutExpired:
-                stubborn.append(proc)
-        for proc in stubborn:
-            proc.kill()
-        for proc in stubborn:
-            proc.wait()
-
-    def drain(faulted: bool, deadline: float, label: str) -> bool:
-        """Spawn a fleet, loop until the queue drains or ``deadline``."""
-        t0 = time.perf_counter()
-        timed_out = False
-        procs = [spawn(faulted) for _ in range(args.procs)]
-        respawn_budget = args.procs * 4
-        try:
-            while True:
-                queue.expire_overdue()
-                counts = queue.counts()
-                if counts["pending"] + counts["leased"] == 0:
-                    break
-                if time.monotonic() > deadline:
-                    timed_out = True
-                    break
-                alive = []
-                for proc in procs:
-                    if proc.poll() is None:
-                        alive.append(proc)
-                    elif respawn_budget > 0:
-                        respawn_budget -= 1
-                        alive.append(spawn(faulted))
-                procs = alive
-                if not procs:
-                    break
-                time.sleep(0.05)
-        finally:
-            reap(procs)
-        print(f"{label}: drained={not timed_out} in {time.perf_counter() - t0:.2f}s")
-        return timed_out
-
-    overall_deadline = time.monotonic() + args.timeout
-    # Phase 1 — faulted.  A torn commit can mark its job done, so the
-    # queue may "drain" with missing effects; a phase-1 timeout is not
-    # itself a failure as long as recovery heals everything in time.
-    drain(True, time.monotonic() + args.timeout * 0.6, "faulted drain")
-
-    # Phase 2 — the recovery playbook, exactly as an operator would run
-    # it (`repro store scrub|repair` over every root, then re-offer).
-    store = RunStore(run_root)
-    scrubbed = store.scrub().quarantined + trace_store.scrub().quarantined
-    scrub_queue = queue.scrub()
-    scrubbed += scrub_queue.quarantined
-    store.repair()
-    trace_store.repair()
-    queue.repair()
-    queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)  # idempotent re-offer
-
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    zoo_fp = zoo.fingerprint()
-    keys: dict[str, RunKey] = {}
-    for job in jobs:
-        policy = resolve(job.policy_spec)
-        digest = job_digest(job.policy_spec, job.key[1])
-        keys[digest] = RunKey(policy.name, policy.fingerprint(), job.key[1],
-                              zoo_fp, soc_fp, ENGINE_SEED)
-    healed = 0
-    for digest, key in keys.items():
-        if store.load_metrics(key) is not None:
-            continue
-        healed += 1
-
-        def mutate(record: dict | None) -> dict | None:
-            if record is None or record.get("state") != "done":
-                return None
-            record["state"] = "pending"
-            record["lease"] = None
-            record["error"] = None
-            record["not_before"] = 0.0
-            return record
-
-        shards.update_entry(queue_root, digest, _job_file_name(digest), mutate)
-    print(f"recovery: {scrubbed} torn entries quarantined, {healed} jobs re-pended")
-
-    timed_out = drain(False, overall_deadline, "healthy drain")
-    check(not timed_out, f"queue not drained after {args.timeout:.0f}s")
-
-    counts = queue.counts()
-    check(counts["done"] == len(jobs) and counts["total"] == len(jobs),
-          f"lost jobs: {counts} != {len(jobs)} done")
-    check(counts.get("dead", 0) == 0,
-          f"{counts.get('dead', 0)} jobs dead-lettered by pure disk pressure")
-
-    check(len(store) == len(jobs),
-          f"run store holds {len(store)} entries for {len(jobs)} jobs")
-    final_scrub = store.scrub()
-    check(final_scrub.quarantined == 0 and not final_scrub.problems,
-          f"torn entries still servable after recovery: {final_scrub.problems}")
-
-    # Serial bit-equality: every committed run, frame for frame.
-    t0 = time.perf_counter()
-    for job in jobs:
-        digest = job_digest(job.policy_spec, job.key[1])
-        stored = store.load(keys[digest])
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            check(False, f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(resolve(job.policy_spec), trace, engine_seed=ENGINE_SEED,
-                            fast=True)
-        check(stored.records == serial.records,
-              f"{label}: frame records diverge from serial")
-    print(f"serial bit-equality: {len(jobs)} runs verified in {time.perf_counter() - t0:.2f}s")
-
-    for label, audited in (("trace store", trace_store), ("run store", store),
-                           ("queue", queue)):
-        _, problems = audited.audit()
-        check(not problems, f"{label} audit: {problems}")
-
-    # Clean recovery: a warm in-process re-serve over the healed stores
-    # answers the whole mix without executing anything.
-    t0 = time.perf_counter()
-    with SweepService(
-        trace_store=TraceStore(trace_root),
-        run_store=RunStore(run_root),
-        workers=args.workers,
-    ) as warm:
-        for handle in warm.serve(requests):
-            handle.result()
-        check(warm.runs_executed == 0, f"warm re-serve executed {warm.runs_executed} runs")
-        check(warm.trace_builds == 0, f"warm re-serve built {warm.trace_builds} traces")
-        check(warm.corrupt_entries == 0, "warm re-serve hit corrupt entries")
-        check(not warm.degraded, "service still degraded after recovery")
-    print(f"warm re-serve: 0 runs, 0 trace builds in {time.perf_counter() - t0:.2f}s")
-
-    if failures:
-        print("\nFS-CHAOS LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print(f"fs-chaos loadgen: all checks passed ({scrubbed} torn entries quarantined, "
-          f"{healed} jobs re-pended, 0 lost jobs, 0 dead-letters, 0 duplicate effects, "
-          "serial bit-equality, clean recovery)")
-    return 0
-
-
-def run_http(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
-    """The network tier under concurrent client load: real sockets, same gates.
-
-    Same seeded request mix as :func:`run_load`, but submitted to a live
-    :class:`~repro.service.SweepHTTPServer` on an ephemeral localhost
-    port by ``--clients`` concurrent stdlib HTTP clients, with every
-    result row reconstructed from the ndjson wire format.  Gates: zero
-    duplicate executions, zero corrupt entries, serial bit-equality of
-    the wire rows, a free warm re-serve across a full *server restart*,
-    and a deterministic admission probe (full server -> immediate 429 +
-    Retry-After; freed capacity -> 202).
-    """
-    import json
-    import urllib.error
-    import urllib.request
-    from concurrent.futures import ThreadPoolExecutor
-
-    from repro.data.scenario import register_scenario, scenario_by_name
-    from repro.runtime.export import metrics_to_dict
-    from repro.service import ServiceBackend, SweepFrontend, serve_in_thread
-
-    policies = tuple(p.strip() for p in args.policies.split(",") if p.strip())
-    scenarios = _pool_matrix(args.budget).scenarios()[: args.scenario_count]
-    if not policies or not scenarios:
-        print("empty policy or scenario pool", file=sys.stderr)
-        return 1
-    requests = overlapping_requests(policies, scenarios, count=args.requests, seed=args.seed)
-    # Over the wire a request carries scenario *names*; make the generated
-    # pool resolvable inside the (in-process) server's registry.
-    for scenario in scenarios:
-        try:
-            scenario_by_name(scenario.name)
-        except KeyError:
-            register_scenario(scenario)
-
-    failures: list[str] = []
-
-    def check(condition: bool, label: str) -> None:
-        if not condition:
-            failures.append(label)
-
-    def drive(base: str, request) -> tuple[str, list[dict], dict]:
-        """One client: POST the request, stream its rows, return them."""
-        body = json.dumps([{
-            "policies": list(request.policies),
-            "scenarios": [s.name for s in request.resolve_scenarios()],
-            "id": request.request_id,
-        }]).encode("utf-8")
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=body),
-            timeout=args.timeout,
-        ) as resp:
-            request_id = json.load(resp)["request_ids"][0]
-        rows: list[dict] = []
-        summary: dict = {}
-        with urllib.request.urlopen(
-            f"{base}/v1/sweeps/{request_id}/results", timeout=args.timeout
-        ) as resp:
-            for line in resp:
-                if not line.strip():
-                    continue
-                record = json.loads(line)
-                if record.get("done"):
-                    summary = record
-                else:
-                    rows.append(record)
-        rows.sort(key=lambda r: (r["policy_spec"], r["scenario"]))
-        return request.request_id, rows, summary
-
-    def serve_round(label: str) -> tuple[dict[str, list[dict]], dict]:
-        """One server lifetime: serve the whole mix over real sockets."""
-        t0 = time.perf_counter()
-        frontend = SweepFrontend(
-            ServiceBackend(SweepService(
-                trace_store=TraceStore(trace_root),
-                run_store=RunStore(run_root),
-                workers=args.workers,
-            )),
-            max_pending=args.max_pending,
-            default_deadline_s=args.timeout,
-        )
-        server = serve_in_thread(frontend)
-        base = f"http://127.0.0.1:{server.port}"
-        try:
-            with ThreadPoolExecutor(max_workers=max(1, args.clients)) as clients:
-                outputs = list(clients.map(lambda r: drive(base, r), requests))
-            stats = json.load(urllib.request.urlopen(
-                f"{base}/v1/stores/stats", timeout=args.timeout))
-        finally:
-            server.shutdown()
-            server.server_close()
-            frontend.close()
-        rows_by_request: dict[str, list[dict]] = {}
-        for request, (request_id, rows, summary) in zip(requests, outputs):
-            cells = len(request.policies) * len(request.scenarios)
-            check(len(rows) == cells,
-                  f"{label} {request_id}: {len(rows)} rows for {cells} cells")
-            check(summary.get("state") == "done" and not summary.get("error"),
-                  f"{label} {request_id}: stream ended {summary}")
-            rows_by_request[request_id] = rows
-        backend = stats["backend"]
-        check(stats["corrupt_entries"] == 0,
-              f"{label}: {stats['corrupt_entries']} corrupt store entries")
-        check(
-            backend["runs_executed"] + backend["run_store_hits"]
-            == backend["jobs_scheduled"],
-            f"{label} duplicate executions: {backend['runs_executed']} runs + "
-            f"{backend['run_store_hits']} hits != {backend['jobs_scheduled']} jobs",
-        )
-        print(f"{label}: {len(requests)} requests over {args.clients} socket clients -> "
-              f"{backend['jobs_scheduled']} jobs, {backend['runs_executed']} runs, "
-              f"{backend['run_store_hits']} run-store hits, "
-              f"{backend['trace_builds']} trace builds in {time.perf_counter() - t0:.2f}s")
-        return rows_by_request, backend
-
-    cold_rows, cold_backend = serve_round("http cold serve")
-    if args.expect_warm:
-        check(cold_backend["runs_executed"] == 0,
-              f"expected a warm serve but {cold_backend['runs_executed']} runs executed")
-        check(cold_backend["trace_builds"] == 0,
-              f"expected a warm serve but {cold_backend['trace_builds']} traces built")
-
-    # Warm re-serve across a full server restart: fresh service, fresh
-    # socket, same on-disk stores — every wire row must come back
-    # identical with zero executions and zero trace builds.
-    warm_rows, warm_backend = serve_round("http warm re-serve")
-    check(warm_backend["runs_executed"] == 0,
-          f"warm re-serve executed {warm_backend['runs_executed']} runs")
-    check(warm_backend["trace_builds"] == 0,
-          f"warm re-serve built {warm_backend['trace_builds']} traces")
-    check(warm_rows == cold_rows, "warm re-serve wire rows diverged from cold serve")
-
-    if not args.skip_serial_check:
-        from repro.runtime.metrics import aggregate
-
-        t0 = time.perf_counter()
-        resolve = policy_resolver()
-        runner = ExperimentRunner(cache=TraceCache(default_zoo()))
-        scenario_by = {s.name: s for s in scenarios}
-        serial: dict[tuple[str, str], dict] = {}
-        checked = 0
-        for request_id, rows in cold_rows.items():
-            for row in rows:
-                pair = (row["policy_spec"], row["scenario"])
-                if pair not in serial:
-                    serial[pair] = metrics_to_dict(aggregate(
-                        runner.run(resolve(pair[0]), scenario_by[pair[1]])))
-                check(row["metrics"] == serial[pair],
-                      f"{request_id}: {pair} wire metrics diverge from serial run")
-                checked += 1
-        print(f"serial bit-equality: {checked} wire rows against {len(serial)} "
-              f"serial pairs in {time.perf_counter() - t0:.2f}s")
-
-    for label, store in (("trace store", TraceStore(trace_root)),
-                         ("run store", RunStore(run_root))):
-        _, problems = store.audit()
-        check(not problems, f"{label} audit: {problems}")
-
-    # Deterministic admission probe: with max_pending=1 and one
-    # un-streamed request holding the slot, the next submit must fail
-    # fast with 429 + Retry-After; streaming the first frees the slot.
-    frontend = SweepFrontend(
-        ServiceBackend(SweepService(
-            trace_store=TraceStore(trace_root),
-            run_store=RunStore(run_root),
-            workers=args.workers,
-        )),
-        max_pending=1,
-        default_deadline_s=args.timeout,
-    )
-    server = serve_in_thread(frontend)
-    base = f"http://127.0.0.1:{server.port}"
-    probe = json.dumps([{
-        "policies": [policies[0]],
-        "scenarios": [scenarios[0].name],
-    }]).encode("utf-8")
-    try:
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=probe),
-            timeout=args.timeout,
-        ) as resp:
-            first_id = json.load(resp)["request_ids"][0]
-        t0 = time.perf_counter()
-        try:
-            urllib.request.urlopen(
-                urllib.request.Request(f"{base}/v1/sweeps", data=probe), timeout=30)
-            check(False, "admission probe: full server accepted a submit")
-        except urllib.error.HTTPError as exc:
-            rejected_in = time.perf_counter() - t0
-            check(exc.code == 429, f"admission probe: expected 429, got {exc.code}")
-            check(exc.headers.get("Retry-After") is not None,
-                  "admission probe: 429 without Retry-After")
-            check(rejected_in < 10.0,
-                  f"admission probe: 429 took {rejected_in:.1f}s (must not hang)")
-        with urllib.request.urlopen(
-            f"{base}/v1/sweeps/{first_id}/results", timeout=args.timeout
-        ) as resp:
-            for _line in resp:
-                pass
-        with urllib.request.urlopen(
-            urllib.request.Request(f"{base}/v1/sweeps", data=probe),
-            timeout=args.timeout,
-        ) as resp:
-            check(resp.status == 202, "admission probe: freed slot refused a submit")
-    finally:
-        server.shutdown()
-        server.server_close()
-        frontend.close()
-    print("admission probe: full server -> immediate 429 + Retry-After, "
-          "freed slot -> 202")
-
-    if failures:
-        print("\nHTTP LOADGEN FAILED:", file=sys.stderr)
-        for failure in failures:
-            print(f"  - {failure}", file=sys.stderr)
-        return 1
-    print("http loadgen: all checks passed (0 corrupt entries, 0 duplicate "
-          "executions, serial bit-equality of wire rows, free warm re-serve "
-          "across a server restart, deterministic 429 backpressure)")
-    return 0
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.fs_chaos:
-        runner = run_fs_chaos
-    elif args.chaos:
-        runner = run_chaos
-    elif args.http:
-        runner = run_http
-    else:
-        runner = run_load
-
     if args.trace_store is not None and args.run_store is not None:
-        return runner(args, Path(args.trace_store), Path(args.run_store))
+        return run_load(args, Path(args.trace_store), Path(args.run_store))
     with tempfile.TemporaryDirectory(prefix="repro-loadgen-") as tmp:
         trace_root = Path(args.trace_store) if args.trace_store else Path(tmp) / "traces"
         run_root = Path(args.run_store) if args.run_store else Path(tmp) / "runs"
-        return runner(args, trace_root, run_root)
+        return run_load(args, trace_root, run_root)
 
 
 if __name__ == "__main__":

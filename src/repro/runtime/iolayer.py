@@ -25,7 +25,7 @@ process-wide (:func:`arm_fault_plan`, or the :func:`fault_plan` context
 manager).  Each hook point (``write``, ``fsync``, ``replace``, ``scan``,
 ``read``) ticks a per-op counter and consults the plan, so a fault
 harness can replay the exact same disk failure schedule run after run.  The
-``fsfaults`` differential check and ``loadgen --fs-chaos`` build on this.
+``fsfaults`` differential check builds on this.
 
 **Graceful degradation.**  Transient capacity errors (ENOSPC, EDQUOT,
 EIO) are retried a bounded number of times with seeded backoff; on

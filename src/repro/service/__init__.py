@@ -15,7 +15,7 @@ on-disk :class:`JobQueue` (lease/heartbeat semantics, bounded retries,
 dead-letter quarantine) drained by :class:`QueueWorker` fleets — a
 killed worker's jobs migrate to the survivors within one lease duration,
 and idempotent run-store commits keep every job at-most-once in effect
-(the ``faults`` differential check and the CI ``chaos-smoke`` job
+(the ``faults`` differential check and the CI ``fault-smoke`` job
 enforce this).
 
 The network tier (:mod:`repro.service.http`) puts the same request
@@ -23,17 +23,16 @@ vocabulary behind a socket: ``python -m repro serve --http PORT`` serves
 a stdlib HTTP/JSON API (submit, status, chunked ndjson result streams,
 store/queue introspection) with bounded admission — full gets a typed
 :class:`ServiceBusy` / HTTP 429 with ``Retry-After``, never a hang — and
-per-request deadlines (the ``http`` differential check and the CI
-``http-smoke`` job enforce wire/serial bit-equality and free warm
+per-request deadlines (the ``http`` differential check, run by the CI
+``fault-smoke`` job, enforces wire/serial bit-equality and free warm
 re-serves).
 
 Front-ends: ``python -m repro serve JOBS.json [--procs N]``, ``python -m
 repro serve --http PORT [--procs N]``, ``python -m repro work QUEUE_DIR``
 (one worker process), ``python -m repro queue`` (inspection/repair),
 ``python -m repro sweep --jobs JOBS.json``, the synthetic load generator
-``scripts/loadgen.py`` (``--chaos`` for the kill-schedule variant,
-``--http`` for the over-the-wire variant), and the stdlib client
-``scripts/sweep_client.py``.
+``scripts/loadgen.py`` (in-process service soundness), and the stdlib
+client ``scripts/sweep_client.py``.
 
 Names are imported on first access (PEP 562): a queue worker process
 loads the queue and worker modules, not the HTTP front-end.

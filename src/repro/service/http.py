@@ -151,7 +151,7 @@ def metrics_from_wire(payload: dict) -> RunMetrics:
     minus the derived ``efficiency_iou_per_joule`` (a property).  JSON
     round-trips Python floats exactly (repr-based), so a reconstructed
     row compares bit-equal to the serial original — the property the
-    ``http`` differential check and ``loadgen --http`` stand on.
+    ``http`` differential check stands on.
     """
     return RunMetrics(
         policy_name=payload["policy"],

@@ -36,7 +36,7 @@ attempt)`` — the schedule is reproducible run to run — and nothing about
 claim order, worker count, or crash timing is an input to any run, so a
 drained queue's run store is field-for-field identical to a serial
 :meth:`~repro.runtime.experiment.ExperimentRunner.sweep`.  The ``faults``
-differential check and the chaos load generator both enforce this.
+differential check and CI's ``fault-smoke`` job both enforce this.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def job_to_dict(job: UnitJob, engine_seed: int, max_attempts: int) -> dict:
     """The initial (pending) on-disk record for one unit job.
 
     The scenario is embedded in full so a worker process can execute jobs
-    over generated matrices (fuzz pools, loadgen flights) that were never
+    over generated matrices (fuzz pools, fault-harness grids) that were never
     registered in its interpreter.  Field set pinned in
     analysis/schema_manifest.json.
     """

@@ -264,12 +264,16 @@ class QueueWorker:
         while not stop.wait(interval):
             if not self.hooks.heartbeat_ok(self, lease):
                 continue  # stalled: deadline keeps approaching
-            extended = self.queue.heartbeat(lease)
-            with self._state:
-                if extended is None:
-                    self.leases_lost += 1
-                else:
-                    self.heartbeats_sent += 1
+            # A full disk is a missed beat, not the end of the thread: the
+            # next beat is a single probing write that lands (and clears
+            # the degraded flag) once space returns.
+            with contextlib.suppress(StoreDegraded):
+                extended = self.queue.heartbeat(lease)
+                with self._state:
+                    if extended is None:
+                        self.leases_lost += 1
+                    else:
+                        self.heartbeats_sent += 1
 
     # -------------------------------------------------------------- execute
 
@@ -371,9 +375,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
                         help="knob preset for shift policies (default: paper)")
     parser.add_argument("--fault-plan", default=None, metavar="FILE",
                         help="JSON fault plan (repro.verify.faults); kills are real SIGKILL")
-    parser.add_argument("--fs-fault-plan", default=None, metavar="FILE",
-                        help="JSON filesystem fault plan (repro.runtime.iolayer); injects "
-                             "ENOSPC/EIO/lost-rename/partial-write into this process's store writes")
 
 
 def run(args: argparse.Namespace) -> int:
@@ -415,11 +416,6 @@ def run(args: argparse.Namespace) -> int:
         from ..verify.faults import FaultPlan, ProcessFaultHooks
 
         hooks = ProcessFaultHooks(FaultPlan.load(args.fault_plan))
-    if getattr(args, "fs_fault_plan", None) is not None:
-        from ..runtime.iolayer import FsFaultPlan, arm_fault_plan
-
-        # Process-wide: every seam write in this worker sees the plan.
-        arm_fault_plan(FsFaultPlan.load(args.fs_fault_plan))
     resolver = None
     if args.shift_bundle is not None:
         from ..characterization import BundleSchemaError, load_bundle

@@ -554,7 +554,8 @@ def check_fault_tolerance(
     corrupt entries quarantined, and every committed run field-for-field
     identical to serial execution.  Thread-mode workers keep the check
     cheap enough to run per scenario; the process form (real SIGKILL) is
-    covered by the integration suite and the chaos load generator.
+    covered by ``TestProcessIntegration`` in ``tests/service/test_worker.py``
+    and CI's ``fault-smoke`` job.
     """
     from .faults import run_fault_sweep
 

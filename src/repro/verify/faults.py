@@ -23,7 +23,14 @@ exist: :class:`FaultHooks` raises
 :class:`~repro.service.worker.WorkerKilled` through an in-process worker
 thread (cheap enough for the per-scenario ``faults`` differential
 check), and :class:`ProcessFaultHooks` delivers a real ``SIGKILL`` to
-its own process (the integration test and chaos loadgen path).
+its own process (``repro work --fault-plan``, driven by the
+``TestProcessIntegration`` suite in ``tests/service/test_worker.py``).
+
+The drain-and-audit core — trace seeding, enqueueing the job grid, the
+thread-fleet drain, and the audit against serial execution — is
+:class:`DrainHarness` with its :class:`DrainOutcome` base.  The disk-fault
+sibling :func:`repro.verify.fsfaults.run_fsfault_sweep` runs on the same
+core, so each soundness gate is implemented once.
 """
 
 from __future__ import annotations
@@ -34,8 +41,10 @@ import signal
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from collections.abc import Sequence
+from typing import ClassVar
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
@@ -261,8 +270,12 @@ class ProcessFaultHooks(FaultHooks):
 
 
 @dataclass
-class FaultOutcome:
-    """Everything :func:`run_fault_sweep` can assert about a drained queue."""
+class DrainOutcome:
+    """The audit of one drained queue: the clauses every fault sweep shares.
+
+    :meth:`DrainHarness.audit` fills these fields; subclasses add what
+    their fault model injected and extend :meth:`_plan_failures`.
+    """
 
     job_count: int
     lost_jobs: list[str] = field(default_factory=list)
@@ -271,13 +284,17 @@ class FaultOutcome:
     expected_entries: int = 0
     corrupt_quarantined: int = 0
     serial_mismatches: list[str] = field(default_factory=list)
-    fired: dict[str, int] = field(default_factory=dict)
-    required_kinds: tuple[str, ...] = ()
-    workers_spawned: int = 0
-    workers_killed: int = 0
     audit_problems: list[str] = field(default_factory=list)
     queue_stats: dict[str, int] = field(default_factory=dict)
     timed_out: bool = False
+
+    #: Appended to the dead-letter clause: why a dead letter is a defect.
+    dead_letter_cause: ClassVar[str] = ""
+
+    @property
+    def torn_injected(self) -> bool:
+        """True when the plan tore a write, so a quarantine must follow."""
+        return False
 
     def failures(self) -> list[str]:
         """Every violated contract clause, human-readable; empty = pass."""
@@ -287,7 +304,10 @@ class FaultOutcome:
         if self.lost_jobs:
             problems.append(f"{len(self.lost_jobs)} jobs lost (not done): {self.lost_jobs}")
         if self.dead_jobs:
-            problems.append(f"{len(self.dead_jobs)} jobs dead-lettered: {self.dead_jobs}")
+            problems.append(
+                f"{len(self.dead_jobs)} jobs dead-lettered{self.dead_letter_cause}: "
+                f"{self.dead_jobs}"
+            )
         if self.run_entries != self.expected_entries:
             problems.append(
                 f"{self.run_entries} run-store entries for {self.expected_entries} "
@@ -298,18 +318,249 @@ class FaultOutcome:
                 f"{len(self.serial_mismatches)} runs diverge from serial: "
                 f"{self.serial_mismatches}"
             )
-        for kind in self.required_kinds:
-            if not self.fired.get(kind):
-                problems.append(f"planned fault kind {kind!r} never fired")
-        if self.fired.get("torn") and not self.corrupt_quarantined:
+        if self.torn_injected and not self.corrupt_quarantined:
             problems.append("torn writes were injected but no corrupt entry was quarantined")
+        problems.extend(self._plan_failures())
         if self.audit_problems:
             problems.append(f"store audits found: {self.audit_problems}")
         return problems
 
+    def _plan_failures(self) -> list[str]:
+        """Clauses specific to the injected fault model."""
+        return []
+
     @property
     def passed(self) -> bool:
         return not self.failures()
+
+
+@dataclass
+class FaultOutcome(DrainOutcome):
+    """Everything :func:`run_fault_sweep` can assert about a drained queue."""
+
+    fired: dict[str, int] = field(default_factory=dict)
+    required_kinds: tuple[str, ...] = ()
+    workers_spawned: int = 0
+    workers_killed: int = 0
+
+    @property
+    def torn_injected(self) -> bool:
+        return bool(self.fired.get("torn"))
+
+    def _plan_failures(self) -> list[str]:
+        return [
+            f"planned fault kind {kind!r} never fired"
+            for kind in self.required_kinds
+            if not self.fired.get(kind)
+        ]
+
+
+# ------------------------------------------------------------ drain core
+
+
+#: Worker spawns one drain may make, replacements included.
+WORKER_CAP = 16
+
+
+class DrainHarness:
+    """The drain-and-audit core shared by every fault sweep.
+
+    Lays ``root`` out as ``queue``/``traces``/``runs``, seeds the trace
+    store (``prebuilt`` traces are reused by scenario fingerprint), and
+    enqueues the ``specs`` x ``scenarios`` grid.  :meth:`drain` runs a
+    thread fleet over the queue; :meth:`audit` checks the aftermath
+    against serial execution.  Each worker gets its own queue and store
+    handles, so the only shared surface is the filesystem (plus any
+    hooks or process-wide fault plan), as it would be between processes.
+    """
+
+    def __init__(
+        self,
+        root: str | Path,
+        scenarios: Sequence[Scenario],
+        specs: Sequence[str],
+        *,
+        zoo: ModelZoo | None,
+        prebuilt: Sequence[ScenarioTrace],
+        engine_seed: int,
+        lease_duration: float,
+        max_attempts: int,
+        backoff_base: float,
+        backoff_cap: float,
+        poll_interval: float,
+    ) -> None:
+        root = Path(root)
+        self.queue_root = root / "queue"
+        self.trace_root = root / "traces"
+        self.run_root = root / "runs"
+        self.zoo = zoo if zoo is not None else default_zoo()
+        self.engine_seed = engine_seed
+        self.lease_duration = lease_duration
+        self.poll_interval = poll_interval
+        #: A fresh handle on the shared queue (one per worker).
+        self.queue = partial(
+            JobQueue, self.queue_root, lease_duration=lease_duration,
+            max_attempts=max_attempts, backoff_base=backoff_base, backoff_cap=backoff_cap,
+        )
+
+        self.trace_store = TraceStore(self.trace_root)
+        built = {trace.scenario.fingerprint(): trace for trace in prebuilt}
+        for scenario in scenarios:
+            trace = built.get(scenario.fingerprint())
+            if trace is None:
+                trace = ScenarioTrace.build(scenario, self.zoo)
+            self.trace_store.save(trace, self.zoo)
+
+        self.master = self.queue()
+        self.jobs = [UnitJob(policy_spec=spec, scenario=s) for spec in specs for s in scenarios]
+        self.master.enqueue_all(self.jobs, engine_seed=engine_seed)
+        self.unique_jobs = {job_digest(j.policy_spec, j.key[1]): j for j in self.jobs}
+        self.run_store = RunStore(self.run_root)
+        self.keys = self._run_keys()
+        #: Every worker any drain spawned, in spawn order.
+        self.fleet: list[QueueWorker] = []
+        self._lock = threading.Lock()  # repro: guards[workers_killed]
+        self.workers_killed = 0
+
+    @property
+    def roots(self) -> tuple[Path, Path, Path]:
+        return (self.queue_root, self.trace_root, self.run_root)
+
+    def _run_keys(self) -> dict[str, RunKey]:
+        """The run-store key of every committable job, by job digest."""
+        resolve = policy_resolver()
+        zoo_fp = self.zoo.fingerprint()
+        soc_fp = xavier_nx_with_oakd().fingerprint()
+        keys: dict[str, RunKey] = {}
+        for digest, job in self.unique_jobs.items():
+            policy = resolve(job.policy_spec)
+            try:
+                fingerprint = policy.fingerprint()
+            except NotImplementedError:
+                continue  # not committable; the queue dead-letters these loudly
+            keys[digest] = RunKey(
+                policy_name=policy.name,
+                policy_fingerprint=fingerprint,
+                scenario_fingerprint=job.key[1],
+                zoo_fingerprint=zoo_fp,
+                soc_fingerprint=soc_fp,
+                engine_seed=self.engine_seed,
+            )
+        return keys
+
+    # ----------------------------------------------------------------- drain
+
+    def drain(
+        self,
+        *,
+        workers: int,
+        deadline: float,
+        tag: str = "w",
+        hooks: WorkerHooks | None = None,
+        worker_cap: int = WORKER_CAP,
+    ) -> bool:
+        """Keep ``workers`` threads draining the queue; True on timeout.
+
+        Workers are named ``<tag><n>`` in spawn order (fault plans key on
+        these ids).  A worker that dies is replaced until ``worker_cap``
+        spawns; the drain ends when the queue drains, ``deadline``
+        (monotonic) passes, or the whole fleet is dead with no spawns
+        left.  Survivors are then stopped and joined, so no worker
+        outlives its drain.
+        """
+        live: dict[QueueWorker, threading.Thread] = {}
+        spawned = 0
+        timed_out = False
+        while True:
+            live = {worker: thread for worker, thread in live.items() if thread.is_alive()}
+            if self.master.drained():
+                break
+            if time.monotonic() >= deadline:
+                timed_out = True
+                break
+            while len(live) < workers and spawned < worker_cap:
+                worker = QueueWorker(
+                    self.queue(),
+                    run_store=RunStore(self.run_root),
+                    trace_store=TraceStore(self.trace_root),
+                    zoo=self.zoo,
+                    worker_id=f"{tag}{spawned}",
+                    hooks=hooks,
+                    poll_interval=self.poll_interval,
+                )
+                spawned += 1
+                self.fleet.append(worker)
+                thread = threading.Thread(
+                    target=self._run, args=(worker,), name=worker.worker_id, daemon=True
+                )
+                live[worker] = thread
+                thread.start()
+            if not live and spawned >= worker_cap:
+                break  # the whole fleet died and the cap forbids replacements
+            time.sleep(0.01)
+        for worker in live:
+            worker.stop()
+        for thread in live.values():
+            thread.join(timeout=max(5.0, self.lease_duration * 4))
+        return timed_out
+
+    def _run(self, worker: QueueWorker) -> None:
+        try:
+            worker.drain()
+        except WorkerKilled:
+            with self._lock:
+                self.workers_killed += 1
+
+    # ----------------------------------------------------------------- audit
+
+    def audit(self, outcome: DrainOutcome) -> None:
+        """Fill ``outcome``'s shared clauses from the queue and the stores.
+
+        Job states (lost / dead-lettered), committed entries against the
+        committable jobs, quarantines seen by any worker or by the audit
+        itself, every committed run's records and metrics against a
+        serial :func:`~repro.runtime.runner.run_policy`, and the audits
+        of all three roots.
+        """
+        outcome.queue_stats = self.master.stats()
+        states = {record["job_id"]: record["state"] for record in self.master.records()}
+        for digest in self.unique_jobs:
+            state = states.get(digest)
+            if state == "dead":
+                outcome.dead_jobs.append(digest[:12])
+            elif state != "done":
+                outcome.lost_jobs.append(f"{digest[:12]}={state}")
+
+        outcome.run_entries = len(self.run_store)
+        outcome.expected_entries = len(self.keys)
+        for worker in self.fleet:
+            outcome.corrupt_quarantined += worker.run_store.corrupt_entries
+            outcome.corrupt_quarantined += worker.trace_store.corrupt_entries
+        outcome.corrupt_quarantined += self.run_store.corrupt_entries
+
+        resolve = policy_resolver()
+        for digest, key in self.keys.items():
+            job = self.unique_jobs[digest]
+            stored = self.run_store.load(key)
+            label = f"{job.policy_spec}/{job.scenario.name}"
+            if stored is None:
+                outcome.serial_mismatches.append(f"{label}: no committed run")
+                continue
+            trace = self.trace_store.load(job.scenario, self.zoo)
+            serial = run_policy(
+                resolve(job.policy_spec), trace, engine_seed=self.engine_seed, fast=True
+            )
+            if stored.records != serial.records:
+                outcome.serial_mismatches.append(f"{label}: frame records diverge from serial")
+            elif self.run_store.load_metrics(key) != aggregate(serial):
+                outcome.serial_mismatches.append(f"{label}: metrics diverge from serial")
+
+        for label, (_, problems) in (
+            ("runs", self.run_store.audit()),
+            ("traces", self.trace_store.audit()),
+            ("queue", self.master.audit()),
+        ):
+            outcome.audit_problems.extend(f"{label}: {p}" for p in problems)
 
 
 # ------------------------------------------------------------------ sweep
@@ -322,7 +573,7 @@ def run_fault_sweep(
     *,
     plan: FaultPlan | None = None,
     workers: int = 2,
-    worker_cap: int = 16,
+    worker_cap: int = WORKER_CAP,
     lease_duration: float = 0.3,
     backoff_base: float = 0.02,
     backoff_cap: float = 0.1,
@@ -336,12 +587,11 @@ def run_fault_sweep(
     """Drain ``specs`` x ``scenarios`` through a fault-injected worker fleet.
 
     Thread-mode: each "worker" is a thread with its own queue/store
-    handles (nothing shared in memory but the hooks — the coordination
-    surface is the filesystem, as it would be between processes), killed
-    via :class:`~repro.service.worker.WorkerKilled`.  A supervisor keeps
-    ``workers`` alive, replacing the dead up to ``worker_cap`` spawns,
-    until the queue drains or ``timeout`` passes.  Returns a
-    :class:`FaultOutcome`; callers assert :attr:`FaultOutcome.passed`.
+    handles, killed via :class:`~repro.service.worker.WorkerKilled`.
+    :meth:`DrainHarness.drain` keeps ``workers`` alive, replacing the
+    dead up to ``worker_cap`` spawns, until the queue drains or
+    ``timeout`` passes.  Returns a :class:`FaultOutcome`; callers assert
+    :attr:`FaultOutcome.passed`.
 
     Short leases and backoffs are the default because the harness's
     wall-clock cost is dominated by waiting out lease expiry; correctness
@@ -349,143 +599,24 @@ def run_fault_sweep(
     """
     if plan is None:
         plan = fault_plan_for_check()
-    if zoo is None:
-        zoo = default_zoo()
-    root = Path(root)
-    queue_root = root / "queue"
-    trace_root = root / "traces"
-    run_root = root / "runs"
-
-    trace_store = TraceStore(trace_root)
-    built = {trace.scenario.fingerprint(): trace for trace in prebuilt}
-    for scenario in scenarios:
-        trace = built.get(scenario.fingerprint())
-        if trace is None:
-            trace = ScenarioTrace.build(scenario, zoo)
-        trace_store.save(trace, zoo)
-
-    def make_queue() -> JobQueue:
-        return JobQueue(
-            queue_root,
-            lease_duration=lease_duration,
-            max_attempts=max_attempts,
-            backoff_base=backoff_base,
-            backoff_cap=backoff_cap,
-        )
-
-    master = make_queue()
-    jobs = [UnitJob(policy_spec=spec, scenario=s) for spec in specs for s in scenarios]
-    master.enqueue_all(jobs, engine_seed=engine_seed)
-    unique_jobs = {job_digest(j.policy_spec, j.key[1]): j for j in jobs}
-
+    harness = DrainHarness(
+        root, scenarios, specs, zoo=zoo, prebuilt=prebuilt,
+        engine_seed=engine_seed, lease_duration=lease_duration,
+        max_attempts=max_attempts, backoff_base=backoff_base,
+        backoff_cap=backoff_cap, poll_interval=poll_interval,
+    )
     hooks = FaultHooks(plan)
-    fleet: list[QueueWorker] = []
-    deaths: list[str] = []
-    fleet_lock = threading.Lock()
-
-    def run_worker(worker_id: str) -> None:
-        worker = QueueWorker(
-            make_queue(),
-            run_store=RunStore(run_root),
-            trace_store=TraceStore(trace_root),
-            zoo=zoo,
-            worker_id=worker_id,
-            hooks=hooks,
-            poll_interval=poll_interval,
-        )
-        with fleet_lock:
-            fleet.append(worker)
-        try:
-            worker.drain()
-        except WorkerKilled:
-            with fleet_lock:
-                deaths.append(worker_id)
-
-    deadline = time.monotonic() + timeout
-    live: dict[str, threading.Thread] = {}
-    spawned = 0
-    timed_out = False
-    while True:
-        for worker_id in [w for w, t in live.items() if not t.is_alive()]:
-            del live[worker_id]
-        if master.drained():
-            break
-        if time.monotonic() >= deadline:
-            timed_out = True
-            break
-        while len(live) < workers and spawned < worker_cap:
-            worker_id = f"w{spawned}"
-            spawned += 1
-            thread = threading.Thread(
-                target=run_worker, args=(worker_id,), name=worker_id, daemon=True
-            )
-            live[worker_id] = thread
-            thread.start()
-        if not live and spawned >= worker_cap:
-            break  # the whole fleet died and the cap forbids replacements
-        time.sleep(0.01)
-    for thread in live.values():
-        thread.join(timeout=max(5.0, lease_duration * 4))
-
-    # ------------------------------------------------------------- audit
-    with fleet_lock:
-        kill_count = len(deaths)
+    timed_out = harness.drain(
+        workers=workers, deadline=time.monotonic() + timeout,
+        hooks=hooks, worker_cap=worker_cap,
+    )
     outcome = FaultOutcome(
-        job_count=len(unique_jobs),
+        job_count=len(harness.unique_jobs),
         fired=dict(hooks.fired),
         required_kinds=plan.required,
-        workers_spawned=spawned,
-        workers_killed=kill_count,
-        queue_stats=master.stats(),
+        workers_spawned=len(harness.fleet),
+        workers_killed=harness.workers_killed,
         timed_out=timed_out,
     )
-    states = {record["job_id"]: record["state"] for record in master.records()}
-    for digest in unique_jobs:
-        state = states.get(digest)
-        if state == "dead":
-            outcome.dead_jobs.append(digest[:12])
-        elif state != "done":
-            outcome.lost_jobs.append(f"{digest[:12]}={state}")
-
-    audit_store = RunStore(run_root)
-    outcome.run_entries = len(audit_store)
-    with fleet_lock:
-        outcome.corrupt_quarantined = sum(w.run_store.corrupt_entries for w in fleet)
-    outcome.corrupt_quarantined += audit_store.corrupt_entries
-
-    resolve = policy_resolver()
-    soc_fp = xavier_nx_with_oakd().fingerprint()
-    expected = 0
-    for job in unique_jobs.values():
-        policy = resolve(job.policy_spec)
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            continue  # not committable; the queue dead-letters these loudly
-        expected += 1
-        key = RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=job.key[1],
-            zoo_fingerprint=zoo.fingerprint(),
-            soc_fingerprint=soc_fp,
-            engine_seed=engine_seed,
-        )
-        stored = audit_store.load(key)
-        label = f"{job.policy_spec}/{job.scenario.name}"
-        if stored is None:
-            outcome.serial_mismatches.append(f"{label}: no committed run")
-            continue
-        trace = trace_store.load(job.scenario, zoo)
-        serial = run_policy(
-            resolve(job.policy_spec), trace, engine_seed=engine_seed, fast=True
-        )
-        if stored.records != serial.records:
-            outcome.serial_mismatches.append(f"{label}: frame records diverge from serial")
-        elif audit_store.load_metrics(key) != aggregate(serial):
-            outcome.serial_mismatches.append(f"{label}: metrics diverge from serial")
-    outcome.expected_entries = expected
-
-    for label, (_, problems) in (("runs", audit_store.audit()), ("queue", master.audit())):
-        outcome.audit_problems.extend(f"{label}: {p}" for p in problems)
+    harness.audit(outcome)
     return outcome

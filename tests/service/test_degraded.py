@@ -12,6 +12,7 @@ stream — while warm hits keep serving, because read-only means
 """
 
 import json
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -35,6 +36,7 @@ from repro.service import (
     ServiceBackend,
     SweepFrontend,
     SweepService,
+    WorkerHooks,
     serve_in_thread,
 )
 from repro.service.jobs import UnitJob
@@ -81,6 +83,13 @@ def enospc_everywhere(count: int = 100) -> FsFaultPlan:
 def one_job():
     scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.05)
     return [UnitJob(policy_spec=POLICY, scenario=scenario)]
+
+
+def wait_until(condition, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return condition()
 
 
 def post(base, payload, timeout=60.0):
@@ -206,6 +215,42 @@ class TestWorkerUnderDiskPressure:
         [record] = queue.records()
         assert record["attempts"] == 1
         assert queue.jobs_released == 2
+
+    def test_heartbeat_misses_beats_under_enospc_and_resumes(self, tmp_path, monkeypatch):
+        # Job records fill the disk while a lease is held: every heartbeat
+        # write fails until the queue root degrades.  That is a missed
+        # beat, not a dead heartbeat thread -- nothing may reach
+        # threading.excepthook, and once space returns the same thread
+        # (one per job) must extend the lease again.
+        escaped = []
+        monkeypatch.setattr(
+            threading, "excepthook",
+            lambda args: escaped.append((args.thread.name, args.exc_type.__name__)),
+        )
+        queue = JobQueue(tmp_path / "q", lease_duration=0.3)
+        queue.enqueue_all(one_job(), engine_seed=1234)
+        burst = FsFaultPlan(events=(
+            FsFaultEvent(op="write", index=0, kind="enospc", count=10_000, match="job-*"),
+        ))
+        beats = {}
+
+        class DiskFillsMidJob(WorkerHooks):
+            def before_commit(self, worker, lease, run_path):
+                with iolayer.fault_plan(burst):
+                    beats["degraded"] = wait_until(lambda: iolayer.is_degraded(queue.root))
+                beats["burst"] = worker.heartbeats_sent
+                wait_until(lambda: worker.heartbeats_sent > beats["burst"])
+                beats["after"] = worker.heartbeats_sent
+
+        worker = QueueWorker(queue, run_store=tmp_path / "runs", worker_id="w1",
+                             hooks=DiskFillsMidJob())
+        worker.drain()
+
+        assert beats["degraded"], "the burst never degraded the queue root"
+        assert escaped == []
+        assert beats["after"] > beats["burst"]
+        assert queue.counts()["done"] == 1
+        assert not iolayer.is_degraded(queue.root)
 
 
 # -------------------------------------------------------------- HTTP tier

@@ -14,12 +14,15 @@ from repro.data import ScenarioMatrix
 from repro.models import default_zoo
 from repro.runtime import ExperimentRunner, RunStore, TraceCache, TraceStore
 from repro.service import (
+    JobQueue,
+    QueueWorker,
     ServiceError,
     SweepRequest,
     SweepService,
     overlapping_requests,
     policy_resolver,
 )
+from repro.service.jobs import UnitJob
 
 # Generated flights (not hand-written ones): the service must serve the
 # grammar matrix exactly like the library.  Budgets stay small for tier-1.
@@ -268,16 +271,29 @@ class TestResilienceAndBounds:
 
 
 class TestSharedStoreInterop:
-    def test_service_hits_runner_populated_stores(self, tmp_path, zoo, scenarios):
-        # The service and the foreground runner speak the same store
-        # format: a runner-populated store warms the service completely.
+    @pytest.mark.parametrize("populate", ["runner", "queue"])
+    def test_service_hits_runner_populated_stores(
+        self, tmp_path, zoo, scenarios, serial_rows, populate
+    ):
+        # The service, the foreground runner and the queue worker speak
+        # the same store format: stores either tier populated warm the
+        # service completely.
         resolve = policy_resolver()
-        runner = ExperimentRunner(
-            zoo,
-            store=TraceStore(tmp_path / "traces"),
-            run_store=RunStore(tmp_path / "runs"),
-        )
-        serial = runner.sweep([resolve(s) for s in POLICIES[:2]], scenarios[:2])
+        if populate == "runner":
+            ExperimentRunner(
+                zoo,
+                store=TraceStore(tmp_path / "traces"),
+                run_store=RunStore(tmp_path / "runs"),
+            ).sweep([resolve(s) for s in POLICIES[:2]], scenarios[:2])
+        else:
+            queue = JobQueue(tmp_path / "queue")
+            queue.enqueue_all(
+                [UnitJob(policy_spec=spec, scenario=s)
+                 for spec in POLICIES[:2] for s in scenarios[:2]]
+            )
+            QueueWorker(
+                queue, run_store=tmp_path / "runs", trace_store=tmp_path / "traces", zoo=zoo
+            ).drain()
         with SweepService(
             zoo=zoo,
             trace_store=tmp_path / "traces",
@@ -289,7 +305,10 @@ class TestSharedStoreInterop:
             ).result()
             assert service.runs_executed == 0
             assert service.trace_builds == 0
-        assert served == serial
+        names = [resolve(spec).name for spec in POLICIES[:2]]
+        assert served == {
+            name: [serial_rows[(name, s.name)] for s in scenarios[:2]] for name in names
+        }
 
 
 class TestCloseRace:
