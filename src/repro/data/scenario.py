@@ -10,6 +10,7 @@ therefore the best model choice — changes.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
@@ -427,6 +428,18 @@ _SOURCES: list[ScenarioSource] = []
 _SOURCE_CACHE: dict[int, dict[str, Scenario]] = {}
 
 
+@functools.cache
+def _builtin_by_name() -> dict[str, Scenario]:
+    """The built-in library by name, built at most once per process.
+
+    Built-ins are pure functions of code and :class:`Scenario` is frozen,
+    so every lookup can share one instance per name.  Building the
+    library re-validates every segment, too slow to repeat for each name
+    a request resolves.  Callers must not mutate the map.
+    """
+    return {scenario.name: scenario for scenario in all_scenarios()}
+
+
 def register_scenario(scenario: Scenario, replace: bool = False) -> None:
     """Register a scenario so :func:`scenario_by_name` can resolve it.
 
@@ -437,7 +450,7 @@ def register_scenario(scenario: Scenario, replace: bool = False) -> None:
     ``replace=True`` permits overwriting an earlier *registered* entry
     only.
     """
-    if any(s.name == scenario.name for s in all_scenarios()):
+    if scenario.name in _builtin_by_name():
         raise ValueError(f"scenario {scenario.name!r} shadows a built-in scenario")
     for source in _SOURCES:
         if scenario.name in _expanded_source(source):
@@ -484,7 +497,7 @@ def registered_scenarios() -> list[Scenario]:
 
 def scenario_names() -> list[str]:
     """Every resolvable scenario name: built-in library, then registered."""
-    names = [s.name for s in all_scenarios()]
+    names = list(_builtin_by_name())
     seen = set(names)
     for scenario in registered_scenarios():
         if scenario.name not in seen:
@@ -502,9 +515,9 @@ def scenario_by_name(name: str) -> Scenario:
     raises a KeyError enumerating **all** registered names, so callers
     never have to guess what exists.
     """
-    for scenario in all_scenarios():
-        if scenario.name == name:
-            return scenario
+    builtin = _builtin_by_name().get(name)
+    if builtin is not None:
+        return builtin
     registered = _REGISTRY.get(name)
     if registered is not None:
         return registered

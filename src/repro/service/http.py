@@ -43,9 +43,17 @@ admission — a wedged backend degrades into loud errors, never into a
 silently full server.
 
 **Error codes.**  ``400`` malformed payload / unknown policy or scenario,
-``404`` unknown request id or route, ``405`` wrong method, ``413``
-oversized body, ``429`` admission queue full (with ``Retry-After``),
-``503`` shutting down.
+``404`` unknown request id or route, ``405`` wrong method (with
+``Allow``), ``413`` oversized body, ``429`` admission queue full (with
+``Retry-After``), ``503`` shutting down.  Every request's body is read
+before it is routed, so a rejected request leaves its keep-alive
+connection at the next request; a body the server cannot read
+(malformed or oversized ``Content-Length``, a chunked upload) is
+answered with ``Connection: close`` instead.
+
+**Framing.**  Each response leaves the handler in one socket write, and
+so does each ndjson row (size line, chunk and CRLF together), with
+``TCP_NODELAY`` set: no reply waits on the client's delayed-ACK timer.
 
 **Degraded mode.**  When a backing store exhausts its bounded write
 retries (disk full, I/O errors) it flips read-only and the front-end
@@ -59,7 +67,10 @@ throughout — read-only means *read*-only.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
+import socket
 import threading
 import time
 from concurrent.futures import TimeoutError as _FuturesTimeout
@@ -94,6 +105,12 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Retry-After hint (seconds) on capacity responses (507 / degraded 503).
 DEGRADED_RETRY_AFTER = 5.0
+
+#: How often :func:`serve_in_thread`'s accept loop looks for ``shutdown()``;
+#: at the stdlib's 0.5 s every stop would wait up to half a second.
+STOP_POLL_S = 0.05
+
+_CLOSE = {"Connection": "close"}
 
 
 # --------------------------------------------------------------------- wire
@@ -654,11 +671,57 @@ class SweepFrontend:
 
 # ------------------------------------------------------------------- server
 
+class _ResponseWriter(io.BufferedIOBase):
+    """The handler's ``wfile``: holds writes until ``flush()``, then sends
+    them in one ``sendall``.
+
+    Two small writes back to back let Nagle's algorithm (RFC 896) hold
+    the second until the peer's delayed ACK, ~40 ms (RFC 1122).  The
+    handler flushes once per response and once per ndjson row, and sets
+    ``TCP_NODELAY`` so a stream's successive rows are not held either.
+    """
+
+    def __init__(self, sock: socket.socket) -> None:
+        self._sock = sock
+        self._pending: list[bytes] = []
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._pending.append(bytes(data))
+        return len(data)
+
+    def flush(self) -> None:
+        if self._pending:
+            data = b"".join(self._pending)
+            self._pending.clear()  # a failed send is not retried by close()
+            self._sock.sendall(data)
+
+
 class _Handler(BaseHTTPRequestHandler):
     """Route dispatch; every response body is JSON (rows are ndjson)."""
 
     protocol_version = "HTTP/1.1"
     server_version = "repro-sweep"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.wfile = _ResponseWriter(self.connection)
+
+    def handle(self) -> None:
+        # A client that hangs up (mid-stream, before reading its answer,
+        # or between keep-alive requests) ends its own connection; that
+        # is not a server fault, so it never reaches handle_error.
+        with contextlib.suppress(BrokenPipeError, ConnectionResetError):
+            super().handle()
+
+    def handle_expect_100(self) -> bool:
+        # The interim 100 must reach the client before it sends the body.
+        accepted = super().handle_expect_100()
+        self.wfile.flush()
+        return accepted
 
     # The default implementation writes every request to stderr, which
     # would interleave with table output under `repro serve --http`.
@@ -681,31 +744,61 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(body)
+        self.wfile.flush()
 
     def _send_error(self, code: int, message: str, headers: dict[str, str] | None = None) -> None:
         self._send_json(code, error_to_dict(message), headers)
 
+    def _read_body(self) -> bytes | None:
+        """The request body, read whole before routing; ``None`` once answered.
+
+        The next request on a keep-alive connection starts where this
+        body ends, so every answer, a 404 included, waits until the body
+        is read.  A body that cannot be read (malformed or oversized
+        ``Content-Length``, a chunked upload) is answered here with
+        ``Connection: close``, so its bytes never reach the request parser.
+        """
+        if "Transfer-Encoding" in self.headers:
+            self._send_error(400, "chunked request bodies are not supported", _CLOSE)
+            return None
+        try:
+            length = int(self.headers.get("Content-Length", "0"))
+        except ValueError:
+            length = -1
+        if length < 0:
+            self._send_error(400, "malformed Content-Length", _CLOSE)
+            return None
+        if length > MAX_BODY_BYTES:
+            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes", _CLOSE)
+            return None
+        return self.rfile.read(length) if length else b""
+
     def _stream_ndjson(self, lines: Iterator[dict]) -> None:
-        """Chunked transfer: one JSON object per line, flushed per row."""
+        """Chunked transfer: one JSON object per line, one write per row.
+
+        The header block is flushed first; then each row's size line,
+        chunk and CRLF leave together, and the terminator last.  A client
+        that hangs up mid-stream, at any of these flushes, ends only its
+        connection (see :meth:`handle`); a re-request of the results
+        replays every row.
+        """
         self.send_response(200)
         self.send_header("Content-Type", "application/x-ndjson")
         self.send_header("Transfer-Encoding", "chunked")
         self.end_headers()
-        try:
-            for line in lines:
-                chunk = (jsonsafe.dumps(line, sort_keys=True) + "\n").encode("utf-8")
-                self.wfile.write(f"{len(chunk):x}\r\n".encode("ascii"))
-                self.wfile.write(chunk + b"\r\n")
-                self.wfile.flush()
-            self.wfile.write(b"0\r\n\r\n")
-        # The client hung up mid-stream: its prerogative, not a server
-        # fault.  The entry was not retired, so a reconnect replays it.
-        except (BrokenPipeError, ConnectionResetError):  # repro: allow[exceptions/swallow]
-            self.close_connection = True
+        self.wfile.flush()
+        for line in lines:
+            chunk = (jsonsafe.dumps(line, sort_keys=True) + "\n").encode("utf-8")
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(chunk), chunk))
+            self.wfile.flush()
+        self.wfile.write(b"0\r\n\r\n")
+        self.wfile.flush()
 
     # --------------------------------------------------------------- routes
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib casing
+        if self._read_body() is None:
+            return
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
             if getattr(self.frontend.backend, "degraded", False):
@@ -746,23 +839,18 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_error(404, f"no route {path!r}")
 
     def do_POST(self) -> None:  # noqa: N802 - stdlib casing
+        body = self._read_body()
+        if body is None:
+            return
         path = self.path.split("?", 1)[0].rstrip("/")
         if path != "/v1/sweeps":
             self._send_error(404, f"no route {path!r}")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            self._send_error(400, "malformed Content-Length")
-            return
-        if length <= 0:
+        if not body:
             self._send_error(400, "empty request body")
             return
-        if length > MAX_BODY_BYTES:
-            self._send_error(413, f"request body over {MAX_BODY_BYTES} bytes")
-            return
         try:
-            payload = json.loads(self.rfile.read(length).decode("utf-8"))
+            payload = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             self._send_error(400, f"request body is not valid JSON: {exc}")
             return
@@ -794,6 +882,13 @@ class _Handler(BaseHTTPRequestHandler):
             ],
         })
 
+    def _method_not_allowed(self) -> None:
+        if self._read_body() is not None:
+            self._send_error(405, f"method {self.command} not allowed",
+                             {"Allow": "GET, POST"})
+
+    do_PUT = do_DELETE = do_PATCH = _method_not_allowed  # noqa: N815 - stdlib casing
+
 
 class SweepHTTPServer(ThreadingHTTPServer):
     """One listening socket over a :class:`SweepFrontend`.
@@ -824,11 +919,13 @@ def serve_in_thread(
     The caller owns shutdown: ``server.shutdown()`` stops the accept
     loop, ``server.server_close()`` releases the socket, and
     ``frontend.close()`` drains the backend — in that order, so no new
-    request can slip in behind the drain.
+    request can slip in behind the drain.  The loop looks for the stop
+    every :data:`STOP_POLL_S`, so ``shutdown()`` returns within that.
     """
     server = SweepHTTPServer((host, port), frontend)
     thread = threading.Thread(
-        target=server.serve_forever, name="sweep-http", daemon=True
+        target=server.serve_forever, args=(STOP_POLL_S,), name="sweep-http",
+        daemon=True,
     )
     thread.start()
     return server

@@ -192,6 +192,35 @@ class TestScenarioRegistry:
         finally:
             _REGISTRY.pop(scenario.name, None)
 
+    def test_lookups_build_the_builtin_library_once(self, monkeypatch):
+        from repro.data import scenario as module
+
+        builtins = all_scenarios()
+        builds = []
+
+        def counting_all_scenarios():
+            builds.append(1)
+            return all_scenarios()
+
+        monkeypatch.setattr(module, "all_scenarios", counting_all_scenarios)
+        module._builtin_by_name.cache_clear()
+        registered = self._custom("t_registered_lookup_once")
+        register_scenario(registered)
+        try:
+            for _ in range(3):
+                for scenario in builtins:
+                    assert scenario_by_name(scenario.name).fingerprint() \
+                        == scenario.fingerprint()
+                assert scenario_by_name(registered.name) is registered
+                assert scenario_by_name("g_dm_s001_crx_day_96f").name \
+                    == "g_dm_s001_crx_day_96f"
+                assert scenario_names()[: len(builtins)] == [s.name for s in builtins]
+                with pytest.raises(ValueError, match="shadows a built-in"):
+                    register_scenario(self._custom("s3_indoor_close_wall"))
+        finally:
+            module._REGISTRY.pop(registered.name, None)
+        assert len(builds) == 1
+
     def test_names_cover_builtin_and_generated(self):
         names = scenario_names()
         assert len(names) == len(set(names))

@@ -1,16 +1,22 @@
 """Network-tier tests: the HTTP/JSON front-end over service and queue.
 
-Three layers, cheapest first: :class:`SweepFrontend` admission/deadline
+Four layers, cheapest first: :class:`SweepFrontend` admission/deadline
 semantics exercised directly (no sockets, injectable clock);
 end-to-end socket tests against a live :class:`SweepHTTPServer` on an
 ephemeral port (concurrent clients, dedup, serial bit-equality, warm
-re-serve across a server restart, the full error-code table); and the
+re-serve across a server restart, the full error-code table); the
+framing byte for byte on raw sockets (one send per response and per
+row, keep-alive after rejected requests, clients that hang up); and the
 queue-backed deployment (``serve --http --procs`` shape) with a real
 :class:`QueueWorker` draining the on-disk queue behind the socket.
 """
 
+import errno
 import http.client
 import json
+import socket
+import struct
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -32,12 +38,13 @@ from repro.service import (
     ServiceBusy,
     ServiceError,
     SweepFrontend,
+    SweepHTTPServer,
     SweepService,
     metrics_from_wire,
     policy_resolver,
     serve_in_thread,
 )
-from repro.service.http import MAX_BODY_BYTES
+from repro.service.http import MAX_BODY_BYTES, STOP_POLL_S
 
 HTTP_MATRIX = ScenarioMatrix(
     name="net",
@@ -360,6 +367,7 @@ class TestWire:
             assert excinfo.value.code == code, path
             payload = json.load(excinfo.value)
             assert payload["api_version"] == 1 and payload["error"]
+            return excinfo.value
 
         try:
             expect(404, "GET", "/v1/sweeps/req-999999")
@@ -374,6 +382,10 @@ class TestWire:
             expect(400, "POST", "/v1/sweeps", body=json.dumps(
                 [{"policies": [POLICIES[0]],
                   "scenarios": ["no-such-scenario"]}]).encode())
+            for method, path in (("PUT", "/v1/sweeps"), ("DELETE", "/v1/sweeps/req-000001"),
+                                 ("PATCH", "/healthz")):
+                error = expect(405, method, path, body=b"{}")
+                assert error.headers["Allow"] == "GET, POST"
             # Oversized body: rejected from the Content-Length alone.
             conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=30)
             try:
@@ -415,6 +427,336 @@ class TestWire:
             server.shutdown()
             server.server_close()
             frontend.close()
+
+
+class CountingSocket:
+    """A handler's connection that records every send.
+
+    Sends from index ``fail_from`` on raise :class:`BrokenPipeError`
+    instead, as if the client had gone away at that point.
+    """
+
+    def __init__(self, sock, fail_from=None):
+        self._sock = sock
+        self.fail_from = fail_from
+        self.sends = []
+
+    def sendall(self, data):
+        if self.fail_from is not None and len(self.sends) >= self.fail_from:
+            raise BrokenPipeError(errno.EPIPE, "client gone (injected)")
+        self.sends.append(bytes(data))
+        self._sock.sendall(data)
+
+    def __getattr__(self, name):
+        return getattr(self._sock, name)
+
+
+class ProbedServer(SweepHTTPServer):
+    """A server whose connections are :class:`CountingSocket` s.
+
+    ``errors`` collects what would reach ``handle_error``; ``finished``
+    counts connections whose handler thread is done.  ``fail_from`` arms
+    the next accepted connection only.
+    """
+
+    def __init__(self, frontend):
+        super().__init__(("127.0.0.1", 0), frontend)
+        self.connections = []
+        self.errors = []
+        self.finished = threading.Semaphore(0)
+        self.fail_from = None
+
+    def finish_request(self, request, client_address):
+        counted = CountingSocket(request, self.fail_from)
+        self.fail_from = None
+        self.connections.append(counted)
+        super().finish_request(counted, client_address)
+
+    def handle_error(self, request, client_address):
+        self.errors.append(sys.exc_info()[1])
+
+    def process_request_thread(self, request, client_address):
+        try:
+            super().process_request_thread(request, client_address)
+        finally:
+            self.finished.release()
+
+    def wait_finished(self, connections):
+        for _ in range(connections):
+            assert self.finished.acquire(timeout=60), "a handler thread never finished"
+
+
+@pytest.fixture
+def probed(tmp_path):
+    """Factory: a running ProbedServer over a fresh in-process service."""
+    started = []
+
+    def start():
+        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        server = ProbedServer(frontend)
+        thread = threading.Thread(target=server.serve_forever, args=(STOP_POLL_S,),
+                                  daemon=True)
+        thread.start()
+        started.append((server, frontend, thread))
+        return server
+
+    yield start
+    for server, frontend, thread in started:
+        server.shutdown()
+        server.server_close()
+        frontend.close()
+        thread.join(timeout=60)
+
+
+def raw_request(method, path, body=b"", headers=()):
+    head = [f"{method} {path} HTTP/1.1", "Host: test", *(f"{k}: {v}" for k, v in headers)]
+    if body and not any(k == "Content-Length" for k, _ in headers):
+        head.append(f"Content-Length: {len(body)}")
+    return ("\r\n".join(head) + "\r\n\r\n").encode("latin-1") + body
+
+
+class RawClient:
+    """One keep-alive connection, spoken and read byte for byte."""
+
+    def __init__(self, port):
+        self.sock = socket.create_connection(("127.0.0.1", port), timeout=60)
+        self.reader = self.sock.makefile("rb")
+
+    def send(self, data):
+        self.sock.sendall(data)
+
+    def response(self):
+        """``(status line, [(name, value)], body)`` of the next response.
+
+        A chunked body keeps its framing (size lines, CRLFs, terminator).
+        """
+        status = self.reader.readline().decode("latin-1").rstrip("\r\n")
+        headers = []
+        while (line := self.reader.readline()) not in (b"\r\n", b""):
+            name, value = line.decode("latin-1").rstrip("\r\n").split(": ", 1)
+            headers.append((name, value))
+        fields = {name.lower(): value for name, value in headers}
+        if "content-length" in fields:
+            return status, headers, self.reader.read(int(fields["content-length"]))
+        body = b""
+        while True:
+            size_line = self.reader.readline()
+            size = int(size_line, 16)
+            body += size_line + self.reader.read(size + 2)
+            if size == 0:
+                return status, headers, body
+
+    def read_to_close(self):
+        """Everything left on the connection; the server must hang up."""
+        try:
+            return self.reader.read()
+        except ConnectionResetError:
+            return b""
+
+    def close(self, reset=False):
+        if reset:  # hang up with RST, the way a killed client does
+            self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+        self.reader.close()
+        self.sock.close()
+
+
+def chunks(body):
+    """The payloads of a chunked body, checking its framing on the way."""
+    payloads = []
+    while True:
+        size_line, body = body.split(b"\r\n", 1)
+        size = int(size_line, 16)
+        assert size_line == b"%x" % size  # bare lowercase hex, no extensions
+        payload, crlf, body = body[:size], body[size:size + 2], body[size + 2:]
+        assert crlf == b"\r\n"
+        if size == 0:
+            assert body == b""
+            return payloads
+        payloads.append(payload)
+
+
+def sweep_body(scenarios, request_id="raw"):
+    return json.dumps([{"policies": list(POLICIES), "scenarios": [scenarios[0].name],
+                        "id": request_id}]).encode()
+
+
+ACCEPTED = (b'{"api_version": 1, "request_ids": ["req-000001"], "requests": '
+            b'[{"client_id": "raw", "request_id": "req-000001"}]}\n')
+SUMMARY = (b'{"api_version": 1, "done": true, "error": null, "request_id": "req-000001", '
+           b'"rows": 2, "state": "done"}\n')
+
+
+class TestFraming:
+    """The bytes on the wire, one send at a time."""
+
+    def test_framing_is_the_wire_format(self, probed, scenarios, serial_rows):
+        server = probed()
+        client = RawClient(server.port)
+        try:
+            client.send(raw_request("POST", "/v1/sweeps", sweep_body(scenarios)))
+            status, headers, body = client.response()
+            assert status == "HTTP/1.1 202 Accepted"
+            assert [name for name, _ in headers] == [
+                "Server", "Date", "Content-Type", "Content-Length"]
+            fields = dict(headers)
+            assert fields["Server"].startswith("repro-sweep ")
+            assert fields["Content-Type"] == "application/json"
+            assert body == ACCEPTED and fields["Content-Length"] == str(len(body))
+
+            client.send(raw_request("GET", "/nope"))
+            status, headers, body = client.response()
+            assert status == "HTTP/1.1 404 Not Found"
+            assert [name for name, _ in headers] == [
+                "Server", "Date", "Content-Type", "Content-Length"]
+            assert body == b'{"api_version": 1, "error": "no route \'/nope\'"}\n'
+            assert dict(headers)["Content-Length"] == str(len(body))
+
+            client.send(raw_request("GET", "/v1/sweeps/req-000001/results"))
+            status, headers, body = client.response()
+            assert status == "HTTP/1.1 200 OK"
+            assert headers[0][0] == "Server" and headers[1][0] == "Date"
+            assert headers[2:] == [("Content-Type", "application/x-ndjson"),
+                                   ("Transfer-Encoding", "chunked")]
+            *rows, summary = chunks(body)
+            assert summary == SUMMARY
+            for row in rows:
+                # One canonical JSON object per chunk, newline-terminated.
+                record = json.loads(row)
+                assert row == (json.dumps(record, sort_keys=True) + "\n").encode()
+                assert record["metrics"] == serial_rows[(record["policy_spec"],
+                                                         record["scenario"])]
+            assert len(rows) == 2
+
+            # An Expect: 100-continue client gets the interim answer before
+            # it sends the body.
+            client.send(raw_request("POST", "/v1/sweeps", headers=(
+                ("Content-Length", len(sweep_body(scenarios, "later"))),
+                ("Expect", "100-continue"))))
+            assert client.reader.readline() == b"HTTP/1.1 100 Continue\r\n"
+            assert client.reader.readline() == b"\r\n"
+            client.send(sweep_body(scenarios, "later"))
+            assert client.response()[0] == "HTTP/1.1 202 Accepted"
+        finally:
+            client.close()
+
+    def test_one_send_per_response_and_per_row(self, probed, scenarios):
+        server = probed()
+        client = RawClient(server.port)
+        try:
+            client.send(raw_request("POST", "/v1/sweeps", sweep_body(scenarios)))
+            client.response()
+            [conn] = server.connections
+            assert len(conn.sends) == 1
+            for request in (raw_request("GET", "/healthz"), raw_request("GET", "/nope"),
+                            raw_request("PUT", "/v1/sweeps", b"{}"),
+                            raw_request("GET", "/v1/sweeps/req-000001")):
+                before = len(conn.sends)
+                client.send(request)
+                status, headers, body = client.response()
+                # The whole response, status line to body, in one send.
+                assert len(conn.sends) == before + 1, status
+                assert conn.sends[-1].startswith(status.encode())
+                assert conn.sends[-1].endswith(b"\r\n\r\n" + body)
+
+            before = len(conn.sends)
+            client.send(raw_request("GET", "/v1/sweeps/req-000001/results"))
+            _, _, body = client.response()
+            head, *rows, terminator = conn.sends[before:]
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n") and head.endswith(b"\r\n\r\n")
+            # Each row (size line, chunk and CRLF) in exactly one send.
+            assert [chunks(row + b"0\r\n\r\n") for row in rows] == [
+                [payload] for payload in chunks(body)]
+            assert terminator == b"0\r\n\r\n"
+            # Successive rows are not held for the client's delayed ACK.
+            assert conn.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        finally:
+            client.close()
+
+    @pytest.mark.parametrize("request_bytes, code, keeps_alive", [
+        # A wrong route: the body is read, so the connection stays usable.
+        (raw_request("POST", "/v1/nope", b'{"requests": []}'), 404, True),
+        (raw_request("PUT", "/v1/sweeps", b'{"requests": []}'), 405, True),
+        (raw_request("GET", "/v1/nope", b'{"requests": []}'), 404, True),
+        # Bodies the server cannot read: answered, then the server hangs up.
+        (raw_request("POST", "/v1/sweeps", b'{"requests": []}',
+                     headers=(("Content-Length", "sixteen"),)), 400, False),
+        (raw_request("POST", "/v1/sweeps", b'{"requests": []}',
+                     headers=(("Content-Length", str(MAX_BODY_BYTES + 1)),)), 413, False),
+        (raw_request("POST", "/v1/sweeps", b'10\r\n{"requests": []}\r\n0\r\n\r\n',
+                     headers=(("Transfer-Encoding", "chunked"),)), 400, False),
+    ], ids=["route-404", "method-405", "get-with-body", "malformed-length", "oversized",
+            "chunked"])
+    def test_rejected_request_keeps_the_connection_in_sync(
+        self, probed, request_bytes, code, keeps_alive
+    ):
+        server = probed()
+        client = RawClient(server.port)
+        try:
+            client.send(request_bytes)
+            status, headers, body = client.response()
+            assert status.split(" ")[1] == str(code)
+            assert json.loads(body)["api_version"] == 1
+            if not keeps_alive:
+                assert ("Connection", "close") in headers
+                assert client.read_to_close() == b""
+                return
+            assert ("Connection", "close") not in headers
+            client.send(raw_request("GET", "/healthz"))
+            status, headers, body = client.response()
+            assert status == "HTTP/1.1 200 OK"
+            assert json.loads(body)["status"] == "ok"
+        finally:
+            client.close()
+
+    def test_client_hangup_mid_stream_is_not_a_server_error(self, probed, scenarios):
+        server = probed()
+        gate = threading.Event()
+        stream_results = server.frontend.stream_results
+
+        def gated(entry):  # rows after the first wait until the client is gone
+            for number, line in enumerate(stream_results(entry)):
+                if number == 1:
+                    assert gate.wait(timeout=60)
+                yield line
+
+        server.frontend.stream_results = gated
+        client = RawClient(server.port)
+        client.send(raw_request("POST", "/v1/sweeps", sweep_body(scenarios)))
+        client.response()
+        client.send(raw_request("GET", "/v1/sweeps/req-000001/results"))
+        assert client.reader.readline() == b"HTTP/1.1 200 OK\r\n"
+        while client.reader.readline() != b"\r\n":
+            pass
+        size = int(client.reader.readline(), 16)
+        assert json.loads(client.reader.read(size + 2))["api_version"] == 1
+        client.close(reset=True)  # after the first row, with rows still to come
+        gate.set()
+        server.wait_finished(1)
+        assert server.errors == []
+        assert_restreams_every_row(server)
+
+    @pytest.mark.parametrize("fail_from", [1, 2, 4], ids=["first-row", "second-row",
+                                                       "terminator"])
+    def test_hangup_at_any_flush_is_not_a_server_error(self, probed, scenarios, fail_from):
+        # Sends on the stream's connection: 0 headers, 1-2 rows, 3 summary,
+        # 4 the terminator (the final flush).
+        server = probed()
+        post(f"http://127.0.0.1:{server.port}", json.loads(sweep_body(scenarios)))
+        server.fail_from = fail_from
+        client = RawClient(server.port)
+        client.send(raw_request("GET", "/v1/sweeps/req-000001/results"))
+        received = client.read_to_close()
+        client.close()
+        server.wait_finished(2)
+        assert server.errors == []
+        assert b"".join(server.connections[1].sends) == received
+        assert len(server.connections[1].sends) == fail_from
+        assert_restreams_every_row(server)
+
+
+def assert_restreams_every_row(server):
+    rows, summary = stream(f"http://127.0.0.1:{server.port}", "req-000001")
+    assert summary["state"] == "done" and summary["rows"] == len(rows) == len(POLICIES)
 
 
 class TestQueueBackend:
