@@ -9,9 +9,9 @@ stores, and then *proves* the serve was sound:
 * **zero duplicate executions** — runs executed + store hits exactly
   equals the number of deduplicated unit jobs;
 * **bit-equality with the serial path** — every returned metrics row is
-  field-for-field identical to a foreground
-  :class:`~repro.runtime.experiment.ExperimentRunner` run of the same
-  (policy, scenario) pair;
+  field-for-field identical to a plain
+  :func:`~repro.runtime.runner.run_policy` of the same (policy, scenario)
+  pair;
 * **zero corrupt entries** — neither store saw an unreadable entry, and
   both shard-index audits come back clean;
 * **free warm re-serve** — a second service over the same stores answers
@@ -42,7 +42,7 @@ from pathlib import Path
 
 from repro.data.grammar import ScenarioMatrix
 from repro.models.zoo import default_zoo
-from repro.runtime.experiment import ExperimentRunner
+from repro.runtime.runner import run_policy
 from repro.runtime.runstore import RunStore
 from repro.runtime.store import TraceStore
 from repro.runtime.trace import TraceCache
@@ -162,7 +162,10 @@ def run_load(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
 
         t0 = time.perf_counter()
         resolve = policy_resolver()
-        runner = ExperimentRunner(cache=TraceCache(default_zoo()))
+        # run_policy straight on cached traces, not the runner's executor:
+        # the service runs through that executor, so a defect in it must
+        # not sit on both sides of this check.
+        cache = TraceCache(default_zoo())
         serial: dict[tuple[str, str], object] = {}
         for request, result in zip(requests, results):
             rows = {
@@ -176,7 +179,9 @@ def run_load(args: argparse.Namespace, trace_root: Path, run_root: Path) -> int:
                     pair = (display_name, scenario.name)
                     if pair not in serial:
                         # Fresh policy per run: policies are stateful.
-                        serial[pair] = aggregate(runner.run(resolve(spec), scenario))
+                        serial[pair] = aggregate(
+                            run_policy(resolve(spec), cache.get(scenario), fast=True)
+                        )
                     check(
                         rows.get(pair) == serial[pair],
                         f"request {request.request_id}: {pair} diverges from serial run",

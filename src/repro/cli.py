@@ -296,7 +296,6 @@ def _serve_procs(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .characterization.serialization import save_bundle
-    from .runtime.runstore import RunKey, RunStore
     from .service.jobs import ServiceError, SweepRequest, decompose, load_jobs_file
     from .service.procs import WorkerSupervisor
     from .service.queue import JobQueue
@@ -395,10 +394,8 @@ def _serve_procs(args: argparse.Namespace) -> int:
               f"({supervisor.spawned} workers spawned)", file=sys.stderr)
         return 1
 
-    store = RunStore(args.run_store)
+    runner = ctx.runner  # keys each cell exactly as a foreground sweep does
     resolve = _policy_resolver(ctx, args.objective)
-    zoo_fp = ctx.zoo.fingerprint()
-    soc_fp = ctx.soc.fingerprint()
     policies: dict[str, object] = {}
     try:
         for request in requests:
@@ -408,9 +405,9 @@ def _serve_procs(args: argparse.Namespace) -> int:
                     policies[spec] = resolve(spec)
                 policy = policies[spec]
                 for scenario in request.scenarios:
-                    key = RunKey(policy.name, policy.fingerprint(), scenario.fingerprint(),
-                                 zoo_fp, soc_fp, ctx.engine_seed)
-                    metrics = store.load_metrics(key)
+                    metrics = runner.cached_metrics(
+                        runner.run_key(policy, scenario.fingerprint())
+                    )
                     if metrics is None:
                         print(f"run store has no result for {spec} x {scenario.name} "
                               f"although the queue drained: fingerprint drift between "
@@ -456,8 +453,8 @@ def _serve_http(args: argparse.Namespace) -> int:
         SweepHTTPServer,
         SweepService,
         WorkerSupervisor,
-        policy_resolver,
     )
+    from .service.jobs import shift_bundle_resolver
 
     ctx = _context(args)
     supervisor = None
@@ -474,15 +471,11 @@ def _serve_http(args: argparse.Namespace) -> int:
         resolver = None
         shift_args: list[str] = []
         if args.shift_bundle:
-            from .characterization import BundleSchemaError, load_bundle
-
             try:
-                bundle = load_bundle(args.shift_bundle)
-            except (BundleSchemaError, OSError) as exc:
-                print(f"serve --http: cannot load --shift-bundle {args.shift_bundle}: {exc}",
-                      file=sys.stderr)
+                resolver = shift_bundle_resolver(args.shift_bundle, args.objective)
+            except ServiceError as exc:
+                print(f"serve --http: {exc}", file=sys.stderr)
                 return 2
-            resolver = policy_resolver(bundle=bundle, objective=args.objective)
             shift_args = ["--shift-bundle", str(args.shift_bundle),
                           "--objective", args.objective]
         spawn = _worker_spawner(args, queue_dir, extra_args=shift_args, idle=True)

@@ -13,6 +13,13 @@ get three things for free:
   trace, SoC, seed) fingerprints;
 * **parallelism** — trace builds fan out per (scenario, model-chunk), and
   sweeps can run whole (policy, scenario) pairs in worker processes;
+* **one cell executor** — :meth:`ExperimentRunner.run_key`,
+  :meth:`~ExperimentRunner.cached_metrics` and
+  :meth:`~ExperimentRunner.execute` are thread-safe (given a SoC
+  factory: concurrent runs cannot share one platform), and every tier (the
+  sweep service, queue workers, the HTTP queue backend, ``serve --procs``
+  and the fault harness) resolves its cells through them, so a cell's
+  run-store identity is derived in exactly one place;
 * **determinism** — results are bit-identical to the serial path and to
   the scalar reference run loop (every stochastic draw is seeded by
   content, never by scheduling; the fast run tier replays the reference
@@ -25,10 +32,10 @@ a single :class:`~repro.sim.soc.SoC` instance reset before each run.
 
 from __future__ import annotations
 
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Sequence
 
-from ..data.generator import render_scenario, scenario_scenes
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
 from ..sim.soc import SoC, xavier_nx_with_oakd
@@ -38,73 +45,47 @@ from ..core.records import RunResult
 from .runner import run_policy
 from .runstore import RunKey, RunStore
 from .store import TraceStore
-from .trace import (
-    ScenarioTrace,
-    TraceCache,
-    _effective_workers,
-    _outcomes_for_specs,
-    _spec_chunks,
-)
+from .trace import ScenarioTrace, TraceCache
 
 SocLike = SoC | Callable[[], SoC] | None
 
 
-def _policy_fingerprint(policy: Policy) -> str | None:
-    """A policy's run-store identity, or None when it defines none."""
-    try:
-        return policy.fingerprint()
-    except NotImplementedError:
-        return None
+# The executor of a ``parallel_runs`` worker process (set by
+# _start_pair_worker): its trace cache keeps every trace the process
+# loads, so several pairs over one scenario load and render it once.
+_PAIR_RUNNER: ExperimentRunner | None = None
 
 
-# Per-worker-process trace memo: a worker that runs several (policy,
-# scenario) pairs for the same scenario loads/renders the trace once, not
-# once per pair.  Keyed by (store root, scenario, zoo) fingerprints.
-_WORKER_TRACES: dict[tuple[str, str, str], ScenarioTrace] = {}
-
-
-def _run_pair_in_worker(
-    policy: Policy,
-    scenario: Scenario,
+def _start_pair_worker(
     zoo: ModelZoo,
     store_root: str,
     engine_seed: int,
     soc_factory: Callable[[], SoC] | None,
-    fast: bool = False,
-    run_store_root: str | None = None,
-    soc_fingerprint: str | None = None,
-) -> RunMetrics:
+    fast: bool,
+    run_store_root: str | None,
+) -> None:
+    global _PAIR_RUNNER
+    _PAIR_RUNNER = ExperimentRunner(
+        zoo,
+        store=TraceStore(store_root),
+        engine_seed=engine_seed,
+        soc=soc_factory,
+        run_store=RunStore(run_store_root) if run_store_root is not None else None,
+        fast=fast,
+    )
+
+
+def _run_pair_in_worker(policy: Policy, scenario: Scenario, key: RunKey | None) -> RunMetrics:
     """Run one (policy, scenario) pair in a worker process.
 
     The trace comes from the shared store (guaranteed warm — the parent
     builds all traces before dispatching pairs), so workers never repeat
     the zoo sweep; module-level for picklability.  The parent resolves
-    run-store *hits* before dispatching, so workers only see misses; with
-    ``run_store_root`` each worker persists its finished run (atomic
-    writes make concurrent workers safe).
+    run-store *hits* and derives each miss's key before dispatching; with
+    a key each worker persists its finished run (atomic writes make
+    concurrent workers safe).
     """
-    key = (store_root, scenario.fingerprint(), zoo.fingerprint())
-    trace = _WORKER_TRACES.get(key)
-    if trace is None:
-        trace = TraceStore(store_root).get(scenario, zoo)
-        _WORKER_TRACES[key] = trace
-    soc = soc_factory() if soc_factory is not None else None
-    result = run_policy(policy, trace, soc=soc, engine_seed=engine_seed, fast=fast)
-    if run_store_root is not None and soc_fingerprint is not None:
-        fingerprint = _policy_fingerprint(policy)
-        if fingerprint is not None:
-            RunStore(run_store_root).save(
-                result,
-                RunKey(
-                    policy_name=policy.name,
-                    policy_fingerprint=fingerprint,
-                    scenario_fingerprint=scenario.fingerprint(),
-                    zoo_fingerprint=zoo.fingerprint(),
-                    soc_fingerprint=soc_fingerprint,
-                    engine_seed=engine_seed,
-                ),
-            )
-    return aggregate(result)
+    return aggregate(_PAIR_RUNNER.execute(policy, scenario, key))
 
 
 class ExperimentRunner:
@@ -152,6 +133,7 @@ class ExperimentRunner:
         # verify reuse, mirroring ``cache.builds`` on the trace tier.
         self.run_store = run_store
         self.fast = fast
+        self._lock = threading.Lock()  # repro: guards[run_store_hits, runs_executed, _soc_fp]
         self.run_store_hits = 0
         self.runs_executed = 0
         self._soc_fp: str | None = None
@@ -183,65 +165,11 @@ class ExperimentRunner:
         Tasks are (scenario, model-chunk) detection sweeps — fine-grained
         enough to balance scenarios of very different lengths — while the
         parent renders frames.  Scenarios already in memory or on disk are
-        skipped entirely.
+        never rebuilt (see :meth:`TraceCache.get_all`).
         """
-        missing = []
-        seen: set[str] = set()
-        for scenario in scenarios:
-            if scenario.fingerprint() in seen or scenario in self.cache:
-                continue
-            if self.store is not None:
-                loaded = self.store.load(scenario, self.zoo)
-                if loaded is not None:
-                    self.cache.put(loaded, persist=False)
-                    continue
-            seen.add(scenario.fingerprint())
-            missing.append(scenario)
+        return self.cache.get_all(scenarios)
 
-        specs = self.zoo.specs()
-        # The same guards as ScenarioTrace.build; tasks can span
-        # scenarios, so the granularity cap is models x missing scenarios.
-        pending_model_frames = len(specs) * sum(s.total_frames for s in missing)
-        workers = _effective_workers(
-            self.max_workers, len(specs) * len(missing), pending_model_frames
-        )
-        if missing and workers > 1:
-            # Aim for at least one task per worker overall: with S missing
-            # scenarios, split the zoo into ceil(W / S) chunks each — but
-            # never chunk a scenario finer than its volume can amortize
-            # (fragmenting the batched sweep was a net slowdown).
-            base_chunks = -(-workers // len(missing))
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                futures = {}
-                for scenario in missing:
-                    chunk_count = min(
-                        base_chunks,
-                        _effective_workers(
-                            workers, len(specs), len(specs) * scenario.total_frames
-                        ),
-                    )
-                    chunks = _spec_chunks(specs, chunk_count)
-                    scenes = scenario_scenes(scenario)
-                    futures[scenario.fingerprint()] = [
-                        pool.submit(_outcomes_for_specs, scenario.seed, scenes, chunk)
-                        for chunk in chunks
-                    ]
-                for scenario in missing:
-                    frames = render_scenario(scenario)
-                    merged: dict = {}
-                    for future in futures[scenario.fingerprint()]:
-                        merged.update(future.result())
-                    outcomes = {spec.name: merged[spec.name] for spec in specs}
-                    self.cache.put(
-                        ScenarioTrace(scenario=scenario, frames=frames, outcomes=outcomes)
-                    )
-                    self.cache.builds += 1
-        else:
-            for scenario in missing:
-                self.cache.get(scenario)
-        return [self.cache.get(scenario) for scenario in scenarios]
-
-    # ---------------------------------------------------------- run store
+    # ------------------------------------------------------ cell executor
 
     def _soc_fingerprint(self) -> str:
         """The platform fingerprint runs are keyed by (computed once).
@@ -250,42 +178,76 @@ class ExperimentRunner:
         (every call builds an equally shaped platform) — the factory
         contract parallel runs already rely on.
         """
-        if self._soc_fp is None:
-            if callable(self.soc):
-                self._soc_fp = self.soc().fingerprint()
-            elif self.soc is not None:
-                self._soc_fp = self.soc.fingerprint()
-            else:
-                self._soc_fp = xavier_nx_with_oakd().fingerprint()
-        return self._soc_fp
+        with self._lock:
+            if self._soc_fp is None:
+                if callable(self.soc):
+                    self._soc_fp = self.soc().fingerprint()
+                elif self.soc is not None:
+                    self._soc_fp = self.soc.fingerprint()
+                else:
+                    self._soc_fp = xavier_nx_with_oakd().fingerprint()
+            return self._soc_fp
 
-    def _run_key(self, policy: Policy, scenario: Scenario) -> RunKey | None:
-        """The run-store key for one (policy, scenario) pair, if cacheable."""
+    def run_key(
+        self, policy: Policy, scenario_fingerprint: str, engine_seed: int | None = None
+    ) -> RunKey | None:
+        """The run-store key of one (policy, scenario) cell, if cacheable.
+
+        The one place a cell's identity is derived: policy, trace (the
+        scenario fingerprint and this runner's zoo), platform, and engine
+        seed (this runner's unless ``engine_seed`` overrides it — a queue
+        job carries its own).  None without a run store, and for policies
+        without a fingerprint: those are never cached.
+        """
         if self.run_store is None:
             return None
-        fingerprint = _policy_fingerprint(policy)
-        if fingerprint is None:
-            return None  # policies without an identity are never cached
+        try:
+            fingerprint = policy.fingerprint()
+        except NotImplementedError:
+            return None
         return RunKey(
             policy_name=policy.name,
             policy_fingerprint=fingerprint,
-            scenario_fingerprint=scenario.fingerprint(),
+            scenario_fingerprint=scenario_fingerprint,
             zoo_fingerprint=self.zoo.fingerprint(),
             soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=self.engine_seed,
+            engine_seed=self.engine_seed if engine_seed is None else engine_seed,
         )
 
-    def _execute(self, policy: Policy, scenario: Scenario, key: RunKey | None) -> RunResult:
-        """Run a (guaranteed) store miss and persist the result."""
+    def cached_metrics(self, key: RunKey | None) -> RunMetrics | None:
+        """A persisted cell's metrics (counted as a run-store hit), or None."""
+        if key is None:
+            return None
+        metrics = self.run_store.load_metrics(key)
+        if metrics is not None:
+            with self._lock:
+                self.run_store_hits += 1
+        return metrics
+
+    def execute(
+        self,
+        policy: Policy,
+        scenario: Scenario,
+        key: RunKey | None = None,
+        *,
+        engine_seed: int | None = None,
+    ) -> RunResult:
+        """Run one cell that missed the run store; persist it under ``key``.
+
+        The trace comes from the shared :class:`TraceCache` and the
+        platform is fresh (or reset).  Without ``key`` nothing is written
+        — the caller commits the result itself.
+        """
         result = run_policy(
             policy,
             self.trace(scenario),
             soc=self._fresh_soc(),
-            engine_seed=self.engine_seed,
+            engine_seed=self.engine_seed if engine_seed is None else engine_seed,
             fast=self.fast,
         )
-        self.runs_executed += 1
-        if key is not None and self.run_store is not None:
+        with self._lock:
+            self.runs_executed += 1
+        if key is not None:
             self.run_store.save(result, key)
         return result
 
@@ -298,13 +260,14 @@ class ExperimentRunner:
         same (policy, trace, SoC, seed) key is returned without executing
         anything.
         """
-        key = self._run_key(policy, scenario)
-        if key is not None and self.run_store is not None:
+        key = self.run_key(policy, scenario.fingerprint())
+        if key is not None:
             cached = self.run_store.load(key)
             if cached is not None:
-                self.run_store_hits += 1
+                with self._lock:
+                    self.run_store_hits += 1
                 return cached
-        return self._execute(policy, scenario, key)
+        return self.execute(policy, scenario, key)
 
     def run_policy_on_scenarios(
         self, policy: Policy, scenarios: Sequence[Scenario]
@@ -345,14 +308,9 @@ class ExperimentRunner:
         resolved: dict[int, RunMetrics] = {}
         misses: list[tuple[int, RunKey | None]] = []
         for index, (policy, scenario) in enumerate(pairs):
-            key = self._run_key(policy, scenario)
-            cached = (
-                self.run_store.load_metrics(key)
-                if key is not None and self.run_store is not None
-                else None
-            )
+            key = self.run_key(policy, scenario.fingerprint())
+            cached = self.cached_metrics(key)
             if cached is not None:
-                self.run_store_hits += 1
                 resolved[index] = cached
             else:
                 misses.append((index, key))
@@ -372,32 +330,26 @@ class ExperimentRunner:
                 run_store_root = (
                     str(self.run_store.root) if self.run_store is not None else None
                 )
-                soc_fp = self._soc_fingerprint() if self.run_store is not None else None
-                with ProcessPoolExecutor(max_workers=workers) as pool:
+                with ProcessPoolExecutor(
+                    max_workers=workers,
+                    initializer=_start_pair_worker,
+                    initargs=(self.zoo, str(self.store.root), self.engine_seed, self.soc,
+                              self.fast, run_store_root),
+                ) as pool:
                     futures = {
-                        index: pool.submit(
-                            _run_pair_in_worker,
-                            pairs[index][0],
-                            pairs[index][1],
-                            self.zoo,
-                            str(self.store.root),
-                            self.engine_seed,
-                            self.soc,
-                            self.fast,
-                            run_store_root,
-                            soc_fp,
-                        )
-                        for index, _ in misses
+                        index: pool.submit(_run_pair_in_worker, *pairs[index], key)
+                        for index, key in misses
                     }
                     for index, future in futures.items():
                         resolved[index] = future.result()
-                        self.runs_executed += 1
+                        with self._lock:
+                            self.runs_executed += 1
             else:
                 # The pre-resolution loop proved these are misses; reuse
                 # its keys instead of re-deriving and re-querying.
                 for index, key in misses:
                     policy, scenario = pairs[index]
-                    resolved[index] = aggregate(self._execute(policy, scenario, key))
+                    resolved[index] = aggregate(self.execute(policy, scenario, key))
 
         count = len(scenarios)
         sweep_result: dict[str, list[RunMetrics]] = {}

@@ -417,19 +417,6 @@ class TraceStore(EntryStore):
 
         return ScenarioTrace(scenario=scenario, frames=None, outcomes_loader=load_outcomes)
 
-    def get(
-        self,
-        scenario: Scenario,
-        zoo: ModelZoo,
-        max_workers: int | None = None,
-    ) -> ScenarioTrace:
-        """Load the trace, building (and persisting) it on a miss."""
-        trace = self.load(scenario, zoo)
-        if trace is None:
-            trace = ScenarioTrace.build(scenario, zoo, max_workers=max_workers)
-            self.save(trace, zoo)
-        return trace
-
     def __contains__(self, key: tuple[Scenario, ModelZoo]) -> bool:
         scenario, zoo = key
         return self.path_for(scenario, zoo).exists()

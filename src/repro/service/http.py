@@ -82,17 +82,18 @@ from collections.abc import Callable, Iterator
 from ..models.zoo import ModelZoo, default_zoo
 from ..util import jsonsafe
 from ..core.policy import Policy
+from ..runtime.experiment import ExperimentRunner
 from ..runtime.export import metrics_to_dict
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.metrics import RunMetrics
 from ..runtime.runstore import RunKey, RunStore
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..sim.soc import SoC
 from .jobs import (
     ServiceBusy,
     ServiceError,
     SweepRequest,
+    decompose,
     requests_from_payload,
-    validate_specs,
 )
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, job_digest
@@ -306,9 +307,10 @@ class QueueBackend:
     The backend enqueues each request's deduplicated unit jobs into the
     shared on-disk :class:`JobQueue` and assembles rows from the run
     store as the fleet commits them — the HTTP analogue of ``serve
-    --procs``.  RunKey derivation (zoo/SoC fingerprints, engine seed)
-    matches :class:`SweepService` and :class:`QueueWorker` exactly, so
-    the three tiers share one store vocabulary.
+    --procs``.  Run keys come from the same executor
+    (:meth:`ExperimentRunner.run_key`) that :class:`SweepService` and
+    :class:`QueueWorker` use, so the three tiers share one store
+    vocabulary.
     """
 
     def __init__(
@@ -329,35 +331,26 @@ class QueueBackend:
         self.zoo = zoo if zoo is not None else default_zoo()
         self.engine_seed = engine_seed
         self.poll_interval = poll_interval
-        self._soc_factory = soc
         self._resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self._soc_fp: str | None = None
+        self.runner = ExperimentRunner(
+            self.zoo, engine_seed=engine_seed, soc=soc, run_store=self.run_store
+        )
 
     def submit(self, request: SweepRequest) -> _QueueHandle:
-        from .jobs import decompose
-
-        validate_specs(request.policies, self._resolver)
+        # One policy per spec, only ever fingerprinted — resolving it
+        # also rejects unknown specs before any scenario resolves.
+        policies = {spec: self._resolver(spec) for spec in dict.fromkeys(request.policies)}
         jobs = decompose(request)
         cells = []
         for job in jobs:
-            policy = self._resolver(job.policy_spec)
-            try:
-                fingerprint = policy.fingerprint()
-            except NotImplementedError:
+            key = self.runner.run_key(policies[job.policy_spec], job.key[1])
+            if key is None:
                 raise ServiceError(
                     f"policy {job.policy_spec!r} has no fingerprint; queue execution "
                     f"requires run-store idempotence"
-                ) from None
-            key = RunKey(
-                policy_name=policy.name,
-                policy_fingerprint=fingerprint,
-                scenario_fingerprint=job.key[1],
-                zoo_fingerprint=self.zoo.fingerprint(),
-                soc_fingerprint=self._soc_fingerprint(),
-                engine_seed=self.engine_seed,
-            )
+                )
             cells.append(_QueueCell(
                 policy_spec=job.policy_spec,
                 scenario_name=job.scenario.name,
@@ -395,12 +388,6 @@ class QueueBackend:
     @property
     def io_errors(self) -> int:
         return self.queue.io_errors + self.run_store.io_errors
-
-    def _soc_fingerprint(self) -> str:
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
 
     def close(self) -> None:
         """Nothing to stop: the queue is on disk and the fleet is external."""

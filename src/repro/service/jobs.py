@@ -99,6 +99,28 @@ def policy_resolver(
     return resolve
 
 
+def shift_bundle_resolver(path: str | Path, objective: str) -> Callable[[str], Policy]:
+    """A :func:`policy_resolver` that serves ``shift`` from a saved bundle file.
+
+    The ``--shift-bundle`` loader of ``repro work`` and ``serve --http
+    --procs``: the bundle is loaded and its confidence graph built once,
+    here, so every ``shift`` resolution shares them — the construction
+    the experiment context uses, so shift run keys match the ones a
+    foreground sweep derives.  A file that cannot be read or decoded is
+    a :class:`ServiceError` naming it.
+    """
+    from ..characterization import BundleSchemaError, load_bundle
+    from ..core import ConfidenceGraph
+
+    try:
+        bundle = load_bundle(path)
+    except (BundleSchemaError, OSError) as exc:
+        raise ServiceError(f"cannot load --shift-bundle {path}: {exc}") from exc
+    return policy_resolver(
+        bundle=bundle, graph=ConfidenceGraph.build(bundle.observations), objective=objective
+    )
+
+
 @dataclass(frozen=True)
 class SweepRequest:
     """One client request: every policy spec over every scenario.

@@ -8,13 +8,20 @@ jobs, coalesces duplicates across requests, and schedules the survivors
 over a bounded worker pool:
 
 * **threads** carry the scheduling and the store-hit fast path — a warm
-  job is one JSON metrics load, which a thread does concurrently just
-  fine (the parse releases no meaningful compute);
-* **processes** carry cold trace builds — a miss routes through
-  :meth:`ScenarioTrace.build` with the service's ``trace_workers``, which
-  fans the per-model detection sweeps across a process pool exactly like
-  the runner does (and collapses to serial on small builds or small
-  machines, see :func:`~repro.runtime.trace._effective_workers`).
+  job is one ``.col`` header probe, which a thread does concurrently
+  just fine (the probe releases no meaningful compute);
+* **processes** carry cold trace builds — a miss routes through the
+  shared :class:`~repro.runtime.trace.TraceCache` with the service's
+  ``trace_workers``, which fans the per-model detection sweeps across a
+  process pool exactly like the runner does (and collapses to serial on
+  small builds or small machines, see
+  :func:`~repro.runtime.trace._effective_workers`).
+
+Each job is one cell of the runner's executor
+(:meth:`~repro.runtime.experiment.ExperimentRunner.run_key`,
+:meth:`~repro.runtime.experiment.ExperimentRunner.cached_metrics`,
+:meth:`~repro.runtime.experiment.ExperimentRunner.execute`); what the
+service adds is the dedup table and the degraded-mode refusal.
 
 Results stream back per request: a :class:`SweepHandle` yields each
 (policy, scenario) metrics row as its job completes, or assembles the
@@ -40,14 +47,16 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
+from ..runtime import iolayer
+from ..runtime.experiment import ExperimentRunner
 from ..runtime.metrics import RunMetrics, aggregate
 from ..core.policy import Policy
 from ..runtime.iolayer import StoreDegraded
-from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
+from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tracing.py patches it here
+from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
-from ..runtime.trace import ScenarioTrace
-from ..sim.soc import SoC, xavier_nx_with_oakd
+from ..runtime.trace import TraceCache
+from ..sim.soc import SoC
 from .jobs import ServiceBusy, ServiceError, SweepRequest, UnitJob, decompose, validate_specs
 from .jobs import policy_resolver as default_policy_resolver
 
@@ -133,8 +142,9 @@ class SweepService:
     long-lived service's footprint); evicted scenarios reload from the
     trace store on next use.
 
-    Counters (all monotonic, read anytime): ``runs_executed``,
-    ``run_store_hits``, ``trace_builds``, ``trace_store_hits``,
+    Counters (all monotonic, read anytime): ``runs_executed`` and
+    ``run_store_hits`` (from :attr:`runner`, the cell executor),
+    ``trace_builds`` and ``trace_store_hits`` (from its trace cache),
     ``jobs_coalesced`` (requested pairs served by an already-scheduled
     job), ``jobs_scheduled``.  ``corrupt_entries`` totals both stores'
     unreadable-entry counts — the loadgen and CI assert it stays zero.
@@ -173,28 +183,42 @@ class SweepService:
             else RunStore(run_store)
         )
         self.workers = workers
-        self.trace_workers = trace_workers
-        self.engine_seed = engine_seed
-        self.fast = fast
-        self.trace_cache_size = trace_cache_size
-        self._soc_factory = soc
         self._resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self._soc_fp: str | None = None
+        #: The cell executor every job runs through (thread-safe).
+        self.runner = ExperimentRunner(
+            cache=TraceCache(self.zoo, store=self.trace_store, max_workers=trace_workers,
+                             max_size=trace_cache_size),
+            engine_seed=engine_seed,
+            soc=soc,
+            run_store=self.run_store,
+            fast=fast,
+        )
         # One mutex for every piece of cross-thread state; the declaration below
         # is enforced by `repro lint` (locks/guarded-attr).
-        self._state = threading.Lock()  # repro: guards[_jobs, _traces, _closed, runs_executed, run_store_hits, trace_builds, trace_store_hits, jobs_coalesced, jobs_scheduled]
+        self._state = threading.Lock()  # repro: guards[_jobs, _closed, jobs_coalesced, jobs_scheduled]
         self._jobs: dict[JobKey, Future] = {}
-        self._traces: dict[str, Future] = {}
         self._pool = ThreadPoolExecutor(max_workers=workers, thread_name_prefix="sweep")
         self._closed = False
-        self.runs_executed = 0
-        self.run_store_hits = 0
-        self.trace_builds = 0
-        self.trace_store_hits = 0
         self.jobs_coalesced = 0
         self.jobs_scheduled = 0
+
+    @property
+    def runs_executed(self) -> int:
+        return self.runner.runs_executed
+
+    @property
+    def run_store_hits(self) -> int:
+        return self.runner.run_store_hits
+
+    @property
+    def trace_builds(self) -> int:
+        return self.runner.cache.builds
+
+    @property
+    def trace_store_hits(self) -> int:
+        return self.runner.cache.store_hits
 
     # ------------------------------------------------------------ lifecycle
 
@@ -318,125 +342,23 @@ class SweepService:
 
     def _execute(self, job: UnitJob) -> RunMetrics:
         policy = self._resolver(job.policy_spec)  # fresh: policies are stateful
-        key = self._run_key(policy, job.scenario)
+        key = self.runner.run_key(policy, job.key[1])
         if key is not None:
-            cached = self.run_store.load_metrics(key)
+            cached = self.runner.cached_metrics(key)
             if cached is not None:
-                with self._state:
-                    self.run_store_hits += 1
                 return cached
-            if self.run_store.degraded:
+            if not iolayer.probe(self.run_store.root):
                 # Read-only mode: warm hits were served above; a miss
                 # would execute a run whose commit cannot land.  Refuse
                 # before burning compute — the front-end maps this to a
-                # capacity response (507), not an internal error.
+                # capacity response (507), not an internal error.  The
+                # probe is also the recovery: once space returns it
+                # clears the flag, exactly like a queue claim.
                 raise StoreDegraded(
                     self.run_store.root, "save",
                     "store is read-only while degraded; cold misses refused",
                 )
-        trace = self._trace(job.scenario)
-        soc = self._soc_factory() if self._soc_factory is not None else None
-        result = run_policy(
-            policy, trace, soc=soc, engine_seed=self.engine_seed, fast=self.fast
-        )
-        with self._state:
-            self.runs_executed += 1
-        if key is not None:
-            self.run_store.save(result, key)
-        return aggregate(result)
-
-    def _run_key(self, policy: Policy, scenario: Scenario) -> RunKey | None:
-        if self.run_store is None:
-            return None
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            return None  # identity-less policies are never cached
-        return RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=scenario.fingerprint(),
-            zoo_fingerprint=self.zoo.fingerprint(),
-            soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=self.engine_seed,
-        )
-
-    def _soc_fingerprint(self) -> str:
-        # Factories are deterministic in configuration (the same contract
-        # ExperimentRunner and parallel runs rely on), so one sample
-        # fingerprints every run's platform.
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
-
-    # --------------------------------------------------------------- traces
-
-    def _trace(self, scenario: Scenario) -> ScenarioTrace:
-        """The trace for one scenario, acquired exactly once service-wide.
-
-        The first job to need a scenario becomes the owner and
-        loads/builds inline; every other job blocks on the shared future.
-        Frames are materialized before publication so concurrent runs
-        never race to render.
-        """
-        fingerprint = scenario.fingerprint()
-        with self._state:
-            future = self._traces.get(fingerprint)
-            owner = future is None
-            if owner:
-                future = Future()
-                self._traces[fingerprint] = future
-        if owner:
-            try:
-                trace = self._acquire_trace(scenario)
-                _ = trace.frames  # render once, before any consumer
-                future.set_result(trace)
-                with self._state:
-                    self._evict_traces_locked(keep=fingerprint)
-            except BaseException as exc:
-                with self._state:
-                    self._traces.pop(fingerprint, None)  # let a retry rebuild
-                future.set_exception(exc)
-                raise
-        return future.result()
-
-    def _evict_traces_locked(self, keep: str) -> None:
-        """Bound the in-memory trace memo (frames are the big tenant).
-
-        Materialized traces would otherwise accumulate for the service's
-        whole lifetime — one full pixel stack per distinct scenario ever
-        served.  Oldest *completed* entries beyond ``trace_cache_size``
-        are dropped (insertion order); a later job for an evicted
-        scenario reloads from the trace store (cheap) or rebuilds.
-        Results are unaffected either way — traces are pure functions of
-        their scenario.
-        """
-        if self.trace_cache_size is None:
-            return
-        while len(self._traces) > self.trace_cache_size:
-            victim = next(
-                (key for key, future in self._traces.items()
-                 if key != keep and future.done()),
-                None,
-            )
-            if victim is None:
-                break  # everything else is still being built/consumed
-            del self._traces[victim]
-
-    def _acquire_trace(self, scenario: Scenario) -> ScenarioTrace:
-        if self.trace_store is not None:
-            loaded = self.trace_store.load(scenario, self.zoo)
-            if loaded is not None:
-                with self._state:
-                    self.trace_store_hits += 1
-                return loaded
-        trace = ScenarioTrace.build(scenario, self.zoo, max_workers=self.trace_workers)
-        with self._state:
-            self.trace_builds += 1
-        if self.trace_store is not None:
-            self.trace_store.save(trace, self.zoo)
-        return trace
+        return aggregate(self.runner.execute(policy, job.scenario, key))
 
 
 def overlapping_requests(

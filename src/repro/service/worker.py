@@ -40,13 +40,14 @@ from collections.abc import Callable
 
 from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
+from ..runtime.experiment import ExperimentRunner
 from ..runtime.iolayer import StoreDegraded
-from ..runtime.runner import run_policy
-from ..runtime.runstore import RunKey, RunStore
+from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tracing.py patches it here
+from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
-from ..runtime.trace import ScenarioTrace
-from ..sim.soc import SoC, xavier_nx_with_oakd
-from .jobs import ServiceError
+from ..runtime.trace import TraceCache
+from ..sim.soc import SoC
+from .jobs import ServiceError, shift_bundle_resolver
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
 
@@ -105,10 +106,12 @@ class QueueWorker:
     ``run_store`` is mandatory — the queue's at-most-once guarantee *is*
     the store's idempotent commit; without it a re-executed job would be
     a duplicated effect.  ``soc`` is a zero-argument factory (or None for
-    the default platform), same contract as the sweep service.  The
-    worker's RunKey derivation (zoo/soc fingerprints, lease engine seed)
-    matches SweepService exactly, so a queue-drained store warm-serves
-    the in-process service and vice versa.
+    the default platform), same contract as the sweep service.  Each job
+    is a cell of :attr:`runner`, the executor every tier shares (the
+    lease supplies the engine seed), so a queue-drained store
+    warm-serves the in-process service and vice versa.  The worker keeps
+    no trace memo — a drain over many scenarios would hold every rendered
+    trace — so each cold job loads or builds its own.
     """
 
     def __init__(
@@ -141,30 +144,43 @@ class QueueWorker:
             else TraceStore(trace_store)
         )
         self.zoo = zoo if zoo is not None else default_zoo()
-        self._soc_factory = soc
         self._resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self.fast = fast
+        #: The cell executor each job runs through.
+        self.runner = ExperimentRunner(
+            cache=TraceCache(self.zoo, store=self.trace_store, max_size=0),
+            soc=soc,
+            run_store=self.run_store,
+            fast=fast,
+        )
         self.poll_interval = poll_interval
         self.worker_id = worker_id if worker_id is not None else f"worker-{os.getpid()}"
         self.hooks = hooks if hooks is not None else WorkerHooks()
         self.max_jobs = max_jobs
         self.exit_when_drained = exit_when_drained
-        self._soc_fp: str | None = None
         # Counters are read by the harness after the drain loop exits (or
         # the worker dies); the lock keeps the heartbeat thread's updates
         # coherent with the main loop's.
-        self._state = threading.Lock()  # repro: guards[jobs_processed, warm_completes, runs_executed, trace_builds, trace_store_hits, heartbeats_sent, leases_lost, _current_lease]
+        self._state = threading.Lock()  # repro: guards[jobs_processed, warm_completes, heartbeats_sent, leases_lost, _current_lease]
         self._current_lease: Lease | None = None
         self._stop = threading.Event()
         self.jobs_processed = 0
         self.warm_completes = 0
-        self.runs_executed = 0
-        self.trace_builds = 0
-        self.trace_store_hits = 0
         self.heartbeats_sent = 0
         self.leases_lost = 0
+
+    @property
+    def runs_executed(self) -> int:
+        return self.runner.runs_executed
+
+    @property
+    def trace_builds(self) -> int:
+        return self.runner.cache.builds
+
+    @property
+    def trace_store_hits(self) -> int:
+        return self.runner.cache.store_hits
 
     # ---------------------------------------------------------------- drain
 
@@ -279,7 +295,7 @@ class QueueWorker:
 
     def _execute(self, lease: Lease) -> None:
         policy = self._resolver(lease.policy_spec)  # fresh: policies are stateful
-        key = self._run_key(policy, lease)
+        key = self.runner.run_key(policy, lease.scenario_fingerprint, lease.engine_seed)
         if key is None:
             # No fingerprint means no idempotent commit — the queue tier
             # cannot run this policy at-most-once, so refuse loudly.
@@ -289,7 +305,7 @@ class QueueWorker:
                 f"requires run-store idempotence",
             )
             return
-        if self.run_store.load_metrics(key) is not None:
+        if self.runner.cached_metrics(key) is not None:
             # Warm: a previous attempt (ours or a dead worker's) already
             # committed this exact run; completing the record is all
             # that's left.
@@ -298,51 +314,11 @@ class QueueWorker:
             self.hooks.before_complete(self, lease)
             self.queue.complete(lease)
             return
-        trace = self._trace(lease.scenario)
-        soc = self._soc_factory() if self._soc_factory is not None else None
-        result = run_policy(
-            policy, trace, soc=soc, engine_seed=lease.engine_seed, fast=self.fast
-        )
-        with self._state:
-            self.runs_executed += 1
+        result = self.runner.execute(policy, lease.scenario, engine_seed=lease.engine_seed)
         self.hooks.before_commit(self, lease, self.run_store.path_for(key))
         self.run_store.commit(result, key)
         self.hooks.before_complete(self, lease)
         self.queue.complete(lease)
-
-    def _run_key(self, policy: Policy, lease: Lease) -> RunKey | None:
-        try:
-            fingerprint = policy.fingerprint()
-        except NotImplementedError:
-            return None
-        return RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=fingerprint,
-            scenario_fingerprint=lease.scenario_fingerprint,
-            zoo_fingerprint=self.zoo.fingerprint(),
-            soc_fingerprint=self._soc_fingerprint(),
-            engine_seed=lease.engine_seed,
-        )
-
-    def _soc_fingerprint(self) -> str:
-        if self._soc_fp is None:
-            soc = self._soc_factory() if self._soc_factory is not None else xavier_nx_with_oakd()
-            self._soc_fp = soc.fingerprint()
-        return self._soc_fp
-
-    def _trace(self, scenario) -> ScenarioTrace:
-        if self.trace_store is not None:
-            loaded = self.trace_store.load(scenario, self.zoo)
-            if loaded is not None:
-                with self._state:
-                    self.trace_store_hits += 1
-                return loaded
-        trace = ScenarioTrace.build(scenario, self.zoo)
-        with self._state:
-            self.trace_builds += 1
-        if self.trace_store is not None:
-            self.trace_store.save(trace, self.zoo)
-        return trace
 
 
 # ------------------------------------------------------------ process entry
@@ -418,20 +394,11 @@ def run(args: argparse.Namespace) -> int:
         hooks = ProcessFaultHooks(FaultPlan.load(args.fault_plan))
     resolver = None
     if args.shift_bundle is not None:
-        from ..characterization import BundleSchemaError, load_bundle
-        from ..core import ConfidenceGraph
-
         try:
-            bundle = load_bundle(args.shift_bundle)
-        except (BundleSchemaError, OSError) as exc:
-            print(f"repro work: cannot load --shift-bundle {args.shift_bundle}: {exc}",
-                  file=sys.stderr)
+            resolver = shift_bundle_resolver(args.shift_bundle, args.objective)
+        except ServiceError as exc:
+            print(f"repro work: {exc}", file=sys.stderr)
             return 2
-        resolver = default_policy_resolver(
-            bundle=bundle,
-            graph=ConfidenceGraph.build(bundle.observations),
-            objective=args.objective,
-        )
     worker = QueueWorker(
         queue,
         run_store=args.run_store,

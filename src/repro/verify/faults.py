@@ -48,6 +48,7 @@ from typing import ClassVar
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
+from ..runtime.experiment import ExperimentRunner
 from ..runtime.metrics import aggregate
 from ..runtime.runner import run_policy
 from ..runtime.runstore import RunKey, RunStore
@@ -56,7 +57,6 @@ from ..runtime.trace import ScenarioTrace
 from ..service.jobs import UnitJob, policy_resolver
 from ..service.queue import JobQueue, job_digest
 from ..service.worker import QueueWorker, WorkerHooks, WorkerKilled
-from ..sim.soc import xavier_nx_with_oakd
 
 FAULT_PLAN_SCHEMA_VERSION = 1
 
@@ -429,23 +429,12 @@ class DrainHarness:
     def _run_keys(self) -> dict[str, RunKey]:
         """The run-store key of every committable job, by job digest."""
         resolve = policy_resolver()
-        zoo_fp = self.zoo.fingerprint()
-        soc_fp = xavier_nx_with_oakd().fingerprint()
+        runner = ExperimentRunner(self.zoo, engine_seed=self.engine_seed, run_store=self.run_store)
         keys: dict[str, RunKey] = {}
         for digest, job in self.unique_jobs.items():
-            policy = resolve(job.policy_spec)
-            try:
-                fingerprint = policy.fingerprint()
-            except NotImplementedError:
-                continue  # not committable; the queue dead-letters these loudly
-            keys[digest] = RunKey(
-                policy_name=policy.name,
-                policy_fingerprint=fingerprint,
-                scenario_fingerprint=job.key[1],
-                zoo_fingerprint=zoo_fp,
-                soc_fingerprint=soc_fp,
-                engine_seed=self.engine_seed,
-            )
+            key = runner.run_key(resolve(job.policy_spec), job.key[1])
+            if key is not None:  # else not committable: the queue dead-letters it loudly
+                keys[digest] = key
         return keys
 
     # ----------------------------------------------------------------- drain

@@ -31,9 +31,26 @@ class TestTraceTier:
         runner.build_traces(scenarios)
         assert runner.cache.builds == len(scenarios), "warm scenarios must not rebuild"
 
-    def test_parallel_build_traces_matches_serial(self, zoo, scenarios):
+    def test_parallel_build_traces_matches_serial(self, zoo, scenarios, monkeypatch):
+        # Drop both pool guards so the cross-scenario fan-out really runs
+        # on these small scenarios; outcomes must match serial exactly.
+        import repro.runtime.trace as trace_module
+
         serial = ExperimentRunner(zoo).build_traces(scenarios)
-        parallel = ExperimentRunner(zoo, max_workers=3).build_traces(scenarios)
+        monkeypatch.setattr(trace_module, "MIN_MODEL_FRAMES_PER_WORKER", 1)
+        monkeypatch.setattr(trace_module, "_available_cpus", lambda: 8)
+        pooled = []
+        real_pool_build = trace_module._pool_build
+
+        def spy(batch, *args):
+            pooled.append(len(batch))
+            return real_pool_build(batch, *args)
+
+        monkeypatch.setattr(trace_module, "_pool_build", spy)
+        runner = ExperimentRunner(zoo, max_workers=3)
+        parallel = runner.build_traces(scenarios)
+        assert pooled == [len(scenarios)], "the cross-scenario pool never ran"
+        assert runner.cache.builds == len(scenarios)
         for a, b in zip(serial, parallel, strict=True):
             assert a.outcomes == b.outcomes
 

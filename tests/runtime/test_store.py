@@ -120,23 +120,25 @@ class TestStoreBackedCache:
 
     def test_store_get_builds_once(self, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)
-        a = store.get(scenario, zoo)
+        a = TraceCache(zoo, store=store).get(scenario)
         assert len(store) == 1
-        b = store.get(scenario, zoo)
+        cache = TraceCache(zoo, store=store)
+        b = cache.get(scenario)
+        assert (cache.builds, cache.store_hits) == (0, 1)
         assert a.outcomes == b.outcomes
 
     def test_different_zoo_gets_its_own_entry(self, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)
-        store.get(scenario, zoo)
+        TraceCache(zoo, store=store).get(scenario)
         smaller = default_zoo()
         smaller.remove("yolov7")
-        trace = store.get(scenario, smaller)
+        trace = TraceCache(smaller, store=store).get(scenario)
         assert len(store) == 2
         assert "yolov7" not in trace.model_names()
 
     def test_clear(self, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)
-        store.get(scenario, zoo)
+        TraceCache(zoo, store=store).get(scenario)
         assert store.clear() == 1
         assert len(store) == 0
 
@@ -159,6 +161,8 @@ class TestTornEntry:
         assert store.load(scenario, zoo) is None
         assert store.corrupt_entries == 1
         assert not path.exists(), "the torn entry must be quarantined"
-        rebuilt = store.get(scenario, zoo)  # miss -> rebuild -> persist
+        cache = TraceCache(zoo, store=store)
+        rebuilt = cache.get(scenario)  # miss -> rebuild -> persist
+        assert cache.builds == 1
         assert rebuilt.outcomes == trace.outcomes
         assert store.load(scenario, zoo).outcomes == trace.outcomes

@@ -21,7 +21,7 @@ import pytest
 from repro.baselines import SingleModelPolicy
 from repro.data import scenario_by_name
 from repro.models import default_zoo
-from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceStore, run_policy
+from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceCache, TraceStore, run_policy
 from repro.runtime import run_to_dict, shards, trace_to_dict
 from repro.runtime.runstore import RUN_ALGORITHM_VERSION
 from repro.runtime.store import ALGORITHM_VERSION
@@ -224,7 +224,9 @@ class TestCrashConsistency:
         assert store.load(scenario, zoo) is None
         assert store.corrupt_entries == 1
         assert not path.exists()
-        rebuilt = store.get(scenario, zoo)  # miss -> rebuild -> persist
+        cache = TraceCache(zoo, store=store)
+        rebuilt = cache.get(scenario)  # miss -> rebuild -> persist
+        assert cache.builds == 1
         assert rebuilt.outcomes == trace.outcomes
         assert store.load(scenario, zoo) is not None
 

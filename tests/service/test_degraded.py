@@ -326,33 +326,49 @@ class TestHttpDegraded:
             cold_rows, summary = stream(base, request_id)
             assert summary["error"] is None and len(cold_rows) == 1
 
+            # The disk really is full: every write, the recovery probe
+            # included, fails until the plan is disarmed.
             iolayer.mark_degraded(service.run_store.root, "disk full (test)")
-
-            # Warm hit: served read-only, bit-identical to the cold run.
-            status, resp = post(base, warm_payload)
-            assert status == 202
-            [request_id] = resp["request_ids"]
-            warm_rows, summary = stream(base, request_id)
-            assert summary["error"] is None
-            assert warm_rows == cold_rows
-
-            # Cold miss: refused loudly in the terminal stream line.
             cold_payload = [{"policies": ["marlin-tiny"],
                              "scenarios": [scenarios[0].name]}]
+            iolayer.arm_fault_plan(enospc_everywhere())
+            try:
+                # Warm hit: served read-only, bit-identical to the cold run.
+                status, resp = post(base, warm_payload)
+                assert status == 202
+                [request_id] = resp["request_ids"]
+                warm_rows, summary = stream(base, request_id)
+                assert summary["error"] is None
+                assert warm_rows == cold_rows
+
+                # Cold miss: refused loudly in the terminal stream line.
+                status, resp = post(base, cold_payload)
+                assert status == 202  # admission is fine — execution is not
+                [request_id] = resp["request_ids"]
+                rows, summary = stream(base, request_id)
+                assert rows == []
+                assert summary["error"] is not None
+                assert "degraded" in summary["error"]
+
+                health_error = None
+                try:
+                    get_json(base, "/healthz")
+                except urllib.error.HTTPError as exc:
+                    health_error = exc
+                assert health_error is not None and health_error.code == 503
+            finally:
+                iolayer.disarm_fault_plan()
+
+            # Space returned: the next cold miss probes the root, clears
+            # the flag and streams its row — no operator, no restart.
             status, resp = post(base, cold_payload)
-            assert status == 202  # admission is fine — execution is not
+            assert status == 202
             [request_id] = resp["request_ids"]
             rows, summary = stream(base, request_id)
-            assert rows == []
-            assert summary["error"] is not None
-            assert "degraded" in summary["error"]
-
-            health_error = None
-            try:
-                get_json(base, "/healthz")
-            except urllib.error.HTTPError as exc:
-                health_error = exc
-            assert health_error is not None and health_error.code == 503
+            assert summary["error"] is None and len(rows) == 1
+            assert not service.degraded
+            health = get_json(base, "/healthz")
+            assert health["status"] == "ok" and health["degraded"] is False
         finally:
             server.shutdown()
             server.server_close()

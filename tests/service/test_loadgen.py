@@ -54,14 +54,14 @@ def test_warm_second_process_equivalent(loadgen, tmp_path, capsys):
 def test_loadgen_detects_divergence(loadgen, tmp_path, capsys, monkeypatch):
     # Force the service's runs onto a different engine seed than the
     # serial checker: bit-equality must fail and the exit code flip.
-    import repro.service.service as service_mod
+    import repro.runtime.experiment as executor_mod
 
-    real = service_mod.run_policy
+    real = executor_mod.run_policy
 
     def skewed(policy, trace, soc=None, engine_seed=1234, fast=False):
         return real(policy, trace, soc=soc, engine_seed=engine_seed + 1, fast=fast)
 
-    monkeypatch.setattr(service_mod, "run_policy", skewed)
+    monkeypatch.setattr(executor_mod, "run_policy", skewed)
     code = loadgen.main([
         "--requests", "2", "--workers", "2", "--budget", "24", "--scenario-count", "1",
         "--trace-store", str(tmp_path / "t"), "--run-store", str(tmp_path / "r"),

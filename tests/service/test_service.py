@@ -96,6 +96,15 @@ class TestAcceptance:
             assert service.runs_executed + service.run_store_hits == len(distinct)
             assert service.jobs_coalesced > 0, "the mix must actually overlap"
             assert service.corrupt_entries == 0
+            # Single flight: four threads racing over shared scenarios
+            # build each trace exactly once and never reload one.
+            requested = {
+                scenario.fingerprint()
+                for request in requests
+                for scenario in request.resolve_scenarios()
+            }
+            assert service.trace_builds == len(requested)
+            assert service.trace_store_hits == 0
 
         # Warm re-serve against the same stores: zero runs, zero builds.
         with SweepService(
@@ -250,7 +259,7 @@ class TestResilienceAndBounds:
                 service.submit(
                     SweepRequest(policies=("marlin-tiny",), scenarios=(scenario,))
                 ).result()
-                assert len(service._traces) <= 2
+                assert len(service.runner.cache) <= 2
             assert service.runs_executed == 4
 
     def test_evicted_trace_reloads_from_store(self, zoo, scenarios, tmp_path):

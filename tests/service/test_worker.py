@@ -106,6 +106,21 @@ class TestDrain:
         assert warm.trace_builds == 0
         assert warm.warm_completes == len(jobs)
 
+    def test_worker_keeps_no_trace_memo(self, tmp_path, scenarios):
+        # Two cold jobs over one scenario: the first builds the trace, the
+        # second reloads it from the store; nothing stays in memory, so a
+        # long drain's footprint does not grow with the scenarios it saw.
+        queue = JobQueue(tmp_path / "q")
+        queue.enqueue_all(decompose(SweepRequest(
+            policies=("marlin-tiny", "single:yolov7-tiny@gpu"), scenarios=(scenarios[0],),
+        )), engine_seed=ENGINE_SEED)
+        worker = QueueWorker(queue, run_store=tmp_path / "runs",
+                             trace_store=tmp_path / "traces", worker_id="wA")
+        worker.drain()
+        assert worker.runs_executed == 2
+        assert (worker.trace_builds, worker.trace_store_hits) == (1, 1)
+        assert len(worker.runner.cache) == 0
+
     def test_unresolvable_spec_dead_letters_loudly(self, tmp_path, scenarios):
         bad = decompose(SweepRequest(policies=("single:no-such-model",),
                                      scenarios=(scenarios[0],)))

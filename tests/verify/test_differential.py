@@ -241,15 +241,15 @@ class TestHarnessDetectsViolations:
         # A service whose runs are not bit-identical to the serial loop
         # (here: a skewed engine seed standing in for any concurrency
         # bug) must fail the service check, naming the differing fields.
-        import repro.service.service as service_mod
+        import repro.runtime.experiment as executor_mod
         from repro.verify import check_service_equivalence
 
-        real = service_mod.run_policy
+        real = executor_mod.run_policy
 
         def skewed(policy, run_trace, soc=None, engine_seed=1234, fast=False):
             return real(policy, run_trace, soc=soc, engine_seed=engine_seed + 1, fast=fast)
 
-        monkeypatch.setattr(service_mod, "run_policy", skewed)
+        monkeypatch.setattr(executor_mod, "run_policy", skewed)
         result = check_service_equivalence(trace, zoo)
         assert not result.passed
         assert "diverge" in result.detail
@@ -264,8 +264,8 @@ class TestHarnessDetectsViolations:
 
         def double_counting(self, job):
             metrics = original(self, job)
-            with self._state:
-                self.runs_executed += 5  # simulate re-executions
+            with self.runner._lock:
+                self.runner.runs_executed += 5  # simulate re-executions
             return metrics
 
         monkeypatch.setattr(SweepService, "_execute", double_counting)
