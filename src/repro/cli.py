@@ -380,10 +380,9 @@ def _serve_procs(args: argparse.Namespace) -> int:
 
     counts = queue.counts()
     if counts["dead"]:
-        for record in queue.records():
-            if record.get("state") == "dead":
-                print(f"dead-letter: {record['policy_spec']} x {record['scenario_name']}: "
-                      f"{record.get('error')}", file=sys.stderr)
+        for record in queue.dead_letters():
+            print(f"dead-letter: {record['policy_spec']} x {record['scenario_name']}: "
+                  f"{record.get('error')}", file=sys.stderr)
         print(f"serve --procs: {counts['dead']} jobs dead-lettered; inspect with "
               f"'python -m repro queue {queue_dir}' and retry with --requeue-dead",
               file=sys.stderr)
@@ -585,7 +584,7 @@ def _cmd_queue(args: argparse.Namespace) -> int:
     checked, problems = queue.audit()
     for problem in problems:
         print(f"audit: {problem}", file=sys.stderr)
-    print(f"audit: {checked} shards checked, {len(problems)} problems")
+    print(f"audit: {checked} entries checked, {len(problems)} problems")
     return 1 if problems else 0
 
 

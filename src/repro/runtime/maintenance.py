@@ -26,6 +26,8 @@ stores and the job queue all wire up through one mixin,
     missing on disk — e.g. a lost rename that was still indexed) and
     re-index *orphans* (on disk but not indexed — e.g. an entry whose
     index write hit a full disk), quarantining orphans that do not parse.
+    For the job queue, whose index meta tracks record state, repair also
+    rewrites every meta that no longer matches its record.
 
 All three are metamorphic no-ops for servable data: a scrub+gc+repair
 pass leaves every entry a reader could successfully load bit-identical
@@ -93,12 +95,14 @@ class RepairReport:
     ghosts_dropped: int = 0
     orphans_indexed: int = 0
     quarantined: int = 0
+    metas_rewritten: int = 0
 
     def summary(self) -> str:
         return (
             f"repair {self.root}: {self.ghosts_dropped} ghost index records dropped, "
             f"{self.orphans_indexed} orphan entries re-indexed, "
-            f"{self.quarantined} unparseable orphans quarantined"
+            f"{self.quarantined} unparseable orphans quarantined, "
+            f"{self.metas_rewritten} stale index records rewritten"
         )
 
 
@@ -286,6 +290,8 @@ def repair_entries(
     root: Path,
     pattern: str,
     meta_for: Callable[[dict], dict],
+    *,
+    refresh_metas: bool = False,
 ) -> RepairReport:
     """Heal index↔disk drift: drop ghosts, re-index orphans, quarantine junk.
 
@@ -294,7 +300,10 @@ def repair_entries(
     shard under the shard lock, rewriting each index at most once.
     Orphans that fail to *parse* are quarantined; orphans that fail to
     *read* (transient I/O) are skipped for a later pass — repair must not
-    destroy an entry on the evidence of a flaky disk.
+    destroy an entry on the evidence of a flaky disk.  With
+    ``refresh_metas`` every indexed entry is re-read as well and a meta
+    that differs from ``meta_for(payload)`` is rewritten; an entry that
+    does not read or parse is left to scrub.
     """
     report = RepairReport(root=str(root))
     for shard in shards.shard_dirs(root):
@@ -322,6 +331,17 @@ def repair_entries(
                 indexed[name] = meta_for(payload)
                 report.orphans_indexed += 1
                 changed = True
+            if refresh_metas:
+                for name in sorted(set(indexed) & on_disk):
+                    try:
+                        payload = colfmt.load_entry_payload(shard / name, root=root)
+                    except (OSError, *colfmt.PARSE_ERRORS):  # repro: allow[exceptions/swallow] scrub's territory: unreadable or torn entries are not repair's to judge
+                        continue
+                    meta = meta_for(payload)
+                    if indexed[name] != meta:
+                        indexed[name] = meta
+                        report.metas_rewritten += 1
+                        changed = True
             if changed:
                 shards.write_index_locked(shard, indexed)
     return report
@@ -334,9 +354,11 @@ class MaintainedRoot:
     and supply its hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
     ``_digest_from_name`` (file name -> shard digest, or None),
     ``_scrub_problem`` (why a parsed entry is unsound, or None),
-    ``_index_meta`` (a payload's shard-index identity block), and
+    ``_index_meta`` (a payload's shard-index identity block),
     :attr:`_gc_collect` (which parsed entries expire like quarantined
-    files; None collects no entries).
+    files; None collects no entries), and :attr:`_index_problem` (what
+    an audit reports about an entry's index meta against its payload;
+    None checks nothing beyond presence and parsing).
     """
 
     ENTRY_GLOB: ClassVar[str]
@@ -344,6 +366,7 @@ class MaintainedRoot:
     _scrub_problem: Callable[[str, dict], str | None]
     _index_meta: Callable[[dict], dict]
     _gc_collect: Callable[[dict], bool] | None = None
+    _index_problem: Callable[[object, dict], str | None] | None = None
 
     root: Path
 
@@ -358,7 +381,7 @@ class MaintainedRoot:
 
     def audit(self) -> tuple[int, list[str]]:
         """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, self.ENTRY_GLOB)
+        return shards.audit_entries(self.root, self.ENTRY_GLOB, self._index_problem)
 
     @property
     def degraded(self) -> bool:

@@ -17,7 +17,9 @@ locking.
 **Per-shard index.**  Each shard carries an ``index.json`` mapping entry
 file names to their identity block (the fingerprints the entry was keyed
 by).  Tools can enumerate a store's contents — and audit that every
-indexed entry still parses — without opening every payload.
+indexed entry still parses — without opening every payload.  The job
+queue's block also carries each record's state and due times, which
+makes the index its claim index.
 
 **Advisory locks.**  All mutations (entry writes, removals, stale-temp
 cleanup, format migration) happen under an ``fcntl`` advisory lock on the
@@ -48,10 +50,11 @@ silently dropped.
 from __future__ import annotations
 
 import json
+import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
 from ..util import jsonsafe
 from . import colfmt, iolayer
@@ -96,15 +99,26 @@ def shard_dir(root: Path, digest: str) -> Path:
     return root / shard_prefix(digest)
 
 
+_HEX_DIGITS = frozenset("0123456789abcdef")
+
+
 def shard_dirs(root: Path) -> list[Path]:
-    """Every existing shard directory under ``root``, sorted."""
-    if not root.is_dir():
+    """Every existing shard directory under ``root``, sorted.
+
+    One ``scandir`` pass: a child's name is checked first, and
+    ``is_dir`` answers from the entry's ``d_type`` where the filesystem
+    reports it, so no child is ``stat``-ed on the common path.
+    """
+    try:
+        with os.scandir(root) as children:
+            names = sorted(
+                child.name for child in children
+                if len(child.name) == SHARD_PREFIX_CHARS
+                and _HEX_DIGITS.issuperset(child.name) and child.is_dir()
+            )
+    except (FileNotFoundError, NotADirectoryError):
         return []
-    return sorted(
-        p for p in root.iterdir()
-        if p.is_dir() and len(p.name) == SHARD_PREFIX_CHARS
-        and all(c in "0123456789abcdef" for c in p.name)
-    )
+    return [root / name for name in names]
 
 
 def _thread_lock_for(path: Path) -> threading.Lock:
@@ -175,8 +189,8 @@ def _write_index(shard: Path, entries: dict[str, dict]) -> None:
 def write_index_locked(shard: Path, entries: dict[str, dict]) -> None:
     """Rewrite a shard's index wholesale (callers hold the shard lock).
 
-    The maintenance tier's primitive: repair passes rebuild the entry map
-    and commit it in one atomic write.
+    Repair passes and the job queue's transitions hold the entry map in
+    memory and commit it in one atomic write.
     """
     _write_index(shard, entries)
 
@@ -197,10 +211,10 @@ def write_entry(root: Path, digest: str, name: str, data: str | bytes, meta: dic
 def write_entry_locked(shard: Path, name: str, data: str | bytes, meta: dict) -> Path:
     """Entry write + index update for callers already holding the shard lock.
 
-    The job queue's claim sweep mutates several entries per shard under
-    one lock acquisition; re-entering :func:`shard_lock` per entry would
-    deadlock on the per-path thread mutex (it is not reentrant), so the
-    multi-entry paths compose this primitive instead.
+    Multi-entry paths hold one lock acquisition across several entries;
+    re-entering :func:`shard_lock` per entry would deadlock on the
+    per-path thread mutex (it is not reentrant), so they compose this
+    primitive instead.
     """
     path = _replace_atomically(shard, name, data)
     entries = read_index(shard)
@@ -209,37 +223,14 @@ def write_entry_locked(shard: Path, name: str, data: str | bytes, meta: dict) ->
     return path
 
 
-def update_entry(
-    root: Path, digest: str, name: str, mutate: "callable"
-) -> dict | None:
-    """Read-modify-write one entry atomically under the shard lock.
+def write_file_locked(shard: Path, name: str, data: str | bytes) -> Path:
+    """Replace one entry file and leave the index alone (lock held).
 
-    Loads the current payload (``None`` when the entry is missing or
-    unparseable), passes it to ``mutate(payload) -> dict | None``, and —
-    when ``mutate`` returns a dict — writes it back atomically and
-    refreshes the index record's existing metadata.  Returning ``None``
-    from ``mutate`` leaves the entry untouched (compare-and-swap failure).
-    Returns whatever ``mutate`` returned.  The whole cycle holds the shard
-    lock, so two concurrent updates serialize and neither loses a write.
+    For a root that orders the entry write against its own index write
+    (the job queue, whose index meta tracks record state); stores use
+    :func:`write_entry_locked`.
     """
-    shard = shard_dir(root, digest)
-    with shard_lock(shard):
-        path = shard / name
-        try:
-            payload = json.loads(iolayer.read_text(path, root=root))
-            if not isinstance(payload, dict):
-                payload = None
-        except (OSError, json.JSONDecodeError):
-            payload = None
-        updated = mutate(payload)
-        if updated is None:
-            return None
-        _replace_atomically(shard, name, jsonsafe.dumps(updated, sort_keys=True))
-        entries = read_index(shard)
-        if name not in entries:
-            entries[name] = {}
-        _write_index(shard, entries)
-        return updated
+    return _replace_atomically(shard, name, data)
 
 
 def remove_entry(root: Path, digest: str, name: str) -> bool:
@@ -376,14 +367,19 @@ def iter_entry_paths(root: Path, pattern: str) -> Iterator[Path]:
         yield from sorted(shard.glob(pattern))
 
 
-def audit_entries(root: Path, pattern: str) -> tuple[int, list[str]]:
+def audit_entries(
+    root: Path,
+    pattern: str,
+    check: Callable[[object, dict], str | None] | None = None,
+) -> tuple[int, list[str]]:
     """Audit a store: every indexed entry must exist and parse.
 
     Returns ``(entries_checked, problems)`` where ``problems`` is a list of
     human-readable findings: indexed-but-missing files, unparseable
-    payloads, and files present on disk but absent from their shard index.
-    A clean store returns ``(n, [])``.  Entries are parsed via
-    :func:`repro.runtime.colfmt.load_entry_payload`.
+    payloads, files present on disk but absent from their shard index,
+    and whatever ``check(meta, payload)`` reports about an entry's index
+    meta against its parsed payload.  A clean store returns ``(n, [])``.
+    Entries are parsed via :func:`repro.runtime.colfmt.load_entry_payload`.
     """
     problems: list[str] = []
     checked = 0
@@ -403,6 +399,10 @@ def audit_entries(root: Path, pattern: str) -> tuple[int, list[str]]:
                 continue
             if not isinstance(payload, dict):
                 problems.append(f"{shard.name}/{name}: not a JSON object")
+                continue
+            problem = check(indexed[name], payload) if check is not None else None
+            if problem is not None:
+                problems.append(f"{shard.name}/{name}: {problem}")
         for name in sorted(on_disk - set(indexed)):
             problems.append(f"{shard.name}/{name}: on disk but not indexed")
     return checked, problems

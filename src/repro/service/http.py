@@ -361,12 +361,8 @@ class QueueBackend:
         return _QueueHandle(self, cells)
 
     def dead_letters(self) -> dict[str, str | None]:
-        """job_id -> error for every dead-lettered job (one queue scan)."""
-        return {
-            record["job_id"]: record.get("error")
-            for record in self.queue.records()
-            if record.get("state") == "dead"
-        }
+        """job_id -> error for every dead-lettered job."""
+        return {record["job_id"]: record.get("error") for record in self.queue.dead_letters()}
 
     def counters(self) -> dict[str, int]:
         counts = self.queue.counts()
@@ -644,8 +640,7 @@ class SweepFrontend:
                 "attempts": record.get("attempts"),
                 "error": record.get("error"),
             }
-            for record in queue.records()
-            if record.get("state") == "dead"
+            for record in queue.dead_letters()
         ]
         return {
             "api_version": HTTP_API_VERSION,

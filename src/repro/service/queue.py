@@ -16,12 +16,22 @@ recoverable via :meth:`JobQueue.requeue_dead`).
 **Leases.**  A worker claims a job by writing a lease — owner id, random
 nonce, and a wall-clock deadline — under the shard's fcntl lock, and
 heartbeats it while executing (each heartbeat pushes the deadline out).
-Every claim sweep first expires overdue leases it walks past, so a
-SIGKILLed worker's jobs migrate to the survivors no later than the next
-claim after the deadline.  The nonce fences stale owners: a worker that
+A claim walk expires every overdue lease it meets, so a SIGKILLed
+worker's jobs migrate to the survivors once a walk passes their shard
+after the deadline.  The nonce fences stale owners: a worker that
 stalls past its deadline and then tries to complete loses the
 compare-and-swap (its nonce is gone) and its late commit is ignored at
 the queue layer.
+
+**Claim index.**  Each shard's ``index.json`` carries every record's
+state, ``not_before`` and lease ``deadline`` (:func:`job_index_meta`),
+rewritten with each transition under the same shard lock.  A claim reads
+one index per shard it visits and re-reads only the records that index
+shows as due or does not list, so its cost does not grow with the
+number of done jobs.  The record stays the only truth: readers trust an
+index entry only when it shows a terminal state, and one write-order
+rule keeps that safe — an index may show a terminal record as live, but
+never a live record as terminal (:meth:`JobQueue._store_locked`).
 
 **At-most-once in effect.**  The queue itself guarantees only
 at-*least*-once execution — a lease can expire while the worker is still
@@ -41,6 +51,7 @@ differential check and CI's ``fault-smoke`` job both enforce this.
 
 from __future__ import annotations
 
+import bisect
 import hashlib
 import json
 import os
@@ -61,6 +72,10 @@ QUEUE_SCHEMA_VERSION = 1
 
 #: Every state a job record can be in.
 JOB_STATES = ("pending", "leased", "done", "dead")
+
+#: States a reader may take from a shard index without re-reading the
+#: record: the write-order rule never shows a live record as terminal.
+TERMINAL_STATES = ("done", "dead")
 
 #: Most recent transitions kept per record (oldest dropped first).
 HISTORY_LIMIT = 20
@@ -104,14 +119,59 @@ def job_to_dict(job: UnitJob, engine_seed: int, max_attempts: int) -> dict:
 
 
 def job_index_meta(record: dict) -> dict:
-    """The identity block a shard index records for one job entry."""
+    """The block a shard index records for one job entry.
+
+    Identity plus the claim index: ``state``, ``not_before`` and the
+    lease ``deadline`` (None unless leased), rewritten with every
+    transition, so a claim can skip entries that are not due yet.
+    """
+    lease = record.get("lease")
     return {
         "job_id": record.get("job_id"),
         "policy_spec": record.get("policy_spec"),
         "scenario_name": record.get("scenario_name"),
         "scenario_fingerprint": record.get("scenario_fingerprint"),
         "state": record.get("state"),
+        "not_before": record.get("not_before"),
+        "deadline": lease.get("deadline") if isinstance(lease, dict) else None,
     }
+
+
+def _shown_state(meta: object) -> object:
+    """The state one index entry shows (None for a malformed entry)."""
+    return meta.get("state") if isinstance(meta, dict) else None
+
+
+def _index_due(meta: object, now: float) -> bool:
+    """Whether a claim must re-read the record behind one index entry.
+
+    Only terminal entries and live ones that are not due yet (pending
+    before ``not_before``, leased before its ``deadline``) are skipped;
+    a due, unknown or malformed entry is re-read.
+    """
+    state = _shown_state(meta)
+    if state in TERMINAL_STATES:
+        return False
+    due_field = {"pending": "not_before", "leased": "deadline"}.get(state)
+    due_at = meta.get(due_field) if due_field is not None else None
+    return not isinstance(due_at, (int, float)) or due_at <= now
+
+
+def _index_hides_work(meta: object, record: dict) -> str | None:
+    """The audit's drift check: the one drift that hides work from claims."""
+    shown = _shown_state(meta)
+    if shown in TERMINAL_STATES and record.get("state") not in TERMINAL_STATES:
+        return f"index shows {shown} but the record is {record.get('state')} (hidden from claims)"
+    return None
+
+
+def _job_names(shard: Path) -> list[str]:
+    """The job record files in ``shard``, sorted (in-flight temps excluded)."""
+    try:
+        names = os.listdir(shard)
+    except FileNotFoundError:
+        return []
+    return sorted(name for name in names if name.startswith("job-") and name.endswith(".json"))
 
 
 def _digest_from_name(name: str) -> str | None:
@@ -166,6 +226,22 @@ class Lease:
     attempt: int
 
 
+def _lease_of(record: dict) -> Lease:
+    """The lease a ``leased`` record holds."""
+    held = record["lease"]
+    return Lease(
+        job_id=record["job_id"],
+        policy_spec=record["policy_spec"],
+        scenario=scenario_from_dict(record["scenario"]),
+        scenario_fingerprint=record["scenario_fingerprint"],
+        engine_seed=record["engine_seed"],
+        owner=held["owner"],
+        nonce=held["nonce"],
+        deadline=held["deadline"],
+        attempt=record["attempts"],
+    )
+
+
 class JobQueue(maintenance.MaintainedRoot):
     """A sharded on-disk queue of unit jobs with lease/heartbeat semantics.
 
@@ -200,6 +276,7 @@ class JobQueue(maintenance.MaintainedRoot):
     _digest_from_name = staticmethod(_digest_from_name)
     _scrub_problem = staticmethod(_scrub_problem)
     _index_meta = staticmethod(job_index_meta)
+    _index_problem = staticmethod(_index_hides_work)
 
     @staticmethod
     def _gc_collect(record: dict) -> bool:
@@ -236,7 +313,7 @@ class JobQueue(maintenance.MaintainedRoot):
         self.backoff_seed = backoff_seed
         self._clock = clock if clock is not None else time.time
         # One mutex for the counter block; enforced by `repro lint`.
-        self._state = threading.Lock()  # repro: guards[claims_granted, jobs_completed, jobs_failed, leases_expired, jobs_requeued, jobs_dead, leases_lost, jobs_released, corrupt_records, clock_skew_events, degraded_refusals, _last_reading]
+        self._state = threading.Lock()  # repro: guards[claims_granted, jobs_completed, jobs_failed, leases_expired, jobs_requeued, jobs_dead, leases_lost, jobs_released, corrupt_records, clock_skew_events, degraded_refusals, _last_reading, _shards, _resume]
         self.claims_granted = 0
         self.jobs_completed = 0
         self.jobs_failed = 0
@@ -249,6 +326,10 @@ class JobQueue(maintenance.MaintainedRoot):
         self.clock_skew_events = 0
         self.degraded_refusals = 0
         self._last_reading: float | None = None
+        #: The shard ring claims walk; re-listed after a fruitless full walk.
+        self._shards: list[Path] = []
+        #: owner -> (shard name, start past it) where its next walk begins.
+        self._resume: dict[str, tuple[str, bool]] = {}
 
     # ----------------------------------------------------------------- clock
 
@@ -299,7 +380,7 @@ class JobQueue(maintenance.MaintainedRoot):
             created = True
             return record
 
-        shards.update_entry(self.root, record["job_id"], _job_file_name(record["job_id"]), mutate)
+        self._update(record["job_id"], mutate)
         return created
 
     def enqueue_all(self, jobs: list[UnitJob], *, engine_seed: int = 1234) -> int:
@@ -320,12 +401,17 @@ class JobQueue(maintenance.MaintainedRoot):
     def claim(self, owner: str) -> Lease | None:
         """Try to lease one runnable job; None when nothing is claimable.
 
-        Walks the shards starting at an owner-derived offset (different
-        workers scan in different orders, spreading lock contention),
-        expiring every overdue lease it passes — crash recovery is a side
-        effect of normal claiming, no reaper process needed.  ``None``
-        means *right now*: jobs backing off or leased elsewhere may
-        become claimable later, so workers poll until :meth:`drained`.
+        Walks the shard ring from this owner's resume point: the shard of
+        its last grant while that shard still had due work, else the one
+        after it (a first claim starts at an owner-derived offset, so
+        workers spread over the ring).  Each visited shard costs one
+        index read; under its lock only the records the index shows as
+        due or does not list are re-read, and an overdue lease among them
+        is expired on the way — crash recovery is a side effect of normal
+        claiming, no reaper process needed.  The shard list is cached and
+        re-listed only when a walk finishes a full ring without a grant.
+        ``None`` means *right now*: jobs backing off or leased elsewhere
+        may become claimable later, so workers poll until :meth:`drained`.
 
         While the queue root is degraded (disk capacity exhausted) no
         claim is granted at all: a lease against a store that cannot
@@ -338,28 +424,68 @@ class JobQueue(maintenance.MaintainedRoot):
                 self.degraded_refusals += 1
             return None
         now = self._now()
-        shard_list = shards.shard_dirs(self.root)
-        if not shard_list:
-            return None
-        offset = int(hashlib.sha256(owner.encode("utf-8")).hexdigest()[:8], 16) % len(shard_list)
-        for shard in shard_list[offset:] + shard_list[:offset]:
-            try:
-                with shards.shard_lock(shard):
-                    lease = self._claim_in_shard_locked(shard, owner, now)
-            except StoreDegraded:
-                # The grant write itself hit a full disk: the record on
-                # disk is unchanged (atomic replace never landed), so no
-                # lease exists and no attempt was burned.
-                with self._state:
-                    self.degraded_refusals += 1
-                return None
-            if lease is not None:
-                return lease
+        walked: set[str] = set()
+        for relist in (False, True):
+            ring, listed = self._ring(owner, relist)
+            for shard in ring:
+                if shard.name in walked:
+                    continue
+                walked.add(shard.name)
+                try:
+                    with shards.shard_lock(shard):
+                        lease, due_left = self._claim_in_shard_locked(shard, owner, now)
+                except StoreDegraded:
+                    # A record write hit a full disk: the record on disk is
+                    # unchanged (atomic replace never landed), so no lease
+                    # exists and no attempt was burned.
+                    with self._state:
+                        self.degraded_refusals += 1
+                    return None
+                if lease is not None:
+                    with self._state:
+                        self._resume[owner] = (shard.name, not due_left)
+                    return lease
+            if listed:
+                break  # this ring was just listed: there is nothing newer to walk
         return None
 
-    def _claim_in_shard_locked(self, shard: Path, owner: str, now: float) -> Lease | None:
-        for path in sorted(shard.glob(self.ENTRY_GLOB)):
-            record = self._read_record_locked(shard, path)
+    def _ring(self, owner: str, relist: bool) -> tuple[list[Path], bool]:
+        """This owner's walk order, and whether the shard list was just listed."""
+        with self._state:
+            ring = self._shards
+            resume = self._resume.get(owner)
+        listed = relist or not ring
+        if listed:
+            ring = shards.shard_dirs(self.root)
+            with self._state:
+                self._shards = ring
+        if not ring:
+            return [], listed
+        if resume is None:
+            start = int(hashlib.sha256(owner.encode("utf-8")).hexdigest()[:8], 16)
+        else:
+            name, past = resume
+            names = [shard.name for shard in ring]
+            start = (bisect.bisect_right if past else bisect.bisect_left)(names, name)
+        start %= len(ring)
+        return ring[start:] + ring[:start], listed
+
+    def _claim_in_shard_locked(
+        self, shard: Path, owner: str, now: float
+    ) -> tuple[Lease | None, bool]:
+        """Grant the first due job in one shard: ``(lease, due work left)``.
+
+        One index read; the records it shows as due or does not list are
+        re-read in name order, an overdue lease among them is expired,
+        and an entry whose meta drifted from its record is healed.
+        """
+        index = shards.read_index(shard)
+        due = [
+            name for name in _job_names(shard)
+            if name not in index or _index_due(index[name], now)
+        ]
+        for position, name in enumerate(due):
+            record = self._read_record_locked(shard, name, index)
             if record is None:
                 continue
             changed = self._tick_locked(record, now)
@@ -378,22 +504,14 @@ class JobQueue(maintenance.MaintainedRoot):
                 self._log_transition(record, "leased", f"claimed by {owner}", now)
                 changed = True
             if changed:
-                self._write_record_locked(shard, path.name, record)
+                self._store_locked(shard, name, record, index)
+            else:
+                self._heal_locked(shard, name, record, index)
             if grantable:
                 with self._state:
                     self.claims_granted += 1
-                return Lease(
-                    job_id=record["job_id"],
-                    policy_spec=record["policy_spec"],
-                    scenario=scenario_from_dict(record["scenario"]),
-                    scenario_fingerprint=record["scenario_fingerprint"],
-                    engine_seed=record["engine_seed"],
-                    owner=owner,
-                    nonce=record["lease"]["nonce"],
-                    deadline=record["lease"]["deadline"],
-                    attempt=record["attempts"],
-                )
-        return None
+                return _lease_of(record), position + 1 < len(due)
+        return None, False
 
     def _tick_locked(self, record: dict, now: float) -> bool:
         """Expire an overdue lease in place; True when the record changed."""
@@ -449,9 +567,7 @@ class JobQueue(maintenance.MaintainedRoot):
             record["lease"]["deadline"] = deadline
             return record
 
-        updated = shards.update_entry(
-            self.root, lease.job_id, _job_file_name(lease.job_id), mutate
-        )
+        updated = self._update(lease.job_id, mutate)
         if updated is None:
             with self._state:
                 self.leases_lost += 1
@@ -477,9 +593,7 @@ class JobQueue(maintenance.MaintainedRoot):
             self._log_transition(record, "done", f"completed by {lease.owner}", now)
             return record
 
-        updated = shards.update_entry(
-            self.root, lease.job_id, _job_file_name(lease.job_id), mutate
-        )
+        updated = self._update(lease.job_id, mutate)
         with self._state:
             if updated is None:
                 self.leases_lost += 1
@@ -511,9 +625,7 @@ class JobQueue(maintenance.MaintainedRoot):
                 self._log_transition(record, "pending", f"requeued after failure: {error}", now)
             return record
 
-        updated = shards.update_entry(
-            self.root, lease.job_id, _job_file_name(lease.job_id), mutate
-        )
+        updated = self._update(lease.job_id, mutate)
         with self._state:
             if updated is None:
                 self.leases_lost += 1
@@ -546,9 +658,7 @@ class JobQueue(maintenance.MaintainedRoot):
             self._log_transition(record, "pending", f"released by {lease.owner}", now)
             return record
 
-        updated = shards.update_entry(
-            self.root, lease.job_id, _job_file_name(lease.job_id), mutate
-        )
+        updated = self._update(lease.job_id, mutate)
         with self._state:
             if updated is None:
                 self.leases_lost += 1
@@ -569,7 +679,10 @@ class JobQueue(maintenance.MaintainedRoot):
         so a lease that migrated to a new owner is never touched.
         """
         released = 0
-        for record in self.records():
+        for meta, path in self._scan():
+            if _shown_state(meta) in TERMINAL_STATES:
+                continue
+            record = self._load(path) or {}
             held = record.get("lease")
             if (
                 record.get("state") != "leased"
@@ -577,18 +690,7 @@ class JobQueue(maintenance.MaintainedRoot):
                 or held.get("owner") != owner
             ):
                 continue
-            lease = Lease(
-                job_id=record["job_id"],
-                policy_spec=record["policy_spec"],
-                scenario=scenario_from_dict(record["scenario"]),
-                scenario_fingerprint=record["scenario_fingerprint"],
-                engine_seed=record["engine_seed"],
-                owner=owner,
-                nonce=held["nonce"],
-                deadline=held["deadline"],
-                attempt=record["attempts"],
-            )
-            if self.release(lease):
+            if self.release(_lease_of(record)):
                 released += 1
         return released
 
@@ -608,23 +710,40 @@ class JobQueue(maintenance.MaintainedRoot):
     def requeue_dead(self) -> int:
         """Return every dead-lettered job to pending with a fresh attempt
         budget (the ``audit --repair`` analogue for the queue); count requeued."""
-        requeued = 0
+
+        def revive(record: dict, now: float) -> bool:
+            if record["state"] != "dead":
+                return False
+            record["state"] = "pending"
+            record["attempts"] = 0
+            record["not_before"] = 0.0
+            record["lease"] = None
+            record["error"] = None
+            self._log_transition(record, "pending", "dead-letter requeued", now)
+            return True
+
+        return self._sweep(("done",), revive)
+
+    def repend(self, job_id: str) -> bool:
+        """Return a ``done`` job to pending; False unless it was done.
+
+        For a job whose committed effect went missing (a torn or lost run
+        entry) — the one case lease expiry cannot heal.  The job keeps its
+        attempt count and is claimable at once.
+        """
         now = self._now()
-        for shard in shards.shard_dirs(self.root):
-            with shards.shard_lock(shard):
-                for path in sorted(shard.glob(self.ENTRY_GLOB)):
-                    record = self._read_record_locked(shard, path)
-                    if record is None or record["state"] != "dead":
-                        continue
-                    record["state"] = "pending"
-                    record["attempts"] = 0
-                    record["not_before"] = 0.0
-                    record["lease"] = None
-                    record["error"] = None
-                    self._log_transition(record, "pending", "dead-letter requeued", now)
-                    self._write_record_locked(shard, path.name, record)
-                    requeued += 1
-        return requeued
+
+        def mutate(record: dict | None) -> dict | None:
+            if record is None or record.get("state") != "done":
+                return None
+            record["state"] = "pending"
+            record["lease"] = None
+            record["error"] = None
+            record["not_before"] = 0.0
+            self._log_transition(record, "pending", "re-pended: committed effect missing", now)
+            return record
+
+        return self._update(job_id, mutate) is not None
 
     def expire_overdue(self) -> int:
         """Sweep every shard for overdue leases (crash recovery on demand).
@@ -633,39 +752,74 @@ class JobQueue(maintenance.MaintainedRoot):
         want requeue latency bounded by their own schedule rather than by
         the next claim.  Returns how many leases were expired.
         """
+        return self._sweep(TERMINAL_STATES, self._tick_locked)
+
+    def _sweep(self, skip: tuple[str, ...], step: Callable[[dict, float], bool]) -> int:
+        """Apply ``step(record, now)`` to every record, shard by shard under lock.
+
+        Records whose index entry shows a state in ``skip`` are not read;
+        a True ``step`` (it changed the record) is written as a
+        transition, otherwise a drifted meta is healed.  Returns how many
+        records were written.
+        """
         now = self._now()
-        expired = 0
+        written = 0
         for shard in shards.shard_dirs(self.root):
             with shards.shard_lock(shard):
-                for path in sorted(shard.glob(self.ENTRY_GLOB)):
-                    record = self._read_record_locked(shard, path)
+                index = shards.read_index(shard)
+                for name in _job_names(shard):
+                    if _shown_state(index.get(name)) in skip:
+                        continue
+                    record = self._read_record_locked(shard, name, index)
                     if record is None:
                         continue
-                    if self._tick_locked(record, now):
-                        self._write_record_locked(shard, path.name, record)
-                        expired += 1
-        return expired
+                    if step(record, now):
+                        self._store_locked(shard, name, record, index)
+                        written += 1
+                    else:
+                        self._heal_locked(shard, name, record, index)
+        return written
 
     # ----------------------------------------------------------- inspection
 
     def records(self) -> Iterator[dict]:
         """Every readable job record (no lock: entry writes are atomic)."""
         for path in shards.iter_entry_paths(self.root, self.ENTRY_GLOB):
-            try:
-                payload = json.loads(iolayer.read_text(path, root=self.root))
-            # Lock-free read: a concurrent writer mid-replace is expected,
-            # not an error; the entry shows up complete on the next pass.
-            except (OSError, json.JSONDecodeError):  # repro: allow[exceptions/swallow]
+            record = self._load(path)
+            if record is not None:
+                yield record
+
+    def dead_letters(self) -> list[dict]:
+        """Every dead-lettered record, in job-id order.
+
+        Reads only the records their shard index marks dead.
+        """
+        dead = []
+        for meta, path in self._scan():
+            if _shown_state(meta) != "dead":
                 continue
-            if isinstance(payload, dict):
-                yield payload
+            record = self._load(path)
+            if record is not None and record.get("state") == "dead":
+                dead.append(record)
+        return dead
 
     def counts(self) -> dict[str, int]:
-        """Job counts by state (+ ``total``)."""
+        """Job counts by state (+ ``total``).
+
+        Done and dead entries are counted from the shard indexes (the
+        write order never shows a live record as terminal); every live
+        or unlisted record is re-read, so pending and leased counts are
+        the records' own.
+        """
         tally = {state: 0 for state in JOB_STATES}
         total = 0
-        for record in self.records():
-            state = record.get("state")
+        for meta, path in self._scan():
+            state = _shown_state(meta)
+            if state not in TERMINAL_STATES:
+                record = self._load(path)
+                if record is None:
+                    continue
+                state = record.get("state")
             if state in tally:
                 tally[state] += 1
             total += 1
@@ -701,12 +855,99 @@ class JobQueue(maintenance.MaintainedRoot):
         """True when no job is pending or leased (done and dead may remain)."""
         return self.outstanding() == 0
 
+    def repair(self) -> maintenance.RepairReport:
+        """Heal index↔disk drift and rewrite every meta that differs from its record."""
+        return maintenance.repair_entries(
+            self.root, self.ENTRY_GLOB, self._index_meta, refresh_metas=True
+        )
+
     # ------------------------------------------------------------- plumbing
 
-    def _read_record_locked(self, shard: Path, path: Path) -> dict | None:
-        """Load one record under the held shard lock; quarantine torn files."""
+    def _scan(self) -> Iterator[tuple[object, Path]]:
+        """``(index entry, record path)`` for every record on disk, lock-free.
+
+        Index and record writes are atomic, so a reader without the lock
+        sees whole files.  The entry is None for a record its index does
+        not list.
+        """
+        for shard in shards.shard_dirs(self.root):
+            index = shards.read_index(shard)
+            for name in _job_names(shard):
+                yield index.get(name), shard / name
+
+    def _load(self, path: Path) -> dict | None:
+        """One record; None when it is missing, unreadable or not an object.
+
+        A lock-free or compare-and-swap read: a missing or torn record is
+        simply absent here; the locked walks are what remove torn files.
+        """
         try:
             payload = json.loads(iolayer.read_text(path, root=self.root))
+        except (OSError, json.JSONDecodeError):
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def _update(
+        self, job_id: str, mutate: Callable[[dict | None], dict | None]
+    ) -> dict | None:
+        """The one locked read-mutate-write of a single record.
+
+        ``mutate`` gets the record (None when missing or unreadable) and
+        returns the record to write, or None to leave it untouched (a
+        failed compare-and-swap).  The write is a :meth:`_store_locked`
+        transition; returns whatever ``mutate`` returned.
+        """
+        shard = shards.shard_dir(self.root, job_id)
+        name = _job_file_name(job_id)
+        with shards.shard_lock(shard):
+            updated = mutate(self._load(shard / name))
+            if updated is not None:
+                self._store_locked(shard, name, updated, shards.read_index(shard))
+            return updated
+
+    def _store_locked(self, shard: Path, name: str, record: dict, index: dict) -> None:
+        """Write one transition: the record and its index meta, in rule order.
+
+        The index may show a terminal record as live, never a live record
+        as terminal — the one drift that would hide work from claims.  So
+        a transition that revives an entry the index shows as terminal
+        writes the index first (and fails if either write fails).  Every
+        other transition writes the record first and is done once it
+        lands; a failed index write is left for the next reader to heal.
+        """
+        revive = (
+            _shown_state(index.get(name)) in TERMINAL_STATES
+            and record["state"] not in TERMINAL_STATES
+        )
+        index[name] = job_index_meta(record)
+        data = jsonsafe.dumps(record, sort_keys=True)
+        if revive:
+            shards.write_index_locked(shard, index)
+            shards.write_file_locked(shard, name, data)
+        else:
+            shards.write_file_locked(shard, name, data)
+            self._write_index_locked(shard, index)
+
+    def _heal_locked(self, shard: Path, name: str, record: dict, index: dict) -> None:
+        """Rewrite one entry's meta when it drifted from its (unchanged) record."""
+        meta = job_index_meta(record)
+        if index.get(name) != meta:
+            index[name] = meta
+            self._write_index_locked(shard, index)
+
+    def _write_index_locked(self, shard: Path, index: dict) -> None:
+        """Write a shard index behind a landed record: count a failure, never raise."""
+        try:
+            shards.write_index_locked(shard, index)
+        except StoreDegraded:  # repro: allow[exceptions/swallow] the seam counted every failed attempt
+            pass
+        except OSError:
+            iolayer.record_io_error(self.root)
+
+    def _read_record_locked(self, shard: Path, name: str, index: dict) -> dict | None:
+        """Load one record under the held shard lock; remove torn files."""
+        try:
+            payload = json.loads(iolayer.read_text(shard / name, root=self.root))
         except FileNotFoundError:
             return None
         except OSError:
@@ -716,16 +957,12 @@ class JobQueue(maintenance.MaintainedRoot):
         except json.JSONDecodeError:
             payload = None
         if not isinstance(payload, dict) or payload.get("schema_version") != QUEUE_SCHEMA_VERSION:
-            shards.remove_entry_locked(shard, path.name)
+            shards.remove_entry_locked(shard, name)
+            index.pop(name, None)
             with self._state:
                 self.corrupt_records += 1
             return None
         return payload
-
-    def _write_record_locked(self, shard: Path, name: str, record: dict) -> None:
-        shards.write_entry_locked(
-            shard, name, jsonsafe.dumps(record, sort_keys=True), job_index_meta(record)
-        )
 
     @staticmethod
     def _log_transition(record: dict, state: str, detail: str, now: float) -> None:

@@ -44,10 +44,9 @@ from typing import ClassVar
 
 from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo
-from ..runtime import iolayer, shards
+from ..runtime import iolayer
 from ..runtime.iolayer import FsFaultEvent, FsFaultPlan
 from ..runtime.trace import ScenarioTrace
-from ..service.queue import _job_file_name
 from .faults import DrainHarness, DrainOutcome
 
 
@@ -113,20 +112,11 @@ def _repend_missing(harness: DrainHarness) -> int:
     The probing load itself quarantines a torn entry it trips over
     (counted by the harness audit).
     """
-    def mutate(record: dict | None) -> dict | None:
-        if record is None or record.get("state") != "done":
-            return None
-        record["state"] = "pending"
-        record["lease"] = None
-        record["error"] = None
-        record["not_before"] = 0.0
-        return record
-
     healed = 0
     for digest, key in harness.keys.items():
         if harness.run_store.load_metrics(key) is None:
             healed += 1
-            shards.update_entry(harness.queue_root, digest, _job_file_name(digest), mutate)
+            harness.master.repend(digest)
     return healed
 
 

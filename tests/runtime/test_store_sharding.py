@@ -112,6 +112,16 @@ class TestShardLayout:
         checked, problems = store.audit()
         assert any("missing on disk" in p for p in problems)
 
+    def test_shard_dirs_lists_only_hex_prefix_directories(self, tmp_path):
+        for name in ("ff", "0a", "7c"):
+            (tmp_path / name).mkdir()
+        for name in ("_quarantine", "zz", "abc", "0A"):
+            (tmp_path / name).mkdir()
+        (tmp_path / "3e").write_text("a file, not a shard", encoding="utf-8")
+        assert [p.name for p in shards.shard_dirs(tmp_path)] == ["0a", "7c", "ff"]
+        assert all(p.parent == tmp_path for p in shards.shard_dirs(tmp_path))
+        assert shards.shard_dirs(tmp_path / "missing") == []
+
     def test_len_contains_clear_over_shards(self, tmp_path, trace, scenario, zoo):
         store = TraceStore(tmp_path)
         store.save(trace, zoo)

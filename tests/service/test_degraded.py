@@ -80,6 +80,14 @@ def enospc_everywhere(count: int = 100) -> FsFaultPlan:
     )
 
 
+def index_enospc() -> FsFaultPlan:
+    """Every attempt of the next shard-index write fails with ENOSPC."""
+    return FsFaultPlan(events=(
+        FsFaultEvent(op="write", index=0, kind="enospc", count=RETRY_ATTEMPTS,
+                     match="index.json"),
+    ))
+
+
 def one_job():
     scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.05)
     return [UnitJob(policy_spec=POLICY, scenario=scenario)]
@@ -147,6 +155,53 @@ class TestQueueUnderDiskPressure:
         assert not queue.degraded
         [record] = queue.records()
         assert record["state"] == "leased" and record["attempts"] == 1
+
+    def test_grant_whose_index_write_fails_is_still_a_lease(self, tmp_path):
+        # The record lands and only the index write exhausts its retries:
+        # the grant exists on disk, so refusing it would orphan a lease
+        # that burns its attempt at expiry.
+        queue = JobQueue(tmp_path / "q", lease_duration=30.0)
+        queue.enqueue_all(one_job(), engine_seed=1234)
+
+        with iolayer.fault_plan(index_enospc()):
+            lease = queue.claim("w1")
+        assert lease is not None and lease.attempt == 1
+        assert queue.degraded_refusals == 0
+        assert queue.io_errors >= RETRY_ATTEMPTS
+        [record] = queue.records()
+        assert record["state"] == "leased" and record["lease"]["nonce"] == lease.nonce
+        assert queue.counts()["leased"] == 1
+
+        assert queue.complete(lease)
+        assert queue.counts()["done"] == 1
+        assert not queue.degraded
+        assert queue.audit()[1] == []
+
+    @pytest.mark.parametrize("transition, state", [
+        ("heartbeat", "leased"), ("complete", "done"), ("fail", "pending"), ("release", "pending"),
+    ])
+    def test_transition_whose_index_write_fails_reports_success(
+        self, tmp_path, transition, state
+    ):
+        queue = JobQueue(tmp_path / "q", lease_duration=30.0, max_attempts=3)
+        queue.enqueue_all(one_job(), engine_seed=1234)
+        lease = queue.claim("w1")
+        act = {
+            "heartbeat": lambda: queue.heartbeat(lease) is not None,
+            "complete": lambda: queue.complete(lease),
+            "fail": lambda: queue.fail(lease, "boom"),
+            "release": lambda: queue.release(lease),
+        }[transition]
+
+        with iolayer.fault_plan(index_enospc()):
+            assert act()
+        assert queue.leases_lost == 0
+        assert queue.io_errors >= RETRY_ATTEMPTS
+        [record] = queue.records()
+        assert record["state"] == state
+        # The stale meta is only a hint: the counts are the record's.
+        assert queue.counts()[state] == 1
+        assert queue.repair().metas_rewritten == 1
 
     def test_enospc_inside_complete_leaves_the_lease_intact(self, tmp_path):
         queue = JobQueue(tmp_path / "q", lease_duration=30.0)

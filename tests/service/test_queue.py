@@ -14,8 +14,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.data import ScenarioMatrix
-from repro.runtime import shards
-from repro.service import JobQueue, ServiceError, SweepRequest, decompose, job_digest
+from repro.runtime import iolayer, shards
+from repro.service import (
+    JOB_STATES,
+    JobQueue,
+    ServiceError,
+    SweepRequest,
+    UnitJob,
+    decompose,
+    job_digest,
+)
+from repro.service.queue import job_index_meta
 
 MATRIX = ScenarioMatrix(
     name="q",
@@ -361,3 +370,229 @@ class TestRelease:
         # The swept job kept its full retry budget.
         again = queue.claim("w2")
         assert again is not None and again.attempt == 1
+
+
+# ------------------------------------------------------------ claim index
+
+
+class Killed(BaseException):
+    """A process death between the two writes of one transition."""
+
+
+def index_is_exact(queue) -> bool:
+    """Every record's shard-index meta equals ``job_index_meta(record)``."""
+    for path in shards.iter_entry_paths(queue.root, "job-*.json"):
+        record = json.loads(path.read_text(encoding="utf-8"))
+        if shards.read_index(path.parent).get(path.name) != job_index_meta(record):
+            return False
+    return True
+
+
+def scanned_counts(queue) -> dict[str, int]:
+    """What ``counts()`` must equal: a full scan of the records themselves."""
+    records = list(queue.records())
+    tally = {state: sum(r["state"] == state for r in records) for state in JOB_STATES}
+    tally["total"] = len(records)
+    return tally
+
+
+def drain(queue, clock, owner="drainer"):
+    """Claim and complete until drained, stepping past leases held by the dead."""
+    for _ in range(50):
+        lease = queue.claim(owner)
+        if lease is not None:
+            assert queue.complete(lease)
+        elif queue.drained():
+            return
+        else:
+            clock.advance(queue.lease_duration + 1.0)
+    raise AssertionError(f"queue never drained: {queue.counts()}")
+
+
+def _queued(queue, clock, job):
+    queue.enqueue(job)
+
+
+def _leased(queue, clock, job):
+    queue.enqueue(job)
+    return queue.claim("w0")
+
+
+def _aging(queue, clock, job):
+    lease = _leased(queue, clock, job)
+    clock.advance(1.0)
+    return lease
+
+
+def _overdue(queue, clock, job):
+    lease = _leased(queue, clock, job)
+    clock.advance(queue.lease_duration + 1.0)
+    return lease
+
+
+def _dead(queue, clock, job):
+    queue.enqueue(job)
+    for _ in range(queue.max_attempts):
+        queue.fail(queue.claim("w0"), "boom")
+
+
+def _done(queue, clock, job):
+    queue.complete(_leased(queue, clock, job))
+
+
+# name -> (set-up returning the lease, if any; the transition itself).
+TRANSITIONS = {
+    "enqueue": (lambda *_: None, lambda queue, job, lease: queue.enqueue(job)),
+    "claim": (_queued, lambda queue, job, lease: queue.claim("w0")),
+    "heartbeat": (_aging, lambda queue, job, lease: queue.heartbeat(lease)),
+    "complete": (_leased, lambda queue, job, lease: queue.complete(lease)),
+    "fail": (_leased, lambda queue, job, lease: queue.fail(lease, "boom")),
+    "release": (_leased, lambda queue, job, lease: queue.release(lease)),
+    "expiry": (_overdue, lambda queue, job, lease: queue.expire_overdue()),
+    "requeue_dead": (_dead, lambda queue, job, lease: queue.requeue_dead()),
+    "release_owned": (_leased, lambda queue, job, lease: queue.release_owned("w0")),
+    "repend": (_done, lambda queue, job, lease: queue.repend(job_digest(*job.key))),
+}
+
+#: Transitions that revive an entry the index shows as terminal: they
+#: write the index first.
+REVIVALS = {"requeue_dead", "repend"}
+
+
+def index_queue(tmp_path, clock):
+    return make_queue(tmp_path, clock, backoff_base=0.0, backoff_cap=0.0)
+
+
+class TestClaimIndex:
+    """Each shard's index is the claim index: accurate, and safe to lose."""
+
+    @pytest.mark.parametrize("transition", sorted(TRANSITIONS))
+    def test_index_meta_equals_the_record_after_each_transition(
+        self, tmp_path, jobs, transition
+    ):
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        setup, act = TRANSITIONS[transition]
+        act(queue, jobs[0], setup(queue, clock, jobs[0]))
+        assert index_is_exact(queue)
+        queue.enqueue_all(jobs)
+        assert index_is_exact(queue)
+
+    @pytest.mark.parametrize("transition", sorted(TRANSITIONS))
+    def test_kill_between_the_two_writes_loses_no_job(
+        self, tmp_path, jobs, monkeypatch, transition
+    ):
+        # A transition that writes the record first is killed with only
+        # the record on disk; one that revives a terminal entry writes the
+        # index first, so its kill leaves only the index written.
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        setup, act = TRANSITIONS[transition]
+        lease = setup(queue, clock, jobs[0])
+        written: list[str] = []
+        real = iolayer.write_text
+
+        def write_text(path, text, **kwargs):
+            if written:
+                raise Killed(path)
+            written.append(path.name)
+            return real(path, text, **kwargs)
+
+        with monkeypatch.context() as patch, pytest.raises(Killed):
+            patch.setattr(iolayer, "write_text", write_text)
+            act(queue, jobs[0], lease)
+        assert len(written) == 1
+        assert (written[0] == shards.INDEX_NAME) == (transition in REVIVALS)
+
+        survivor = index_queue(tmp_path, clock)  # a fresh process on the same root
+        assert survivor.counts() == scanned_counts(survivor)
+        if transition in REVIVALS:  # the revival never landed: the operator re-runs it
+            act(survivor, jobs[0], lease)
+        survivor.enqueue_all(jobs)
+        drain(survivor, clock)
+        assert survivor.counts() == scanned_counts(survivor)
+        assert survivor.counts()["done"] == len(jobs)
+        _, problems = survivor.audit()
+        assert problems == []
+
+    @pytest.mark.parametrize("depth", [32, 512])
+    def test_claim_reads_do_not_grow_with_depth(self, tmp_path, monkeypatch, scenarios, depth):
+        queue = JobQueue(tmp_path / "queue")
+        queue.enqueue_all([UnitJob(f"single:m{n}@gpu", scenarios[0]) for n in range(depth)])
+        reads = [0]
+
+        def counted(read):
+            def wrapper(*args, **kwargs):
+                reads[0] += 1
+                return read(*args, **kwargs)
+            return wrapper
+
+        claims = 0
+        while True:
+            with monkeypatch.context() as patch:
+                patch.setattr(iolayer, "read_text", counted(iolayer.read_text))
+                patch.setattr(iolayer, "read_bytes", counted(iolayer.read_bytes))
+                lease = queue.claim("w0")
+            if lease is None:
+                break
+            claims += 1
+            queue.complete(lease)
+        assert claims == depth
+        assert reads[0] / claims <= 3, f"{reads[0]} reads for {claims} claims"
+
+    def test_shards_are_relisted_only_after_a_fruitless_ring(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        first, *rest = jobs
+        queue.enqueue(first)
+        listings = []
+        real = shards.shard_dirs
+        monkeypatch.setattr(shards, "shard_dirs", lambda root: listings.append(root) or real(root))
+        queue.complete(queue.claim("w0"))
+        assert len(listings) == 1
+        # Jobs land in shards the cached ring has never seen: the next
+        # walk ends a full ring without a grant, re-lists, and finds them.
+        queue.enqueue_all(rest)
+        granted = []
+        while (lease := queue.claim("w0")) is not None:
+            granted.append(lease.job_id)
+            queue.complete(lease)
+        assert sorted(granted) == sorted(job_digest(j.policy_spec, j.key[1]) for j in rest)
+        assert len(listings) == 3  # the walk that found them, and the final empty one
+
+    def test_audit_reports_a_live_record_hidden_as_terminal(self, tmp_path, jobs):
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        queue.enqueue(jobs[0])
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        index = shards.read_index(path.parent)
+        index[path.name]["state"] = "done"
+        with shards.shard_lock(path.parent):
+            shards.write_index_locked(path.parent, index)
+        # The one drift that hides work: claims trust the terminal entry.
+        assert queue.claim("w0") is None
+        _, problems = queue.audit()
+        assert len(problems) == 1 and "hidden from claims" in problems[0]
+        assert queue.repair().metas_rewritten == 1
+        assert queue.audit()[1] == []
+        assert queue.claim("w0") is not None
+
+    def test_dead_letters_read_only_what_the_index_marks_dead(
+        self, tmp_path, jobs, monkeypatch
+    ):
+        clock = FakeClock()
+        queue = make_queue(tmp_path, clock, max_attempts=1)
+        queue.enqueue_all(jobs)
+        queue.fail(queue.claim("w0"), "boom")
+        queue.complete(queue.claim("w0"))
+        [dead] = [r for r in queue.records() if r["state"] == "dead"]
+        read = []
+        real = iolayer.read_text
+        monkeypatch.setattr(
+            iolayer, "read_text", lambda path, **kw: read.append(path.name) or real(path, **kw)
+        )
+        assert [r["job_id"] for r in queue.dead_letters()] == [dead["job_id"]]
+        records_read = [name for name in read if name != shards.INDEX_NAME]
+        assert len(records_read) == 1 and dead["job_id"][:32] in records_read[0]
