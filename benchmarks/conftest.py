@@ -11,8 +11,12 @@ rebuilds nothing.
 
 Each bench prints the regenerated table and writes it to
 ``benchmarks/out/<name>.txt`` so results survive the run, plus a
-machine-readable ``benchmarks/out/BENCH_<name>.json`` twin (schema below)
-so the perf trajectory stays diffable across PRs.
+machine-readable ``benchmarks/out/BENCH_<name>.json`` twin (schema below).
+The paper's tables, figures, headline and ablations are deterministic:
+they are tracked, and a run rewrites them byte for byte.  The timing
+benches (those that report ``metrics``) write under the untracked
+``benchmarks/out/run/`` instead, since their numbers differ on every run;
+recorded end-to-end numbers come from ``perfbench/run.py``.
 """
 
 from __future__ import annotations
@@ -107,21 +111,23 @@ def report(artifact_dir):
     """Callable that prints a rendered table and persists it to disk.
 
     Every report writes two artifacts: the human-readable
-    ``out/<name>.txt`` table and a machine-readable
-    ``out/BENCH_<name>.json`` with the same text plus any structured
-    ``metrics`` the bench passes (timings, throughputs, speedups) — the
-    JSON is what cross-PR perf tooling diffs.
+    ``<name>.txt`` table and a machine-readable ``BENCH_<name>.json``
+    with the same text plus any structured ``metrics`` the bench passes
+    (timings, throughputs, speedups).  A report with ``metrics`` is a
+    timing run and lands in ``out/run/``; the rest land in ``out/``.
     """
 
     def _report(name: str, text: str, metrics: dict | None = None) -> None:
-        (artifact_dir / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
+        out = artifact_dir if metrics is None else artifact_dir / "run"
+        out.mkdir(exist_ok=True)
+        (out / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
         payload = {
             "bench": name,
             "schema_version": BENCH_SCHEMA_VERSION,
             "metrics": metrics or {},
             "text": text.splitlines(),
         }
-        (artifact_dir / f"BENCH_{name}.json").write_text(
+        (out / f"BENCH_{name}.json").write_text(
             json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
         )
         print("\n" + text)

@@ -21,7 +21,8 @@ With ``REPRO_BENCH_ENFORCE_FLOOR=1`` (the CI perf-smoke job) the drain
 overhead is additionally checked against the committed
 ``benchmarks/baseline.json`` ceiling: crash safety is allowed to cost a
 small multiple of the bare sweep, not an unbounded one.
-``benchmarks/out/BENCH_queue.json`` still tracks the full trajectory.
+Each run's full numbers land in the untracked
+``benchmarks/out/run/BENCH_queue.json``.
 """
 
 import json

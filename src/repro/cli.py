@@ -4,16 +4,16 @@ Usage (after ``pip install -e .``)::
 
     python -m repro table 3                      # regenerate Table III
     python -m repro figure 5 --full-grid         # paper-sized sensitivity sweep
-    python -m repro run shift s2_fixed_distance_crossing --scale 0.5
+    python -m repro --scale 0.5 run shift s2_fixed_distance_crossing
     python -m repro run marlin s1_multi_background_varying_distance
     python -m repro --workers 4 sweep shift,marlin
     python -m repro serve jobs.json --service-workers 4   # many sweeps, one pool
     python -m repro --run-store runs serve jobs.json --procs 2   # crash-safe processes
+    python -m repro serve --http 8080            # the same requests over HTTP/JSON
     python -m repro work QUEUE --run-store runs  # one queue worker process
     python -m repro queue QUEUE --list           # inspect / repair the job queue
     python -m repro --run-store runs store scrub          # re-verify every entry
     python -m repro --run-store runs store gc --apply     # reclaim expired artifacts
-    python -m repro sweep --jobs jobs.json       # same batch front-end
     python -m repro scenarios --generated        # flight library + grammar matrix
     python -m repro verify --count 25 --seed 7   # differential fuzz sweep
     python -m repro characterize --out bundle.json
@@ -26,13 +26,14 @@ worker processes, ``--trace-store DIR`` persists built traces so the next
 invocation skips rebuilding them entirely, and ``--run-store DIR`` does
 the same for finished policy runs — e.g. ``python -m repro --trace-store
 traces --run-store runs sweep shift,marlin`` is a pure metrics reload the
-second time.
+second time.  ``serve`` takes its requests from a jobs file or, with
+``--http``, from the network; ``serve --http`` names scenarios at their
+registered length, so it refuses a ``--scale`` other than 1.
 """
 
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from typing import TYPE_CHECKING
 
@@ -185,63 +186,25 @@ def _sweep_table(title: str, results: dict) -> str:
     return render_table(table)
 
 
-def _serve_requests(args: argparse.Namespace, jobs_path: str, workers: int) -> int:
-    """Run a jobs file's requests through the sweep service; shared by
-    ``serve`` and ``sweep --jobs``."""
-    from .service.jobs import ServiceError, SweepRequest, load_jobs_file
-    from .service.service import SweepService
+def _jobs_requests(ctx: ExperimentContext, path: str) -> list:
+    """A jobs file's requests, every scenario name resolved through the context.
 
-    ctx = _context(args)
-    try:
-        requests = load_jobs_file(jobs_path)
-    except ServiceError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    try:
-        with SweepService(
-            zoo=ctx.zoo,
-            trace_store=args.trace_store,
-            run_store=args.run_store,
-            workers=workers,
-            trace_workers=args.workers,
-            engine_seed=ctx.engine_seed,
-            policy_resolver=_policy_resolver(ctx, args.objective),
-        ) as service:
-            handles = []
-            for request in requests:
-                # Resolve names through the context so --scale applies to
-                # served scenarios exactly as it does to foreground sweeps.
-                scenarios = tuple(
-                    ctx.scenario(s) if isinstance(s, str) and ctx.scale != 1.0 else s
-                    for s in request.scenarios
-                )
-                handles.append(
-                    service.submit(
-                        SweepRequest(
-                            policies=request.policies,
-                            scenarios=scenarios,
-                            request_id=request.request_id,
-                        )
-                    )
-                )
-            for request, handle in zip(requests, handles, strict=True):
-                print(_sweep_table(
-                    f"Request {request.request_id}: {len(request.policies)} policies "
-                    f"x {len(request.scenarios)} scenarios",
-                    handle.result(),
-                ))
-            print(
-                f"service: {len(requests)} requests, {service.jobs_scheduled} jobs "
-                f"scheduled, {service.jobs_coalesced} coalesced, "
-                f"{service.runs_executed} runs executed, "
-                f"{service.run_store_hits} run-store hits, "
-                f"{service.trace_builds} trace builds, "
-                f"{service.corrupt_entries} corrupt entries"
-            )
-    except (KeyError, ServiceError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-    return 0
+    ``--scale`` then applies to served scenarios exactly as it does to
+    foreground sweeps, and queue jobs embed full scenario records, so
+    worker processes never depend on this process's registry.
+    """
+    from .service.jobs import SweepRequest, load_jobs_file
+
+    return [
+        SweepRequest(
+            policies=request.policies,
+            scenarios=tuple(
+                ctx.scenario(s) if isinstance(s, str) else s for s in request.scenarios
+            ),
+            request_id=request.request_id,
+        )
+        for request in load_jobs_file(path)
+    ]
 
 
 def _worker_spawner(args: argparse.Namespace, queue_dir, *, extra_args=(), idle=False):
@@ -281,92 +244,114 @@ def _worker_spawner(args: argparse.Namespace, queue_dir, *, extra_args=(), idle=
     return spawn
 
 
-def _serve_procs(args: argparse.Namespace) -> int:
-    """Multi-process serve: persist unit jobs to an on-disk queue, drain
-    them with supervised ``repro work`` subprocesses, and assemble the
-    per-request tables from the shared run store.
+def _serve_backend(args: argparse.Namespace, ctx: ExperimentContext, requests: list):
+    """The one backend every ``serve`` mode reads its rows through.
 
-    Nothing is shared with the workers but the filesystem: the queue
-    carries the jobs (scenarios embedded), the run store carries the
-    results, and lease expiry covers any worker the OS kills.  Dead
-    workers are respawned until the queue drains or the respawn budget
-    runs out.
+    Returns ``(backend, fleet)``.  In-process, the backend is a
+    :class:`SweepService` thread pool and there is no fleet.  With
+    ``--procs N`` it is a :class:`QueueBackend` over the on-disk job
+    queue, and the fleet is a :class:`WorkerSupervisor` of N ``repro
+    work`` processes that drains it.  Both key their cells through the
+    same executor, so either backend's handles yield the same rows.
+
+    ``--shift-bundle`` serves ``shift`` from a saved bundle: the
+    backend's run keys and every worker load the same file.  Without
+    it, a batch serve hands the workers this context's bundle when a
+    request names ``shift``, and a server refuses ``shift``.  Unusable
+    flag combinations raise :class:`ServiceError`.
     """
-    import time
     from pathlib import Path
 
+    from .service.jobs import ServiceError, shift_bundle_resolver
+
+    if args.procs is None:
+        if args.shift_bundle:
+            raise ServiceError("serve --shift-bundle needs --procs: an in-process serve "
+                               "resolves 'shift' from this process's characterization")
+        from .service.service import SweepService
+
+        return SweepService(
+            zoo=ctx.zoo,
+            trace_store=args.trace_store,
+            run_store=args.run_store,
+            workers=args.service_workers,
+            trace_workers=args.workers,
+            engine_seed=ctx.engine_seed,
+            policy_resolver=_policy_resolver(ctx, args.objective),
+        ), None
+
     from .characterization.serialization import save_bundle
-    from .service.jobs import ServiceError, SweepRequest, decompose, load_jobs_file
+    from .service.http import QueueBackend
     from .service.procs import WorkerSupervisor
     from .service.queue import JobQueue
 
     if args.run_store is None:
-        print("serve --procs needs --run-store DIR: workers commit results there "
-              "and the supervisor assembles the tables from it", file=sys.stderr)
-        return 2
-    ctx = _context(args)
-    try:
-        requests = load_jobs_file(args.jobs)
-        # Resolve every scenario name through the context so --scale
-        # applies, and so the queue can embed full scenario records —
-        # worker processes must not depend on the registry state here.
-        requests = [
-            SweepRequest(
-                policies=request.policies,
-                scenarios=tuple(
-                    ctx.scenario(s) if isinstance(s, str) else s
-                    for s in request.scenarios
-                ),
-                request_id=request.request_id,
-            )
-            for request in requests
-        ]
-        jobs = [job for request in requests for job in decompose(request)]
-    except (KeyError, ServiceError) as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
-
+        raise ServiceError("serve --procs needs --run-store DIR: workers commit results "
+                           "there and the rows are read back from it")
+    if args.shift_bundle:
+        resolver = shift_bundle_resolver(args.shift_bundle, args.objective)
+    elif args.http is None:
+        resolver = _policy_resolver(ctx, args.objective)
+    else:
+        resolver = None  # the default vocabulary: a server refuses 'shift'
     # "_queue" is not a two-hex shard name, so nesting the queue inside
-    # the run store keeps one --procs sweep under one directory without
+    # the run store keeps one --procs serve under one directory without
     # the two stores' shard indexes ever mixing.
     queue_dir = Path(args.queue_dir) if args.queue_dir else Path(args.run_store) / "_queue"
     queue = JobQueue(queue_dir, lease_duration=args.lease, max_attempts=args.max_attempts)
-    enqueued = queue.enqueue_all(jobs, engine_seed=ctx.engine_seed)
-
-    shift_args: list[str] = []
-    if any(spec == "shift" for request in requests for spec in request.policies):
+    bundle_path = args.shift_bundle
+    if not bundle_path and any("shift" in request.policies for request in requests):
         # Workers rebuild the shift policy from a saved bundle; the JSON
         # round-trip preserves fingerprints, so their run keys match the
-        # ones this process derives below.
+        # ones the backend derives from this context.
         bundle_path = queue_dir / "shift-bundle.json"
         save_bundle(ctx.bundle, bundle_path)
-        shift_args = ["--shift-bundle", str(bundle_path), "--objective", args.objective]
+    shift_args = (["--shift-bundle", str(bundle_path), "--objective", args.objective]
+                  if bundle_path else [])
+    spawn = _worker_spawner(args, queue_dir, extra_args=shift_args,
+                            idle=args.http is not None)
+    backend = QueueBackend(queue, args.run_store, zoo=ctx.zoo,
+                           engine_seed=ctx.engine_seed, policy_resolver=resolver)
+    return backend, WorkerSupervisor(spawn, args.procs)
 
-    spawn = _worker_spawner(args, queue_dir, extra_args=shift_args)
-    supervisor = WorkerSupervisor(spawn, args.procs, respawn_budget=args.procs * 8)
+
+def _supervise(queue, fleet, stop, interval: float, until=None) -> None:
+    """Tend a worker fleet: requeue overdue leases, respawn dead workers.
+
+    Runs every ``interval`` seconds until ``stop`` is set, ``until()``
+    holds, or the fleet's respawn budget is spent and no worker is left.
+    """
+    while True:
+        queue.expire_overdue()
+        if stop.is_set() or (until is not None and until()):
+            return
+        fleet.tick()
+        if fleet.alive == 0 or stop.wait(interval):
+            return
+
+
+def _drain(args: argparse.Namespace, queue, fleet) -> int:
+    """Run the fleet until the queue drains; 0, or the exit code of a failed drain.
+
+    Dead workers are respawned until the queue drains, the respawn
+    budget runs out, or ``--worker-timeout`` passes.  Ctrl-C still
+    reaps the fleet: workers release their current lease on SIGTERM, so
+    an interrupted serve leaves the queue resumable with zero held
+    leases.
+    """
+    import threading
+    import time
+
     deadline = time.monotonic() + args.worker_timeout
-    timed_out = False
     interrupted = False
     try:
-        supervisor.start()
-        while True:
-            queue.expire_overdue()
-            if queue.drained():
-                break
-            if time.monotonic() > deadline:
-                timed_out = True
-                break
-            supervisor.tick()
-            if supervisor.alive == 0:
-                break
-            time.sleep(0.1)
+        fleet.start()
+        _supervise(queue, fleet, threading.Event(), 0.1,
+                   until=lambda: queue.drained() or time.monotonic() > deadline)
     except KeyboardInterrupt:
-        # Ctrl-C mid-drain must still reach the reap below: workers
-        # release their current lease on SIGTERM, so an interrupted
-        # serve leaves the queue resumable with zero held leases.
         interrupted = True
     finally:
-        killed = supervisor.reap()
+        killed = fleet.reap()
         if killed:
             print(f"serve --procs: SIGKILLed {killed} workers that ignored SIGTERM",
                   file=sys.stderr)
@@ -377,120 +362,88 @@ def _serve_procs(args: argparse.Namespace) -> int:
               f"{counts['leased']} leased jobs; re-run the same command to resume",
               file=sys.stderr)
         return 130
-
     counts = queue.counts()
     if counts["dead"]:
         for record in queue.dead_letters():
             print(f"dead-letter: {record['policy_spec']} x {record['scenario_name']}: "
                   f"{record.get('error')}", file=sys.stderr)
         print(f"serve --procs: {counts['dead']} jobs dead-lettered; inspect with "
-              f"'python -m repro queue {queue_dir}' and retry with --requeue-dead",
+              f"'python -m repro queue {queue.root}' and retry with --requeue-dead",
               file=sys.stderr)
         return 1
-    if timed_out or not queue.drained():
+    if not queue.drained():
         print(f"serve --procs: gave up after {args.worker_timeout:.0f}s with "
               f"{counts['pending']} pending / {counts['leased']} leased jobs "
-              f"({supervisor.spawned} workers spawned)", file=sys.stderr)
+              f"({fleet.spawned} workers spawned)", file=sys.stderr)
         return 1
+    return 0
 
-    runner = ctx.runner  # keys each cell exactly as a foreground sweep does
-    resolve = _policy_resolver(ctx, args.objective)
-    policies: dict[str, object] = {}
+
+def _serve_batch(args: argparse.Namespace, requests: list, backend, fleet) -> int:
+    """Submit every request, drain the fleet if there is one, print the tables."""
+    from .service.jobs import ServiceError
+
     try:
-        for request in requests:
-            results: dict[str, list] = {}
-            for spec in request.policies:
-                if spec not in policies:
-                    policies[spec] = resolve(spec)
-                policy = policies[spec]
-                for scenario in request.scenarios:
-                    metrics = runner.cached_metrics(
-                        runner.run_key(policy, scenario.fingerprint())
-                    )
-                    if metrics is None:
-                        print(f"run store has no result for {spec} x {scenario.name} "
-                              f"although the queue drained: fingerprint drift between "
-                              f"supervisor and workers", file=sys.stderr)
-                        return 1
-                    results.setdefault(policy.name, []).append(metrics)
+        handles = [backend.submit(request) for request in requests]
+        if fleet is not None:
+            code = _drain(args, backend.queue, fleet)
+            if code:
+                return code
+        for request, handle in zip(requests, handles, strict=True):
+            try:
+                # After a drain every row is already in the run store; a
+                # missing one would never arrive, so do not wait for it.
+                rows = handle.result(timeout=None if fleet is None else 0)
+            except TimeoutError:
+                print(f"run store lacks rows of request {request.request_id} although "
+                      f"the queue drained: fingerprint drift between this process and "
+                      f"the workers", file=sys.stderr)
+                return 1
             print(_sweep_table(
                 f"Request {request.request_id}: {len(request.policies)} policies "
                 f"x {len(request.scenarios)} scenarios",
-                results,
+                rows,
             ))
     except (KeyError, ServiceError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    print(
-        f"queue: {len(jobs)} unit jobs, {enqueued} enqueued "
-        f"({len(jobs) - enqueued} deduplicated), {counts['done']} done, "
-        f"{supervisor.spawned} workers spawned, {supervisor.worker_deaths} worker deaths"
-    )
+    finally:
+        backend.close()
+    if fleet is None:
+        print(
+            f"service: {len(requests)} requests, {backend.jobs_scheduled} jobs "
+            f"scheduled, {backend.jobs_coalesced} coalesced, "
+            f"{backend.runs_executed} runs executed, "
+            f"{backend.run_store_hits} run-store hits, "
+            f"{backend.trace_builds} trace builds, "
+            f"{backend.corrupt_entries} corrupt entries"
+        )
+    else:
+        jobs = sum(handle.total_rows for handle in handles)
+        print(
+            f"queue: {jobs} unit jobs, {backend.jobs_enqueued} enqueued "
+            f"({jobs - backend.jobs_enqueued} deduplicated), "
+            f"{backend.queue.counts()['done']} done, {fleet.spawned} workers "
+            f"spawned, {fleet.worker_deaths} worker deaths"
+        )
     return 0
 
 
-def _serve_http(args: argparse.Namespace) -> int:
+def _serve_http(args: argparse.Namespace, backend, fleet) -> int:
     """Long-lived network front-end: sweep requests over HTTP/JSON.
 
-    In-process by default (a :class:`SweepService` thread pool executes
-    unit jobs); with ``--procs N`` requests flow through the on-disk job
-    queue into a supervised fleet of ``repro work --idle`` subprocesses
-    and rows are assembled from the shared run store.  Either way the
-    wire results are bit-identical to a serial sweep (the ``http``
-    differential check proves it).
+    The front-end holds the backend :func:`_serve_backend` built; with a
+    fleet, a supervision thread keeps it alive between requests.  Either
+    way the wire results are bit-identical to a serial sweep (the
+    ``http`` differential check proves it).
     """
     import json
     import threading
     from pathlib import Path
 
-    from .service import (
-        JobQueue,
-        QueueBackend,
-        ServiceBackend,
-        ServiceError,
-        SweepFrontend,
-        SweepHTTPServer,
-        SweepService,
-        WorkerSupervisor,
-    )
-    from .service.jobs import shift_bundle_resolver
+    from .service.http import SweepFrontend, SweepHTTPServer
+    from .service.jobs import ServiceError
 
-    ctx = _context(args)
-    supervisor = None
-    queue = None
-    stop = threading.Event()
-    if args.procs is not None:
-        if args.run_store is None:
-            print("serve --http --procs needs --run-store DIR: workers commit "
-                  "results there and the front-end serves rows from it", file=sys.stderr)
-            return 2
-        queue_dir = Path(args.queue_dir) if args.queue_dir else Path(args.run_store) / "_queue"
-        queue = JobQueue(queue_dir, lease_duration=args.lease,
-                         max_attempts=args.max_attempts)
-        resolver = None
-        shift_args: list[str] = []
-        if args.shift_bundle:
-            try:
-                resolver = shift_bundle_resolver(args.shift_bundle, args.objective)
-            except ServiceError as exc:
-                print(f"serve --http: {exc}", file=sys.stderr)
-                return 2
-            shift_args = ["--shift-bundle", str(args.shift_bundle),
-                          "--objective", args.objective]
-        spawn = _worker_spawner(args, queue_dir, extra_args=shift_args, idle=True)
-        supervisor = WorkerSupervisor(spawn, args.procs)
-        backend = QueueBackend(queue, args.run_store, zoo=ctx.zoo,
-                               engine_seed=ctx.engine_seed, policy_resolver=resolver)
-    else:
-        backend = ServiceBackend(SweepService(
-            zoo=ctx.zoo,
-            trace_store=args.trace_store,
-            run_store=args.run_store,
-            workers=args.service_workers,
-            trace_workers=args.workers,
-            engine_seed=ctx.engine_seed,
-            policy_resolver=_policy_resolver(ctx, args.objective),
-        ))
     frontend = SweepFrontend(backend, max_pending=args.max_pending,
                              default_deadline_s=args.request_timeout)
     try:
@@ -500,15 +453,11 @@ def _serve_http(args: argparse.Namespace) -> int:
         frontend.close()
         return 2
 
-    if supervisor is not None:
-        supervisor.start()
-
-        def supervise() -> None:
-            while not stop.wait(0.5):
-                queue.expire_overdue()
-                supervisor.tick()
-
-        threading.Thread(target=supervise, name="serve-supervise", daemon=True).start()
+    stop = threading.Event()
+    if fleet is not None:
+        fleet.start()
+        threading.Thread(target=_supervise, args=(backend.queue, fleet, stop, 0.5),
+                         name="serve-supervise", daemon=True).start()
 
     exit_code = 0
     try:
@@ -521,7 +470,7 @@ def _serve_http(args: argparse.Namespace) -> int:
                 return 2
             print(f"submitted {len(entries)} requests from {args.jobs}: "
                   + ", ".join(entry.request_id for entry in entries))
-        mode = (f"{args.procs} queue workers" if supervisor is not None
+        mode = (f"{args.procs} queue workers" if fleet is not None
                 else f"{args.service_workers} service threads")
         print(f"serving on http://{args.host}:{server.port} ({mode}); Ctrl-C to stop")
         try:
@@ -532,12 +481,13 @@ def _serve_http(args: argparse.Namespace) -> int:
     finally:
         # Order matters: stop accepting, then refuse new submits and
         # drain, then reap the fleet (workers release leases on SIGTERM).
+        # No shutdown(): serve_forever ran on this thread and has returned
+        # or never started, and shutdown() waits for a running loop.
         stop.set()
-        server.shutdown()
         server.server_close()
         frontend.close()
-        if supervisor is not None:
-            killed = supervisor.reap()
+        if fleet is not None:
+            killed = fleet.reap()
             if killed:
                 print(f"serve --http: SIGKILLed {killed} workers that ignored "
                       f"SIGTERM", file=sys.stderr)
@@ -545,15 +495,26 @@ def _serve_http(args: argparse.Namespace) -> int:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    if args.http is not None:
-        return _serve_http(args)
-    if args.jobs is None:
+    from .service.jobs import ServiceError
+
+    if args.http is None and args.jobs is None:
         print("serve needs a jobs file (or --http PORT for the network front-end)",
               file=sys.stderr)
         return 2
-    if args.procs is not None:
-        return _serve_procs(args)
-    return _serve_requests(args, args.jobs, args.service_workers)
+    if args.http is not None and args.scale != 1.0:
+        print(f"serve --http serves scenarios at their registered length; drop "
+              f"--scale {args.scale:g}", file=sys.stderr)
+        return 2
+    ctx = _context(args)
+    try:
+        requests = [] if args.http is not None else _jobs_requests(ctx, args.jobs)
+        backend, fleet = _serve_backend(args, ctx, requests)
+    except (KeyError, ServiceError) as exc:
+        print(exc.args[0], file=sys.stderr)
+        return 2
+    if args.http is not None:
+        return _serve_http(args, backend, fleet)
+    return _serve_batch(args, requests, backend, fleet)
 
 
 def _cmd_work(args: argparse.Namespace) -> int:
@@ -659,13 +620,9 @@ def _cmd_store(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     from .service.jobs import ServiceError
 
-    if args.jobs is not None:
-        if args.policies is not None:
-            print("give either POLICIES or --jobs FILE, not both", file=sys.stderr)
-            return 2
-        return _serve_requests(args, args.jobs, args.service_workers)
     if args.policies is None:
-        print("give POLICIES (comma-separated) or --jobs FILE", file=sys.stderr)
+        print("give POLICIES (comma-separated); serve a batch of sweep requests "
+              "with 'repro serve FILE'", file=sys.stderr)
         return 2
 
     ctx = _context(args)
@@ -758,27 +715,6 @@ def _cmd_lint(args: argparse.Namespace) -> int:
     return run_lint_cli(args, sys.stdout)
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {number}")
-    return number
-
-
-def _non_negative_int(value: str) -> int:
-    number = int(value)
-    if number < 0:
-        raise argparse.ArgumentTypeError(f"must be non-negative, got {number}")
-    return number
-
-
-def _finite_positive_float(value: str) -> float:
-    number = float(value)
-    if not (math.isfinite(number) and number > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {value}")
-    return number
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs tooling).
 
@@ -788,17 +724,24 @@ def build_parser() -> argparse.ArgumentParser:
     from .analysis.cli import configure_parser as configure_lint
     from .core import objective_names
     from .runtime.maintenance import DEFAULT_TTL_SECONDS
+    from .service.jobs import MAX_DEADLINE_S
     from .service.worker import configure_parser as configure_work
+    from .util.argtypes import (
+        finite_positive_float,
+        finite_positive_float_at_most,
+        non_negative_int,
+        positive_int,
+    )
 
     parser = argparse.ArgumentParser(
         prog="repro",
         description="SHIFT reproduction: regenerate the paper's experiments",
     )
-    parser.add_argument("--scale", type=_finite_positive_float, default=1.0,
+    parser.add_argument("--scale", type=finite_positive_float, default=1.0,
                         help="scenario length multiplier (default 1.0 = paper scale)")
-    parser.add_argument("--validation", type=_positive_int, default=800,
+    parser.add_argument("--validation", type=positive_int, default=800,
                         help="characterization sample count (default 800)")
-    parser.add_argument("--workers", type=_positive_int, default=None,
+    parser.add_argument("--workers", type=positive_int, default=None,
                         help="worker processes for trace building (default: serial)")
     parser.add_argument("--trace-store", default=None, metavar="DIR",
                         help="persist built traces under DIR and reuse them next run")
@@ -815,7 +758,7 @@ def build_parser() -> argparse.ArgumentParser:
     figure_cmd.add_argument("number", type=int, help="figure number (1-5)")
     figure_cmd.add_argument("--full-grid", action="store_true",
                             help="figure 5: paper-sized (~1,900-config) sweep")
-    figure_cmd.add_argument("--sweep-scale", type=_finite_positive_float, default=0.15,
+    figure_cmd.add_argument("--sweep-scale", type=finite_positive_float, default=0.15,
                             help="figure 5: extra scenario shortening (default 0.15)")
     figure_cmd.set_defaults(func=_cmd_figure)
 
@@ -829,7 +772,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep_cmd = commands.add_parser("sweep", help="run several policies over several scenarios")
     sweep_cmd.add_argument("policies", nargs="?", default=None,
-                           help="comma-separated policy names (see 'run'); omit with --jobs")
+                           help="comma-separated policy names (see 'run')")
     sweep_cmd.add_argument("--scenarios", default=None,
                            help="comma-separated scenario names (default: the six evaluation ones)")
     sweep_cmd.add_argument("--objective", default="paper", choices=objective_names(),
@@ -837,11 +780,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--parallel-runs", action="store_true",
                            help="also run (policy, scenario) pairs in worker processes "
                                 "(needs --workers and --trace-store)")
-    sweep_cmd.add_argument("--jobs", default=None, metavar="FILE",
-                           help="serve a JSON batch of sweep requests through the "
-                                "concurrent sweep service instead of one foreground sweep")
-    sweep_cmd.add_argument("--service-workers", type=_positive_int, default=4,
-                           help="worker threads for --jobs mode (default 4)")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     serve_cmd = commands.add_parser(
@@ -855,31 +793,34 @@ def build_parser() -> argparse.ArgumentParser:
                                 "instead of draining one jobs file and exiting")
     serve_cmd.add_argument("--host", default="127.0.0.1",
                            help="--http bind address (default 127.0.0.1)")
-    serve_cmd.add_argument("--max-pending", type=_positive_int, default=16,
+    serve_cmd.add_argument("--max-pending", type=positive_int, default=16,
                            help="--http admission bound: open requests before new "
                                 "submits get 429 + Retry-After (default 16)")
-    serve_cmd.add_argument("--request-timeout", type=float, default=300.0,
+    serve_cmd.add_argument("--request-timeout",
+                           type=finite_positive_float_at_most(MAX_DEADLINE_S),
+                           default=300.0,
                            help="--http per-request completion deadline in seconds "
-                                "(default 300)")
+                                f"(default 300, at most {MAX_DEADLINE_S:g})")
     serve_cmd.add_argument("--shift-bundle", default=None, metavar="FILE",
-                           help="--http --procs: serve the 'shift' spec from this saved "
-                                "characterization bundle (workers load the same file)")
-    serve_cmd.add_argument("--service-workers", type=_positive_int, default=4,
+                           help="--procs: serve the 'shift' spec from this saved "
+                                "characterization bundle (the run keys and every "
+                                "worker load the same file)")
+    serve_cmd.add_argument("--service-workers", type=positive_int, default=4,
                            help="worker threads scheduling unit jobs (default 4)")
     serve_cmd.add_argument("--objective", default="paper", choices=objective_names(),
                            help="knob preset for shift policies (default: paper)")
-    serve_cmd.add_argument("--procs", type=_positive_int, default=None, metavar="N",
+    serve_cmd.add_argument("--procs", type=positive_int, default=None, metavar="N",
                            help="drain the batch with N supervised worker processes over "
                                 "an on-disk job queue instead of in-process threads "
                                 "(crash-safe; needs --run-store)")
     serve_cmd.add_argument("--queue-dir", default=None, metavar="DIR",
                            help="job queue directory for --procs "
                                 "(default: <run-store>/_queue)")
-    serve_cmd.add_argument("--lease", type=float, default=30.0,
+    serve_cmd.add_argument("--lease", type=finite_positive_float, default=30.0,
                            help="--procs lease duration in seconds (default 30)")
-    serve_cmd.add_argument("--max-attempts", type=_positive_int, default=5,
+    serve_cmd.add_argument("--max-attempts", type=positive_int, default=5,
                            help="--procs attempts before dead-lettering a job (default 5)")
-    serve_cmd.add_argument("--worker-timeout", type=float, default=600.0,
+    serve_cmd.add_argument("--worker-timeout", type=finite_positive_float, default=600.0,
                            help="--procs overall drain deadline in seconds (default 600)")
     serve_cmd.set_defaults(func=_cmd_serve)
 
@@ -921,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_cmd = commands.add_parser(
         "verify", help="differential fuzz: prove scalar and batched engines agree")
-    verify_cmd.add_argument("--count", type=_non_negative_int, default=None,
+    verify_cmd.add_argument("--count", type=non_negative_int, default=None,
                             help="generated scenarios to sample (0 = the full matrix; "
                                  "default: $REPRO_FUZZ_SCENARIOS or 25)")
     verify_cmd.add_argument("--seed", type=int, default=0,

@@ -27,12 +27,14 @@ per-request deadlines (the ``http`` differential check, run by the CI
 ``fault-smoke`` job, enforces wire/serial bit-equality and free warm
 re-serves).
 
-Front-ends: ``python -m repro serve JOBS.json [--procs N]``, ``python -m
-repro serve --http PORT [--procs N]``, ``python -m repro work QUEUE_DIR``
-(one worker process), ``python -m repro queue`` (inspection/repair),
-``python -m repro sweep --jobs JOBS.json``, the synthetic load generator
-``scripts/loadgen.py`` (in-process service soundness), and the stdlib
-client ``scripts/sweep_client.py``.
+Front-ends: ``python -m repro serve JOBS.json [--procs N]`` and ``python
+-m repro serve --http PORT [--procs N]`` (one serve path: each mode holds a
+:class:`SweepService`, or with ``--procs`` a :class:`QueueBackend` and its
+:class:`WorkerSupervisor` fleet, and reads rows through that backend's
+handles), ``python -m repro work QUEUE_DIR`` (one worker process),
+``python -m repro queue`` (inspection/repair), the synthetic load
+generator ``scripts/loadgen.py`` (in-process service soundness), and the
+stdlib client ``scripts/sweep_client.py``.
 
 Names are imported on first access (PEP 562): a queue worker process
 loads the queue and worker modules, not the HTTP front-end.
@@ -42,8 +44,8 @@ from ..util.lazy import lazy_exports
 
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "http": (
-        "HTTP_API_VERSION", "QueueBackend", "ServiceBackend", "SweepFrontend",
-        "SweepHTTPServer", "metrics_from_wire", "serve_in_thread",
+        "HTTP_API_VERSION", "QueueBackend", "SweepFrontend", "SweepHTTPServer",
+        "metrics_from_wire", "serve_in_thread",
     ),
     "jobs": (
         "ServiceBusy", "ServiceError", "SweepRequest", "UnitJob", "decompose",

@@ -89,6 +89,7 @@ from ..runtime.metrics import RunMetrics
 from ..runtime.runstore import RunKey, RunStore
 from ..sim.soc import SoC
 from .jobs import (
+    MAX_DEADLINE_S,
     ServiceBusy,
     ServiceError,
     SweepRequest,
@@ -191,51 +192,6 @@ def metrics_from_wire(payload: dict) -> RunMetrics:
 
 # ----------------------------------------------------------------- backends
 
-class ServiceBackend:
-    """In-process execution: requests go straight into a SweepService.
-
-    The returned handle *is* the service's :class:`SweepHandle` — it
-    already speaks the protocol the front-end needs (``results(timeout)``,
-    ``done()``, ``completed_rows()``, ``total_rows``).
-    """
-
-    def __init__(self, service: SweepService) -> None:
-        self.service = service
-
-    def submit(self, request: SweepRequest):
-        return self.service.submit(request)
-
-    def counters(self) -> dict[str, int]:
-        service = self.service
-        return {
-            "runs_executed": service.runs_executed,
-            "run_store_hits": service.run_store_hits,
-            "trace_builds": service.trace_builds,
-            "trace_store_hits": service.trace_store_hits,
-            "jobs_scheduled": service.jobs_scheduled,
-            "jobs_coalesced": service.jobs_coalesced,
-        }
-
-    @property
-    def trace_store(self):
-        return self.service.trace_store
-
-    @property
-    def run_store(self):
-        return self.service.run_store
-
-    @property
-    def degraded(self) -> bool:
-        return self.service.degraded
-
-    @property
-    def io_errors(self) -> int:
-        return self.service.io_errors
-
-    def close(self) -> None:
-        self.service.close()
-
-
 @dataclass
 class _QueueCell:
     """One requested (policy, scenario) occurrence awaiting a store entry."""
@@ -278,6 +234,20 @@ class _QueueHandle:
     def done(self) -> bool:
         return self.completed_rows() == len(self._cells)
 
+    def result(self, timeout: float | None = None) -> dict[str, list[RunMetrics]]:
+        """Block until every row is committed; the sweep-shaped mapping.
+
+        The same shape and order as :meth:`SweepHandle.result`: keyed by
+        policy display name, rows in request order.  ``timeout`` bounds
+        the whole wait, as in :meth:`results`.
+        """
+        for _ in self.results(timeout):
+            pass
+        rows: dict[str, list[RunMetrics]] = {}
+        for cell in self._cells:
+            rows.setdefault(cell.metrics.policy_name, []).append(cell.metrics)
+        return rows
+
     def results(self, timeout: float | None = None) -> Iterator[tuple[str, str, RunMetrics]]:
         deadline = None if timeout is None else time.monotonic() + timeout
         pending = list(self._cells)
@@ -306,11 +276,12 @@ class QueueBackend:
 
     The backend enqueues each request's deduplicated unit jobs into the
     shared on-disk :class:`JobQueue` and assembles rows from the run
-    store as the fleet commits them — the HTTP analogue of ``serve
-    --procs``.  Run keys come from the same executor
+    store as the fleet commits them — the backend of ``serve --procs``,
+    batch and ``--http`` alike.  Run keys come from the same executor
     (:meth:`ExperimentRunner.run_key`) that :class:`SweepService` and
     :class:`QueueWorker` use, so the three tiers share one store
-    vocabulary.
+    vocabulary.  ``jobs_enqueued`` counts the jobs its submits added to
+    the queue (the rest were there already).
     """
 
     def __init__(
@@ -337,6 +308,7 @@ class QueueBackend:
         self.runner = ExperimentRunner(
             self.zoo, engine_seed=engine_seed, soc=soc, run_store=self.run_store
         )
+        self.jobs_enqueued = 0
 
     def submit(self, request: SweepRequest) -> _QueueHandle:
         # One policy per spec, only ever fingerprinted — resolving it
@@ -357,7 +329,7 @@ class QueueBackend:
                 key=key,
                 job_id=job_digest(job.policy_spec, job.key[1]),
             ))
-        self.queue.enqueue_all(jobs, engine_seed=self.engine_seed)
+        self.jobs_enqueued += self.queue.enqueue_all(jobs, engine_seed=self.engine_seed)
         return _QueueHandle(self, cells)
 
     def dead_letters(self) -> dict[str, str | None]:
@@ -429,7 +401,7 @@ class _RequestEntry:
 class SweepFrontend:
     """Admission control and request table between HTTP and the sweep tier.
 
-    ``backend`` is a :class:`ServiceBackend` (in-process thread pool) or
+    ``backend`` is a :class:`SweepService` (in-process thread pool) or a
     :class:`QueueBackend` (on-disk queue + worker fleet).  ``max_pending``
     bounds *open* requests (admitted, not yet fully streamed or expired);
     the bound is checked atomically per POST — a multi-request payload is
@@ -441,11 +413,11 @@ class SweepFrontend:
 
     def __init__(
         self,
-        backend: ServiceBackend | QueueBackend,
+        backend: SweepService | QueueBackend,
         *,
         max_pending: int = 16,
         default_deadline_s: float = 300.0,
-        max_deadline_s: float = 3600.0,
+        max_deadline_s: float = MAX_DEADLINE_S,
         retry_after_s: float = 1.0,
         keep_retired: int = 64,
         clock: Callable[[], float] = time.monotonic,
@@ -620,8 +592,8 @@ class SweepFrontend:
             "trace_entries": len(trace_store) if trace_store is not None else None,
             "run_entries": len(run_store) if run_store is not None else None,
             "corrupt_entries": corrupt,
-            "degraded": bool(getattr(self.backend, "degraded", False)),
-            "io_errors": int(getattr(self.backend, "io_errors", 0)),
+            "degraded": self.backend.degraded,
+            "io_errors": self.backend.io_errors,
             "frontend": frontend,
             "backend": self.backend.counters(),
         }
@@ -783,7 +755,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         path = self.path.split("?", 1)[0].rstrip("/") or "/"
         if path == "/healthz":
-            if getattr(self.frontend.backend, "degraded", False):
+            if self.frontend.backend.degraded:
                 # Still alive — but load balancers should stop routing
                 # new work here until the disk recovers.
                 self._send_json(

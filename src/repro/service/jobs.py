@@ -45,6 +45,12 @@ class ServiceBusy(ServiceError):
         self.retry_after = retry_after
 
 
+#: The longest completion deadline a request may hold, in seconds: the
+#: HTTP front-end's cap on a payload's ``deadline_s`` and on ``repro
+#: serve --request-timeout``.
+MAX_DEADLINE_S = 3600.0
+
+
 def policy_resolver(
     bundle=None,
     graph=None,

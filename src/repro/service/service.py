@@ -296,6 +296,19 @@ class SweepService:
         """Submit a batch and block for every result (convenience wrapper)."""
         return [handle.result() for handle in self.serve(requests)]
 
+    def counters(self) -> dict[str, int]:
+        """The monotonic counters, as the HTTP front-end's ``backend`` stats block."""
+        with self._state:
+            scheduled, coalesced = self.jobs_scheduled, self.jobs_coalesced
+        return {
+            "runs_executed": self.runs_executed,
+            "run_store_hits": self.run_store_hits,
+            "trace_builds": self.trace_builds,
+            "trace_store_hits": self.trace_store_hits,
+            "jobs_scheduled": scheduled,
+            "jobs_coalesced": coalesced,
+        }
+
     @property
     def corrupt_entries(self) -> int:
         """Unreadable store entries seen by this service's store handles."""

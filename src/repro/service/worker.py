@@ -34,7 +34,6 @@ import contextlib
 import os
 import sys
 import threading
-import time
 from pathlib import Path
 from collections.abc import Callable
 
@@ -47,6 +46,7 @@ from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import TraceCache
 from ..sim.soc import SoC
+from ..util.argtypes import finite_non_negative_float, finite_positive_float, positive_int
 from .jobs import ServiceError, shift_bundle_resolver
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
@@ -332,13 +332,13 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace-store", default=None, metavar="DIR")
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity (default: worker-<pid>)")
-    parser.add_argument("--lease", type=float, default=30.0,
+    parser.add_argument("--lease", type=finite_positive_float, default=30.0,
                         help="lease duration in seconds (must match the supervisor)")
-    parser.add_argument("--max-attempts", type=int, default=5)
-    parser.add_argument("--backoff-base", type=float, default=0.25)
-    parser.add_argument("--backoff-cap", type=float, default=8.0)
+    parser.add_argument("--max-attempts", type=positive_int, default=5)
+    parser.add_argument("--backoff-base", type=finite_non_negative_float, default=0.25)
+    parser.add_argument("--backoff-cap", type=finite_non_negative_float, default=8.0)
     parser.add_argument("--backoff-seed", type=int, default=0)
-    parser.add_argument("--poll", type=float, default=0.05,
+    parser.add_argument("--poll", type=finite_positive_float, default=0.05,
                         help="sleep between empty claims (seconds)")
     parser.add_argument("--max-jobs", type=int, default=None,
                         help="exit after this many jobs even if the queue is not drained")
@@ -379,14 +379,18 @@ def run(args: argparse.Namespace) -> int:
         raise WorkerTerminated(signum)
 
 
-    queue = JobQueue(
-        args.queue_dir,
-        lease_duration=args.lease,
-        max_attempts=args.max_attempts,
-        backoff_base=args.backoff_base,
-        backoff_cap=args.backoff_cap,
-        backoff_seed=args.backoff_seed,
-    )
+    try:
+        queue = JobQueue(
+            args.queue_dir,
+            lease_duration=args.lease,
+            max_attempts=args.max_attempts,
+            backoff_base=args.backoff_base,
+            backoff_cap=args.backoff_cap,
+            backoff_seed=args.backoff_seed,
+        )
+    except ServiceError as exc:  # e.g. --backoff-base above --backoff-cap
+        print(f"repro work: {exc}", file=sys.stderr)
+        return 2
     hooks: WorkerHooks | None = None
     if args.fault_plan is not None:
         from ..verify.faults import FaultPlan, ProcessFaultHooks

@@ -641,7 +641,6 @@ def check_http_equivalence(
     from ..runtime.export import metrics_to_dict
     from ..runtime.metrics import aggregate
     from ..service import (
-        ServiceBackend,
         SweepFrontend,
         SweepService,
         policy_resolver,
@@ -679,13 +678,13 @@ def check_http_equivalence(
     def serve_round(tmp: Path) -> tuple[list[list[dict]], dict, str | None]:
         """One server lifetime: submit, probe admission, stream, stat."""
         frontend = SweepFrontend(
-            ServiceBackend(SweepService(
+            SweepService(
                 zoo=zoo,
                 trace_store=TraceStore(tmp / "traces"),
                 run_store=tmp / "runs",
                 workers=workers,
                 engine_seed=engine_seed,
-            )),
+            ),
             max_pending=2,
             default_deadline_s=120.0,
         )

@@ -33,7 +33,6 @@ from repro.service import (
     JobQueue,
     QueueBackend,
     QueueWorker,
-    ServiceBackend,
     SweepFrontend,
     SweepService,
     WorkerHooks,
@@ -369,7 +368,7 @@ class TestHttpDegraded:
             run_store=RunStore(tmp_path / "runs"),
             workers=2,
         )
-        frontend = SweepFrontend(ServiceBackend(service))
+        frontend = SweepFrontend(service)
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
         warm_payload = [{"policies": [POLICY], "scenarios": [scenarios[0].name]}]

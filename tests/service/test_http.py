@@ -34,7 +34,6 @@ from repro.service import (
     JobQueue,
     QueueBackend,
     QueueWorker,
-    ServiceBackend,
     ServiceBusy,
     ServiceError,
     SweepFrontend,
@@ -142,7 +141,7 @@ class TestFrontendAdmission:
     def test_admission_bound_rejects_atomically(self, tmp_path, scenarios):
         clock = FakeClock()
         with SweepFrontend(
-            ServiceBackend(make_service(tmp_path)),
+            make_service(tmp_path),
             max_pending=2, default_deadline_s=60.0, clock=clock,
         ) as frontend:
             frontend.submit_payload([
@@ -168,7 +167,7 @@ class TestFrontendAdmission:
     ):
         clock = FakeClock()
         with SweepFrontend(
-            ServiceBackend(make_service(tmp_path)),
+            make_service(tmp_path),
             max_pending=1, default_deadline_s=30.0, clock=clock,
         ) as frontend:
             payload = [{"policies": [POLICIES[0]], "scenarios": [scenarios[0].name]}]
@@ -181,7 +180,7 @@ class TestFrontendAdmission:
             frontend.submit_payload(payload)
 
     def test_submit_after_close_is_loud_and_typed(self, tmp_path, scenarios):
-        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        frontend = SweepFrontend(make_service(tmp_path))
         frontend.close()
         with pytest.raises(ServiceBusy, match="shutting down") as excinfo:
             frontend.submit_payload(
@@ -194,7 +193,7 @@ class TestFrontendAdmission:
         # service closed underneath the frontend still fails the submit
         # with the same typed error, never a hanging handle.
         service = make_service(tmp_path)
-        frontend = SweepFrontend(ServiceBackend(service))
+        frontend = SweepFrontend(service)
         service.close()
         with pytest.raises(ServiceBusy, match="closed"):
             frontend.submit_payload(
@@ -202,14 +201,14 @@ class TestFrontendAdmission:
             )
 
     def test_malformed_payloads_raise_service_error(self, tmp_path):
-        with SweepFrontend(ServiceBackend(make_service(tmp_path))) as frontend:
+        with SweepFrontend(make_service(tmp_path)) as frontend:
             for payload in ([], {"requests": "nope"}, {"deadline_s": -1}, 42):
                 with pytest.raises(ServiceError):
                     frontend.submit_payload(payload)
 
     def test_deadline_override_is_capped(self, tmp_path, scenarios):
         with SweepFrontend(
-            ServiceBackend(make_service(tmp_path)),
+            make_service(tmp_path),
             default_deadline_s=30.0, max_deadline_s=60.0,
         ) as frontend:
             [entry] = frontend.submit_payload({
@@ -223,7 +222,7 @@ class TestFrontendAdmission:
     def test_stream_past_deadline_ends_with_error_line(self, tmp_path, scenarios):
         clock = FakeClock()
         with SweepFrontend(
-            ServiceBackend(make_service(tmp_path, workers=1)),
+            make_service(tmp_path, workers=1),
             default_deadline_s=5.0, clock=clock,
         ) as frontend:
             [entry] = frontend.submit_payload(
@@ -269,7 +268,7 @@ class TestWire:
         ]
 
         def serve_round():
-            frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+            frontend = SweepFrontend(make_service(tmp_path))
             server = serve_in_thread(frontend)
             base = f"http://127.0.0.1:{server.port}"
             try:
@@ -319,7 +318,7 @@ class TestWire:
 
     def test_backpressure_over_the_wire(self, tmp_path, scenarios):
         frontend = SweepFrontend(
-            ServiceBackend(make_service(tmp_path)), max_pending=1,
+            make_service(tmp_path), max_pending=1,
         )
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
@@ -342,7 +341,7 @@ class TestWire:
             frontend.close()
 
     def test_closed_frontend_returns_503_not_a_hang(self, tmp_path, scenarios):
-        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        frontend = SweepFrontend(make_service(tmp_path))
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
         try:
@@ -356,7 +355,7 @@ class TestWire:
             server.server_close()
 
     def test_error_code_table(self, tmp_path, scenarios):
-        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        frontend = SweepFrontend(make_service(tmp_path))
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
 
@@ -401,7 +400,7 @@ class TestWire:
             frontend.close()
 
     def test_status_and_stats_endpoints(self, tmp_path, scenarios):
-        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        frontend = SweepFrontend(make_service(tmp_path))
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
         try:
@@ -492,7 +491,7 @@ def probed(tmp_path):
     started = []
 
     def start():
-        frontend = SweepFrontend(ServiceBackend(make_service(tmp_path)))
+        frontend = SweepFrontend(make_service(tmp_path))
         server = ProbedServer(frontend)
         thread = threading.Thread(target=server.serve_forever, args=(STOP_POLL_S,),
                                   daemon=True)

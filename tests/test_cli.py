@@ -1,12 +1,29 @@
 """Tests for the command-line interface."""
 
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 FAST = ["--scale", "0.03", "--validation", "60"]
+
+
+def repro_child(argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -m repro ARGV`` in a child process, bounded by a timeout.
+
+    For ``serve --http`` cases: a server that starts serving, or hangs on
+    its way out, fails the test instead of wedging the suite.
+    """
+    package_root = Path(repro.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(package_root)}
+    return subprocess.run([sys.executable, "-m", "repro", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
 
 
 class TestParser:
@@ -32,6 +49,16 @@ class TestParser:
         ["figure", "5", "--sweep-scale", "0"],
         ["figure", "5", "--sweep-scale", "nan"],
         ["figure", "5", "--sweep-scale", "inf"],
+        ["serve", "--http", "0", "--request-timeout", "0"],
+        ["serve", "--http", "0", "--request-timeout", "7200"],
+        ["serve", "--http", "0", "--request-timeout", "nan"],
+        ["serve", "jobs.json", "--procs", "1", "--lease", "0"],
+        ["serve", "jobs.json", "--procs", "1", "--worker-timeout", "-1"],
+        ["work", "q", "--run-store", "r", "--lease", "-1"],
+        ["work", "q", "--run-store", "r", "--poll", "0"],
+        ["work", "q", "--run-store", "r", "--backoff-base", "-0.5"],
+        ["work", "q", "--run-store", "r", "--backoff-cap", "inf"],
+        ["work", "q", "--run-store", "r", "--max-attempts", "0"],
     ])
     def test_unusable_sizes_exit_2_before_any_work(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -40,6 +67,12 @@ class TestParser:
         err = capsys.readouterr().err
         assert "finite positive" in err or "at least 1" in err
         assert "Traceback" not in err
+
+    def test_request_timeout_above_the_cap_names_it(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["serve", "--http", "0", "--request-timeout", "7200"])
+        assert exit_info.value.code == 2
+        assert "no larger than 3600" in capsys.readouterr().err
 
 
 class TestCommands:
@@ -119,13 +152,7 @@ class TestCommands:
 
     def test_sweep_without_policies_or_jobs(self, capsys):
         assert main(FAST + ["sweep"]) == 2
-        assert "--jobs" in capsys.readouterr().err
-
-    def test_sweep_rejects_policies_and_jobs_together(self, tmp_path, capsys):
-        jobs = tmp_path / "jobs.json"
-        jobs.write_text("[]", encoding="utf-8")
-        assert main(FAST + ["sweep", "marlin-tiny", "--jobs", str(jobs)]) == 2
-        assert "not both" in capsys.readouterr().err
+        assert "POLICIES" in capsys.readouterr().err
 
     def test_sweep_parallel_runs_requires_store(self, capsys):
         code = main(FAST + ["--workers", "2", "sweep", "marlin-tiny",
@@ -227,13 +254,29 @@ class TestServeCommand:
         assert main(FAST + ["serve", jobs]) == 2
         assert "known scenarios" in capsys.readouterr().err
 
-    def test_sweep_jobs_batch_front_end(self, tmp_path, capsys):
+    def test_serve_http_refuses_a_scale(self):
+        # The wire names scenarios at their registered length; a scale
+        # the server would silently ignore is refused instead.
+        done = repro_child(["--scale", "0.05", "serve", "--http", "0"])
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1 and "--scale" in done.stderr
+
+    def test_serve_shift_bundle_needs_procs(self, tmp_path):
         jobs = self._jobs_file(tmp_path, [
             {"policies": ["marlin-tiny"], "scenarios": ["s3_indoor_close_wall"]}
         ])
-        assert main(FAST + ["sweep", "--jobs", jobs]) == 0
-        out = capsys.readouterr().out
-        assert "Request request-0" in out and "service:" in out
+        for mode in ([jobs], ["--http", "0"]):
+            done = repro_child(["serve", *mode, "--shift-bundle", "bundle.json"])
+            assert done.returncode == 2
+            assert done.stderr.count("\n") == 1 and "--procs" in done.stderr
+
+    def test_serve_http_bad_startup_jobs_file_exits_2(self, tmp_path):
+        jobs = self._jobs_file(tmp_path, [
+            {"policies": ["quantum"], "scenarios": ["s3_indoor_close_wall"]}
+        ])
+        done = repro_child(["serve", "--http", "0", jobs])
+        assert done.returncode == 2, done.stderr
+        assert "unknown policy" in done.stderr
 
     def test_serve_with_stores_warm_reserve(self, tmp_path, capsys):
         jobs = self._jobs_file(tmp_path, [
@@ -333,6 +376,27 @@ class TestQueueCommands:
         out = capsys.readouterr().out
         assert "2 done" in out and "0 problems" in out
 
+    def test_batch_serve_modes_print_the_same_tables(self, tmp_path, capsys):
+        # In-process and --procs serves read their rows through different
+        # backends' handles; only the summary line may tell them apart.
+        jobs = self._jobs_file(tmp_path, {"requests": [
+            {"id": "r1", "policies": ["shift", "marlin-tiny", "single:yolov7-tiny@gpu"],
+             "scenarios": ["s3_indoor_close_wall", "s4_indoor_clutter"]},
+            {"id": "r2", "policies": ["single:yolov7-tiny@gpu", "marlin-tiny"],
+             "scenarios": ["s4_indoor_clutter"]},
+        ]})
+        assert main(FAST + ["serve", jobs]) == 0
+        inproc = capsys.readouterr().out.splitlines()
+        code = main(FAST + ["--run-store", str(tmp_path / "runs"),
+                            "--trace-store", str(tmp_path / "traces"),
+                            "serve", jobs, "--procs", "1", "--worker-timeout", "240"])
+        procs = capsys.readouterr().out.splitlines()
+        assert code == 0, procs
+        assert inproc[-1].startswith("service: 2 requests")
+        assert procs[-1].startswith("queue: 8 unit jobs, 6 enqueued (2 deduplicated)")
+        assert "Request r1" in "\n".join(procs)
+        assert procs[:-1] == inproc[:-1]
+
     @pytest.mark.parametrize("content", [b'{"schema_version": 1, "accur', b"\xff\xfe\x00", None])
     def test_work_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys, content):
         bundle = tmp_path / "torn.json"
@@ -340,6 +404,25 @@ class TestQueueCommands:
             bundle.write_bytes(content)
         code = main(["work", str(tmp_path / "q"), "--run-store", str(tmp_path / "r"),
                      "--shift-bundle", str(bundle)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
+
+    def test_work_rejects_a_backoff_base_above_the_cap(self, tmp_path, capsys):
+        code = main(["work", str(tmp_path / "q"), "--run-store", str(tmp_path / "r"),
+                     "--backoff-base", "10", "--backoff-cap", "8"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "base <= cap" in err
+
+    def test_serve_batch_procs_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys):
+        bundle = tmp_path / "torn.json"
+        bundle.write_text('{"schema_version": 1, "accur', encoding="utf-8")
+        jobs = self._jobs_file(tmp_path, [
+            {"policies": ["marlin-tiny"], "scenarios": ["s3_indoor_close_wall"]}
+        ])
+        code = main(FAST + ["--run-store", str(tmp_path / "r"), "serve", jobs,
+                            "--procs", "1", "--shift-bundle", str(bundle)])
         assert code == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
