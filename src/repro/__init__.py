@@ -57,7 +57,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "runtime": (
         "ExperimentRunner", "FrameRecord", "Policy", "RunMetrics", "RunResult",
         "ScenarioTrace", "TraceCache", "TraceStore", "aggregate", "average_metrics",
-        "run_policy", "run_policy_on_scenarios",
+        "run_policy",
     ),
     "service": ("SweepHandle", "SweepRequest", "SweepService"),
     "sim": ("AcceleratorClass", "ExecutionEngine", "SoC", "gpu_only_soc", "xavier_nx_with_oakd"),

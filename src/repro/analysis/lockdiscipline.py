@@ -149,7 +149,7 @@ class LockDisciplineChecker(Checker):
                 "locks/io-seam", module, node,
                 f"{name}() bypasses the repro.runtime.iolayer seam: the write "
                 f"is atomic but invisible to fault plans, degraded mode, and "
-                f"io_error accounting; use iolayer.write_text / write_json / "
+                f"io_error accounting; use iolayer.write_text / write_bytes / "
                 f"replace with root= set to the store root",
             )
             return

@@ -120,8 +120,6 @@ def _build_policy(name: str, ctx: ExperimentContext, objective: str):
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    from .runtime.metrics import aggregate
-    from .runtime.runner import run_policy
     from .service.jobs import ServiceError
 
     ctx = _context(args)
@@ -131,8 +129,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except (KeyError, ServiceError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
-    trace = ctx.cache.get(scenario)
-    metrics = aggregate(run_policy(policy, trace, engine_seed=ctx.engine_seed))
+    [metrics] = ctx.runner.run_policy_on_scenarios(policy, [scenario])
     print(f"policy       {metrics.policy_name}")
     print(f"scenario     {metrics.scenario_name} ({metrics.frames} frames)")
     print(f"mean IoU     {metrics.mean_iou:.3f}")
@@ -381,9 +378,10 @@ def _drain(args: argparse.Namespace, queue, fleet) -> int:
 
 def _serve_batch(args: argparse.Namespace, requests: list, backend, fleet) -> int:
     """Submit every request, drain the fleet if there is one, print the tables."""
-    from .service.jobs import ServiceError
+    from .service.jobs import ServiceError, validate_requests
 
     try:
+        validate_requests(requests, backend.policy_resolver)
         handles = [backend.submit(request) for request in requests]
         if fleet is not None:
             code = _drain(args, backend.queue, fleet)

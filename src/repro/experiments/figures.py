@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from ..baselines import MarlinPolicy, SingleModelPolicy, oracle_accuracy
 from ..core import ShiftConfig, ShiftPipeline
-from ..runtime import efficiency_series, run_policy
+from ..runtime import efficiency_series
 from ..sim import AcceleratorClass
 from .context import ExperimentContext
 from .report import TableData
@@ -109,11 +109,9 @@ def figure2(ctx: ExperimentContext, window: int = 50) -> Figure2Result:
     the paper's motivation for context-aware model switching.
     """
     scenario = ctx.scenario(_FIG3_SCENARIO)
-    trace = ctx.runner.trace(scenario)
     series: dict[str, list[float]] = {}
     for spec in ctx.zoo:
-        policy = SingleModelPolicy(spec.name, "gpu")
-        result = run_policy(policy, trace, engine_seed=ctx.engine_seed)
+        result = ctx.runner.run(SingleModelPolicy(spec.name, "gpu"), scenario)
         series[spec.name] = efficiency_series(result.records, window=window)
 
     table = TableData(
@@ -161,13 +159,11 @@ def _windowed_iou(records, window: int) -> list[float]:
 
 def _timeline(ctx: ExperimentContext, scenario_name: str, window: int) -> TimelineResult:
     scenario = ctx.scenario(scenario_name)
-    trace = ctx.runner.trace(scenario)
-    config = ShiftConfig()
-
-    shift = ShiftPipeline(ctx.bundle, config=config, graph=ctx.graph)
-    shift_run = run_policy(shift, trace, engine_seed=ctx.engine_seed)
-    marlin_run = run_policy(MarlinPolicy("yolov7"), trace, engine_seed=ctx.engine_seed)
-    oracle_run = run_policy(oracle_accuracy(), trace, engine_seed=ctx.engine_seed)
+    shift_run = ctx.runner.run(
+        ShiftPipeline(ctx.bundle, config=ShiftConfig(), graph=ctx.graph), scenario
+    )
+    marlin_run = ctx.runner.run(MarlinPolicy("yolov7"), scenario)
+    oracle_run = ctx.runner.run(oracle_accuracy(), scenario)
 
     swap_frames = [r.frame_index for r in shift_run.records if r.swap]
     result = TimelineResult(
@@ -189,7 +185,8 @@ def _timeline(ctx: ExperimentContext, scenario_name: str, window: int) -> Timeli
             title=f"{scenario.name}: windowed IoU/J (window={window})",
             headers=["Series"] + [f"w{i}" for i in range(len(_windowed_iou(shift_run.records, window)))],
         ),
-        segments=[f.segment for f in trace.frames],
+        segments=[segment.name for segment in scenario.segments
+                  for _ in range(segment.frames)],
     )
     result.table.add_row("SHIFT", *[round(v, 2) for v in result.shift_efficiency])
     result.table.add_row("Marlin", *[round(v, 2) for v in result.marlin_efficiency])

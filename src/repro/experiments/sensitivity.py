@@ -3,7 +3,10 @@
 Sweeps the scheduler knobs (accuracy/energy/latency), the accuracy goal,
 the momentum, and the confidence-graph distance threshold over a grid of
 configurations, runs SHIFT under each, and reports the correlation of each
-parameter with the achieved mean IoU, energy, and latency.
+parameter with the achieved mean IoU, energy, and latency.  The grid is
+one :meth:`~repro.runtime.experiment.ExperimentRunner.sweep` of the
+context's runner, so every point runs on the fast tier and a run store
+keeps each point for the next invocation.
 
 The paper's expectations (all reproduced here):
 * energy knob up   -> actual energy down (negative correlation),
@@ -22,8 +25,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from ..core import ConfidenceGraph, ShiftConfig, ShiftPipeline
-from ..runtime import aggregate, run_policy
+from ..core import ShiftConfig, ShiftPipeline
 from .context import ExperimentContext
 from .report import TableData
 
@@ -120,31 +122,30 @@ def sensitivity_analysis(
     scenario = ctx.scenario(scenario_name)
     if scenario_scale is not None:
         scenario = scenario.scaled(scenario_scale)
-    trace = ctx.runner.trace(scenario)
 
     # One confidence-graph structure serves every configuration: only the
     # bounded-search threshold differs, and re-thresholding is cheap.
-    base_graph = ctx.graph
-    graph_cache: dict[float, ConfidenceGraph] = {}
-
-    points: list[SweepPoint] = []
-    for config in _grid_configs(grid):
-        if config.distance_threshold not in graph_cache:
-            graph_cache[config.distance_threshold] = base_graph.with_distance_threshold(
-                config.distance_threshold
-            )
-        pipeline = ShiftPipeline(
-            ctx.bundle, config=config, graph=graph_cache[config.distance_threshold]
+    graphs = {
+        threshold: ctx.graph.with_distance_threshold(threshold)
+        for threshold in grid["distance_threshold"]
+    }
+    configs = _grid_configs(grid)
+    pipelines = [
+        ShiftPipeline(ctx.bundle, config=config, graph=graphs[config.distance_threshold])
+        for config in configs
+    ]
+    # Every pipeline is named "shift", so the sweep's one row list holds
+    # a row per configuration, in grid order.
+    rows = ctx.runner.sweep(pipelines, [scenario])[ShiftPipeline.name]
+    points = [
+        SweepPoint(
+            config=config,
+            mean_iou=metrics.mean_iou,
+            mean_energy_j=metrics.mean_energy_j,
+            mean_latency_s=metrics.mean_latency_s,
         )
-        metrics = aggregate(run_policy(pipeline, trace, engine_seed=ctx.engine_seed))
-        points.append(
-            SweepPoint(
-                config=config,
-                mean_iou=metrics.mean_iou,
-                mean_energy_j=metrics.mean_energy_j,
-                mean_latency_s=metrics.mean_latency_s,
-            )
-        )
+        for config, metrics in zip(configs, rows, strict=True)
+    ]
 
     parameters = list(grid)
     metrics_of = {

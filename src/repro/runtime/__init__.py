@@ -20,9 +20,9 @@ from .bundlestore import BundleKey, BundleStore
 from .experiment import ExperimentRunner
 from .iolayer import FsFaultEvent, FsFaultPlan, StoreDegraded, StoreError
 from .maintenance import GcReport, RepairReport, ScrubReport
-from .policy import Policy, RuntimeServices
-from .records import FrameRecord, RunResult
-from .runner import run_policy, run_policy_on_scenarios
+from ..core.policy import Policy, RuntimeServices
+from ..core.records import FrameRecord, RunResult
+from .runner import run_policy
 from .runstore import RunKey, RunSchemaError, RunStore, run_from_dict, run_to_dict
 from .store import TraceSchemaError, TraceStore, trace_from_dict, trace_to_dict
 from .trace import ScenarioTrace, TraceCache
@@ -54,7 +54,6 @@ __all__ = [
     "FrameRecord",
     "RunResult",
     "run_policy",
-    "run_policy_on_scenarios",
     "ScenarioTrace",
     "TraceCache",
     "ExperimentRunner",

@@ -1,8 +1,10 @@
 """Persistent, parallel experiment runner.
 
 Everything that reruns policies over scenarios — the paper tables and
-figures, the CLI, the benchmark harness — funnels through
-:class:`ExperimentRunner`.  It owns the trace tier (a fingerprint-keyed
+figures, every CLI command, the serving tiers — funnels through
+:class:`ExperimentRunner`; only the differential checks call the scalar
+:func:`~repro.runtime.runner.run_policy` loop directly, as the reference
+the executor is compared against.  It owns the trace tier (a fingerprint-keyed
 :class:`~repro.runtime.trace.TraceCache`, optionally backed by an on-disk
 :class:`~repro.runtime.store.TraceStore`) and the process pool, so callers
 get three things for free:

@@ -5,10 +5,10 @@ module makes it survive the *filesystem*.  Three ideas:
 
 **One seam.**  Every durable write in the persistence tier — store
 entries, shard indexes, queue records, exported metrics — goes through
-:func:`write_text` / :func:`write_bytes` / :func:`write_json` /
-:func:`replace` here instead of calling :mod:`repro.util.atomicio` (or
-``os.replace``) directly.  The ``locks/io-seam`` lint rule makes that
-structural: store-tier modules may not open files for writing themselves.
+:func:`write_text` / :func:`write_bytes` / :func:`replace` here instead
+of calling :mod:`repro.util.atomicio` (or ``os.replace``) directly.  The
+``locks/io-seam`` lint rule makes that structural: store-tier modules
+may not open files for writing themselves.
 Directory scans used by maintenance sweeps route through :func:`scan`,
 and — since PR 10 — entry *reads* route through :func:`read_text` /
 :func:`read_bytes` for the same reason: a transient ``EIO`` on read used
@@ -18,13 +18,13 @@ retry transient errnos with seeded backoff and re-raise the ``OSError``
 on exhaustion; callers treat that as *unavailable* (a miss), never as
 *corrupt* (a quarantine).
 
-**Deterministic filesystem faults.**  An :class:`FsFaultPlan` — a seeded,
-serializable schedule of ENOSPC / EIO / lost-rename / partial-write /
-slow-io events keyed by ``(operation, operation index)`` — can be armed
-process-wide (:func:`arm_fault_plan`, or the :func:`fault_plan` context
-manager).  Each hook point (``write``, ``fsync``, ``replace``, ``scan``,
-``read``) ticks a per-op counter and consults the plan, so a fault
-harness can replay the exact same disk failure schedule run after run.  The
+**Deterministic filesystem faults.**  An :class:`FsFaultPlan` — a seeded
+schedule of ENOSPC / EIO / lost-rename / partial-write / slow-io events
+keyed by ``(operation, operation index)`` — can be armed process-wide
+(:func:`arm_fault_plan`, or the :func:`fault_plan` context manager).
+Each hook point (``write``, ``fsync``, ``replace``, ``scan``, ``read``)
+ticks a per-op counter and consults the plan, so a fault harness can
+replay the exact same disk failure schedule run after run.  The
 ``fsfaults`` differential check builds on this.
 
 **Graceful degradation.**  Transient capacity errors (ENOSPC, EDQUOT,
@@ -43,7 +43,6 @@ from __future__ import annotations
 
 import errno
 import fnmatch
-import json
 import mmap
 import os
 import random
@@ -54,11 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from collections.abc import Iterator
 
-from ..util import jsonsafe
-from ..util.atomicio import atomic_write_text, temp_name
-
-#: Schema of serialized fault plans; pinned in analysis/schema_manifest.json.
-FS_FAULT_PLAN_SCHEMA_VERSION = 1
+from ..util.atomicio import temp_name
 
 #: Hook points a fault event can target.
 FS_OPS = ("write", "fsync", "replace", "scan", "read")
@@ -139,67 +134,12 @@ class FsFaultEvent:
     def covers(self, index: int) -> bool:
         return self.index <= index < self.index + self.count
 
-    def to_dict(self) -> dict:
-        return {
-            "op": self.op,
-            "index": self.index,
-            "kind": self.kind,
-            "count": self.count,
-            "param": self.param,
-            "match": self.match,
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "FsFaultEvent":
-        return FsFaultEvent(
-            op=payload["op"],
-            index=payload["index"],
-            kind=payload["kind"],
-            count=payload.get("count", 1),
-            param=payload.get("param"),
-            match=payload.get("match"),
-        )
-
 
 @dataclass(frozen=True)
 class FsFaultPlan:
-    """A deterministic, serializable schedule of filesystem faults."""
+    """A deterministic schedule of filesystem faults."""
 
     events: tuple[FsFaultEvent, ...]
-    label: str = ""
-
-    def events_for(self, op: str) -> tuple[FsFaultEvent, ...]:
-        return tuple(event for event in self.events if event.op == op)
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": FS_FAULT_PLAN_SCHEMA_VERSION,
-            "label": self.label,
-            "events": [event.to_dict() for event in self.events],
-        }
-
-    @staticmethod
-    def from_dict(payload: dict) -> "FsFaultPlan":
-        if payload.get("schema_version") != FS_FAULT_PLAN_SCHEMA_VERSION:
-            raise ValueError(
-                f"unsupported fault plan schema {payload.get('schema_version')!r}"
-            )
-        return FsFaultPlan(
-            events=tuple(FsFaultEvent.from_dict(e) for e in payload.get("events", [])),
-            label=payload.get("label", ""),
-        )
-
-    def save(self, path: str | Path) -> Path:
-        # Plan files are harness inputs, not store data: the leaf atomic
-        # writer is the right tool (routing them through the seam would
-        # let an armed plan corrupt its own description).
-        return atomic_write_text(
-            path, json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False)
-        )
-
-    @staticmethod
-    def load(path: str | Path) -> "FsFaultPlan":
-        return FsFaultPlan.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
 
 class _ArmedPlan:
@@ -295,12 +235,6 @@ def disarm_fault_plan() -> int:
         fired = _ARMED.fired if _ARMED is not None else 0
         _ARMED = None
     return fired
-
-
-def fault_plan_armed() -> bool:
-    """True while a fault plan is armed in this process."""
-    with _STATE_LOCK:
-        return _ARMED is not None
 
 
 @contextmanager
@@ -458,18 +392,6 @@ def write_bytes(path: str | Path, data: bytes, *, root: str | Path | None = None
     it truncates text, so torn binary entries are injectable too.
     """
     return _write_with_retry(Path(path), data, root)
-
-
-def write_json(
-    path: str | Path, payload: object, *, root: str | Path | None = None, **dumps_kwargs
-) -> Path:
-    """Serialize ``payload`` and :func:`write_text` it through the seam.
-
-    Serialization goes through :mod:`repro.util.jsonsafe`, so non-finite
-    floats become explicit sentinels instead of spec-invalid ``NaN`` /
-    ``Infinity`` tokens.
-    """
-    return write_text(path, jsonsafe.dumps(payload, **dumps_kwargs), root=root)
 
 
 def _read_once(path: Path, *, binary: bool, count: int | None, use_mmap: bool):

@@ -192,21 +192,21 @@ def gc_entries(
     report = GcReport(root=str(root), dry_run=dry_run)
     quarantine = root / shards.QUARANTINE_DIR
     if quarantine.is_dir():
-        for path in _safe_scan(quarantine, "*", root):
+        for path in shards.scan_or_empty(quarantine, "*", root):
             if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
                 report.quarantine_removed += 1
     if root.is_dir():
-        for path in _safe_scan(root, "*.tmp*", root):
+        for path in shards.scan_or_empty(root, "*.tmp*", root):
             if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
                 report.temps_removed += 1
     for shard in shards.shard_dirs(root):
         with shards.shard_lock(shard):
-            for path in _safe_scan(shard, "*.tmp*", root):
+            for path in shards.scan_or_empty(shard, "*.tmp*", root):
                 if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
                     report.temps_removed += 1
             if collect is None:
                 continue
-            for path in _safe_scan(shard, pattern, root):
+            for path in shards.scan_or_empty(shard, pattern, root):
                 if ".tmp" in path.name:
                     continue
                 if not _collect_entry_locked(
@@ -215,13 +215,6 @@ def gc_entries(
                     continue
                 report.entries_removed += 1
     return report
-
-
-def _safe_scan(directory: Path, pattern: str, root: Path) -> list[Path]:
-    try:
-        return iolayer.scan(directory, pattern, root=root)
-    except OSError:
-        return []  # counted by the seam; an unscannable dir yields nothing
 
 
 def _age_and_size(path: Path, root: Path) -> tuple[float, int] | None:
@@ -310,7 +303,7 @@ def repair_entries(
         with shards.shard_lock(shard):
             indexed = shards.read_index(shard)
             on_disk = {
-                p.name for p in _safe_scan(shard, pattern, root) if ".tmp" not in p.name
+                p.name for p in shards.scan_or_empty(shard, pattern, root) if ".tmp" not in p.name
             }
             changed = False
             for name in sorted(set(indexed) - on_disk):

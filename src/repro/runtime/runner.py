@@ -1,17 +1,12 @@
-"""Run policies over scenarios and collect results."""
+"""The scalar run loop: one policy over one traced scenario."""
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
-from ..data.scenario import Scenario
-from ..models.zoo import ModelZoo
 from ..sim.engine import ExecutionEngine, PlannedExecutionEngine
 from ..sim.soc import SoC, xavier_nx_with_oakd
-from .metrics import RunMetrics
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import RunResult
-from .trace import ScenarioTrace, TraceCache
+from .trace import ScenarioTrace
 
 
 def run_policy(
@@ -44,32 +39,3 @@ def run_policy(
     for frame in trace.frames:
         result.records.append(policy.step(frame))
     return result
-
-
-def run_policy_on_scenarios(
-    policy: Policy,
-    scenarios: list[Scenario],
-    zoo: ModelZoo,
-    cache: TraceCache | None = None,
-    engine_seed: int = 1234,
-    soc: SoC | Callable[[], SoC] | None = None,
-    max_workers: int | None = None,
-) -> list[RunMetrics]:
-    """Run one policy across several scenarios; one metrics row each.
-
-    ``soc`` may be a platform instance (reset before every run) or a
-    zero-argument factory; without it every run gets a fresh default
-    Xavier-NX+OAK-D.  ``max_workers`` > 1 builds missing traces across
-    worker processes.  Thin wrapper over
-    :class:`~repro.runtime.experiment.ExperimentRunner` — use that
-    directly for multi-policy sweeps and persistent trace stores.
-    """
-    from .experiment import ExperimentRunner  # local import: avoids a cycle
-
-    runner = ExperimentRunner(
-        cache=cache if cache is not None else TraceCache(zoo, max_workers=max_workers),
-        max_workers=max_workers,
-        engine_seed=engine_seed,
-        soc=soc,
-    )
-    return runner.run_policy_on_scenarios(policy, scenarios)

@@ -1,20 +1,22 @@
 """On-disk persistence for finished policy runs.
 
-PR 2 made building traces cheap and reloading them near-free; after that
-the suite's dominant cost became the run tier itself — every table,
-figure, sensitivity point, and fuzz sweep replays ``run_policy`` from
-scratch, and nothing remembers a finished run across processes.  This
-module is the run tier's analogue of :class:`~repro.runtime.store.TraceStore`
-and shares its :class:`~repro.runtime.store.EntryStore` base:
-schema-validated binary columnar entries (:mod:`repro.runtime.colfmt`),
-content-addressed, atomic writes.
+A finished policy run is a pure function of its inputs, so it is worth
+keeping: every cell the executor
+(:class:`~repro.runtime.experiment.ExperimentRunner`) runs — a table row,
+a figure series, a sensitivity point, ``repro run``, a served or queued
+job — can be persisted here and reloaded by any later process instead of
+replayed.  This module is the run tier's analogue of
+:class:`~repro.runtime.store.TraceStore` and shares its
+:class:`~repro.runtime.store.EntryStore` base: schema-validated binary
+columnar entries (:mod:`repro.runtime.colfmt`), content-addressed, atomic
+writes.
 
 **Cache key.**  A run's frame records are a pure function of four inputs,
 so a persisted run is keyed by the tuple of their content fingerprints
 (plus the policy's display name, which labels the persisted rows):
 
 ``policy_fingerprint``
-    :meth:`~repro.runtime.policy.Policy.fingerprint` — the policy's full
+    :meth:`~repro.core.policy.Policy.fingerprint` — the policy's full
     configuration (for SHIFT: config knobs + characterization bundle +
     confidence graph content).  Retuning any knob changes the digest.
 ``scenario_fingerprint`` / ``zoo_fingerprint``
@@ -36,7 +38,7 @@ bumping it orphans stale files, which are then treated as misses.
 pre-aggregated :class:`~repro.runtime.metrics.RunMetrics` dict.  Sweeps
 that only need metrics (tables, figures, fuzz drivers) hit
 :meth:`RunStore.load_metrics`, which skips rebuilding
-:class:`~repro.runtime.records.FrameRecord` objects entirely — that is
+:class:`~repro.core.records.FrameRecord` objects entirely — that is
 what makes a warm sweep as cheap as a trace reload.  Floats survive the
 round-trip exactly (float64 columns; the metrics sit in the JSON header
 in shortest-round-trip repr), so a warm sweep is bit-identical to a cold

@@ -59,12 +59,6 @@ from collections.abc import Callable, Iterator
 from ..util import jsonsafe
 from . import colfmt, iolayer
 
-# Re-exported here for lower-tier sharing (characterization); store-tier
-# code routes writes through `iolayer` instead (the io-seam rule flags
-# direct calls in this package).
-from ..util.atomicio import atomic_write_json as atomic_write_json
-from ..util.atomicio import atomic_write_text as atomic_write_text
-
 try:  # pragma: no cover - always available on the supported platforms
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX fallback: in-process only
@@ -328,16 +322,16 @@ def clean_stale_temps(root: Path) -> int:
     removed = 0
     if not root.is_dir():
         return 0
-    for stale in _scan_or_count(root, "*.tmp*", root):
+    for stale in scan_or_empty(root, "*.tmp*", root):
         removed += _unlink_or_count(stale, root)
     for shard in shard_dirs(root):
         with shard_lock(shard):
-            for stale in _scan_or_count(shard, "*.tmp*", root):
+            for stale in scan_or_empty(shard, "*.tmp*", root):
                 removed += _unlink_or_count(stale, root)
     return removed
 
 
-def _scan_or_count(directory: Path, pattern: str, root: Path) -> list[Path]:
+def scan_or_empty(directory: Path, pattern: str, root: Path) -> list[Path]:
     """A seam scan that degrades to an empty listing, counting the error."""
     try:
         return iolayer.scan(directory, pattern, root=root)

@@ -87,7 +87,6 @@ from ..runtime.export import metrics_to_dict
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.metrics import RunMetrics
 from ..runtime.runstore import RunKey, RunStore
-from ..sim.soc import SoC
 from .jobs import (
     MAX_DEADLINE_S,
     ServiceBusy,
@@ -95,6 +94,7 @@ from .jobs import (
     SweepRequest,
     decompose,
     requests_from_payload,
+    validate_requests,
 )
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, job_digest
@@ -107,6 +107,15 @@ MAX_BODY_BYTES = 4 * 1024 * 1024
 
 #: Retry-After hint (seconds) on capacity responses (507 / degraded 503).
 DEGRADED_RETRY_AFTER = 5.0
+
+#: Retry-After hint (seconds) on a full admission queue (429).
+BUSY_RETRY_AFTER = 1.0
+
+#: Closed requests the front-end keeps answering status and results for.
+KEEP_RETIRED = 64
+
+#: How often a :class:`QueueBackend` handle re-reads the run store for rows.
+RESULT_POLL_S = 0.1
 
 #: How often :func:`serve_in_thread`'s accept loop looks for ``shutdown()``;
 #: at the stdlib's 0.5 s every stop would wait up to half a second.
@@ -268,7 +277,7 @@ class _QueueHandle:
                     )
             if deadline is not None and time.monotonic() >= deadline:
                 raise TimeoutError(f"{len(pending)} rows still pending at the deadline")
-            time.sleep(self._backend.poll_interval)
+            time.sleep(RESULT_POLL_S)
 
 
 class QueueBackend:
@@ -290,30 +299,23 @@ class QueueBackend:
         run_store: RunStore | str | Path,
         *,
         zoo: ModelZoo | None = None,
-        soc: Callable[[], SoC] | None = None,
         policy_resolver: Callable[[str], Policy] | None = None,
         engine_seed: int = 1234,
-        poll_interval: float = 0.1,
     ) -> None:
-        if soc is not None and not callable(soc):
-            raise ServiceError("soc must be a zero-argument factory, not an instance")
         self.queue = queue
         self.run_store = run_store if isinstance(run_store, RunStore) else RunStore(run_store)
         self.zoo = zoo if zoo is not None else default_zoo()
         self.engine_seed = engine_seed
-        self.poll_interval = poll_interval
-        self._resolver = (
+        self.policy_resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
-        self.runner = ExperimentRunner(
-            self.zoo, engine_seed=engine_seed, soc=soc, run_store=self.run_store
-        )
+        self.runner = ExperimentRunner(self.zoo, engine_seed=engine_seed, run_store=self.run_store)
         self.jobs_enqueued = 0
 
     def submit(self, request: SweepRequest) -> _QueueHandle:
         # One policy per spec, only ever fingerprinted — resolving it
         # also rejects unknown specs before any scenario resolves.
-        policies = {spec: self._resolver(spec) for spec in dict.fromkeys(request.policies)}
+        policies = {spec: self.policy_resolver(spec) for spec in dict.fromkeys(request.policies)}
         jobs = decompose(request)
         cells = []
         for job in jobs:
@@ -406,9 +408,10 @@ class SweepFrontend:
     bounds *open* requests (admitted, not yet fully streamed or expired);
     the bound is checked atomically per POST — a multi-request payload is
     admitted entirely or rejected entirely with
-    :class:`~repro.service.jobs.ServiceBusy` carrying ``retry_after_s``.
+    :class:`~repro.service.jobs.ServiceBusy` carrying a ``retry_after`` hint.
     ``default_deadline_s`` is each request's completion budget unless the
-    payload's ``deadline_s`` overrides it (capped at ``max_deadline_s``).
+    payload's ``deadline_s`` overrides it (capped at
+    :data:`~repro.service.jobs.MAX_DEADLINE_S`).
     """
 
     def __init__(
@@ -417,21 +420,15 @@ class SweepFrontend:
         *,
         max_pending: int = 16,
         default_deadline_s: float = 300.0,
-        max_deadline_s: float = MAX_DEADLINE_S,
-        retry_after_s: float = 1.0,
-        keep_retired: int = 64,
         clock: Callable[[], float] = time.monotonic,
     ) -> None:
         if max_pending < 1:
             raise ServiceError("max_pending must be at least 1")
-        if default_deadline_s <= 0 or max_deadline_s < default_deadline_s:
+        if not 0 < default_deadline_s <= MAX_DEADLINE_S:
             raise ServiceError("deadlines must satisfy 0 < default <= max")
         self.backend = backend
         self.max_pending = max_pending
         self.default_deadline_s = default_deadline_s
-        self.max_deadline_s = max_deadline_s
-        self.retry_after_s = retry_after_s
-        self.keep_retired = keep_retired
         self._clock = clock
         # One mutex for the request table and counters; enforced by `repro lint`.
         self._state = threading.Lock()  # repro: guards[_entries, _closed, _next_id, requests_submitted, requests_rejected, rows_streamed]
@@ -471,7 +468,7 @@ class SweepFrontend:
             raw = payload["deadline_s"]
             if not isinstance(raw, (int, float)) or isinstance(raw, bool) or raw <= 0:
                 raise ServiceError('"deadline_s" must be a positive number of seconds')
-            deadline_s = min(float(raw), self.max_deadline_s)
+            deadline_s = min(float(raw), MAX_DEADLINE_S)
         requests = requests_from_payload(payload)
         with self._state:
             if self._closed:
@@ -485,13 +482,14 @@ class SweepFrontend:
                 raise ServiceBusy(
                     f"admission queue full: {open_count} open requests + "
                     f"{len(requests)} submitted > {self.max_pending} allowed",
-                    retry_after=self.retry_after_s,
+                    retry_after=BUSY_RETRY_AFTER,
                 )
+            validate_requests(requests, self.backend.policy_resolver)  # ServiceError -> 400
             entries = []
             for request in requests:
                 self._next_id += 1
                 request_id = f"req-{self._next_id:06d}"
-                handle = self.backend.submit(request)  # ServiceError -> 400
+                handle = self.backend.submit(request)
                 entry = _RequestEntry(
                     request_id=request_id,
                     client_id=request.request_id,
@@ -517,7 +515,7 @@ class SweepFrontend:
             rid for rid, entry in self._entries.items()
             if not entry.open_for_admission(now)
         ]
-        for rid in closed[: max(0, len(closed) - self.keep_retired)]:
+        for rid in closed[: max(0, len(closed) - KEEP_RETIRED)]:
             del self._entries[rid]
 
     # --------------------------------------------------------------- lookups

@@ -261,3 +261,20 @@ def validate_specs(
     """Resolve each unique spec once, surfacing unknown names before work starts."""
     for spec in dict.fromkeys(specs):
         resolver(spec)
+
+
+def validate_requests(
+    requests: Sequence[SweepRequest], resolver: Callable[[str], Policy]
+) -> None:
+    """Resolve every request's specs and scenarios before any is submitted.
+
+    What makes a multi-request submit all-or-nothing: a bad spec or
+    scenario in any request raises here, before the first ``submit``
+    schedules or enqueues a job.  A lone request skips the pass, because
+    each backend's ``submit`` validates its request before scheduling.
+    """
+    if len(requests) < 2:
+        return
+    for request in requests:
+        validate_specs(request.policies, resolver)
+        request.resolve_scenarios()

@@ -41,10 +41,10 @@ idempotent because run content is a pure function of the run key.  A
 re-executed job re-derives bit-identical bytes and the second commit is
 a no-op, so duplicate execution is invisible in the results.
 
-**Determinism.**  Retry backoff is seeded per ``(queue seed, job,
-attempt)`` — the schedule is reproducible run to run — and nothing about
-claim order, worker count, or crash timing is an input to any run, so a
-drained queue's run store is field-for-field identical to a serial
+**Determinism.**  Retry backoff is seeded per ``(job, attempt)`` — the
+schedule is reproducible run to run — and nothing about claim order,
+worker count, or crash timing is an input to any run, so a drained
+queue's run store is field-for-field identical to a serial
 :meth:`~repro.runtime.experiment.ExperimentRunner.sweep`.  The ``faults``
 differential check and CI's ``fault-smoke`` job both enforce this.
 """
@@ -253,7 +253,7 @@ class JobQueue(maintenance.MaintainedRoot):
     ``lease_duration`` is the crash detection horizon; ``max_attempts``
     bounds retries before a job is dead-lettered; backoff between retries
     is ``min(cap, base * 2**(n-1))`` scaled by seeded jitter in
-    ``[0.5, 1.0]`` — deterministic per ``(backoff_seed, job, attempt)``.
+    ``[0.5, 1.0]`` — deterministic per ``(job, attempt)``.
     ``clock`` is injectable so lease expiry is testable without sleeping.
 
     Counters (this instance's view, not global): ``claims_granted``,
@@ -296,7 +296,6 @@ class JobQueue(maintenance.MaintainedRoot):
         max_attempts: int = 5,
         backoff_base: float = 0.25,
         backoff_cap: float = 8.0,
-        backoff_seed: int = 0,
         clock: Callable[[], float] | None = None,
     ) -> None:
         if lease_duration <= 0:
@@ -310,7 +309,6 @@ class JobQueue(maintenance.MaintainedRoot):
         self.max_attempts = max_attempts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.backoff_seed = backoff_seed
         self._clock = clock if clock is not None else time.time
         # One mutex for the counter block; enforced by `repro lint`.
         self._state = threading.Lock()  # repro: guards[claims_granted, jobs_completed, jobs_failed, leases_expired, jobs_requeued, jobs_dead, leases_lost, jobs_released, corrupt_records, clock_skew_events, degraded_refusals, _last_reading, _shards, _resume]
@@ -541,11 +539,11 @@ class JobQueue(maintenance.MaintainedRoot):
         """Deterministic retry delay before attempt ``attempt + 1``.
 
         Exponential in the attempt count, capped, with seeded jitter in
-        ``[0.5, 1.0]`` of the raw delay — the same ``(backoff_seed,
-        job_id, attempt)`` always yields the same schedule, so fault
-        harness replays are reproducible.
+        ``[0.5, 1.0]`` of the raw delay — the same ``(job_id, attempt)``
+        always yields the same schedule, so fault harness replays are
+        reproducible.
         """
-        rng = random.Random(f"{self.backoff_seed}|{job_id}|{attempt}")
+        rng = random.Random(f"{job_id}|{attempt}")
         raw = min(self.backoff_cap, self.backoff_base * (2 ** max(0, attempt - 1)))
         return raw * (0.5 + 0.5 * rng.random())
 

@@ -56,7 +56,6 @@ from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tra
 from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import TraceCache
-from ..sim.soc import SoC
 from .jobs import ServiceBusy, ServiceError, SweepRequest, UnitJob, decompose, validate_specs
 from .jobs import policy_resolver as default_policy_resolver
 
@@ -133,14 +132,13 @@ class SweepService:
     (paths or instances) persist traces and finished runs — they are the
     service's shared state and what makes a warm re-serve free;
     ``workers`` bounds the thread pool; ``trace_workers`` is handed to
-    cold trace builds (their internal process pool); ``soc`` must be a
-    zero-argument factory (or None for the default platform) — concurrent
-    runs can never share one mutable SoC instance.  ``policy_resolver``
-    maps specs to fresh policies (default: the baseline vocabulary;
-    build one with a bundle to serve ``shift``).  ``trace_cache_size``
-    bounds the in-memory trace memo (materialized frames dominate a
-    long-lived service's footprint); evicted scenarios reload from the
-    trace store on next use.
+    cold trace builds (their internal process pool).  Every run gets a
+    fresh default platform, so concurrent runs never share one mutable
+    SoC.  ``policy_resolver`` maps specs to fresh policies (default: the
+    baseline vocabulary; build one with a bundle to serve ``shift``).
+    ``trace_cache_size`` bounds the in-memory trace memo (materialized
+    frames dominate a long-lived service's footprint); evicted scenarios
+    reload from the trace store on next use.
 
     Counters (all monotonic, read anytime): ``runs_executed`` and
     ``run_store_hits`` (from :attr:`runner`, the cell executor),
@@ -159,20 +157,13 @@ class SweepService:
         workers: int = 4,
         trace_workers: int | None = None,
         engine_seed: int = 1234,
-        soc: Callable[[], SoC] | None = None,
         policy_resolver: Callable[[str], Policy] | None = None,
-        fast: bool = True,
         trace_cache_size: int | None = 16,
     ) -> None:
         if workers < 1:
             raise ValueError("workers must be at least 1")
         if trace_cache_size is not None and trace_cache_size < 1:
             raise ValueError("trace_cache_size must be at least 1 (or None for unbounded)")
-        if soc is not None and not callable(soc):
-            raise ValueError(
-                "a concurrent service needs a SoC factory, not an instance "
-                "(concurrent runs cannot share mutable platform state)"
-            )
         self.zoo = zoo if zoo is not None else default_zoo()
         self.trace_store = (
             trace_store if isinstance(trace_store, TraceStore) or trace_store is None
@@ -183,7 +174,7 @@ class SweepService:
             else RunStore(run_store)
         )
         self.workers = workers
-        self._resolver = (
+        self.policy_resolver = (
             policy_resolver if policy_resolver is not None else default_policy_resolver()
         )
         #: The cell executor every job runs through (thread-safe).
@@ -191,9 +182,7 @@ class SweepService:
             cache=TraceCache(self.zoo, store=self.trace_store, max_workers=trace_workers,
                              max_size=trace_cache_size),
             engine_seed=engine_seed,
-            soc=soc,
             run_store=self.run_store,
-            fast=fast,
         )
         # One mutex for every piece of cross-thread state; the declaration below
         # is enforced by `repro lint` (locks/guarded-attr).
@@ -258,7 +247,7 @@ class SweepService:
         rejection the HTTP front-end uses for a full admission queue, so
         every "cannot take this now" path looks identical to clients.
         """
-        validate_specs(request.policies, self._resolver)
+        validate_specs(request.policies, self.policy_resolver)
         jobs = decompose(request)
         futures: dict[JobKey, Future] = {}
         to_schedule: list[UnitJob] = []
@@ -354,7 +343,7 @@ class SweepService:
             future.set_result(result)
 
     def _execute(self, job: UnitJob) -> RunMetrics:
-        policy = self._resolver(job.policy_spec)  # fresh: policies are stateful
+        policy = self.policy_resolver(job.policy_spec)  # fresh: policies are stateful
         key = self.runner.run_key(policy, job.key[1])
         if key is not None:
             cached = self.runner.cached_metrics(key)

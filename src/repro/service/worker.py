@@ -45,8 +45,7 @@ from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tra
 from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import TraceCache
-from ..sim.soc import SoC
-from ..util.argtypes import finite_non_negative_float, finite_positive_float, positive_int
+from ..util.argtypes import finite_positive_float, positive_int
 from .jobs import ServiceError, shift_bundle_resolver
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
@@ -105,8 +104,7 @@ class QueueWorker:
 
     ``run_store`` is mandatory — the queue's at-most-once guarantee *is*
     the store's idempotent commit; without it a re-executed job would be
-    a duplicated effect.  ``soc`` is a zero-argument factory (or None for
-    the default platform), same contract as the sweep service.  Each job
+    a duplicated effect.  Each job runs on a fresh default platform and
     is a cell of :attr:`runner`, the executor every tier shares (the
     lease supplies the engine seed), so a queue-drained store
     warm-serves the in-process service and vice versa.  The worker keeps
@@ -121,13 +119,10 @@ class QueueWorker:
         run_store: RunStore | str | Path,
         trace_store: TraceStore | str | Path | None = None,
         zoo: ModelZoo | None = None,
-        soc: Callable[[], SoC] | None = None,
         policy_resolver: Callable[[str], Policy] | None = None,
-        fast: bool = True,
         poll_interval: float = 0.05,
         worker_id: str | None = None,
         hooks: WorkerHooks | None = None,
-        max_jobs: int | None = None,
         exit_when_drained: bool = True,
     ) -> None:
         if run_store is None:
@@ -135,8 +130,6 @@ class QueueWorker:
                 "queue workers need a run store: idempotent commits are what make "
                 "crash-requeued jobs at-most-once in effect"
             )
-        if soc is not None and not callable(soc):
-            raise ServiceError("soc must be a zero-argument factory, not an instance")
         self.queue = queue
         self.run_store = run_store if isinstance(run_store, RunStore) else RunStore(run_store)
         self.trace_store = (
@@ -150,14 +143,11 @@ class QueueWorker:
         #: The cell executor each job runs through.
         self.runner = ExperimentRunner(
             cache=TraceCache(self.zoo, store=self.trace_store, max_size=0),
-            soc=soc,
             run_store=self.run_store,
-            fast=fast,
         )
         self.poll_interval = poll_interval
         self.worker_id = worker_id if worker_id is not None else f"worker-{os.getpid()}"
         self.hooks = hooks if hooks is not None else WorkerHooks()
-        self.max_jobs = max_jobs
         self.exit_when_drained = exit_when_drained
         # Counters are read by the harness after the drain loop exits (or
         # the worker dies); the lock keeps the heartbeat thread's updates
@@ -190,15 +180,13 @@ class QueueWorker:
         ``None`` claims are polled through: a job may be backing off or
         leased by a worker that is about to die, so "nothing claimable
         now" is not "nothing left".  Exits when the queue reports drained
-        (no pending, no leased) or after ``max_jobs`` completions — or
-        keeps idling through an empty queue when ``exit_when_drained`` is
-        False (long-lived fleets behind the HTTP front-end, where new
-        jobs arrive at any time), until :meth:`stop` is called.
+        (no pending, no leased) — or keeps idling through an empty queue
+        when ``exit_when_drained`` is False (long-lived fleets behind the
+        HTTP front-end, where new jobs arrive at any time), until
+        :meth:`stop` is called.
         """
         processed = 0
-        while self.max_jobs is None or processed < self.max_jobs:
-            if self._stop.is_set():
-                break
+        while not self._stop.is_set():
             lease = self.queue.claim(self.worker_id)
             if lease is None:
                 if self.exit_when_drained and self.queue.drained():
@@ -335,13 +323,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--lease", type=finite_positive_float, default=30.0,
                         help="lease duration in seconds (must match the supervisor)")
     parser.add_argument("--max-attempts", type=positive_int, default=5)
-    parser.add_argument("--backoff-base", type=finite_non_negative_float, default=0.25)
-    parser.add_argument("--backoff-cap", type=finite_non_negative_float, default=8.0)
-    parser.add_argument("--backoff-seed", type=int, default=0)
-    parser.add_argument("--poll", type=finite_positive_float, default=0.05,
-                        help="sleep between empty claims (seconds)")
-    parser.add_argument("--max-jobs", type=int, default=None,
-                        help="exit after this many jobs even if the queue is not drained")
     parser.add_argument("--idle", action="store_true",
                         help="keep polling an empty queue instead of exiting on drain "
                              "(long-lived fleets behind 'repro serve --http')")
@@ -378,19 +359,7 @@ def run(args: argparse.Namespace) -> int:
     def _terminate(signum: int, _frame: object) -> None:
         raise WorkerTerminated(signum)
 
-
-    try:
-        queue = JobQueue(
-            args.queue_dir,
-            lease_duration=args.lease,
-            max_attempts=args.max_attempts,
-            backoff_base=args.backoff_base,
-            backoff_cap=args.backoff_cap,
-            backoff_seed=args.backoff_seed,
-        )
-    except ServiceError as exc:  # e.g. --backoff-base above --backoff-cap
-        print(f"repro work: {exc}", file=sys.stderr)
-        return 2
+    queue = JobQueue(args.queue_dir, lease_duration=args.lease, max_attempts=args.max_attempts)
     hooks: WorkerHooks | None = None
     if args.fault_plan is not None:
         from ..verify.faults import FaultPlan, ProcessFaultHooks
@@ -408,8 +377,6 @@ def run(args: argparse.Namespace) -> int:
         run_store=args.run_store,
         trace_store=args.trace_store,
         worker_id=args.worker_id,
-        poll_interval=args.poll,
-        max_jobs=args.max_jobs,
         hooks=hooks,
         policy_resolver=resolver,
         exit_when_drained=not getattr(args, "idle", False),

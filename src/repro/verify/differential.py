@@ -31,7 +31,7 @@ cross-engine correctness witness:
 ``fastrun``
     fast-run engine vs the reference pipeline — the planned-jitter
     engine, cached context signals, and vectorized scheduler must
-    reproduce every :class:`~repro.runtime.records.FrameRecord` of the
+    reproduce every :class:`~repro.core.records.FrameRecord` of the
     scalar reference path bit-for-bit, for SHIFT and the baselines;
 ``service``
     the concurrent sweep service vs the serial run loop — several

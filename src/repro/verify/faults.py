@@ -358,8 +358,25 @@ class FaultOutcome(DrainOutcome):
 # ------------------------------------------------------------ drain core
 
 
+# The drain's fleet and queue settings.  Short leases and backoffs keep
+# the harness's wall clock (dominated by waiting out lease expiry) low;
+# correctness must not depend on the values, only liveness does.
+
+#: Worker threads a drain keeps alive.
+WORKERS = 2
 #: Worker spawns one drain may make, replacements included.
 WORKER_CAP = 16
+#: Lease duration of the drained queue (seconds).
+LEASE_DURATION = 0.3
+#: Retry backoff of the drained queue: base and cap (seconds).
+BACKOFF_BASE = 0.02
+BACKOFF_CAP = 0.1
+#: Attempts before the drained queue dead-letters a job.
+MAX_ATTEMPTS = 10
+#: A worker's sleep between empty claims (seconds).
+POLL_INTERVAL = 0.01
+#: Wall-clock budget of one whole sweep (seconds).
+SWEEP_TIMEOUT = 120.0
 
 
 class DrainHarness:
@@ -383,11 +400,6 @@ class DrainHarness:
         zoo: ModelZoo | None,
         prebuilt: Sequence[ScenarioTrace],
         engine_seed: int,
-        lease_duration: float,
-        max_attempts: int,
-        backoff_base: float,
-        backoff_cap: float,
-        poll_interval: float,
     ) -> None:
         root = Path(root)
         self.queue_root = root / "queue"
@@ -395,12 +407,10 @@ class DrainHarness:
         self.run_root = root / "runs"
         self.zoo = zoo if zoo is not None else default_zoo()
         self.engine_seed = engine_seed
-        self.lease_duration = lease_duration
-        self.poll_interval = poll_interval
         #: A fresh handle on the shared queue (one per worker).
         self.queue = partial(
-            JobQueue, self.queue_root, lease_duration=lease_duration,
-            max_attempts=max_attempts, backoff_base=backoff_base, backoff_cap=backoff_cap,
+            JobQueue, self.queue_root, lease_duration=LEASE_DURATION,
+            max_attempts=MAX_ATTEMPTS, backoff_base=BACKOFF_BASE, backoff_cap=BACKOFF_CAP,
         )
 
         self.trace_store = TraceStore(self.trace_root)
@@ -442,17 +452,15 @@ class DrainHarness:
     def drain(
         self,
         *,
-        workers: int,
         deadline: float,
         tag: str = "w",
         hooks: WorkerHooks | None = None,
-        worker_cap: int = WORKER_CAP,
     ) -> bool:
-        """Keep ``workers`` threads draining the queue; True on timeout.
+        """Keep :data:`WORKERS` threads draining the queue; True on timeout.
 
         Workers are named ``<tag><n>`` in spawn order (fault plans key on
-        these ids).  A worker that dies is replaced until ``worker_cap``
-        spawns; the drain ends when the queue drains, ``deadline``
+        these ids).  A worker that dies is replaced until
+        :data:`WORKER_CAP` spawns; the drain ends when the queue drains, ``deadline``
         (monotonic) passes, or the whole fleet is dead with no spawns
         left.  Survivors are then stopped and joined, so no worker
         outlives its drain.
@@ -467,7 +475,7 @@ class DrainHarness:
             if time.monotonic() >= deadline:
                 timed_out = True
                 break
-            while len(live) < workers and spawned < worker_cap:
+            while len(live) < WORKERS and spawned < WORKER_CAP:
                 worker = QueueWorker(
                     self.queue(),
                     run_store=RunStore(self.run_root),
@@ -475,7 +483,7 @@ class DrainHarness:
                     zoo=self.zoo,
                     worker_id=f"{tag}{spawned}",
                     hooks=hooks,
-                    poll_interval=self.poll_interval,
+                    poll_interval=POLL_INTERVAL,
                 )
                 spawned += 1
                 self.fleet.append(worker)
@@ -484,13 +492,13 @@ class DrainHarness:
                 )
                 live[worker] = thread
                 thread.start()
-            if not live and spawned >= worker_cap:
+            if not live and spawned >= WORKER_CAP:
                 break  # the whole fleet died and the cap forbids replacements
             time.sleep(0.01)
         for worker in live:
             worker.stop()
         for thread in live.values():
-            thread.join(timeout=max(5.0, self.lease_duration * 4))
+            thread.join(timeout=max(5.0, LEASE_DURATION * 4))
         return timed_out
 
     def _run(self, worker: QueueWorker) -> None:
@@ -561,15 +569,7 @@ def run_fault_sweep(
     root: str | Path,
     *,
     plan: FaultPlan | None = None,
-    workers: int = 2,
-    worker_cap: int = WORKER_CAP,
-    lease_duration: float = 0.3,
-    backoff_base: float = 0.02,
-    backoff_cap: float = 0.1,
-    max_attempts: int = 10,
     engine_seed: int = 1234,
-    poll_interval: float = 0.01,
-    timeout: float = 120.0,
     zoo: ModelZoo | None = None,
     prebuilt: Sequence[ScenarioTrace] = (),
 ) -> FaultOutcome:
@@ -577,28 +577,18 @@ def run_fault_sweep(
 
     Thread-mode: each "worker" is a thread with its own queue/store
     handles, killed via :class:`~repro.service.worker.WorkerKilled`.
-    :meth:`DrainHarness.drain` keeps ``workers`` alive, replacing the
-    dead up to ``worker_cap`` spawns, until the queue drains or
-    ``timeout`` passes.  Returns a :class:`FaultOutcome`; callers assert
-    :attr:`FaultOutcome.passed`.
-
-    Short leases and backoffs are the default because the harness's
-    wall-clock cost is dominated by waiting out lease expiry; correctness
-    must not depend on the values (only liveness does).
+    :meth:`DrainHarness.drain` keeps :data:`WORKERS` alive, replacing the
+    dead up to :data:`WORKER_CAP` spawns, until the queue drains or
+    :data:`SWEEP_TIMEOUT` passes.  Returns a :class:`FaultOutcome`; callers
+    assert :attr:`FaultOutcome.passed`.
     """
     if plan is None:
         plan = fault_plan_for_check()
     harness = DrainHarness(
-        root, scenarios, specs, zoo=zoo, prebuilt=prebuilt,
-        engine_seed=engine_seed, lease_duration=lease_duration,
-        max_attempts=max_attempts, backoff_base=backoff_base,
-        backoff_cap=backoff_cap, poll_interval=poll_interval,
+        root, scenarios, specs, zoo=zoo, prebuilt=prebuilt, engine_seed=engine_seed
     )
     hooks = FaultHooks(plan)
-    timed_out = harness.drain(
-        workers=workers, deadline=time.monotonic() + timeout,
-        hooks=hooks, worker_cap=worker_cap,
-    )
+    timed_out = harness.drain(deadline=time.monotonic() + SWEEP_TIMEOUT, hooks=hooks)
     outcome = FaultOutcome(
         job_count=len(harness.unique_jobs),
         fired=dict(hooks.fired),

@@ -47,7 +47,7 @@ from ..models.zoo import ModelZoo
 from ..runtime import iolayer
 from ..runtime.iolayer import FsFaultEvent, FsFaultPlan
 from ..runtime.trace import ScenarioTrace
-from .faults import DrainHarness, DrainOutcome
+from .faults import SWEEP_TIMEOUT, DrainHarness, DrainOutcome
 
 
 def fs_fault_plan_for_check() -> FsFaultPlan:
@@ -65,7 +65,6 @@ def fs_fault_plan_for_check() -> FsFaultPlan:
     ``done`` whose effect is torn or missing.
     """
     return FsFaultPlan(
-        label="fsfaults-check",
         events=(
             FsFaultEvent(op="write", index=1, kind="slow_io", param=0.01),
             FsFaultEvent(op="write", index=3, kind="enospc", count=8),
@@ -126,14 +125,7 @@ def run_fsfault_sweep(
     root: str | Path,
     *,
     plan: FsFaultPlan | None = None,
-    workers: int = 2,
-    lease_duration: float = 0.3,
-    backoff_base: float = 0.02,
-    backoff_cap: float = 0.1,
-    max_attempts: int = 10,
     engine_seed: int = 1234,
-    poll_interval: float = 0.01,
-    timeout: float = 120.0,
     zoo: ModelZoo | None = None,
     prebuilt: Sequence[ScenarioTrace] = (),
 ) -> FsFaultOutcome:
@@ -155,15 +147,12 @@ def run_fsfault_sweep(
     # the run/queue write paths, and a warm trace store keeps the check's
     # wall-clock low.
     harness = DrainHarness(
-        root, scenarios, specs, zoo=zoo, prebuilt=prebuilt,
-        engine_seed=engine_seed, lease_duration=lease_duration,
-        max_attempts=max_attempts, backoff_base=backoff_base,
-        backoff_cap=backoff_cap, poll_interval=poll_interval,
+        root, scenarios, specs, zoo=zoo, prebuilt=prebuilt, engine_seed=engine_seed
     )
     for store_root in harness.roots:
         iolayer.reset_state(store_root)
 
-    deadline = time.monotonic() + timeout
+    deadline = time.monotonic() + SWEEP_TIMEOUT
     outcome = FsFaultOutcome(
         job_count=len(harness.unique_jobs),
         expect_torn=any(
@@ -177,7 +166,7 @@ def run_fsfault_sweep(
         # Leave headroom for recovery even if phase 1 wedges: a torn
         # commit can mark its job done, so this drain's verdict is not
         # the sweep's.
-        harness.drain(workers=workers, deadline=time.monotonic() + timeout * 0.6, tag="fs")
+        harness.drain(deadline=time.monotonic() + SWEEP_TIMEOUT * 0.6, tag="fs")
     finally:
         outcome.faults_fired = iolayer.disarm_fault_plan()
     outcome.io_errors = sum(iolayer.io_error_count(r) for r in harness.roots)
@@ -194,7 +183,7 @@ def run_fsfault_sweep(
     # record a fault destroyed outright (enqueue is a no-op otherwise).
     harness.master.enqueue_all(harness.jobs, engine_seed=engine_seed)
     outcome.healed_jobs = _repend_missing(harness)
-    outcome.timed_out = harness.drain(workers=workers, deadline=deadline, tag="heal")
+    outcome.timed_out = harness.drain(deadline=deadline, tag="heal")
 
     # -------------------------------------------------------------- audit
     outcome.still_degraded = [

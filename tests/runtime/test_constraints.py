@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime import RunResult, evaluate_constraints
-from repro.runtime.records import FrameRecord
+from repro.core.records import FrameRecord
 
 
 def _record(index, latency, energy):

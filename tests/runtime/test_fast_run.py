@@ -18,7 +18,7 @@ from repro.runtime import (
     TraceStore,
     run_policy,
 )
-from repro.runtime.policy import Policy
+from repro.core.policy import Policy
 from repro.sim import xavier_nx_with_oakd
 
 
@@ -119,7 +119,7 @@ class TestRunStoreBackedRunner:
                 inference = self._services.engine.run_inference(
                     "yolov7-tiny", self._services.soc.accelerator("gpu")
                 )
-                from repro.runtime.records import FrameRecord
+                from repro.core.records import FrameRecord
 
                 return FrameRecord(
                     frame_index=frame.index,

@@ -8,13 +8,10 @@ space returns clears the flag).  Each face is pinned here from both
 sides — the failure that must fire and the healthy twin that must not.
 """
 
-import json
-
 import pytest
 
 from repro.runtime import iolayer
 from repro.runtime.iolayer import (
-    FS_FAULT_PLAN_SCHEMA_VERSION,
     RETRY_ATTEMPTS,
     FsFaultEvent,
     FsFaultPlan,
@@ -49,23 +46,6 @@ class TestFaultPlanShape:
             FsFaultEvent(op="chmod", index=0, kind="eio")
         with pytest.raises(ValueError):
             FsFaultEvent(op="write", index=-1, kind="eio")
-
-    def test_plan_round_trips_through_disk(self, tmp_path):
-        plan = FsFaultPlan(
-            label="rt",
-            events=(
-                FsFaultEvent(op="write", index=2, kind="enospc", count=3),
-                FsFaultEvent(op="replace", index=0, kind="lost_rename", match="run-*"),
-            ),
-        )
-        path = plan.save(tmp_path / "plan.json")
-        assert FsFaultPlan.load(path) == plan
-
-    def test_unknown_schema_version_is_rejected(self, tmp_path):
-        path = tmp_path / "plan.json"
-        path.write_text(json.dumps({"schema_version": 99, "events": []}))
-        with pytest.raises(ValueError, match="schema"):
-            FsFaultPlan.load(path)
 
 
 class TestWriteSeam:
@@ -136,11 +116,6 @@ class TestWriteSeam:
         assert not target.exists()
         assert not list(tmp_path.glob("*.tmp*"))  # the temp is gone too
 
-    def test_write_json_round_trips(self, tmp_path):
-        target = tmp_path / "entry.json"
-        iolayer.write_json(target, {"a": 1}, root=tmp_path, sort_keys=True)
-        assert json.loads(target.read_text(encoding="utf-8")) == {"a": 1}
-
 
 class TestTargetedEvents:
     def test_match_counts_only_matching_names(self, tmp_path):
@@ -199,6 +174,3 @@ class TestProbe:
         assert iolayer.probe(tmp_path) is True
         assert not iolayer.is_degraded(tmp_path)
         assert not list(tmp_path.iterdir())  # probe file removed
-
-    def test_schema_version_is_pinned(self):
-        assert FS_FAULT_PLAN_SCHEMA_VERSION == 1

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime import RunResult, aggregate, average_metrics, efficiency_series
-from repro.runtime.records import FrameRecord
+from repro.core.records import FrameRecord
 from repro.vision import BoundingBox
 
 

@@ -1,11 +1,16 @@
 """Tests for the policy runner."""
 
+import ast
+from pathlib import Path
+
 import pytest
+
+import repro
 
 from repro.baselines import SingleModelPolicy
 from repro.data import scenario_by_name
 from repro.models import default_zoo
-from repro.runtime import ScenarioTrace, TraceCache, run_policy, run_policy_on_scenarios
+from repro.runtime import ExperimentRunner, ScenarioTrace, TraceCache, run_policy
 from repro.sim import xavier_nx_with_oakd
 
 
@@ -50,8 +55,8 @@ class TestRunOnScenarios:
             scenario_by_name("s3_indoor_close_wall").scaled(0.05),
             scenario_by_name("s4_indoor_clutter").scaled(0.05),
         ]
-        metrics = run_policy_on_scenarios(
-            SingleModelPolicy("yolov7", "gpu"), scenarios, zoo
+        metrics = ExperimentRunner(zoo).run_policy_on_scenarios(
+            SingleModelPolicy("yolov7", "gpu"), scenarios
         )
         assert len(metrics) == 2
         assert metrics[0].scenario_name != metrics[1].scenario_name
@@ -59,9 +64,13 @@ class TestRunOnScenarios:
     def test_shared_cache_reused(self, zoo):
         scenarios = [scenario_by_name("s3_indoor_close_wall").scaled(0.05)]
         cache = TraceCache(zoo)
-        run_policy_on_scenarios(SingleModelPolicy("yolov7", "gpu"), scenarios, zoo, cache=cache)
+        ExperimentRunner(cache=cache).run_policy_on_scenarios(
+            SingleModelPolicy("yolov7", "gpu"), scenarios
+        )
         assert len(cache) == 1
-        run_policy_on_scenarios(SingleModelPolicy("yolov7-tiny", "gpu"), scenarios, zoo, cache=cache)
+        ExperimentRunner(cache=cache).run_policy_on_scenarios(
+            SingleModelPolicy("yolov7-tiny", "gpu"), scenarios
+        )
         assert len(cache) == 1
 
     def test_forwards_custom_soc_instance(self, zoo):
@@ -70,7 +79,9 @@ class TestRunOnScenarios:
         scenarios = [scenario_by_name("s3_indoor_close_wall").scaled(0.05)]
         soc = xavier_nx_with_oakd()
         assert soc.clock.now == 0.0
-        run_policy_on_scenarios(SingleModelPolicy("yolov7", "gpu"), scenarios, zoo, soc=soc)
+        ExperimentRunner(zoo, soc=soc).run_policy_on_scenarios(
+            SingleModelPolicy("yolov7", "gpu"), scenarios
+        )
         assert soc.clock.now > 0.0, "provided platform was never used"
 
     def test_forwards_soc_factory(self, zoo):
@@ -82,6 +93,31 @@ class TestRunOnScenarios:
             built.append(soc)
             return soc
 
-        run_policy_on_scenarios(SingleModelPolicy("yolov7", "gpu"), scenarios, zoo, soc=factory)
+        ExperimentRunner(zoo, soc=factory).run_policy_on_scenarios(
+            SingleModelPolicy("yolov7", "gpu"), scenarios
+        )
         assert len(built) == len(scenarios)
         assert all(soc.clock.now > 0.0 for soc in built)
+
+
+class TestOneExecutor:
+    def test_only_the_executor_and_the_checks_call_run_policy(self):
+        # Every command runs its cells through ExperimentRunner; the
+        # scalar loop is called directly only by the executor itself and
+        # by the differential checks that compare against it.
+        package = Path(repro.__file__).resolve().parent
+        callers = []
+        for path in sorted(package.rglob("*.py")):
+            module = path.relative_to(package).as_posix()
+            if module in ("runtime/runner.py", "runtime/experiment.py") or module.startswith(
+                "verify/"
+            ):
+                continue
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name == "run_policy":
+                    callers.append(f"{module}:{node.lineno}")
+        assert callers == []

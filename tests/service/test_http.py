@@ -44,6 +44,7 @@ from repro.service import (
     serve_in_thread,
 )
 from repro.service.http import MAX_BODY_BYTES, STOP_POLL_S
+from repro.service.jobs import MAX_DEADLINE_S
 
 HTTP_MATRIX = ScenarioMatrix(
     name="net",
@@ -162,6 +163,34 @@ class TestFrontendAdmission:
                 {"policies": [POLICIES[1]], "scenarios": [scenarios[0].name]},
             ])
 
+    def test_a_bad_request_enqueues_nothing(self, tmp_path, scenarios):
+        queue = JobQueue(tmp_path / "q")
+        with SweepFrontend(QueueBackend(queue, tmp_path / "runs")) as frontend:
+            with pytest.raises(ServiceError, match="unknown scenario|known"):
+                frontend.submit_payload([
+                    {"policies": [POLICIES[0]], "scenarios": [scenarios[0].name]},
+                    {"policies": [POLICIES[0]], "scenarios": ["s99_missing"]},
+                ])
+            assert frontend.requests_submitted == 0
+        assert queue.counts()["total"] == 0
+
+    def test_a_lone_request_resolves_each_spec_once(self, tmp_path, scenarios):
+        # No all-or-nothing pass for one request: submit validates it.
+        resolved = []
+        resolve = policy_resolver()
+
+        def counting(spec):
+            resolved.append(spec)
+            return resolve(spec)
+
+        backend = QueueBackend(JobQueue(tmp_path / "q"), tmp_path / "runs",
+                               policy_resolver=counting)
+        with SweepFrontend(backend) as frontend:
+            frontend.submit_payload(
+                [{"policies": list(POLICIES), "scenarios": [s.name for s in scenarios]}]
+            )
+        assert sorted(resolved) == sorted(POLICIES)
+
     def test_expired_requests_stop_counting_against_admission(
         self, tmp_path, scenarios
     ):
@@ -207,17 +236,14 @@ class TestFrontendAdmission:
                     frontend.submit_payload(payload)
 
     def test_deadline_override_is_capped(self, tmp_path, scenarios):
-        with SweepFrontend(
-            make_service(tmp_path),
-            default_deadline_s=30.0, max_deadline_s=60.0,
-        ) as frontend:
+        with SweepFrontend(make_service(tmp_path), default_deadline_s=30.0) as frontend:
             [entry] = frontend.submit_payload({
-                "deadline_s": 10_000,
+                "deadline_s": MAX_DEADLINE_S * 10,
                 "requests": [
                     {"policies": [POLICIES[0]], "scenarios": [scenarios[0].name]},
                 ],
             })
-            assert entry.deadline_s == 60.0
+            assert entry.deadline_s == MAX_DEADLINE_S
 
     def test_stream_past_deadline_ends_with_error_line(self, tmp_path, scenarios):
         clock = FakeClock()
@@ -339,6 +365,28 @@ class TestWire:
             server.shutdown()
             server.server_close()
             frontend.close()
+
+    def test_a_bad_request_rejects_the_whole_payload(self, tmp_path, scenarios):
+        service = make_service(tmp_path)
+        frontend = SweepFrontend(service)
+        server = serve_in_thread(frontend)
+        base = f"http://127.0.0.1:{server.port}"
+        try:
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                post(base, [
+                    {"policies": [POLICIES[0]], "scenarios": [scenarios[0].name]},
+                    {"policies": ["quantum"], "scenarios": [scenarios[0].name]},
+                ], timeout=30)
+            assert excinfo.value.code == 400
+            stats = get_json(base, "/v1/stores/stats")
+            assert stats["frontend"]["requests_submitted"] == 0
+            assert stats["frontend"]["requests_open"] == 0
+            assert stats["backend"]["jobs_scheduled"] == 0
+        finally:
+            server.shutdown()
+            server.server_close()
+            frontend.close()
+        assert service.runs_executed == 0
 
     def test_closed_frontend_returns_503_not_a_hang(self, tmp_path, scenarios):
         frontend = SweepFrontend(make_service(tmp_path))
@@ -778,7 +826,7 @@ class TestQueueBackend:
         self, tmp_path, scenarios, serial_rows
     ):
         queue = JobQueue(tmp_path / "q", lease_duration=30.0)
-        backend = QueueBackend(queue, tmp_path / "runs", poll_interval=0.02)
+        backend = QueueBackend(queue, tmp_path / "runs")
         frontend = SweepFrontend(backend, default_deadline_s=120.0)
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"
@@ -809,7 +857,7 @@ class TestQueueBackend:
     def test_dead_lettered_job_surfaces_as_stream_error(self, tmp_path, scenarios):
         queue = JobQueue(tmp_path / "q", lease_duration=30.0, max_attempts=1,
                          backoff_base=0.0, backoff_cap=0.0)
-        backend = QueueBackend(queue, tmp_path / "runs", poll_interval=0.02)
+        backend = QueueBackend(queue, tmp_path / "runs")
         frontend = SweepFrontend(backend, default_deadline_s=60.0)
         server = serve_in_thread(frontend)
         base = f"http://127.0.0.1:{server.port}"

@@ -213,13 +213,14 @@ class TestLeases:
 
 class TestBackoff:
     def test_backoff_is_deterministic_per_seed(self, tmp_path):
+        # The seed is the job id: two queues agree job by job, and two
+        # jobs jitter apart.
         clock = FakeClock()
-        a = JobQueue(tmp_path / "a", clock=clock, backoff_seed=42)
-        b = JobQueue(tmp_path / "b", clock=clock, backoff_seed=42)
-        c = JobQueue(tmp_path / "c", clock=clock, backoff_seed=43)
+        a = JobQueue(tmp_path / "a", clock=clock)
+        b = JobQueue(tmp_path / "b", clock=clock)
         delays_a = [a.backoff_delay("job", n) for n in range(1, 6)]
         delays_b = [b.backoff_delay("job", n) for n in range(1, 6)]
-        delays_c = [c.backoff_delay("job", n) for n in range(1, 6)]
+        delays_c = [a.backoff_delay("other-job", n) for n in range(1, 6)]
         assert delays_a == delays_b
         assert delays_a != delays_c
 
@@ -229,8 +230,7 @@ class TestBackoff:
         queue = JobQueue.__new__(JobQueue)  # no disk needed for the formula
         queue.backoff_base = 0.25
         queue.backoff_cap = 8.0
-        queue.backoff_seed = seed
-        delay = JobQueue.backoff_delay(queue, "some-job", attempt)
+        delay = JobQueue.backoff_delay(queue, f"job-{seed}", attempt)
         ceiling = min(8.0, 0.25 * 2 ** (attempt - 1))
         assert 0.5 * ceiling <= delay <= ceiling
 

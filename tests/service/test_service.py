@@ -197,12 +197,6 @@ class TestValidationAndLifecycle:
                 SweepRequest(policies=("marlin-tiny",), scenarios=(scenarios[0],))
             )
 
-    def test_soc_instance_rejected(self, zoo):
-        from repro.sim import xavier_nx_with_oakd
-
-        with pytest.raises(ValueError, match="factory"):
-            SweepService(zoo=zoo, soc=xavier_nx_with_oakd())
-
     def test_run_store_respects_fingerprintless_policies(self, zoo, scenarios, tmp_path):
         # A policy without a content identity is served but never
         # persisted (the store cannot key it) — and never crashes the job.

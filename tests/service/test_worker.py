@@ -133,15 +133,6 @@ class TestDrain:
         [record] = [r for r in queue.records() if r["state"] == "dead"]
         assert "no-such-model" in record["error"]
 
-    def test_max_jobs_stops_early(self, tmp_path, jobs):
-        queue = JobQueue(tmp_path / "q")
-        queue.enqueue_all(jobs, engine_seed=ENGINE_SEED)
-        QueueWorker(queue, run_store=tmp_path / "runs",
-                    trace_store=tmp_path / "traces", worker_id="wA",
-                    max_jobs=1).drain()
-        assert queue.counts()["done"] == 1
-        assert not queue.drained()
-
 
 class TestCrashRecovery:
     def test_killed_worker_job_migrates_to_survivor(self, tmp_path, jobs):
@@ -192,8 +183,7 @@ class TestProcessIntegration:
                 [sys.executable, "-m", "repro", "work", str(tmp_path / "q"),
                  "--run-store", str(tmp_path / "runs"),
                  "--trace-store", str(tmp_path / "traces"),
-                 "--worker-id", worker_id, "--lease", "1.0", "--poll", "0.01",
-                 *extra],
+                 "--worker-id", worker_id, "--lease", "1.0", *extra],
                 env=env, capture_output=True, text=True, timeout=120,
             )
 
@@ -292,7 +282,7 @@ class TestGracefulShutdown:
         queue_dir = tmp_path / "q"
         proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "work", str(queue_dir),
-             "--run-store", str(tmp_path / "runs"), "--poll", "0.01", "--idle"],
+             "--run-store", str(tmp_path / "runs"), "--idle"],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
         )
         try:

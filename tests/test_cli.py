@@ -26,6 +26,38 @@ def repro_child(argv: list[str]) -> subprocess.CompletedProcess:
                           capture_output=True, text=True, timeout=60)
 
 
+@pytest.fixture
+def executed_runs(monkeypatch):
+    """Every run the cell executor executes, as (policy, scenario) names."""
+    from repro.runtime import experiment
+
+    runs = []
+    real = experiment.run_policy
+
+    def counting(policy, trace, *args, **kwargs):
+        runs.append((policy.name, trace.scenario.name))
+        return real(policy, trace, *args, **kwargs)
+
+    monkeypatch.setattr(experiment, "run_policy", counting)
+    return runs
+
+
+#: ``repro --scale 0.03 --validation 60 run marlin-tiny s3_indoor_close_wall``
+#: as the scalar reference engine prints it.
+RUN_MARLIN_TINY_S3 = """\
+policy       marlin:yolov7-tiny
+scenario     s3_indoor_close_wall (15 frames)
+mean IoU     0.681
+success      100.0%
+time/frame   0.0368 s
+energy/frame 0.3003 J
+total energy 4.5 J
+non-GPU      0.0%
+swaps        0
+pairs used   1
+"""
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -55,9 +87,9 @@ class TestParser:
         ["serve", "jobs.json", "--procs", "1", "--lease", "0"],
         ["serve", "jobs.json", "--procs", "1", "--worker-timeout", "-1"],
         ["work", "q", "--run-store", "r", "--lease", "-1"],
-        ["work", "q", "--run-store", "r", "--poll", "0"],
-        ["work", "q", "--run-store", "r", "--backoff-base", "-0.5"],
-        ["work", "q", "--run-store", "r", "--backoff-cap", "inf"],
+        ["--workers", "0", "table", "1"],
+        ["serve", "jobs.json", "--service-workers", "0"],
+        ["serve", "--http", "0", "--max-pending", "0"],
         ["work", "q", "--run-store", "r", "--max-attempts", "0"],
     ])
     def test_unusable_sizes_exit_2_before_any_work(self, argv, capsys):
@@ -111,6 +143,30 @@ class TestCommands:
         code = main(FAST + ["run", "shift", "s3_indoor_close_wall", "--objective", "energy"])
         assert code == 0
         assert "energy/frame" in capsys.readouterr().out
+
+    def test_run_honours_the_run_store(self, tmp_path, capsys, executed_runs):
+        from repro.runtime import RunStore
+
+        argv = FAST + ["--run-store", str(tmp_path / "runs"),
+                       "run", "marlin-tiny", "s3_indoor_close_wall"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == RUN_MARLIN_TINY_S3
+        assert executed_runs == [("marlin:yolov7-tiny", "s3_indoor_close_wall")]
+        assert len(RunStore(tmp_path / "runs")) == 1
+        assert main(argv) == 0  # warm: a metrics reload, no run
+        assert capsys.readouterr().out == RUN_MARLIN_TINY_S3
+        assert len(executed_runs) == 1
+
+    @pytest.mark.parametrize("number", ["2", "3", "4", "5"])
+    def test_figure_honours_the_run_store(self, tmp_path, capsys, executed_runs, number):
+        argv = FAST + ["--run-store", str(tmp_path / "runs"), "figure", number]
+        assert main(argv) == 0
+        cold = capsys.readouterr().out
+        assert executed_runs
+        executed_runs.clear()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == cold
+        assert executed_runs == []
 
     def test_run_unknown_policy(self, capsys):
         assert main(FAST + ["run", "quantum", "s3_indoor_close_wall"]) == 2
@@ -254,6 +310,19 @@ class TestServeCommand:
         assert main(FAST + ["serve", jobs]) == 2
         assert "known scenarios" in capsys.readouterr().err
 
+    def test_serve_rejects_a_bad_request_before_running_any(self, tmp_path, capsys,
+                                                             executed_runs):
+        from repro.runtime import RunStore
+
+        jobs = self._jobs_file(tmp_path, [
+            {"policies": ["marlin-tiny"], "scenarios": ["s3_indoor_close_wall"]},
+            {"policies": ["quantum"], "scenarios": ["s3_indoor_close_wall"]},
+        ])
+        assert main(FAST + ["--run-store", str(tmp_path / "r"), "serve", jobs]) == 2
+        assert "unknown policy" in capsys.readouterr().err
+        assert executed_runs == []
+        assert len(RunStore(tmp_path / "r")) == 0
+
     def test_serve_http_refuses_a_scale(self):
         # The wire names scenarios at their registered length; a scale
         # the server would silently ignore is refused instead.
@@ -356,6 +425,18 @@ class TestQueueCommands:
         assert main(FAST + ["serve", jobs, "--procs", "1"]) == 2
         assert "--run-store" in capsys.readouterr().err
 
+    def test_serve_procs_rejects_a_bad_request_before_enqueueing_any(self, tmp_path, capsys):
+        from repro.service import JobQueue
+
+        jobs = self._jobs_file(tmp_path, [
+            {"policies": ["marlin-tiny"], "scenarios": ["s3_indoor_close_wall"]},
+            {"policies": ["quantum"], "scenarios": ["s3_indoor_close_wall"]},
+        ])
+        runs = tmp_path / "runs"
+        assert main(FAST + ["--run-store", str(runs), "serve", jobs, "--procs", "1"]) == 2
+        assert "unknown policy" in capsys.readouterr().err
+        assert JobQueue(runs / "_queue").counts()["total"] == 0
+
     def test_serve_procs_drains_and_reports(self, tmp_path, capsys):
         jobs = self._jobs_file(tmp_path, {"requests": [
             {"id": "r1", "policies": ["marlin-tiny"],
@@ -408,13 +489,6 @@ class TestQueueCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
 
-    def test_work_rejects_a_backoff_base_above_the_cap(self, tmp_path, capsys):
-        code = main(["work", str(tmp_path / "q"), "--run-store", str(tmp_path / "r"),
-                     "--backoff-base", "10", "--backoff-cap", "8"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "base <= cap" in err
-
     def test_serve_batch_procs_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys):
         bundle = tmp_path / "torn.json"
         bundle.write_text('{"schema_version": 1, "accur', encoding="utf-8")
@@ -427,14 +501,14 @@ class TestQueueCommands:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
 
-    def test_serve_http_procs_rejects_an_unreadable_shift_bundle(self, tmp_path, capsys):
+    def test_serve_http_procs_rejects_an_unreadable_shift_bundle(self, tmp_path):
         bundle = tmp_path / "torn.json"
         bundle.write_text('{"schema_version": 1, "accur', encoding="utf-8")
-        code = main(["--run-store", str(tmp_path / "r"), "serve", "--http", "0",
-                     "--procs", "1", "--shift-bundle", str(bundle)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "--shift-bundle" in err and str(bundle) in err
+        done = repro_child(["--run-store", str(tmp_path / "r"), "serve", "--http", "0",
+                            "--procs", "1", "--shift-bundle", str(bundle)])
+        assert done.returncode == 2
+        assert done.stderr.count("\n") == 1
+        assert "--shift-bundle" in done.stderr and str(bundle) in done.stderr
 
     def test_queue_requeue_dead(self, tmp_path, capsys):
         from repro.data import scenario_by_name

@@ -49,13 +49,6 @@ class TestCheckPlan:
         [burst] = [e for e in fs_fault_plan_for_check().events if e.kind == "enospc"]
         assert burst.count > RETRY_ATTEMPTS
 
-    def test_plan_round_trips_through_disk(self, tmp_path):
-        plan = fs_fault_plan_for_check()
-        path = plan.save(tmp_path / "plan.json")
-        from repro.runtime.iolayer import FsFaultPlan
-
-        assert FsFaultPlan.load(path) == plan
-
 
 class TestOutcomeTaxonomy:
     def base(self, **overrides) -> FsFaultOutcome:
