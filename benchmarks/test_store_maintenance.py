@@ -1,7 +1,7 @@
-"""Bench: store maintenance — scrub/gc/repair throughput and the warm-hit guard.
+"""Bench: store maintenance — scrub/gc throughput and the warm-hit guard.
 
-PR 9 gave the stores a self-healing maintenance pass (``repro store
-scrub|gc|repair``).  Maintenance is only deployable if it is cheap
+The stores have a self-healing maintenance pass (``repro store
+scrub|gc``).  Maintenance is only deployable if it is cheap
 enough to cron and — the metamorphic contract — invisible to readers: a
 full pass over a healthy store must leave every servable entry
 bit-identical and must not regress the warm-hit path that
@@ -11,12 +11,10 @@ any per-entry cost maintenance adds would tax the whole suite).
 Reported per entry so the numbers stay legible as stores grow:
 
 ``scrub``
-    re-verify every indexed entry under its shard lock (JSON parse +
-    payload validation + digest recomputation);
+    re-verify every entry file under its shard lock (parse + payload
+    validation + digest recomputation);
 ``gc (dry run)``
     age inventory of quarantine/temp artifacts — the cron'd default;
-``repair``
-    index<->disk reconciliation over every shard;
 ``warm hit``
     ``RunStore.load_metrics`` over the full key set, timed before and
     after the maintenance pass — the guarded ratio.
@@ -85,13 +83,6 @@ def test_store_maintenance_benchmark(report, best_of, tmp_path_factory):
 
     gc_s, _ = best_of(gc_dry)
 
-    def repair():
-        reports = [run_store.repair(), trace_store.repair()]
-        assert all(r.ghosts_dropped == 0 and r.orphans_indexed == 0 for r in reports)
-        return reports
-
-    repair_s, _ = best_of(repair)
-
     # The guard: a full maintenance pass over a healthy store must leave
     # the warm-hit path intact — same bytes served, no latency cliff.
     warm_after_s, after = best_of(warm_sweep)
@@ -108,7 +99,6 @@ def test_store_maintenance_benchmark(report, best_of, tmp_path_factory):
         f"  scrub            {scrub_s:8.4f}s  ({per_scrub_ms:.2f} ms/entry, "
         f"{checked} checked)",
         f"  gc (dry run)     {gc_s:8.4f}s",
-        f"  repair           {repair_s:8.4f}s",
         f"  warm hit before  {warm_before_s:8.4f}s  ({per_warm_ms:.2f} ms/entry)",
         f"  warm hit after   {warm_after_s:8.4f}s  "
         f"({warm_after_s / warm_before_s:.2f}x before)",
@@ -123,7 +113,6 @@ def test_store_maintenance_benchmark(report, best_of, tmp_path_factory):
             "scrub_s": round(scrub_s, 4),
             "per_scrub_ms": round(per_scrub_ms, 3),
             "gc_dry_s": round(gc_s, 4),
-            "repair_s": round(repair_s, 4),
             "warm_before_s": round(warm_before_s, 4),
             "warm_after_s": round(warm_after_s, 4),
             "warm_ratio": round(warm_after_s / warm_before_s, 3),

@@ -293,7 +293,7 @@ def _serve_backend(args: argparse.Namespace, ctx: ExperimentContext, requests: l
         resolver = None  # the default vocabulary: a server refuses 'shift'
     # "_queue" is not a two-hex shard name, so nesting the queue inside
     # the run store keeps one --procs serve under one directory without
-    # the two stores' shard indexes ever mixing.
+    # the run store's walks ever entering the queue's shards.
     queue_dir = Path(args.queue_dir) if args.queue_dir else Path(args.run_store) / "_queue"
     queue = JobQueue(queue_dir, lease_duration=args.lease, max_attempts=args.max_attempts)
     bundle_path = args.shift_bundle
@@ -522,8 +522,13 @@ def _cmd_work(args: argparse.Namespace) -> int:
 
 
 def _cmd_queue(args: argparse.Namespace) -> int:
+    from pathlib import Path
+
     from .service.queue import JOB_STATES, JobQueue
 
+    if not Path(args.queue_dir).is_dir():
+        print(f"queue: no such directory: {args.queue_dir}", file=sys.stderr)
+        return 2
     queue = JobQueue(args.queue_dir)
     if args.requeue_dead:
         print(f"requeued {queue.requeue_dead()} dead-lettered jobs")
@@ -548,70 +553,75 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Self-healing store maintenance: scrub / gc / repair / migrate over any root.
+    """Self-healing store maintenance: scrub / gc / repair over existing roots.
 
     Targets come from the global ``--trace-store`` / ``--run-store``
     options plus ``--queue``; each named root is maintained in turn.  A
-    trace store brings its characterization-bundle root
-    (``<trace-store>/_characterization``) along.
-    ``gc`` is dry-run by default — it *reports* what a real pass would
-    reclaim (quarantined entries, stale temps, dead job records past the
-    TTL) and deletes only under ``--apply``.  ``migrate`` rewrites legacy
-    JSON (and flat-layout) entries as sharded ``.col`` entries.  ``scrub``
-    and ``migrate`` exit non-zero when they had to quarantine something,
-    so a cron'd scrub doubles as an integrity alarm; ``repair`` and
-    ``gc`` exit zero on success.
+    root that does not exist is refused before any is opened: maintenance
+    never creates a root, so a mistyped path fails loudly instead of
+    reporting a clean, empty store.  A trace store brings its
+    characterization-bundle root (``<trace-store>/_characterization``)
+    along when it has one.  ``gc`` is dry-run by default — it *reports*
+    what a real pass would reclaim (quarantined entries, stale temps,
+    dead job records past the TTL) and deletes only under ``--apply``.
+    ``repair`` heals the job queue's claim index, the one index there is,
+    so it needs ``--queue`` and maintains that root alone.  ``scrub``
+    exits non-zero when it had to quarantine something, so a cron'd scrub
+    doubles as an integrity alarm; ``repair`` and ``gc`` exit zero on
+    success.
     """
+    from pathlib import Path
+
     from .runtime import iolayer
-    from .runtime.bundlestore import BundleStore
+    from .runtime.bundlestore import BUNDLE_DIR, BundleStore
     from .runtime.runstore import RunStore
-    from .runtime.store import EntryStore, TraceStore
+    from .runtime.store import TraceStore
+    from .service.queue import JobQueue
 
-    targets: list[tuple[str, object]] = []
-    if args.trace_store:
-        targets.append(("traces", TraceStore(args.trace_store)))
-        targets.append(("characterization", BundleStore.under(args.trace_store)))
-    if args.run_store:
-        targets.append(("runs", RunStore(args.run_store)))
-    if args.queue:
-        from .service.queue import JobQueue
-
-        targets.append(("queue", JobQueue(args.queue)))
-    if not targets:
+    if args.action == "repair" and not args.queue:
+        print("store repair heals a job queue's claim index (the stores keep no "
+              "index): give --queue DIR", file=sys.stderr)
+        return 2
+    stores = [] if args.action == "repair" else [
+        ("traces", args.trace_store, TraceStore), ("runs", args.run_store, RunStore),
+    ]
+    roots = [(label, path, opener) for label, path, opener
+             in (*stores, ("queue", args.queue, JobQueue)) if path]
+    if not roots:
         print("store maintenance needs at least one root: --trace-store DIR, "
               "--run-store DIR (global options), or --queue DIR", file=sys.stderr)
         return 2
+    missing = [path for _, path, _ in roots if not Path(path).is_dir()]
+    if missing:
+        print(f"store {args.action}: no such directory: {', '.join(missing)}",
+              file=sys.stderr)
+        return 2
+    targets: list[tuple[str, object]] = []
+    for label, path, opener in roots:
+        targets.append((label, opener(path)))
+        if label == "traces" and (Path(path) / BUNDLE_DIR).is_dir():
+            targets.append(("characterization", BundleStore.under(path)))
 
     quarantined = 0
     for label, store in targets:
-        root = store.root
         if args.action == "scrub":
             report = store.scrub()
             print(f"{label}: {report.summary()}")
             for problem in report.problems:
                 print(f"  {problem}")
             quarantined += report.quarantined
-        elif args.action == "migrate":
-            if isinstance(store, EntryStore):
-                migrated = store.migrate()
-                print(f"{label}: {migrated} legacy entries migrated to .col, "
-                      f"{store.corrupt_entries} unparseable quarantined "
-                      f"({len(store)} entries total)")
-                quarantined += store.corrupt_entries
-            else:
-                print(f"{label}: job queues have a single format; nothing to migrate")
         elif args.action == "gc":
             report = store.gc(ttl_seconds=args.ttl, dry_run=not args.apply)
             print(f"{label}: {report.summary()}")
             if not args.apply and report.paths:
                 print(f"  (dry run; pass --apply to reclaim "
                       f"{report.bytes_reclaimed} bytes)")
-        else:  # repair
+        else:  # repair: the queue is the only target
             report = store.repair()
             print(f"{label}: {report.summary()}")
-        if iolayer.is_degraded(root):
+        if iolayer.is_degraded(store.root):
             print(f"{label}: root is DEGRADED (read-only): "
-                  f"{iolayer.degraded_reason(root)}", file=sys.stderr)
+                  f"{iolayer.degraded_reason(store.root)}", file=sys.stderr)
     return 1 if quarantined else 0
 
 
@@ -725,6 +735,7 @@ def build_parser() -> argparse.ArgumentParser:
     from .service.jobs import MAX_DEADLINE_S
     from .service.worker import configure_parser as configure_work
     from .util.argtypes import (
+        finite_non_negative_float,
         finite_positive_float,
         finite_positive_float_at_most,
         non_negative_int,
@@ -837,15 +848,14 @@ def build_parser() -> argparse.ArgumentParser:
     queue_cmd.set_defaults(func=_cmd_queue)
 
     store_cmd = commands.add_parser(
-        "store", help="self-healing store maintenance: scrub, gc (TTL), repair, migrate")
-    store_cmd.add_argument("action", choices=("scrub", "gc", "repair", "migrate"),
-                           help="scrub: re-verify + quarantine; gc: reclaim expired "
-                                "artifacts (dry-run unless --apply); repair: heal "
-                                "index<->disk drift; migrate: rewrite legacy JSON and "
-                                "flat-layout entries as sharded .col entries")
+        "store", help="self-healing store maintenance: scrub, gc (TTL), repair")
+    store_cmd.add_argument("action", choices=("scrub", "gc", "repair"),
+                           help="scrub: re-verify every entry file + quarantine; gc: "
+                                "reclaim expired artifacts (dry-run unless --apply); "
+                                "repair: heal the --queue claim index against its records")
     store_cmd.add_argument("--queue", default=None, metavar="DIR",
                            help="also maintain this job queue directory")
-    store_cmd.add_argument("--ttl", type=float, default=DEFAULT_TTL_SECONDS,
+    store_cmd.add_argument("--ttl", type=finite_non_negative_float, default=DEFAULT_TTL_SECONDS,
                            help="gc: age in seconds before quarantined entries, stale "
                                 "temps, and dead job records are reclaimed "
                                 f"(default {DEFAULT_TTL_SECONDS:.0f} = 7 days)")

@@ -16,9 +16,9 @@ itself and is part of the file name, so bumping it orphans stale entries
 (misses) rather than erroring on them.
 
 **Layout.**  The store lives under ``<trace-store>/_characterization/``
-(:data:`BUNDLE_DIR`), a root of its own like ``<run-store>/_queue``: shard
-indexes are per kind, so bundle entries inside the trace store's shards
-would read as foreign entries to its audit and scrub.
+(:data:`BUNDLE_DIR`), a root of its own like ``<run-store>/_queue``: its
+name is not a two-hex shard, so the trace store's walks never enter it,
+and ``repro store`` maintains it as its own ``characterization:`` root.
 
 **Payload.**  :func:`bundle_entry_to_dict` is the identity block plus the
 ``--shift-bundle`` JSON form of the bundle
@@ -42,7 +42,7 @@ from ..characterization.serialization import (
     bundle_to_dict,
 )
 from . import colfmt, iolayer, shards
-from .store import EntryStore
+from .store import EntryStore, digest_from_entry_name
 
 SCHEMA_VERSION = 1
 
@@ -124,13 +124,6 @@ def _bundle_file_name(digest: str) -> str:
     return f"bundle-v{BUNDLE_ALGORITHM_VERSION}-{digest[:32]}{colfmt.COL_SUFFIX}"
 
 
-def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a bundle entry file name."""
-    stem = colfmt.entry_stem(name)
-    parts = stem.split("-") if stem != name else []
-    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
-
-
 def _scrub_problem(name: str, payload: dict) -> str | None:
     """Why a parsed bundle entry is unsound, or None when it checks out.
 
@@ -144,7 +137,7 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
         key = BundleKey(**{label: payload[label] for label in _IDENTITY_FIELDS})
     except (KeyError, TypeError, ValueError) as exc:
         return f"identity block incomplete ({exc})"
-    digest = _digest_from_name(name)
+    digest = digest_from_entry_name(name)
     if digest is not None and not key.digest().startswith(digest):
         return "recomputed bundle-key digest does not match file name"
     try:
@@ -152,18 +145,6 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     except (BundleSchemaError, AttributeError) as exc:
         return f"bundle block does not parse ({exc})"
     return None
-
-
-def _index_meta(payload: dict) -> dict:
-    """The identity block a shard index records for one bundle entry."""
-    return {
-        "zoo_fingerprint": payload.get("zoo_fingerprint"),
-        "soc_fingerprint": payload.get("soc_fingerprint"),
-        "validation_size": payload.get("validation_size"),
-        "validation_seed": payload.get("validation_seed"),
-        "perf_repeats": payload.get("perf_repeats"),
-        "algorithm_version": payload.get("algorithm_version"),
-    }
 
 
 class BundleStore(EntryStore):
@@ -178,9 +159,8 @@ class BundleStore(EntryStore):
     KIND = "bundle"
     ENTRY_GLOB = "bundle-*" + colfmt.COL_SUFFIX
     _encode = staticmethod(colfmt.encode_bundle)
-    _digest_from_name = staticmethod(_digest_from_name)
+    _digest_from_name = staticmethod(digest_from_entry_name)
     _scrub_problem = staticmethod(_scrub_problem)
-    _index_meta = staticmethod(_index_meta)
 
     @classmethod
     def under(cls, trace_store: str | Path) -> BundleStore:

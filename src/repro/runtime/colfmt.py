@@ -57,7 +57,7 @@ COLFMT_SCHEMA_VERSION = 1
 #: File magic: 8 bytes, embeds the container major version.
 MAGIC = b"RPROCOL1"
 
-#: Suffix of binary column entries (legacy JSON entries used ``.json``).
+#: Suffix of binary column entries.
 COL_SUFFIX = ".col"
 
 #: Alignment of the data segment start and of each column within it.
@@ -75,14 +75,6 @@ class ColumnFormatError(ValueError):
 #: Exceptions that mean *corrupt entry* (quarantine), as opposed to an
 #: ``OSError`` which means *unavailable entry* (miss, never quarantine).
 PARSE_ERRORS = (json.JSONDecodeError, ColumnFormatError)
-
-
-def entry_stem(name: str) -> str:
-    """Entry name minus its ``.col`` (or legacy ``.json``) suffix."""
-    for suffix in (".json", COL_SUFFIX):
-        if name.endswith(suffix):
-            return name[: -len(suffix)]
-    return name
 
 
 def column_to_dict(name: str, array: np.ndarray, offset: int) -> dict:

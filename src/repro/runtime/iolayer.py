@@ -481,7 +481,7 @@ def read_bytes(
 
 
 def replace(src: str | Path, dst: str | Path, *, root: str | Path | None = None) -> None:
-    """Atomic same-filesystem rename through the seam (moves, migrations).
+    """Atomic same-filesystem rename through the seam (quarantine moves).
 
     A rename allocates no data blocks, so this is the tool quarantine
     moves use even under ENOSPC; the fault hooks still apply (a plan can

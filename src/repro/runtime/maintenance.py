@@ -1,4 +1,4 @@
-"""Self-healing store maintenance: scrub, GC, and index repair.
+"""Self-healing store maintenance: scrub, audit, GC, and queue index repair.
 
 Quarantined entries, dead-letter jobs, and stale temp files are all
 *evidence* the moment they appear — and garbage a week later.  This
@@ -7,12 +7,13 @@ stores and the job queue all wire up through one mixin,
 :class:`MaintainedRoot` (``repro store scrub|gc|repair`` on the CLI):
 
 ``scrub`` — :func:`scrub_entries`
-    Re-verify every *indexed* entry under its shard lock: it must exist,
-    parse, live in the shard its digest names, and pass the store's own
-    identity validation (schema version, fingerprints matching the file
-    name, payload shape).  Anything that fails is
-    quarantined (moved to ``root/_quarantine``, index record dropped) —
-    exactly what the lazy load path would eventually do, done eagerly.
+    Re-verify every entry *file* in every shard under its shard lock: it
+    must parse, live in the shard its digest names, and pass the root's
+    own identity validation (schema version, fingerprints matching the
+    file name, payload shape).  Anything that fails is quarantined
+    (moved to ``root/_quarantine``) — exactly what the lazy load path
+    would eventually do, done eagerly.  A store's ``audit`` is the same
+    walk, reporting without quarantining (:func:`audit_entries`).
 
 ``gc`` — :func:`gc_entries`
     Apply TTLs (file mtime) to the artifacts that only accumulate:
@@ -22,12 +23,13 @@ stores and the job queue all wire up through one mixin,
     what a real pass would reclaim before deleting anything.
 
 ``repair`` — :func:`repair_entries`
-    Heal index↔disk drift in both directions: drop *ghosts* (indexed but
-    missing on disk — e.g. a lost rename that was still indexed) and
-    re-index *orphans* (on disk but not indexed — e.g. an entry whose
-    index write hit a full disk), quarantining orphans that do not parse.
-    For the job queue, whose index meta tracks record state, repair also
-    rewrites every meta that no longer matches its record.
+    The job queue's alone: the stores keep no index, so only the queue's
+    claim index can drift from its records.  Repair drops *ghosts*
+    (indexed but missing on disk — e.g. a lost rename that was still
+    indexed), re-indexes *orphans* (on disk but not indexed — e.g. a
+    record whose index write hit a full disk), quarantines orphans that
+    do not parse, and rewrites every meta that no longer matches its
+    record.
 
 All three are metamorphic no-ops for servable data: a scrub+gc+repair
 pass leaves every entry a reader could successfully load bit-identical
@@ -108,32 +110,52 @@ class RepairReport:
 
 def scrub_entries(
     root: Path,
+    pattern: str,
     validate: Callable[[str, dict], str | None],
     digest_for: Callable[[str], str | None],
 ) -> ScrubReport:
-    """Re-verify every indexed entry under its shard lock; quarantine failures.
+    """Re-verify every entry file under its shard lock; quarantine failures.
 
-    ``validate(name, payload)`` returns a problem string (entry is
-    quarantined) or None (entry is sound); ``digest_for(name)`` recovers
-    the shard digest from the file name so misfiled entries are caught
-    too.  Missing-on-disk entries are reported and their ghost index
-    records dropped (the quarantine move is a no-op for a file that is
-    not there).  Entries whose bytes cannot be *read*
-    (transient I/O failure, after the seam's retries) are reported but
-    **not** quarantined — unavailability is not evidence of corruption.
+    ``pattern`` globs a shard's entry files; ``validate(name, payload)``
+    returns a problem string (entry is quarantined) or None (entry is
+    sound); ``digest_for(name)`` recovers the shard digest from the file
+    name so misfiled entries are caught too.  Entries whose bytes cannot
+    be *read* (transient I/O failure, after the seam's retries) are
+    reported but **not** quarantined — unavailability is not evidence of
+    corruption.
     """
     report = ScrubReport(root=str(root))
     for shard in shards.shard_dirs(root):
         with shards.shard_lock(shard):
-            for name in sorted(shards.read_index(shard)):
+            for path in shards.scan_or_empty(shard, pattern, root):
                 report.entries_checked += 1
-                problem, quarantinable = _entry_problem(shard, name, validate, digest_for)
+                problem, quarantinable = _entry_problem(shard, path.name, validate, digest_for)
                 if problem is None:
                     continue
-                report.problems.append(f"{shard.name}/{name}: {problem}")
-                if quarantinable and shards.quarantine_entry_locked(root, shard, name):
+                report.problems.append(f"{shard.name}/{path.name}: {problem}")
+                if quarantinable and shards.quarantine_entry_locked(root, shard, path.name):
                     report.quarantined += 1
     return report
+
+
+def audit_entries(
+    root: Path,
+    pattern: str,
+    validate: Callable[[str, dict], str | None],
+    digest_for: Callable[[str], str | None],
+) -> tuple[int, list[str]]:
+    """The checks of :func:`scrub_entries`, reported and never acted on.
+
+    Lock-free (entry writes are atomic); returns ``(entries_checked,
+    problems)``, ``(n, [])`` for a clean store.
+    """
+    paths = list(shards.iter_entry_paths(root, pattern))
+    problems = []
+    for path in paths:
+        problem, _ = _entry_problem(path.parent, path.name, validate, digest_for)
+        if problem is not None:
+            problems.append(f"{path.parent.name}/{path.name}: {problem}")
+    return len(paths), problems
 
 
 def _entry_problem(
@@ -142,19 +164,19 @@ def _entry_problem(
     validate: Callable[[str, dict], str | None],
     digest_for: Callable[[str], str | None],
 ) -> tuple[str | None, bool]:
-    """``(problem, quarantinable)`` for one indexed entry.
+    """``(problem, quarantinable)`` for one entry file.
 
-    ``problem`` is None when the entry checks out.  ``quarantinable`` is
-    False exactly for read-I/O failures: the entry may be perfectly valid
-    on a disk that is briefly unhappy, so scrub reports it and leaves it
-    for a later pass to vindicate or convict.  Entries parse via
-    :func:`repro.runtime.colfmt.load_entry_payload`.
+    ``problem`` is None when the entry checks out, or when it is gone by
+    the time it is read (a lock-free audit racing a quarantine).
+    ``quarantinable`` is False exactly for read-I/O failures: the entry
+    may be perfectly valid on a disk that is briefly unhappy, so scrub
+    reports it and leaves it for a later pass to vindicate or convict.
+    Entries parse via :func:`repro.runtime.colfmt.load_entry_payload`.
     """
-    path = shard / name
     try:
-        payload = colfmt.load_entry_payload(path, root=shard.parent)
+        payload = colfmt.load_entry_payload(shard / name, root=shard.parent)
     except FileNotFoundError:
-        return "indexed but missing on disk", True
+        return None, False
     except colfmt.PARSE_ERRORS as exc:
         return f"unparseable ({exc})", True
     except OSError as exc:
@@ -279,38 +301,29 @@ def _collect_entry_locked(
     return True
 
 
-def repair_entries(
-    root: Path,
-    pattern: str,
-    meta_for: Callable[[dict], dict],
-    *,
-    refresh_metas: bool = False,
-) -> RepairReport:
-    """Heal index↔disk drift: drop ghosts, re-index orphans, quarantine junk.
+def repair_entries(root: Path, pattern: str, meta_for: Callable[[dict], dict]) -> RepairReport:
+    """Heal index↔disk drift: drop ghosts, re-index orphans, refresh metas.
 
-    ``meta_for(payload)`` supplies the index identity block for a
-    re-indexed orphan (each root's own ``_index_meta``).  Runs shard by
-    shard under the shard lock, rewriting each index at most once.
-    Orphans that fail to *parse* are quarantined; orphans that fail to
-    *read* (transient I/O) are skipped for a later pass — repair must not
-    destroy an entry on the evidence of a flaky disk.  With
-    ``refresh_metas`` every indexed entry is re-read as well and a meta
-    that differs from ``meta_for(payload)`` is rewritten; an entry that
-    does not read or parse is left to scrub.
+    ``meta_for(payload)`` is the index block a record should have.  Runs
+    shard by shard under the shard lock, rewriting each index at most
+    once.  Orphans that fail to *parse* are quarantined; an indexed entry
+    that fails to parse is left to scrub; entries that fail to *read*
+    (transient I/O) are skipped for a later pass — repair must not
+    destroy an entry on the evidence of a flaky disk.
     """
     report = RepairReport(root=str(root))
     for shard in shards.shard_dirs(root):
         with shards.shard_lock(shard):
             indexed = shards.read_index(shard)
-            on_disk = {
+            on_disk = [
                 p.name for p in shards.scan_or_empty(shard, pattern, root) if ".tmp" not in p.name
-            }
-            changed = False
-            for name in sorted(set(indexed) - on_disk):
+            ]
+            ghosts = sorted(set(indexed) - set(on_disk))
+            for name in ghosts:
                 del indexed[name]
-                report.ghosts_dropped += 1
-                changed = True
-            for name in sorted(on_disk - set(indexed)):
+            report.ghosts_dropped += len(ghosts)
+            changed = bool(ghosts)
+            for name in on_disk:
                 try:
                     payload = colfmt.load_entry_payload(shard / name, root=root)
                 except colfmt.PARSE_ERRORS:
@@ -318,23 +331,19 @@ def repair_entries(
                 except OSError:  # repro: allow[exceptions/swallow] unavailable is not provably corrupt: skip for a later pass
                     continue
                 if not isinstance(payload, dict):
-                    shards.quarantine_entry_locked(root, shard, name)
-                    report.quarantined += 1
+                    if name not in indexed:
+                        shards.quarantine_entry_locked(root, shard, name)
+                        report.quarantined += 1
                     continue
-                indexed[name] = meta_for(payload)
-                report.orphans_indexed += 1
+                meta = meta_for(payload)
+                if indexed.get(name) == meta:
+                    continue
+                if name in indexed:
+                    report.metas_rewritten += 1
+                else:
+                    report.orphans_indexed += 1
+                indexed[name] = meta
                 changed = True
-            if refresh_metas:
-                for name in sorted(set(indexed) & on_disk):
-                    try:
-                        payload = colfmt.load_entry_payload(shard / name, root=root)
-                    except (OSError, *colfmt.PARSE_ERRORS):  # repro: allow[exceptions/swallow] scrub's territory: unreadable or torn entries are not repair's to judge
-                        continue
-                    meta = meta_for(payload)
-                    if indexed[name] != meta:
-                        indexed[name] = meta
-                        report.metas_rewritten += 1
-                        changed = True
             if changed:
                 shards.write_index_locked(shard, indexed)
     return report
@@ -346,20 +355,15 @@ class MaintainedRoot:
     The entry stores (trace, run, bundle) and the job queue mix this in
     and supply its hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
     ``_digest_from_name`` (file name -> shard digest, or None),
-    ``_scrub_problem`` (why a parsed entry is unsound, or None),
-    ``_index_meta`` (a payload's shard-index identity block),
+    ``_scrub_problem`` (why a parsed entry is unsound, or None), and
     :attr:`_gc_collect` (which parsed entries expire like quarantined
-    files; None collects no entries), and :attr:`_index_problem` (what
-    an audit reports about an entry's index meta against its payload;
-    None checks nothing beyond presence and parsing).
+    files; None collects no entries).
     """
 
     ENTRY_GLOB: ClassVar[str]
     _digest_from_name: Callable[[str], str | None]
     _scrub_problem: Callable[[str, dict], str | None]
-    _index_meta: Callable[[dict], dict]
     _gc_collect: Callable[[dict], bool] | None = None
-    _index_problem: Callable[[object, dict], str | None] | None = None
 
     root: Path
 
@@ -373,8 +377,10 @@ class MaintainedRoot:
         self.stale_temps_cleaned = shards.clean_stale_temps(self.root)
 
     def audit(self) -> tuple[int, list[str]]:
-        """Cross-check shard indexes against entry files; see :func:`shards.audit_entries`."""
-        return shards.audit_entries(self.root, self.ENTRY_GLOB, self._index_problem)
+        """Check every entry file as :meth:`scrub` would, quarantining nothing."""
+        return audit_entries(
+            self.root, self.ENTRY_GLOB, self._scrub_problem, self._digest_from_name
+        )
 
     @property
     def degraded(self) -> bool:
@@ -387,8 +393,10 @@ class MaintainedRoot:
         return iolayer.io_error_count(self.root)
 
     def scrub(self) -> ScrubReport:
-        """Re-verify every indexed entry; quarantine the unsound ones."""
-        return scrub_entries(self.root, self._scrub_problem, self._digest_from_name)
+        """Re-verify every entry file; quarantine the unsound ones."""
+        return scrub_entries(
+            self.root, self.ENTRY_GLOB, self._scrub_problem, self._digest_from_name
+        )
 
     def gc(
         self,
@@ -402,7 +410,3 @@ class MaintainedRoot:
             self.root, self.ENTRY_GLOB, self._gc_collect,
             ttl_seconds=ttl_seconds, dry_run=dry_run, now=now,
         )
-
-    def repair(self) -> RepairReport:
-        """Heal index↔disk drift (drop ghosts, re-index parseable orphans)."""
-        return repair_entries(self.root, self.ENTRY_GLOB, self._index_meta)

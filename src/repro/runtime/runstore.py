@@ -54,7 +54,7 @@ from pathlib import Path
 from ..vision.bbox import BoundingBox
 from . import colfmt, iolayer, shards
 from .metrics import RunMetrics, aggregate
-from .store import EntryStore
+from .store import EntryStore, digest_from_entry_name
 from ..core.records import FrameRecord, RunResult
 
 SCHEMA_VERSION = 1
@@ -253,25 +253,6 @@ def _run_file_name(digest: str) -> str:
     return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}{colfmt.COL_SUFFIX}"
 
 
-def _index_meta(payload: dict) -> dict:
-    """The identity block a shard index records for one run entry."""
-    return {
-        "policy_name": payload.get("policy_name"),
-        "scenario_name": payload.get("scenario_name"),
-        "policy_fingerprint": payload.get("policy_fingerprint"),
-        "scenario_fingerprint": payload.get("scenario_fingerprint"),
-        "engine_seed": payload.get("engine_seed"),
-        "algorithm_version": payload.get("algorithm_version"),
-    }
-
-
-def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a run entry file name (``.col`` or legacy)."""
-    stem = colfmt.entry_stem(name)
-    parts = stem.split("-") if stem != name else []
-    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
-
-
 def _scrub_problem(name: str, payload: dict) -> str | None:
     """Why a parsed run entry is unsound, or None when it checks out.
 
@@ -299,7 +280,7 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
         )
     except (KeyError, TypeError, ValueError) as exc:
         return f"identity block incomplete ({exc})"
-    digest = _digest_from_name(name)
+    digest = digest_from_entry_name(name)
     if digest is not None and not key.digest().startswith(digest):
         return "recomputed run-key digest does not match file name"
     records = payload.get("records")
@@ -330,9 +311,8 @@ class RunStore(EntryStore):
     KIND = "run"
     ENTRY_GLOB = "run-*" + colfmt.COL_SUFFIX
     _encode = staticmethod(colfmt.encode_run)
-    _digest_from_name = staticmethod(_digest_from_name)
+    _digest_from_name = staticmethod(digest_from_entry_name)
     _scrub_problem = staticmethod(_scrub_problem)
-    _index_meta = staticmethod(_index_meta)
 
     def path_for(self, key: RunKey) -> Path:
         """The (sharded) file a run persists to."""

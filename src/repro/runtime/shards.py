@@ -1,4 +1,4 @@
-"""Sharded store layout: fingerprint-prefix shards, indexes, advisory locks.
+"""Sharded store layout: fingerprint-prefix shards, advisory locks.
 
 The service tier (:mod:`repro.service`) points N worker threads and M
 concurrent requests at one :class:`~repro.runtime.store.TraceStore` /
@@ -6,7 +6,8 @@ concurrent requests at one :class:`~repro.runtime.store.TraceStore` /
 *processes* at the same directories.  A single flat directory survives
 that only by luck: every writer renames into one namespace, every ``len``
 scans every entry, and a crashed writer's temp file sits around forever.
-This module gives both stores one shared on-disk discipline:
+This module gives the stores and the job queue one shared on-disk
+discipline:
 
 **Shards.**  Every entry lives under ``root/<prefix>/`` where ``prefix``
 is the first :data:`SHARD_PREFIX_CHARS` hex chars of the entry's content
@@ -14,19 +15,22 @@ digest (scenario fingerprint for traces, run-key digest for runs).
 Contention and directory size split 256 ways; a shard is the unit of
 locking.
 
-**Per-shard index.**  Each shard carries an ``index.json`` mapping entry
-file names to their identity block (the fingerprints the entry was keyed
-by).  Tools can enumerate a store's contents — and audit that every
-indexed entry still parses — without opening every payload.  The job
-queue's block also carries each record's state and due times, which
-makes the index its claim index.
+**Entry files are the store.**  A store shard holds its entry files and
+nothing else: every load is addressed by path and validates the entry's
+own header, and scrub and audit walk the files.  Only the job queue
+keeps a per-shard ``index.json`` — its claim index, mapping each record
+to its state and due times (:mod:`repro.service.queue`).  Removals and
+quarantines drop the entry's record from a shard index when the shard
+has one, so that index never lists a file that is gone; store saves,
+loads and audits never open one.
 
-**Advisory locks.**  All mutations (entry writes, removals, stale-temp
-cleanup, format migration) happen under an ``fcntl`` advisory lock on the
-shard's ``.lock`` file, so concurrent writers serialize per shard and an
-index update can never lose a racing writer's entry.  Readers never need
-the lock: entry writes stay atomic (temp file + ``os.replace``), so a
-reader sees either the old complete file or the new complete one.
+**Advisory locks.**  All mutations (entry writes, removals, quarantine,
+stale-temp cleanup) happen under an ``fcntl`` advisory lock on the
+shard's ``.lock`` file, so concurrent writers serialize per shard and a
+queue index update can never lose a racing writer's record.  Readers
+never need the lock: entry writes stay atomic (temp file +
+``os.replace``), so a reader sees either the old complete file or the
+new complete one.
 
 **Crash consistency.**  A writer killed mid-write leaves ``*.tmp*`` files
 behind; :func:`clean_stale_temps` removes them under the shard locks at
@@ -54,7 +58,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Callable, Iterator
+from collections.abc import Iterator
 
 from ..util import jsonsafe
 from . import colfmt, iolayer
@@ -147,18 +151,10 @@ def shard_lock(shard: Path) -> Iterator[None]:
             handle.close()
 
 
-def _replace_atomically(shard: Path, name: str, data: str | bytes) -> Path:
-    # `shard.parent` IS the store root: shards are its direct children,
-    # so degraded-mode accounting lands on the store, not the shard.
-    if isinstance(data, (bytes, bytearray, memoryview)):
-        return iolayer.write_bytes(shard / name, bytes(data), root=shard.parent)
-    return iolayer.write_text(shard / name, data, root=shard.parent)
-
-
 def read_index(shard: Path) -> dict[str, dict]:
-    """The shard's index entries (``{}`` for a missing or unreadable index).
+    """A queue shard's index entries (``{}`` for a missing or unreadable index).
 
-    An unreadable index never blocks the store — entry files are the
+    An unreadable index never blocks the queue — record files are the
     ground truth; the index is regenerated entry-by-entry as writes land.
     """
     path = shard / INDEX_NAME
@@ -172,78 +168,53 @@ def read_index(shard: Path) -> dict[str, dict]:
     return entries if isinstance(entries, dict) else {}
 
 
-def _write_index(shard: Path, entries: dict[str, dict]) -> None:
+def write_index_locked(shard: Path, entries: dict[str, dict]) -> None:
+    """Rewrite a shard's index wholesale (callers hold the shard lock).
+
+    The job queue's transitions and repair passes hold the entry map in
+    memory and commit it in one atomic write.
+    """
     text = jsonsafe.dumps(
         {"schema_version": INDEX_SCHEMA_VERSION, "entries": entries},
         sort_keys=True,
     )
-    _replace_atomically(shard, INDEX_NAME, text)
+    write_entry_locked(shard, INDEX_NAME, text)
 
 
-def write_index_locked(shard: Path, entries: dict[str, dict]) -> None:
-    """Rewrite a shard's index wholesale (callers hold the shard lock).
+def write_entry_locked(shard: Path, name: str, data: str | bytes) -> Path:
+    """Replace one file in ``shard`` atomically (callers hold the shard lock).
 
-    Repair passes and the job queue's transitions hold the entry map in
-    memory and commit it in one atomic write.
+    Temp file + ``os.replace`` through the I/O seam, so readers never see
+    a torn file even without the lock.  Multi-step paths (the queue's
+    record + index transitions) hold one lock acquisition across several
+    writes; re-entering :func:`shard_lock` per write would deadlock on
+    the per-path thread mutex (it is not reentrant).
     """
-    _write_index(shard, entries)
-
-
-def write_entry(root: Path, digest: str, name: str, data: str | bytes, meta: dict) -> Path:
-    """Atomically persist one entry and record it in the shard index.
-
-    Runs entirely under the shard lock: the entry write is temp +
-    ``os.replace`` (readers never see a torn file even without the lock),
-    and the index read-modify-write is protected against concurrent
-    writers of *other* entries in the same shard.
-    """
-    shard = shard_dir(root, digest)
-    with shard_lock(shard):
-        return write_entry_locked(shard, name, data, meta)
-
-
-def write_entry_locked(shard: Path, name: str, data: str | bytes, meta: dict) -> Path:
-    """Entry write + index update for callers already holding the shard lock.
-
-    Multi-entry paths hold one lock acquisition across several entries;
-    re-entering :func:`shard_lock` per entry would deadlock on the
-    per-path thread mutex (it is not reentrant), so they compose this
-    primitive instead.
-    """
-    path = _replace_atomically(shard, name, data)
-    entries = read_index(shard)
-    entries[name] = meta
-    _write_index(shard, entries)
-    return path
-
-
-def write_file_locked(shard: Path, name: str, data: str | bytes) -> Path:
-    """Replace one entry file and leave the index alone (lock held).
-
-    For a root that orders the entry write against its own index write
-    (the job queue, whose index meta tracks record state); stores use
-    :func:`write_entry_locked`.
-    """
-    return _replace_atomically(shard, name, data)
-
-
-def remove_entry(root: Path, digest: str, name: str) -> bool:
-    """Delete one entry (file + index record); True if the file existed."""
-    shard = shard_dir(root, digest)
-    with shard_lock(shard):
-        return remove_entry_locked(shard, name)
+    # `shard.parent` IS the root: shards are its direct children, so
+    # degraded-mode accounting lands on the store, not the shard.
+    if isinstance(data, (bytes, bytearray, memoryview)):
+        return iolayer.write_bytes(shard / name, bytes(data), root=shard.parent)
+    return iolayer.write_text(shard / name, data, root=shard.parent)
 
 
 def remove_entry_locked(shard: Path, name: str) -> bool:
+    """Delete one entry file and its index record; True if the file existed."""
     path = shard / name
     existed = path.exists()
     if existed:
         path.unlink()
+    _drop_index_record_locked(shard, name)
+    return existed
+
+
+def _drop_index_record_locked(shard: Path, name: str) -> None:
+    """Drop ``name`` from the shard's index, when the shard has one listing it."""
+    if not (shard / INDEX_NAME).exists():
+        return
     entries = read_index(shard)
     if name in entries:
         del entries[name]
-        _write_index(shard, entries)
-    return existed
+        write_index_locked(shard, entries)
 
 
 def quarantine_corrupt_entry(root: Path, shard: Path, name: str) -> bool:
@@ -301,10 +272,7 @@ def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
         except (OSError, iolayer.StoreError):
             iolayer.record_io_error(root)
             path.unlink(missing_ok=True)
-    entries = read_index(shard)
-    if name in entries:
-        del entries[name]
-        _write_index(shard, entries)
+    _drop_index_record_locked(shard, name)
     return existed
 
 
@@ -360,43 +328,3 @@ def iter_entry_paths(root: Path, pattern: str) -> Iterator[Path]:
     for shard in shard_dirs(root):
         yield from sorted(shard.glob(pattern))
 
-
-def audit_entries(
-    root: Path,
-    pattern: str,
-    check: Callable[[object, dict], str | None] | None = None,
-) -> tuple[int, list[str]]:
-    """Audit a store: every indexed entry must exist and parse.
-
-    Returns ``(entries_checked, problems)`` where ``problems`` is a list of
-    human-readable findings: indexed-but-missing files, unparseable
-    payloads, files present on disk but absent from their shard index,
-    and whatever ``check(meta, payload)`` reports about an entry's index
-    meta against its parsed payload.  A clean store returns ``(n, [])``.
-    Entries are parsed via :func:`repro.runtime.colfmt.load_entry_payload`.
-    """
-    problems: list[str] = []
-    checked = 0
-    for shard in shard_dirs(root):
-        indexed = read_index(shard)
-        on_disk = {p.name for p in shard.glob(pattern) if ".tmp" not in p.name}
-        for name in sorted(indexed):
-            checked += 1
-            path = shard / name
-            if name not in on_disk:
-                problems.append(f"{shard.name}/{name}: indexed but missing on disk")
-                continue
-            try:
-                payload = colfmt.load_entry_payload(path, root=root)
-            except (OSError, *colfmt.PARSE_ERRORS) as exc:
-                problems.append(f"{shard.name}/{name}: unreadable ({exc})")
-                continue
-            if not isinstance(payload, dict):
-                problems.append(f"{shard.name}/{name}: not a JSON object")
-                continue
-            problem = check(indexed[name], payload) if check is not None else None
-            if problem is not None:
-                problems.append(f"{shard.name}/{name}: {problem}")
-        for name in sorted(on_disk - set(indexed)):
-            problems.append(f"{shard.name}/{name}: on disk but not indexed")
-    return checked, problems

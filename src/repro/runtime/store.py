@@ -11,19 +11,19 @@ version that fails loudly on mismatch.
 (this module's :class:`TraceStore`,
 :class:`~repro.runtime.runstore.RunStore` and
 :class:`~repro.runtime.bundlestore.BundleStore`): open, write, read,
-quarantine, clear, the one-shot legacy upgrade, and — through
+quarantine, clear, and — through
 :class:`~repro.runtime.maintenance.MaintainedRoot` — audit, health, and
 maintenance.
 
 Format — one entry per (scenario, zoo) pair, named
 ``trace-v<algo>-<scenario_fp16>-<zoo_fp12>.col``: a binary columnar
 container (:mod:`repro.runtime.colfmt`) holding the dict payload below.
-Entries are sharded by scenario-fingerprint prefix (``root/<2-hex>/``) with
-a per-shard index and advisory-lock–guarded writes — see
-:mod:`repro.runtime.shards`.  Stores written before the binary format
-(``.json`` entries) or before sharding (flat layout) are upgraded once by
-``repro store migrate`` (:meth:`EntryStore.migrate`); until then their
-entries are misses.  Fields:
+Entries are sharded by scenario-fingerprint prefix (``root/<2-hex>/``)
+with advisory-lock–guarded writes — see :mod:`repro.runtime.shards`; a
+shard is nothing but its entry files.  Entries written before the binary
+format (``.json``) or before sharding (flat at the root) are never read:
+each is a plain miss, rebuilt and saved as ``.col`` on first use.
+Fields:
 
 ``schema_version``
     Integer; readers reject anything but their own version.
@@ -57,7 +57,6 @@ from typing import ClassVar, TypeVar
 from ..data.scenario import Scenario
 from ..models.detector import DetectionOutcome
 from ..models.zoo import ModelZoo
-from ..util import jsonsafe
 from ..vision.bbox import BoundingBox
 from . import colfmt, iolayer, maintenance, shards
 from .trace import ScenarioTrace
@@ -186,11 +185,23 @@ def _trace_file_name(scenario_fingerprint: str, zoo_fingerprint: str) -> str:
     )
 
 
+def _entry_name_parts(name: str) -> list[str]:
+    """The ``-``-separated fields of a ``.col`` entry name ([] for any other name)."""
+    if not name.endswith(colfmt.COL_SUFFIX):
+        return []
+    return name.removesuffix(colfmt.COL_SUFFIX).split("-")
+
+
 def _digest_from_name(name: str) -> str | None:
-    """The shard digest encoded in a trace entry file name (``.col`` or legacy)."""
-    stem = colfmt.entry_stem(name)
-    parts = stem.split("-") if stem != name else []
+    """The shard digest encoded in a trace entry file name."""
+    parts = _entry_name_parts(name)
     return parts[2] if len(parts) == 4 and len(parts[2]) == 16 else None
+
+
+def digest_from_entry_name(name: str) -> str | None:
+    """The shard digest in a ``<kind>-v<algo>-<digest32>.col`` name (runs, bundles)."""
+    parts = _entry_name_parts(name)
+    return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
 
 
 def _scrub_problem(name: str, payload: dict) -> str | None:
@@ -204,7 +215,7 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     """
     if payload.get("schema_version") != SCHEMA_VERSION:
         return f"schema_version {payload.get('schema_version')!r} != {SCHEMA_VERSION}"
-    parts = colfmt.entry_stem(name).split("-")
+    parts = _entry_name_parts(name)
     if parts[1] != f"v{payload.get('algorithm_version')}":
         return (
             f"algorithm_version {payload.get('algorithm_version')!r} "
@@ -228,26 +239,15 @@ def _scrub_problem(name: str, payload: dict) -> str | None:
     return None
 
 
-def _index_meta(payload: dict) -> dict:
-    """The identity block a shard index records for one trace entry."""
-    return {
-        "scenario_name": payload.get("scenario_name"),
-        "scenario_fingerprint": payload.get("scenario_fingerprint"),
-        "zoo_fingerprint": payload.get("zoo_fingerprint"),
-        "algorithm_version": payload.get("algorithm_version"),
-        "frame_count": payload.get("frame_count"),
-    }
-
-
 class EntryStore(maintenance.MaintainedRoot):
     """A sharded directory of ``.col`` entries, content-addressed by digest.
 
-    Entries live under ``root/<digest-prefix>/`` with a per-shard index and
-    advisory-lock–guarded atomic writes (:mod:`repro.runtime.shards`), so
-    any number of processes, threads, and service workers can share one
-    store.  Subclasses are thin typed facades that supply the codec:
-    :attr:`KIND` (the entry-name prefix), ``_encode`` (payload dict ->
-    container bytes), and the :class:`~repro.runtime.maintenance.MaintainedRoot`
+    Entries live under ``root/<digest-prefix>/`` with advisory-lock–guarded
+    atomic writes (:mod:`repro.runtime.shards`), so any number of
+    processes, threads, and service workers can share one store.
+    Subclasses are thin typed facades that supply the codec: :attr:`KIND`
+    (the entry-name prefix), ``_encode`` (payload dict -> container
+    bytes), and the :class:`~repro.runtime.maintenance.MaintainedRoot`
     hooks.  An entry that cannot be *parsed* (torn by a crash, truncated
     disk) is treated exactly like a missing one — a miss, counted in
     :attr:`corrupt_entries` and quarantined — while a parseable entry that
@@ -268,9 +268,10 @@ class EntryStore(maintenance.MaintainedRoot):
 
     def _write(self, digest: str, name: str, payload: dict) -> Path:
         """Atomically persist ``payload`` as entry ``name`` in ``digest``'s shard."""
-        return shards.write_entry(
-            self.root, digest, name, self._encode(payload), self._index_meta(payload)
-        )
+        data = self._encode(payload)
+        shard = shards.shard_dir(self.root, digest)
+        with shards.shard_lock(shard):
+            return shards.write_entry_locked(shard, name, data)
 
     def _read(self, path: Path, decode: Callable[[Path], _T]) -> _T | None:
         """``decode(path)`` of one entry under the read discipline all entries share.
@@ -307,58 +308,12 @@ class EntryStore(maintenance.MaintainedRoot):
         return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_GLOB))
 
     def clear(self) -> int:
-        """Delete every entry (file + index record); returns how many were removed."""
+        """Delete every entry file; returns how many were removed."""
         removed = 0
         for path in list(shards.iter_entry_paths(self.root, self.ENTRY_GLOB)):
             with shards.shard_lock(path.parent):
                 removed += shards.remove_entry_locked(path.parent, path.name)
         return removed
-
-    def migrate(self) -> int:
-        """Rewrite legacy JSON entries as sharded ``.col`` entries; returns how many.
-
-        The one reader of the pre-binary format left, behind ``repro store
-        migrate``.  Legacy ``<KIND>-*.json`` entries are found by glob, not
-        by index — flat files at the root (the pre-sharding layout) and
-        sharded ones alike.  Each is re-encoded under its target shard's
-        lock and its JSON file removed in the same critical section, so
-        concurrent migrators never convert an entry twice.  An entry that
-        does not parse or encode is quarantined and counted in
-        :attr:`corrupt_entries`; one that cannot be read is left for a
-        later run.  A degraded (full) disk stops the sweep.
-        """
-        legacy = f"{self.KIND}-*.json"
-        migrated = 0
-        for directory in (self.root, *shards.shard_dirs(self.root)):
-            for path in sorted(directory.glob(legacy)):
-                digest = self._digest_from_name(path.name)
-                shard = None if digest is None else shards.shard_dir(self.root, digest)
-                if shard is None or directory not in (self.root, shard):
-                    continue  # not an entry name, or misfiled: scrub's business
-                try:
-                    with shards.shard_lock(shard):
-                        migrated += self._migrate_locked(path, shard)
-                except iolayer.StoreDegraded:
-                    return migrated
-        return migrated
-
-    def _migrate_locked(self, path: Path, shard: Path) -> int:
-        """Convert one legacy entry into ``shard`` (lock held); 1 when converted."""
-        try:
-            payload = jsonsafe.loads(iolayer.read_text(path, root=self.root))
-            data = self._encode(payload) if isinstance(payload, dict) else None
-        except OSError:
-            return 0  # gone (another migrator won) or unavailable: not corrupt
-        except (ValueError, LookupError, TypeError):
-            data = None  # bad JSON (a ValueError) or a payload the codec rejects
-        if data is None:
-            shards.quarantine_entry_locked(self.root, path.parent, path.name)
-            self.corrupt_entries += 1
-            return 0
-        name = colfmt.entry_stem(path.name) + colfmt.COL_SUFFIX
-        shards.write_entry_locked(shard, name, data, self._index_meta(payload))
-        shards.remove_entry_locked(path.parent, path.name)
-        return 1
 
 
 class TraceStore(EntryStore):
@@ -373,7 +328,6 @@ class TraceStore(EntryStore):
     _encode = staticmethod(colfmt.encode_trace)
     _digest_from_name = staticmethod(_digest_from_name)
     _scrub_problem = staticmethod(_scrub_problem)
-    _index_meta = staticmethod(_index_meta)
 
     def path_for(self, scenario: Scenario, zoo: ModelZoo) -> Path:
         """The (sharded) file a (scenario, zoo) trace persists to."""
@@ -385,10 +339,9 @@ class TraceStore(EntryStore):
     def save(self, trace: ScenarioTrace, zoo: ModelZoo) -> Path:
         """Persist a built trace; returns the file written.
 
-        The write is atomic (temp file + rename) and the shard index is
-        updated under the shard's advisory lock, so concurrent readers
-        never observe a half-written trace and concurrent writers never
-        lose each other's index records.
+        The write is atomic (temp file + rename) under the shard's
+        advisory lock, so concurrent readers never observe a
+        half-written trace.
         """
         payload = trace_to_dict(trace, zoo)
         fingerprint = payload["scenario_fingerprint"]

@@ -64,7 +64,7 @@ from collections.abc import Callable, Iterator
 
 from ..data.scenario import Scenario, scenario_from_dict, scenario_to_dict
 from ..util import jsonsafe
-from ..runtime import iolayer, maintenance, shards
+from ..runtime import colfmt, iolayer, maintenance, shards
 from ..runtime.iolayer import StoreDegraded
 from .jobs import ServiceError, UnitJob
 
@@ -248,8 +248,9 @@ class JobQueue(maintenance.MaintainedRoot):
     All records live under ``root/<2-hex>/job-v1-<digest32>.json`` — the
     same shard/lock/atomic-write discipline as the trace and run stores
     (:mod:`repro.runtime.shards`), so any number of processes can enqueue,
-    claim, and complete concurrently; audit, health, scrub, gc, and
-    repair come from :class:`~repro.runtime.maintenance.MaintainedRoot`.
+    claim, and complete concurrently; health, scrub and gc come from
+    :class:`~repro.runtime.maintenance.MaintainedRoot`, while audit and
+    repair are the claim index's own.
     ``lease_duration`` is the crash detection horizon; ``max_attempts``
     bounds retries before a job is dead-lettered; backoff between retries
     is ``min(cap, base * 2**(n-1))`` scaled by seeded jitter in
@@ -275,8 +276,6 @@ class JobQueue(maintenance.MaintainedRoot):
     ENTRY_GLOB = "job-*.json"
     _digest_from_name = staticmethod(_digest_from_name)
     _scrub_problem = staticmethod(_scrub_problem)
-    _index_meta = staticmethod(job_index_meta)
-    _index_problem = staticmethod(_index_hides_work)
 
     @staticmethod
     def _gc_collect(record: dict) -> bool:
@@ -853,11 +852,39 @@ class JobQueue(maintenance.MaintainedRoot):
         """True when no job is pending or leased (done and dead may remain)."""
         return self.outstanding() == 0
 
+    def audit(self) -> tuple[int, list[str]]:
+        """Cross-check every shard's claim index against its record files.
+
+        Returns ``(entries_checked, problems)``: indexed records missing on
+        disk, records that do not parse, records on disk the index does
+        not list, and index entries that hide live work from claims
+        (:func:`_index_hides_work`).  A clean queue returns ``(n, [])``.
+        """
+        problems: list[str] = []
+        checked = 0
+        for shard in shards.shard_dirs(self.root):
+            indexed = shards.read_index(shard)
+            on_disk = set(_job_names(shard))
+            for name in sorted(indexed):
+                checked += 1
+                if name not in on_disk:
+                    problems.append(f"{shard.name}/{name}: indexed but missing on disk")
+                    continue
+                try:
+                    record = colfmt.load_entry_payload(shard / name, root=self.root)
+                except (OSError, *colfmt.PARSE_ERRORS) as exc:
+                    problems.append(f"{shard.name}/{name}: unreadable ({exc})")
+                    continue
+                problem = _index_hides_work(indexed[name], record)
+                if problem is not None:
+                    problems.append(f"{shard.name}/{name}: {problem}")
+            for name in sorted(on_disk - set(indexed)):
+                problems.append(f"{shard.name}/{name}: on disk but not indexed")
+        return checked, problems
+
     def repair(self) -> maintenance.RepairReport:
         """Heal index↔disk drift and rewrite every meta that differs from its record."""
-        return maintenance.repair_entries(
-            self.root, self.ENTRY_GLOB, self._index_meta, refresh_metas=True
-        )
+        return maintenance.repair_entries(self.root, self.ENTRY_GLOB, job_index_meta)
 
     # ------------------------------------------------------------- plumbing
 
@@ -921,9 +948,9 @@ class JobQueue(maintenance.MaintainedRoot):
         data = jsonsafe.dumps(record, sort_keys=True)
         if revive:
             shards.write_index_locked(shard, index)
-            shards.write_file_locked(shard, name, data)
+            shards.write_entry_locked(shard, name, data)
         else:
-            shards.write_file_locked(shard, name, data)
+            shards.write_entry_locked(shard, name, data)
             self._write_index_locked(shard, index)
 
     def _heal_locked(self, shard: Path, name: str, record: dict, index: dict) -> None:

@@ -17,9 +17,8 @@ cross-engine correctness witness:
     scalar ``detect`` vs ``detect_batch`` — bit-identical outcomes for
     every model on every frame;
 ``store``
-    save -> load through :class:`TraceStore`, plus a legacy JSON entry
-    upgraded by ``migrate`` -> load — persisted outcomes reload exactly,
-    identity validation passes;
+    save -> load through :class:`TraceStore` — persisted outcomes reload
+    exactly and lazily, identity validation passes;
 ``trace``
     trace invariants — monotone frame indices and timestamps, aligned
     outcome lengths, confidence/IoU/quality bounds, detection-flag
@@ -80,11 +79,10 @@ from ..models.detector import detect
 from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..core.records import FrameRecord
-from ..runtime import colfmt, shards
+from ..runtime import colfmt
 from ..runtime.runner import run_policy
-from ..runtime.store import TraceStore, trace_to_dict
+from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
-from ..util import jsonsafe
 
 # All check names, in the order verify_scenario runs them.
 CHECKS = (
@@ -191,61 +189,32 @@ def check_detect_equality(
 def check_store_roundtrip(
     trace: ScenarioTrace, zoo: ModelZoo, store_root: str | Path | None = None
 ) -> CheckResult:
-    """A persisted trace must reload bit-identically, from a save or a migration.
-
-    Two directions on one root: ``save`` -> ``load`` (lazy on frames and
-    on outcome columns), and ``migrate`` -> ``load`` of a legacy JSON
-    entry written the way stores before the binary format wrote it —
-    same outcomes, same index record.
-    """
+    """A persisted trace must reload bit-identically, lazy on frames and outcomes."""
     scenario = trace.scenario
-
-    def compare(loaded: ScenarioTrace | None, via: str) -> CheckResult | None:
-        if loaded is None:
-            return _fail("store", f"{via}: saved trace did not load back")
-        if loaded.frame_count != trace.frame_count:
-            return _fail(
-                "store",
-                f"{via}: frame count changed through the store: "
-                f"{trace.frame_count} -> {loaded.frame_count}",
-            )
-        if loaded.frames_materialized:
-            return _fail("store", f"{via}: loaded trace rendered eagerly (must stay lazy)")
-        if list(loaded.outcomes) != list(trace.outcomes):
-            return _fail("store", f"{via}: model set or order changed through the store")
-        for model, rows in trace.outcomes.items():
-            if loaded.outcomes[model] != rows:
-                return _fail(
-                    "store", f"{via}: model {model!r}: outcomes changed through the store"
-                )
-        return None
 
     def roundtrip(root: Path) -> CheckResult:
         store = TraceStore(root)
-
-        # 1. save -> load.
-        col_path = store.save(trace, zoo)
-        if col_path.suffix != colfmt.COL_SUFFIX or not col_path.exists():
-            return _fail("store", f"save produced no .col file at {col_path}")
-        meta = shards.read_index(col_path.parent).get(col_path.name)
-        if failure := compare(store.load(scenario, zoo), "save->load"):
-            return failure
+        path = store.save(trace, zoo)
+        if path.suffix != colfmt.COL_SUFFIX or not path.exists():
+            return _fail("store", f"save produced no .col file at {path}")
+        loaded = store.load(scenario, zoo)
+        if loaded is None:
+            return _fail("store", "saved trace did not load back")
+        if loaded.frame_count != trace.frame_count:
+            return _fail(
+                "store",
+                f"frame count changed through the store: "
+                f"{trace.frame_count} -> {loaded.frame_count}",
+            )
+        if loaded.frames_materialized:
+            return _fail("store", "loaded trace rendered eagerly (must stay lazy)")
+        if list(loaded.outcomes) != list(trace.outcomes):
+            return _fail("store", "model set or order changed through the store")
+        for model, rows in trace.outcomes.items():
+            if loaded.outcomes[model] != rows:
+                return _fail("store", f"model {model!r}: outcomes changed through the store")
         if store.load(scenario, zoo).outcomes_materialized:
             return _fail("store", "load decoded outcomes eagerly (must stay lazy)")
-
-        # 2. migrate -> load: a legacy JSON entry is rewritten as .col.
-        shards.remove_entry(root, scenario.fingerprint(), col_path.name)
-        legacy = col_path.with_name(colfmt.entry_stem(col_path.name) + ".json")
-        legacy.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
-        if store.load(scenario, zoo) is not None:
-            return _fail("store", "a legacy JSON entry was served before migration")
-        store.migrate()
-        if legacy.exists() or not col_path.exists():
-            return _fail("store", "migration did not replace the JSON entry with .col")
-        if shards.read_index(col_path.parent).get(col_path.name) != meta:
-            return _fail("store", "migrated entry's index record differs from a saved one")
-        if failure := compare(store.load(scenario, zoo), "migrate->load"):
-            return failure
         return _ok("store")
 
     if store_root is not None:

@@ -1,10 +1,11 @@
-"""Tests for self-healing store maintenance (scrub / GC / repair).
+"""Tests for self-healing store maintenance (scrub / GC / queue repair).
 
-The load-bearing property is metamorphic: a full scrub+gc+repair pass
-over a healthy store is a byte-level no-op for every servable entry —
-maintenance only ever touches corrupt, expired, or drifted artifacts.
-The remaining tests pin each pass's one job from both sides: the broken
-artifact it must remove and the healthy twin it must leave alone.
+The load-bearing property is metamorphic: a full scrub+gc pass over a
+healthy store, and a scrub+gc+repair pass over a healthy job queue, is a
+byte-level no-op for every servable entry — maintenance only ever
+touches corrupt, expired, or drifted artifacts.  The remaining tests pin
+each pass's one job from both sides: the broken artifact it must remove
+and the healthy twin it must leave alone.
 """
 
 import os
@@ -58,8 +59,23 @@ def populate(run_root, trace_root, zoo, scenarios, policies):
     return run_store, trace_store, keys
 
 
+def populate_queue(root, scenarios, policies):
+    """A job queue with one job done and the rest pending."""
+    from repro.service import JobQueue
+    from repro.service.jobs import UnitJob
+
+    queue = JobQueue(root)
+    queue.enqueue_all(
+        [UnitJob(policy_spec=f"single:{p.model_name}@gpu", scenario=s)
+         for p in policies for s in scenarios],
+        engine_seed=1234,
+    )
+    queue.complete(queue.claim("w1"))
+    return queue
+
+
 def tree_bytes(root):
-    """Every data file under ``root`` -> its bytes (locks/indexes excluded)."""
+    """Every data file under ``root`` -> its bytes (locks and temps excluded)."""
     snapshot = {}
     for path in sorted(root.rglob("*")):
         if path.suffix not in (".json", ".col") or ".tmp" in path.name:
@@ -83,16 +99,20 @@ class TestMetamorphicNoOp:
         before_traces = tree_bytes(tmp_path / "traces")
         loaded_before = [run_store.load_metrics(key) for key in keys]
 
-        for store in (run_store, trace_store):
+        queue = populate_queue(tmp_path / "queue", scenarios, policies)
+        before_queue = tree_bytes(tmp_path / "queue")
+
+        for store in (run_store, trace_store, queue):
             scrub = store.scrub()
             assert scrub.quarantined == 0 and not scrub.problems
             gc = store.gc(dry_run=False)
             assert gc.bytes_reclaimed == 0
-            repair = store.repair()
-            assert repair.ghosts_dropped == 0 and repair.orphans_indexed == 0
+        repair = queue.repair()
+        assert repair.ghosts_dropped == repair.orphans_indexed == repair.metas_rewritten == 0
 
         assert tree_bytes(tmp_path / "runs") == before_runs
         assert tree_bytes(tmp_path / "traces") == before_traces
+        assert tree_bytes(tmp_path / "queue") == before_queue
         assert [run_store.load_metrics(key) for key in keys] == loaded_before
         assert all(m is not None for m in loaded_before)
 
@@ -122,15 +142,33 @@ class TestScrub:
             tmp_path / "runs", tmp_path / "traces", zoo, scenarios, policies
         )
         source = entry_paths(tmp_path / "runs", "run-*.col")[0]
-        # Refile the entry (and an index record) under a shard its digest
-        # does not name: scrub must spot the drift by recomputation.
+        # Refile the entry under a shard its digest does not name: scrub
+        # must spot the drift by recomputation.
         wrong = tmp_path / "runs" / ("00" if source.parent.name != "00" else "ff")
         wrong.mkdir(exist_ok=True)
         with shards.shard_lock(wrong):
-            shards.write_entry_locked(wrong, source.name, source.read_bytes(), {})
+            shards.write_entry_locked(wrong, source.name, source.read_bytes())
         report = run_store.scrub()
         assert report.quarantined == 1
         assert any("filed in shard" in problem for problem in report.problems)
+
+    def test_scrub_quarantines_an_unparseable_stray(self, tmp_path, zoo, scenarios, policies):
+        # A torn file under an entry name no save ever wrote (a crash
+        # outside the atomic helpers): scrub walks files, so it finds it.
+        run_store, _, keys = populate(
+            tmp_path / "runs", tmp_path / "traces", zoo, scenarios, policies
+        )
+        shard = entry_paths(tmp_path / "runs", "run-*.col")[0].parent
+        junk = shard / "run-v1-deadbeefdeadbeefdeadbeefdeadbeef.col"
+        junk.write_text('{"torn', encoding="utf-8")
+        [problem] = run_store.audit()[1]
+        assert problem.startswith(f"{shard.name}/{junk.name}: unparseable")
+        assert junk.exists(), "audit reports; only scrub quarantines"
+        report = run_store.scrub()
+        assert report.entries_checked == len(keys) + 1
+        assert report.quarantined == 1 and "unparseable" in report.problems[0]
+        assert not junk.exists()
+        assert all(run_store.load_metrics(key) is not None for key in keys)
 
 
 class TestGc:
@@ -174,49 +212,41 @@ class TestGc:
 
 
 class TestRepair:
-    def test_repair_drops_ghosts_and_reindexes_orphans(
-        self, tmp_path, zoo, scenarios, policies
-    ):
-        run_store, _, keys = populate(
-            tmp_path / "runs", tmp_path / "traces", zoo, scenarios, policies
-        )
-        paths = entry_paths(tmp_path / "runs", "run-*.col")
-        ghost, orphan = paths[0], paths[1]
-        # Ghost: entry vanished (lost rename) but the index still lists it.
-        payload = ghost.read_bytes()
+    """Repair heals the job queue's claim index; the stores keep none."""
+
+    def test_repair_drops_ghosts_and_reindexes_orphans(self, tmp_path, scenarios, policies):
+        queue = populate_queue(tmp_path / "queue", scenarios, policies)
+        ghost, orphan = entry_paths(tmp_path / "queue", "job-*.json")[:2]
+        # Ghost: record vanished (lost rename) but the index still lists it.
         os.unlink(ghost)
-        # Orphan: entry on disk but its index record is gone (index write
-        # hit a full disk).
+        # Orphan: record on disk but its index record is gone (the index
+        # write hit a full disk).
         with shards.shard_lock(orphan.parent):
             index = shards.read_index(orphan.parent)
             del index[orphan.name]
             shards.write_index_locked(orphan.parent, index)
+        _, problems = queue.audit()
+        assert sorted(p.split(": ", 1)[1] for p in problems) == [
+            "indexed but missing on disk", "on disk but not indexed",
+        ]
 
-        report = run_store.repair()
+        report = queue.repair()
         assert report.ghosts_dropped == 1
         assert report.orphans_indexed == 1
         assert report.quarantined == 0
+        assert queue.audit()[1] == []
+        assert queue.counts()["total"] == len(scenarios) * len(policies) - 1
 
-        # The orphan serves again; the ghost is a clean miss; audits pass.
-        fresh = RunStore(tmp_path / "runs")
-        assert sum(fresh.load_metrics(k) is not None for k in keys) == len(keys) - 1
-        _, problems = fresh.audit()
-        assert not problems
-        assert payload  # (kept only to make the ghost scenario explicit)
-
-    def test_repair_quarantines_unparseable_orphans(
-        self, tmp_path, zoo, scenarios, policies
-    ):
-        run_store, _, _ = populate(
-            tmp_path / "runs", tmp_path / "traces", zoo, scenarios, policies
-        )
-        shard = entry_paths(tmp_path / "runs", "run-*.col")[0].parent
-        junk = shard / "run-v1-deadbeefdeadbeefdeadbeefdeadbeef.col"
+    def test_repair_quarantines_unparseable_orphans(self, tmp_path, scenarios, policies):
+        queue = populate_queue(tmp_path / "queue", scenarios, policies)
+        shard = entry_paths(tmp_path / "queue", "job-*.json")[0].parent
+        junk = shard / "job-v1-deadbeefdeadbeefdeadbeefdeadbeef.json"
         junk.write_text('{"torn', encoding="utf-8")
-        report = run_store.repair()
+        report = queue.repair()
         assert report.quarantined == 1
         assert report.orphans_indexed == 0
         assert not junk.exists()
+        assert queue.audit()[1] == []
 
 
 class TestQueueMaintenance:

@@ -4,9 +4,10 @@ The service tier points many worker threads — and CI many processes — at
 one TraceStore/RunStore pair, so the stores' concurrency story has to be
 *proven*, not assumed:
 
-* entries land in fingerprint-prefix shards with a per-shard index;
-* legacy entries (pre-sharding flat files, pre-binary JSON) are misses
-  until ``migrate()`` rewrites them as sharded ``.col`` entries;
+* entries land in fingerprint-prefix shards, and a shard is nothing but
+  its entry files (one write per save, no index);
+* legacy entries (pre-sharding flat files, pre-binary JSON) and a
+  leftover shard index are ignored: the entries are plain misses;
 * parallel writers of the same key leave exactly one valid entry;
 * a writer killed mid-write (stale temp file) is cleaned on next open and
   its leftovers are never served as hits;
@@ -15,6 +16,7 @@ one TraceStore/RunStore pair, so the stores' concurrency story has to be
 """
 
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -23,8 +25,6 @@ from repro.data import scenario_by_name
 from repro.models import default_zoo
 from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceCache, TraceStore, run_policy
 from repro.runtime import run_to_dict, shards, trace_to_dict
-from repro.runtime.runstore import RUN_ALGORITHM_VERSION
-from repro.runtime.store import ALGORITHM_VERSION
 from repro.sim import xavier_nx_with_oakd
 from repro.util import jsonsafe
 
@@ -80,15 +80,28 @@ class TestShardLayout:
         assert path.parent == tmp_path / key.digest()[:2]
         assert store.load(key).records == result.records
 
-    def test_shard_index_records_identity(self, tmp_path, trace, scenario, zoo):
-        store = TraceStore(tmp_path)
-        path = store.save(trace, zoo)
-        entries = shards.read_index(path.parent)
-        assert path.name in entries
-        meta = entries[path.name]
-        assert meta["scenario_fingerprint"] == scenario.fingerprint()
-        assert meta["zoo_fingerprint"] == zoo.fingerprint()
-        assert meta["algorithm_version"] == ALGORITHM_VERSION
+    def test_a_save_is_one_write_and_leaves_no_index(
+        self, tmp_path, trace, zoo, result, key, monkeypatch
+    ):
+        from repro.runtime import iolayer
+
+        written = []
+        real_write_bytes, real_write_text = iolayer.write_bytes, iolayer.write_text
+
+        def write_bytes(path, data, **kwargs):
+            written.append(Path(path).name)
+            return real_write_bytes(path, data, **kwargs)
+
+        def write_text(path, text, **kwargs):
+            written.append(Path(path).name)
+            return real_write_text(path, text, **kwargs)
+
+        monkeypatch.setattr(iolayer, "write_bytes", write_bytes)
+        monkeypatch.setattr(iolayer, "write_text", write_text)
+        saved = [TraceStore(tmp_path / "t").save(trace, zoo),
+                 RunStore(tmp_path / "r").save(result, key)]
+        assert written == [path.name for path in saved]
+        assert not list(tmp_path.rglob(shards.INDEX_NAME))
 
     def test_audit_clean_store(self, tmp_path, trace, zoo, result, key):
         tstore = TraceStore(tmp_path / "t")
@@ -100,17 +113,15 @@ class TestShardLayout:
             assert checked == 1
             assert problems == []
 
-    def test_audit_flags_unindexed_and_missing(self, tmp_path, trace, scenario, zoo):
+    def test_audit_flags_unsound_entry_files_and_moves_nothing(self, tmp_path, trace, zoo):
         store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
         stray = path.with_name("trace-v1-" + "0" * 16 + "-" + "0" * 12 + ".col")
         stray.write_text("{}", encoding="utf-8")
         checked, problems = store.audit()
-        assert any("not indexed" in p for p in problems)
-        stray.unlink()
-        path.unlink()  # indexed but gone
-        checked, problems = store.audit()
-        assert any("missing on disk" in p for p in problems)
+        assert checked == 2
+        assert len(problems) == 1 and stray.name in problems[0] and "unparseable" in problems[0]
+        assert stray.exists() and not (tmp_path / shards.QUARANTINE_DIR).exists()
 
     def test_shard_dirs_lists_only_hex_prefix_directories(self, tmp_path):
         for name in ("ff", "0a", "7c"):
@@ -132,72 +143,40 @@ class TestShardLayout:
         assert (scenario, zoo) in store
         assert store.clear() == 2
         assert len(store) == 0
-        # clear() also scrubbed the shard indexes, not just the files.
         checked, problems = store.audit()
         assert checked == 0 and problems == []
 
 
-class TestLegacyMigration:
-    """Legacy JSON entries are misses on open; ``migrate()`` upgrades them."""
+class TestLegacyLayouts:
+    """Entries and indexes from older layouts are ignored, never read."""
 
-    def _flat_trace_file(self, root, trace, zoo, scenario):
-        name = (
-            f"trace-v{ALGORITHM_VERSION}-{scenario.fingerprint()[:16]}"
-            f"-{zoo.fingerprint()[:12]}.json"
-        )
-        root.mkdir(parents=True, exist_ok=True)
-        path = root / name
-        path.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
-        return path
-
-    def _sharded_run_file(self, root, result, key):
-        # Indexed, like every entry a pre-binary sharded store wrote.
-        name = f"run-v{RUN_ALGORITHM_VERSION}-{key.digest()[:32]}.json"
-        text = jsonsafe.dumps(run_to_dict(result, key))
-        return shards.write_entry(root, key.digest(), name, text, {})
-
-    def test_open_leaves_legacy_entries_as_misses(
+    def test_legacy_json_entries_and_a_leftover_index_are_ignored(
         self, tmp_path, trace, scenario, zoo, result, key
     ):
-        flat = self._flat_trace_file(tmp_path / "t", trace, zoo, scenario)
-        sharded = self._sharded_run_file(tmp_path / "r", result, key)
+        tstore, rstore = TraceStore(tmp_path / "t"), RunStore(tmp_path / "r")
+        # A flat JSON trace entry (a store from before sharding) and a
+        # sharded JSON run entry (from before the binary format) ...
+        flat = tstore.root / tstore.path_for(scenario, zoo).with_suffix(".json").name
+        flat.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
+        sharded = rstore.path_for(key).with_suffix(".json")
+        sharded.parent.mkdir()
+        sharded.write_text(jsonsafe.dumps(run_to_dict(result, key)), encoding="utf-8")
+        # ... and a shard index listing an entry that is not there.
+        (sharded.parent / shards.INDEX_NAME).write_text(jsonsafe.dumps(
+            {"schema_version": 1, "entries": {rstore.path_for(key).name: {}}}
+        ), encoding="utf-8")
+
         tstore, rstore = TraceStore(tmp_path / "t"), RunStore(tmp_path / "r")
         assert flat.exists() and sharded.exists(), "opening a store must not touch them"
         assert tstore.load(scenario, zoo) is None
         assert rstore.load_metrics(key) is None
         assert tstore.corrupt_entries == rstore.corrupt_entries == 0
         assert len(tstore) == len(rstore) == 0
-
-    def test_flat_trace_entry_migrates(self, tmp_path, trace, scenario, zoo):
-        flat = self._flat_trace_file(tmp_path, trace, zoo, scenario)
-        store = TraceStore(tmp_path)
-        assert store.migrate() == 1
-        assert not flat.exists(), "legacy flat entry must move into its shard"
-        assert store.path_for(scenario, zoo).exists()
-        assert store.load(scenario, zoo).outcomes == trace.outcomes
-        assert store.audit()[1] == []
-        assert store.migrate() == 0
-
-    def test_sharded_run_entry_migrates(self, tmp_path, result, key):
-        legacy = self._sharded_run_file(tmp_path, result, key)
-        store = RunStore(tmp_path)
-        assert store.migrate() == 1
-        assert not legacy.exists()
-        assert store.load(key).records == result.records
-        assert store.audit()[1] == []
-
-    def test_corrupt_flat_entry_is_removed_and_counted(self, tmp_path, scenario, zoo):
-        name = (
-            f"trace-v{ALGORITHM_VERSION}-{scenario.fingerprint()[:16]}"
-            f"-{zoo.fingerprint()[:12]}.json"
-        )
-        (tmp_path / name).write_text("{truncated", encoding="utf-8")
-        store = TraceStore(tmp_path)
-        assert store.migrate() == 0
-        assert store.corrupt_entries == 1
-        assert not (tmp_path / name).exists()
-        assert len(list((tmp_path / "_quarantine").iterdir())) == 1
-        assert store.load(scenario, zoo) is None  # a miss, not an error
+        assert tstore.audit() == rstore.audit() == (0, [])
+        assert rstore.scrub().entries_checked == 0 and sharded.exists()
+        rstore.save(result, key)
+        assert rstore.load(key).records == result.records
+        assert rstore.audit() == (1, [])
 
 
 class TestCrashConsistency:

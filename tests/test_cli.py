@@ -1,7 +1,6 @@
 """Tests for the command-line interface."""
 
 import os
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -231,6 +230,17 @@ class TestCommands:
         assert files[0].stat().st_mtime_ns == first_mtime, "second run must reuse, not rewrite"
         capsys.readouterr()
 
+    def test_a_cold_sweep_leaves_entry_files_and_no_index(self, tmp_path, capsys):
+        traces, runs = tmp_path / "traces", tmp_path / "runs"
+        assert main(FAST + ["--trace-store", str(traces), "--run-store", str(runs),
+                            "sweep", "shift,marlin-tiny",
+                            "--scenarios", "s3_indoor_close_wall"]) == 0
+        capsys.readouterr()
+        assert len(list(traces.rglob("trace-*.col"))) == 1
+        assert len(list((traces / "_characterization").rglob("bundle-*.col"))) == 1
+        assert len(list(runs.rglob("run-*.col"))) == 2
+        assert not list(tmp_path.rglob("index.json"))
+
     def test_scenarios_generated_lists_grammar_flights(self, capsys):
         assert main(["scenarios", "--generated"]) == 0
         out = capsys.readouterr().out
@@ -456,6 +466,16 @@ class TestQueueCommands:
         assert main(["queue", str(tmp_path / "runs" / "_queue"), "--list"]) == 0
         out = capsys.readouterr().out
         assert "2 done" in out and "0 problems" in out
+        # The queue's shards keep their claim index; no store shard has one.
+        indexes = list(tmp_path.rglob("index.json"))
+        assert indexes and all(p.is_relative_to(tmp_path / "runs" / "_queue") for p in indexes)
+
+    def test_queue_refuses_a_directory_that_does_not_exist(self, tmp_path, capsys):
+        missing = tmp_path / "typo"
+        assert main(["queue", str(missing)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+        assert not missing.exists(), "inspecting a queue must not create it"
 
     def test_batch_serve_modes_print_the_same_tables(self, tmp_path, capsys):
         # In-process and --procs serves read their rows through different
@@ -529,18 +549,15 @@ class TestQueueCommands:
 
 
 class TestStoreMaintenance:
-    """``repro store scrub|gc|repair|migrate``: exit codes and dry-run discipline."""
+    """``repro store scrub|gc|repair``: exit codes, dry-run discipline, refused roots."""
 
     def _torn_store(self, tmp_path):
-        from repro.runtime import shards
-
         runs = tmp_path / "runs"
         shard = runs / "ab"
         shard.mkdir(parents=True)
-        with shards.shard_lock(shard):
-            shards.write_entry_locked(
-                shard, "run-v1-" + "ab" * 16 + ".col", '{"torn', {}
-            )
+        # Garbage at a final entry path, as a crash outside the atomic
+        # helpers (or the `faults` plan's torn kind) leaves it.
+        (shard / ("run-v1-" + "ab" * 16 + ".col")).write_text('{"torn', encoding="utf-8")
         return runs
 
     def test_store_requires_a_target(self, capsys):
@@ -556,6 +573,64 @@ class TestStoreMaintenance:
         # The alarm is edge-triggered: a second scrub of the healed tree
         # is clean, so a cron'd scrub only pages when something tore.
         assert main(["--run-store", str(runs), "store", "scrub"]) == 0
+
+    def test_scrub_finds_a_torn_run_entry_no_save_wrote(self, tmp_path, capsys):
+        runs = self._torn_store(tmp_path)
+        [torn] = list(runs.rglob("run-*.col"))
+        assert main(["--run-store", str(runs), "store", "scrub"]) == 1
+        out = capsys.readouterr().out
+        assert "1 entries checked, 1 problems, 1 quarantined" in out
+        assert not torn.exists()
+        assert [p.name for p in (runs / "_quarantine").iterdir()] == [f"ab-{torn.name}"]
+
+    def test_scrub_finds_a_torn_job_record_no_transition_wrote(self, tmp_path, capsys):
+        from repro.service import JobQueue
+
+        queue_root = tmp_path / "q"
+        JobQueue(queue_root)  # lay out a real queue directory
+        torn = queue_root / "cd" / ("job-v1-" + "cd" * 16 + ".json")
+        torn.parent.mkdir()
+        torn.write_text('{"torn', encoding="utf-8")
+        assert main(["store", "scrub", "--queue", str(queue_root)]) == 1
+        out = capsys.readouterr().out
+        assert "1 entries checked, 1 problems, 1 quarantined" in out
+        assert not torn.exists()
+        assert [p.name for p in (queue_root / "_quarantine").iterdir()] == [f"cd-{torn.name}"]
+
+    @pytest.mark.parametrize("flag", ["--trace-store", "--run-store", "--queue"])
+    def test_store_refuses_a_root_that_does_not_exist(self, tmp_path, capsys, flag):
+        missing = tmp_path / "typo"
+        argv = (["store", "scrub", flag, str(missing)] if flag == "--queue"
+                else [flag, str(missing), "store", "scrub"])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(missing) in err
+        assert not missing.exists(), "maintenance must not create the root it was pointed at"
+
+    def test_a_trace_store_without_bundles_gets_no_bundle_root(self, tmp_path, capsys):
+        traces = tmp_path / "traces"
+        traces.mkdir()
+        assert main(["--trace-store", str(traces), "store", "scrub"]) == 0
+        assert "characterization:" not in capsys.readouterr().out
+        assert not (traces / "_characterization").exists()
+
+    @pytest.mark.parametrize("ttl", ["nan", "inf", "-1", "0"])
+    def test_gc_ttl_must_be_finite_and_non_negative(self, ttl, capsys):
+        argv = ["store", "gc", "--ttl", ttl, "--apply"]
+        if ttl == "0":
+            assert build_parser().parse_args(argv).ttl == 0.0
+            return
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert "--ttl" in capsys.readouterr().err
+
+    def test_migrate_is_not_an_action(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(["store", "migrate"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err and "migrate" in err
 
     def test_gc_is_dry_run_unless_applied(self, tmp_path, capsys):
         import time
@@ -573,75 +648,12 @@ class TestStoreMaintenance:
         assert main(base + ["--apply"]) == 0
         assert not any(path.exists() for path in quarantined)
 
-    def test_migrate_upgrades_legacy_json_entries(self, tmp_path, capsys):
-        from repro.baselines import SingleModelPolicy
-        from repro.data import scenario_by_name
-        from repro.models import default_zoo
-        from repro.runtime import (
-            RunKey, RunStore, ScenarioTrace, TraceStore, aggregate, run_policy,
-            run_to_dict, shards, trace_to_dict,
-        )
-        from repro.sim import xavier_nx_with_oakd
-        from repro.util import jsonsafe
-
-        zoo = default_zoo()
-        scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.05)
-        trace = ScenarioTrace.build(scenario, zoo)
-        policy = SingleModelPolicy("yolov7-tiny", "gpu")
-        result = run_policy(policy, trace)
-        key = RunKey(
-            policy_name=policy.name,
-            policy_fingerprint=policy.fingerprint(),
-            scenario_fingerprint=scenario.fingerprint(),
-            zoo_fingerprint=zoo.fingerprint(),
-            soc_fingerprint=xavier_nx_with_oakd().fingerprint(),
-            engine_seed=1234,
-        )
-        traces, runs = tmp_path / "traces", tmp_path / "runs"
-        # A flat-layout JSON trace entry (a store from before sharding) and
-        # a sharded JSON run entry (a store from before the binary format).
-        trace_col = TraceStore(traces).path_for(scenario, zoo)
-        flat = traces / trace_col.with_suffix(".json").name
-        flat.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
-        run_col = RunStore(runs).path_for(key)
-        sharded = shards.write_entry(  # indexed, as sharded stores were
-            runs, key.digest(), run_col.with_suffix(".json").name,
-            jsonsafe.dumps(run_to_dict(result, key)), {},
-        )
-
-        def migrated(out):
-            return sum(int(n) for n in re.findall(r"(\d+) legacy entries migrated", out))
-
-        command = ["--trace-store", str(traces), "--run-store", str(runs), "store", "migrate"]
-        assert main(command) == 0
-        assert migrated(capsys.readouterr().out) == 2
-        entries = sorted(p.name for p in tmp_path.rglob("*-v1-*"))
-        assert entries == sorted([trace_col.name, run_col.name]), "only .col entries remain"
-        tstore, rstore = TraceStore(traces), RunStore(runs)
-        assert tstore.audit() == (1, []) and rstore.audit() == (1, [])
-        assert tstore.load(scenario, zoo).outcomes == trace.outcomes
-        assert rstore.load(key).records == result.records
-        assert rstore.load_metrics(key) == aggregate(result)
-
-        assert main(command) == 0
-        assert migrated(capsys.readouterr().out) == 0, "a second run finds nothing"
-
-        # An unparseable legacy entry is quarantined and counted, not migrated.
-        sharded.write_text('{"torn', encoding="utf-8")
-        assert main(command) == 1
-        out = capsys.readouterr().out
-        assert migrated(out) == 0
-        assert "runs: 0 legacy entries migrated to .col, 1 unparseable quarantined" in out
-        assert not sharded.exists()
-        assert len(list((runs / "_quarantine").iterdir())) == 1
-        assert RunStore(runs).load(key).records == result.records
-
     def test_trace_store_brings_its_characterization_root(self, tmp_path, capsys):
         traces = tmp_path / "traces"
         out_path = str(tmp_path / "bundle.json")
         assert main(FAST + ["--trace-store", str(traces), "characterize", "--out", out_path]) == 0
         capsys.readouterr()
-        for action in ("scrub", "gc", "repair", "migrate"):
+        for action in ("scrub", "gc"):
             assert main(["--trace-store", str(traces), "store", action]) == 0
             out = capsys.readouterr().out
             assert "traces:" in out and "characterization:" in out
@@ -659,15 +671,15 @@ class TestStoreMaintenance:
         assert main(FAST + ["--trace-store", str(traces), "characterize", "--out", out_path]) == 0
         assert entry.exists()
 
-    def test_repair_covers_every_named_root(self, tmp_path, capsys):
+    def test_repair_maintains_only_the_queue(self, tmp_path, capsys):
         from repro.service import JobQueue
 
         JobQueue(tmp_path / "q")  # lay out a real queue directory
-        code = main([
-            "--run-store", str(tmp_path / "runs"),
-            "--trace-store", str(tmp_path / "traces"),
-            "store", "repair", "--queue", str(tmp_path / "q"),
-        ])
-        assert code == 0
+        stores = ["--run-store", str(tmp_path / "runs"), "--trace-store", str(tmp_path / "traces")]
+        assert main(stores + ["store", "repair", "--queue", str(tmp_path / "q")]) == 0
         out = capsys.readouterr().out
-        assert "runs:" in out and "traces:" in out and "queue:" in out
+        assert "queue: repair" in out and "runs:" not in out and "traces:" not in out
+        # The stores keep no index, so repair without a queue is a usage error.
+        assert main(stores + ["store", "repair"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not (tmp_path / "runs").exists() and not (tmp_path / "traces").exists()

@@ -86,7 +86,12 @@ class TestSweep:
         )
         assert outcome.passed, outcome.failures()
         assert outcome.faults_fired >= 3
-        assert outcome.io_errors >= 1
+        # The ENOSPC burst still exhausts a whole retry budget, so a root
+        # goes degraded.  Whether a claim then lands inside the burst (a
+        # degraded refusal) depends on how the two workers interleave.
+        from repro.runtime.iolayer import RETRY_ATTEMPTS
+
+        assert outcome.io_errors >= RETRY_ATTEMPTS
         assert outcome.run_entries == outcome.expected_entries == 2
         assert not outcome.still_degraded
 
