@@ -1,19 +1,24 @@
 """Lock and atomic-write discipline for the persistence/service tiers.
 
-PR 5 made both stores crash-consistent: every data-file write goes
-through a writer-unique temp + ``os.replace`` (so readers never see a
-torn file), mutations hold per-shard advisory locks, and shared service
-state hides behind one mutex.  Those guarantees only hold while *every*
-write site keeps the discipline — which is exactly what dynamic tests
-cannot prove (they execute the writes that exist, not the ones a patch
-adds).  Two rules make the discipline structural:
+Every data-file write in the persistence tiers goes through a
+writer-unique temp + ``os.replace`` (so readers never see a torn file),
+mutations hold per-shard advisory locks, and shared service state hides
+behind one mutex.  Those guarantees only hold while *every* write site
+keeps the discipline — which is exactly what dynamic tests cannot prove
+(they execute the writes that exist, not the ones a patch adds).  These
+rules make the discipline structural:
 
 * ``locks/raw-write`` — in ``runtime``, ``service``, and
-  ``characterization``, file writes must route through the
-  :mod:`repro.util.atomicio` helpers (re-exported by
-  :mod:`repro.runtime.shards`).  Raw ``open(..., "w")``,
+  ``characterization``, file writes must route through the injectable
+  I/O seam :mod:`repro.runtime.iolayer`, the one temp + ``os.replace``
+  writer, where the deterministic fault plans, degraded (read-only)
+  mode, and ``io_errors`` accounting all live.  Raw ``open(..., "w")``,
   ``Path.write_text``/``write_bytes``, ``json.dump``-to-handle, and bare
-  ``os.replace``/``os.rename`` are flagged.
+  ``os.replace``/``os.rename`` are flagged.  The seam's own raw sites
+  carry explicit ``# repro: allow[locks/raw-write]`` pragmas.
+* ``locks/io-seam`` — in the same packages, an ``atomic_write_text`` /
+  ``atomic_write_json`` call is a write that is atomic but that the
+  fault plan cannot see and degraded mode cannot refuse.
 * ``locks/guarded-attr`` — a lock assignment annotated
   ``# repro: guards[a, b, ...]`` declares that those sibling attributes
   (or module globals, for a module-level lock) may only be touched while
@@ -22,21 +27,13 @@ adds).  Two rules make the discipline structural:
   methods/functions named ``*_locked`` (documented as
   called-under-lock).
 * ``locks/locked-call`` — the other half of the ``*_locked`` convention
-  (PR 7's job queue leans on it hard: the per-path shard mutex is *not*
+  (the job queue leans on it hard: the per-path shard mutex is *not*
   reentrant, so multi-entry operations compose ``*_locked`` helpers
   under one acquisition).  A call to any ``*_locked`` function must be
   lexically inside a ``with`` on something lock-like — a ``shard_lock``
   call, a guards-declared lock attribute, anything named ``*lock*`` —
   or inside a function itself named ``*_locked``.  Calling one unheld
   is either a data race or (re-entering) a deadlock.
-* ``locks/io-seam`` — PR 9 routes every store-tier write through the
-  injectable seam :mod:`repro.runtime.iolayer`, which is where the
-  deterministic fault plans, degraded (read-only) mode, and ``io_errors``
-  accounting all live.  In the seam-covered modules
-  (:data:`IO_SEAM_MODULES`) a raw write *or* a direct
-  ``atomic_write_text``/``atomic_write_json`` call is a write the fault
-  plan cannot see and degraded mode cannot refuse — flagged here (in
-  place of ``locks/raw-write``, so one bad call yields one finding).
 """
 
 from __future__ import annotations
@@ -48,57 +45,42 @@ from .base import Checker, Project
 from .findings import Finding, Rule
 from .source import SourceModule, resolve_call_name
 
-#: Packages whose file writes must be crash-safe.
+#: Packages whose file writes must route through the I/O seam.
 WRITE_SCOPE_PACKAGES = frozenset({"runtime", "service", "characterization"})
 
 WRITE_METHODS = frozenset({"write_text", "write_bytes"})
 RENAME_CALLS = frozenset({"os.replace", "os.rename", "os.renames"})
 
-#: Modules whose writes must route through :mod:`repro.runtime.iolayer`.
-#: The seam is where fault plans fire, degraded mode flips, and
-#: ``io_errors`` are counted — a write that bypasses it is invisible to
-#: all three.  ``runtime.iolayer`` itself is deliberately absent: it is
-#: the seam's implementation, and its raw sites carry explicit
-#: ``# repro: allow[locks/raw-write]`` pragmas.
-IO_SEAM_MODULES = frozenset({
-    "runtime.bundlestore",
-    "runtime.colfmt",
-    "runtime.shards",
-    "runtime.store",
-    "runtime.runstore",
-    "runtime.export",
-    "runtime.maintenance",
-    "service.queue",
-})
+#: Function tails that name atomic writers outside the seam.  Matched on
+#: the last dotted component so every import path is caught.
+ATOMIC_HELPER_TAILS = frozenset({"atomic_write_text", "atomic_write_json"})
 
-#: Function tails that name the un-instrumented atomic writers.  Matched
-#: on the last dotted component so every import path is caught —
-#: ``util.atomicio.atomic_write_text``, the ``util`` package re-export,
-#: and the ``runtime.shards`` compatibility re-export alike.
-ATOMICIO_TAILS = frozenset({"atomic_write_text", "atomic_write_json"})
+#: What every locks/raw-write and locks/io-seam finding names as the fix.
+SEAM = "repro.runtime.iolayer"
 
 
 class LockDisciplineChecker(Checker):
     rules = (
         Rule("locks/raw-write", "error",
-             "file writes in the persistence tiers must be atomic (temp + os.replace)"),
+             "file writes in the persistence tiers must go through the "
+             "repro.runtime.iolayer seam (atomic temp + os.replace)"),
         Rule("locks/guarded-attr", "error",
              "state declared lock-guarded may only be touched while holding the lock"),
         Rule("locks/locked-call", "error",
              "*_locked functions assume a held lock; call them under `with <lock>:` "
              "or from another *_locked function"),
         Rule("locks/io-seam", "error",
-             "store-tier writes must route through repro.runtime.iolayer so "
-             "fault plans, degraded mode, and io_error accounting see them"),
+             "atomic writes in the persistence tiers must route through "
+             "repro.runtime.iolayer so fault plans, degraded mode, and "
+             "io_error accounting see them"),
     )
 
     def check_module(self, module: SourceModule, project: Project) -> Iterable[Finding]:
         findings: list[Finding] = []
         if module.package in WRITE_SCOPE_PACKAGES:
-            seam = module.module_name in IO_SEAM_MODULES
             for node in ast.walk(module.tree):
                 if isinstance(node, ast.Call):
-                    findings.extend(self._check_write(node, module, seam=seam))
+                    findings.extend(self._check_write(node, module))
             findings.extend(self._check_locked_calls(module))
         if module.guards:
             findings.extend(self._check_guards(module))
@@ -106,17 +88,7 @@ class LockDisciplineChecker(Checker):
 
     # ------------------------------------------------------------ raw writes
 
-    def _check_write(
-        self, node: ast.Call, module: SourceModule, *, seam: bool = False
-    ) -> Iterator[Finding]:
-        # In a seam-covered module every raw form is reported as io-seam
-        # (not raw-write): the fix is the same single call either way, and
-        # one bad write should yield one finding, not two.
-        rule = "locks/io-seam" if seam else "locks/raw-write"
-        remedy = (
-            "repro.runtime.iolayer.write_text" if seam
-            else "repro.util.atomicio.atomic_write_text"
-        )
+    def _check_write(self, node: ast.Call, module: SourceModule) -> Iterator[Finding]:
         name = resolve_call_name(node, module.symbol_origins)
         if name is not None and name.startswith("runtime.iolayer."):
             return  # a call INTO the seam is the discipline, not a breach
@@ -124,40 +96,38 @@ class LockDisciplineChecker(Checker):
             mode = _open_mode(node)
             if mode is not None and any(flag in mode for flag in "wax+"):
                 yield self.finding(
-                    rule, module, node,
+                    "locks/raw-write", module, node,
                     f"raw open(..., {mode!r}): a crash mid-write leaves a torn file; "
-                    f"use {remedy}",
+                    f"use {SEAM}.write_text",
                 )
             return
         if name in RENAME_CALLS:
             yield self.finding(
-                rule, module, node,
-                f"bare {name}(): renames belong inside the "
-                f"{'iolayer' if seam else 'shards/atomicio'} helpers "
-                f"so temp hygiene and shard indexes stay consistent",
+                "locks/raw-write", module, node,
+                f"bare {name}(): renames belong inside the {SEAM} seam "
+                f"({SEAM}.replace) so temp hygiene and fault plans see them",
             )
             return
         if name == "json.dump":
             yield self.finding(
-                rule, module, node,
+                "locks/raw-write", module, node,
                 f"json.dump to an open handle is not crash-safe; serialize with "
-                f"json.dumps and write via {remedy}",
+                f"json.dumps and write via {SEAM}.write_text",
             )
             return
-        if seam and name is not None and name.rsplit(".", 1)[-1] in ATOMICIO_TAILS:
+        if name is not None and name.rsplit(".", 1)[-1] in ATOMIC_HELPER_TAILS:
             yield self.finding(
                 "locks/io-seam", module, node,
-                f"{name}() bypasses the repro.runtime.iolayer seam: the write "
-                f"is atomic but invisible to fault plans, degraded mode, and "
-                f"io_error accounting; use iolayer.write_text / write_bytes / "
-                f"replace with root= set to the store root",
+                f"{name}() bypasses the {SEAM} seam: the write is atomic but "
+                f"invisible to fault plans, degraded mode, and io_error "
+                f"accounting; use {SEAM}.write_text / write_bytes / replace",
             )
             return
         method = _method_name(node)
         if method in WRITE_METHODS:
             yield self.finding(
-                rule, module, node,
-                f".{method}() is not crash-safe; use {remedy}",
+                "locks/raw-write", module, node,
+                f".{method}() is not crash-safe; use {SEAM}.{method}",
             )
 
     # ----------------------------------------------------------- locked calls

@@ -15,8 +15,6 @@ from .serialization import (
     BundleSchemaError,
     bundle_from_dict,
     bundle_to_dict,
-    load_bundle,
-    save_bundle,
 )
 
 __all__ = [
@@ -28,8 +26,6 @@ __all__ = [
     "profile_accuracy",
     "profile_performance",
     "profile_load_costs",
-    "save_bundle",
-    "load_bundle",
     "bundle_to_dict",
     "bundle_from_dict",
     "BundleSchemaError",

@@ -217,7 +217,9 @@ def profile_load_costs(
 ) -> dict[tuple[str, AcceleratorClass], LoadCost]:
     """Model loading costs per supported pair — trait (v)."""
     costs: dict[tuple[str, AcceleratorClass], LoadCost] = {}
-    classes = {accel.accel_class for accel in soc.accelerators}
+    # The SoC's accelerator order, as in profile_performance: a set would
+    # order the bundle's load costs by string hash, i.e. by PYTHONHASHSEED.
+    classes = dict.fromkeys(accel.accel_class for accel in soc.accelerators)
     for spec in zoo:
         for accel_class in classes:
             try:

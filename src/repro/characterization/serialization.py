@@ -1,20 +1,19 @@
-"""Persistence for characterization bundles.
+"""The plain-dict form of characterization bundles.
 
 The offline phase (running every model over the validation set, profiling
 every accelerator) is the expensive part of deploying SHIFT; on the
 paper's testbed it is hours of measurement.  A deployment characterizes
-once and ships the bundle with the runtime.  This module serializes a
-:class:`~repro.characterization.profiler.CharacterizationBundle` to plain
-JSON and back, with a schema version so stale bundles fail loudly.
+once and ships the bundle with the runtime.  This module maps a
+:class:`~repro.characterization.profiler.CharacterizationBundle` to a
+JSON-compatible dict and back, with a schema version so stale bundles
+fail loudly.  Files are written and read above this layer, through the
+I/O seam (:func:`repro.runtime.bundlestore.save_bundle` /
+:func:`~repro.runtime.bundlestore.load_bundle`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
-
 from ..sim.profiles import AcceleratorClass, LoadCost
-from ..util.atomicio import atomic_write_json
 from .profiler import (
     AccuracyTrait,
     CharacterizationBundle,
@@ -133,24 +132,3 @@ def bundle_from_dict(payload: dict) -> CharacterizationBundle:
         load_costs=load_costs,
         observations=observations,
     )
-
-
-def save_bundle(bundle: CharacterizationBundle, path: str | Path) -> None:
-    """Write a bundle as JSON (atomically: a crash never leaves a torn file)."""
-    atomic_write_json(path, bundle_to_dict(bundle))
-
-
-def load_bundle(path: str | Path) -> CharacterizationBundle:
-    """Read a bundle written by :func:`save_bundle`.
-
-    Content that does not decode (torn, not JSON, not UTF-8) raises
-    :class:`BundleSchemaError`; a file that cannot be read raises its
-    ``OSError``.
-    """
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise BundleSchemaError(f"bundle file does not decode: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise BundleSchemaError("bundle file does not contain a JSON object")
-    return bundle_from_dict(payload)

@@ -144,8 +144,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_characterize(args: argparse.Namespace) -> int:
-    from .characterization.serialization import save_bundle
+    from pathlib import Path
 
+    from .runtime.bundlestore import save_bundle
+
+    # An unwritable path is refused before the offline phase, not after it.
+    out = Path(args.out)
+    if out.is_dir() or not out.parent.is_dir():
+        print(f"characterize: --out {out}: not a file path in an existing directory",
+              file=sys.stderr)
+        return 2
     ctx = _context(args)
     bundle = ctx.bundle
     save_bundle(bundle, args.out)
@@ -229,7 +237,6 @@ def _worker_spawner(args: argparse.Namespace, queue_dir, *, extra_args=(), idle=
             "--run-store", args.run_store,
             "--worker-id", f"serve-w{next(seq)}",
             "--lease", str(args.lease),
-            "--max-attempts", str(args.max_attempts),
         ]
         if args.trace_store:
             command += ["--trace-store", args.trace_store]
@@ -277,7 +284,7 @@ def _serve_backend(args: argparse.Namespace, ctx: ExperimentContext, requests: l
             policy_resolver=_policy_resolver(ctx, args.objective),
         ), None
 
-    from .characterization.serialization import save_bundle
+    from .runtime.bundlestore import save_bundle
     from .service.http import QueueBackend
     from .service.procs import WorkerSupervisor
     from .service.queue import JobQueue

@@ -3,10 +3,11 @@
 Sweeps the scheduler knobs (accuracy/energy/latency), the accuracy goal,
 the momentum, and the confidence-graph distance threshold over a grid of
 configurations, runs SHIFT under each, and reports the correlation of each
-parameter with the achieved mean IoU, energy, and latency.  The grid is
-one :meth:`~repro.runtime.experiment.ExperimentRunner.sweep` of the
-context's runner, so every point runs on the fast tier and a run store
-keeps each point for the next invocation.
+parameter with the achieved mean IoU, energy, and latency.  The grid runs
+through :meth:`~repro.runtime.experiment.ExperimentRunner.sweep` of the
+context's runner in chunks of :data:`SWEEP_CHUNK` points, so every point
+runs on the fast tier, a run store keeps each point for the next
+invocation, and only one chunk's pipelines are alive at a time.
 
 The paper's expectations (all reproduced here):
 * energy knob up   -> actual energy down (negative correlation),
@@ -51,6 +52,11 @@ FULL_GRID: dict[str, tuple[float, ...]] = {
 # 5*3*3*4*4*3 = 2160; drop the all-zero-knob corner cases at runtime to
 # land close to the paper's 1860 (zero weights everywhere make the argmax
 # degenerate).
+
+#: Grid points built and swept together.  A pipeline keeps its last run's
+#: SoC, engine and scheduler until its sweep returns, so the chunk bounds
+#: how many the sweep holds at once; rows come back in grid order either way.
+SWEEP_CHUNK = 32
 
 
 @dataclass(frozen=True)
@@ -130,13 +136,15 @@ def sensitivity_analysis(
         for threshold in grid["distance_threshold"]
     }
     configs = _grid_configs(grid)
-    pipelines = [
-        ShiftPipeline(ctx.bundle, config=config, graph=graphs[config.distance_threshold])
-        for config in configs
-    ]
-    # Every pipeline is named "shift", so the sweep's one row list holds
-    # a row per configuration, in grid order.
-    rows = ctx.runner.sweep(pipelines, [scenario])[ShiftPipeline.name]
+    rows = []
+    for start in range(0, len(configs), SWEEP_CHUNK):
+        pipelines = [
+            ShiftPipeline(ctx.bundle, config=config, graph=graphs[config.distance_threshold])
+            for config in configs[start:start + SWEEP_CHUNK]
+        ]
+        # Every pipeline is named "shift", so each sweep's one row list
+        # holds a row per configuration, in grid order.
+        rows += ctx.runner.sweep(pipelines, [scenario])[ShiftPipeline.name]
     points = [
         SweepPoint(
             config=config,

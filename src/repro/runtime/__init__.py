@@ -16,7 +16,7 @@ from .metrics import (
     average_metrics,
     efficiency_series,
 )
-from .bundlestore import BundleKey, BundleStore
+from .bundlestore import BundleKey, BundleStore, load_bundle, save_bundle
 from .experiment import ExperimentRunner
 from .iolayer import FsFaultEvent, FsFaultPlan, StoreDegraded, StoreError
 from .maintenance import GcReport, RepairReport, ScrubReport
@@ -59,6 +59,8 @@ __all__ = [
     "ExperimentRunner",
     "BundleKey",
     "BundleStore",
+    "save_bundle",
+    "load_bundle",
     "TraceStore",
     "TraceSchemaError",
     "trace_to_dict",

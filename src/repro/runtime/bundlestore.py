@@ -1,12 +1,22 @@
 """On-disk persistence for characterization bundles: the offline phase, run once.
 
 The paper's characterization (§III-A) runs once per (model zoo, platform)
-and ships with the runtime.  Without a store every process that needs the
-SHIFT policy re-runs it — on a warm sweep whose runs are all run-store
-hits, that is most of the wall time.  :class:`BundleStore` is the third
-:class:`~repro.runtime.store.EntryStore` facade (next to the trace and run
-stores): one ``.col`` entry per :class:`BundleKey`, written once and
-loaded by every later process.
+and ships with the runtime.  A bundle persists in two forms, and both go
+through the I/O seam (:mod:`repro.runtime.iolayer`), so fault plans,
+retries and degraded-mode accounting cover them like any store entry.
+
+**Bundle files.**  :func:`save_bundle` / :func:`load_bundle` read and
+write the single-file JSON form
+(:func:`~repro.characterization.serialization.bundle_to_dict`) that
+``repro characterize --out`` writes, a ``serve --procs`` supervisor hands
+its workers, and ``--shift-bundle`` loads.
+
+**The bundle store.**  Without a store every process that needs the
+SHIFT policy re-runs characterization — on a warm sweep whose runs are
+all run-store hits, that is most of the wall time.  :class:`BundleStore`
+is the third :class:`~repro.runtime.store.EntryStore` facade (next to the
+trace and run stores): one ``.col`` entry per :class:`BundleKey`, written
+once and loaded by every later process.
 
 **Cache key.**  A bundle is a pure function of the zoo, the SoC, the
 validation set (size and seed) and the number of timed inferences per
@@ -31,6 +41,7 @@ never stored: a loaded bundle recomputes it from its own content.
 from __future__ import annotations
 
 import hashlib
+import json
 from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
@@ -84,6 +95,32 @@ class BundleKey:
         return hashlib.sha256(
             "|".join(str(getattr(self, label)) for label in _IDENTITY_FIELDS).encode("utf-8")
         ).hexdigest()
+
+
+def save_bundle(bundle: CharacterizationBundle, path: str | Path) -> None:
+    """Write a bundle as one JSON file through the seam (atomic, never torn).
+
+    The file's directory is the root whose retries and degraded flag the
+    write counts against.  ``NaN``/``Infinity`` are refused: they are not
+    JSON.
+    """
+    iolayer.write_text(path, json.dumps(bundle_to_dict(bundle), allow_nan=False))
+
+
+def load_bundle(path: str | Path) -> CharacterizationBundle:
+    """Read a bundle written by :func:`save_bundle`, through the seam.
+
+    Content that does not decode (torn, not JSON, not UTF-8) raises
+    :class:`BundleSchemaError`; a file that cannot be read raises its
+    ``OSError`` once the seam's retries are spent.
+    """
+    try:
+        payload = json.loads(iolayer.read_text(path))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise BundleSchemaError(f"bundle file does not decode: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise BundleSchemaError("bundle file does not contain a JSON object")
+    return bundle_from_dict(payload)
 
 
 def bundle_entry_to_dict(bundle: CharacterizationBundle, key: BundleKey) -> dict:

@@ -1,22 +1,22 @@
-"""The injectable I/O seam every store, queue, and export write routes through.
+"""The injectable I/O seam every durable write and entry read routes through.
 
-PR 7/8 made the sweep tier survive killed workers and clock skew; this
-module makes it survive the *filesystem*.  Three ideas:
+The sweep tier survives killed workers and clock skew; this module makes
+it survive the *filesystem*.  Three ideas:
 
-**One seam.**  Every durable write in the persistence tier — store
-entries, shard indexes, queue records, exported metrics — goes through
-:func:`write_text` / :func:`write_bytes` / :func:`replace` here instead
-of calling :mod:`repro.util.atomicio` (or ``os.replace``) directly.  The
-``locks/io-seam`` lint rule makes that structural: store-tier modules
-may not open files for writing themselves.
-Directory scans used by maintenance sweeps route through :func:`scan`,
-and — since PR 10 — entry *reads* route through :func:`read_text` /
-:func:`read_bytes` for the same reason: a transient ``EIO`` on read used
-to be indistinguishable from corruption, so a recoverable fault could
-quarantine (destroy) a perfectly valid entry.  Behind the seam, reads
-retry transient errnos with seeded backoff and re-raise the ``OSError``
-on exhaustion; callers treat that as *unavailable* (a miss), never as
-*corrupt* (a quarantine).
+**One seam.**  Every durable write in the ``runtime``, ``service`` and
+``characterization`` packages — store entries, shard indexes, queue
+records, exported metrics, characterization bundle files — goes through
+:func:`write_text` / :func:`write_bytes` / :func:`replace` here, the
+only temp-file + ``os.replace`` writer in ``repro``.  The
+``locks/raw-write`` and ``locks/io-seam`` lint rules make that
+structural: those packages may not open files for writing themselves,
+nor reach for an atomic helper that bypasses the seam.  Directory scans
+used by maintenance sweeps route through :func:`scan`, and entry *reads*
+through :func:`read_text` / :func:`read_bytes` for the same reason: a
+transient ``EIO`` on read would otherwise be indistinguishable from
+corruption, so a recoverable fault could quarantine (destroy) a
+perfectly valid entry.  All six entry points run their attempts through
+one retry loop (:func:`_with_retry`) with one seeded, jittered backoff.
 
 **Deterministic filesystem faults.**  An :class:`FsFaultPlan` — a seeded
 schedule of ENOSPC / EIO / lost-rename / partial-write / slow-io events
@@ -28,15 +28,18 @@ replay the exact same disk failure schedule run after run.  The
 ``fsfaults`` differential check builds on this.
 
 **Graceful degradation.**  Transient capacity errors (ENOSPC, EDQUOT,
-EIO) are retried a bounded number of times with seeded backoff; on
-exhaustion the *root* (store / queue directory) is marked degraded and a
-typed :exc:`StoreDegraded` is raised instead of a bare ``OSError``.
-While degraded, writes make exactly one attempt each (a probe-on-write),
-so recovery is automatic the moment space returns — the first write that
-succeeds clears the flag.  :func:`probe` offers an explicit recovery
-attempt for callers (the job queue) that want to check *before* spending
-a lease.  Reads are never blocked: a degraded store keeps serving warm
-hits and reports misses as capacity failures instead of crashing.
+EIO) are retried a bounded number of times.  A write or rename that runs
+out of retries marks its *root* (store / queue directory) degraded and
+raises a typed :exc:`StoreDegraded` instead of a bare ``OSError``; a
+read or scan that runs out re-raises its ``OSError``, which callers
+treat as *unavailable* (a miss), never as *corrupt* (a quarantine).
+While a root is degraded, each write makes exactly one attempt (a
+probe-on-write), so recovery is automatic the moment space returns —
+the first write that lands clears the flag.  :func:`probe` offers an
+explicit recovery attempt for callers (the job queue) that want to
+check *before* spending a lease.  Reads are never blocked: a degraded
+store keeps serving warm hits and reports misses as capacity failures
+instead of crashing.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ import os
 import random
 import threading
 import time
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Iterator
-
-from ..util.atomicio import temp_name
+from typing import TypeVar
 
 #: Hook points a fault event can target.
 FS_OPS = ("write", "fsync", "replace", "scan", "read")
@@ -71,6 +73,11 @@ RETRY_CAP = 0.05
 
 #: Temp-file name used by :func:`probe`; swept like any other ``*.tmp*``.
 PROBE_NAME = ".iolayer-probe"
+
+#: Ops whose exhausted retries degrade the root; reads and scans re-raise.
+_DEGRADING_OPS = frozenset({"write", "replace"})
+
+_T = TypeVar("_T")
 
 
 class StoreError(Exception):
@@ -303,11 +310,66 @@ def _maybe_fault(op: str, path: Path) -> FsFaultEvent | None:
 # ------------------------------------------------------------------ the seam
 
 
+def temp_name(name: str) -> str:
+    """A writer-unique temp name (pid + thread: threads share a pid).
+
+    Uniqueness keeps concurrent writers of the same target from clobbering
+    each other's temp files; the ``.tmp`` infix is what stale-temp sweeps
+    (:func:`repro.runtime.shards.clean_stale_temps`) key on.
+    """
+    return f"{name}.tmp{os.getpid()}.{threading.get_ident()}"
+
+
 def _is_transient(exc: OSError) -> bool:
     return exc.errno in TRANSIENT_ERRNOS
 
 
-def _write_once(path: Path, data: str | bytes, key: str) -> Path:
+def _with_retry(
+    op: str, path: Path, root: str | Path | None, attempt: Callable[[], _T]
+) -> _T:
+    """The one retry loop behind every entry point of the seam.
+
+    ``attempt`` makes one try at ``op`` (``write``, ``read``, ``replace``
+    or ``scan``) on ``path``; callers look their per-attempt function up
+    inside it, so a wrapper installed on this module (perfbench counts
+    ``_write_once``/``_read_once`` calls) sees every attempt.
+    Non-transient errors pass straight through (a ``FileNotFoundError``
+    is the caller's miss signal, not an I/O fault).  Each transient one
+    is counted in ``io_errors`` and retried, up to ``RETRY_ATTEMPTS``
+    attempts, after a capped exponential backoff with seeded jitter; the
+    RNG is built only when a retry happens.  A write to a degraded root
+    makes one probing attempt, which clears the flag when it lands.  Out
+    of attempts, a write or replace degrades the root and raises
+    :exc:`StoreDegraded`; a read or scan re-raises its ``OSError``.
+    """
+    key = _root_key(path, root)
+    probing = op == "write" and is_degraded(key)
+    attempts = 1 if probing else RETRY_ATTEMPTS
+    rng: random.Random | None = None
+    for number in range(attempts):
+        try:
+            result = attempt()
+        except OSError as exc:
+            if not _is_transient(exc):
+                raise
+            record_io_error(key)
+            if number + 1 < attempts:
+                if rng is None:
+                    rng = random.Random(f"{op}|{key}|{path.name}")
+                delay = min(RETRY_CAP, RETRY_BASE * (2**number))
+                time.sleep(delay * (0.5 + 0.5 * rng.random()))
+                continue
+            if op not in _DEGRADING_OPS:
+                raise
+            mark_degraded(key, f"{op} {path.name}: {exc}")
+            raise StoreDegraded(key, op, str(exc)) from exc
+        if probing:
+            clear_degraded(key)
+        return result
+    raise AssertionError("unreachable: the retry loop returns or raises")
+
+
+def _write_once(path: Path, data: str | bytes) -> Path:
     """One crash-safe write attempt: temp + replace, with fault hooks.
 
     ``data`` may be text (JSON entries) or bytes (binary column entries);
@@ -322,7 +384,7 @@ def _write_once(path: Path, data: str | bytes, key: str) -> Path:
             keep = event.param if event.param is not None else 0.5
             payload = data[: int(len(data) * keep)]
         # The raw open/replace pair lives HERE and nowhere else in the
-        # store tier; everything above routes through this seam.
+        # persistence tiers; everything above routes through this seam.
         mode, encoding = ("wb", None) if binary else ("w", "utf-8")
         with open(tmp, mode, encoding=encoding) as handle:  # repro: allow[locks/raw-write]
             handle.write(payload)
@@ -341,35 +403,6 @@ def _write_once(path: Path, data: str | bytes, key: str) -> Path:
     return path
 
 
-def _write_with_retry(path: Path, data: str | bytes, root: str | Path | None) -> Path:
-    """The shared retry/degrade discipline behind every durable write."""
-    key = _root_key(path, root)
-    if is_degraded(key):
-        try:
-            result = _write_once(path, data, key)
-        except OSError as exc:
-            if _is_transient(exc):
-                record_io_error(key)
-                raise StoreDegraded(key, "write", str(exc)) from exc
-            raise
-        clear_degraded(key)
-        return result
-    rng = random.Random(f"{key}|{path.name}")
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            return _write_once(path, data, key)
-        except OSError as exc:
-            if not _is_transient(exc):
-                raise
-            record_io_error(key)
-            if attempt + 1 >= RETRY_ATTEMPTS:
-                mark_degraded(key, f"write {path.name}: {exc}")
-                raise StoreDegraded(key, "write", str(exc)) from exc
-            delay = min(RETRY_CAP, RETRY_BASE * (2**attempt))
-            time.sleep(delay * (0.5 + 0.5 * rng.random()))
-    raise AssertionError("unreachable: retry loop returns or raises")
-
-
 def write_text(path: str | Path, text: str, *, root: str | Path | None = None) -> Path:
     """Crash-safe text write through the seam; the durable-write entry point.
 
@@ -381,7 +414,8 @@ def write_text(path: str | Path, text: str, *, root: str | Path | None = None) -
     the flag (space returned), failure re-raises :exc:`StoreDegraded`
     without burning retries.
     """
-    return _write_with_retry(Path(path), text, root)
+    path = Path(path)
+    return _with_retry("write", path, root, lambda: _write_once(path, text))
 
 
 def write_bytes(path: str | Path, data: bytes, *, root: str | Path | None = None) -> Path:
@@ -391,10 +425,11 @@ def write_bytes(path: str | Path, data: bytes, *, root: str | Path | None = None
     ``partial_write`` fault kind truncates the byte payload the same way
     it truncates text, so torn binary entries are injectable too.
     """
-    return _write_with_retry(Path(path), data, root)
+    path = Path(path)
+    return _with_retry("write", path, root, lambda: _write_once(path, data))
 
 
-def _read_once(path: Path, *, binary: bool, count: int | None, use_mmap: bool):
+def _read_once(path: Path, *, binary: bool, count: int | None = None, use_mmap: bool = False):
     """One read attempt with the ``read`` fault hook applied."""
     _maybe_fault("read", path)
     if not binary:
@@ -413,53 +448,17 @@ def _read_once(path: Path, *, binary: bool, count: int | None, use_mmap: bool):
         return handle.read() if count is None else handle.read(count)
 
 
-def _read_with_retry(
-    path: Path, root: str | Path | None, *, binary: bool, count: int | None = None,
-    use_mmap: bool = False,
-):
-    """Bounded-retry read discipline shared by :func:`read_text` / :func:`read_bytes`.
-
-    Reads never degrade a root and a degraded root keeps serving reads
-    (single attempt — no point burning the retry budget while capacity is
-    known-bad).  A ``FileNotFoundError`` passes straight through (it is
-    the caller's miss signal, not an I/O fault); transient errnos are
-    retried with seeded backoff, counted in ``io_errors``, and the last
-    ``OSError`` is re-raised on exhaustion so callers can treat the entry
-    as *unavailable* — never as corrupt.
-    """
-    key = _root_key(path, root)
-    if is_degraded(key):
-        try:
-            return _read_once(path, binary=binary, count=count, use_mmap=use_mmap)
-        except OSError as exc:
-            if _is_transient(exc):
-                record_io_error(key)
-            raise
-    rng = random.Random(f"read|{key}|{path.name}")
-    last: OSError | None = None
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            return _read_once(path, binary=binary, count=count, use_mmap=use_mmap)
-        except OSError as exc:
-            if not _is_transient(exc):
-                raise
-            record_io_error(key)
-            last = exc
-            if attempt + 1 < RETRY_ATTEMPTS:
-                delay = min(RETRY_CAP, RETRY_BASE * (2**attempt))
-                time.sleep(delay * (0.5 + 0.5 * rng.random()))
-    raise last  # type: ignore[misc]  # loop always sets it before falling through
-
-
 def read_text(path: str | Path, *, root: str | Path | None = None) -> str:
     """Entry read through the seam: bounded retries, ``io_errors`` accounting.
 
     The read-side twin of :func:`write_text`.  Store load paths call this
     instead of ``Path.read_text`` so a transient ``EIO``/``EDQUOT`` on
     read surfaces as an ``OSError`` (a miss) after retries — it can never
-    masquerade as a parse failure and quarantine a valid entry.
+    masquerade as a parse failure and quarantine a valid entry.  Reads
+    never degrade a root, and a degraded root keeps serving them.
     """
-    return _read_with_retry(Path(path), root, binary=False)
+    path = Path(path)
+    return _with_retry("read", path, root, lambda: _read_once(path, binary=False))
 
 
 def read_bytes(
@@ -477,58 +476,46 @@ def read_bytes(
     ndarrays can be built zero-copy (falling back to a plain ``bytes``
     read where mapping is unsupported).
     """
-    return _read_with_retry(Path(path), root, binary=True, count=count, use_mmap=map)
+    path = Path(path)
+    return _with_retry("read", path, root, lambda: _read_once(
+        path, binary=True, count=count, use_mmap=map))
+
+
+def _replace_once(src: Path, dst: Path) -> None:
+    event = _maybe_fault("replace", dst)
+    if event is not None and event.kind == "lost_rename":
+        src.unlink(missing_ok=True)
+        return
+    os.replace(src, dst)  # repro: allow[locks/raw-write]
 
 
 def replace(src: str | Path, dst: str | Path, *, root: str | Path | None = None) -> None:
     """Atomic same-filesystem rename through the seam (quarantine moves).
 
     A rename allocates no data blocks, so this is the tool quarantine
-    moves use even under ENOSPC; the fault hooks still apply (a plan can
-    lose or fail the rename), with the same retry/degrade discipline.
+    moves use even under ENOSPC, and it keeps its full retry budget on a
+    degraded root; the fault hooks still apply (a plan can lose or fail
+    the rename), and exhausted retries degrade the root like a write.
     """
     src = Path(src)
     dst = Path(dst)
-    key = _root_key(dst, root)
-    for attempt in range(RETRY_ATTEMPTS):
-        try:
-            event = _maybe_fault("replace", dst)
-            if event is not None and event.kind == "lost_rename":
-                src.unlink(missing_ok=True)
-                return
-            os.replace(src, dst)  # repro: allow[locks/raw-write]
-            return
-        except OSError as exc:
-            if not _is_transient(exc):
-                raise
-            record_io_error(key)
-            if attempt + 1 >= RETRY_ATTEMPTS:
-                mark_degraded(key, f"replace {dst.name}: {exc}")
-                raise StoreDegraded(key, "replace", str(exc)) from exc
-            time.sleep(min(RETRY_CAP, RETRY_BASE * (2**attempt)))
-    raise AssertionError("unreachable: retry loop returns or raises")
+    _with_retry("replace", dst, root, lambda: _replace_once(src, dst))
+
+
+def _scan_once(directory: Path, pattern: str) -> list[Path]:
+    _maybe_fault("scan", directory)
+    return sorted(directory.glob(pattern))
 
 
 def scan(directory: str | Path, pattern: str, *, root: str | Path | None = None) -> list[Path]:
     """Sorted directory listing through the seam (fault-injectable reads).
 
-    Transient errors are retried; on exhaustion the ``OSError`` is
-    re-raised (scans are reads — they never degrade a root, callers skip
-    or surface the miss themselves) after counting it in ``io_errors``.
+    Transient errors are retried like a read's; on exhaustion the
+    ``OSError`` is re-raised (scans are reads — they never degrade a
+    root, callers skip or surface the miss themselves).
     """
     directory = Path(directory)
-    key = _root_key(directory, root)
-    last: OSError | None = None
-    for _ in range(RETRY_ATTEMPTS):
-        try:
-            _maybe_fault("scan", directory)
-            return sorted(directory.glob(pattern))
-        except OSError as exc:
-            if not _is_transient(exc):
-                raise
-            record_io_error(key)
-            last = exc
-    raise last  # type: ignore[misc]  # loop always sets it before falling through
+    return _with_retry("scan", directory, root, lambda: _scan_once(directory, pattern))
 
 
 def open_lock_file(lock_path: str | Path):
@@ -554,7 +541,7 @@ def probe(root: str | Path) -> bool:
         return True
     tmp = root / PROBE_NAME
     try:
-        _write_once(tmp, "probe", str(root))
+        _write_once(tmp, "probe")
         tmp.unlink(missing_ok=True)
     except OSError:
         return False

@@ -115,8 +115,9 @@ def shift_bundle_resolver(path: str | Path, objective: str) -> Callable[[str], P
     foreground sweep derives.  A file that cannot be read or decoded is
     a :class:`ServiceError` naming it.
     """
-    from ..characterization import BundleSchemaError, load_bundle
+    from ..characterization import BundleSchemaError
     from ..core import ConfidenceGraph
+    from ..runtime.bundlestore import load_bundle
 
     try:
         bundle = load_bundle(path)

@@ -45,7 +45,7 @@ from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tra
 from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import TraceCache
-from ..util.argtypes import finite_positive_float, positive_int
+from ..util.argtypes import finite_positive_float
 from .jobs import ServiceError, shift_bundle_resolver
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
@@ -321,8 +321,9 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--worker-id", default=None,
                         help="stable worker identity (default: worker-<pid>)")
     parser.add_argument("--lease", type=finite_positive_float, default=30.0,
-                        help="lease duration in seconds (must match the supervisor)")
-    parser.add_argument("--max-attempts", type=positive_int, default=5)
+                        help="duration in seconds of each lease this worker claims or "
+                             "renews; expiry reads the deadline each lease carries "
+                             "(default 30)")
     parser.add_argument("--idle", action="store_true",
                         help="keep polling an empty queue instead of exiting on drain "
                              "(long-lived fleets behind 'repro serve --http')")
@@ -359,7 +360,7 @@ def run(args: argparse.Namespace) -> int:
     def _terminate(signum: int, _frame: object) -> None:
         raise WorkerTerminated(signum)
 
-    queue = JobQueue(args.queue_dir, lease_duration=args.lease, max_attempts=args.max_attempts)
+    queue = JobQueue(args.queue_dir, lease_duration=args.lease)
     hooks: WorkerHooks | None = None
     if args.fault_plan is not None:
         from ..verify.faults import FaultPlan, ProcessFaultHooks

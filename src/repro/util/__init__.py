@@ -1,5 +1,1 @@
 """Leaf utilities shared by every layer (stdlib only, no repro imports)."""
-
-from .atomicio import atomic_write_json, atomic_write_text, temp_name
-
-__all__ = ["atomic_write_json", "atomic_write_text", "temp_name"]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 
 class TestRawWrite:
     def test_fires_on_raw_open_for_write(self, tree):
@@ -38,6 +40,7 @@ class TestRawWrite:
         assert "locks/raw-write" in tree.rules_fired()
 
     def test_quiet_on_reads_and_atomic_helper(self, tree):
+        # Quiet for this rule only: the helper draws locks/io-seam (TestIoSeam).
         tree.write("runtime/dump.py", """
             import json
 
@@ -223,12 +226,12 @@ class TestLockedCall:
 
 
 class TestIoSeam:
-    """Store-tier writes must route through the repro.runtime.iolayer seam."""
+    """Persistence-tier writes must route through the repro.runtime.iolayer seam."""
 
     def test_atomic_helper_in_a_seam_module_fires_io_seam(self, tree):
-        # Atomic is necessary but not sufficient in the store tier: a
-        # direct atomicio call is invisible to fault plans and degraded
-        # mode, so the finding upgrades from raw-write to io-seam.
+        # Atomic is necessary but not sufficient: a direct atomic-helper
+        # call is invisible to fault plans and degraded mode, so it draws
+        # io-seam rather than raw-write.
         tree.write("runtime/shards.py", """
             def save(path, text):
                 from ..util.atomicio import atomic_write_text
@@ -238,14 +241,41 @@ class TestIoSeam:
         assert "locks/io-seam" in fired
         assert "locks/raw-write" not in fired
 
+    @pytest.mark.parametrize("module", [
+        "characterization/serialization.py", "service/worker.py", "runtime/metrics.py",
+    ])
+    def test_atomic_helper_anywhere_in_the_write_scope_fires_io_seam(self, tree, module):
+        # No hand-kept module list: the bundle writer once sat outside it.
+        tree.write(module, """
+            def save(path, payload):
+                from ..util.atomicio import atomic_write_json
+                atomic_write_json(path, payload)
+        """)
+        findings = [f for f in tree.lint().findings if f.rule.startswith("locks/")]
+        assert [f.rule for f in findings] == ["locks/io-seam"]
+        assert "repro.runtime.iolayer" in findings[0].message
+
     def test_raw_write_in_a_seam_module_reports_as_io_seam(self, tree):
+        # A store module's raw write names the iolayer seam as its fix,
+        # under the one raw-write rule, so one bad call is one finding.
         tree.write("service/queue.py", """
             def save(path, text):
                 path.write_text(text)
         """)
-        fired = tree.rules_fired()
-        assert "locks/io-seam" in fired
-        assert "locks/raw-write" not in fired
+        findings = [f for f in tree.lint().findings if f.rule.startswith("locks/")]
+        assert [f.rule for f in findings] == ["locks/raw-write"]
+        assert "repro.runtime.iolayer" in findings[0].message
+
+    def test_non_seam_modules_keep_the_raw_write_rule(self, tree):
+        # No hand-kept module list: a module that was never a store module
+        # draws the same finding, naming the same seam.
+        tree.write("runtime/metrics.py", """
+            def save(path, text):
+                path.write_text(text)
+        """)
+        findings = [f for f in tree.lint().findings if f.rule.startswith("locks/")]
+        assert [f.rule for f in findings] == ["locks/raw-write"]
+        assert "repro.runtime.iolayer" in findings[0].message
 
     def test_one_finding_per_bad_call(self, tree):
         tree.write("runtime/store.py", """
@@ -268,23 +298,13 @@ class TestIoSeam:
         assert "locks/io-seam" not in fired
         assert "locks/raw-write" not in fired
 
-    def test_non_seam_modules_keep_the_raw_write_rule(self, tree):
-        # Outside the store tier the old contract stands: atomicity is
-        # the requirement, the seam is not.
-        tree.write("runtime/metrics.py", """
-            def save(path, text):
-                path.write_text(text)
-        """)
-        fired = tree.rules_fired()
-        assert "locks/raw-write" in fired
-        assert "locks/io-seam" not in fired
-
     def test_suppression_pragma_silences_it(self, tree):
         tree.write("runtime/shards.py", """
             def save(path, text):
-                path.write_text(text)  # repro: allow[locks/io-seam]
+                from ..util.atomicio import atomic_write_text
+                atomic_write_text(path, text)  # repro: allow[locks/io-seam]
         """)
-        assert "locks/io-seam" not in tree.rules_fired()
+        assert not [rule for rule in tree.rules_fired() if rule.startswith("locks/")]
 
     def test_iolayer_itself_ranks_with_the_runtime_layer(self):
         from repro.analysis.layering import LAYER_RANKS, rank_for

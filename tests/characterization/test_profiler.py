@@ -1,7 +1,13 @@
 """Tests for the offline characterization profiler."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.characterization import (
     characterize,
     profile_accuracy,
@@ -87,6 +93,29 @@ class TestProfileLoadCosts:
         costs = profile_load_costs(zoo, soc)
         assert ("yolov7", AcceleratorClass.GPU) in costs
         assert ("ssd-resnet50", AcceleratorClass.OAKD) not in costs
+
+    def test_bundle_order_does_not_follow_the_hash_seed(self):
+        # Fingerprints sort their inputs, but a saved bundle's bytes keep
+        # dict order: characterize under two hash seeds and compare.
+        code = (
+            "import json\n"
+            "from repro.characterization import bundle_to_dict, characterize\n"
+            "from repro.models import default_zoo\n"
+            "from repro.sim import xavier_nx_with_oakd\n"
+            "bundle = characterize(default_zoo(), xavier_nx_with_oakd(),"
+            " validation_size=20, perf_repeats=2)\n"
+            "print(json.dumps(bundle_to_dict(bundle)))\n"
+        )
+        package_root = Path(repro.__file__).resolve().parent.parent
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                timeout=120,
+                env={**os.environ, "PYTHONPATH": str(package_root), "PYTHONHASHSEED": seed},
+            ).stdout
+            for seed in ("0", "1")
+        ]
+        assert outputs[0] == outputs[1]
 
 
 class TestCharacterize:

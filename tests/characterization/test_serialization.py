@@ -9,11 +9,10 @@ from repro.characterization import (
     bundle_from_dict,
     bundle_to_dict,
     characterize,
-    load_bundle,
-    save_bundle,
 )
 from repro.core import ConfidenceGraph, ShiftPipeline
 from repro.models import default_zoo
+from repro.runtime import load_bundle, save_bundle
 from repro.sim import xavier_nx_with_oakd
 
 

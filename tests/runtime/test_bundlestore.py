@@ -22,8 +22,10 @@ from repro.runtime.bundlestore import (
     BundleKey,
     BundleStore,
     bundle_entry_to_dict,
+    load_bundle,
+    save_bundle,
 )
-from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
+from repro.runtime.iolayer import RETRY_ATTEMPTS, FsFaultEvent, FsFaultPlan, StoreDegraded
 from repro.sim import gpu_only_soc, xavier_nx_with_oakd
 
 VALIDATION = 60
@@ -192,6 +194,37 @@ class TestTornEntry:
         assert store.corrupt_entries == 1
         assert not path.exists()
         assert_same_bundle(store.get(key, lambda: bundle), bundle)
+
+
+class TestBundleFiles:
+    """``characterize --out`` / ``--shift-bundle`` files go through the I/O seam."""
+
+    @pytest.fixture(autouse=True)
+    def _clean_seam(self):
+        yield
+        iolayer.disarm_fault_plan()
+        iolayer.reset_state()
+
+    def test_enospc_burst_degrades_the_root_and_leaves_no_temp(self, tmp_path, bundle):
+        target = tmp_path / "bundle.json"
+        plan = FsFaultPlan(events=(
+            FsFaultEvent(op="write", index=0, kind="enospc", count=RETRY_ATTEMPTS + 2),
+        ))
+        with iolayer.fault_plan(plan):
+            with pytest.raises(StoreDegraded):
+                save_bundle(bundle, target)
+        assert iolayer.is_degraded(tmp_path)
+        assert list(tmp_path.iterdir()) == []  # no bundle, no *.tmp* left beside it
+
+    def test_eio_on_load_is_retried_counted_and_the_bundle_loads(self, tmp_path, bundle):
+        target = tmp_path / "bundle.json"
+        save_bundle(bundle, target)
+        plan = FsFaultPlan(events=(FsFaultEvent(op="read", index=0, kind="eio"),))
+        iolayer.arm_fault_plan(plan)
+        loaded = load_bundle(target)
+        assert iolayer.disarm_fault_plan() == 1
+        assert iolayer.io_error_count(tmp_path) == 1
+        assert_same_bundle(loaded, bundle)
 
 
 class TestExperimentContext:

@@ -8,6 +8,8 @@ space returns clears the flag).  Each face is pinned here from both
 sides — the failure that must fire and the healthy twin that must not.
 """
 
+import random
+
 import pytest
 
 from repro.runtime import iolayer
@@ -34,6 +36,82 @@ def enospc_plan(count: int, op: str = "write", match: str | None = None) -> FsFa
     return FsFaultPlan(
         events=(FsFaultEvent(op=op, index=0, kind="enospc", count=count, match=match),)
     )
+
+
+def _call_entry_point(entry: str, root):
+    """Call one of the seam's six entry points on a prepared file under ``root``."""
+    source = root / "source.bin"
+    source.write_bytes(b"payload")
+    if entry == "write_text":
+        return iolayer.write_text(root / "entry", "payload", root=root)
+    if entry == "write_bytes":
+        return iolayer.write_bytes(root / "entry", b"payload", root=root)
+    if entry == "read_text":
+        return iolayer.read_text(source, root=root)
+    if entry == "read_bytes":
+        return iolayer.read_bytes(source, root=root)
+    if entry == "replace":
+        return iolayer.replace(source, root / "entry", root=root)
+    return iolayer.scan(root, "*", root=root)
+
+
+#: entry point -> the fault-plan op its attempts tick.
+ENTRY_OPS = {
+    "write_text": "write", "write_bytes": "write", "read_text": "read",
+    "read_bytes": "read", "replace": "replace", "scan": "scan",
+}
+
+
+class TestOneRetryLoop:
+    """All six entry points share one discipline; only the op decides the outcome."""
+
+    @pytest.mark.parametrize("degraded", [False, True], ids=["healthy", "degraded"])
+    @pytest.mark.parametrize("entry", list(ENTRY_OPS))
+    def test_persistent_faults_run_the_shared_discipline(
+        self, tmp_path, monkeypatch, entry, degraded
+    ):
+        op = ENTRY_OPS[entry]
+        # The per-attempt functions are looked up at call time, so a
+        # wrapper on the module (how perfbench counts attempts) sees each.
+        once_calls = []
+
+        def counting(real):
+            def wrapper(*args, **kwargs):
+                once_calls.append(real.__name__)
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in ("_write_once", "_read_once"):
+            monkeypatch.setattr(iolayer, name, counting(getattr(iolayer, name)))
+        if degraded:
+            iolayer.mark_degraded(tmp_path, "test")
+        plan = FsFaultPlan(events=(
+            FsFaultEvent(op=op, index=0, kind="eio", count=RETRY_ATTEMPTS + 5),
+        ))
+        with iolayer.fault_plan(plan):
+            with pytest.raises((OSError, StoreDegraded)) as excinfo:
+                _call_entry_point(entry, tmp_path)
+            fired = iolayer.disarm_fault_plan()
+        probing = degraded and op == "write"
+        assert fired == (1 if probing else RETRY_ATTEMPTS)
+        assert iolayer.io_error_count(tmp_path) == fired
+        if op in ("write", "read"):
+            assert len(once_calls) == fired
+        degrades = op in ("write", "replace")
+        assert type(excinfo.value) is (StoreDegraded if degrades else OSError)
+        assert iolayer.is_degraded(tmp_path) is (degrades or degraded)
+
+    @pytest.mark.parametrize("entry", list(ENTRY_OPS))
+    def test_a_landing_first_attempt_builds_no_backoff_rng(self, tmp_path, monkeypatch, entry):
+        built = []
+        real = random.Random
+        monkeypatch.setattr(iolayer.random, "Random", lambda *a: built.append(a) or real(*a))
+        _call_entry_point(entry, tmp_path)
+        assert built == []
+        plan = FsFaultPlan(events=(FsFaultEvent(op=ENTRY_OPS[entry], index=0, kind="eio"),))
+        with iolayer.fault_plan(plan):
+            _call_entry_point(entry, tmp_path)
+        assert len(built) == 1
 
 
 class TestFaultPlanShape:

@@ -89,7 +89,7 @@ class TestParser:
         ["--workers", "0", "table", "1"],
         ["serve", "jobs.json", "--service-workers", "0"],
         ["serve", "--http", "0", "--max-pending", "0"],
-        ["work", "q", "--run-store", "r", "--max-attempts", "0"],
+        ["serve", "jobs.json", "--procs", "1", "--max-attempts", "0"],
     ])
     def test_unusable_sizes_exit_2_before_any_work(self, argv, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -179,10 +179,26 @@ class TestCommands:
         out_path = tmp_path / "bundle.json"
         assert main(FAST + ["characterize", "--out", str(out_path)]) == 0
         assert out_path.exists()
-        from repro.characterization import load_bundle
+        from repro.runtime import load_bundle
 
         bundle = load_bundle(out_path)
         assert len(bundle.accuracy) == 8
+
+    @pytest.mark.parametrize("out", ["missing/bundle.json", "."])
+    def test_characterize_refuses_an_unwritable_out_before_characterizing(
+        self, tmp_path, capsys, monkeypatch, out
+    ):
+        import repro.experiments.context as context_module
+
+        def characterize(*args, **kwargs):
+            raise AssertionError("characterized for an output that cannot be written")
+
+        monkeypatch.setattr(context_module, "characterize", characterize)
+        out_path = tmp_path / out
+        assert main(FAST + ["characterize", "--out", str(out_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and str(out_path) in err
+        assert sorted(tmp_path.iterdir()) == []
 
     def test_scenarios_lists_library(self, capsys):
         assert main(["scenarios"]) == 0
