@@ -45,7 +45,7 @@ from repro.models.zoo import default_zoo
 from repro.runtime.runner import run_policy
 from repro.runtime.runstore import RunStore
 from repro.runtime.store import TraceStore
-from repro.runtime.trace import TraceCache
+from repro.runtime.tracecache import TraceCache
 from repro.service import SweepService, overlapping_requests, policy_resolver
 
 DEFAULT_POLICIES = "single:yolov7-tiny@gpu,marlin-tiny,marlin"

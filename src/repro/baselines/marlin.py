@@ -11,16 +11,19 @@ multi-accelerator advantage (Table II).
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..data.generator import Frame
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import FrameRecord
 from ..sim.accelerator import Accelerator
 from ..vision.bbox import iou as box_iou
 from ..vision.ncc import ncc
 from ..vision.tracker import TemplateTracker
+
+if TYPE_CHECKING:
+    from ..data.generator import Frame
 
 # Cost of one tracker step on the CPU: template matching over a bounded
 # search window (measured order of magnitude for correlation trackers on

@@ -12,11 +12,14 @@ from __future__ import annotations
 
 import hashlib
 from enum import Enum
+from typing import TYPE_CHECKING
 
-from ..data.generator import Frame
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import FrameRecord
 from ..sim.profiles import perf_point
+
+if TYPE_CHECKING:
+    from ..data.generator import Frame
 
 ORACLE_IOU_THRESHOLD = 0.5
 

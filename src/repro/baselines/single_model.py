@@ -8,11 +8,14 @@ paper's introduction critiques and the reference point for the headline
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
-from ..data.generator import Frame
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import FrameRecord
 from ..sim.accelerator import Accelerator
+
+if TYPE_CHECKING:
+    from ..data.generator import Frame
 
 
 class SingleModelPolicy(Policy):

@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
-from ..data.dataset import Sample, build_validation_set
-from ..models.zoo import ModelZoo
-from ..sim.soc import SoC
+from typing import TYPE_CHECKING
+
 from .profiler import (
     CharacterizationBundle,
     profile_accuracy,
     profile_load_costs,
     profile_performance,
 )
+
+if TYPE_CHECKING:
+    from ..data.dataset import Sample
+    from ..models.zoo import ModelZoo
+    from ..sim.soc import SoC
 
 
 def characterize(
@@ -27,6 +31,8 @@ def characterize(
     (the stand-in for the paper's 2,500-image validation split).
     """
     if samples is None:
+        from ..data.dataset import build_validation_set
+
         samples = build_validation_set(size=validation_size, seed=validation_seed)
     accuracy, observations = profile_accuracy(zoo, samples)
     performance = profile_performance(zoo, soc, repeats=perf_repeats)

@@ -17,15 +17,19 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..data.dataset import Sample
-from ..models.detector import DetectionOutcome, SceneBatch, detect, detect_batch
-from ..models.zoo import ModelZoo
-from ..sim.engine import ExecutionEngine
 from ..sim.profiles import AcceleratorClass, LoadCost, load_cost
-from ..sim.soc import SoC
+
+# The detectors and the engine load when a profile runs: a process that
+# only reads a stored bundle never imports them.
+if TYPE_CHECKING:
+    from ..data.dataset import Sample
+    from ..models.detector import DetectionOutcome
+    from ..models.zoo import ModelZoo
+    from ..sim.soc import SoC
 
 DEFAULT_PERF_REPEATS = 25
 
@@ -115,6 +119,8 @@ def profile_accuracy(
     (a model may false-positive on them) but are excluded from the IoU and
     success-rate averages, matching standard evaluation practice.
     """
+    from ..models.detector import SceneBatch, detect, detect_batch
+
     if not samples:
         raise ValueError("profile_accuracy needs at least one sample")
     traits: dict[str, AccuracyTrait] = {}
@@ -181,6 +187,8 @@ def profile_performance(
     averages, mimicking how the paper characterizes on real hardware.  One
     accelerator per class is exercised (units of a class share silicon).
     """
+    from ..sim.engine import ExecutionEngine
+
     if repeats <= 0:
         raise ValueError("repeats must be positive")
     engine = ExecutionEngine(soc, seed=seed)

@@ -37,8 +37,10 @@ import argparse
 import sys
 from typing import TYPE_CHECKING
 
-# Every command imports what it runs inside its own function, so a warm
-# `sweep` never loads the HTTP tier, the verifier, or the lint engine.
+# Every command imports what it runs inside its own function, and every
+# package exports lazily, so a warm `sweep` loads neither the HTTP tier,
+# the queue, the verifier and the lint engine, nor the cold path its
+# run-store hits skip (trace builder, detectors, engine, scheduler).
 if TYPE_CHECKING:
     from .experiments.context import ExperimentContext
 
@@ -124,8 +126,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     ctx = _context(args)
     try:
-        policy = _build_policy(args.policy, ctx, args.objective)
+        # The scenario first: building 'shift' runs the offline phase.
         scenario = ctx.scenario(args.scenario)
+        policy = _build_policy(args.policy, ctx, args.objective)
     except (KeyError, ServiceError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -641,14 +644,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         return 2
 
     ctx = _context(args)
+    names = [name.strip() for name in args.policies.split(",") if name.strip()]
     try:
-        policies = [_build_policy(name.strip(), ctx, args.objective)
-                    for name in args.policies.split(",") if name.strip()]
         scenarios = (
             [ctx.scenario(name.strip())
              for name in args.scenarios.split(",") if name.strip()]
             if args.scenarios else ctx.scenarios()
         )
+        # 'shift' runs the offline phase, so it is built only after every
+        # scenario and every other spec has resolved; the table keeps the
+        # order the specs were given in.
+        order = sorted(range(len(names)), key=lambda index: names[index] == "shift")
+        built = {index: _build_policy(names[index], ctx, args.objective) for index in order}
+        policies = [built[index] for index in range(len(names))]
     except (KeyError, ServiceError) as exc:
         print(exc.args[0], file=sys.stderr)
         return 2
@@ -733,14 +741,14 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser (exposed for tests and docs tooling).
 
-    Declaring the options imports no command module beyond the queue
-    worker (whose options ``work`` shares) and the lint front-end.
+    Declaring the options imports no command module beyond the lint
+    front-end; the rest is the few constants the options name (objective
+    presets, the gc TTL, the deadline cap).
     """
     from .analysis.cli import configure_parser as configure_lint
     from .core import objective_names
     from .runtime.maintenance import DEFAULT_TTL_SECONDS
     from .service.jobs import MAX_DEADLINE_S
-    from .service.worker import configure_parser as configure_work
     from .util.argtypes import (
         finite_non_negative_float,
         finite_positive_float,
@@ -842,7 +850,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     work_cmd = commands.add_parser(
         "work", help="one queue worker process: claim, execute, commit until drained")
-    configure_work(work_cmd)
+    work_cmd.add_argument("queue_dir", help="shared on-disk job queue directory")
+    work_cmd.add_argument("--run-store", required=True, metavar="DIR",
+                          help="run store DIR (mandatory: idempotent commits live here)")
+    work_cmd.add_argument("--trace-store", default=None, metavar="DIR")
+    work_cmd.add_argument("--worker-id", default=None,
+                          help="stable worker identity (default: worker-<pid>)")
+    work_cmd.add_argument("--lease", type=finite_positive_float, default=30.0,
+                          help="duration in seconds of each lease this worker claims or "
+                               "renews; expiry reads the deadline each lease carries "
+                               "(default 30)")
+    work_cmd.add_argument("--idle", action="store_true",
+                          help="keep polling an empty queue instead of exiting on drain "
+                               "(long-lived fleets behind 'repro serve --http')")
+    work_cmd.add_argument("--shift-bundle", default=None, metavar="FILE",
+                          help="characterization bundle JSON enabling the 'shift' policy spec")
+    work_cmd.add_argument("--objective", default="paper",
+                          help="knob preset for shift policies (default: paper)")
+    work_cmd.add_argument("--fault-plan", default=None, metavar="FILE",
+                          help="JSON fault plan (repro.verify.faults); kills are real SIGKILL")
     work_cmd.set_defaults(func=_cmd_work)
 
     queue_cmd = commands.add_parser(

@@ -1,41 +1,18 @@
 """SHIFT core: confidence graph, scheduler, loader, pipeline."""
 
-from .confidence_graph import (
-    DEFAULT_BIN_WIDTH,
-    DEFAULT_DISTANCE_THRESHOLD,
-    ConfidenceGraph,
-    Prediction,
-)
-from .config import PAPER_CONFIG, ShiftConfig
-from .context import ContextDetector
-from .loader import DynamicModelLoader, LoadOutcome
-from .pipeline import ShiftPipeline
-from .policy import Policy, RuntimeServices
-from .presets import config_for_objective, objective_names
-from .records import FrameRecord, RunResult
-from .scheduler import SchedulingDecision, ShiftScheduler
-from .traits import Pair, PairTraits, TraitTable
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "Policy",
-    "RuntimeServices",
-    "FrameRecord",
-    "RunResult",
-    "config_for_objective",
-    "objective_names",
-    "ConfidenceGraph",
-    "Prediction",
-    "DEFAULT_BIN_WIDTH",
-    "DEFAULT_DISTANCE_THRESHOLD",
-    "ShiftConfig",
-    "PAPER_CONFIG",
-    "ContextDetector",
-    "DynamicModelLoader",
-    "LoadOutcome",
-    "ShiftPipeline",
-    "ShiftScheduler",
-    "SchedulingDecision",
-    "TraitTable",
-    "PairTraits",
-    "Pair",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "policy": ("Policy", "RuntimeServices"),
+    "records": ("FrameRecord", "RunResult"),
+    "presets": ("config_for_objective", "objective_names"),
+    "confidence_graph": (
+        "ConfidenceGraph", "Prediction", "DEFAULT_BIN_WIDTH", "DEFAULT_DISTANCE_THRESHOLD",
+    ),
+    "config": ("ShiftConfig", "PAPER_CONFIG"),
+    "context": ("ContextDetector",),
+    "loader": ("DynamicModelLoader", "LoadOutcome"),
+    "pipeline": ("ShiftPipeline",),
+    "scheduler": ("ShiftScheduler", "SchedulingDecision"),
+    "traits": ("TraitTable", "PairTraits", "Pair"),
+})

@@ -17,19 +17,22 @@ models into free memory so subsequent swaps are cheap.
 from __future__ import annotations
 
 import hashlib
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ..characterization.profiler import CharacterizationBundle
-from ..data.generator import Frame
 from .policy import Policy, RuntimeServices
 from .records import FrameRecord
 from .confidence_graph import ConfidenceGraph
 from .config import ShiftConfig
 from .context import ContextDetector
-from .loader import DynamicModelLoader
-from .scheduler import ShiftScheduler
-from .traits import Pair, TraitTable
+
+if TYPE_CHECKING:
+    from ..characterization.profiler import CharacterizationBundle
+    from ..data.generator import Frame
+    from .loader import DynamicModelLoader
+    from .scheduler import ShiftScheduler
+    from .traits import Pair, TraitTable
 
 # How many ranked pairs the DML considers when filling free memory.
 _PREFETCH_CANDIDATES = 6
@@ -74,6 +77,12 @@ class ShiftPipeline(Policy):
 
     def begin(self, services: RuntimeServices) -> None:
         """Bind to a platform and reset all runtime state."""
+        # The run-time machinery loads with the first run: building a
+        # pipeline for its run-store fingerprint does not need it.
+        from .loader import DynamicModelLoader
+        from .scheduler import ShiftScheduler
+        from .traits import TraitTable
+
         traits = TraitTable.build(self.bundle, services.soc, allow_cpu=self.config.allow_cpu)
         self._services = services
         self._scheduler = ShiftScheduler(traits, self._base_graph, self.config)

@@ -8,9 +8,10 @@ metric pipeline treat them identically.
 
 The protocol lives in ``core`` (below ``runtime`` in the layer order):
 policies are implemented in ``core`` and ``baselines``, and neither may
-import upward into the runtime tier.  The :class:`RuntimeServices` trace
-field is typed against :class:`~repro.runtime.trace.ScenarioTrace` for
-tooling only — the annotation is never evaluated at import time.
+import upward into the runtime tier.  Every annotation here is for
+tooling only and never evaluated at import time: the trace field's type
+lives above ``core``, and the frame, engine and platform types would
+load the renderer and the engine into processes that run no policy.
 """
 
 from __future__ import annotations
@@ -19,13 +20,12 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from ..data.generator import Frame
-from ..sim.engine import ExecutionEngine
-from ..sim.soc import SoC
-from .records import FrameRecord
-
-if TYPE_CHECKING:  # typing-only: keeps core below runtime in the import graph
+if TYPE_CHECKING:
+    from ..data.generator import Frame
     from ..runtime.trace import ScenarioTrace
+    from ..sim.engine import ExecutionEngine
+    from ..sim.soc import SoC
+    from .records import FrameRecord
 
 
 @dataclass

@@ -1,103 +1,31 @@
-"""Scenario substrate: scenes, backgrounds, scenarios, frames, datasets."""
+"""Scenario substrate: scenes, backgrounds, scenarios, frames, datasets.
 
-from .backgrounds import background, background_names, register_background
-from .dataset import DEFAULT_VALIDATION_SIZE, Sample, build_validation_set
-from .generator import CAMERA_FPS, Frame, generate_frames, render_scenario, scenario_scenes
-from .scenario import (
-    PATHS,
-    Scenario,
-    Segment,
-    all_scenarios,
-    evaluation_scenarios,
-    extended_scenarios,
-    fog_crossing_scenario,
-    long_endurance_patrol_scenario,
-    multi_pan_survey_scenario,
-    night_watch_scenario,
-    path_position,
-    register_scenario,
-    register_scenario_source,
-    registered_scenarios,
-    scenario_by_name,
-    scenario_names,
-)
+The grammar's default matrix registers as a lazy scenario source on the
+first registry lookup that reaches the sources (see
+:mod:`repro.data.scenario`), so every ``g_*`` name resolves in any
+process without ``import repro.data`` generating it.
+"""
 
-# Importing the grammar registers the default generated matrix as a lazy
-# scenario source, making every ``g_*`` name resolvable by anything that
-# imports ``repro.data`` (CLI, experiment context, workers).
-from .grammar import (
-    DEFAULT_MATRIX,
-    FAMILIES,
-    GENERATED_PREFIX,
-    REGIMES,
-    FamilySlot,
-    GrammarError,
-    Regime,
-    ScenarioMatrix,
-    ScenarioRecipe,
-    SegmentFamily,
-    default_matrix,
-    family,
-    family_names,
-    regime,
-    split_frames,
-)
-from .scene import (
-    DIFFICULTY_WEIGHTS,
-    SceneState,
-    approach_profile,
-    difficulty_components,
-    scene_difficulty,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "background",
-    "background_names",
-    "register_background",
-    "Sample",
-    "build_validation_set",
-    "DEFAULT_VALIDATION_SIZE",
-    "Frame",
-    "generate_frames",
-    "render_scenario",
-    "scenario_scenes",
-    "CAMERA_FPS",
-    "Scenario",
-    "Segment",
-    "evaluation_scenarios",
-    "extended_scenarios",
-    "all_scenarios",
-    "night_watch_scenario",
-    "fog_crossing_scenario",
-    "multi_pan_survey_scenario",
-    "long_endurance_patrol_scenario",
-    "scenario_by_name",
-    "scenario_names",
-    "register_scenario",
-    "register_scenario_source",
-    "registered_scenarios",
-    "path_position",
-    "PATHS",
-    # grammar
-    "DEFAULT_MATRIX",
-    "FAMILIES",
-    "REGIMES",
-    "GENERATED_PREFIX",
-    "FamilySlot",
-    "GrammarError",
-    "Regime",
-    "ScenarioMatrix",
-    "ScenarioRecipe",
-    "SegmentFamily",
-    "default_matrix",
-    "family",
-    "family_names",
-    "regime",
-    "split_frames",
-    # scene
-    "SceneState",
-    "scene_difficulty",
-    "difficulty_components",
-    "approach_profile",
-    "DIFFICULTY_WEIGHTS",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "backgrounds": ("background", "background_names", "register_background"),
+    "dataset": ("Sample", "build_validation_set", "DEFAULT_VALIDATION_SIZE"),
+    "generator": ("Frame", "generate_frames", "render_scenario", "scenario_scenes", "CAMERA_FPS"),
+    "scenario": (
+        "Scenario", "Segment", "evaluation_scenarios", "extended_scenarios", "all_scenarios",
+        "night_watch_scenario", "fog_crossing_scenario", "multi_pan_survey_scenario",
+        "long_endurance_patrol_scenario", "scenario_by_name", "scenario_names",
+        "register_scenario", "register_scenario_source", "registered_scenarios",
+        "path_position", "PATHS",
+    ),
+    "grammar": (
+        "DEFAULT_MATRIX", "FAMILIES", "REGIMES", "GENERATED_PREFIX", "FamilySlot",
+        "GrammarError", "Regime", "ScenarioMatrix", "ScenarioRecipe", "SegmentFamily",
+        "default_matrix", "family", "family_names", "regime", "split_frames",
+    ),
+    "scene": (
+        "SceneState", "scene_difficulty", "difficulty_components", "approach_profile",
+        "DIFFICULTY_WEIGHTS",
+    ),
+})

@@ -30,9 +30,10 @@ name *and* every content fingerprint — which is what lets generated
 scenarios flow through ``scenario_by_name``, the CLI ``sweep``, the trace
 store, and the experiment runner exactly like hand-written ones.
 
-The :data:`default matrix <DEFAULT_MATRIX>` is registered as a lazy
-scenario source on import, so ``scenario_by_name("g_...")`` works anywhere
-``repro.data`` is imported.
+The :data:`default matrix <DEFAULT_MATRIX>` registers as a lazy scenario
+source when this module is imported, which the scenario registry does on
+its first lookup that reaches the sources, so ``scenario_by_name("g_...")``
+works in any process.
 """
 
 from __future__ import annotations
@@ -536,9 +537,10 @@ class ScenarioMatrix:
 def default_matrix() -> ScenarioMatrix:
     """The canonical generated library: 144 flights over all six families.
 
-    Registered as a lazy scenario source on import of :mod:`repro.data`,
-    so every ``g_dm_*`` name resolves in any process; the differential
-    fuzz harness (:mod:`repro.verify`) sweeps seeded samples of it in CI.
+    Registered as a lazy scenario source on the scenario registry's first
+    source lookup, so every ``g_dm_*`` name resolves in any process; the
+    differential fuzz harness (:mod:`repro.verify`) sweeps seeded samples
+    of it in CI.
     """
     return ScenarioMatrix(
         name="dm",

@@ -417,15 +417,29 @@ def all_scenarios() -> list[Scenario]:
 # (the grammar's default matrix, custom :class:`ScenarioMatrix` grids)
 # become first-class: expansion is deferred until the first name lookup and
 # cached, so importing the package never pays for generating hundreds of
-# scenarios nobody asked for.  Because sources are pure functions of code
-# and seeds, every process resolves the same name to a scenario with the
-# same content fingerprint — the property the trace store relies on.
+# scenarios nobody asked for.  The grammar's default matrix registers on
+# the first lookup that reaches the sources (:func:`_sources`), so a
+# process that resolves only built-in names never imports the grammar.
+# Because sources are pure functions of code and seeds, every process
+# resolves the same name to a scenario with the same content fingerprint
+# — the property the trace store relies on.
 
 ScenarioSource = Callable[[], Iterable[Scenario]]
 
 _REGISTRY: dict[str, Scenario] = {}
 _SOURCES: list[ScenarioSource] = []
 _SOURCE_CACHE: dict[int, dict[str, Scenario]] = {}
+
+
+def _sources() -> list[ScenarioSource]:
+    """Every registered source, the grammar's default matrix first.
+
+    :mod:`.grammar` registers the default matrix when it is imported;
+    the first call imports it.
+    """
+    from . import grammar  # noqa: F401 - the import registers the default matrix
+
+    return _SOURCES
 
 
 @functools.cache
@@ -452,7 +466,7 @@ def register_scenario(scenario: Scenario, replace: bool = False) -> None:
     """
     if scenario.name in _builtin_by_name():
         raise ValueError(f"scenario {scenario.name!r} shadows a built-in scenario")
-    for source in _SOURCES:
+    for source in _sources():
         if scenario.name in _expanded_source(source):
             raise ValueError(
                 f"scenario {scenario.name!r} shadows a source-generated scenario"
@@ -464,8 +478,9 @@ def register_scenario(scenario: Scenario, replace: bool = False) -> None:
 
 def register_scenario_source(source: ScenarioSource) -> None:
     """Register a lazy bulk source of scenarios (expanded once, on demand)."""
-    if source not in _SOURCES:
-        _SOURCES.append(source)
+    sources = _sources()
+    if source not in sources:
+        sources.append(source)
 
 
 def _expanded_source(source: ScenarioSource) -> dict[str, Scenario]:
@@ -487,7 +502,7 @@ def registered_scenarios() -> list[Scenario]:
     """Every runtime-registered scenario: explicit entries, then sources."""
     scenarios = list(_REGISTRY.values())
     seen = {s.name for s in scenarios}
-    for source in _SOURCES:
+    for source in _sources():
         for name, scenario in _expanded_source(source).items():
             if name not in seen:
                 seen.add(name)
@@ -521,7 +536,7 @@ def scenario_by_name(name: str) -> Scenario:
     registered = _REGISTRY.get(name)
     if registered is not None:
         return registered
-    for source in _SOURCES:
+    for source in _sources():
         scenario = _expanded_source(source).get(name)
         if scenario is not None:
             return scenario

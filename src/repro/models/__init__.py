@@ -1,32 +1,13 @@
 """Simulated object-detection model zoo."""
 
-from .detector import (
-    SCENE_NOISE_SIGMA,
-    ContextId,
-    DetectionOutcome,
-    SceneBatch,
-    detect,
-    detect_batch,
-    shared_scene_noise,
-)
-from .families import SSD_FAMILY, YOLO_FAMILY, paper_specs
-from .spec import ConfidenceCalibration, ModelSpec, SkillCurve
-from .zoo import ModelZoo, default_zoo
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "DetectionOutcome",
-    "SceneBatch",
-    "detect",
-    "detect_batch",
-    "shared_scene_noise",
-    "ContextId",
-    "SCENE_NOISE_SIGMA",
-    "paper_specs",
-    "YOLO_FAMILY",
-    "SSD_FAMILY",
-    "ModelSpec",
-    "SkillCurve",
-    "ConfidenceCalibration",
-    "ModelZoo",
-    "default_zoo",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "detector": (
+        "DetectionOutcome", "SceneBatch", "detect", "detect_batch", "shared_scene_noise",
+        "ContextId", "SCENE_NOISE_SIGMA",
+    ),
+    "families": ("paper_specs", "YOLO_FAMILY", "SSD_FAMILY"),
+    "spec": ("ModelSpec", "SkillCurve", "ConfidenceCalibration"),
+    "zoo": ("ModelZoo", "default_zoo"),
+})

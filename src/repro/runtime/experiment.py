@@ -5,7 +5,7 @@ figures, every CLI command, the serving tiers — funnels through
 :class:`ExperimentRunner`; only the differential checks call the scalar
 :func:`~repro.runtime.runner.run_policy` loop directly, as the reference
 the executor is compared against.  It owns the trace tier (a fingerprint-keyed
-:class:`~repro.runtime.trace.TraceCache`, optionally backed by an on-disk
+:class:`~repro.runtime.tracecache.TraceCache`, optionally backed by an on-disk
 :class:`~repro.runtime.store.TraceStore`) and the process pool, so callers
 get three things for free:
 
@@ -35,19 +35,22 @@ a single :class:`~repro.sim.soc.SoC` instance reset before each run.
 from __future__ import annotations
 
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Callable, Sequence
+from typing import TYPE_CHECKING
 
-from ..data.scenario import Scenario
 from ..models.zoo import ModelZoo, default_zoo
 from ..sim.soc import SoC, xavier_nx_with_oakd
 from .metrics import RunMetrics, aggregate
-from ..core.policy import Policy
-from ..core.records import RunResult
 from .runner import run_policy
 from .runstore import RunKey, RunStore
 from .store import TraceStore
-from .trace import ScenarioTrace, TraceCache
+from .tracecache import TraceCache
+
+if TYPE_CHECKING:
+    from ..core.policy import Policy
+    from ..core.records import RunResult
+    from ..data.scenario import Scenario
+    from .trace import ScenarioTrace
 
 SocLike = SoC | Callable[[], SoC] | None
 
@@ -329,6 +332,8 @@ class ExperimentRunner:
             self.build_traces(missing_scenarios)
 
             if parallel_runs and workers > 1:
+                from concurrent.futures import ProcessPoolExecutor
+
                 run_store_root = (
                     str(self.run_store.root) if self.run_store is not None else None
                 )

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
-from ..sim.engine import ExecutionEngine, PlannedExecutionEngine
+from typing import TYPE_CHECKING
+
 from ..sim.soc import SoC, xavier_nx_with_oakd
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import RunResult
-from .trace import ScenarioTrace
+
+if TYPE_CHECKING:
+    from .trace import ScenarioTrace
 
 
 def run_policy(
@@ -28,6 +31,10 @@ def run_policy(
     (reference) path — ``repro.verify.differential``'s ``fastrun`` check
     proves it per scenario.
     """
+    # The engine loads with the first run: a process whose cells are all
+    # run-store hits never imports it.
+    from ..sim.engine import ExecutionEngine, PlannedExecutionEngine
+
     if soc is None:
         soc = xavier_nx_with_oakd()
     soc.reset()

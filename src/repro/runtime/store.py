@@ -52,14 +52,18 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from pathlib import Path
-from typing import ClassVar, TypeVar
+from typing import TYPE_CHECKING, ClassVar, TypeVar
 
-from ..data.scenario import Scenario
-from ..models.detector import DetectionOutcome
-from ..models.zoo import ModelZoo
 from ..vision.bbox import BoundingBox
 from . import colfmt, iolayer, maintenance, shards
-from .trace import ScenarioTrace
+
+# The trace builder and the detector load when a trace is decoded, so a
+# process whose runs are all run-store hits never imports them.
+if TYPE_CHECKING:
+    from ..data.scenario import Scenario
+    from ..models.detector import DetectionOutcome
+    from ..models.zoo import ModelZoo
+    from .trace import ScenarioTrace
 
 SCHEMA_VERSION = 1
 
@@ -136,6 +140,8 @@ def _validate_trace_payload(payload: dict, scenario: Scenario, zoo: ModelZoo) ->
 
 def _outcomes_from_rows(rows_by_model: dict) -> dict[str, list[DetectionOutcome]]:
     """Rebuild per-model :class:`DetectionOutcome` lists from compact rows."""
+    from ..models.detector import DetectionOutcome
+
     try:
         outcomes: dict[str, list[DetectionOutcome]] = {}
         for model, rows in rows_by_model.items():
@@ -163,6 +169,8 @@ def trace_from_dict(payload: dict, scenario: Scenario, zoo: ModelZoo) -> Scenari
     persisted outcomes; frames stay lazy (rendered deterministically on
     first access), so outcome-only consumers never pay for pixels.
     """
+    from .trace import ScenarioTrace
+
     _validate_trace_payload(payload, scenario, zoo)
     try:
         rows_by_model = payload["outcomes"]
@@ -363,6 +371,7 @@ class TraceStore(EntryStore):
             return None
         meta = header.get("meta") if isinstance(header.get("meta"), dict) else {}
         _validate_trace_payload(meta, scenario, zoo)
+        from .trace import ScenarioTrace
 
         def load_outcomes() -> dict[str, list[DetectionOutcome]]:
             buffer = iolayer.read_bytes(path, root=root, map=True)

@@ -22,7 +22,7 @@ thousands of frames per scenario).  Two engines keep it fast:
 Because outcomes depend only on the latent scene state — never on rendered
 pixels — the model sweep can additionally fan out across worker processes
 while the parent renders frames: pass ``max_workers`` to
-:meth:`ScenarioTrace.build` or :class:`TraceCache`.  Workers only pay off
+:meth:`ScenarioTrace.build` or the trace cache.  Workers only pay off
 once each carries enough model-frames to amortize process startup and
 scene pickling; below :data:`MIN_MODEL_FRAMES_PER_WORKER` per worker the
 build silently falls back to fewer workers (or serial), so a parallel
@@ -30,20 +30,19 @@ build is never slower than a serial one.
 
 Frames are **lazy**: a trace loaded from the on-disk store (or a worker
 that only reads outcomes) never renders pixels; the first ``.frames``
-access renders on demand.  :class:`TraceCache` is the one way a trace is
-acquired: it keys by the scenario's content fingerprint (never by
-name/length, which collide), can back onto an on-disk
-:class:`~repro.runtime.store.TraceStore` so repeated invocations skip the
-build entirely, and is safe to share between threads.
+access renders on demand.  :class:`~repro.runtime.tracecache.TraceCache`
+is the one way a trace is acquired: it keys by the scenario's content
+fingerprint (never by name/length, which collide), can back onto an
+on-disk :class:`~repro.runtime.store.TraceStore` so repeated invocations
+skip the build entirely, and imports this module only when it has to
+build.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from collections.abc import Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
-from typing import TYPE_CHECKING
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -54,9 +53,6 @@ from ..models.detector import DetectionOutcome, SceneBatch, detect_batch
 from ..models.spec import ModelSpec
 from ..models.zoo import ModelZoo
 from ..vision.ncc import box_ncc, stacked_ncc
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
-    from .store import TraceStore
 
 # Fewer model-frames per worker than this and process startup + scene
 # pickling outweigh the batched sweep itself; the build then uses fewer
@@ -315,163 +311,3 @@ class ScenarioTrace:
         if self._frames is not None:
             return len(self._frames)
         return self.scenario.total_frames
-
-
-class TraceCache:
-    """The one trace acquisition path: memory, then store, then build.
-
-    Keys are :meth:`~repro.data.scenario.Scenario.fingerprint` digests —
-    two scenarios that merely share a name and frame count never collide.
-    An optional :class:`~repro.runtime.store.TraceStore` adds an on-disk
-    tier: misses load from disk before building, and fresh builds persist
-    for the next process.  ``builds`` counts actual (expensive) builds and
-    ``store_hits`` counts traces loaded from the store, so callers can
-    verify reuse.
-
-    The cache is safe to share between threads.  Acquisition is
-    single-flight: the first caller to miss a scenario loads or builds
-    it, and every concurrent caller for the same scenario waits for that
-    one result.  :meth:`get` renders frames before it publishes a trace,
-    so concurrent runs never race to render.  ``max_size`` bounds the memo
-    (materialized frames dominate a long-lived service's footprint):
-    past it the oldest completed traces are dropped and reload from the
-    store on next use; ``0`` keeps nothing beyond the acquisitions in
-    flight, ``None`` keeps everything.
-    """
-
-    def __init__(
-        self,
-        zoo: ModelZoo,
-        store: "TraceStore | None" = None,
-        max_workers: int | None = None,
-        *,
-        max_size: int | None = None,
-    ) -> None:
-        if max_size is not None and max_size < 0:
-            raise ValueError("max_size must be non-negative (or None for unbounded)")
-        self.zoo = zoo
-        self.store = store
-        self.max_workers = max_workers
-        self.max_size = max_size
-        self._lock = threading.Lock()  # repro: guards[_traces, builds, store_hits]
-        self._traces: dict[str, Future] = {}
-        self.builds = 0
-        self.store_hits = 0
-
-    def get(self, scenario: Scenario) -> ScenarioTrace:
-        """Return the trace for ``scenario``: memory, then disk, then build."""
-        (trace,) = self._get([scenario], render=True)
-        return trace
-
-    def get_all(self, scenarios: Sequence[Scenario]) -> list[ScenarioTrace]:
-        """Every scenario's trace, in order; the missing ones built in one fan-out.
-
-        Scenarios in memory or in the store are never rebuilt, and traces
-        loaded from the store stay lazy (a warm-up whose runs happen in
-        other processes never renders).  The rest build together:
-        serially, or — given ``max_workers`` and enough volume — as
-        (scenario, model-chunk) tasks on one process pool while this
-        thread renders frames (see :func:`_pool_build`).
-        """
-        return self._get(scenarios, render=False)
-
-    def _get(self, scenarios: Sequence[Scenario], render: bool) -> list[ScenarioTrace]:
-        fingerprints = [scenario.fingerprint() for scenario in scenarios]
-        futures: dict[str, Future] = {}
-        owned: dict[str, tuple[Scenario, Future]] = {}
-        with self._lock:
-            for fingerprint, scenario in zip(fingerprints, scenarios, strict=True):
-                if fingerprint in futures:
-                    continue
-                future = self._traces.get(fingerprint)
-                if future is None:
-                    future = self._traces[fingerprint] = Future()
-                    owned[fingerprint] = (scenario, future)
-                futures[fingerprint] = future
-        if owned:
-            self._acquire(owned, render)
-        return [futures[fingerprint].result() for fingerprint in fingerprints]
-
-    def _acquire(self, owned: dict[str, tuple[Scenario, Future]], render: bool) -> None:
-        """Load or build every owned scenario and publish it to its waiters."""
-        try:
-            missing: list[str] = []
-            for fingerprint, (scenario, future) in owned.items():
-                trace = self.store.load(scenario, self.zoo) if self.store is not None else None
-                if trace is None:
-                    missing.append(fingerprint)
-                    continue
-                with self._lock:
-                    self.store_hits += 1
-                if render:
-                    _ = trace.frames  # render once, before any consumer
-                self._publish(fingerprint, future, trace)
-            built = self._build([owned[fingerprint][0] for fingerprint in missing])
-            for fingerprint, trace in zip(missing, built, strict=True):
-                with self._lock:
-                    self.builds += 1
-                if self.store is not None:
-                    self.store.save(trace, self.zoo)
-                self._publish(fingerprint, owned[fingerprint][1], trace)
-        except BaseException as exc:
-            # Fail every waiter, and forget the unfinished entries so a
-            # later call retries instead of inheriting this failure.
-            unfinished = [(fp, future) for fp, (_, future) in owned.items() if not future.done()]
-            with self._lock:
-                for fingerprint, future in unfinished:
-                    if self._traces.get(fingerprint) is future:
-                        del self._traces[fingerprint]
-            for _, future in unfinished:
-                future.set_exception(exc)
-            raise
-
-    def _build(self, scenarios: list[Scenario]) -> Iterator[ScenarioTrace]:
-        """Fresh traces for ``scenarios``, in order, fanned out when it pays.
-
-        The same guards as :meth:`ScenarioTrace.build`; tasks can span
-        scenarios, so the granularity cap is models x scenarios.
-        """
-        models = len(self.zoo)
-        workers = _effective_workers(
-            self.max_workers,
-            models * len(scenarios),
-            models * sum(scenario.total_frames for scenario in scenarios),
-        )
-        if workers > 1 and len(scenarios) > 1:
-            return _pool_build(scenarios, self.zoo, workers)
-        return (
-            ScenarioTrace.build(scenario, self.zoo, max_workers=self.max_workers)
-            for scenario in scenarios
-        )
-
-    def _publish(self, fingerprint: str, future: Future, trace: ScenarioTrace) -> None:
-        future.set_result(trace)
-        with self._lock:
-            self._evict_locked(keep=fingerprint)
-
-    def _evict_locked(self, keep: str) -> None:
-        """Hold the memo to ``max_size``; ``keep`` is the trace just published.
-
-        Oldest *completed* entries other than ``keep`` go first
-        (insertion order); entries still being acquired are never
-        dropped.  Results are unaffected either way — traces are pure
-        functions of their scenario.
-        """
-        if self.max_size is None:
-            return
-        if self.max_size == 0:
-            self._traces.pop(keep, None)
-            return
-        while len(self._traces) > self.max_size:
-            victim = next(
-                (key for key, future in self._traces.items()
-                 if key != keep and future.done()),
-                None,
-            )
-            if victim is None:
-                break  # everything else is still being acquired
-            del self._traces[victim]
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)

@@ -66,14 +66,7 @@ def policy_resolver(
     """
 
     def resolve(spec: str) -> Policy:
-        from ..baselines import (
-            MarlinPolicy,
-            SingleModelPolicy,
-            oracle_accuracy,
-            oracle_energy,
-            oracle_latency,
-        )
-
+        # Each spec imports only the module of the policy it builds.
         if spec == "shift":
             if bundle is None:
                 raise ServiceError(
@@ -83,17 +76,18 @@ def policy_resolver(
             from ..core import ShiftPipeline, config_for_objective
 
             return ShiftPipeline(bundle, config=config_for_objective(objective), graph=graph)
-        if spec == "marlin":
-            return MarlinPolicy("yolov7")
-        if spec == "marlin-tiny":
-            return MarlinPolicy("yolov7-tiny")
-        if spec == "oracle-e":
-            return oracle_energy()
-        if spec == "oracle-a":
-            return oracle_accuracy()
-        if spec == "oracle-l":
-            return oracle_latency()
+        if spec in ("marlin", "marlin-tiny"):
+            from ..baselines import MarlinPolicy
+
+            return MarlinPolicy("yolov7" if spec == "marlin" else "yolov7-tiny")
+        if spec in ("oracle-e", "oracle-a", "oracle-l"):
+            from ..baselines import oracle_accuracy, oracle_energy, oracle_latency
+
+            return {"oracle-e": oracle_energy, "oracle-a": oracle_accuracy,
+                    "oracle-l": oracle_latency}[spec]()
         if spec.startswith("single:"):
+            from ..baselines import SingleModelPolicy
+
             _, _, rest = spec.partition(":")
             model, _, accel = rest.partition("@")
             return SingleModelPolicy(model, accel or "gpu")

@@ -11,7 +11,7 @@ over a bounded worker pool:
   job is one ``.col`` header probe, which a thread does concurrently
   just fine (the probe releases no meaningful compute);
 * **processes** carry cold trace builds — a miss routes through the
-  shared :class:`~repro.runtime.trace.TraceCache` with the service's
+  shared :class:`~repro.runtime.tracecache.TraceCache` with the service's
   ``trace_workers``, which fans the per-model detection sweeps across a
   process pool exactly like the runner does (and collapses to serial on
   small builds or small machines, see
@@ -55,7 +55,7 @@ from ..runtime.iolayer import StoreDegraded
 from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tracing.py patches it here
 from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
-from ..runtime.trace import TraceCache
+from ..runtime.tracecache import TraceCache
 from .jobs import ServiceBusy, ServiceError, SweepRequest, UnitJob, decompose, validate_specs
 from .jobs import policy_resolver as default_policy_resolver
 

@@ -20,7 +20,7 @@ Crash semantics, in order of the failure points:
   probe hits, and it completes the record without executing anything:
   exactly the at-most-once-*in-effect* contract.
 
-Worker *processes* run through :func:`main` (``python -m repro work``).
+Worker *processes* run through :func:`run` (``python -m repro work``).
 The in-process form (threads + :class:`WorkerKilled`) exists for the
 fault harness (:mod:`repro.verify.faults`), which simulates SIGKILL by
 raising through the drain loop with no cleanup, and for the ``faults``
@@ -44,8 +44,7 @@ from ..runtime.iolayer import StoreDegraded
 from ..runtime.runner import run_policy  # noqa: F401 - re-export: perfbench/tracing.py patches it here
 from ..runtime.runstore import RunStore
 from ..runtime.store import TraceStore
-from ..runtime.trace import TraceCache
-from ..util.argtypes import finite_positive_float
+from ..runtime.tracecache import TraceCache
 from .jobs import ServiceError, shift_bundle_resolver
 from .jobs import policy_resolver as default_policy_resolver
 from .queue import JobQueue, Lease
@@ -312,29 +311,6 @@ class QueueWorker:
 # ------------------------------------------------------------ process entry
 
 
-def configure_parser(parser: argparse.ArgumentParser) -> None:
-    """Register the worker-process options (shared by ``repro work``)."""
-    parser.add_argument("queue_dir", help="shared on-disk job queue directory")
-    parser.add_argument("--run-store", required=True, metavar="DIR",
-                        help="run store DIR (mandatory: idempotent commits live here)")
-    parser.add_argument("--trace-store", default=None, metavar="DIR")
-    parser.add_argument("--worker-id", default=None,
-                        help="stable worker identity (default: worker-<pid>)")
-    parser.add_argument("--lease", type=finite_positive_float, default=30.0,
-                        help="duration in seconds of each lease this worker claims or "
-                             "renews; expiry reads the deadline each lease carries "
-                             "(default 30)")
-    parser.add_argument("--idle", action="store_true",
-                        help="keep polling an empty queue instead of exiting on drain "
-                             "(long-lived fleets behind 'repro serve --http')")
-    parser.add_argument("--shift-bundle", default=None, metavar="FILE",
-                        help="characterization bundle JSON enabling the 'shift' policy spec")
-    parser.add_argument("--objective", default="paper",
-                        help="knob preset for shift policies (default: paper)")
-    parser.add_argument("--fault-plan", default=None, metavar="FILE",
-                        help="JSON fault plan (repro.verify.faults); kills are real SIGKILL")
-
-
 def run(args: argparse.Namespace) -> int:
     """Build one worker process from parsed args and drain the queue.
 
@@ -403,9 +379,3 @@ def run(args: argparse.Namespace) -> int:
             _signal.signal(signum, handler)
     return 0
 
-
-def main(argv: list[str] | None = None) -> int:
-    """``python -m repro work QUEUE_DIR``: one worker process, exit 0 on drain."""
-    parser = argparse.ArgumentParser(prog="repro work")
-    configure_parser(parser)
-    return run(parser.parse_args(argv))

@@ -1,46 +1,16 @@
 """Hardware substrate: the simulated Xavier NX + OAK-D platform."""
 
-from .accelerator import Accelerator
-from .clock import VirtualClock
-from .engine import ExecutionEngine, InferenceRecord, LoadRecord, PlannedExecutionEngine
-from .memory import MemoryPool, OutOfMemoryError
-from .power import EnergyMeter, EnergySample
-from .profiles import (
-    IDLE_POWER_W,
-    AcceleratorClass,
-    LoadCost,
-    PerfPoint,
-    has_profile,
-    load_cost,
-    paper_model_names,
-    perf_point,
-    register_profile,
-    supported_classes,
-)
-from .soc import SoC, gpu_only_soc, xavier_nx_with_oakd
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "Accelerator",
-    "VirtualClock",
-    "ExecutionEngine",
-    "PlannedExecutionEngine",
-    "InferenceRecord",
-    "LoadRecord",
-    "MemoryPool",
-    "OutOfMemoryError",
-    "EnergyMeter",
-    "EnergySample",
-    "AcceleratorClass",
-    "PerfPoint",
-    "LoadCost",
-    "perf_point",
-    "has_profile",
-    "load_cost",
-    "paper_model_names",
-    "supported_classes",
-    "register_profile",
-    "IDLE_POWER_W",
-    "SoC",
-    "xavier_nx_with_oakd",
-    "gpu_only_soc",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "accelerator": ("Accelerator",),
+    "clock": ("VirtualClock",),
+    "engine": ("ExecutionEngine", "PlannedExecutionEngine", "InferenceRecord", "LoadRecord"),
+    "memory": ("MemoryPool", "OutOfMemoryError"),
+    "power": ("EnergyMeter", "EnergySample"),
+    "profiles": (
+        "AcceleratorClass", "PerfPoint", "LoadCost", "perf_point", "has_profile", "load_cost",
+        "paper_model_names", "supported_classes", "register_profile", "IDLE_POWER_W",
+    ),
+    "soc": ("SoC", "xavier_nx_with_oakd", "gpu_only_soc"),
+})

@@ -9,78 +9,23 @@ invariants all have to agree before a scenario counts as healthy.  See
 ``python -m repro verify`` and the CI ``fuzz-smoke`` job.
 """
 
-from .differential import (
-    CHECKS,
-    CheckResult,
-    ScenarioReport,
-    check_detect_equality,
-    check_fast_run_equivalence,
-    check_fault_tolerance,
-    check_fs_fault_tolerance,
-    check_render_equality,
-    check_run_invariants,
-    check_service_equivalence,
-    check_store_roundtrip,
-    check_trace_invariants,
-    default_fast_run_policy_factories,
-    verify_scenario,
-)
-from .faults import (
-    FAULT_KINDS,
-    FaultEvent,
-    FaultHooks,
-    FaultOutcome,
-    FaultPlan,
-    ProcessFaultHooks,
-    fault_plan_for_check,
-    run_fault_sweep,
-)
-from .fsfaults import (
-    FsFaultOutcome,
-    fs_fault_plan_for_check,
-    run_fsfault_sweep,
-)
-from .fuzz import (
-    DEFAULT_SAMPLE,
-    SCENARIOS_ENV,
-    FuzzReport,
-    default_sample_count,
-    fuzz_matrix,
-    fuzz_scenarios,
-    sample_matrix,
-)
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "CHECKS",
-    "CheckResult",
-    "ScenarioReport",
-    "check_render_equality",
-    "check_detect_equality",
-    "check_store_roundtrip",
-    "check_trace_invariants",
-    "check_run_invariants",
-    "check_fast_run_equivalence",
-    "check_service_equivalence",
-    "check_fault_tolerance",
-    "check_fs_fault_tolerance",
-    "default_fast_run_policy_factories",
-    "verify_scenario",
-    "FAULT_KINDS",
-    "FaultEvent",
-    "FaultHooks",
-    "FaultOutcome",
-    "FaultPlan",
-    "ProcessFaultHooks",
-    "fault_plan_for_check",
-    "run_fault_sweep",
-    "FsFaultOutcome",
-    "fs_fault_plan_for_check",
-    "run_fsfault_sweep",
-    "DEFAULT_SAMPLE",
-    "SCENARIOS_ENV",
-    "FuzzReport",
-    "default_sample_count",
-    "fuzz_matrix",
-    "fuzz_scenarios",
-    "sample_matrix",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "differential": (
+        "CHECKS", "CheckResult", "ScenarioReport", "check_render_equality",
+        "check_detect_equality", "check_store_roundtrip", "check_trace_invariants",
+        "check_run_invariants", "check_fast_run_equivalence", "check_service_equivalence",
+        "check_fault_tolerance", "check_fs_fault_tolerance", "default_fast_run_policy_factories",
+        "verify_scenario",
+    ),
+    "faults": (
+        "FAULT_KINDS", "FaultEvent", "FaultHooks", "FaultOutcome", "FaultPlan",
+        "ProcessFaultHooks", "fault_plan_for_check", "run_fault_sweep",
+    ),
+    "fsfaults": ("FsFaultOutcome", "fs_fault_plan_for_check", "run_fsfault_sweep"),
+    "fuzz": (
+        "DEFAULT_SAMPLE", "SCENARIOS_ENV", "FuzzReport", "default_sample_count", "fuzz_matrix",
+        "fuzz_scenarios", "sample_matrix",
+    ),
+})

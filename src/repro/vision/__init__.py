@@ -1,53 +1,17 @@
 """Vision primitives: boxes, IoU, NMS, NCC, rendering, and tracking."""
 
-from .bbox import (
-    BoundingBox,
-    center_distance,
-    enclosing_box,
-    iou,
-    mean_iou,
-    success_rate,
-)
-from .ncc import box_ncc, crop, frame_similarity, ncc, resize_nearest, stacked_ncc
-from .nms import (
-    DEFAULT_CONFIDENCE_THRESHOLD,
-    DEFAULT_IOU_THRESHOLD,
-    ScoredBox,
-    best_detection,
-    non_max_suppression,
-)
-from .rendering import (
-    DEFAULT_FRAME_SIZE,
-    BackgroundStyle,
-    frame_difference_energy,
-    render_frame,
-    render_segment_frames,
-)
-from .tracker import TemplateTracker, TrackResult
+from ..util.lazy import lazy_exports
 
-__all__ = [
-    "BoundingBox",
-    "center_distance",
-    "enclosing_box",
-    "iou",
-    "mean_iou",
-    "success_rate",
-    "ncc",
-    "stacked_ncc",
-    "crop",
-    "resize_nearest",
-    "box_ncc",
-    "frame_similarity",
-    "ScoredBox",
-    "non_max_suppression",
-    "best_detection",
-    "DEFAULT_IOU_THRESHOLD",
-    "DEFAULT_CONFIDENCE_THRESHOLD",
-    "BackgroundStyle",
-    "render_frame",
-    "render_segment_frames",
-    "frame_difference_energy",
-    "DEFAULT_FRAME_SIZE",
-    "TemplateTracker",
-    "TrackResult",
-]
+__all__, __getattr__, __dir__ = lazy_exports(__name__, {
+    "bbox": ("BoundingBox", "center_distance", "enclosing_box", "iou", "mean_iou", "success_rate"),
+    "ncc": ("ncc", "stacked_ncc", "crop", "resize_nearest", "box_ncc", "frame_similarity"),
+    "nms": (
+        "ScoredBox", "non_max_suppression", "best_detection", "DEFAULT_IOU_THRESHOLD",
+        "DEFAULT_CONFIDENCE_THRESHOLD",
+    ),
+    "rendering": (
+        "BackgroundStyle", "render_frame", "render_segment_frames", "frame_difference_energy",
+        "DEFAULT_FRAME_SIZE",
+    ),
+    "tracker": ("TemplateTracker", "TrackResult"),
+})

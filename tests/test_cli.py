@@ -221,6 +221,26 @@ class TestCommands:
         assert main(FAST + ["sweep", "marlin-tiny", "--scenarios", "s99_missing"]) == 2
         assert "known scenarios" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, error", [
+        (["sweep", "shift", "--scenarios", "nonexistent"], "unknown scenario 'nonexistent'"),
+        (["sweep", "shift,bogus", "--scenarios", "s1_multi_background_varying_distance"],
+         "unknown policy 'bogus'"),
+        (["run", "shift", "nonexistent"], "unknown scenario 'nonexistent'"),
+    ], ids=["sweep-scenario", "sweep-policy", "run-scenario"])
+    def test_a_typo_is_refused_before_the_offline_phase(self, tmp_path, capsys, argv, error):
+        store = tmp_path / "traces"
+        assert main(FAST + ["--trace-store", str(store), *argv]) == 2
+        assert error in capsys.readouterr().err
+        assert sorted(store.rglob("*.col")) == []
+
+    def test_sweep_keeps_the_policy_order_it_was_given(self, capsys):
+        code = main(FAST + ["sweep", "single:yolov7-tiny@gpu,shift,marlin-tiny",
+                            "--scenarios", "s3_indoor_close_wall"])
+        assert code == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if " average " in line]
+        assert rows == ["single:yolov7-tiny@gpu", "shift", "marlin:yolov7-tiny"]
+
     def test_sweep_without_policies_or_jobs(self, capsys):
         assert main(FAST + ["sweep"]) == 2
         assert "POLICIES" in capsys.readouterr().err
