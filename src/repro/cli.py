@@ -11,7 +11,7 @@ Usage (after ``pip install -e .``)::
     python -m repro --run-store runs serve jobs.json --procs 2   # crash-safe processes
     python -m repro serve --http 8080            # the same requests over HTTP/JSON
     python -m repro work QUEUE --run-store runs  # one queue worker process
-    python -m repro queue QUEUE --list           # inspect / repair the job queue
+    python -m repro queue QUEUE --list           # inspect the job queue
     python -m repro --run-store runs store scrub          # re-verify every entry
     python -m repro --run-store runs store gc --apply     # reclaim expired artifacts
     python -m repro scenarios --generated        # flight library + grammar matrix
@@ -563,7 +563,7 @@ def _cmd_queue(args: argparse.Namespace) -> int:
 
 
 def _cmd_store(args: argparse.Namespace) -> int:
-    """Self-healing store maintenance: scrub / gc / repair over existing roots.
+    """Self-healing store maintenance: scrub / gc over existing roots.
 
     Targets come from the global ``--trace-store`` / ``--run-store``
     options plus ``--queue``; each named root is maintained in turn.  A
@@ -574,10 +574,8 @@ def _cmd_store(args: argparse.Namespace) -> int:
     along when it has one.  ``gc`` is dry-run by default — it *reports*
     what a real pass would reclaim (quarantined entries, stale temps,
     dead job records past the TTL) and deletes only under ``--apply``.
-    ``repair`` heals the job queue's claim index, the one index there is,
-    so it needs ``--queue`` and maintains that root alone.  ``scrub``
-    exits non-zero when it had to quarantine something, so a cron'd scrub
-    doubles as an integrity alarm; ``repair`` and ``gc`` exit zero on
+    ``scrub`` exits non-zero when it had to quarantine something, so a
+    cron'd scrub doubles as an integrity alarm; ``gc`` exits zero on
     success.
     """
     from pathlib import Path
@@ -588,15 +586,10 @@ def _cmd_store(args: argparse.Namespace) -> int:
     from .runtime.store import TraceStore
     from .service.queue import JobQueue
 
-    if args.action == "repair" and not args.queue:
-        print("store repair heals a job queue's claim index (the stores keep no "
-              "index): give --queue DIR", file=sys.stderr)
-        return 2
-    stores = [] if args.action == "repair" else [
+    roots = [(label, path, opener) for label, path, opener in (
         ("traces", args.trace_store, TraceStore), ("runs", args.run_store, RunStore),
-    ]
-    roots = [(label, path, opener) for label, path, opener
-             in (*stores, ("queue", args.queue, JobQueue)) if path]
+        ("queue", args.queue, JobQueue),
+    ) if path]
     if not roots:
         print("store maintenance needs at least one root: --trace-store DIR, "
               "--run-store DIR (global options), or --queue DIR", file=sys.stderr)
@@ -620,15 +613,12 @@ def _cmd_store(args: argparse.Namespace) -> int:
             for problem in report.problems:
                 print(f"  {problem}")
             quarantined += report.quarantined
-        elif args.action == "gc":
+        else:
             report = store.gc(ttl_seconds=args.ttl, dry_run=not args.apply)
             print(f"{label}: {report.summary()}")
             if not args.apply and report.paths:
                 print(f"  (dry run; pass --apply to reclaim "
                       f"{report.bytes_reclaimed} bytes)")
-        else:  # repair: the queue is the only target
-            report = store.repair()
-            print(f"{label}: {report.summary()}")
         if iolayer.is_degraded(store.root):
             print(f"{label}: root is DEGRADED (read-only): "
                   f"{iolayer.degraded_reason(store.root)}", file=sys.stderr)
@@ -872,7 +862,7 @@ def build_parser() -> argparse.ArgumentParser:
     work_cmd.set_defaults(func=_cmd_work)
 
     queue_cmd = commands.add_parser(
-        "queue", help="inspect or repair an on-disk job queue")
+        "queue", help="inspect an on-disk job queue, requeue its dead letters")
     queue_cmd.add_argument("queue_dir", metavar="DIR", help="job queue directory")
     queue_cmd.add_argument("--requeue-dead", action="store_true",
                            help="move dead-lettered jobs back to pending with fresh attempts")
@@ -881,11 +871,10 @@ def build_parser() -> argparse.ArgumentParser:
     queue_cmd.set_defaults(func=_cmd_queue)
 
     store_cmd = commands.add_parser(
-        "store", help="self-healing store maintenance: scrub, gc (TTL), repair")
-    store_cmd.add_argument("action", choices=("scrub", "gc", "repair"),
+        "store", help="self-healing store maintenance: scrub, gc (TTL)")
+    store_cmd.add_argument("action", choices=("scrub", "gc"),
                            help="scrub: re-verify every entry file + quarantine; gc: "
-                                "reclaim expired artifacts (dry-run unless --apply); "
-                                "repair: heal the --queue claim index against its records")
+                                "reclaim expired artifacts (dry-run unless --apply)")
     store_cmd.add_argument("--queue", default=None, metavar="DIR",
                            help="also maintain this job queue directory")
     store_cmd.add_argument("--ttl", type=finite_non_negative_float, default=DEFAULT_TTL_SECONDS,

@@ -14,7 +14,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "SUCCESS_IOU_THRESHOLD",
     ),
     "iolayer": ("FsFaultEvent", "FsFaultPlan", "StoreError", "StoreDegraded"),
-    "maintenance": ("ScrubReport", "GcReport", "RepairReport"),
+    "maintenance": ("ScrubReport", "GcReport"),
     "..core.policy": ("Policy", "RuntimeServices"),
     "..core.records": ("FrameRecord", "RunResult"),
     "runner": ("run_policy",),

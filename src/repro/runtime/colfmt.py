@@ -74,7 +74,7 @@ class ColumnFormatError(ValueError):
 
 #: Exceptions that mean *corrupt entry* (quarantine), as opposed to an
 #: ``OSError`` which means *unavailable entry* (miss, never quarantine).
-PARSE_ERRORS = (json.JSONDecodeError, ColumnFormatError)
+PARSE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, ColumnFormatError)
 
 
 def column_to_dict(name: str, array: np.ndarray, offset: int) -> dict:

@@ -4,8 +4,8 @@ The sweep tier survives killed workers and clock skew; this module makes
 it survive the *filesystem*.  Three ideas:
 
 **One seam.**  Every durable write in the ``runtime``, ``service`` and
-``characterization`` packages — store entries, shard indexes, queue
-records, exported metrics, characterization bundle files — goes through
+``characterization`` packages — store entries, queue records, exported
+metrics, characterization bundle files — goes through
 :func:`write_text` / :func:`write_bytes` / :func:`replace` here, the
 only temp-file + ``os.replace`` writer in ``repro``.  The
 ``locks/raw-write`` and ``locks/io-seam`` lint rules make that
@@ -22,10 +22,10 @@ one retry loop (:func:`_with_retry`) with one seeded, jittered backoff.
 schedule of ENOSPC / EIO / lost-rename / partial-write / slow-io events
 keyed by ``(operation, operation index)`` — can be armed process-wide
 (:func:`arm_fault_plan`, or the :func:`fault_plan` context manager).
-Each hook point (``write``, ``fsync``, ``replace``, ``scan``, ``read``)
-ticks a per-op counter and consults the plan, so a fault harness can
-replay the exact same disk failure schedule run after run.  The
-``fsfaults`` differential check builds on this.
+Each hook point (``write``, ``replace``, ``scan``, ``read``) ticks a
+per-op counter and consults the plan, so a fault harness can replay the
+exact same disk failure schedule run after run.  The ``fsfaults``
+differential check builds on this.
 
 **Graceful degradation.**  Transient capacity errors (ENOSPC, EDQUOT,
 EIO) are retried a bounded number of times.  A write or rename that runs
@@ -58,7 +58,7 @@ from pathlib import Path
 from typing import TypeVar
 
 #: Hook points a fault event can target.
-FS_OPS = ("write", "fsync", "replace", "scan", "read")
+FS_OPS = ("write", "replace", "scan", "read")
 
 #: Injectable failure kinds.
 FS_FAULT_KINDS = ("enospc", "eio", "lost_rename", "partial_write", "slow_io")
@@ -388,10 +388,6 @@ def _write_once(path: Path, data: str | bytes) -> Path:
         mode, encoding = ("wb", None) if binary else ("w", "utf-8")
         with open(tmp, mode, encoding=encoding) as handle:  # repro: allow[locks/raw-write]
             handle.write(payload)
-            # Hook point only: the stores are rename-durable by design
-            # (a torn final file is impossible; a lost recent write is
-            # recomputable), so no real fsync is issued on the hot path.
-            _maybe_fault("fsync", path)
         event = _maybe_fault("replace", path)
         if event is not None and event.kind == "lost_rename":
             tmp.unlink(missing_ok=True)
@@ -490,12 +486,13 @@ def _replace_once(src: Path, dst: Path) -> None:
 
 
 def replace(src: str | Path, dst: str | Path, *, root: str | Path | None = None) -> None:
-    """Atomic same-filesystem rename through the seam (quarantine moves).
+    """Atomic same-filesystem rename through the seam.
 
-    A rename allocates no data blocks, so this is the tool quarantine
-    moves use even under ENOSPC, and it keeps its full retry budget on a
-    degraded root; the fault hooks still apply (a plan can lose or fail
-    the rename), and exhausted retries degrade the root like a write.
+    Quarantine moves and the job queue's state renames use it.  A rename
+    allocates no data blocks, so quarantine moves work even under
+    ENOSPC, and it keeps its full retry budget on a degraded root; the
+    fault hooks still apply (a plan can lose or fail the rename), and
+    exhausted retries degrade the root like a write.
     """
     src = Path(src)
     dst = Path(dst)

@@ -1,10 +1,10 @@
-"""Self-healing store maintenance: scrub, audit, GC, and queue index repair.
+"""Self-healing store maintenance: scrub, audit and GC.
 
 Quarantined entries, dead-letter jobs, and stale temp files are all
 *evidence* the moment they appear — and garbage a week later.  This
 module is the generic maintenance engine the trace, run, and bundle
 stores and the job queue all wire up through one mixin,
-:class:`MaintainedRoot` (``repro store scrub|gc|repair`` on the CLI):
+:class:`MaintainedRoot` (``repro store scrub|gc`` on the CLI):
 
 ``scrub`` — :func:`scrub_entries`
     Re-verify every entry *file* in every shard under its shard lock: it
@@ -22,19 +22,9 @@ stores and the job queue all wire up through one mixin,
     Dry-run by default, with byte accounting either way, so operators see
     what a real pass would reclaim before deleting anything.
 
-``repair`` — :func:`repair_entries`
-    The job queue's alone: the stores keep no index, so only the queue's
-    claim index can drift from its records.  Repair drops *ghosts*
-    (indexed but missing on disk — e.g. a lost rename that was still
-    indexed), re-indexes *orphans* (on disk but not indexed — e.g. a
-    record whose index write hit a full disk), quarantines orphans that
-    do not parse, and rewrites every meta that no longer matches its
-    record.
-
-All three are metamorphic no-ops for servable data: a scrub+gc+repair
-pass leaves every entry a reader could successfully load bit-identical
-(the test suite proves this).  They only touch corrupt, expired, or
-drifted artifacts.
+Both are metamorphic no-ops for servable data: a scrub+gc pass leaves
+every entry a reader could successfully load bit-identical (the test
+suite proves this).  They only touch corrupt or expired artifacts.
 """
 
 from __future__ import annotations
@@ -86,25 +76,6 @@ class GcReport:
             f"gc {self.root}: {verb} {self.bytes_reclaimed} bytes "
             f"({self.quarantine_removed} quarantined, {self.temps_removed} temps, "
             f"{self.entries_removed} entries); {self.skipped_young} younger than TTL"
-        )
-
-
-@dataclass
-class RepairReport:
-    """What one repair pass healed."""
-
-    root: str
-    ghosts_dropped: int = 0
-    orphans_indexed: int = 0
-    quarantined: int = 0
-    metas_rewritten: int = 0
-
-    def summary(self) -> str:
-        return (
-            f"repair {self.root}: {self.ghosts_dropped} ghost index records dropped, "
-            f"{self.orphans_indexed} orphan entries re-indexed, "
-            f"{self.quarantined} unparseable orphans quarantined, "
-            f"{self.metas_rewritten} stale index records rewritten"
         )
 
 
@@ -288,7 +259,7 @@ def _collect_entry_locked(
     try:
         payload = colfmt.load_entry_payload(path, root=root)
     except (OSError, *colfmt.PARSE_ERRORS):
-        return False  # scrub/repair territory, not GC's
+        return False  # scrub territory, not GC's
     if not isinstance(payload, dict) or not collect(payload):
         return False
     if now - mtime < ttl:
@@ -299,54 +270,6 @@ def _collect_entry_locked(
     report.bytes_reclaimed += size
     report.paths.append(str(path.relative_to(root)))
     return True
-
-
-def repair_entries(root: Path, pattern: str, meta_for: Callable[[dict], dict]) -> RepairReport:
-    """Heal index↔disk drift: drop ghosts, re-index orphans, refresh metas.
-
-    ``meta_for(payload)`` is the index block a record should have.  Runs
-    shard by shard under the shard lock, rewriting each index at most
-    once.  Orphans that fail to *parse* are quarantined; an indexed entry
-    that fails to parse is left to scrub; entries that fail to *read*
-    (transient I/O) are skipped for a later pass — repair must not
-    destroy an entry on the evidence of a flaky disk.
-    """
-    report = RepairReport(root=str(root))
-    for shard in shards.shard_dirs(root):
-        with shards.shard_lock(shard):
-            indexed = shards.read_index(shard)
-            on_disk = [
-                p.name for p in shards.scan_or_empty(shard, pattern, root) if ".tmp" not in p.name
-            ]
-            ghosts = sorted(set(indexed) - set(on_disk))
-            for name in ghosts:
-                del indexed[name]
-            report.ghosts_dropped += len(ghosts)
-            changed = bool(ghosts)
-            for name in on_disk:
-                try:
-                    payload = colfmt.load_entry_payload(shard / name, root=root)
-                except colfmt.PARSE_ERRORS:
-                    payload = None
-                except OSError:  # repro: allow[exceptions/swallow] unavailable is not provably corrupt: skip for a later pass
-                    continue
-                if not isinstance(payload, dict):
-                    if name not in indexed:
-                        shards.quarantine_entry_locked(root, shard, name)
-                        report.quarantined += 1
-                    continue
-                meta = meta_for(payload)
-                if indexed.get(name) == meta:
-                    continue
-                if name in indexed:
-                    report.metas_rewritten += 1
-                else:
-                    report.orphans_indexed += 1
-                indexed[name] = meta
-                changed = True
-            if changed:
-                shards.write_index_locked(shard, indexed)
-    return report
 
 
 class MaintainedRoot:

@@ -15,22 +15,19 @@ digest (scenario fingerprint for traces, run-key digest for runs).
 Contention and directory size split 256 ways; a shard is the unit of
 locking.
 
-**Entry files are the store.**  A store shard holds its entry files and
+**Entry files are the store.**  A shard holds its entry files and
 nothing else: every load is addressed by path and validates the entry's
-own header, and scrub and audit walk the files.  Only the job queue
-keeps a per-shard ``index.json`` — its claim index, mapping each record
-to its state and due times (:mod:`repro.service.queue`).  Removals and
-quarantines drop the entry's record from a shard index when the shard
-has one, so that index never lists a file that is gone; store saves,
-loads and audits never open one.
+own header, and scrub and audit walk the files.  The job queue keeps no
+index either: a record's file name shows its terminal state
+(:mod:`repro.service.queue`).
 
 **Advisory locks.**  All mutations (entry writes, removals, quarantine,
 stale-temp cleanup) happen under an ``fcntl`` advisory lock on the
 shard's ``.lock`` file, so concurrent writers serialize per shard and a
-queue index update can never lose a racing writer's record.  Readers
-never need the lock: entry writes stay atomic (temp file +
-``os.replace``), so a reader sees either the old complete file or the
-new complete one.
+queue transition's write and rename can never interleave with a racing
+writer's.  Readers never need the lock: entry writes stay atomic (temp
+file + ``os.replace``), so a reader sees either the old complete file or
+the new complete one.
 
 **Crash consistency.**  A writer killed mid-write leaves ``*.tmp*`` files
 behind; :func:`clean_stale_temps` removes them under the shard locks at
@@ -53,14 +50,12 @@ silently dropped.
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
 from collections.abc import Iterator
 
-from ..util import jsonsafe
 from . import colfmt, iolayer
 
 try:  # pragma: no cover - always available on the supported platforms
@@ -70,9 +65,6 @@ except ImportError:  # pragma: no cover - non-POSIX fallback: in-process only
 
 # Hex chars of the content digest that name an entry's shard (256 shards).
 SHARD_PREFIX_CHARS = 2
-
-INDEX_NAME = "index.json"
-INDEX_SCHEMA_VERSION = 1
 
 #: Corrupt entries are moved here (under the store root), never deleted:
 #: torn bytes are evidence, and a rename works even on a full disk.
@@ -151,44 +143,14 @@ def shard_lock(shard: Path) -> Iterator[None]:
             handle.close()
 
 
-def read_index(shard: Path) -> dict[str, dict]:
-    """A queue shard's index entries (``{}`` for a missing or unreadable index).
-
-    An unreadable index never blocks the queue — record files are the
-    ground truth; the index is regenerated entry-by-entry as writes land.
-    """
-    path = shard / INDEX_NAME
-    try:
-        payload = json.loads(iolayer.read_text(path, root=shard.parent))
-    except (OSError, json.JSONDecodeError):
-        return {}
-    if not isinstance(payload, dict) or payload.get("schema_version") != INDEX_SCHEMA_VERSION:
-        return {}
-    entries = payload.get("entries")
-    return entries if isinstance(entries, dict) else {}
-
-
-def write_index_locked(shard: Path, entries: dict[str, dict]) -> None:
-    """Rewrite a shard's index wholesale (callers hold the shard lock).
-
-    The job queue's transitions and repair passes hold the entry map in
-    memory and commit it in one atomic write.
-    """
-    text = jsonsafe.dumps(
-        {"schema_version": INDEX_SCHEMA_VERSION, "entries": entries},
-        sort_keys=True,
-    )
-    write_entry_locked(shard, INDEX_NAME, text)
-
-
 def write_entry_locked(shard: Path, name: str, data: str | bytes) -> Path:
     """Replace one file in ``shard`` atomically (callers hold the shard lock).
 
     Temp file + ``os.replace`` through the I/O seam, so readers never see
-    a torn file even without the lock.  Multi-step paths (the queue's
-    record + index transitions) hold one lock acquisition across several
-    writes; re-entering :func:`shard_lock` per write would deadlock on
-    the per-path thread mutex (it is not reentrant).
+    a torn file even without the lock.  Multi-step paths (a queue
+    transition's write and rename) hold one lock acquisition across
+    both steps; re-entering :func:`shard_lock` per step would deadlock
+    on the per-path thread mutex (it is not reentrant).
     """
     # `shard.parent` IS the root: shards are its direct children, so
     # degraded-mode accounting lands on the store, not the shard.
@@ -198,23 +160,12 @@ def write_entry_locked(shard: Path, name: str, data: str | bytes) -> Path:
 
 
 def remove_entry_locked(shard: Path, name: str) -> bool:
-    """Delete one entry file and its index record; True if the file existed."""
+    """Delete one entry file; True if it existed."""
     path = shard / name
     existed = path.exists()
     if existed:
         path.unlink()
-    _drop_index_record_locked(shard, name)
     return existed
-
-
-def _drop_index_record_locked(shard: Path, name: str) -> None:
-    """Drop ``name`` from the shard's index, when the shard has one listing it."""
-    if not (shard / INDEX_NAME).exists():
-        return
-    entries = read_index(shard)
-    if name in entries:
-        del entries[name]
-        write_index_locked(shard, entries)
 
 
 def quarantine_corrupt_entry(root: Path, shard: Path, name: str) -> bool:
@@ -254,7 +205,7 @@ def quarantine_corrupt_entry(root: Path, shard: Path, name: str) -> bool:
 
 
 def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
-    """Move one entry into ``root/_quarantine`` and drop its index record.
+    """Move one entry into ``root/_quarantine``.
 
     For callers already holding the shard lock.  The move is a same-
     filesystem rename (allocates no data blocks, so it works under
@@ -272,7 +223,6 @@ def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
         except (OSError, iolayer.StoreError):
             iolayer.record_io_error(root)
             path.unlink(missing_ok=True)
-    _drop_index_record_locked(shard, name)
     return existed
 
 

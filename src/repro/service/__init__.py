@@ -32,9 +32,9 @@ Front-ends: ``python -m repro serve JOBS.json [--procs N]`` and ``python
 :class:`SweepService`, or with ``--procs`` a :class:`QueueBackend` and its
 :class:`WorkerSupervisor` fleet, and reads rows through that backend's
 handles), ``python -m repro work QUEUE_DIR`` (one worker process),
-``python -m repro queue`` (inspection/repair), the synthetic load
-generator ``scripts/loadgen.py`` (in-process service soundness), and the
-stdlib client ``scripts/sweep_client.py``.
+``python -m repro queue`` (inspection, dead-letter requeue), the
+synthetic load generator ``scripts/loadgen.py`` (in-process service
+soundness), and the stdlib client ``scripts/sweep_client.py``.
 
 Names are imported on first access (PEP 562): a queue worker process
 loads the queue and worker modules, not the HTTP front-end.

@@ -23,15 +23,16 @@ stalls past its deadline and then tries to complete loses the
 compare-and-swap (its nonce is gone) and its late commit is ignored at
 the queue layer.
 
-**Claim index.**  Each shard's ``index.json`` carries every record's
-state, ``not_before`` and lease ``deadline`` (:func:`job_index_meta`),
-rewritten with each transition under the same shard lock.  A claim reads
-one index per shard it visits and re-reads only the records that index
-shows as due or does not list, so its cost does not grow with the
-number of done jobs.  The record stays the only truth: readers trust an
-index entry only when it shows a terminal state, and one write-order
-rule keeps that safe — an index may show a terminal record as live, but
-never a live record as terminal (:meth:`JobQueue._store_locked`).
+**A shard is its files.**  A live (pending or leased) record sits at
+``job-v1-<digest32>.json``; when it turns ``done`` or ``dead`` it is
+renamed, under the shard lock, to ``job-v1-<digest32>.done.json`` or
+``.dead.json`` — Maildir's idea: a message's state is where its file
+name puts it.  Every reader lists a shard once and takes a terminal name
+as the record's state without reading it, so a claim reads only live
+records and its cost does not grow with the number of finished jobs.
+One write-order rule keeps names safe to trust: a name may show a
+terminal record as live, never a live record as terminal
+(:meth:`JobQueue._store_locked`).
 
 **At-most-once in effect.**  The queue itself guarantees only
 at-*least*-once execution — a lease can expire while the worker is still
@@ -64,7 +65,7 @@ from collections.abc import Callable, Iterator
 
 from ..data.scenario import Scenario, scenario_from_dict, scenario_to_dict
 from ..util import jsonsafe
-from ..runtime import colfmt, iolayer, maintenance, shards
+from ..runtime import iolayer, maintenance, shards
 from ..runtime.iolayer import StoreDegraded
 from .jobs import ServiceError, UnitJob
 
@@ -73,8 +74,9 @@ QUEUE_SCHEMA_VERSION = 1
 #: Every state a job record can be in.
 JOB_STATES = ("pending", "leased", "done", "dead")
 
-#: States a reader may take from a shard index without re-reading the
-#: record: the write-order rule never shows a live record as terminal.
+#: States a record's file name can show.  A reader takes them from the
+#: name without reading the record: the write order never shows a live
+#: record as terminal.
 TERMINAL_STATES = ("done", "dead")
 
 #: Most recent transitions kept per record (oldest dropped first).
@@ -88,8 +90,24 @@ def job_digest(policy_spec: str, scenario_fingerprint: str) -> str:
     ).hexdigest()
 
 
-def _job_file_name(digest: str) -> str:
-    return f"job-v{QUEUE_SCHEMA_VERSION}-{digest[:32]}.json"
+def _job_file_name(digest: str, state: str | None = None) -> str:
+    """A job record's file name: the live one, or the one that shows ``state``."""
+    return _state_name(f"job-v{QUEUE_SCHEMA_VERSION}-{digest[:32]}", state)
+
+
+def _state_name(name: str, state: str | None) -> str:
+    """``name`` (any of one record's names, or their stem) as it shows ``state``.
+
+    Only a terminal state shows: a live record's name has no state part.
+    """
+    stem = name.split(".", 1)[0]
+    return f"{stem}.{state}.json" if state in TERMINAL_STATES else f"{stem}.json"
+
+
+def _name_state(name: str) -> str | None:
+    """The terminal state a record's file name shows; None for a live name."""
+    state = name.removesuffix(".json").rpartition(".")[2]
+    return state if state in TERMINAL_STATES else None
 
 
 def job_to_dict(job: UnitJob, engine_seed: int, max_attempts: int) -> dict:
@@ -118,53 +136,6 @@ def job_to_dict(job: UnitJob, engine_seed: int, max_attempts: int) -> dict:
     }
 
 
-def job_index_meta(record: dict) -> dict:
-    """The block a shard index records for one job entry.
-
-    Identity plus the claim index: ``state``, ``not_before`` and the
-    lease ``deadline`` (None unless leased), rewritten with every
-    transition, so a claim can skip entries that are not due yet.
-    """
-    lease = record.get("lease")
-    return {
-        "job_id": record.get("job_id"),
-        "policy_spec": record.get("policy_spec"),
-        "scenario_name": record.get("scenario_name"),
-        "scenario_fingerprint": record.get("scenario_fingerprint"),
-        "state": record.get("state"),
-        "not_before": record.get("not_before"),
-        "deadline": lease.get("deadline") if isinstance(lease, dict) else None,
-    }
-
-
-def _shown_state(meta: object) -> object:
-    """The state one index entry shows (None for a malformed entry)."""
-    return meta.get("state") if isinstance(meta, dict) else None
-
-
-def _index_due(meta: object, now: float) -> bool:
-    """Whether a claim must re-read the record behind one index entry.
-
-    Only terminal entries and live ones that are not due yet (pending
-    before ``not_before``, leased before its ``deadline``) are skipped;
-    a due, unknown or malformed entry is re-read.
-    """
-    state = _shown_state(meta)
-    if state in TERMINAL_STATES:
-        return False
-    due_field = {"pending": "not_before", "leased": "deadline"}.get(state)
-    due_at = meta.get(due_field) if due_field is not None else None
-    return not isinstance(due_at, (int, float)) or due_at <= now
-
-
-def _index_hides_work(meta: object, record: dict) -> str | None:
-    """The audit's drift check: the one drift that hides work from claims."""
-    shown = _shown_state(meta)
-    if shown in TERMINAL_STATES and record.get("state") not in TERMINAL_STATES:
-        return f"index shows {shown} but the record is {record.get('state')} (hidden from claims)"
-    return None
-
-
 def _job_names(shard: Path) -> list[str]:
     """The job record files in ``shard``, sorted (in-flight temps excluded)."""
     try:
@@ -174,9 +145,22 @@ def _job_names(shard: Path) -> list[str]:
     return sorted(name for name in names if name.startswith("job-") and name.endswith(".json"))
 
 
+def _record_name(shard: Path, job_id: str) -> str | None:
+    """The name one job's record has in ``shard``, or None when it has none.
+
+    One atomic rename moves a record between its names, so it has at
+    most one.
+    """
+    for state in (None, *TERMINAL_STATES):
+        name = _job_file_name(job_id, state)
+        if (shard / name).exists():
+            return name
+    return None
+
+
 def _digest_from_name(name: str) -> str | None:
     """The shard digest encoded in a job record file name, or None."""
-    parts = name[: -len(".json")].split("-") if name.endswith(".json") else []
+    parts = name.split(".", 1)[0].split("-")
     return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
 
 
@@ -185,7 +169,9 @@ def _scrub_problem(name: str, record: dict) -> str | None:
 
     Recomputes the job digest from the identity block — a record whose
     spec/fingerprint was torn into another record's slot cannot pass —
-    and requires a known state plus an executable scenario block.
+    and requires a known state plus an executable scenario block.  A
+    name that shows a terminal state the record is not in is the one
+    drift that hides work from claims.
     """
     if record.get("schema_version") != QUEUE_SCHEMA_VERSION:
         return f"schema_version {record.get('schema_version')!r} != {QUEUE_SCHEMA_VERSION}"
@@ -198,8 +184,11 @@ def _scrub_problem(name: str, record: dict) -> str | None:
     digest = job_digest(spec, fingerprint)
     if record.get("job_id") != digest:
         return "job_id does not match recomputed digest"
-    if _job_file_name(digest) != name:
+    shown = _name_state(name)
+    if _job_file_name(digest, shown) != name:
         return "file name does not match recomputed digest"
+    if shown not in (None, record["state"]):
+        return f"file name shows {shown} but the record is {record['state']}"
     if not isinstance(record.get("scenario"), dict):
         return "scenario block missing (record is not executable)"
     return None
@@ -245,12 +234,11 @@ def _lease_of(record: dict) -> Lease:
 class JobQueue(maintenance.MaintainedRoot):
     """A sharded on-disk queue of unit jobs with lease/heartbeat semantics.
 
-    All records live under ``root/<2-hex>/job-v1-<digest32>.json`` — the
-    same shard/lock/atomic-write discipline as the trace and run stores
-    (:mod:`repro.runtime.shards`), so any number of processes can enqueue,
-    claim, and complete concurrently; health, scrub and gc come from
-    :class:`~repro.runtime.maintenance.MaintainedRoot`, while audit and
-    repair are the claim index's own.
+    All records live under ``root/<2-hex>/job-v1-<digest32>[.done|.dead].json``
+    — the same shard/lock/atomic-write discipline as the trace and run
+    stores (:mod:`repro.runtime.shards`), so any number of processes can
+    enqueue, claim, and complete concurrently; health, audit, scrub and
+    gc come from :class:`~repro.runtime.maintenance.MaintainedRoot`.
     ``lease_duration`` is the crash detection horizon; ``max_attempts``
     bounds retries before a job is dead-lettered; backoff between retries
     is ``min(cap, base * 2**(n-1))`` scaled by seeded jitter in
@@ -362,23 +350,17 @@ class JobQueue(maintenance.MaintainedRoot):
     def enqueue(self, job: UnitJob, *, engine_seed: int = 1234) -> bool:
         """Persist one unit job; True when newly added.
 
-        Idempotent: an existing record (whatever its state — a done job
-        stays done, which is what makes re-submitting a warm sweep free)
-        is left untouched.  An unreadable record is replaced: a torn
+        Idempotent: a record under any of the job's names (whatever its
+        state — a done job stays done, which is what makes re-submitting
+        a warm sweep free) is left untouched, and so is one that exists
+        but cannot be read (the seam counted the error; unavailable is
+        not missing).  A torn record is quarantined and replaced: a torn
         queue file must never wedge its job forever.
         """
         record = job_to_dict(job, engine_seed, self.max_attempts)
-        created = False
-
-        def mutate(payload: dict | None) -> dict | None:
-            nonlocal created
-            if payload is not None:
-                return None  # already queued (any state): leave it alone
-            created = True
-            return record
-
-        self._update(record["job_id"], mutate)
-        return created
+        return self._update(
+            record["job_id"], lambda held: record if held is None else None
+        ) is not None
 
     def enqueue_all(self, jobs: list[UnitJob], *, engine_seed: int = 1234) -> int:
         """Enqueue a batch (dedup included); returns how many were new."""
@@ -399,14 +381,14 @@ class JobQueue(maintenance.MaintainedRoot):
         """Try to lease one runnable job; None when nothing is claimable.
 
         Walks the shard ring from this owner's resume point: the shard of
-        its last grant while that shard still had due work, else the one
-        after it (a first claim starts at an owner-derived offset, so
-        workers spread over the ring).  Each visited shard costs one
-        index read; under its lock only the records the index shows as
-        due or does not list are re-read, and an overdue lease among them
-        is expired on the way — crash recovery is a side effect of normal
-        claiming, no reaper process needed.  The shard list is cached and
-        re-listed only when a walk finishes a full ring without a grant.
+        its last grant while that shard still had live records, else the
+        one after it (a first claim starts at an owner-derived offset, so
+        workers spread over the ring).  Each visited shard is listed
+        once; under its lock only its live-named records are read, and an
+        overdue lease among them is expired on the way — crash recovery
+        is a side effect of normal claiming, no reaper process needed.
+        The shard list is cached and re-listed only when a walk finishes
+        a full ring without a grant.
         ``None`` means *right now*: jobs backing off or leased elsewhere
         may become claimable later, so workers poll until :meth:`drained`.
 
@@ -430,7 +412,7 @@ class JobQueue(maintenance.MaintainedRoot):
                 walked.add(shard.name)
                 try:
                     with shards.shard_lock(shard):
-                        lease, due_left = self._claim_in_shard_locked(shard, owner, now)
+                        lease, live_left = self._claim_in_shard_locked(shard, owner, now)
                 except StoreDegraded:
                     # A record write hit a full disk: the record on disk is
                     # unchanged (atomic replace never landed), so no lease
@@ -440,7 +422,7 @@ class JobQueue(maintenance.MaintainedRoot):
                     return None
                 if lease is not None:
                     with self._state:
-                        self._resume[owner] = (shard.name, not due_left)
+                        self._resume[owner] = (shard.name, not live_left)
                     return lease
             if listed:
                 break  # this ring was just listed: there is nothing newer to walk
@@ -470,19 +452,15 @@ class JobQueue(maintenance.MaintainedRoot):
     def _claim_in_shard_locked(
         self, shard: Path, owner: str, now: float
     ) -> tuple[Lease | None, bool]:
-        """Grant the first due job in one shard: ``(lease, due work left)``.
+        """Grant the first due job in one shard: ``(lease, live records left)``.
 
-        One index read; the records it shows as due or does not list are
-        re-read in name order, an overdue lease among them is expired,
-        and an entry whose meta drifted from its record is healed.
+        Reads the live-named records in name order: an overdue lease
+        among them is expired, and a terminal record still at its live
+        name (a retire whose rename failed) gets its terminal name.
         """
-        index = shards.read_index(shard)
-        due = [
-            name for name in _job_names(shard)
-            if name not in index or _index_due(index[name], now)
-        ]
-        for position, name in enumerate(due):
-            record = self._read_record_locked(shard, name, index)
+        live = [name for name in _job_names(shard) if _name_state(name) is None]
+        for position, name in enumerate(live):
+            record = self._read_record_locked(shard, name)
             if record is None:
                 continue
             changed = self._tick_locked(record, now)
@@ -501,13 +479,13 @@ class JobQueue(maintenance.MaintainedRoot):
                 self._log_transition(record, "leased", f"claimed by {owner}", now)
                 changed = True
             if changed:
-                self._store_locked(shard, name, record, index)
+                self._store_locked(shard, name, record)
             else:
-                self._heal_locked(shard, name, record, index)
+                self._settle_locked(shard, name, record)
             if grantable:
                 with self._state:
                     self.claims_granted += 1
-                return _lease_of(record), position + 1 < len(due)
+                return _lease_of(record), position + 1 < len(live)
         return None, False
 
     def _tick_locked(self, record: dict, now: float) -> bool:
@@ -676,8 +654,8 @@ class JobQueue(maintenance.MaintainedRoot):
         so a lease that migrated to a new owner is never touched.
         """
         released = 0
-        for meta, path in self._scan():
-            if _shown_state(meta) in TERMINAL_STATES:
+        for shown, path in self._scan():
+            if shown is not None:
                 continue
             record = self._load(path) or {}
             held = record.get("lease")
@@ -706,7 +684,7 @@ class JobQueue(maintenance.MaintainedRoot):
 
     def requeue_dead(self) -> int:
         """Return every dead-lettered job to pending with a fresh attempt
-        budget (the ``audit --repair`` analogue for the queue); count requeued."""
+        budget; count requeued.  Reads every record not named ``done``."""
 
         def revive(record: dict, now: float) -> bool:
             if record["state"] != "dead":
@@ -754,27 +732,26 @@ class JobQueue(maintenance.MaintainedRoot):
     def _sweep(self, skip: tuple[str, ...], step: Callable[[dict, float], bool]) -> int:
         """Apply ``step(record, now)`` to every record, shard by shard under lock.
 
-        Records whose index entry shows a state in ``skip`` are not read;
-        a True ``step`` (it changed the record) is written as a
-        transition, otherwise a drifted meta is healed.  Returns how many
-        records were written.
+        Records whose name shows a state in ``skip`` are not read; a True
+        ``step`` (it changed the record) is written as a transition,
+        otherwise a terminal record still at its live name gets its
+        terminal name.  Returns how many records were written.
         """
         now = self._now()
         written = 0
         for shard in shards.shard_dirs(self.root):
             with shards.shard_lock(shard):
-                index = shards.read_index(shard)
                 for name in _job_names(shard):
-                    if _shown_state(index.get(name)) in skip:
+                    if _name_state(name) in skip:
                         continue
-                    record = self._read_record_locked(shard, name, index)
+                    record = self._read_record_locked(shard, name)
                     if record is None:
                         continue
                     if step(record, now):
-                        self._store_locked(shard, name, record, index)
+                        self._store_locked(shard, name, record)
                         written += 1
                     else:
-                        self._heal_locked(shard, name, record, index)
+                        self._settle_locked(shard, name, record)
         return written
 
     # ----------------------------------------------------------- inspection
@@ -789,11 +766,11 @@ class JobQueue(maintenance.MaintainedRoot):
     def dead_letters(self) -> list[dict]:
         """Every dead-lettered record, in job-id order.
 
-        Reads only the records their shard index marks dead.
+        Reads only the records named dead.
         """
         dead = []
-        for meta, path in self._scan():
-            if _shown_state(meta) != "dead":
+        for shown, path in self._scan():
+            if shown != "dead":
                 continue
             record = self._load(path)
             if record is not None and record.get("state") == "dead":
@@ -803,16 +780,15 @@ class JobQueue(maintenance.MaintainedRoot):
     def counts(self) -> dict[str, int]:
         """Job counts by state (+ ``total``).
 
-        Done and dead entries are counted from the shard indexes (the
-        write order never shows a live record as terminal); every live
-        or unlisted record is re-read, so pending and leased counts are
-        the records' own.
+        Done and dead records are counted from their names (the write
+        order never shows a live record as terminal); every live-named
+        record is read, so pending and leased counts — and a terminal
+        record whose rename is still to come — are the records' own.
         """
         tally = {state: 0 for state in JOB_STATES}
         total = 0
-        for meta, path in self._scan():
-            state = _shown_state(meta)
-            if state not in TERMINAL_STATES:
+        for state, path in self._scan():
+            if state is None:
                 record = self._load(path)
                 if record is None:
                     continue
@@ -852,63 +828,27 @@ class JobQueue(maintenance.MaintainedRoot):
         """True when no job is pending or leased (done and dead may remain)."""
         return self.outstanding() == 0
 
-    def audit(self) -> tuple[int, list[str]]:
-        """Cross-check every shard's claim index against its record files.
-
-        Returns ``(entries_checked, problems)``: indexed records missing on
-        disk, records that do not parse, records on disk the index does
-        not list, and index entries that hide live work from claims
-        (:func:`_index_hides_work`).  A clean queue returns ``(n, [])``.
-        """
-        problems: list[str] = []
-        checked = 0
-        for shard in shards.shard_dirs(self.root):
-            indexed = shards.read_index(shard)
-            on_disk = set(_job_names(shard))
-            for name in sorted(indexed):
-                checked += 1
-                if name not in on_disk:
-                    problems.append(f"{shard.name}/{name}: indexed but missing on disk")
-                    continue
-                try:
-                    record = colfmt.load_entry_payload(shard / name, root=self.root)
-                except (OSError, *colfmt.PARSE_ERRORS) as exc:
-                    problems.append(f"{shard.name}/{name}: unreadable ({exc})")
-                    continue
-                problem = _index_hides_work(indexed[name], record)
-                if problem is not None:
-                    problems.append(f"{shard.name}/{name}: {problem}")
-            for name in sorted(on_disk - set(indexed)):
-                problems.append(f"{shard.name}/{name}: on disk but not indexed")
-        return checked, problems
-
-    def repair(self) -> maintenance.RepairReport:
-        """Heal index↔disk drift and rewrite every meta that differs from its record."""
-        return maintenance.repair_entries(self.root, self.ENTRY_GLOB, job_index_meta)
-
     # ------------------------------------------------------------- plumbing
 
-    def _scan(self) -> Iterator[tuple[object, Path]]:
-        """``(index entry, record path)`` for every record on disk, lock-free.
+    def _scan(self) -> Iterator[tuple[str | None, Path]]:
+        """``(state the name shows, record path)`` for every record, lock-free.
 
-        Index and record writes are atomic, so a reader without the lock
-        sees whole files.  The entry is None for a record its index does
-        not list.
+        Record writes and renames are atomic, so a reader without the
+        lock sees whole files.  The state is None for a live name.
         """
         for shard in shards.shard_dirs(self.root):
-            index = shards.read_index(shard)
             for name in _job_names(shard):
-                yield index.get(name), shard / name
+                yield _name_state(name), shard / name
 
     def _load(self, path: Path) -> dict | None:
         """One record; None when it is missing, unreadable or not an object.
 
-        A lock-free or compare-and-swap read: a missing or torn record is
-        simply absent here; the locked walks are what remove torn files.
+        A lock-free read: a missing or torn record is simply absent here;
+        the locked walks are what quarantine torn files.
         """
         try:
             payload = json.loads(iolayer.read_text(path, root=self.root))
-        except (OSError, json.JSONDecodeError):
+        except (OSError, json.JSONDecodeError, UnicodeDecodeError):
             return None
         return payload if isinstance(payload, dict) else None
 
@@ -917,73 +857,79 @@ class JobQueue(maintenance.MaintainedRoot):
     ) -> dict | None:
         """The one locked read-mutate-write of a single record.
 
-        ``mutate`` gets the record (None when missing or unreadable) and
-        returns the record to write, or None to leave it untouched (a
-        failed compare-and-swap).  The write is a :meth:`_store_locked`
-        transition; returns whatever ``mutate`` returned.
+        ``mutate`` gets the record under whichever name it has (None when
+        it has none, or its torn bytes were just quarantined) and returns
+        the record to write, or None to leave it untouched (a failed
+        compare-and-swap).  A record that exists but cannot be read is
+        left alone without calling ``mutate``.  The write is a
+        :meth:`_store_locked` transition; returns whatever ``mutate``
+        returned.
         """
         shard = shards.shard_dir(self.root, job_id)
-        name = _job_file_name(job_id)
         with shards.shard_lock(shard):
-            updated = mutate(self._load(shard / name))
+            name = _record_name(shard, job_id)
+            record = None if name is None else self._read_record_locked(shard, name)
+            if record is None and name is not None:
+                if (shard / name).exists():
+                    return None  # unreadable is not torn: left for a later pass
+                name = None  # torn, and now quarantined
+            updated = mutate(record)
             if updated is not None:
-                self._store_locked(shard, name, updated, shards.read_index(shard))
+                self._store_locked(shard, name or _job_file_name(job_id), updated)
             return updated
 
-    def _store_locked(self, shard: Path, name: str, record: dict, index: dict) -> None:
-        """Write one transition: the record and its index meta, in rule order.
+    def _store_locked(self, shard: Path, name: str, record: dict) -> None:
+        """Write one transition of the record at ``name``, in rule order.
 
-        The index may show a terminal record as live, never a live record
-        as terminal — the one drift that would hide work from claims.  So
-        a transition that revives an entry the index shows as terminal
-        writes the index first (and fails if either write fails).  Every
-        other transition writes the record first and is done once it
-        lands; a failed index write is left for the next reader to heal.
+        A name may show a terminal record as live, never a live record as
+        terminal — the one drift that would hide work from claims.  So a
+        revive renames the record to its live name before it writes (and
+        fails if either step fails), and a retire writes the terminal
+        record at its live name before it renames it
+        (:meth:`_settle_locked`).  Every other transition is one in-place
+        write.
         """
-        revive = (
-            _shown_state(index.get(name)) in TERMINAL_STATES
-            and record["state"] not in TERMINAL_STATES
-        )
-        index[name] = job_index_meta(record)
-        data = jsonsafe.dumps(record, sort_keys=True)
-        if revive:
-            shards.write_index_locked(shard, index)
-            shards.write_entry_locked(shard, name, data)
-        else:
-            shards.write_entry_locked(shard, name, data)
-            self._write_index_locked(shard, index)
+        if _name_state(name) not in (None, record["state"]):
+            live = _state_name(name, None)
+            iolayer.replace(shard / name, shard / live, root=self.root)
+            name = live
+        shards.write_entry_locked(shard, name, jsonsafe.dumps(record, sort_keys=True))
+        self._settle_locked(shard, name, record)
 
-    def _heal_locked(self, shard: Path, name: str, record: dict, index: dict) -> None:
-        """Rewrite one entry's meta when it drifted from its (unchanged) record."""
-        meta = job_index_meta(record)
-        if index.get(name) != meta:
-            index[name] = meta
-            self._write_index_locked(shard, index)
+    def _settle_locked(self, shard: Path, name: str, record: dict) -> None:
+        """Rename a record to the name of its own state: count a failure, never raise.
 
-    def _write_index_locked(self, shard: Path, index: dict) -> None:
-        """Write a shard index behind a landed record: count a failure, never raise."""
+        The second step of a retire; a retire whose rename failed is
+        finished by the next claim or sweep that reads the record.
+        """
+        target = _state_name(name, record["state"])
+        if target == name:
+            return
         try:
-            shards.write_index_locked(shard, index)
+            iolayer.replace(shard / name, shard / target, root=self.root)
         except StoreDegraded:  # repro: allow[exceptions/swallow] the seam counted every failed attempt
             pass
         except OSError:
             iolayer.record_io_error(self.root)
 
-    def _read_record_locked(self, shard: Path, name: str, index: dict) -> dict | None:
-        """Load one record under the held shard lock; remove torn files."""
+    def _read_record_locked(self, shard: Path, name: str) -> dict | None:
+        """Load one record under the held shard lock; quarantine torn files.
+
+        None when the record is missing, unreadable, or torn — it is not
+        UTF-8 JSON or has another schema version — which moves its bytes
+        to ``_quarantine/``.
+        """
         try:
             payload = json.loads(iolayer.read_text(shard / name, root=self.root))
-        except FileNotFoundError:
-            return None
         except OSError:
-            # Unreadable is not torn: leave the record for a later pass
-            # rather than destroying a lease on a flaky disk's evidence.
+            # Missing, or unreadable — and unreadable is not torn: leave
+            # the record for a later pass rather than destroying a lease
+            # on a flaky disk's evidence.
             return None
-        except json.JSONDecodeError:
+        except (json.JSONDecodeError, UnicodeDecodeError):
             payload = None
         if not isinstance(payload, dict) or payload.get("schema_version") != QUEUE_SCHEMA_VERSION:
-            shards.remove_entry_locked(shard, name)
-            index.pop(name, None)
+            shards.quarantine_entry_locked(self.root, shard, name)
             with self._state:
                 self.corrupt_records += 1
             return None

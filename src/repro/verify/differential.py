@@ -52,7 +52,14 @@ cross-engine correctness witness:
     runs, reject a submit beyond the admission bound with a prompt
     429 + ``Retry-After`` (never a hang), and warm re-serve the same
     rows across a full server restart with zero runs and zero trace
-    builds.
+    builds;
+``fsfaults``
+    disk-fault tolerance of the queue tier — a seeded filesystem fault
+    plan (ENOSPC, EIO, partial writes, lost renames, slow I/O) armed
+    while a fleet drains must lose no job, dead-letter none for pure
+    disk pressure, quarantine every torn entry, recover every degraded
+    root, and leave a run store bit-identical to serial execution
+    (:mod:`repro.verify.fsfaults`).
 
 Each check returns a :class:`CheckResult`; :func:`verify_scenario` runs a
 selection of them against one scenario, sharing the trace build.  The fuzz
@@ -560,7 +567,7 @@ def check_fs_fault_tolerance(
     disk pressure, torn writes quarantined and never served, no root
     still degraded after recovery, and serial bit-equality once space
     returns.  The recovery pass between drains is the documented
-    maintenance playbook (probe, scrub, repair, re-offer) exercised end
+    maintenance playbook (probe, scrub, re-offer, re-pend) exercised end
     to end.
     """
     from .fsfaults import run_fsfault_sweep

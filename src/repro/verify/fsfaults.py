@@ -23,9 +23,8 @@ degraded-mode contract:
 The recovery discipline between the faulted drain and the audit is the
 documented operational playbook, exercised end to end: probe each root
 (space returned), scrub both stores and the queue (quarantine torn
-entries), repair the queue's claim index, re-offer the job set
-idempotently, and re-pend any job whose committed effect went missing —
-then drain again on a healthy disk.
+entries), re-offer the job set idempotently, and re-pend any job whose
+committed effect went missing — then drain again on a healthy disk.
 
 Seeding, the thread-fleet drain and the audit are the shared core in
 :mod:`repro.verify.faults` (:class:`~repro.verify.faults.DrainHarness`);
@@ -135,10 +134,9 @@ def run_fsfault_sweep(
     fleet drains the queue while writes fail, tear, and vanish on
     schedule.  Phase 2 (recovery): the plan is disarmed ("space
     returned"), each root is probed, stores and queue are scrubbed, the
-    queue's claim index is repaired, the job set is re-offered
-    idempotently, jobs whose
-    committed effect is missing are re-pended, and a fresh fleet drains
-    the remainder on a healthy disk.  The returned
+    job set is re-offered idempotently, jobs whose committed effect is
+    missing are re-pended, and a fresh fleet drains the remainder on a
+    healthy disk.  The returned
     :class:`FsFaultOutcome` carries the full audit; callers assert
     :attr:`FsFaultOutcome.passed`.
     """
@@ -178,7 +176,6 @@ def run_fsfault_sweep(
         iolayer.probe(store_root)  # space returned: clear any degraded flag
     maintained = (harness.run_store, harness.trace_store, harness.master)
     outcome.corrupt_quarantined += sum(store.scrub().quarantined for store in maintained)
-    harness.master.repair()
     # Submitter idempotence: re-offering the whole set restores any job
     # record a fault destroyed outright (enqueue is a no-op otherwise).
     harness.master.enqueue_all(harness.jobs, engine_seed=engine_seed)

@@ -123,6 +123,8 @@ class TestFaultPlanShape:
         with pytest.raises(ValueError):
             FsFaultEvent(op="chmod", index=0, kind="eio")
         with pytest.raises(ValueError):
+            FsFaultEvent(op="fsync", index=0, kind="eio")  # the seam never fsyncs
+        with pytest.raises(ValueError):
             FsFaultEvent(op="write", index=-1, kind="eio")
 
 

@@ -1,14 +1,11 @@
-"""Tests for self-healing store maintenance (scrub / GC / queue repair).
+"""Tests for self-healing store maintenance (scrub / GC).
 
 The load-bearing property is metamorphic: a full scrub+gc pass over a
-healthy store, and a scrub+gc+repair pass over a healthy job queue, is a
-byte-level no-op for every servable entry — maintenance only ever
-touches corrupt, expired, or drifted artifacts.  The remaining tests pin
-each pass's one job from both sides: the broken artifact it must remove
-and the healthy twin it must leave alone.
+healthy store or job queue is a byte-level no-op for every servable
+entry — maintenance only ever touches corrupt or expired artifacts.  The
+remaining tests pin each pass's one job from both sides: the broken
+artifact it must remove and the healthy twin it must leave alone.
 """
-
-import os
 
 import pytest
 
@@ -89,7 +86,7 @@ def entry_paths(root, pattern):
 
 
 class TestMetamorphicNoOp:
-    def test_scrub_gc_repair_leave_servable_entries_bit_identical(
+    def test_scrub_and_gc_leave_servable_entries_bit_identical(
         self, tmp_path, zoo, scenarios, policies
     ):
         run_store, trace_store, keys = populate(
@@ -107,8 +104,6 @@ class TestMetamorphicNoOp:
             assert scrub.quarantined == 0 and not scrub.problems
             gc = store.gc(dry_run=False)
             assert gc.bytes_reclaimed == 0
-        repair = queue.repair()
-        assert repair.ghosts_dropped == repair.orphans_indexed == repair.metas_rewritten == 0
 
         assert tree_bytes(tmp_path / "runs") == before_runs
         assert tree_bytes(tmp_path / "traces") == before_traces
@@ -209,44 +204,6 @@ class TestGc:
         aged = run_store.gc(dry_run=False, now=fresh_now + WEEK)
         assert aged.temps_removed == 1
         assert not stale.exists()
-
-
-class TestRepair:
-    """Repair heals the job queue's claim index; the stores keep none."""
-
-    def test_repair_drops_ghosts_and_reindexes_orphans(self, tmp_path, scenarios, policies):
-        queue = populate_queue(tmp_path / "queue", scenarios, policies)
-        ghost, orphan = entry_paths(tmp_path / "queue", "job-*.json")[:2]
-        # Ghost: record vanished (lost rename) but the index still lists it.
-        os.unlink(ghost)
-        # Orphan: record on disk but its index record is gone (the index
-        # write hit a full disk).
-        with shards.shard_lock(orphan.parent):
-            index = shards.read_index(orphan.parent)
-            del index[orphan.name]
-            shards.write_index_locked(orphan.parent, index)
-        _, problems = queue.audit()
-        assert sorted(p.split(": ", 1)[1] for p in problems) == [
-            "indexed but missing on disk", "on disk but not indexed",
-        ]
-
-        report = queue.repair()
-        assert report.ghosts_dropped == 1
-        assert report.orphans_indexed == 1
-        assert report.quarantined == 0
-        assert queue.audit()[1] == []
-        assert queue.counts()["total"] == len(scenarios) * len(policies) - 1
-
-    def test_repair_quarantines_unparseable_orphans(self, tmp_path, scenarios, policies):
-        queue = populate_queue(tmp_path / "queue", scenarios, policies)
-        shard = entry_paths(tmp_path / "queue", "job-*.json")[0].parent
-        junk = shard / "job-v1-deadbeefdeadbeefdeadbeefdeadbeef.json"
-        junk.write_text('{"torn', encoding="utf-8")
-        report = queue.repair()
-        assert report.quarantined == 1
-        assert report.orphans_indexed == 0
-        assert not junk.exists()
-        assert queue.audit()[1] == []
 
 
 class TestQueueMaintenance:

@@ -101,7 +101,7 @@ class TestShardLayout:
         saved = [TraceStore(tmp_path / "t").save(trace, zoo),
                  RunStore(tmp_path / "r").save(result, key)]
         assert written == [path.name for path in saved]
-        assert not list(tmp_path.rglob(shards.INDEX_NAME))
+        assert not list(tmp_path.rglob("index.json"))
 
     def test_audit_clean_store(self, tmp_path, trace, zoo, result, key):
         tstore = TraceStore(tmp_path / "t")
@@ -162,7 +162,7 @@ class TestLegacyLayouts:
         sharded.parent.mkdir()
         sharded.write_text(jsonsafe.dumps(run_to_dict(result, key)), encoding="utf-8")
         # ... and a shard index listing an entry that is not there.
-        (sharded.parent / shards.INDEX_NAME).write_text(jsonsafe.dumps(
+        (sharded.parent / "index.json").write_text(jsonsafe.dumps(
             {"schema_version": 1, "entries": {rstore.path_for(key).name: {}}}
         ), encoding="utf-8")
 

@@ -22,7 +22,7 @@ import pytest
 from repro.data import ScenarioMatrix
 from repro.data.scenario import register_scenario, scenario_by_name
 from repro.runtime import RunStore, TraceStore
-from repro.runtime import iolayer
+from repro.runtime import iolayer, shards
 from repro.runtime.iolayer import (
     RETRY_ATTEMPTS,
     FsFaultEvent,
@@ -79,11 +79,11 @@ def enospc_everywhere(count: int = 100) -> FsFaultPlan:
     )
 
 
-def index_enospc() -> FsFaultPlan:
-    """Every attempt of the next shard-index write fails with ENOSPC."""
+def retire_rename_enospc() -> FsFaultPlan:
+    """Every attempt of the next rename onto a done or dead name fails with ENOSPC."""
     return FsFaultPlan(events=(
-        FsFaultEvent(op="write", index=0, kind="enospc", count=RETRY_ATTEMPTS,
-                     match="index.json"),
+        FsFaultEvent(op="replace", index=0, kind="enospc", count=RETRY_ATTEMPTS,
+                     match="job-*.*.json"),
     ))
 
 
@@ -155,52 +155,45 @@ class TestQueueUnderDiskPressure:
         [record] = queue.records()
         assert record["state"] == "leased" and record["attempts"] == 1
 
-    def test_grant_whose_index_write_fails_is_still_a_lease(self, tmp_path):
-        # The record lands and only the index write exhausts its retries:
-        # the grant exists on disk, so refusing it would orphan a lease
-        # that burns its attempt at expiry.
-        queue = JobQueue(tmp_path / "q", lease_duration=30.0)
-        queue.enqueue_all(one_job(), engine_seed=1234)
-
-        with iolayer.fault_plan(index_enospc()):
-            lease = queue.claim("w1")
-        assert lease is not None and lease.attempt == 1
-        assert queue.degraded_refusals == 0
-        assert queue.io_errors >= RETRY_ATTEMPTS
-        [record] = queue.records()
-        assert record["state"] == "leased" and record["lease"]["nonce"] == lease.nonce
-        assert queue.counts()["leased"] == 1
-
-        assert queue.complete(lease)
-        assert queue.counts()["done"] == 1
-        assert not queue.degraded
-        assert queue.audit()[1] == []
-
     @pytest.mark.parametrize("transition, state", [
-        ("heartbeat", "leased"), ("complete", "done"), ("fail", "pending"), ("release", "pending"),
+        ("complete", "done"), ("fail", "dead"), ("expiry", "dead"),
     ])
-    def test_transition_whose_index_write_fails_reports_success(
-        self, tmp_path, transition, state
-    ):
-        queue = JobQueue(tmp_path / "q", lease_duration=30.0, max_attempts=3)
+    def test_retire_whose_rename_fails_reports_success(self, tmp_path, transition, state):
+        # The terminal record lands at its live name and only the rename
+        # exhausts its retries: the transition happened, so it reports
+        # success, and the next claim finishes the rename.
+        now = [1000.0]
+        queue = JobQueue(tmp_path / "q", lease_duration=30.0, max_attempts=1,
+                         clock=lambda: now[0])
         queue.enqueue_all(one_job(), engine_seed=1234)
         lease = queue.claim("w1")
+
+        def expire():
+            now[0] += 31.0
+            return queue.expire_overdue() == 1
+
         act = {
-            "heartbeat": lambda: queue.heartbeat(lease) is not None,
             "complete": lambda: queue.complete(lease),
             "fail": lambda: queue.fail(lease, "boom"),
-            "release": lambda: queue.release(lease),
+            "expiry": expire,
         }[transition]
 
-        with iolayer.fault_plan(index_enospc()):
+        with iolayer.fault_plan(retire_rename_enospc()):
             assert act()
         assert queue.leases_lost == 0
         assert queue.io_errors >= RETRY_ATTEMPTS
+        [path] = shards.iter_entry_paths(queue.root, "job-*.json")
         [record] = queue.records()
-        assert record["state"] == state
-        # The stale meta is only a hint: the counts are the record's.
+        assert record["state"] == state and not path.name.endswith(f".{state}.json")
+        # A live name is only a hint: the counts are the record's.
         assert queue.counts()[state] == 1
-        assert queue.repair().metas_rewritten == 1
+
+        assert queue.claim("w2") is None
+        [path] = shards.iter_entry_paths(queue.root, "job-*.json")
+        assert path.name.endswith(f".{state}.json")
+        assert queue.counts()[state] == 1
+        assert not queue.degraded
+        assert queue.audit()[1] == []
 
     def test_enospc_inside_complete_leaves_the_lease_intact(self, tmp_path):
         queue = JobQueue(tmp_path / "q", lease_duration=30.0)

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from repro.data import ScenarioMatrix
 from repro.runtime import iolayer, shards
+from repro.runtime.iolayer import RETRY_ATTEMPTS, FsFaultEvent, FsFaultPlan
 from repro.service import (
     JOB_STATES,
     JobQueue,
@@ -24,7 +25,7 @@ from repro.service import (
     decompose,
     job_digest,
 )
-from repro.service.queue import job_index_meta
+from repro.service.queue import job_to_dict
 
 MATRIX = ScenarioMatrix(
     name="q",
@@ -67,6 +68,12 @@ def make_queue(tmp_path, clock, **kwargs):
     return JobQueue(tmp_path / "queue", clock=clock, **kwargs)
 
 
+def quarantined(queue) -> list[str]:
+    """The bytes of every file in the queue's quarantine, as text."""
+    return [path.read_text(encoding="utf-8")
+            for path in sorted((queue.root / shards.QUARANTINE_DIR).glob("*"))]
+
+
 class TestEnqueue:
     def test_enqueue_is_idempotent(self, tmp_path, jobs):
         queue = make_queue(tmp_path, FakeClock())
@@ -93,6 +100,24 @@ class TestEnqueue:
         assert queue.enqueue(jobs[0]) is True
         record = json.loads(path.read_text(encoding="utf-8"))
         assert record["state"] == "pending"
+        assert quarantined(queue) == ['{"torn']  # the torn bytes stay inspectable
+        assert queue.corrupt_records == 1
+
+    def test_a_record_that_cannot_be_read_is_left_alone(self, tmp_path, jobs):
+        # Unavailable is not missing: re-offering a done job while its
+        # record cannot be read must not reset it to pending (a leased
+        # one would be handed to a second owner the same way).
+        queue = make_queue(tmp_path, FakeClock())
+        queue.enqueue(jobs[0])
+        assert queue.complete(queue.claim("w0"))
+        eio = FsFaultPlan(events=(FsFaultEvent(
+            op="read", index=0, kind="eio", count=RETRY_ATTEMPTS, match="job-*"),))
+        with iolayer.fault_plan(eio):
+            assert queue.enqueue(jobs[0]) is False
+        assert queue.io_errors >= RETRY_ATTEMPTS
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 1, "dead": 0, "total": 1}
+        [record] = queue.records()
+        assert record["attempts"] == 1 and record["history"]
 
     def test_invalid_parameters_rejected(self, tmp_path):
         with pytest.raises(ServiceError):
@@ -207,8 +232,26 @@ class TestLeases:
         assert queue.claim("w0") is None
         assert queue.corrupt_records == 1
         assert not path.exists()  # moved aside, not served, not looping
+        assert quarantined(queue) == ["not json at all"]
         _, problems = queue.audit()
         assert problems == []
+
+    def test_a_record_that_is_not_utf8_is_quarantined(self, tmp_path, jobs):
+        queue = make_queue(tmp_path, FakeClock())
+        queue.enqueue(jobs[0])
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        path.write_bytes(b"\xff\xfe torn")
+        assert queue.counts()["total"] == 0  # skipped, not a crash
+        [problem] = queue.audit()[1]
+        assert f"{path.name}: unparseable" in problem
+        assert queue.claim("w0") is None and queue.corrupt_records == 1
+        assert not path.exists()
+        # Scrub quarantines the same bytes.
+        assert queue.enqueue(jobs[0]) is True
+        path.write_bytes(b"\xff\xfe torn")
+        assert queue.scrub().quarantined == 1
+        assert [p.read_bytes() for p in (queue.root / shards.QUARANTINE_DIR).iterdir()] == [
+            b"\xff\xfe torn"]
 
 
 class TestBackoff:
@@ -376,16 +419,21 @@ class TestRelease:
 
 
 class Killed(BaseException):
-    """A process death between the two writes of one transition."""
+    """A process death between the two steps of one transition."""
 
 
-def index_is_exact(queue) -> bool:
-    """Every record's shard-index meta equals ``job_index_meta(record)``."""
-    for path in shards.iter_entry_paths(queue.root, "job-*.json"):
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if shards.read_index(path.parent).get(path.name) != job_index_meta(record):
-            return False
-    return True
+def settled_name(record: dict) -> str:
+    """The file name a record has once its transition finished: its state's."""
+    shown = f".{record['state']}" if record["state"] in ("done", "dead") else ""
+    return f"job-v1-{record['job_id'][:32]}{shown}.json"
+
+
+def names_show_states(queue) -> bool:
+    """Every record sits at the name of its own state."""
+    return all(
+        path.name == settled_name(json.loads(path.read_text(encoding="utf-8")))
+        for path in shards.iter_entry_paths(queue.root, "job-*.json")
+    )
 
 
 def scanned_counts(queue) -> dict[str, int]:
@@ -424,8 +472,16 @@ def _aging(queue, clock, job):
     return lease
 
 
+def _last_attempt(queue, clock, job):
+    """A lease on the job's last attempt: failing or expiring dead-letters it."""
+    queue.enqueue(job)
+    for _ in range(queue.max_attempts - 1):
+        queue.fail(queue.claim("w0"), "boom")
+    return queue.claim("w0")
+
+
 def _overdue(queue, clock, job):
-    lease = _leased(queue, clock, job)
+    lease = _last_attempt(queue, clock, job)
     clock.advance(queue.lease_duration + 1.0)
     return lease
 
@@ -446,7 +502,7 @@ TRANSITIONS = {
     "claim": (_queued, lambda queue, job, lease: queue.claim("w0")),
     "heartbeat": (_aging, lambda queue, job, lease: queue.heartbeat(lease)),
     "complete": (_leased, lambda queue, job, lease: queue.complete(lease)),
-    "fail": (_leased, lambda queue, job, lease: queue.fail(lease, "boom")),
+    "fail": (_last_attempt, lambda queue, job, lease: queue.fail(lease, "boom")),
     "release": (_leased, lambda queue, job, lease: queue.release(lease)),
     "expiry": (_overdue, lambda queue, job, lease: queue.expire_overdue()),
     "requeue_dead": (_dead, lambda queue, job, lease: queue.requeue_dead()),
@@ -454,8 +510,9 @@ TRANSITIONS = {
     "repend": (_done, lambda queue, job, lease: queue.repend(job_digest(*job.key))),
 }
 
-#: Transitions that revive an entry the index shows as terminal: they
-#: write the index first.
+#: Transitions that retire a live record: write it, then rename it terminal.
+RETIRES = {"complete", "fail", "expiry"}
+#: Transitions that revive a terminal record: rename it live, then write it.
 REVIVALS = {"requeue_dead", "repend"}
 
 
@@ -463,8 +520,34 @@ def index_queue(tmp_path, clock):
     return make_queue(tmp_path, clock, backoff_base=0.0, backoff_cap=0.0)
 
 
+def write_parent_layout(root, jobs, clock) -> dict[str, str]:
+    """A queue as a claim index of shard ``index.json`` files left it.
+
+    Every record sits at its live name whatever its state, and one shard
+    keeps a stray ``index.json``.  Returns state -> job id.
+    """
+    ids = {}
+    for job, state in zip(jobs, ("done", "dead", "pending", "leased"), strict=True):
+        record = job_to_dict(job, 1234, 3)
+        record["state"] = state
+        if state != "pending":
+            record["attempts"] = 1
+        if state == "leased":
+            record["lease"] = {"owner": "gone", "nonce": "00", "granted_at": clock.now,
+                               "deadline": clock.now + 5.0}
+        shard = root / record["job_id"][:2]
+        shard.mkdir(parents=True, exist_ok=True)
+        (shard / f"job-v1-{record['job_id'][:32]}.json").write_text(
+            json.dumps(record), encoding="utf-8")
+        ids[state] = record["job_id"]
+    stray = sorted(root.iterdir())[0] / "index.json"
+    stray.write_text(json.dumps({"schema_version": 1, "entries": {}}), encoding="utf-8")
+    return ids
+
+
 class TestClaimIndex:
-    """Each shard's index is the claim index: accurate, and safe to lose."""
+    """A shard's file names are its claim index: a terminal name is the
+    record's state, and no name shows a live record as terminal."""
 
     @pytest.mark.parametrize("transition", sorted(TRANSITIONS))
     def test_index_meta_equals_the_record_after_each_transition(
@@ -474,46 +557,64 @@ class TestClaimIndex:
         queue = index_queue(tmp_path, clock)
         setup, act = TRANSITIONS[transition]
         act(queue, jobs[0], setup(queue, clock, jobs[0]))
-        assert index_is_exact(queue)
+        assert names_show_states(queue)
         queue.enqueue_all(jobs)
-        assert index_is_exact(queue)
+        assert names_show_states(queue)
 
     @pytest.mark.parametrize("transition", sorted(TRANSITIONS))
     def test_kill_between_the_two_writes_loses_no_job(
         self, tmp_path, jobs, monkeypatch, transition
     ):
-        # A transition that writes the record first is killed with only
-        # the record on disk; one that revives a terminal entry writes the
-        # index first, so its kill leaves only the index written.
+        # A retire is killed with the terminal record written at its live
+        # name; a revive with the record renamed live but not yet
+        # rewritten.  Every other transition is one in-place write, which
+        # leaves no window to kill.
         clock = FakeClock()
         queue = index_queue(tmp_path, clock)
         setup, act = TRANSITIONS[transition]
         lease = setup(queue, clock, jobs[0])
-        written: list[str] = []
-        real = iolayer.write_text
+        steps: list[str] = []
 
-        def write_text(path, text, **kwargs):
-            if written:
-                raise Killed(path)
-            written.append(path.name)
-            return real(path, text, **kwargs)
+        def step(kind, real):
+            def run(*args, **kwargs):
+                if steps:
+                    raise Killed(kind)
+                steps.append(kind)
+                return real(*args, **kwargs)
+            return run
 
-        with monkeypatch.context() as patch, pytest.raises(Killed):
-            patch.setattr(iolayer, "write_text", write_text)
-            act(queue, jobs[0], lease)
-        assert len(written) == 1
-        assert (written[0] == shards.INDEX_NAME) == (transition in REVIVALS)
+        with monkeypatch.context() as patch:
+            patch.setattr(iolayer, "write_text", step("write", iolayer.write_text))
+            patch.setattr(iolayer, "replace", step("rename", iolayer.replace))
+            try:
+                act(queue, jobs[0], lease)
+            except Killed as killed:
+                steps.append(f"killed before the {killed.args[0]}")
+        assert steps == (
+            ["write", "killed before the rename"] if transition in RETIRES
+            else ["rename", "killed before the write"] if transition in REVIVALS
+            else ["write"]
+        )
 
         survivor = index_queue(tmp_path, clock)  # a fresh process on the same root
         assert survivor.counts() == scanned_counts(survivor)
-        if transition in REVIVALS:  # the revival never landed: the operator re-runs it
+        assert survivor.audit()[1] == []
+        if transition in REVIVALS:
+            # The rename landed and the write did not: the job is still
+            # terminal, and running the revive again completes it.
+            assert survivor.drained()
             act(survivor, jobs[0], lease)
+            assert not survivor.drained()
         survivor.enqueue_all(jobs)
         drain(survivor, clock)
-        assert survivor.counts() == scanned_counts(survivor)
-        assert survivor.counts()["done"] == len(jobs)
-        _, problems = survivor.audit()
-        assert problems == []
+        counts = survivor.counts()
+        assert counts == scanned_counts(survivor)
+        dead_lettered = 1 if transition in ("fail", "expiry") else 0
+        assert counts["dead"] == dead_lettered
+        assert counts["done"] == counts["total"] - dead_lettered == len(jobs) - dead_lettered
+        # The drain's last claim read every live name: no rename is left to finish.
+        assert names_show_states(survivor)
+        assert survivor.audit()[1] == []
 
     @pytest.mark.parametrize("depth", [32, 512])
     def test_claim_reads_do_not_grow_with_depth(self, tmp_path, monkeypatch, scenarios, depth):
@@ -538,7 +639,7 @@ class TestClaimIndex:
             claims += 1
             queue.complete(lease)
         assert claims == depth
-        assert reads[0] / claims <= 3, f"{reads[0]} reads for {claims} claims"
+        assert reads[0] / claims <= 2, f"{reads[0]} reads for {claims} claims"
 
     def test_shards_are_relisted_only_after_a_fruitless_ring(
         self, tmp_path, monkeypatch, jobs
@@ -567,15 +668,15 @@ class TestClaimIndex:
         queue = index_queue(tmp_path, clock)
         queue.enqueue(jobs[0])
         [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
-        index = shards.read_index(path.parent)
-        index[path.name]["state"] = "done"
-        with shards.shard_lock(path.parent):
-            shards.write_index_locked(path.parent, index)
-        # The one drift that hides work: claims trust the terminal entry.
+        path.rename(path.with_name(path.name.replace(".json", ".done.json")))
+        # The one drift that hides work: claims trust the terminal name.
         assert queue.claim("w0") is None
+        assert queue.counts()["done"] == 1
         _, problems = queue.audit()
-        assert len(problems) == 1 and "hidden from claims" in problems[0]
-        assert queue.repair().metas_rewritten == 1
+        assert len(problems) == 1 and "shows done but the record is pending" in problems[0]
+        # Scrub quarantines the record, and re-offering the job restores it.
+        assert queue.scrub().quarantined == 1
+        assert queue.enqueue(jobs[0]) is True
         assert queue.audit()[1] == []
         assert queue.claim("w0") is not None
 
@@ -594,5 +695,49 @@ class TestClaimIndex:
             iolayer, "read_text", lambda path, **kw: read.append(path.name) or real(path, **kw)
         )
         assert [r["job_id"] for r in queue.dead_letters()] == [dead["job_id"]]
-        records_read = [name for name in read if name != shards.INDEX_NAME]
-        assert len(records_read) == 1 and dead["job_id"][:32] in records_read[0]
+        assert read == [settled_name(dead)]
+
+    def test_a_queue_with_only_live_names_drains_without_migration(
+        self, tmp_path, jobs, monkeypatch
+    ):
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        ids = write_parent_layout(queue.root, jobs, clock)
+        expected = {"pending": 1, "leased": 1, "done": 1, "dead": 1, "total": 4}
+        assert queue.counts() == scanned_counts(queue) == expected
+        read = []
+        with monkeypatch.context() as patch:
+            for name in ("read_text", "read_bytes"):
+                real = getattr(iolayer, name)
+                patch.setattr(iolayer, name, lambda path, _real=real, **kw: (
+                    read.append(path.name) or _real(path, **kw)))
+            assert queue.audit() == (4, [])
+            scrub = queue.scrub()
+        assert scrub.problems == [] and scrub.quarantined == 0
+        assert len(read) == 8 and "index.json" not in read
+
+        first = queue.claim("w0")
+        assert first is not None and first.job_id == ids["pending"]
+        # A full ring: the lease is not due, and done and dead are never
+        # granted; reading them gave them their terminal names.
+        assert queue.claim("w0") is None
+        assert queue.counts() == {**expected, "pending": 0, "leased": 2}
+        assert names_show_states(queue)
+        assert [r["job_id"] for r in queue.dead_letters()] == [ids["dead"]]
+        clock.advance(6.0)  # past the stray lease's deadline, not past first's
+        second = queue.claim("w1")
+        assert second is not None and second.job_id == ids["leased"] and second.attempt == 2
+        assert queue.complete(first) and queue.complete(second)
+        assert queue.drained() and queue.counts()["done"] == 3
+        assert names_show_states(queue)
+        assert queue.audit() == (4, [])
+
+    def test_expire_overdue_gives_a_terminal_record_its_terminal_name(self, tmp_path, jobs):
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        ids = write_parent_layout(queue.root, jobs, clock)
+        assert queue.dead_letters() == []  # named live: not yet a dead letter by name
+        assert queue.expire_overdue() == 0
+        assert [r["job_id"] for r in queue.dead_letters()] == [ids["dead"]]
+        names = sorted(path.name for path in shards.iter_entry_paths(queue.root, "job-*.json"))
+        assert sum(name.endswith((".done.json", ".dead.json")) for name in names) == 2

@@ -502,9 +502,9 @@ class TestQueueCommands:
         assert main(["queue", str(tmp_path / "runs" / "_queue"), "--list"]) == 0
         out = capsys.readouterr().out
         assert "2 done" in out and "0 problems" in out
-        # The queue's shards keep their claim index; no store shard has one.
-        indexes = list(tmp_path.rglob("index.json"))
-        assert indexes and all(p.is_relative_to(tmp_path / "runs" / "_queue") for p in indexes)
+        # A shard is its files, the queue's included: a done job's name says so.
+        assert not list(tmp_path.rglob("index.json"))
+        assert len(list((tmp_path / "runs" / "_queue").rglob("job-*.done.json"))) == 2
 
     def test_queue_refuses_a_directory_that_does_not_exist(self, tmp_path, capsys):
         missing = tmp_path / "typo"
@@ -585,7 +585,7 @@ class TestQueueCommands:
 
 
 class TestStoreMaintenance:
-    """``repro store scrub|gc|repair``: exit codes, dry-run discipline, refused roots."""
+    """``repro store scrub|gc``: exit codes, dry-run discipline, refused roots."""
 
     def _torn_store(self, tmp_path):
         runs = tmp_path / "runs"
@@ -707,15 +707,12 @@ class TestStoreMaintenance:
         assert main(FAST + ["--trace-store", str(traces), "characterize", "--out", out_path]) == 0
         assert entry.exists()
 
-    def test_repair_maintains_only_the_queue(self, tmp_path, capsys):
+    def test_repair_is_not_an_action(self, tmp_path, capsys):
         from repro.service import JobQueue
 
         JobQueue(tmp_path / "q")  # lay out a real queue directory
-        stores = ["--run-store", str(tmp_path / "runs"), "--trace-store", str(tmp_path / "traces")]
-        assert main(stores + ["store", "repair", "--queue", str(tmp_path / "q")]) == 0
-        out = capsys.readouterr().out
-        assert "queue: repair" in out and "runs:" not in out and "traces:" not in out
-        # The stores keep no index, so repair without a queue is a usage error.
-        assert main(stores + ["store", "repair"]) == 2
-        assert capsys.readouterr().err.count("\n") == 1
-        assert not (tmp_path / "runs").exists() and not (tmp_path / "traces").exists()
+        # No root keeps an index to repair: argparse refuses the action.
+        with pytest.raises(SystemExit) as refused:
+            main(["store", "repair", "--queue", str(tmp_path / "q")])
+        assert refused.value.code == 2
+        assert "invalid choice: 'repair'" in capsys.readouterr().err
