@@ -138,6 +138,7 @@ def profile_accuracy(
             stream_seeds.pop(),
             frame_indices=[sample.context_id[1] for sample in samples],
         )
+        batch.seed_streams(zoo)
         outcome_rows = {spec.name: detect_batch(spec, batch) for spec in zoo}
     else:
         outcome_rows = {

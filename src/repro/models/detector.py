@@ -18,14 +18,14 @@ the confidence graph mines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from ..data.scene import SceneState, combine_difficulty, difficulty_components, scene_difficulty
 from ..vision.bbox import BoundingBox, iou as box_iou
 from ..vision.nms import DEFAULT_CONFIDENCE_THRESHOLD, ScoredBox, best_detection
-from .fastrng import DrawPool, pcg64_state_words
+from .fastrng import DrawPool, stream_state_words
 from .spec import ModelSpec
 
 # Salt that namespaces this simulator's RNG streams.
@@ -41,6 +41,10 @@ SCENE_NOISE_SIGMA = 0.045
 # every _SLOW_PERIOD frames) and an iid component.
 _SLOW_PERIOD = 22.0
 _SLOW_FRACTION = 0.8  # fraction of the noise *variance* in the slow part
+
+# A model draws correlated noise from streams salt .. salt + 4: quality,
+# box dx, dy, log-scale, and confidence.
+_NOISE_STREAMS = 5
 
 ContextId = tuple[int, int]
 
@@ -238,6 +242,14 @@ class SceneBatch:
     scalar ones; everything else is plain ``+ - * /`` arithmetic, which is
     IEEE-exact elementwise.
 
+    Streams are seeded in bulk: :meth:`seed_streams` hashes the seed words
+    of every stream a set of models reads — the shared scene noise, each
+    model's noise streams ``salt``..``salt + 4`` and their knots, and the
+    per-frame model streams — in one pass per entropy layout, with the
+    stream id as a varying column, and draws every first normal at once.
+    Callers sweeping a zoo name it once; :func:`detect_batch` seeds any
+    model it was not told about.
+
     ``frame_indices`` defaults to ``0..n-1`` (a scenario's frames) but may
     be any per-scene frame identities — the characterization profiler
     passes validation-sample indices.
@@ -288,29 +300,53 @@ class SceneBatch:
         self.knot_weight = np.array(
             [(1.0 - np.cos(np.pi * f)) / 2.0 for f in frac], dtype=np.float64
         )
+        # Per stream id: standard-normal knot values and per-frame iid
+        # draws; per model salt: the per-frame model stream seed words.
         self._knot_z: dict[int, np.ndarray] = {}
+        self._iid_z: dict[int, np.ndarray] = {}
+        self._model_words: dict[int, np.ndarray] = {}
         self._shared_noise: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.scenes)
 
-    def _knot_draws(self, stream: int) -> np.ndarray:
-        """Standard-normal knot values ``z`` for one noise stream.
+    def seed_streams(self, specs: Iterable[ModelSpec]) -> None:
+        """Seed and draw, in bulk, every stream ``specs`` read on this batch."""
+        specs = list(specs)
+        self._draw_noise_streams(
+            [0, *(spec.salt + k for spec in specs for k in range(_NOISE_STREAMS))]
+        )
+        salts = sorted({spec.salt for spec in specs} - self._model_words.keys())
+        if salts:
+            seed = self.seed
+            words = stream_state_words(
+                salts, self.frame_indices, lambda s, frame: [_STREAM_SALT, seed, frame, *s]
+            )
+            self._model_words.update(zip(salts, words, strict=True))
+
+    def _draw_noise_streams(self, streams: Iterable[int]) -> None:
+        """Knot and iid first normals of every stream not drawn yet.
 
         ``_knot(stream, seed, index, sigma)`` equals ``sigma * z[index]``
         (NumPy evaluates ``normal(0, sigma)`` as ``loc + scale * z``), so
-        per-frame sigmas can scale a shared z array.
+        per-frame sigmas can scale a shared z array; likewise the iid part
+        of :func:`_correlated_noise`.
         """
-        draws = self._knot_z.get(stream)
-        if draws is None:
-            top = int(self.knot_index.max()) + 2 if len(self.knot_index) else 0
-            words = pcg64_state_words(
-                [_STREAM_SALT, stream, self.seed, np.arange(top, dtype=np.int64)],
-                count=top,
-            )
-            draws = self._pool.first_normals(words)
-            self._knot_z[stream] = draws
-        return draws
+        fresh = sorted(set(streams) - self._iid_z.keys())
+        if not fresh:
+            return
+        seed = self.seed
+        top = int(self.knot_index.max()) + 2 if len(self.knot_index) else 0
+        knots = stream_state_words(
+            fresh, np.arange(top), lambda s, index: [_STREAM_SALT, *s, seed, index]
+        )
+        iid = stream_state_words(
+            fresh, self.frame_indices, lambda s, frame: [_STREAM_SALT, *s, seed, seed, frame]
+        )
+        knot_z = self._pool.first_normals(knots.reshape(-1, 4)).reshape(len(fresh), top)
+        iid_z = self._pool.first_normals(iid.reshape(-1, 4)).reshape(len(fresh), len(self))
+        self._knot_z.update(zip(fresh, knot_z, strict=True))
+        self._iid_z.update(zip(fresh, iid_z, strict=True))
 
     def correlated_noise(
         self,
@@ -324,24 +360,19 @@ class SceneBatch:
         positions into this batch); returns one value per selected frame,
         bit-identical to the scalar calls.
         """
-        z = self._knot_draws(stream)
+        self._draw_noise_streams([stream])
+        z = self._knot_z[stream]
+        iid_z = self._iid_z[stream]
         if select is None:
-            index, weight, frames = self.knot_index, self.knot_weight, self.frame_indices
+            index, weight = self.knot_index, self.knot_weight
         else:
-            index = self.knot_index[select]
-            weight = self.knot_weight[select]
-            frames = self.frame_indices[select]
+            index, weight, iid_z = self.knot_index[select], self.knot_weight[select], iid_z[select]
         slow_sigma = sigma * np.sqrt(_SLOW_FRACTION)
         a = slow_sigma * z[index]
         b = slow_sigma * z[index + 1]
         slow = a * (1.0 - weight) + b * weight
-        # Each entropy row depends only on its own frame index, so hash
-        # seed words for the selected frames alone.
-        words = pcg64_state_words(
-            [_STREAM_SALT, stream, self.seed, self.seed, frames], count=len(frames)
-        )
         iid_sigma = sigma * np.sqrt(1.0 - _SLOW_FRACTION)
-        return slow + iid_sigma * self._pool.first_normals(words)
+        return slow + iid_sigma * iid_z
 
     @property
     def shared_noise(self) -> np.ndarray:
@@ -352,10 +383,8 @@ class SceneBatch:
 
     def model_rng_words(self, spec: ModelSpec) -> np.ndarray:
         """Seed words of :func:`_model_rng` for every frame of the batch."""
-        return pcg64_state_words(
-            [_STREAM_SALT, self.seed, self.frame_indices, spec.salt],
-            count=len(self.frame_indices),
-        )
+        self.seed_streams([spec])
+        return self._model_words[spec.salt]
 
     def model_rng_at(self, words_row: np.ndarray) -> np.random.Generator:
         """A generator positioned exactly like a fresh :func:`_model_rng`."""
@@ -377,6 +406,7 @@ def detect_batch(spec: ModelSpec, batch: SceneBatch) -> list[DetectionOutcome]:
     count = len(scenes)
     if count == 0:
         return []
+    batch.seed_streams([spec])
 
     quality_skill = np.array(
         [spec.skill.quality(d) for d in batch.difficulties], dtype=np.float64

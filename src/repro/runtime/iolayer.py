@@ -480,8 +480,7 @@ def read_bytes(
 def _replace_once(src: Path, dst: Path) -> None:
     event = _maybe_fault("replace", dst)
     if event is not None and event.kind == "lost_rename":
-        src.unlink(missing_ok=True)
-        return
+        return  # src stays where it was, as a lost write keeps the old file
     os.replace(src, dst)  # repro: allow[locks/raw-write]
 
 

@@ -210,8 +210,11 @@ def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
     For callers already holding the shard lock.  The move is a same-
     filesystem rename (allocates no data blocks, so it works under
     ENOSPC); if even that fails the file is unlinked instead — serving
-    corrupt bytes is the one unacceptable outcome.  True when the entry
-    file existed.
+    corrupt bytes is the one unacceptable outcome.  The copy takes the
+    first free name of ``<shard>-<name>``, ``<shard>-<name>.1``, …, so a
+    second tear of the same entry keeps the first one's bytes; the held
+    lock makes the pick safe, as only this shard's entries take its
+    prefix.  True when the entry file existed.
     """
     path = shard / name
     existed = path.exists()
@@ -219,7 +222,11 @@ def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:
         target_dir = root / QUARANTINE_DIR
         try:
             target_dir.mkdir(parents=True, exist_ok=True)
-            iolayer.replace(path, target_dir / f"{shard.name}-{name}", root=root)
+            target, copy = target_dir / f"{shard.name}-{name}", 0
+            while target.exists():
+                copy += 1
+                target = target_dir / f"{shard.name}-{name}.{copy}"
+            iolayer.replace(path, target, root=root)
         except (OSError, iolayer.StoreError):
             iolayer.record_io_error(root)
             path.unlink(missing_ok=True)

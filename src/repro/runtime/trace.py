@@ -56,9 +56,12 @@ from ..vision.ncc import box_ncc, stacked_ncc
 
 # Fewer model-frames per worker than this and process startup + scene
 # pickling outweigh the batched sweep itself; the build then uses fewer
-# workers (possibly one).  Calibrated on the trace-build micro-benchmark:
-# a worker clears ~25k model-frames/s, so 6000 model-frames ≈ 0.25 s of
-# compute against ~0.1 s of fixed per-worker overhead.
+# workers (possibly one).  With streams seeded in bulk a worker detects
+# ~27k model-frames/s (2 vCPUs), so 6000 model-frames ≈ 0.22 s of compute
+# against ~0.1 s of fixed per-worker overhead.  Serial and two-worker
+# builds of one scenario cross between 6000 model-frames (0.48 s serial,
+# 0.58 s pooled) and 8000 (0.59 s, 0.47 s): below the 12000 at which two
+# workers start, so a pool is never slower than the serial build.
 MIN_MODEL_FRAMES_PER_WORKER = 6000
 
 
@@ -99,9 +102,11 @@ def _outcomes_for_specs(
     runtime-registered backgrounds (a spawn-start worker would not see
     those if it re-derived scenes from the scenario itself).  One
     :class:`SceneBatch` per call amortizes the shared per-frame precompute
-    (truth boxes, difficulty, shared scene noise) across the whole chunk.
+    (truth boxes, difficulty, shared scene noise) and the stream seeding
+    across the whole chunk.
     """
     batch = SceneBatch(scenes, scenario_seed)
+    batch.seed_streams(specs)
     return {spec.name: detect_batch(spec, batch) for spec in specs}
 
 
@@ -237,6 +242,7 @@ class ScenarioTrace:
             truths=[frame.ground_truth for frame in frames],
             difficulties=[frame.difficulty for frame in frames],
         )
+        batch.seed_streams(zoo)
         outcomes = {spec.name: detect_batch(spec, batch) for spec in zoo}
         return cls(scenario=scenario, frames=frames, outcomes=outcomes)
 

@@ -748,8 +748,7 @@ class JobQueue(maintenance.MaintainedRoot):
                     if record is None:
                         continue
                     if step(record, now):
-                        self._store_locked(shard, name, record)
-                        written += 1
+                        written += self._store_locked(shard, name, record)
                     else:
                         self._settle_locked(shard, name, record)
         return written
@@ -863,7 +862,7 @@ class JobQueue(maintenance.MaintainedRoot):
         compare-and-swap).  A record that exists but cannot be read is
         left alone without calling ``mutate``.  The write is a
         :meth:`_store_locked` transition; returns whatever ``mutate``
-        returned.
+        returned, or None when the transition did not land.
         """
         shard = shards.shard_dir(self.root, job_id)
         with shards.shard_lock(shard):
@@ -874,11 +873,13 @@ class JobQueue(maintenance.MaintainedRoot):
                     return None  # unreadable is not torn: left for a later pass
                 name = None  # torn, and now quarantined
             updated = mutate(record)
-            if updated is not None:
-                self._store_locked(shard, name or _job_file_name(job_id), updated)
+            if updated is not None and not self._store_locked(
+                shard, name or _job_file_name(job_id), updated
+            ):
+                return None
             return updated
 
-    def _store_locked(self, shard: Path, name: str, record: dict) -> None:
+    def _store_locked(self, shard: Path, name: str, record: dict) -> bool:
         """Write one transition of the record at ``name``, in rule order.
 
         A name may show a terminal record as live, never a live record as
@@ -887,14 +888,19 @@ class JobQueue(maintenance.MaintainedRoot):
         fails if either step fails), and a retire writes the terminal
         record at its live name before it renames it
         (:meth:`_settle_locked`).  Every other transition is one in-place
-        write.
+        write.  False when a revive's rename was lost: the record is still
+        terminal where it was, and writing the live name would give the
+        job a second record.
         """
         if _name_state(name) not in (None, record["state"]):
             live = _state_name(name, None)
             iolayer.replace(shard / name, shard / live, root=self.root)
+            if (shard / name).exists():
+                return False
             name = live
         shards.write_entry_locked(shard, name, jsonsafe.dumps(record, sort_keys=True))
         self._settle_locked(shard, name, record)
+        return True
 
     def _settle_locked(self, shard: Path, name: str, record: dict) -> None:
         """Rename a record to the name of its own state: count a failure, never raise.

@@ -82,7 +82,7 @@ from ..baselines.marlin import MarlinPolicy
 from ..baselines.single_model import SingleModelPolicy
 from ..data.generator import generate_frames, scenario_scenes
 from ..data.scenario import Scenario
-from ..models.detector import detect
+from ..models.detector import DetectionOutcome, detect
 from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..core.records import FrameRecord
@@ -174,10 +174,34 @@ def check_render_equality(scenario: Scenario, trace: ScenarioTrace | None = None
     return _ok("render")
 
 
+# Outcome fields a ``detect`` divergence is named by first, in the order
+# the detector derives them: the latent quality (shared and private noise
+# streams), the target box (its offset and scale streams), then the
+# reported confidence (the calibration stream).
+_LEADING_OUTCOME_FIELDS = ("quality", "box", "confidence")
+
+
+def _first_outcome_difference(scalar: DetectionOutcome, batched: DetectionOutcome) -> str:
+    """The first differing outcome field, with both values as reprs."""
+    names = [
+        *_LEADING_OUTCOME_FIELDS,
+        *(f.name for f in fields(DetectionOutcome) if f.name not in _LEADING_OUTCOME_FIELDS),
+    ]
+    for name in names:
+        ours, theirs = getattr(scalar, name), getattr(batched, name)
+        if ours != theirs:
+            return f"{name} differs: scalar {ours!r}, batched {theirs!r}"
+    return "outcomes differ"
+
+
 def check_detect_equality(
     scenario: Scenario, zoo: ModelZoo, trace: ScenarioTrace
 ) -> CheckResult:
-    """Scalar ``detect`` must equal the batched sweep for every model/frame."""
+    """Scalar ``detect`` must equal the batched sweep for every model/frame.
+
+    A failure names the model, the frame and the first differing outcome
+    field with both values, so a kernel regression points at its stream.
+    """
     scenes = scenario_scenes(scenario)
     for spec in zoo:
         batched = trace.outcomes.get(spec.name)
@@ -188,7 +212,8 @@ def check_detect_equality(
             if scalar != batched[index]:
                 return _fail(
                     "detect",
-                    f"model {spec.name!r}, frame {index}: scalar and batched outcomes differ",
+                    f"model {spec.name!r}, frame {index}: "
+                    f"{_first_outcome_difference(scalar, batched[index])}",
                 )
     return _ok("detect")
 

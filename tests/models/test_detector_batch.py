@@ -6,13 +6,21 @@ paper scenarios and the frozen ``x_*`` extended flights — plus arbitrary
 validation-set-shaped batches.  Speed must never change results.
 """
 
+from dataclasses import dataclass, fields
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.data import build_validation_set, evaluation_scenarios, extended_scenarios
+from repro.data import (
+    ScenarioMatrix,
+    build_validation_set,
+    evaluation_scenarios,
+    extended_scenarios,
+)
 from repro.data.generator import scenario_scenes
-from repro.models import default_zoo
+from repro.models import ModelSpec, default_zoo
 from repro.models.detector import SceneBatch, detect, detect_batch
 
 ZOO = default_zoo()
@@ -115,3 +123,72 @@ class TestSceneBatch:
             [shared_scene_noise((scenario.seed, i)) for i in range(len(batch))]
         )
         assert np.array_equal(batch.shared_noise, expected)
+
+
+@dataclass(frozen=True)
+class PinnedSalt(ModelSpec):
+    """A model whose stream ids are pinned, e.g. past 2**32."""
+
+    pinned_salt: int = 0
+
+    @property
+    def salt(self) -> int:
+        return self.pinned_salt
+
+
+def _pinned(spec, salt):
+    return PinnedSalt(**{f.name: getattr(spec, f.name) for f in fields(spec)}, pinned_salt=salt)
+
+
+class TestBulkSeeding:
+    """Seeding every stream of a zoo up front changes no outcome."""
+
+    def test_a_grammar_scenario(self):
+        matrix = ScenarioMatrix(
+            name="bulk", compositions=(("loiter", "crossing"),), regimes=("night",),
+            seeds=(5,), frame_budgets=(24,),
+        )
+        [scenario] = matrix.scenarios()
+        scenes = scenario_scenes(scenario)
+        assert len(scenes) == 24
+        batch = SceneBatch(scenes, scenario.seed)
+        batch.seed_streams(ZOO)
+        for spec in ZOO:
+            assert detect_batch(spec, batch) == _scalar_outcomes(spec, scenes, scenario.seed)
+
+    def test_a_validation_batch_with_non_contiguous_frames(self):
+        samples = build_validation_set(size=60, seed=23)[1::4]
+        batch = SceneBatch(
+            [s.scene for s in samples], 23, frame_indices=[s.context_id[1] for s in samples]
+        )
+        batch.seed_streams(ZOO)
+        for spec in ZOO:
+            assert detect_batch(spec, batch) == [
+                detect(spec, s.scene, s.context_id) for s in samples
+            ]
+
+    def test_a_model_the_batch_was_not_told_about(self):
+        scenario = ROSTER[3]
+        scenes = scenario_scenes(scenario)
+        batch = SceneBatch(scenes, scenario.seed)
+        told, untold = ZOO.specs()[:3], ZOO.specs()[-1]
+        batch.seed_streams(told)
+        assert detect_batch(untold, batch) == _scalar_outcomes(untold, scenes, scenario.seed)
+        for spec in told:
+            assert detect_batch(spec, batch) == _scalar_outcomes(spec, scenes, scenario.seed)
+
+    @pytest.mark.parametrize("salt", [2**32 - 2, 2**33 + 1])
+    def test_stream_ids_past_two_to_the_32(self, salt):
+        # salt + 2 .. salt + 4 (or every id) widen to two entropy words.
+        scenario = ROSTER[0]
+        scenes = scenario_scenes(scenario)
+        spec = _pinned(ZOO.specs()[1], salt)
+        assert spec.salt == salt
+        batch = SceneBatch(scenes, scenario.seed)
+        batch.seed_streams([spec, *ZOO.specs()[:2]])
+        assert detect_batch(spec, batch) == _scalar_outcomes(spec, scenes, scenario.seed)
+
+    def test_an_empty_batch_seeds_nothing(self):
+        batch = SceneBatch([], 5)
+        batch.seed_streams(ZOO)
+        assert detect_batch(ZOO.specs()[0], batch) == []

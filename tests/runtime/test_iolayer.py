@@ -196,6 +196,19 @@ class TestWriteSeam:
         assert not target.exists()
         assert not list(tmp_path.glob("*.tmp*"))  # the temp is gone too
 
+    def test_lost_rename_of_a_move_keeps_the_source(self, tmp_path):
+        # Like a lost write, which keeps the old file: the move did not
+        # happen, so nothing is deleted.
+        src, dst = tmp_path / "entry.json", tmp_path / "moved.json"
+        src.write_text("payload", encoding="utf-8")
+        plan = FsFaultPlan(events=(
+            FsFaultEvent(op="replace", index=0, kind="lost_rename"),
+        ))
+        with iolayer.fault_plan(plan):
+            iolayer.replace(src, dst, root=tmp_path)
+        assert src.read_text(encoding="utf-8") == "payload"
+        assert not dst.exists()
+
 
 class TestTargetedEvents:
     def test_match_counts_only_matching_names(self, tmp_path):

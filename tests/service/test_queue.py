@@ -246,12 +246,29 @@ class TestLeases:
         assert f"{path.name}: unparseable" in problem
         assert queue.claim("w0") is None and queue.corrupt_records == 1
         assert not path.exists()
-        # Scrub quarantines the same bytes.
+        # Scrub quarantines the same bytes, next to the first copy.
         assert queue.enqueue(jobs[0]) is True
         path.write_bytes(b"\xff\xfe torn")
         assert queue.scrub().quarantined == 1
         assert [p.read_bytes() for p in (queue.root / shards.QUARANTINE_DIR).iterdir()] == [
-            b"\xff\xfe torn"]
+            b"\xff\xfe torn"] * 2
+
+    def test_every_torn_copy_of_a_record_is_kept(self, tmp_path, jobs):
+        queue = make_queue(tmp_path, FakeClock())
+        queue.enqueue(jobs[0])
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        path.write_text("first tear", encoding="utf-8")
+        assert queue.claim("w0") is None  # quarantined by the claim
+        assert queue.enqueue(jobs[0]) is True
+        path.write_text("second tear", encoding="utf-8")
+        assert queue.scrub().quarantined == 1
+        assert queue.enqueue(jobs[0]) is True
+        path.write_text("third tear", encoding="utf-8")
+        assert queue.claim("w0") is None
+        names = sorted(p.name for p in (queue.root / shards.QUARANTINE_DIR).iterdir())
+        first = f"{path.parent.name}-{path.name}"
+        assert names == [first, f"{first}.1", f"{first}.2"]
+        assert quarantined(queue) == ["first tear", "second tear", "third tear"]
 
 
 class TestBackoff:
@@ -741,3 +758,61 @@ class TestClaimIndex:
         assert [r["job_id"] for r in queue.dead_letters()] == [ids["dead"]]
         names = sorted(path.name for path in shards.iter_entry_paths(queue.root, "job-*.json"))
         assert sum(name.endswith((".done.json", ".dead.json")) for name in names) == 2
+
+    @pytest.mark.parametrize("transition", sorted(RETIRES))
+    def test_a_lost_retire_rename_leaves_the_record_live_named(
+        self, tmp_path, jobs, transition
+    ):
+        # The retire's rename is lost: the terminal record stays at its
+        # live name (as a lost write keeps the old file), and the next
+        # sweep gives it its terminal name.
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        setup, act = TRANSITIONS[transition]
+        lease = setup(queue, clock, jobs[0])
+        lost = FsFaultPlan(events=(FsFaultEvent(
+            op="replace", index=0, kind="lost_rename", match="job-*.*.json"),))
+        with iolayer.fault_plan(lost):
+            assert act(queue, jobs[0], lease)
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        record = json.loads(path.read_text(encoding="utf-8"))
+        assert path.name == settled_name({**record, "state": "pending"})
+        assert record["state"] == ("done" if transition == "complete" else "dead")
+        assert queue.counts() == scanned_counts(queue)
+        assert queue.counts()["total"] == 1 and queue.drained()
+        queue.expire_overdue()
+        assert names_show_states(queue)
+        assert queue.audit() == (1, [])
+
+    @pytest.mark.parametrize("transition", sorted(REVIVALS))
+    def test_a_lost_revive_rename_leaves_the_job_terminal(self, tmp_path, jobs, transition):
+        # Writing the live name after a lost rename would give the job a
+        # second record: the revive reports that it did not happen.
+        clock = FakeClock()
+        queue = index_queue(tmp_path, clock)
+        setup, act = TRANSITIONS[transition]
+        lease = setup(queue, clock, jobs[0])
+        lost = FsFaultPlan(events=(FsFaultEvent(
+            op="replace", index=0, kind="lost_rename", match="job-*"),))
+        with iolayer.fault_plan(lost):
+            assert not act(queue, jobs[0], lease)
+        assert len(list(shards.iter_entry_paths(queue.root, "job-*.json"))) == 1
+        assert queue.counts() == scanned_counts(queue)
+        assert queue.drained() and names_show_states(queue)
+        assert act(queue, jobs[0], lease)  # running it again completes it
+        assert not queue.drained()
+        assert queue.counts() == scanned_counts(queue)
+        assert queue.counts()["total"] == 1
+
+    def test_a_lost_quarantine_move_keeps_the_torn_bytes(self, tmp_path, jobs):
+        queue = make_queue(tmp_path, FakeClock())
+        queue.enqueue(jobs[0])
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        path.write_text("torn", encoding="utf-8")
+        lost = FsFaultPlan(events=(FsFaultEvent(
+            op="replace", index=0, kind="lost_rename", match="*-job-*"),))
+        with iolayer.fault_plan(lost):
+            assert queue.claim("w0") is None
+        assert path.read_text(encoding="utf-8") == "torn"  # where it was
+        assert queue.scrub().quarantined == 1  # the next pass moves it
+        assert quarantined(queue) == ["torn"]

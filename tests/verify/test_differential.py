@@ -18,6 +18,7 @@ from repro.runtime import ScenarioTrace, TraceStore
 from repro.verify import (
     CHECKS,
     FuzzReport,
+    check_detect_equality,
     check_fast_run_equivalence,
     check_run_invariants,
     check_store_roundtrip,
@@ -118,6 +119,26 @@ class TestHarnessDetectsViolations:
     def test_phantom_detection_detected(self, trace):
         result = check_trace_invariants(self._tampered(trace, detected=True, box=None))
         assert not result.passed
+
+    @pytest.mark.parametrize(
+        ("changes", "named"),
+        [
+            ({"quality": 0.5, "confidence": 0.25}, "quality differs: scalar "),
+            ({"confidence": 0.123456}, "confidence differs: scalar "),
+            ({"iou": 0.0625}, "iou differs: scalar "),
+        ],
+    )
+    def test_detect_divergence_names_the_first_differing_field(
+        self, trace, zoo, changes, named
+    ):
+        tampered = self._tampered(trace, **changes)
+        model = next(iter(tampered.outcomes))
+        result = check_detect_equality(trace.scenario, zoo, tampered)
+        assert not result.passed
+        assert result.detail.startswith(f"model {model!r}, frame 0: {named}")
+        name, value = next(iter(changes.items()))
+        original = getattr(trace.outcomes[model][0], name)
+        assert result.detail.endswith(f"scalar {original!r}, batched {value!r}")
 
     def test_misaligned_outcomes_detected(self, trace):
         outcomes = {m: rows[:-1] for m, rows in trace.outcomes.items()}
