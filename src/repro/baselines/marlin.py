@@ -13,17 +13,18 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..core.policy import Policy, RuntimeServices
 from ..core.records import FrameRecord
 from ..sim.accelerator import Accelerator
 from ..vision.bbox import iou as box_iou
-from ..vision.ncc import ncc
-from ..vision.tracker import TemplateTracker
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
+
+    import numpy as np
+
     from ..data.generator import Frame
+    from ..vision.tracker import TemplateTracker
 
 # Cost of one tracker step on the CPU: template matching over a bounded
 # search window (measured order of magnitude for correlation trackers on
@@ -56,7 +57,8 @@ class MarlinPolicy(Policy):
         self.name = f"marlin:{model_name}"
         self._services: RuntimeServices | None = None
         self._accelerator: Accelerator | None = None
-        self._tracker = TemplateTracker()
+        self._tracker: TemplateTracker | None = None
+        self._ncc: Callable[[np.ndarray, np.ndarray], float] | None = None
         self._frames_since_detection = 0
         self._previous_image = None
         self._previous_index: int | None = None
@@ -81,6 +83,11 @@ class MarlinPolicy(Policy):
 
     def begin(self, services: RuntimeServices) -> None:
         """Bind to the platform and reset the tracker state."""
+        # The tracker and NCC (and with them NumPy) load with the first
+        # run: building the policy for its run-store fingerprint needs neither.
+        from ..vision.ncc import ncc
+        from ..vision.tracker import TemplateTracker
+
         accelerator = services.soc.accelerator(self.accelerator_name)
         if not accelerator.supports(self.model_name):
             raise ValueError(
@@ -88,7 +95,8 @@ class MarlinPolicy(Policy):
             )
         self._services = services
         self._accelerator = accelerator
-        self._tracker.reset()
+        self._tracker = TemplateTracker()
+        self._ncc = ncc
         self._frames_since_detection = 0
         self._previous_image = None
         self._previous_index = None
@@ -115,7 +123,7 @@ class MarlinPolicy(Policy):
             )
             scene_similarity = (
                 float(self._frame_ncc[frame.index - 1]) if precomputed
-                else ncc(self._previous_image, frame.image)
+                else self._ncc(self._previous_image, frame.image)
             )
             if scene_similarity < self.scene_change_ncc:
                 must_detect = True

@@ -19,12 +19,10 @@ import hashlib
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from ..sim.profiles import AcceleratorClass, LoadCost, load_cost
 
-# The detectors and the engine load when a profile runs: a process that
-# only reads a stored bundle never imports them.
+# The detectors, the engine and NumPy load when a profile runs: a process
+# that only reads a stored bundle never imports them.
 if TYPE_CHECKING:
     from ..data.dataset import Sample
     from ..models.detector import DetectionOutcome
@@ -119,6 +117,8 @@ def profile_accuracy(
     (a model may false-positive on them) but are excluded from the IoU and
     success-rate averages, matching standard evaluation practice.
     """
+    import numpy as np
+
     from ..models.detector import SceneBatch, detect, detect_batch
 
     if not samples:
@@ -188,6 +188,8 @@ def profile_performance(
     averages, mimicking how the paper characterizes on real hardware.  One
     accelerator per class is exercised (units of a class share silicon).
     """
+    import numpy as np
+
     from ..sim.engine import ExecutionEngine
 
     if repeats <= 0:

@@ -32,10 +32,12 @@ import hashlib
 import heapq
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..characterization.profiler import ConfidenceObservation
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BIN_WIDTH = 0.1
 DEFAULT_DISTANCE_THRESHOLD = 0.5
@@ -80,6 +82,8 @@ class DenseConfidenceLookup:
     """
 
     def __init__(self, graph: "ConfidenceGraph") -> None:
+        import numpy as np
+
         self.models: list[str] = graph.models()
         self.model_index: dict[str, int] = {m: i for i, m in enumerate(self.models)}
         self.bin_count = int(math.ceil(1.0 / graph.bin_width))

@@ -19,17 +19,17 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .policy import Policy, RuntimeServices
 from .records import FrameRecord
 from .confidence_graph import ConfidenceGraph
 from .config import ShiftConfig
-from .context import ContextDetector
 
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..characterization.profiler import CharacterizationBundle
     from ..data.generator import Frame
+    from .context import ContextDetector
     from .loader import DynamicModelLoader
     from .scheduler import ShiftScheduler
     from .traits import Pair, TraitTable
@@ -62,7 +62,7 @@ class ShiftPipeline(Policy):
         self._services: RuntimeServices | None = None
         self._scheduler: ShiftScheduler | None = None
         self._loader: DynamicModelLoader | None = None
-        self._context = ContextDetector()
+        self._context: ContextDetector | None = None
         self._current_pair: Pair | None = None
         self._last_confidence = 0.0
         self._last_box = None
@@ -77,8 +77,10 @@ class ShiftPipeline(Policy):
 
     def begin(self, services: RuntimeServices) -> None:
         """Bind to a platform and reset all runtime state."""
-        # The run-time machinery loads with the first run: building a
-        # pipeline for its run-store fingerprint does not need it.
+        # The run-time machinery (and with the context detector, NumPy)
+        # loads with the first run: building a pipeline for its run-store
+        # fingerprint does not need it.
+        from .context import ContextDetector
         from .loader import DynamicModelLoader
         from .scheduler import ShiftScheduler
         from .traits import TraitTable
@@ -89,7 +91,7 @@ class ShiftPipeline(Policy):
         self._loader = DynamicModelLoader(
             services.soc, services.engine, naive=self.config.naive_loading
         )
-        self._context.reset()
+        self._context = ContextDetector()
         self._current_pair = self._initial_pair(traits)
         self._last_confidence = self.bundle.accuracy[self._current_pair[0]].mean_confidence
         self._last_box = None

@@ -1,6 +1,6 @@
 """Background library for the scenario substrate.
 
-Each entry is a named :class:`~repro.vision.rendering.BackgroundStyle`
+Each entry is a named :class:`~repro.vision.style.BackgroundStyle`
 capturing a class of environment from the paper's evaluation videos: indoor
 walls and labs, open sky, tree lines, urban facades.  Names are stable API —
 scenarios reference backgrounds by name.
@@ -8,7 +8,7 @@ scenarios reference backgrounds by name.
 
 from __future__ import annotations
 
-from ..vision.rendering import BackgroundStyle
+from ..vision.style import BackgroundStyle
 
 # Complexity drives clutter, brightness sets the gray level (the drone is
 # dark, so bright backgrounds are high-contrast), contrast scales texture

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 from ..vision.bbox import BoundingBox
-from ..vision.rendering import DEFAULT_FRAME_SIZE, BackgroundStyle
+from ..vision.style import DEFAULT_FRAME_SIZE, BackgroundStyle
 
 # Gray level the target is painted with; difficulty rises as the background
 # brightness approaches it (camouflage).

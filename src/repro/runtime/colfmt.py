@@ -4,10 +4,10 @@ ROADMAP item 2: JSON entries made the warm path parse-bound — reloading a
 trace spent its time in ``json.loads`` plus per-row object rebuild, and a
 warm sweep re-parsed every record it had already computed.  This module
 packs the bulk per-frame data of an entry into typed, C-contiguous
-*columns* (one ndarray per field) appended after a small JSON header, so
-a reload is a header parse plus zero-copy ``np.frombuffer`` views over an
-``mmap`` — no token stream, no row loop until a caller actually asks for
-the rows.
+*columns* (one array per field) appended after a small JSON header, so
+a reload is a header parse plus one :func:`struct.unpack_from` per
+column over an ``mmap`` — no token stream, and no column read until a
+caller actually asks for the rows.
 
 Container layout (little-endian throughout)::
 
@@ -29,10 +29,23 @@ bundles), which lives in the columns.  That split is the
 whole speed story: :meth:`RunStore.load_metrics` and the trace identity
 checks read ≤4 KiB of header and never touch a column byte.
 
-Decoding goes back to *pure Python* values (``.tolist()``), so a decoded
-payload is bit-identical to the ``trace_to_dict``/``run_to_dict`` payload
-that was encoded — the property the ``store``/``fastrun`` differential
-checks assert.
+Decoding goes back to *pure Python* values: :mod:`struct` reads each
+column in the byte order its dtype names into the same ints and floats
+NumPy's ``.tolist()`` would, so a decoded payload is bit-identical to the
+``trace_to_dict``/``run_to_dict``/bundle payload that was encoded — the
+property the ``store``/``fastrun`` differential checks assert.  NumPy is
+imported only by the encoders, where the arrays are built, so a process
+that reads entries and writes none (a warm sweep: run-store hits and one
+bundle decode) never loads it.
+
+The header parser accepts only the column types the codec writes
+(``f8``, ``i8``, ``u2``, ``u1``) with ``nbytes`` equal to the shape's
+element count times the item size, and a container of a known kind must
+carry exactly the columns its encoder writes, each in its type and in
+the shape its encoder gives it for the entry's size.  Any other
+descriptor raises :class:`ColumnFormatError` on the header probe, which
+the stores treat as a corrupt entry (quarantined, a miss), so no column
+is read through a type, a length or a shape its encoder did not write.
 
 Like every persistence-tier module, writes and reads route through the
 :mod:`repro.runtime.iolayer` seam; this module itself only encodes and
@@ -44,12 +57,16 @@ entries and the job queue's JSON records).
 from __future__ import annotations
 
 import json
+import math
+import struct
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from ..util import jsonsafe
 from . import iolayer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Version of the container + column schemas; pinned in analysis/schema_manifest.json.
 COLFMT_SCHEMA_VERSION = 1
@@ -66,6 +83,13 @@ _COL_ALIGN = 16
 
 #: Bytes read when probing a file for its header; headers are far smaller.
 _HEADER_PROBE = 4096
+
+#: The column types the codec writes, by NumPy dtype code without its
+#: byte-order mark: (item size, :mod:`struct` format character).
+_COLUMN_TYPES = {"f8": (8, "d"), "i8": (8, "q"), "u2": (2, "H"), "u1": (1, "B")}
+
+#: Dtype strings a descriptor may carry: either byte order, ``|`` for one byte.
+_COLUMN_DTYPES = frozenset({"<f8", ">f8", "<i8", ">i8", "<u2", ">u2", "|u1"})
 
 
 class ColumnFormatError(ValueError):
@@ -112,7 +136,7 @@ def _pack(kind: str, meta: dict, columns: list[tuple[str, np.ndarray]]) -> bytes
     out[len(MAGIC) + 4 : len(MAGIC) + 4 + len(header)] = header
     for descriptor, (_, array) in zip(descriptors, columns):
         start = data_start + descriptor["offset"]
-        out[start : start + array.nbytes] = np.ascontiguousarray(array).tobytes()
+        out[start : start + array.nbytes] = array.tobytes()  # C order, whatever the layout
     return bytes(out)
 
 
@@ -121,9 +145,14 @@ def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
 
     Raises :class:`ColumnFormatError` for anything that cannot be a valid
     container — truncation, wrong magic, bad version, malformed header
-    JSON, or a column descriptor pointing past ``size``: the length of the
-    whole file, which defaults to ``len(buffer)`` (``buffer`` *is* the
-    file) and is passed explicitly when ``buffer`` is a prefix probe.
+    JSON, or a column descriptor of a type the codec does not write, whose
+    size does not match its shape, or that points past ``size``: the
+    length of the whole file, which defaults to ``len(buffer)`` (``buffer``
+    *is* the file) and is passed explicitly when ``buffer`` is a prefix
+    probe.  A container of a known kind must carry exactly the columns its
+    encoder writes, each in the encoder's type and shape (see
+    :func:`_encoded_shapes`), so a store's header probe refuses what a
+    later column decode could not read.
     """
     if len(buffer) < len(MAGIC) + 4:
         raise ColumnFormatError(f"buffer too short for container ({len(buffer)} bytes)")
@@ -143,27 +172,91 @@ def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
         raise ColumnFormatError(f"unsupported colfmt_version {header.get('colfmt_version')!r}")
     data_start = -(-header_end // _DATA_ALIGN) * _DATA_ALIGN
     limit = len(buffer) if size is None else size
-    for descriptor in header.get("columns", ()):
+    columns = header.get("columns")
+    if not isinstance(columns, list):
+        raise ColumnFormatError("column directory is not a list")
+    for descriptor in columns:
         if not isinstance(descriptor, dict):
             raise ColumnFormatError("column descriptor is not an object")
-        end = data_start + descriptor.get("offset", 0) + descriptor.get("nbytes", 0)
-        if descriptor.get("offset", -1) < 0 or end > limit:
-            raise ColumnFormatError(f"column {descriptor.get('name')!r} out of bounds")
+        name, dtype, shape = descriptor.get("name"), descriptor.get("dtype"), descriptor.get("shape")
+        offset, nbytes = descriptor.get("offset"), descriptor.get("nbytes")
+        if not (isinstance(name, str) and isinstance(dtype, str) and isinstance(shape, list)
+                and all(map(_is_count, shape)) and _is_count(offset) and _is_count(nbytes)):
+            raise ColumnFormatError(f"column {name!r} has a malformed name, dtype, shape, offset or size")
+        if dtype not in _COLUMN_DTYPES:
+            raise ColumnFormatError(f"column {name!r} has dtype {dtype!r}, which the codec does not write")
+        if nbytes != math.prod(shape) * _COLUMN_TYPES[dtype[1:]][0]:
+            raise ColumnFormatError(f"column {name!r}: {nbytes} bytes do not hold {shape} x {dtype}")
+        if data_start + offset + nbytes > limit:
+            raise ColumnFormatError(f"column {name!r} out of bounds")
+    kind = header.get("kind")
+    expected = _KIND_COLUMNS.get(kind) if isinstance(kind, str) else None
+    if expected is not None:
+        written = {descriptor["name"]: descriptor["dtype"][1:] for descriptor in columns}
+        if written != expected or len(columns) != len(written):
+            raise ColumnFormatError(f"{kind} columns {written} are not what its encoder writes")
+        if not isinstance(header.get("meta"), dict):
+            raise ColumnFormatError(f"{kind} header meta is not an object")
+        shapes = {descriptor["name"]: descriptor["shape"] for descriptor in columns}
+        encoded = _encoded_shapes(kind, header["meta"], shapes)
+        if shapes != encoded:
+            raise ColumnFormatError(f"{kind} column shapes {shapes}, expected {encoded}")
     return header, data_start
 
 
-def column_array(buffer, header: dict, data_start: int, name: str) -> np.ndarray:
-    """Zero-copy ndarray view of one column (bounds pre-validated by the parser)."""
+def _encoded_shapes(kind: str, meta: dict, shapes: dict[str, list[int]]) -> dict[str, list[int]]:
+    """The shape each column of a ``kind`` entry gets from its encoder.
+
+    An entry's size is read off one column's element count (and, for
+    traces and bundles, the header's model list), so a column reshaped
+    within its own bytes differs from what the encoder would write.
+    """
+    if kind == "run":
+        rows = [math.prod(shapes["frame_index"])]
+        return {name: rows for name in _RUN_COLUMNS} | {"box": [*rows, 4]}
+    models = meta.get("models")
+    if not isinstance(models, list):
+        raise ColumnFormatError(f"{kind} header lists no models")
+    if kind == "trace":
+        frames = math.prod(shapes["box_mask"]) // len(models) if models else 0
+        rows = [len(models), frames]
+        return {name: rows for name in _TRACE_COLUMNS} | {"box": [*rows, 4]}
+    rows = [math.prod(shapes["sample_index"])]
+    return {"sample_index": rows, "difficulty": rows,
+            "confidence": [*rows, len(models)], "iou": [*rows, len(models)]}
+
+
+def _is_count(value) -> bool:
+    """A JSON integer that can be a size, offset or dimension."""
+    return type(value) is int and value >= 0
+
+
+def _descriptor(header: dict, name: str) -> dict:
     for descriptor in header["columns"]:
         if descriptor["name"] == name:
-            dtype = np.dtype(descriptor["dtype"])
-            shape = tuple(descriptor["shape"])
-            count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            array = np.frombuffer(
-                buffer, dtype=dtype, count=count, offset=data_start + descriptor["offset"]
-            )
-            return array.reshape(shape)
+            return descriptor
     raise ColumnFormatError(f"missing column {name!r}")
+
+
+def _column_values(buffer, header: dict, data_start: int, name: str) -> tuple:
+    """One column's values in C order, as Python ints and floats.
+
+    Decodes with :func:`struct.unpack_from` in the byte order the dtype
+    names, so the values are bit for bit those NumPy's
+    ``np.frombuffer(...).tolist()`` reads, without importing NumPy.
+    """
+    descriptor = _descriptor(header, name)
+    dtype = descriptor["dtype"]
+    order = ">" if dtype[0] == ">" else "<"
+    count = math.prod(descriptor["shape"])
+    return struct.unpack_from(
+        f"{order}{count}{_COLUMN_TYPES[dtype[1:]][1]}", buffer, data_start + descriptor["offset"]
+    )
+
+
+def _boxes(values: tuple) -> list[list[float]]:
+    """A flat ``box`` column as one 4-float list per row."""
+    return list(map(list, zip(*[iter(values)] * 4)))
 
 
 def read_header(path: str | Path, *, root: str | Path | None = None) -> dict:
@@ -193,8 +286,17 @@ def read_header(path: str | Path, *, root: str | Path | None = None) -> dict:
 # Trace payloads: {"schema_version", ..., "outcomes": {model: [rows]}}
 # Row = [box|None, confidence, iou, quality, detected, false_positive].
 
+#: Each column's dtype code (see ``_COLUMN_TYPES``) as the encoder writes it.
+_TRACE_COLUMNS = {
+    "box": "f8", "box_mask": "u1", "confidence": "f8", "iou": "f8", "quality": "f8",
+    "detected": "u1", "false_positive": "u1",
+}
+
+
 def encode_trace(payload: dict) -> bytes:
     """Pack a trace payload (as produced by ``trace_to_dict``) into a container."""
+    import numpy as np
+
     meta = {key: value for key, value in payload.items() if key != "outcomes"}
     outcomes = payload["outcomes"]
     models = list(outcomes)  # preserve payload order: readers see the zoo's order
@@ -243,26 +345,21 @@ def decode_trace_outcomes(buffer) -> dict:
     header, data_start = _parse_header(buffer)
     if header.get("kind") != "trace":
         raise ColumnFormatError(f"expected trace container, got {header.get('kind')!r}")
-    models = header["meta"].get("models", [])
-    box = column_array(buffer, header, data_start, "box").tolist()
-    box_mask = column_array(buffer, header, data_start, "box_mask").tolist()
-    confidence = column_array(buffer, header, data_start, "confidence").tolist()
-    iou = column_array(buffer, header, data_start, "iou").tolist()
-    quality = column_array(buffer, header, data_start, "quality").tolist()
-    detected = column_array(buffer, header, data_start, "detected").tolist()
-    false_positive = column_array(buffer, header, data_start, "false_positive").tolist()
+    models = header["meta"]["models"]
+    frames = _descriptor(header, "box_mask")["shape"][1]
+    box, box_mask, confidence, iou, quality, detected, false_positive = (
+        _column_values(buffer, header, data_start, name) for name in _TRACE_COLUMNS
+    )
+    boxes = _boxes(box)
     outcomes = {}
     for m, model in enumerate(models):
+        rows = slice(m * frames, (m + 1) * frames)
         outcomes[model] = [
-            [
-                box[m][f] if box_mask[m][f] else None,
-                confidence[m][f],
-                iou[m][f],
-                quality[m][f],
-                bool(detected[m][f]),
-                bool(false_positive[m][f]),
-            ]
-            for f in range(len(box_mask[m]))
+            [row_box if masked else None, conf, overlap, qual, bool(hit), bool(false_hit)]
+            for row_box, masked, conf, overlap, qual, hit, false_hit in zip(
+                boxes[rows], box_mask[rows], confidence[rows], iou[rows], quality[rows],
+                detected[rows], false_positive[rows],
+            )
         ]
     return outcomes
 
@@ -302,6 +399,12 @@ _RUN_FLAG_FIELDS = (
     ("rescheduled", 16),
 )
 
+_RUN_COLUMNS = {
+    "frame_index": "i8", "model_code": "u2", "accel_code": "u2", "box": "f8", "box_mask": "u1",
+    **{name: "f8" for name, _ in _RUN_FLOAT_FIELDS},
+    **{name: "u1" for name, _ in _RUN_FLAG_FIELDS},
+}
+
 
 def encode_run(payload: dict) -> bytes:
     """Pack a run payload (as produced by ``run_to_dict``) into a container.
@@ -309,6 +412,8 @@ def encode_run(payload: dict) -> bytes:
     Metrics stay in the header — ``RunStore.load_metrics`` (the warm-sweep
     hot path) decodes ≤4 KiB and never touches the record columns.
     """
+    import numpy as np
+
     meta = {key: value for key, value in payload.items() if key != "records"}
     records = payload["records"]
     n = len(records)
@@ -366,40 +471,26 @@ def decode_run(buffer) -> dict:
     if header.get("kind") != "run":
         raise ColumnFormatError(f"expected run container, got {header.get('kind')!r}")
     meta = header["meta"]
-    model_names = meta.get("model_names", [])
-    accelerator_names = meta.get("accelerator_names", [])
-    frame_index = column_array(buffer, header, data_start, "frame_index").tolist()
-    model_code = column_array(buffer, header, data_start, "model_code").tolist()
-    accel_code = column_array(buffer, header, data_start, "accel_code").tolist()
-    box = column_array(buffer, header, data_start, "box").tolist()
-    box_mask = column_array(buffer, header, data_start, "box_mask").tolist()
-    floats = {
-        name: column_array(buffer, header, data_start, name).tolist()
-        for name, _ in _RUN_FLOAT_FIELDS
-    }
-    flags = {
-        name: column_array(buffer, header, data_start, name).tolist()
-        for name, _ in _RUN_FLAG_FIELDS
-    }
-    records = []
-    for i in range(len(frame_index)):
-        row = [
-            frame_index[i],
-            model_names[model_code[i]],
-            accelerator_names[accel_code[i]],
-            box[i] if box_mask[i] else None,
-        ]
-        row += [floats[name][i] for name, _ in _RUN_FLOAT_FIELDS[:2]]
-        row += [bool(flags["ground_truth_present"][i]), bool(flags["detected"][i])]
-        row += [floats[name][i] for name, _ in _RUN_FLOAT_FIELDS[2:7]]
-        row += [
-            bool(flags["swap"][i]),
-            bool(flags["cold_load"][i]),
-            bool(flags["used_tracker"][i]),
-            bool(flags["rescheduled"][i]),
-        ]
-        row.append(floats["similarity"][i])
-        records.append(row)
+    values = {name: _column_values(buffer, header, data_start, name) for name in _RUN_COLUMNS}
+    try:
+        models, accelerators = meta["model_names"], meta["accelerator_names"]
+        model_names = [models[code] for code in values["model_code"]]
+        accelerator_names = [accelerators[code] for code in values["accel_code"]]
+    except (LookupError, TypeError) as exc:
+        raise ColumnFormatError(f"run codes outside their vocabulary: {exc!r}") from exc
+    records = [
+        [index, model, accelerator, box if masked else None, confidence, iou,
+         bool(truth), bool(detected), latency, inference, stall, overhead, energy,
+         bool(swap), bool(cold), bool(tracked), bool(rescheduled), similarity]
+        for (index, model, accelerator, box, masked,
+             confidence, iou, latency, inference, stall, overhead, energy, similarity,
+             truth, detected, swap, cold, tracked, rescheduled) in zip(
+            values["frame_index"], model_names, accelerator_names, _boxes(values["box"]),
+            values["box_mask"],
+            *(values[name] for name, _ in _RUN_FLOAT_FIELDS),
+            *(values[name] for name, _ in _RUN_FLAG_FIELDS),
+        )
+    ]
     payload = {
         k: v for k, v in meta.items() if k not in ("model_names", "accelerator_names")
     }
@@ -415,6 +506,9 @@ def decode_run(buffer) -> dict:
 # keys, so the two dict orders a bundle depends on are kept as lists:
 # ``models`` (every observation's readings order) and ``accuracy_models``.
 
+_BUNDLE_COLUMNS = {"sample_index": "i8", "difficulty": "f8", "confidence": "f8", "iou": "f8"}
+
+
 def encode_bundle(payload: dict) -> bytes:
     """Pack a bundle entry payload into a container.
 
@@ -422,6 +516,8 @@ def encode_bundle(payload: dict) -> bytes:
     ``characterize`` produces); anything else cannot fill the
     [samples, models] columns and raises :class:`ColumnFormatError`.
     """
+    import numpy as np
+
     bundle = payload["bundle"]
     observations = bundle["observations"]
     models = list(observations[0]["readings"]) if observations else []
@@ -462,12 +558,12 @@ def decode_bundle(buffer) -> dict:
     if header.get("kind") != "bundle":
         raise ColumnFormatError(f"expected bundle container, got {header.get('kind')!r}")
     meta = header["meta"]
-    sample_index = column_array(buffer, header, data_start, "sample_index").tolist()
-    difficulty = column_array(buffer, header, data_start, "difficulty").tolist()
-    confidence = column_array(buffer, header, data_start, "confidence").tolist()
-    iou = column_array(buffer, header, data_start, "iou").tolist()
+    sample_index, difficulty, confidence, iou = (
+        _column_values(buffer, header, data_start, name) for name in _BUNDLE_COLUMNS
+    )
+    models = meta["models"]
+    width = len(models)
     try:
-        models = meta["models"]
         bundle = dict(meta["bundle"])
         bundle["accuracy"] = {
             name: bundle["accuracy"][name] for name in meta["accuracy_models"]
@@ -477,7 +573,8 @@ def decode_bundle(buffer) -> dict:
                 "sample_index": sample_index[i],
                 "difficulty": difficulty[i],
                 "readings": {
-                    model: [confidence[i][j], iou[i][j]] for j, model in enumerate(models)
+                    model: [confidence[i * width + j], iou[i * width + j]]
+                    for j, model in enumerate(models)
                 },
             }
             for i in range(len(sample_index))
@@ -491,6 +588,10 @@ def decode_bundle(buffer) -> dict:
     }
     payload["bundle"] = bundle
     return payload
+
+
+#: Every container kind's columns, each in the type its encoder writes.
+_KIND_COLUMNS = {"trace": _TRACE_COLUMNS, "run": _RUN_COLUMNS, "bundle": _BUNDLE_COLUMNS}
 
 
 # ---------------------------------------------------------------------------

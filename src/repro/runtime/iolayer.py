@@ -468,9 +468,9 @@ def read_bytes(
 
     ``count`` reads only the first N bytes (how :func:`repro.runtime.colfmt`
     probes a column file's JSON header without touching its payload);
-    ``map=True`` returns a read-only ``mmap`` of the whole file so column
-    ndarrays can be built zero-copy (falling back to a plain ``bytes``
-    read where mapping is unsupported).
+    ``map=True`` returns a read-only ``mmap`` of the whole file so columns
+    decode straight from it, without a copy of the file (falling back to a
+    plain ``bytes`` read where mapping is unsupported).
     """
     path = Path(path)
     return _with_retry("read", path, root, lambda: _read_once(

@@ -9,9 +9,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "ScoredBox", "non_max_suppression", "best_detection", "DEFAULT_IOU_THRESHOLD",
         "DEFAULT_CONFIDENCE_THRESHOLD",
     ),
-    "rendering": (
-        "BackgroundStyle", "render_frame", "render_segment_frames", "frame_difference_energy",
-        "DEFAULT_FRAME_SIZE",
-    ),
+    "rendering": ("render_frame", "render_segment_frames", "frame_difference_energy"),
+    "style": ("BackgroundStyle", "DEFAULT_FRAME_SIZE"),
     "tracker": ("TemplateTracker", "TrackResult"),
 })

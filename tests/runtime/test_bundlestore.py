@@ -7,6 +7,7 @@ re-characterization, never a wrong bundle.
 """
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -128,6 +129,49 @@ class TestRoundTrip:
         assert reading.difficulty == math.inf
         assert math.isnan(reading.readings[model][0])
         assert reading.readings[model][1] == -math.inf
+
+    def test_columns_decode_to_numpys_values(self, tmp_path, bundle, key):
+        # The decoder reads bundle columns with struct, not NumPy: every value
+        # must be the one np.frombuffer(...).tolist() reads, bit for bit.
+        from repro.characterization import ConfidenceObservation
+
+        edges = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308, 0.25)
+        observations = [
+            ConfidenceObservation(
+                sample_index=2**62 - i,
+                difficulty=edges[i % len(edges)],
+                readings={model: (edges[(i + j) % len(edges)], edges[(i + j + 1) % len(edges)])
+                          for j, model in enumerate(obs.readings)},
+            )
+            for i, obs in enumerate(bundle.observations)
+        ]
+        edited = type(bundle)(accuracy=bundle.accuracy, performance=bundle.performance,
+                              load_costs=bundle.load_costs, observations=observations)
+        store = BundleStore(tmp_path)
+        path = store.save(edited, key)
+        data = path.read_bytes()
+        data_start = -(-(12 + int.from_bytes(data[8:12], "little")) // 64) * 64
+        numpys = {
+            d["name"]: np.frombuffer(data, dtype=d["dtype"], count=math.prod(d["shape"]),
+                                     offset=data_start + d["offset"]).tolist()
+            for d in colfmt.read_header(path)["columns"]
+        }
+        loaded = store.load(key).observations
+        decoded = {
+            "sample_index": [obs.sample_index for obs in loaded],
+            "difficulty": [obs.difficulty for obs in loaded],
+            "confidence": [reading[0] for obs in loaded for reading in obs.readings.values()],
+            "iou": [reading[1] for obs in loaded for reading in obs.readings.values()],
+        }
+        for name, values in decoded.items():
+            code = "<q" if name == "sample_index" else "<d"
+            assert [type(value) for value in values] == [type(value) for value in numpys[name]]
+            assert ([struct.pack(code, value) for value in values]
+                    == [struct.pack(code, value) for value in numpys[name]]), name
+        assert max(decoded["sample_index"]) == 2**62
+        assert {struct.pack("<d", value) for value in edges} <= {
+            struct.pack("<d", value) for value in decoded["confidence"]}
+        assert store.load(key).fingerprint() == edited.fingerprint()
 
     def test_ragged_readings_cannot_be_packed(self, bundle, key):
         payload = bundle_entry_to_dict(bundle, key)

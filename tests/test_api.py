@@ -17,17 +17,24 @@ PACKAGE_ROOT = Path(repro.__file__).resolve().parent.parent
 FAST = ["--scale", "0.05", "--validation", "80"]
 SWEEP = ["sweep", "shift,marlin,single:yolov7@gpu", "--scenarios", "s3_indoor_close_wall"]
 
+#: NumPy and the per-frame vision code: they load with the first run or
+#: column decode, so no warm op loads them.
+ARRAY_SKIPS = (
+    "numpy", "repro.vision.rendering", "repro.vision.ncc", "repro.vision.tracker",
+    "repro.core.context",
+)
 #: The cold path a warm sweep's run-store hits skip.
 SWEEP_SKIPS = (
     "repro.runtime.trace", "repro.data.generator", "repro.data.dataset", "repro.data.grammar",
     "repro.models.detector", "repro.core.scheduler", "repro.core.loader", "repro.sim.engine",
-    "repro.service.queue", "repro.service.worker", "concurrent.futures.process",
+    "repro.service.queue", "repro.service.worker", "concurrent.futures.process", *ARRAY_SKIPS,
 )
 #: What a warm drain of baseline jobs never needs (each with its submodules):
-#: the shift path and the trace builder.
+#: the shift path, the trace builder and the array code.
 WORK_SKIPS = (
     "repro.characterization", "repro.core.confidence_graph", "repro.core.pipeline",
     "repro.experiments", "repro.runtime.trace", "repro.data.grammar", "repro.models.detector",
+    *ARRAY_SKIPS,
 )
 
 
@@ -138,10 +145,21 @@ class TestPublicAPI:
         assert done.returncode == 0, done.stderr
         cold_table = done.stdout.rstrip("\n")
 
+        def run_entries():
+            return sorted((path, path.stat().st_mtime_ns)
+                          for path in (tmp_path / "runs").rglob("run-*.col"))
+
+        cold_runs = run_entries()
+        [bundle] = (tmp_path / "traces" / "_characterization").rglob("bundle-*.col")
+        written = bundle.stat().st_mtime_ns
+
         table, modules = loaded_by(*FAST, *stores, *SWEEP)
         assert table == cold_table
         loaded = sorted(set(modules) & set(SWEEP_SKIPS))
         assert not loaded, f"a warm sweep loaded its cold path: {loaded}"
+        # Every cell was a hit: no run executed, no entry written or rewritten.
+        assert run_entries() == cold_runs
+        assert bundle.stat().st_mtime_ns == written
 
         _, modules = loaded_by("work", queue, "--run-store", runs, "--trace-store", traces)
         done = python("""

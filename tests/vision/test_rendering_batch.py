@@ -6,11 +6,8 @@ import pytest
 from repro.data import all_scenarios
 from repro.data.generator import generate_frames, render_scenario
 from repro.vision.bbox import BoundingBox
-from repro.vision.rendering import (
-    BackgroundStyle,
-    render_frame,
-    render_segment_frames,
-)
+from repro.vision.rendering import render_frame, render_segment_frames
+from repro.vision.style import BackgroundStyle
 
 STYLE = BackgroundStyle(complexity=0.7, brightness=0.45, contrast=0.6, pattern_seed=901)
 
