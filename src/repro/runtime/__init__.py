@@ -5,10 +5,6 @@ from ..util.lazy import lazy_exports
 __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "constraints": ("ConstraintReport", "evaluate_constraints"),
     "segments": ("SegmentMetrics", "segment_metrics"),
-    "export": (
-        "metrics_to_dict", "record_to_dict", "result_to_dict", "save_metrics",
-        "load_metrics_dicts",
-    ),
     "metrics": (
         "RunMetrics", "aggregate", "average_metrics", "efficiency_series",
         "SUCCESS_IOU_THRESHOLD",
@@ -22,6 +18,6 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
     "tracecache": ("TraceCache",),
     "experiment": ("ExperimentRunner",),
     "bundlestore": ("BundleKey", "BundleStore", "save_bundle", "load_bundle"),
-    "store": ("TraceStore", "TraceSchemaError", "trace_to_dict", "trace_from_dict"),
-    "runstore": ("RunStore", "RunKey", "RunSchemaError", "run_to_dict", "run_from_dict"),
+    "store": ("TraceStore", "TraceSchemaError"),
+    "runstore": ("RunStore", "RunKey", "RunSchemaError"),
 })

@@ -1,8 +1,8 @@
-"""Schema-versioned binary columnar format for trace, run, and bundle entries.
+"""Schema-versioned binary container for store entries: a JSON header plus typed columns.
 
 ROADMAP item 2: JSON entries made the warm path parse-bound — reloading a
 trace spent its time in ``json.loads`` plus per-row object rebuild, and a
-warm sweep re-parsed every record it had already computed.  This module
+warm sweep re-parsed every record it had already computed.  A store
 packs the bulk per-frame data of an entry into typed, C-contiguous
 *columns* (one array per field) appended after a small JSON header, so
 a reload is a header parse plus one :func:`struct.unpack_from` per
@@ -20,38 +20,33 @@ Container layout (little-endian throughout)::
                                           offsets relative to data_start
 
 The header is ordinary strict JSON (via :mod:`repro.util.jsonsafe`, so a
-NaN metric cannot corrupt it) holding everything *small*: schema and
-algorithm versions, fingerprints, metrics, vocabularies — exactly the
-fields maintenance sweeps and warm metric reads need.  ``meta`` is the
-entry's JSON payload minus its bulk field (``outcomes`` for traces,
-``records`` for runs, the bundle's ``observations`` for characterization
-bundles), which lives in the columns.  That split is the
-whole speed story: :meth:`RunStore.load_metrics` and the trace identity
-checks read ≤4 KiB of header and never touch a column byte.
+NaN metric cannot corrupt it, and written with sorted keys) holding
+everything *small*: the ``kind`` tag, the ``meta`` block the owning store
+writes (versions, fingerprints, metrics, vocabularies, trait tables) and
+the column directory.  That split is the whole speed story: a store's
+identity checks and warm metric reads parse ≤4 KiB of header and never
+touch a column byte.
 
-Decoding goes back to *pure Python* values: :mod:`struct` reads each
+This module is only the container.  It names no entry kind: each store
+(:mod:`repro.runtime.store`, :mod:`~repro.runtime.runstore`,
+:mod:`~repro.runtime.bundlestore`) declares its :class:`Layout`, encodes
+its objects into columns with :func:`pack`, and keeps the one decoder
+from :func:`read_header` / :func:`read_columns` back to its objects.
+
+Columns read back as *pure Python* values: :mod:`struct` reads each
 column in the byte order its dtype names into the same ints and floats
-NumPy's ``.tolist()`` would, so a decoded payload is bit-identical to the
-``trace_to_dict``/``run_to_dict``/bundle payload that was encoded — the
-property the ``store``/``fastrun`` differential checks assert.  NumPy is
-imported only by the encoders, where the arrays are built, so a process
-that reads entries and writes none (a warm sweep: run-store hits and one
-bundle decode) never loads it.
+NumPy's ``.tolist()`` would, bit for bit.  NumPy is imported only where
+columns are encoded, so a process that reads entries and writes none (a
+warm sweep: run-store hits and one bundle decode) never loads it.
 
-The header parser accepts only the column types the codec writes
+The header parser accepts only the column types the container writes
 (``f8``, ``i8``, ``u2``, ``u1``) with ``nbytes`` equal to the shape's
-element count times the item size, and a container of a known kind must
-carry exactly the columns its encoder writes, each in its type and in
-the shape its encoder gives it for the entry's size.  Any other
-descriptor raises :class:`ColumnFormatError` on the header probe, which
-the stores treat as a corrupt entry (quarantined, a miss), so no column
-is read through a type, a length or a shape its encoder did not write.
-
-Like every persistence-tier module, writes and reads route through the
-:mod:`repro.runtime.iolayer` seam; this module itself only encodes and
-decodes buffers plus offers :func:`load_entry_payload` as the
-suffix-dispatching read used by maintenance/quarantine/audit (``.col``
-entries and the job queue's JSON records).
+element count times the item size, and only the calling store's layout:
+its kind, exactly its columns, each in its dtype and in the shape the
+layout gives it for the entry's meta.  Any other descriptor raises
+:class:`ColumnFormatError` on the header probe, which the stores treat as
+a corrupt entry (quarantined, a miss), so no column is read through a
+type, a length or a shape its encoder did not write.
 """
 
 from __future__ import annotations
@@ -59,6 +54,8 @@ from __future__ import annotations
 import json
 import math
 import struct
+from collections.abc import Callable
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -68,7 +65,7 @@ from . import iolayer
 if TYPE_CHECKING:
     import numpy as np
 
-#: Version of the container + column schemas; pinned in analysis/schema_manifest.json.
+#: Version of the container; pinned in analysis/schema_manifest.json.
 COLFMT_SCHEMA_VERSION = 1
 
 #: File magic: 8 bytes, embeds the container major version.
@@ -84,7 +81,7 @@ _COL_ALIGN = 16
 #: Bytes read when probing a file for its header; headers are far smaller.
 _HEADER_PROBE = 4096
 
-#: The column types the codec writes, by NumPy dtype code without its
+#: The column types the container writes, by NumPy dtype code without its
 #: byte-order mark: (item size, :mod:`struct` format character).
 _COLUMN_TYPES = {"f8": (8, "d"), "i8": (8, "q"), "u2": (2, "H"), "u1": (1, "B")}
 
@@ -93,12 +90,24 @@ _COLUMN_DTYPES = frozenset({"<f8", ">f8", "<i8", ">i8", "<u2", ">u2", "|u1"})
 
 
 class ColumnFormatError(ValueError):
-    """A ``.col`` buffer that cannot be decoded: bad magic, version, bounds."""
+    """An entry that cannot be decoded: bad magic, version, bounds, layout or values."""
 
 
-#: Exceptions that mean *corrupt entry* (quarantine), as opposed to an
-#: ``OSError`` which means *unavailable entry* (miss, never quarantine).
-PARSE_ERRORS = (json.JSONDecodeError, UnicodeDecodeError, ColumnFormatError)
+@dataclass(frozen=True)
+class Layout:
+    """What one kind of entry carries, as its store's encoder writes it.
+
+    ``columns`` maps each column, in the order the encoder packs them, to
+    its dtype code (``f8``, ``i8``, ``u2`` or ``u1``).  ``shapes(meta,
+    counts)`` gives the shape each column has in an entry whose header
+    meta is ``meta`` and whose columns hold ``counts[name]`` elements, so a
+    column reshaped within its own bytes is refused; it raises
+    :class:`ColumnFormatError` for a meta it cannot size.
+    """
+
+    kind: str
+    columns: dict[str, str]
+    shapes: Callable[[dict, dict[str, int]], dict[str, list[int]]]
 
 
 def column_to_dict(name: str, array: np.ndarray, offset: int) -> dict:
@@ -112,18 +121,19 @@ def column_to_dict(name: str, array: np.ndarray, offset: int) -> dict:
     }
 
 
-def _pack(kind: str, meta: dict, columns: list[tuple[str, np.ndarray]]) -> bytes:
-    """Assemble the container: header JSON, padding, aligned column payload."""
+def pack(layout: Layout, meta: dict, columns: dict[str, np.ndarray]) -> bytes:
+    """Assemble one entry: header JSON, padding, each column of ``layout`` aligned."""
+    arrays = [(name, columns[name]) for name in layout.columns]
     descriptors = []
     offset = 0
-    for name, array in columns:
+    for name, array in arrays:
         offset = -(-offset // _COL_ALIGN) * _COL_ALIGN
         descriptors.append(column_to_dict(name, array, offset))
         offset += array.nbytes
     header = jsonsafe.dumps(
         {
             "colfmt_version": COLFMT_SCHEMA_VERSION,
-            "kind": kind,
+            "kind": layout.kind,
             "meta": meta,
             "columns": descriptors,
         },
@@ -134,25 +144,23 @@ def _pack(kind: str, meta: dict, columns: list[tuple[str, np.ndarray]]) -> bytes
     out[: len(MAGIC)] = MAGIC
     out[len(MAGIC) : len(MAGIC) + 4] = len(header).to_bytes(4, "little")
     out[len(MAGIC) + 4 : len(MAGIC) + 4 + len(header)] = header
-    for descriptor, (_, array) in zip(descriptors, columns):
+    for descriptor, (_, array) in zip(descriptors, arrays):
         start = data_start + descriptor["offset"]
         out[start : start + array.nbytes] = array.tobytes()  # C order, whatever the layout
     return bytes(out)
 
 
-def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
-    """Validate magic/version and return ``(header, data_start)``.
+def _parse_header(buffer, layout: Layout, *, size: int | None = None) -> tuple[dict, int]:
+    """Validate the container against ``layout``; return ``(header, data_start)``.
 
     Raises :class:`ColumnFormatError` for anything that cannot be a valid
-    container — truncation, wrong magic, bad version, malformed header
-    JSON, or a column descriptor of a type the codec does not write, whose
-    size does not match its shape, or that points past ``size``: the
-    length of the whole file, which defaults to ``len(buffer)`` (``buffer``
-    *is* the file) and is passed explicitly when ``buffer`` is a prefix
-    probe.  A container of a known kind must carry exactly the columns its
-    encoder writes, each in the encoder's type and shape (see
-    :func:`_encoded_shapes`), so a store's header probe refuses what a
-    later column decode could not read.
+    entry of the layout's kind — truncation, wrong magic, bad version,
+    malformed header JSON, another kind, or a column descriptor of a type
+    the container does not write, whose size does not match its shape,
+    that points past ``size``, or that the layout does not give that
+    name, dtype and shape.  ``size`` is the length of the whole file; it
+    defaults to ``len(buffer)`` (``buffer`` *is* the file) and is passed
+    explicitly when ``buffer`` is a prefix probe.
     """
     if len(buffer) < len(MAGIC) + 4:
         raise ColumnFormatError(f"buffer too short for container ({len(buffer)} bytes)")
@@ -170,6 +178,8 @@ def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
         raise ColumnFormatError("header is not a JSON object")
     if header.get("colfmt_version") != COLFMT_SCHEMA_VERSION:
         raise ColumnFormatError(f"unsupported colfmt_version {header.get('colfmt_version')!r}")
+    if header.get("kind") != layout.kind:
+        raise ColumnFormatError(f"expected {layout.kind} container, got {header.get('kind')!r}")
     data_start = -(-header_end // _DATA_ALIGN) * _DATA_ALIGN
     limit = len(buffer) if size is None else size
     columns = header.get("columns")
@@ -189,41 +199,17 @@ def _parse_header(buffer, *, size: int | None = None) -> tuple[dict, int]:
             raise ColumnFormatError(f"column {name!r}: {nbytes} bytes do not hold {shape} x {dtype}")
         if data_start + offset + nbytes > limit:
             raise ColumnFormatError(f"column {name!r} out of bounds")
-    kind = header.get("kind")
-    expected = _KIND_COLUMNS.get(kind) if isinstance(kind, str) else None
-    if expected is not None:
-        written = {descriptor["name"]: descriptor["dtype"][1:] for descriptor in columns}
-        if written != expected or len(columns) != len(written):
-            raise ColumnFormatError(f"{kind} columns {written} are not what its encoder writes")
-        if not isinstance(header.get("meta"), dict):
-            raise ColumnFormatError(f"{kind} header meta is not an object")
-        shapes = {descriptor["name"]: descriptor["shape"] for descriptor in columns}
-        encoded = _encoded_shapes(kind, header["meta"], shapes)
-        if shapes != encoded:
-            raise ColumnFormatError(f"{kind} column shapes {shapes}, expected {encoded}")
+    written = {descriptor["name"]: descriptor["dtype"][1:] for descriptor in columns}
+    if written != layout.columns or len(columns) != len(written):
+        raise ColumnFormatError(f"{layout.kind} columns {written} are not what its encoder writes")
+    meta = header.get("meta")
+    if not isinstance(meta, dict):
+        raise ColumnFormatError(f"{layout.kind} header meta is not an object")
+    shapes = {descriptor["name"]: descriptor["shape"] for descriptor in columns}
+    expected = layout.shapes(meta, {name: math.prod(shape) for name, shape in shapes.items()})
+    if shapes != expected:
+        raise ColumnFormatError(f"{layout.kind} column shapes {shapes}, expected {expected}")
     return header, data_start
-
-
-def _encoded_shapes(kind: str, meta: dict, shapes: dict[str, list[int]]) -> dict[str, list[int]]:
-    """The shape each column of a ``kind`` entry gets from its encoder.
-
-    An entry's size is read off one column's element count (and, for
-    traces and bundles, the header's model list), so a column reshaped
-    within its own bytes differs from what the encoder would write.
-    """
-    if kind == "run":
-        rows = [math.prod(shapes["frame_index"])]
-        return {name: rows for name in _RUN_COLUMNS} | {"box": [*rows, 4]}
-    models = meta.get("models")
-    if not isinstance(models, list):
-        raise ColumnFormatError(f"{kind} header lists no models")
-    if kind == "trace":
-        frames = math.prod(shapes["box_mask"]) // len(models) if models else 0
-        rows = [len(models), frames]
-        return {name: rows for name in _TRACE_COLUMNS} | {"box": [*rows, 4]}
-    rows = [math.prod(shapes["sample_index"])]
-    return {"sample_index": rows, "difficulty": rows,
-            "confidence": [*rows, len(models)], "iou": [*rows, len(models)]}
 
 
 def _is_count(value) -> bool:
@@ -231,41 +217,13 @@ def _is_count(value) -> bool:
     return type(value) is int and value >= 0
 
 
-def _descriptor(header: dict, name: str) -> dict:
-    for descriptor in header["columns"]:
-        if descriptor["name"] == name:
-            return descriptor
-    raise ColumnFormatError(f"missing column {name!r}")
-
-
-def _column_values(buffer, header: dict, data_start: int, name: str) -> tuple:
-    """One column's values in C order, as Python ints and floats.
-
-    Decodes with :func:`struct.unpack_from` in the byte order the dtype
-    names, so the values are bit for bit those NumPy's
-    ``np.frombuffer(...).tolist()`` reads, without importing NumPy.
-    """
-    descriptor = _descriptor(header, name)
-    dtype = descriptor["dtype"]
-    order = ">" if dtype[0] == ">" else "<"
-    count = math.prod(descriptor["shape"])
-    return struct.unpack_from(
-        f"{order}{count}{_COLUMN_TYPES[dtype[1:]][1]}", buffer, data_start + descriptor["offset"]
-    )
-
-
-def _boxes(values: tuple) -> list[list[float]]:
-    """A flat ``box`` column as one 4-float list per row."""
-    return list(map(list, zip(*[iter(values)] * 4)))
-
-
-def read_header(path: str | Path, *, root: str | Path | None = None) -> dict:
+def read_header(path: str | Path, layout: Layout, *, root: str | Path | None = None) -> dict:
     """Parse only the JSON header of a ``.col`` file (≤ a few KiB read).
 
     This is the warm-path primitive: metrics, fingerprints, and identity
     checks live in the header, so the column payload is never read.  The
-    column directory is still checked against the file's size, so an
-    entry torn after its header (a partial write) raises
+    column directory is still checked against ``layout`` and the file's
+    size, so an entry torn after its header (a partial write) raises
     :class:`ColumnFormatError` here rather than serving a hit whose
     columns are missing.
     """
@@ -278,346 +236,33 @@ def read_header(path: str | Path, *, root: str | Path | None = None) -> dict:
         needed = len(MAGIC) + 4 + header_len
         if 0 < header_len and needed > len(probe) and needed <= 64 * 1024 * 1024:
             probe = iolayer.read_bytes(path, root=root, count=needed)
-    header, _ = _parse_header(probe, size=size)
+    header, _ = _parse_header(probe, layout, size=size)
     return header
 
 
-# ---------------------------------------------------------------------------
-# Trace payloads: {"schema_version", ..., "outcomes": {model: [rows]}}
-# Row = [box|None, confidence, iou, quality, detected, false_positive].
+def read_columns(
+    path: str | Path, layout: Layout, *, root: str | Path | None = None
+) -> tuple[dict, dict[str, tuple]]:
+    """The header ``meta`` and every column of one entry, as Python values.
 
-#: Each column's dtype code (see ``_COLUMN_TYPES``) as the encoder writes it.
-_TRACE_COLUMNS = {
-    "box": "f8", "box_mask": "u1", "confidence": "f8", "iou": "f8", "quality": "f8",
-    "detected": "u1", "false_positive": "u1",
-}
-
-
-def encode_trace(payload: dict) -> bytes:
-    """Pack a trace payload (as produced by ``trace_to_dict``) into a container."""
-    import numpy as np
-
-    meta = {key: value for key, value in payload.items() if key != "outcomes"}
-    outcomes = payload["outcomes"]
-    models = list(outcomes)  # preserve payload order: readers see the zoo's order
-    meta["models"] = models
-    n_models = len(models)
-    n_frames = len(outcomes[models[0]]) if models else 0
-    box = np.zeros((n_models, n_frames, 4), dtype=np.float64)
-    box_mask = np.zeros((n_models, n_frames), dtype=np.uint8)
-    confidence = np.zeros((n_models, n_frames), dtype=np.float64)
-    iou = np.zeros((n_models, n_frames), dtype=np.float64)
-    quality = np.zeros((n_models, n_frames), dtype=np.float64)
-    detected = np.zeros((n_models, n_frames), dtype=np.uint8)
-    false_positive = np.zeros((n_models, n_frames), dtype=np.uint8)
-    for m, model in enumerate(models):
-        rows = outcomes[model]
-        if len(rows) != n_frames:
-            raise ColumnFormatError(
-                f"ragged outcomes: {model!r} has {len(rows)} rows, expected {n_frames}"
-            )
-        for f, row in enumerate(rows):
-            if row[0] is not None:
-                box[m, f] = row[0]
-                box_mask[m, f] = 1
-            confidence[m, f] = row[1]
-            iou[m, f] = row[2]
-            quality[m, f] = row[3]
-            detected[m, f] = bool(row[4])
-            false_positive[m, f] = bool(row[5])
-    return _pack(
-        "trace",
-        meta,
-        [
-            ("box", box),
-            ("box_mask", box_mask),
-            ("confidence", confidence),
-            ("iou", iou),
-            ("quality", quality),
-            ("detected", detected),
-            ("false_positive", false_positive),
-        ],
-    )
-
-
-def decode_trace_outcomes(buffer) -> dict:
-    """Rebuild the ``outcomes`` mapping (pure Python rows) from a trace container."""
-    header, data_start = _parse_header(buffer)
-    if header.get("kind") != "trace":
-        raise ColumnFormatError(f"expected trace container, got {header.get('kind')!r}")
-    models = header["meta"]["models"]
-    frames = _descriptor(header, "box_mask")["shape"][1]
-    box, box_mask, confidence, iou, quality, detected, false_positive = (
-        _column_values(buffer, header, data_start, name) for name in _TRACE_COLUMNS
-    )
-    boxes = _boxes(box)
-    outcomes = {}
-    for m, model in enumerate(models):
-        rows = slice(m * frames, (m + 1) * frames)
-        outcomes[model] = [
-            [row_box if masked else None, conf, overlap, qual, bool(hit), bool(false_hit)]
-            for row_box, masked, conf, overlap, qual, hit, false_hit in zip(
-                boxes[rows], box_mask[rows], confidence[rows], iou[rows], quality[rows],
-                detected[rows], false_positive[rows],
-            )
-        ]
-    return outcomes
-
-
-def decode_trace(buffer) -> dict:
-    """Full trace payload, bit-identical to the encoded ``trace_to_dict`` output."""
-    header, _ = _parse_header(buffer)
-    if header.get("kind") != "trace":
-        raise ColumnFormatError(f"expected trace container, got {header.get('kind')!r}")
-    payload = {k: v for k, v in header["meta"].items() if k != "models"}
-    payload["outcomes"] = decode_trace_outcomes(buffer)
-    return payload
-
-
-# ---------------------------------------------------------------------------
-# Run payloads: {"schema_version", ..., "metrics": {...}, "records": [rows]}
-# Record row = the 18-field list produced by runstore._record_row.
-
-_RUN_FLOAT_FIELDS = (
-    # (column name, record-row index)
-    ("confidence", 4),
-    ("iou", 5),
-    ("latency_s", 8),
-    ("inference_s", 9),
-    ("stall_s", 10),
-    ("overhead_s", 11),
-    ("energy_j", 12),
-    ("similarity", 17),
-)
-
-_RUN_FLAG_FIELDS = (
-    ("ground_truth_present", 6),
-    ("detected", 7),
-    ("swap", 13),
-    ("cold_load", 14),
-    ("used_tracker", 15),
-    ("rescheduled", 16),
-)
-
-_RUN_COLUMNS = {
-    "frame_index": "i8", "model_code": "u2", "accel_code": "u2", "box": "f8", "box_mask": "u1",
-    **{name: "f8" for name, _ in _RUN_FLOAT_FIELDS},
-    **{name: "u1" for name, _ in _RUN_FLAG_FIELDS},
-}
-
-
-def encode_run(payload: dict) -> bytes:
-    """Pack a run payload (as produced by ``run_to_dict``) into a container.
-
-    Metrics stay in the header — ``RunStore.load_metrics`` (the warm-sweep
-    hot path) decodes ≤4 KiB and never touches the record columns.
+    Each column's values come back flat, in C order, read with
+    :func:`struct.unpack_from` in the byte order its dtype names — bit
+    for bit what NumPy's ``np.frombuffer(...).tolist()`` reads, without
+    importing NumPy.
     """
-    import numpy as np
-
-    meta = {key: value for key, value in payload.items() if key != "records"}
-    records = payload["records"]
-    n = len(records)
-    model_names = sorted({row[1] for row in records})
-    accelerator_names = sorted({row[2] for row in records})
-    meta["model_names"] = model_names
-    meta["accelerator_names"] = accelerator_names
-    model_code = {name: code for code, name in enumerate(model_names)}
-    accel_code = {name: code for code, name in enumerate(accelerator_names)}
-    frame_index = np.zeros(n, dtype=np.int64)
-    models = np.zeros(n, dtype=np.uint16)
-    accels = np.zeros(n, dtype=np.uint16)
-    box = np.zeros((n, 4), dtype=np.float64)
-    box_mask = np.zeros(n, dtype=np.uint8)
-    floats = {name: np.zeros(n, dtype=np.float64) for name, _ in _RUN_FLOAT_FIELDS}
-    flags = {name: np.zeros(n, dtype=np.uint8) for name, _ in _RUN_FLAG_FIELDS}
-    for i, row in enumerate(records):
-        frame_index[i] = row[0]
-        models[i] = model_code[row[1]]
-        accels[i] = accel_code[row[2]]
-        if row[3] is not None:
-            box[i] = row[3]
-            box_mask[i] = 1
-        for name, idx in _RUN_FLOAT_FIELDS:
-            floats[name][i] = row[idx]
-        for name, idx in _RUN_FLAG_FIELDS:
-            flags[name][i] = bool(row[idx])
-    columns = [
-        ("frame_index", frame_index),
-        ("model_code", models),
-        ("accel_code", accels),
-        ("box", box),
-        ("box_mask", box_mask),
-    ]
-    columns += [(name, floats[name]) for name, _ in _RUN_FLOAT_FIELDS]
-    columns += [(name, flags[name]) for name, _ in _RUN_FLAG_FIELDS]
-    return _pack("run", meta, columns)
-
-
-def read_run_header(path: str | Path, *, root: str | Path | None = None) -> dict:
-    """Run payload minus records: the header ``meta`` with vocab keys stripped."""
-    header = read_header(path, root=root)
-    if header.get("kind") != "run":
-        raise ColumnFormatError(f"expected run container, got {header.get('kind')!r}")
-    return {
-        k: v
-        for k, v in header["meta"].items()
-        if k not in ("model_names", "accelerator_names")
-    }
-
-
-def decode_run(buffer) -> dict:
-    """Full run payload, bit-identical to the encoded ``run_to_dict`` output."""
-    header, data_start = _parse_header(buffer)
-    if header.get("kind") != "run":
-        raise ColumnFormatError(f"expected run container, got {header.get('kind')!r}")
-    meta = header["meta"]
-    values = {name: _column_values(buffer, header, data_start, name) for name in _RUN_COLUMNS}
-    try:
-        models, accelerators = meta["model_names"], meta["accelerator_names"]
-        model_names = [models[code] for code in values["model_code"]]
-        accelerator_names = [accelerators[code] for code in values["accel_code"]]
-    except (LookupError, TypeError) as exc:
-        raise ColumnFormatError(f"run codes outside their vocabulary: {exc!r}") from exc
-    records = [
-        [index, model, accelerator, box if masked else None, confidence, iou,
-         bool(truth), bool(detected), latency, inference, stall, overhead, energy,
-         bool(swap), bool(cold), bool(tracked), bool(rescheduled), similarity]
-        for (index, model, accelerator, box, masked,
-             confidence, iou, latency, inference, stall, overhead, energy, similarity,
-             truth, detected, swap, cold, tracked, rescheduled) in zip(
-            values["frame_index"], model_names, accelerator_names, _boxes(values["box"]),
-            values["box_mask"],
-            *(values[name] for name, _ in _RUN_FLOAT_FIELDS),
-            *(values[name] for name, _ in _RUN_FLAG_FIELDS),
+    buffer = iolayer.read_bytes(path, root=root, map=True)
+    header, data_start = _parse_header(buffer, layout)
+    columns = {}
+    for descriptor in header["columns"]:
+        dtype = descriptor["dtype"]
+        order = ">" if dtype[0] == ">" else "<"
+        columns[descriptor["name"]] = struct.unpack_from(
+            f"{order}{math.prod(descriptor['shape'])}{_COLUMN_TYPES[dtype[1:]][1]}",
+            buffer, data_start + descriptor["offset"],
         )
-    ]
-    payload = {
-        k: v for k, v in meta.items() if k not in ("model_names", "accelerator_names")
-    }
-    payload["records"] = records
-    return payload
+    return header["meta"], columns
 
 
-# ---------------------------------------------------------------------------
-# Bundle payloads: {"schema_version", ..., "bundle": bundle_to_dict(...)}.
-# The bundle's observations become columns: sample_index [n], difficulty
-# [n], and confidence / iou [n, models].  Everything else (identity block,
-# trait tables) stays in the header.  The header is written with sorted
-# keys, so the two dict orders a bundle depends on are kept as lists:
-# ``models`` (every observation's readings order) and ``accuracy_models``.
-
-_BUNDLE_COLUMNS = {"sample_index": "i8", "difficulty": "f8", "confidence": "f8", "iou": "f8"}
-
-
-def encode_bundle(payload: dict) -> bytes:
-    """Pack a bundle entry payload into a container.
-
-    Every observation must read the same models in the same order (what
-    ``characterize`` produces); anything else cannot fill the
-    [samples, models] columns and raises :class:`ColumnFormatError`.
-    """
-    import numpy as np
-
-    bundle = payload["bundle"]
-    observations = bundle["observations"]
-    models = list(observations[0]["readings"]) if observations else []
-    n = len(observations)
-    sample_index = np.zeros(n, dtype=np.int64)
-    difficulty = np.zeros(n, dtype=np.float64)
-    confidence = np.zeros((n, len(models)), dtype=np.float64)
-    iou = np.zeros((n, len(models)), dtype=np.float64)
-    for i, obs in enumerate(observations):
-        readings = obs["readings"]
-        if list(readings) != models:
-            raise ColumnFormatError(
-                f"observation {i} reads models {list(readings)}, expected {models}"
-            )
-        sample_index[i] = obs["sample_index"]
-        difficulty[i] = obs["difficulty"]
-        for j, reading in enumerate(readings.values()):
-            confidence[i, j], iou[i, j] = reading
-    meta = {key: value for key, value in payload.items() if key != "bundle"}
-    meta["bundle"] = {key: value for key, value in bundle.items() if key != "observations"}
-    meta["models"] = models
-    meta["accuracy_models"] = list(bundle["accuracy"])
-    return _pack(
-        "bundle",
-        meta,
-        [
-            ("sample_index", sample_index),
-            ("difficulty", difficulty),
-            ("confidence", confidence),
-            ("iou", iou),
-        ],
-    )
-
-
-def decode_bundle(buffer) -> dict:
-    """Full bundle entry payload, equal to the encoded one (dict orders included)."""
-    header, data_start = _parse_header(buffer)
-    if header.get("kind") != "bundle":
-        raise ColumnFormatError(f"expected bundle container, got {header.get('kind')!r}")
-    meta = header["meta"]
-    sample_index, difficulty, confidence, iou = (
-        _column_values(buffer, header, data_start, name) for name in _BUNDLE_COLUMNS
-    )
-    models = meta["models"]
-    width = len(models)
-    try:
-        bundle = dict(meta["bundle"])
-        bundle["accuracy"] = {
-            name: bundle["accuracy"][name] for name in meta["accuracy_models"]
-        }
-        bundle["observations"] = [
-            {
-                "sample_index": sample_index[i],
-                "difficulty": difficulty[i],
-                "readings": {
-                    model: [confidence[i * width + j], iou[i * width + j]]
-                    for j, model in enumerate(models)
-                },
-            }
-            for i in range(len(sample_index))
-        ]
-    except (KeyError, TypeError, IndexError) as exc:
-        raise ColumnFormatError(f"malformed bundle container: {exc!r}") from exc
-    payload = {
-        key: value
-        for key, value in meta.items()
-        if key not in ("bundle", "models", "accuracy_models")
-    }
-    payload["bundle"] = bundle
-    return payload
-
-
-#: Every container kind's columns, each in the type its encoder writes.
-_KIND_COLUMNS = {"trace": _TRACE_COLUMNS, "run": _RUN_COLUMNS, "bundle": _BUNDLE_COLUMNS}
-
-
-# ---------------------------------------------------------------------------
-# Suffix-dispatching entry read for maintenance / quarantine / audit.
-
-def load_entry_payload(path: str | Path, *, root: str | Path | None = None) -> dict:
-    """Parse a ``.col`` entry or a JSON job record into its payload dict.
-
-    Raises :class:`FileNotFoundError` for a missing entry, one of
-    :data:`PARSE_ERRORS` for a corrupt one, and any other ``OSError``
-    (post-retry, via the seam) for an *unavailable* one — callers must
-    treat only the middle case as quarantinable.
-    """
-    path = Path(path)
-    if path.name.endswith(COL_SUFFIX):
-        buffer = iolayer.read_bytes(path, root=root)
-        header, _ = _parse_header(buffer)
-        kind = header.get("kind")
-        if kind == "trace":
-            return decode_trace(buffer)
-        if kind == "run":
-            return decode_run(buffer)
-        if kind == "bundle":
-            return decode_bundle(buffer)
-        raise ColumnFormatError(f"unknown container kind {kind!r}")
-    payload = jsonsafe.loads(iolayer.read_text(path, root=root))
-    if not isinstance(payload, dict):
-        raise json.JSONDecodeError("entry is not a JSON object", "", 0)
-    return payload
+def rows(values: tuple, width: int) -> list[tuple]:
+    """A flat column as one ``width``-tuple per row (C order)."""
+    return list(zip(*[iter(values)] * width))

@@ -4,23 +4,26 @@ Quarantined entries, dead-letter jobs, and stale temp files are all
 *evidence* the moment they appear — and garbage a week later.  This
 module is the generic maintenance engine the trace, run, and bundle
 stores and the job queue all wire up through one mixin,
-:class:`MaintainedRoot` (``repro store scrub|gc`` on the CLI):
+:class:`MaintainedRoot` (``repro store scrub|gc`` on the CLI).  It walks
+files and never reads one: each root checks its own entries.
 
 ``scrub`` — :func:`scrub_entries`
-    Re-verify every entry *file* in every shard under its shard lock: it
-    must parse, live in the shard its digest names, and pass the root's
-    own identity validation (schema version, fingerprints matching the
-    file name, payload shape).  Anything that fails is quarantined
-    (moved to ``root/_quarantine``) — exactly what the lazy load path
-    would eventually do, done eagerly.  A store's ``audit`` is the same
-    walk, reporting without quarantining (:func:`audit_entries`).
+    Re-verify every entry *file* in every shard under its shard lock: the
+    root's own entry check must pass (for a store, its one decoder must
+    decode the entry and its identity must match the file name; for the
+    job queue, the record must parse and match its name), and the entry
+    must live in the shard its digest names.  Anything that fails is
+    quarantined (moved to ``root/_quarantine``) — exactly what the lazy
+    load path would eventually do, done eagerly.  A store's ``audit`` is
+    the same walk, reporting without quarantining (:func:`audit_entries`).
 
 ``gc`` — :func:`gc_entries`
     Apply TTLs (file mtime) to the artifacts that only accumulate:
-    quarantined files, abandoned ``*.tmp*`` files, and — via the caller's
-    ``collect`` predicate — terminal entries like dead-letter jobs.
-    Dry-run by default, with byte accounting either way, so operators see
-    what a real pass would reclaim before deleting anything.
+    quarantined files, abandoned ``*.tmp*`` files, and — via the root's
+    ``GC_GLOB`` — terminal entries like dead-letter jobs, which the queue
+    names ``*.dead.json``.  Dry-run by default, with byte accounting
+    either way, so operators see what a real pass would reclaim before
+    deleting anything.
 
 Both are metamorphic no-ops for servable data: a scrub+gc pass leaves
 every entry a reader could successfully load bit-identical (the test
@@ -35,7 +38,7 @@ from pathlib import Path
 from collections.abc import Callable
 from typing import ClassVar
 
-from . import colfmt, iolayer, shards
+from . import iolayer, shards
 
 #: Default age before quarantine/temp/dead-letter artifacts are collected.
 DEFAULT_TTL_SECONDS = 7 * 24 * 3600.0
@@ -82,14 +85,15 @@ class GcReport:
 def scrub_entries(
     root: Path,
     pattern: str,
-    validate: Callable[[str, dict], str | None],
+    check: Callable[[Path], str | None],
     digest_for: Callable[[str], str | None],
 ) -> ScrubReport:
     """Re-verify every entry file under its shard lock; quarantine failures.
 
-    ``pattern`` globs a shard's entry files; ``validate(name, payload)``
-    returns a problem string (entry is quarantined) or None (entry is
-    sound); ``digest_for(name)`` recovers the shard digest from the file
+    ``pattern`` globs a shard's entry files; ``check(path)`` is the
+    root's own entry check — a problem string (entry is quarantined) or
+    None (entry is sound), raising ``OSError`` when the entry cannot be
+    read; ``digest_for(name)`` recovers the shard digest from the file
     name so misfiled entries are caught too.  Entries whose bytes cannot
     be *read* (transient I/O failure, after the seam's retries) are
     reported but **not** quarantined — unavailability is not evidence of
@@ -100,7 +104,7 @@ def scrub_entries(
         with shards.shard_lock(shard):
             for path in shards.scan_or_empty(shard, pattern, root):
                 report.entries_checked += 1
-                problem, quarantinable = _entry_problem(shard, path.name, validate, digest_for)
+                problem, quarantinable = _file_problem(shard, path.name, check, digest_for)
                 if problem is None:
                     continue
                 report.problems.append(f"{shard.name}/{path.name}: {problem}")
@@ -112,7 +116,7 @@ def scrub_entries(
 def audit_entries(
     root: Path,
     pattern: str,
-    validate: Callable[[str, dict], str | None],
+    check: Callable[[Path], str | None],
     digest_for: Callable[[str], str | None],
 ) -> tuple[int, list[str]]:
     """The checks of :func:`scrub_entries`, reported and never acted on.
@@ -123,16 +127,16 @@ def audit_entries(
     paths = list(shards.iter_entry_paths(root, pattern))
     problems = []
     for path in paths:
-        problem, _ = _entry_problem(path.parent, path.name, validate, digest_for)
+        problem, _ = _file_problem(path.parent, path.name, check, digest_for)
         if problem is not None:
             problems.append(f"{path.parent.name}/{path.name}: {problem}")
     return len(paths), problems
 
 
-def _entry_problem(
+def _file_problem(
     shard: Path,
     name: str,
-    validate: Callable[[str, dict], str | None],
+    check: Callable[[Path], str | None],
     digest_for: Callable[[str], str | None],
 ) -> tuple[str | None, bool]:
     """``(problem, quarantinable)`` for one entry file.
@@ -142,30 +146,26 @@ def _entry_problem(
     ``quarantinable`` is False exactly for read-I/O failures: the entry
     may be perfectly valid on a disk that is briefly unhappy, so scrub
     reports it and leaves it for a later pass to vindicate or convict.
-    Entries parse via :func:`repro.runtime.colfmt.load_entry_payload`.
     """
     try:
-        payload = colfmt.load_entry_payload(shard / name, root=shard.parent)
+        problem = check(shard / name)
     except FileNotFoundError:
         return None, False
-    except colfmt.PARSE_ERRORS as exc:
-        return f"unparseable ({exc})", True
     except OSError as exc:
         return f"unreadable ({exc}) — left in place", False
-    if not isinstance(payload, dict):
-        return "not a JSON object", True
+    if problem is not None:
+        return problem, True
     digest = digest_for(name)
     if digest is None:
         return "file name does not parse as an entry name", True
     if shards.shard_prefix(digest) != shard.name:
         return f"entry filed in shard {shard.name} but digest names {digest[:2]}", True
-    return validate(name, payload), True
+    return None, True
 
 
 def gc_entries(
     root: Path,
-    pattern: str,
-    collect: Callable[[dict], bool] | None,
+    expired: str | None,
     *,
     ttl_seconds: float = DEFAULT_TTL_SECONDS,
     dry_run: bool = True,
@@ -175,11 +175,10 @@ def gc_entries(
 
     Removes (or, by default, only reports — ``dry_run``) every file under
     ``root/_quarantine`` and every ``*.tmp*`` file whose mtime is older
-    than ``ttl_seconds``.  When ``collect`` is given, entries matching
-    ``pattern`` whose parsed payload satisfies ``collect(payload)`` are
-    removed too once past the TTL — how the job queue expires dead-letter
-    records.  Byte counts are accumulated in either mode so a dry run
-    prices the real one.
+    than ``ttl_seconds``.  When ``expired`` is given, the shard files it
+    globs are removed too once past the TTL — how the job queue expires
+    dead-letter records by their ``.dead.json`` names.  Byte counts are
+    accumulated in either mode so a dry run prices the real one.
     """
     clock = time.time() if now is None else now
     report = GcReport(root=str(root), dry_run=dry_run)
@@ -197,16 +196,11 @@ def gc_entries(
             for path in shards.scan_or_empty(shard, "*.tmp*", root):
                 if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
                     report.temps_removed += 1
-            if collect is None:
+            if expired is None:
                 continue
-            for path in shards.scan_or_empty(shard, pattern, root):
-                if ".tmp" in path.name:
-                    continue
-                if not _collect_entry_locked(
-                    root, shard, path, report, clock, ttl_seconds, dry_run, collect
-                ):
-                    continue
-                report.entries_removed += 1
+            for path in shards.scan_or_empty(shard, expired, root):
+                if _collect_file(path, report, clock, ttl_seconds, dry_run, root):
+                    report.entries_removed += 1
     return report
 
 
@@ -222,7 +216,7 @@ def _age_and_size(path: Path, root: Path) -> tuple[float, int] | None:
 def _collect_file(
     path: Path, report: GcReport, now: float, ttl: float, dry_run: bool, root: Path
 ) -> bool:
-    """Reclaim one quarantine/temp file past its TTL; True when counted."""
+    """Reclaim one quarantined, temp or expired entry file past its TTL; True when counted."""
     probed = _age_and_size(path, root)
     if probed is None:
         return False
@@ -241,52 +235,22 @@ def _collect_file(
     return True
 
 
-def _collect_entry_locked(
-    root: Path,
-    shard: Path,
-    path: Path,
-    report: GcReport,
-    now: float,
-    ttl: float,
-    dry_run: bool,
-    collect: Callable[[dict], bool],
-) -> bool:
-    """Reclaim one terminal entry (payload satisfies ``collect``) past TTL."""
-    probed = _age_and_size(path, root)
-    if probed is None:
-        return False
-    mtime, size = probed
-    try:
-        payload = colfmt.load_entry_payload(path, root=root)
-    except (OSError, *colfmt.PARSE_ERRORS):
-        return False  # scrub territory, not GC's
-    if not isinstance(payload, dict) or not collect(payload):
-        return False
-    if now - mtime < ttl:
-        report.skipped_young += 1
-        return False
-    if not dry_run:
-        shards.remove_entry_locked(shard, path.name)
-    report.bytes_reclaimed += size
-    report.paths.append(str(path.relative_to(root)))
-    return True
-
-
 class MaintainedRoot:
     """Health and maintenance for one sharded root, written once.
 
     The entry stores (trace, run, bundle) and the job queue mix this in
-    and supply its hooks: :attr:`ENTRY_GLOB` (the entry files inside a shard),
-    ``_digest_from_name`` (file name -> shard digest, or None),
-    ``_scrub_problem`` (why a parsed entry is unsound, or None), and
-    :attr:`_gc_collect` (which parsed entries expire like quarantined
-    files; None collects no entries).
+    and supply its hooks: :attr:`ENTRY_GLOB` (the entry files inside a
+    shard), :attr:`GC_GLOB` (the entry files that expire like quarantined
+    files; None expires none), ``_digest_from_name`` (file name -> shard
+    digest, or None), and ``_entry_problem`` (the root's own check of one
+    entry file: why it is unsound, or None; ``OSError`` when it cannot be
+    read).
     """
 
     ENTRY_GLOB: ClassVar[str]
+    GC_GLOB: ClassVar[str | None] = None
     _digest_from_name: Callable[[str], str | None]
-    _scrub_problem: Callable[[str, dict], str | None]
-    _gc_collect: Callable[[dict], bool] | None = None
+    _entry_problem: Callable[[Path], str | None]
 
     root: Path
 
@@ -302,7 +266,7 @@ class MaintainedRoot:
     def audit(self) -> tuple[int, list[str]]:
         """Check every entry file as :meth:`scrub` would, quarantining nothing."""
         return audit_entries(
-            self.root, self.ENTRY_GLOB, self._scrub_problem, self._digest_from_name
+            self.root, self.ENTRY_GLOB, self._entry_problem, self._digest_from_name
         )
 
     @property
@@ -318,7 +282,7 @@ class MaintainedRoot:
     def scrub(self) -> ScrubReport:
         """Re-verify every entry file; quarantine the unsound ones."""
         return scrub_entries(
-            self.root, self.ENTRY_GLOB, self._scrub_problem, self._digest_from_name
+            self.root, self.ENTRY_GLOB, self._entry_problem, self._digest_from_name
         )
 
     def gc(
@@ -330,6 +294,5 @@ class MaintainedRoot:
     ) -> GcReport:
         """TTL-collect quarantine, stale temps, and terminal entries (dry-run default)."""
         return gc_entries(
-            self.root, self.ENTRY_GLOB, self._gc_collect,
-            ttl_seconds=ttl_seconds, dry_run=dry_run, now=now,
+            self.root, self.GC_GLOB, ttl_seconds=ttl_seconds, dry_run=dry_run, now=now
         )

@@ -34,15 +34,20 @@ invalidated in place.  :data:`RUN_ALGORITHM_VERSION` additionally pins the
 run-producing code itself (scheduler semantics, engine jitter model):
 bumping it orphans stale files, which are then treated as misses.
 
-**Payload.**  Each file stores the full per-frame record rows *and* the
-pre-aggregated :class:`~repro.runtime.metrics.RunMetrics` dict.  Sweeps
-that only need metrics (tables, figures, fuzz drivers) hit
-:meth:`RunStore.load_metrics`, which skips rebuilding
-:class:`~repro.core.records.FrameRecord` objects entirely — that is
-what makes a warm sweep as cheap as a trace reload.  Floats survive the
-round-trip exactly (float64 columns; the metrics sit in the JSON header
-in shortest-round-trip repr), so a warm sweep is bit-identical to a cold
-one.
+**Entry.**  Each file is a ``run`` container (:mod:`repro.runtime.colfmt`).
+Its header meta (:func:`_meta_to_dict`) holds the identity block,
+``frame_count``, the pre-aggregated
+:class:`~repro.runtime.metrics.RunMetrics` (:func:`_metrics_row`) and the
+sorted ``model_names`` / ``accelerator_names`` vocabularies; its columns
+hold one value per frame record, in the order of :func:`_frame_row`
+(names as ``model_code`` / ``accel_code`` into the vocabularies, the box
+as ``box`` + ``box_mask``).  Sweeps that only need metrics (tables,
+figures, fuzz sweeps) hit :meth:`RunStore.load_metrics`, which reads the
+header and skips rebuilding :class:`~repro.core.records.FrameRecord`
+objects entirely — that is what makes a warm sweep as cheap as a trace
+reload.  Floats survive the round-trip exactly (float64 columns; the
+metrics sit in the JSON header in shortest-round-trip repr), so a warm
+sweep is bit-identical to a cold one.
 """
 
 from __future__ import annotations
@@ -52,9 +57,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..vision.bbox import BoundingBox
-from . import colfmt, iolayer, shards
+from . import colfmt, shards
 from .metrics import RunMetrics, aggregate
-from .store import EntryStore, digest_from_entry_name
+from .store import EntryStore, box_columns, digest_from_entry_name, header_names
 from ..core.records import FrameRecord, RunResult
 
 SCHEMA_VERSION = 1
@@ -67,7 +72,7 @@ RUN_ALGORITHM_VERSION = 1
 
 
 class RunSchemaError(ValueError):
-    """Raised when a persisted run cannot be understood or doesn't match."""
+    """Raised when a persisted run does not match its key."""
 
 
 @dataclass(frozen=True)
@@ -109,54 +114,6 @@ class RunKey:
         ).hexdigest()
 
 
-def _record_row(record: FrameRecord) -> list:
-    """One compact JSON row per frame record (field order is the schema)."""
-    return [
-        record.frame_index,
-        record.model_name,
-        record.accelerator_name,
-        None if record.box is None else [record.box.x1, record.box.y1,
-                                         record.box.x2, record.box.y2],
-        record.confidence,
-        record.iou,
-        record.ground_truth_present,
-        record.detected,
-        record.latency_s,
-        record.inference_s,
-        record.stall_s,
-        record.overhead_s,
-        record.energy_j,
-        record.swap,
-        record.cold_load,
-        record.used_tracker,
-        record.rescheduled,
-        record.similarity,
-    ]
-
-
-def _record_from_row(row: list) -> FrameRecord:
-    return FrameRecord(
-        frame_index=row[0],
-        model_name=row[1],
-        accelerator_name=row[2],
-        box=None if row[3] is None else BoundingBox(*row[3]),
-        confidence=row[4],
-        iou=row[5],
-        ground_truth_present=row[6],
-        detected=row[7],
-        latency_s=row[8],
-        inference_s=row[9],
-        stall_s=row[10],
-        overhead_s=row[11],
-        energy_j=row[12],
-        swap=row[13],
-        cold_load=row[14],
-        used_tracker=row[15],
-        rescheduled=row[16],
-        similarity=row[17],
-    )
-
-
 def _metrics_row(metrics: RunMetrics) -> dict:
     """RunMetrics as a flat dict keyed by its own field names."""
     return {
@@ -177,8 +134,34 @@ def _metrics_row(metrics: RunMetrics) -> dict:
     }
 
 
-def run_to_dict(result: RunResult, key: RunKey) -> dict:
-    """Plain-dict form of a finished run (JSON-compatible)."""
+#: Record fields stored as float64 columns, then as one-byte flags, in column order.
+_FLOAT_FIELDS = (
+    "confidence", "iou", "latency_s", "inference_s", "stall_s", "overhead_s", "energy_j",
+    "similarity",
+)
+_FLAG_FIELDS = (
+    "ground_truth_present", "detected", "swap", "cold_load", "used_tracker", "rescheduled",
+)
+
+
+def _run_shapes(meta: dict, counts: dict[str, int]) -> dict[str, list[int]]:
+    rows = [meta.get("frame_count")]
+    return {name: rows for name in LAYOUT.columns} | {"box": [*rows, 4]}
+
+
+#: A run entry's columns, in packing order, with their dtype codes: the
+#: per-record codes into the header's model and accelerator vocabularies,
+#: the box and its mask, then the float fields and the flags.
+LAYOUT = colfmt.Layout(
+    "run",
+    {"frame_index": "i8", "model_code": "u2", "accel_code": "u2", "box": "f8", "box_mask": "u1",
+     **dict.fromkeys(_FLOAT_FIELDS, "f8"), **dict.fromkeys(_FLAG_FIELDS, "u1")},
+    _run_shapes,
+)
+
+
+def _meta_to_dict(result: RunResult, key: RunKey) -> dict:
+    """The header meta of a run entry: identity, metrics and the record vocabularies."""
     return {
         "schema_version": SCHEMA_VERSION,
         "algorithm_version": RUN_ALGORITHM_VERSION,
@@ -191,17 +174,80 @@ def run_to_dict(result: RunResult, key: RunKey) -> dict:
         "engine_seed": key.engine_seed,
         "frame_count": result.frame_count,
         "metrics": _metrics_row(aggregate(result)),
-        "records": [_record_row(record) for record in result.records],
+        "model_names": sorted({record.model_name for record in result.records}),
+        "accelerator_names": sorted({record.accelerator_name for record in result.records}),
     }
 
 
-def _validate_identity(payload: dict, key: RunKey) -> None:
-    version = payload.get("schema_version")
+def _frame_row(record: FrameRecord) -> list:
+    """One frame record's fields in column order (names become vocabulary codes)."""
+    return [
+        record.frame_index,
+        record.model_name,
+        record.accelerator_name,
+        record.box,
+        record.confidence,
+        record.iou,
+        record.latency_s,
+        record.inference_s,
+        record.stall_s,
+        record.overhead_s,
+        record.energy_j,
+        record.similarity,
+        record.ground_truth_present,
+        record.detected,
+        record.swap,
+        record.cold_load,
+        record.used_tracker,
+        record.rescheduled,
+    ]
+
+
+def _encode(result: RunResult, key: RunKey) -> bytes:
+    """A run entry: the header meta (metrics included), then one column per record field.
+
+    Metrics stay in the header — :meth:`RunStore.load_metrics` (the
+    warm-sweep hot path) decodes ≤4 KiB and never touches the record
+    columns.
+    """
+    import numpy as np
+
+    meta = _meta_to_dict(result, key)
+    index, models, accelerators, boxes, *values = zip(*map(_frame_row, result.records))
+    floats, flags = values[: len(_FLOAT_FIELDS)], values[len(_FLOAT_FIELDS) :]
+    model_code = {name: code for code, name in enumerate(meta["model_names"])}
+    accel_code = {name: code for code, name in enumerate(meta["accelerator_names"])}
+    box, box_mask = box_columns(boxes, (len(boxes),))
+    columns = {
+        "frame_index": np.array(index, dtype=np.int64),
+        "model_code": np.array([model_code[name] for name in models], dtype=np.uint16),
+        "accel_code": np.array([accel_code[name] for name in accelerators], dtype=np.uint16),
+        "box": box,
+        "box_mask": box_mask,
+    }
+    for name, column in zip(_FLOAT_FIELDS, floats, strict=True):
+        columns[name] = np.array(column, dtype=np.float64)
+    for name, column in zip(_FLAG_FIELDS, flags, strict=True):
+        columns[name] = np.array(column, dtype=bool).astype(np.uint8)
+    return colfmt.pack(LAYOUT, meta, columns)
+
+
+def _decode_metrics(meta: dict) -> RunMetrics:
+    """The pre-aggregated metrics block of a run entry's header meta."""
+    try:
+        return RunMetrics(**meta["metrics"])
+    except (KeyError, TypeError) as exc:
+        raise colfmt.ColumnFormatError(f"run metrics do not decode: {exc!r}") from exc
+
+
+def _validate_identity(meta: dict, key: RunKey) -> None:
+    """A run entry's identity against ``key`` (raises :class:`RunSchemaError`)."""
+    version = meta.get("schema_version")
     if version != SCHEMA_VERSION:
         raise RunSchemaError(
             f"unsupported run schema {version!r}; this build reads version {SCHEMA_VERSION}"
         )
-    algorithm = payload.get("algorithm_version")
+    algorithm = meta.get("algorithm_version")
     if algorithm != RUN_ALGORITHM_VERSION:
         raise RunSchemaError(
             f"run was produced by algorithm version {algorithm!r}; this build produces "
@@ -209,39 +255,10 @@ def _validate_identity(payload: dict, key: RunKey) -> None:
         )
     for label in ("policy_name", "policy_fingerprint", "scenario_fingerprint",
                   "zoo_fingerprint", "soc_fingerprint"):
-        if payload.get(label) != getattr(key, label):
+        if meta.get(label) != getattr(key, label):
             raise RunSchemaError(f"persisted run has a different {label} (key mismatch)")
-    if payload.get("engine_seed") != key.engine_seed:
+    if meta.get("engine_seed") != key.engine_seed:
         raise RunSchemaError("persisted run used a different engine seed (key mismatch)")
-
-
-def run_from_dict(payload: dict, key: RunKey) -> RunResult:
-    """Rebuild a run from its dict form, validating identity and shape."""
-    _validate_identity(payload, key)
-    try:
-        records = [_record_from_row(row) for row in payload["records"]]
-        result = RunResult(
-            policy_name=payload["policy_name"],
-            scenario_name=payload["scenario_name"],
-            records=records,
-        )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise RunSchemaError(f"malformed run payload: {exc}") from exc
-    if payload.get("frame_count") != result.frame_count:
-        raise RunSchemaError(
-            f"run payload declares {payload.get('frame_count')!r} frames but carries "
-            f"{result.frame_count} records"
-        )
-    return result
-
-
-def metrics_from_dict(payload: dict, key: RunKey) -> RunMetrics:
-    """The pre-aggregated metrics block of a persisted run."""
-    _validate_identity(payload, key)
-    try:
-        return RunMetrics(**payload["metrics"])
-    except (KeyError, TypeError) as exc:
-        raise RunSchemaError(f"malformed run metrics: {exc}") from exc
 
 
 def _run_file_name(digest: str) -> str:
@@ -253,46 +270,36 @@ def _run_file_name(digest: str) -> str:
     return f"run-v{RUN_ALGORITHM_VERSION}-{digest[:32]}{colfmt.COL_SUFFIX}"
 
 
-def _scrub_problem(name: str, payload: dict) -> str | None:
-    """Why a parsed run entry is unsound, or None when it checks out.
+def _name_problem(name: str, meta: dict) -> str | None:
+    """Why a decoded run entry does not match its file name, or None.
 
     The strongest check a scrub can make without replaying the run:
-    rebuild the :class:`RunKey` from the payload's identity block and
-    require its digest to reproduce the file name — a payload whose
+    rebuild the :class:`RunKey` from the header's identity block and
+    require its digest to reproduce the file name — an entry whose
     fingerprints were tampered with (or torn into another entry's slot)
     cannot pass.
     """
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        return f"schema_version {payload.get('schema_version')!r} != {SCHEMA_VERSION}"
-    if payload.get("algorithm_version") != RUN_ALGORITHM_VERSION:
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        return f"schema_version {meta.get('schema_version')!r} != {SCHEMA_VERSION}"
+    if meta.get("algorithm_version") != RUN_ALGORITHM_VERSION:
         return (
-            f"algorithm_version {payload.get('algorithm_version')!r} "
+            f"algorithm_version {meta.get('algorithm_version')!r} "
             f"!= {RUN_ALGORITHM_VERSION}"
         )
     try:
         key = RunKey(
-            policy_name=payload["policy_name"],
-            policy_fingerprint=payload["policy_fingerprint"],
-            scenario_fingerprint=payload["scenario_fingerprint"],
-            zoo_fingerprint=payload["zoo_fingerprint"],
-            soc_fingerprint=payload["soc_fingerprint"],
-            engine_seed=payload["engine_seed"],
+            policy_name=meta["policy_name"],
+            policy_fingerprint=meta["policy_fingerprint"],
+            scenario_fingerprint=meta["scenario_fingerprint"],
+            zoo_fingerprint=meta["zoo_fingerprint"],
+            soc_fingerprint=meta["soc_fingerprint"],
+            engine_seed=meta["engine_seed"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         return f"identity block incomplete ({exc})"
     digest = digest_from_entry_name(name)
     if digest is not None and not key.digest().startswith(digest):
         return "recomputed run-key digest does not match file name"
-    records = payload.get("records")
-    if not isinstance(records, list):
-        return "records block is not a list"
-    if payload.get("frame_count") != len(records):
-        return (
-            f"frame_count {payload.get('frame_count')!r} does not match "
-            f"{len(records)} records"
-        )
-    if not isinstance(payload.get("metrics"), dict):
-        return "metrics block is not an object"
     return None
 
 
@@ -303,16 +310,15 @@ class RunStore(EntryStore):
     :class:`~repro.runtime.store.EntryStore`), so service worker threads,
     parallel sweep workers, and whole separate processes can race on the
     same keys and only ever leave complete files behind.  Loads
-    re-validate the full identity block: a parseable entry that does not
-    match its key is a loud :class:`RunSchemaError`.  Never a silently
-    wrong run.
+    re-validate the full identity block: a well-formed entry that does
+    not match its key is a loud :class:`RunSchemaError`.  Never a
+    silently wrong run.
     """
 
     KIND = "run"
     ENTRY_GLOB = "run-*" + colfmt.COL_SUFFIX
-    _encode = staticmethod(colfmt.encode_run)
     _digest_from_name = staticmethod(digest_from_entry_name)
-    _scrub_problem = staticmethod(_scrub_problem)
+    _name_problem = staticmethod(_name_problem)
 
     def path_for(self, key: RunKey) -> Path:
         """The (sharded) file a run persists to."""
@@ -322,7 +328,7 @@ class RunStore(EntryStore):
     def save(self, result: RunResult, key: RunKey) -> Path:
         """Persist a finished run; returns the file written."""
         digest = key.digest()
-        return self._write(digest, _run_file_name(digest), run_to_dict(result, key))
+        return self._write(digest, _run_file_name(digest), _encode(result, key))
 
     def commit(self, result: RunResult, key: RunKey) -> tuple[Path, bool]:
         """Idempotently persist a run: ``(path, True)`` only for the first commit.
@@ -339,17 +345,51 @@ class RunStore(EntryStore):
             return self.path_for(key), False
         return self.save(result, key), True
 
+    def _probe(self, path: Path) -> tuple[dict, RunMetrics]:
+        """The header half of :meth:`_decode`: the meta and its metrics, no column read."""
+        meta = colfmt.read_header(path, LAYOUT, root=self.root)["meta"]
+        return meta, _decode_metrics(meta)
+
+    def _decode(self, path: Path) -> tuple[dict, RunResult]:
+        """The header meta and the finished run of one run entry."""
+        meta, columns = colfmt.read_columns(path, LAYOUT, root=self.root)
+        _decode_metrics(meta)  # the header half: metrics that do not decode are corrupt here too
+        model_names = header_names(meta, "model_names")
+        accelerator_names = header_names(meta, "accelerator_names")
+        try:
+            models = [model_names[code] for code in columns["model_code"]]
+            accelerators = [accelerator_names[code] for code in columns["accel_code"]]
+            records = [
+                FrameRecord(index, model, accelerator, BoundingBox(*box) if masked else None,
+                            confidence, iou, bool(truth), bool(detected), latency, inference,
+                            stall, overhead, energy, bool(swap), bool(cold), bool(tracked),
+                            bool(rescheduled), similarity)
+                for (index, model, accelerator, box, masked, confidence, iou, latency,
+                     inference, stall, overhead, energy, similarity, truth, detected, swap,
+                     cold, tracked, rescheduled) in zip(
+                    columns["frame_index"], models, accelerators,
+                    colfmt.rows(columns["box"], 4), columns["box_mask"],
+                    *(columns[name] for name in (*_FLOAT_FIELDS, *_FLAG_FIELDS)),
+                )
+            ]
+            result = RunResult(meta["policy_name"], meta["scenario_name"], records)
+        except (LookupError, ValueError) as exc:
+            raise colfmt.ColumnFormatError(f"run records do not decode: {exc!r}") from exc
+        return meta, result
+
     def load(self, key: RunKey) -> RunResult | None:
         """Load the persisted run for ``key``, or None if absent.
 
-        Unreadable entries (torn by a crash) are misses too — counted in
-        :attr:`corrupt_entries` and quarantined, never served.
+        An entry that does not decode (torn by a crash, a value no encoder
+        writes) is a miss too — counted in :attr:`corrupt_entries` and
+        quarantined, never served.
         """
-        payload = self._read(
-            self.path_for(key),
-            lambda path: colfmt.decode_run(iolayer.read_bytes(path, root=self.root, map=True)),
-        )
-        return None if payload is None else run_from_dict(payload, key)
+        decoded = self._read(self.path_for(key), self._decode)
+        if decoded is None:
+            return None
+        meta, result = decoded
+        _validate_identity(meta, key)
+        return result
 
     def load_metrics(self, key: RunKey) -> RunMetrics | None:
         """Load only the pre-aggregated metrics of a persisted run.
@@ -358,10 +398,12 @@ class RunStore(EntryStore):
         the entry's few-KiB column header, so the record columns are never
         read regardless of run length.
         """
-        payload = self._read(
-            self.path_for(key), lambda path: colfmt.read_run_header(path, root=self.root)
-        )
-        return None if payload is None else metrics_from_dict(payload, key)
+        decoded = self._read(self.path_for(key), self._probe)
+        if decoded is None:
+            return None
+        meta, metrics = decoded
+        _validate_identity(meta, key)
+        return metrics
 
     def __contains__(self, key: RunKey) -> bool:
         return self.path_for(key).exists()

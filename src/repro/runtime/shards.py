@@ -54,9 +54,10 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 
-from . import colfmt, iolayer
+from . import iolayer
+from .colfmt import ColumnFormatError
 
 try:  # pragma: no cover - always available on the supported platforms
     import fcntl
@@ -168,40 +169,36 @@ def remove_entry_locked(shard: Path, name: str) -> bool:
     return existed
 
 
-def quarantine_corrupt_entry(root: Path, shard: Path, name: str) -> bool:
-    """Quarantine an entry that failed to parse — unless a writer fixed it.
+def quarantine_corrupt_entry(
+    root: Path, shard: Path, name: str, decode: Callable[[Path], object]
+) -> bool:
+    """Quarantine an entry that failed to decode — unless a writer fixed it.
 
-    Returns True when the entry was (still) corrupt and has been moved to
-    ``root/_quarantine`` (its torn bytes preserved for inspection, never
-    again servable), False when a concurrent writer replaced it with a
-    parseable payload in the meantime (the caller should then retry its
-    load).  Runs under the shard lock so the check-and-move cannot race a
-    live writer.
+    ``decode`` is the caller's own decoder, the one that just refused the
+    entry; it is re-run here under the shard lock, so the check-and-move
+    cannot race a live writer.  Returns True when it still raises
+    :class:`~repro.runtime.colfmt.ColumnFormatError` and the entry has
+    been moved to ``root/_quarantine`` (its bytes preserved for
+    inspection, never again servable), False when a concurrent writer
+    replaced it with an entry that decodes in the meantime (the caller
+    should then retry its load) or someone else already removed it.
 
-    Only genuine *parse* failures quarantine.  An ``OSError`` out of the
+    Only a failure to *decode* quarantines.  An ``OSError`` out of the
     re-read means the entry is *unavailable*, not provably corrupt —
     quarantining on that evidence is how a transient ``EIO`` used to
-    destroy valid entries — so it is counted and reported as False (the
-    caller already treated its own read error as a miss).
+    destroy valid entries — so it is reported as False (the seam already
+    counted it, and the caller already treated its own read error as a
+    miss).
     """
     with shard_lock(shard):
-        path = shard / name
-        corrupt = False
         try:
-            payload = colfmt.load_entry_payload(path, root=root)
-            corrupt = not isinstance(payload, dict)
-        except FileNotFoundError:
-            return False  # already gone: someone else cleaned it
-        except colfmt.PARSE_ERRORS:
-            corrupt = True  # unparseable is exactly the state to remove
+            decode(shard / name)
+        except ColumnFormatError:
+            quarantine_entry_locked(root, shard, name)
+            return True
         except OSError:
-            # Unreadable ≠ corrupt: the seam already counted the retries;
-            # leave the entry for a later read to vindicate or convict.
-            return False
-        if not corrupt:
-            return False  # repaired behind our back — not corrupt anymore
-        quarantine_entry_locked(root, shard, name)
-        return True
+            return False  # gone, or unreadable: unreadable is not corrupt
+        return False  # decoded: repaired behind our back
 
 
 def quarantine_entry_locked(root: Path, shard: Path, name: str) -> bool:

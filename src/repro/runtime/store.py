@@ -13,20 +13,24 @@ version that fails loudly on mismatch.
 :class:`~repro.runtime.bundlestore.BundleStore`): open, write, read,
 quarantine, clear, and — through
 :class:`~repro.runtime.maintenance.MaintainedRoot` — audit, health, and
-maintenance.
+maintenance.  Each facade owns its entry format: it declares its
+:class:`~repro.runtime.colfmt.Layout`, encodes its objects straight into
+columns, and keeps one decoder from the columns back to its objects,
+which its loads, scrub, audit and the quarantine re-check all call.
 
 Format — one entry per (scenario, zoo) pair, named
 ``trace-v<algo>-<scenario_fp16>-<zoo_fp12>.col``: a binary columnar
-container (:mod:`repro.runtime.colfmt`) holding the dict payload below.
-Entries are sharded by scenario-fingerprint prefix (``root/<2-hex>/``)
-with advisory-lock–guarded writes — see :mod:`repro.runtime.shards`; a
-shard is nothing but its entry files.  Entries written before the binary
-format (``.json``) or before sharding (flat at the root) are never read:
-each is a plain miss, rebuilt and saved as ``.col`` on first use.
-Fields:
+container (:mod:`repro.runtime.colfmt`) of kind ``trace``.  Entries are
+sharded by scenario-fingerprint prefix (``root/<2-hex>/``) with
+advisory-lock–guarded writes — see :mod:`repro.runtime.shards`; a shard is
+nothing but its entry files.  Entries written before the binary format
+(``.json``) or before sharding (flat at the root) are never read: each is
+a plain miss, rebuilt and saved as ``.col`` on first use.
 
-``schema_version``
-    Integer; readers reject anything but their own version.
+Header ``meta`` (:func:`_meta_to_dict`):
+
+``schema_version`` / ``algorithm_version``
+    Integers; loads reject anything but their own versions.
 ``scenario_name`` / ``scenario_fingerprint`` / ``zoo_fingerprint``
     Identity block.  Fingerprints are the full content digests
     (:meth:`Scenario.fingerprint`, :meth:`ModelZoo.fingerprint`); loads
@@ -34,10 +38,13 @@ Fields:
     stale or hand-edited file can never masquerade as the wrong trace.
 ``frame_count``
     Must equal the live scenario's ``total_frames``.
-``outcomes``
-    ``{model_name: [row, ...]}`` with one compact row per frame:
-    ``[box, confidence, iou, quality, detected, false_positive]`` where
-    ``box`` is ``[x1, y1, x2, y2]`` or ``null``.
+``models``
+    The zoo's model order, which is the outcome columns' first axis.
+
+Columns, each ``[models, frames]`` (``box`` adds a last axis of 4), in
+the order of :func:`_outcome_row`: ``box`` (``x1, y1, x2, y2``; zeros
+where ``box_mask`` is 0, i.e. no box), ``box_mask``, ``confidence``,
+``iou``, ``quality``, ``detected``, ``false_positive``.
 
 Frames (rendered pixels + scene states) are *not* stored: rendering is
 deterministic, so loads return a **lazy** trace that attaches the persisted
@@ -50,16 +57,19 @@ indistinguishable from a fresh build.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING, ClassVar, TypeVar
 
 from ..vision.bbox import BoundingBox
 from . import colfmt, iolayer, maintenance, shards
 
-# The trace builder and the detector load when a trace is decoded, so a
-# process whose runs are all run-store hits never imports them.
+# Trace building and the detector load when a trace is decoded, and
+# NumPy when one is encoded, so a process whose runs are all run-store
+# hits never imports them.
 if TYPE_CHECKING:
+    import numpy as np
+
     from ..data.scenario import Scenario
     from ..models.detector import DetectionOutcome
     from ..models.zoo import ModelZoo
@@ -78,11 +88,52 @@ ALGORITHM_VERSION = 1
 
 
 class TraceSchemaError(ValueError):
-    """Raised when a persisted trace cannot be understood or doesn't match."""
+    """Raised when a persisted trace does not match the live scenario and zoo."""
 
 
-def trace_to_dict(trace: ScenarioTrace, zoo: ModelZoo) -> dict:
-    """Plain-dict form of a trace (JSON-compatible, frames omitted)."""
+def header_names(meta: dict, field: str) -> list[str]:
+    """``meta[field]`` as a list of distinct names (a model list, a vocabulary).
+
+    Raises :class:`~repro.runtime.colfmt.ColumnFormatError` for anything else.
+    """
+    names = meta.get(field)
+    if not (isinstance(names, list) and all(isinstance(name, str) for name in names)
+            and len(set(names)) == len(names)):
+        raise colfmt.ColumnFormatError(f"header {field} is not a list of distinct names")
+    return names
+
+
+def box_columns(
+    boxes: Sequence[BoundingBox | None], shape: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``box`` column (``shape`` + [4], zeros for no box) and ``box_mask`` of ``boxes``."""
+    import numpy as np
+
+    box = np.array(
+        [(0.0, 0.0, 0.0, 0.0) if item is None else item.as_tuple() for item in boxes],
+        dtype=np.float64,
+    )
+    mask = np.array([item is not None for item in boxes], dtype=np.uint8)
+    return box.reshape(*shape, 4), mask.reshape(shape)
+
+
+def _trace_shapes(meta: dict, counts: dict[str, int]) -> dict[str, list[int]]:
+    models = header_names(meta, "models")
+    rows = [len(models), meta.get("frame_count") if models else 0]
+    return {name: rows for name in LAYOUT.columns} | {"box": [*rows, 4]}
+
+
+#: A trace entry's columns, in packing order, with their dtype codes.
+LAYOUT = colfmt.Layout(
+    "trace",
+    {"box": "f8", "box_mask": "u1", "confidence": "f8", "iou": "f8", "quality": "f8",
+     "detected": "u1", "false_positive": "u1"},
+    _trace_shapes,
+)
+
+
+def _meta_to_dict(trace: ScenarioTrace, zoo: ModelZoo) -> dict:
+    """The header meta of a trace entry: identity block plus the model order."""
     return {
         "schema_version": SCHEMA_VERSION,
         "algorithm_version": ALGORITHM_VERSION,
@@ -90,94 +141,74 @@ def trace_to_dict(trace: ScenarioTrace, zoo: ModelZoo) -> dict:
         "scenario_fingerprint": trace.scenario.fingerprint(),
         "zoo_fingerprint": zoo.fingerprint(),
         "frame_count": trace.frame_count,
-        "outcomes": {
-            model: [
-                [
-                    None if o.box is None else [o.box.x1, o.box.y1, o.box.x2, o.box.y2],
-                    o.confidence,
-                    o.iou,
-                    o.quality,
-                    o.detected,
-                    o.false_positive,
-                ]
-                for o in per_model
-            ]
-            for model, per_model in trace.outcomes.items()
-        },
+        "models": list(trace.outcomes),
     }
 
 
-def _validate_trace_payload(payload: dict, scenario: Scenario, zoo: ModelZoo) -> None:
-    """Identity checks for a trace payload (raises :class:`TraceSchemaError`).
+def _outcome_row(outcome: DetectionOutcome) -> list:
+    """One outcome's fields in column order (``box`` fills ``box`` and ``box_mask``)."""
+    return [
+        outcome.box,
+        outcome.confidence,
+        outcome.iou,
+        outcome.quality,
+        outcome.detected,
+        outcome.false_positive,
+    ]
 
-    Everything verified here lives in the column header's ``meta`` block,
-    so the load path can validate without decoding any outcome columns.
+
+def _encode(trace: ScenarioTrace, meta: dict) -> bytes:
+    """A trace entry: the header ``meta``, then one ``[models, frames]`` column per field."""
+    import numpy as np
+
+    models = meta["models"]
+    shape = (len(models), meta["frame_count"] if models else 0)
+    for model in models:
+        if len(trace.outcomes[model]) != shape[1]:
+            raise colfmt.ColumnFormatError(
+                f"ragged outcomes: {model!r} has {len(trace.outcomes[model])} rows, "
+                f"expected {shape[1]}"
+            )
+    rows = [_outcome_row(outcome) for model in models for outcome in trace.outcomes[model]]
+    boxes, confidence, iou, quality, detected, false_positive = zip(*rows) if rows else [()] * 6
+    box, box_mask = box_columns(boxes, shape)
+    columns = {"box": box, "box_mask": box_mask}
+    for name, values in (("confidence", confidence), ("iou", iou), ("quality", quality)):
+        columns[name] = np.array(values, dtype=np.float64).reshape(shape)
+    for name, values in (("detected", detected), ("false_positive", false_positive)):
+        columns[name] = np.array(values, dtype=bool).astype(np.uint8).reshape(shape)
+    return colfmt.pack(LAYOUT, meta, columns)
+
+
+def _validate_identity(meta: dict, scenario: Scenario, zoo: ModelZoo) -> None:
+    """Identity checks for a trace entry's header meta (raises :class:`TraceSchemaError`).
+
+    Everything verified here lives in the header, so the load path can
+    validate without decoding any outcome columns.
     """
-    version = payload.get("schema_version")
+    version = meta.get("schema_version")
     if version != SCHEMA_VERSION:
         raise TraceSchemaError(
             f"unsupported trace schema {version!r}; this build reads version {SCHEMA_VERSION}"
         )
-    algorithm = payload.get("algorithm_version")
+    algorithm = meta.get("algorithm_version")
     if algorithm != ALGORITHM_VERSION:
         raise TraceSchemaError(
             f"trace was built by algorithm version {algorithm!r}; this build produces "
             f"version {ALGORITHM_VERSION} — rebuild (delete the store entry)"
         )
-    if payload.get("scenario_fingerprint") != scenario.fingerprint():
+    if meta.get("scenario_fingerprint") != scenario.fingerprint():
         raise TraceSchemaError(
             f"trace was built for a different scenario than {scenario.name!r} "
             "(fingerprint mismatch)"
         )
-    if payload.get("zoo_fingerprint") != zoo.fingerprint():
+    if meta.get("zoo_fingerprint") != zoo.fingerprint():
         raise TraceSchemaError("trace was built against a different model zoo (fingerprint mismatch)")
-    if payload.get("frame_count") != scenario.total_frames:
+    if meta.get("frame_count") != scenario.total_frames:
         raise TraceSchemaError(
-            f"trace covers {payload.get('frame_count')!r} frames but scenario "
+            f"trace covers {meta.get('frame_count')!r} frames but scenario "
             f"{scenario.name!r} has {scenario.total_frames}"
         )
-
-
-def _outcomes_from_rows(rows_by_model: dict) -> dict[str, list[DetectionOutcome]]:
-    """Rebuild per-model :class:`DetectionOutcome` lists from compact rows."""
-    from ..models.detector import DetectionOutcome
-
-    try:
-        outcomes: dict[str, list[DetectionOutcome]] = {}
-        for model, rows in rows_by_model.items():
-            outcomes[model] = [
-                DetectionOutcome(
-                    model_name=model,
-                    box=None if row[0] is None else BoundingBox(*row[0]),
-                    confidence=row[1],
-                    iou=row[2],
-                    quality=row[3],
-                    detected=row[4],
-                    false_positive=row[5],
-                )
-                for row in rows
-            ]
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        raise TraceSchemaError(f"malformed trace payload: {exc}") from exc
-    return outcomes
-
-
-def trace_from_dict(payload: dict, scenario: Scenario, zoo: ModelZoo) -> ScenarioTrace:
-    """Rebuild a trace from its dict form against the live scenario and zoo.
-
-    Validates the schema version and both fingerprints and reattaches the
-    persisted outcomes; frames stay lazy (rendered deterministically on
-    first access), so outcome-only consumers never pay for pixels.
-    """
-    from .trace import ScenarioTrace
-
-    _validate_trace_payload(payload, scenario, zoo)
-    try:
-        rows_by_model = payload["outcomes"]
-    except KeyError as exc:
-        raise TraceSchemaError("trace payload has no outcomes block") from exc
-    outcomes = _outcomes_from_rows(rows_by_model)
-    return ScenarioTrace(scenario=scenario, frames=None, outcomes=outcomes)
 
 
 def _trace_file_name(scenario_fingerprint: str, zoo_fingerprint: str) -> str:
@@ -212,38 +243,29 @@ def digest_from_entry_name(name: str) -> str | None:
     return parts[2] if len(parts) == 3 and len(parts[2]) == 32 else None
 
 
-def _scrub_problem(name: str, payload: dict) -> str | None:
-    """Why a parsed trace entry is unsound, or None when it checks out.
+def _name_problem(name: str, meta: dict) -> str | None:
+    """Why a decoded trace entry does not match its file name, or None.
 
     Scrub has no live scenario/zoo to compare against, so it verifies the
-    *internal* identity discipline: schema and algorithm versions, the
-    fingerprint prefixes baked into the file name, and the outcome shape.
-    Payloads arrive here fully decoded
-    (:func:`repro.runtime.colfmt.load_entry_payload`).
+    *internal* identity discipline: schema and algorithm versions and the
+    fingerprint prefixes baked into the file name.
     """
-    if payload.get("schema_version") != SCHEMA_VERSION:
-        return f"schema_version {payload.get('schema_version')!r} != {SCHEMA_VERSION}"
+    if meta.get("schema_version") != SCHEMA_VERSION:
+        return f"schema_version {meta.get('schema_version')!r} != {SCHEMA_VERSION}"
     parts = _entry_name_parts(name)
-    if parts[1] != f"v{payload.get('algorithm_version')}":
+    if len(parts) != 4:
+        return "file name does not parse as an entry name"
+    if parts[1] != f"v{meta.get('algorithm_version')}":
         return (
-            f"algorithm_version {payload.get('algorithm_version')!r} "
+            f"algorithm_version {meta.get('algorithm_version')!r} "
             f"does not match file name {parts[1]}"
         )
-    fingerprint = payload.get("scenario_fingerprint")
+    fingerprint = meta.get("scenario_fingerprint")
     if not isinstance(fingerprint, str) or not fingerprint.startswith(parts[2]):
         return "scenario fingerprint does not match file name"
-    zoo_fingerprint = payload.get("zoo_fingerprint")
+    zoo_fingerprint = meta.get("zoo_fingerprint")
     if not isinstance(zoo_fingerprint, str) or not zoo_fingerprint.startswith(parts[3]):
         return "zoo fingerprint does not match file name"
-    outcomes = payload.get("outcomes")
-    if not isinstance(outcomes, dict):
-        return "outcomes block is not an object"
-    frames = payload.get("frame_count")
-    if not isinstance(frames, int):
-        return "frame_count is not an integer"
-    for model, rows in outcomes.items():
-        if not isinstance(rows, list) or len(rows) != frames:
-            return f"outcomes[{model}] does not carry {frames} rows"
     return None
 
 
@@ -253,19 +275,25 @@ class EntryStore(maintenance.MaintainedRoot):
     Entries live under ``root/<digest-prefix>/`` with advisory-lock–guarded
     atomic writes (:mod:`repro.runtime.shards`), so any number of
     processes, threads, and service workers can share one store.
-    Subclasses are thin typed facades that supply the codec: :attr:`KIND`
-    (the entry-name prefix), ``_encode`` (payload dict -> container
-    bytes), and the :class:`~repro.runtime.maintenance.MaintainedRoot`
-    hooks.  An entry that cannot be *parsed* (torn by a crash, truncated
-    disk) is treated exactly like a missing one — a miss, counted in
-    :attr:`corrupt_entries` and quarantined — while a parseable entry that
-    does not match its key is a loud schema error from the facade.  The
-    worst outcome is a recompute, never a silently wrong result.
+    Subclasses are thin typed facades that own their format: :attr:`KIND`
+    (the entry-name prefix), ``_decode`` (the one decoder: entry path ->
+    ``(header meta, objects)``, raising
+    :class:`~repro.runtime.colfmt.ColumnFormatError` for an entry it
+    cannot decode and ``OSError`` for one it cannot read),
+    ``_name_problem`` (a decoded entry's identity against its file name),
+    and the :class:`~repro.runtime.maintenance.MaintainedRoot` hooks.  An
+    entry the decoder cannot decode (torn by a crash, truncated disk, a
+    value no encoder writes) is treated exactly like a missing one — a
+    miss, counted in :attr:`corrupt_entries` and quarantined — while a
+    well-formed entry that does not match its key is a loud schema error
+    from the facade.  The worst outcome is a recompute, never a silently
+    wrong result.
     """
 
     #: Entry-name prefix ("trace" / "run" / "bundle"); also labels errors.
     KIND: ClassVar[str]
-    _encode: Callable[[dict], bytes]
+    _decode: Callable[[Path], tuple[dict, object]]
+    _name_problem: Callable[[str, dict], str | None]
 
     def __init__(self, root: str | Path) -> None:
         self._open_root(root, f"{self.KIND} store")
@@ -274,9 +302,8 @@ class EntryStore(maintenance.MaintainedRoot):
         #: the disk corrupted an entry; each was re-treated as a miss.
         self.corrupt_entries = 0
 
-    def _write(self, digest: str, name: str, payload: dict) -> Path:
-        """Atomically persist ``payload`` as entry ``name`` in ``digest``'s shard."""
-        data = self._encode(payload)
+    def _write(self, digest: str, name: str, data: bytes) -> Path:
+        """Atomically persist ``data`` as entry ``name`` in ``digest``'s shard."""
         shard = shards.shard_dir(self.root, digest)
         with shards.shard_lock(shard):
             return shards.write_entry_locked(shard, name, data)
@@ -288,10 +315,10 @@ class EntryStore(maintenance.MaintainedRoot):
         (an ``OSError`` after the seam's bounded retries, counted in
         ``io_errors``): unavailability is not evidence of corruption, and
         quarantining on it would destroy valid entries.  Only an entry
-        that *parses wrong* (:class:`~repro.runtime.colfmt.ColumnFormatError`)
-        is corrupt: it is quarantined and counted, then the read is
-        retried once, which serves an entry a concurrent writer just
-        repaired (or misses).
+        that *does not decode*
+        (:class:`~repro.runtime.colfmt.ColumnFormatError`) is corrupt: it
+        is quarantined and counted, then the read is retried once, which
+        serves an entry a concurrent writer just repaired (or misses).
         """
         for _ in range(2):
             try:
@@ -299,18 +326,26 @@ class EntryStore(maintenance.MaintainedRoot):
             except OSError:
                 return None
             except colfmt.ColumnFormatError:
-                self._quarantine(path)
+                self._quarantine(path, decode)
         return None
 
-    def _quarantine(self, path: Path) -> None:
-        """Quarantine one corrupt entry, counting it in :attr:`corrupt_entries`."""
+    def _quarantine(self, path: Path, decode: Callable[[Path], object]) -> None:
+        """Quarantine one entry ``decode`` refused, counting it in :attr:`corrupt_entries`."""
         try:
-            if shards.quarantine_corrupt_entry(self.root, path.parent, path.name):
+            if shards.quarantine_corrupt_entry(self.root, path.parent, path.name, decode):
                 self.corrupt_entries += 1
         except iolayer.StoreDegraded:
             # Quarantine bookkeeping hit a full disk: the entry is still
             # unservable, so this load is a miss either way.
             self.corrupt_entries += 1
+
+    def _entry_problem(self, path: Path) -> str | None:
+        """Scrub's and audit's check: the entry decodes and its identity matches its name."""
+        try:
+            meta, _ = self._decode(path)
+        except colfmt.ColumnFormatError as exc:
+            return f"unparseable ({exc})"
+        return self._name_problem(path.name, meta)
 
     def __len__(self) -> int:
         return sum(1 for _ in shards.iter_entry_paths(self.root, self.ENTRY_GLOB))
@@ -333,9 +368,8 @@ class TraceStore(EntryStore):
 
     KIND = "trace"
     ENTRY_GLOB = "trace-*" + colfmt.COL_SUFFIX
-    _encode = staticmethod(colfmt.encode_trace)
     _digest_from_name = staticmethod(_digest_from_name)
-    _scrub_problem = staticmethod(_scrub_problem)
+    _name_problem = staticmethod(_name_problem)
 
     def path_for(self, scenario: Scenario, zoo: ModelZoo) -> Path:
         """The (sharded) file a (scenario, zoo) trace persists to."""
@@ -351,31 +385,63 @@ class TraceStore(EntryStore):
         advisory lock, so concurrent readers never observe a
         half-written trace.
         """
-        payload = trace_to_dict(trace, zoo)
-        fingerprint = payload["scenario_fingerprint"]
+        meta = _meta_to_dict(trace, zoo)
+        fingerprint = meta["scenario_fingerprint"]
         return self._write(
-            fingerprint, _trace_file_name(fingerprint, payload["zoo_fingerprint"]), payload
+            fingerprint, _trace_file_name(fingerprint, meta["zoo_fingerprint"]), _encode(trace, meta)
         )
+
+    def _probe(self, path: Path) -> dict:
+        """The header half of :meth:`_decode`: the meta, with no column read."""
+        return colfmt.read_header(path, LAYOUT, root=self.root)["meta"]
+
+    def _decode(self, path: Path) -> tuple[dict, dict[str, list[DetectionOutcome]]]:
+        """The header meta and per-model outcomes of one trace entry."""
+        from ..models.detector import DetectionOutcome
+
+        meta, columns = colfmt.read_columns(path, LAYOUT, root=self.root)
+        models = meta["models"]
+        frames = meta["frame_count"] if models else 0
+        fields = [colfmt.rows(columns["box"], 4)]
+        fields += [columns[name] for name in LAYOUT.columns if name != "box"]
+        outcomes = {}
+        try:
+            for m, model in enumerate(models):
+                span = slice(m * frames, (m + 1) * frames)
+                outcomes[model] = [
+                    DetectionOutcome(model, BoundingBox(*box) if masked else None,
+                                     confidence, iou, quality, bool(detected), bool(false_positive))
+                    for box, masked, confidence, iou, quality, detected, false_positive
+                    in zip(*(field[span] for field in fields))
+                ]
+        except ValueError as exc:  # a box no encoder writes: NaN or inverted corners
+            raise colfmt.ColumnFormatError(f"trace outcomes do not decode: {exc}") from exc
+        return meta, outcomes
 
     def load(self, scenario: Scenario, zoo: ModelZoo) -> ScenarioTrace | None:
         """Load the persisted trace for (scenario, zoo), or None if absent.
 
         Reads only the column header (identity checks live there); outcome
         columns decode lazily on first ``.outcomes`` access.  Misses and
-        corrupt entries follow :meth:`EntryStore._read`.
+        corrupt entries follow :meth:`EntryStore._read`.  When that first
+        decode fails, the entry is quarantined and counted like any corrupt
+        entry and ``.outcomes`` raises
+        :class:`~repro.runtime.colfmt.ColumnFormatError` naming it: no
+        corrupt outcome is served, and the next load is a miss.
         """
         path = self.path_for(scenario, zoo)
-        root = self.root
-        header = self._read(path, lambda entry: colfmt.read_header(entry, root=root))
-        if header is None:
+        meta = self._read(path, self._probe)
+        if meta is None:
             return None
-        meta = header.get("meta") if isinstance(header.get("meta"), dict) else {}
-        _validate_trace_payload(meta, scenario, zoo)
+        _validate_identity(meta, scenario, zoo)
         from .trace import ScenarioTrace
 
         def load_outcomes() -> dict[str, list[DetectionOutcome]]:
-            buffer = iolayer.read_bytes(path, root=root, map=True)
-            return _outcomes_from_rows(colfmt.decode_trace_outcomes(buffer))
+            try:
+                return self._decode(path)[1]
+            except colfmt.ColumnFormatError as exc:
+                self._quarantine(path, self._decode)
+                raise colfmt.ColumnFormatError(f"trace entry {path.name}: {exc}") from exc
 
         return ScenarioTrace(scenario=scenario, frames=None, outcomes_loader=load_outcomes)
 

@@ -83,7 +83,6 @@ from ..models.zoo import ModelZoo, default_zoo
 from ..util import jsonsafe
 from ..core.policy import Policy
 from ..runtime.experiment import ExperimentRunner
-from ..runtime.export import metrics_to_dict
 from ..runtime.iolayer import StoreDegraded
 from ..runtime.metrics import RunMetrics
 from ..runtime.runstore import RunKey, RunStore
@@ -172,11 +171,32 @@ def error_to_dict(message: str) -> dict:
     }
 
 
+def metrics_to_dict(metrics: RunMetrics) -> dict:
+    """The ``metrics`` block of a streamed row: one run's aggregate metrics, flat."""
+    return {
+        "policy": metrics.policy_name,
+        "scenario": metrics.scenario_name,
+        "frames": metrics.frames,
+        "mean_iou": metrics.mean_iou,
+        "success_rate": metrics.success_rate,
+        "mean_latency_s": metrics.mean_latency_s,
+        "mean_energy_j": metrics.mean_energy_j,
+        "total_energy_j": metrics.total_energy_j,
+        "non_gpu_share": metrics.non_gpu_share,
+        "swaps": metrics.swaps,
+        "cold_loads": metrics.cold_loads,
+        "pairs_used": metrics.pairs_used,
+        "mean_overhead_s": metrics.mean_overhead_s,
+        "detected_share": metrics.detected_share,
+        "efficiency_iou_per_joule": metrics.efficiency_iou_per_joule,
+    }
+
+
 def metrics_from_wire(payload: dict) -> RunMetrics:
     """Rebuild :class:`RunMetrics` from a streamed row's ``metrics`` dict.
 
-    The exact inverse of :func:`~repro.runtime.export.metrics_to_dict`
-    minus the derived ``efficiency_iou_per_joule`` (a property).  JSON
+    The exact inverse of :func:`metrics_to_dict` minus the derived
+    ``efficiency_iou_per_joule`` (a property).  JSON
     round-trips Python floats exactly (repr-based), so a reconstructed
     row compares bit-equal to the serial original — the property the
     ``http`` differential check stands on.

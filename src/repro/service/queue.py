@@ -262,18 +262,22 @@ class JobQueue(maintenance.MaintainedRoot):
     """
 
     ENTRY_GLOB = "job-*.json"
+    #: GC reclaims dead letters past the TTL, by name, never ``done``
+    #: records: dead-lettered jobs are terminal evidence, expired like
+    #: quarantined files; ``done`` records are what makes re-submitting a
+    #: warm sweep free.  A name never shows a live record as terminal.
+    GC_GLOB = "job-*.dead.json"
     _digest_from_name = staticmethod(_digest_from_name)
-    _scrub_problem = staticmethod(_scrub_problem)
 
-    @staticmethod
-    def _gc_collect(record: dict) -> bool:
-        """GC reclaims dead letters past the TTL, never ``done`` records.
-
-        Dead-lettered jobs are terminal evidence, expired like quarantined
-        files; ``done`` records are what makes re-submitting a warm sweep
-        free.
-        """
-        return record.get("state") == "dead"
+    def _entry_problem(self, path: Path) -> str | None:
+        """Scrub's and audit's check of one record: it parses and matches its name."""
+        try:
+            record = jsonsafe.loads(iolayer.read_text(path, root=self.root))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            return f"unparseable ({exc})"
+        if not isinstance(record, dict):
+            return "not a JSON object"
+        return _scrub_problem(path.name, record)
 
     def __init__(
         self,
@@ -862,7 +866,9 @@ class JobQueue(maintenance.MaintainedRoot):
         compare-and-swap).  A record that exists but cannot be read is
         left alone without calling ``mutate``.  The write is a
         :meth:`_store_locked` transition; returns whatever ``mutate``
-        returned, or None when the transition did not land.
+        returned, or None when the transition did not land — a created
+        record is checked under its names after the write, as a revive's
+        rename is, so a lost write is never reported as a new job.
         """
         shard = shards.shard_dir(self.root, job_id)
         with shards.shard_lock(shard):
@@ -873,10 +879,12 @@ class JobQueue(maintenance.MaintainedRoot):
                     return None  # unreadable is not torn: left for a later pass
                 name = None  # torn, and now quarantined
             updated = mutate(record)
-            if updated is not None and not self._store_locked(
+            if updated is None or not self._store_locked(
                 shard, name or _job_file_name(job_id), updated
             ):
                 return None
+            if name is None and _record_name(shard, job_id) is None:
+                return None  # the new record's write was lost: the job has none
             return updated
 
     def _store_locked(self, shard: Path, name: str, record: dict) -> bool:

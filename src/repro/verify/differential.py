@@ -18,7 +18,9 @@ cross-engine correctness witness:
     every model on every frame;
 ``store``
     save -> load through :class:`TraceStore` — persisted outcomes reload
-    exactly and lazily, identity validation passes;
+    exactly and lazily, identity validation passes — and one single-model
+    run through a :class:`~repro.runtime.runstore.RunStore` — its records
+    reload exactly and its stored metrics equal the run's aggregate;
 ``trace``
     trace invariants — monotone frame indices and timestamps, aligned
     outcome lengths, confidence/IoU/quality bounds, detection-flag
@@ -87,9 +89,12 @@ from ..models.zoo import ModelZoo, default_zoo
 from ..core.policy import Policy
 from ..core.records import FrameRecord
 from ..runtime import colfmt
+from ..runtime.metrics import RunMetrics, aggregate
 from ..runtime.runner import run_policy
+from ..runtime.runstore import RunKey, RunStore
 from ..runtime.store import TraceStore
 from ..runtime.trace import ScenarioTrace
+from ..sim.soc import xavier_nx_with_oakd
 
 # All check names, in the order verify_scenario runs them.
 CHECKS = (
@@ -181,17 +186,38 @@ def check_render_equality(scenario: Scenario, trace: ScenarioTrace | None = None
 _LEADING_OUTCOME_FIELDS = ("quality", "box", "confidence")
 
 
+def _first_difference(ours, theirs, names: Sequence[str], labels: tuple[str, str]) -> str:
+    """The first of ``names`` whose values differ, with both values as reprs."""
+    for name in names:
+        mine, other = getattr(ours, name), getattr(theirs, name)
+        if mine != other:
+            return f"{name} differs: {labels[0]} {mine!r}, {labels[1]} {other!r}"
+    return f"{labels[0]} and {labels[1]} differ"
+
+
+#: Outcome fields in the order a divergence is named: the leading three, then the rest.
+_OUTCOME_FIELDS = (
+    *_LEADING_OUTCOME_FIELDS,
+    *(f.name for f in fields(DetectionOutcome) if f.name not in _LEADING_OUTCOME_FIELDS),
+)
+
+
 def _first_outcome_difference(scalar: DetectionOutcome, batched: DetectionOutcome) -> str:
     """The first differing outcome field, with both values as reprs."""
-    names = [
-        *_LEADING_OUTCOME_FIELDS,
-        *(f.name for f in fields(DetectionOutcome) if f.name not in _LEADING_OUTCOME_FIELDS),
-    ]
-    for name in names:
-        ours, theirs = getattr(scalar, name), getattr(batched, name)
+    return _first_difference(scalar, batched, _OUTCOME_FIELDS, ("scalar", "batched"))
+
+
+def _store_drift(
+    saved: Sequence, loaded: Sequence, names: Sequence[str], where: str, noun: str
+) -> str | None:
+    """Where ``loaded`` first differs from ``saved``: the frame and the field, or None."""
+    if len(loaded) != len(saved):
+        return f"{where}: {len(loaded)} {noun} came back for {len(saved)}"
+    for index, (ours, theirs) in enumerate(zip(saved, loaded)):
         if ours != theirs:
-            return f"{name} differs: scalar {ours!r}, batched {theirs!r}"
-    return "outcomes differ"
+            return (f"{where}, frame {index}: {noun} changed through the store: "
+                    f"{_first_difference(ours, theirs, names, ('saved', 'loaded'))}")
+    return None
 
 
 def check_detect_equality(
@@ -221,7 +247,16 @@ def check_detect_equality(
 def check_store_roundtrip(
     trace: ScenarioTrace, zoo: ModelZoo, store_root: str | Path | None = None
 ) -> CheckResult:
-    """A persisted trace must reload bit-identically, lazy on frames and outcomes."""
+    """A persisted trace and run must reload bit-identically.
+
+    The trace goes through a :class:`TraceStore` and must reload lazy on
+    frames and on outcomes; one single-model run over a traced model goes
+    through a :class:`~repro.runtime.runstore.RunStore` (under
+    ``_runs/``) and must reload every record, with ``load_metrics`` equal
+    to :func:`~repro.runtime.metrics.aggregate` of the run.  A failure
+    names the model, the frame and the first differing field with both
+    values.
+    """
     scenario = trace.scenario
 
     def roundtrip(root: Path) -> CheckResult:
@@ -243,16 +278,46 @@ def check_store_roundtrip(
         if list(loaded.outcomes) != list(trace.outcomes):
             return _fail("store", "model set or order changed through the store")
         for model, rows in trace.outcomes.items():
-            if loaded.outcomes[model] != rows:
-                return _fail("store", f"model {model!r}: outcomes changed through the store")
+            drift = _store_drift(
+                rows, loaded.outcomes[model], _OUTCOME_FIELDS, f"model {model!r}", "outcomes"
+            )
+            if drift is not None:
+                return _fail("store", drift)
         if store.load(scenario, zoo).outcomes_materialized:
             return _fail("store", "load decoded outcomes eagerly (must stay lazy)")
-        return _ok("store")
+        return _run_roundtrip(trace, zoo, root / "_runs")
 
     if store_root is not None:
         return roundtrip(Path(store_root))
     with tempfile.TemporaryDirectory(prefix="repro-verify-") as tmp:
         return roundtrip(Path(tmp))
+
+
+def _run_roundtrip(trace: ScenarioTrace, zoo: ModelZoo, root: Path) -> CheckResult:
+    """The run half of the ``store`` check: one single-model run through a RunStore."""
+    models = trace.model_names()
+    model = "yolov7-tiny" if "yolov7-tiny" in models else models[0]
+    policy = SingleModelPolicy(model, "gpu")
+    soc = xavier_nx_with_oakd()
+    key = RunKey(policy.name, policy.fingerprint(), trace.scenario.fingerprint(),
+                 zoo.fingerprint(), soc.fingerprint(), 1234)
+    result = run_policy(policy, trace, soc=soc, engine_seed=key.engine_seed)
+    store = RunStore(root)
+    store.save(result, key)
+    loaded = store.load(key)
+    if loaded is None:
+        return _fail("store", f"run of {model!r}: saved run did not load back")
+    drift = _store_drift(result.records, loaded.records, [f.name for f in fields(FrameRecord)],
+                         f"run of {model!r}", "records")
+    if drift is not None:
+        return _fail("store", drift)
+    metrics, expected = store.load_metrics(key), aggregate(result)
+    if metrics != expected:
+        difference = _first_difference(
+            expected, metrics, [f.name for f in fields(RunMetrics)], ("aggregate", "stored")
+        )
+        return _fail("store", f"run of {model!r}: stored metrics differ: {difference}")
+    return _ok("store")
 
 
 def check_trace_invariants(trace: ScenarioTrace) -> CheckResult:
@@ -346,7 +411,6 @@ def _fast_run_shift_inputs():
     """
     from ..characterization import characterize
     from ..core import ConfidenceGraph
-    from ..sim.soc import xavier_nx_with_oakd
 
     bundle = characterize(default_zoo(), xavier_nx_with_oakd(), validation_size=160)
     graph = ConfidenceGraph.build(bundle.observations)
@@ -627,7 +691,7 @@ def check_http_equivalence(
     port (stores pre-seeded with the shared trace, like the ``service``
     check), streams the ndjson rows back through ``urllib``, and
     demands: every wire ``metrics`` dict equals
-    :func:`~repro.runtime.export.metrics_to_dict` of the serial run
+    :func:`~repro.service.http.metrics_to_dict` of the serial run
     exactly; a submit past the admission bound fails promptly with
     429 + ``Retry-After`` (bounded by a socket timeout — a hang is a
     failure, not a wait); and a second server over the same stores —
@@ -639,7 +703,6 @@ def check_http_equivalence(
     import urllib.request
 
     from ..data.scenario import register_scenario, scenario_by_name
-    from ..runtime.export import metrics_to_dict
     from ..runtime.metrics import aggregate
     from ..service import (
         SweepFrontend,
@@ -647,6 +710,7 @@ def check_http_equivalence(
         policy_resolver,
         serve_in_thread,
     )
+    from ..service.http import metrics_to_dict
 
     specs = _service_specs(trace.model_names())
     if not specs:

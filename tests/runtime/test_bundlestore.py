@@ -20,9 +20,9 @@ from repro.models import default_zoo
 from repro.runtime import TraceStore, colfmt, iolayer
 from repro.runtime.bundlestore import (
     BUNDLE_DIR,
+    LAYOUT,
     BundleKey,
     BundleStore,
-    bundle_entry_to_dict,
     load_bundle,
     save_bundle,
 )
@@ -89,7 +89,7 @@ class TestRoundTrip:
     def test_fingerprint_is_recomputed_not_read_back(self, tmp_path, bundle, key):
         store = BundleStore(tmp_path)
         store.save(bundle, key)
-        header = colfmt.read_header(store.path_for(key))
+        header = colfmt.read_header(store.path_for(key), LAYOUT)
         assert bundle.fingerprint() not in repr(header)
         assert getattr(store.load(key), "_fingerprint", None) is None
 
@@ -154,7 +154,7 @@ class TestRoundTrip:
         numpys = {
             d["name"]: np.frombuffer(data, dtype=d["dtype"], count=math.prod(d["shape"]),
                                      offset=data_start + d["offset"]).tolist()
-            for d in colfmt.read_header(path)["columns"]
+            for d in colfmt.read_header(path, LAYOUT)["columns"]
         }
         loaded = store.load(key).observations
         decoded = {
@@ -173,19 +173,16 @@ class TestRoundTrip:
             struct.pack("<d", value) for value in decoded["confidence"]}
         assert store.load(key).fingerprint() == edited.fingerprint()
 
-    def test_ragged_readings_cannot_be_packed(self, bundle, key):
-        payload = bundle_entry_to_dict(bundle, key)
-        observations = payload["bundle"]["observations"]
-        observations[1]["readings"] = dict(reversed(observations[1]["readings"].items()))
+    def test_ragged_readings_cannot_be_packed(self, tmp_path, bundle, key):
+        first, second, *rest = bundle.observations
+        reversed_readings = type(second)(
+            second.sample_index, second.difficulty, dict(reversed(second.readings.items()))
+        )
+        edited = type(bundle)(accuracy=bundle.accuracy, performance=bundle.performance,
+                              load_costs=bundle.load_costs,
+                              observations=[first, reversed_readings, *rest])
         with pytest.raises(colfmt.ColumnFormatError, match="observation 1"):
-            colfmt.encode_bundle(payload)
-
-    def test_maintenance_reads_dispatch_the_bundle_kind(self, tmp_path, bundle, key):
-        store = BundleStore(tmp_path)
-        path = store.save(bundle, key)
-        payload = colfmt.load_entry_payload(path)
-        assert payload == bundle_entry_to_dict(bundle, key)
-        assert list(payload["bundle"]["accuracy"]) == list(bundle.accuracy)
+            BundleStore(tmp_path).save(edited, key)
 
 
 class TestKeying:
@@ -214,13 +211,10 @@ class TestKeying:
         assert other.digest() != key.digest()
         assert store.load(other) is None
 
-    def test_tampered_identity_is_loud(self, tmp_path, bundle, key):
+    def test_tampered_identity_is_loud(self, tmp_path, bundle, key, rewrite_header):
         store = BundleStore(tmp_path)
-        payload = bundle_entry_to_dict(bundle, key)
-        payload["validation_seed"] = SEED + 1
-        path = store.path_for(key)
-        path.parent.mkdir(parents=True)
-        path.write_bytes(colfmt.encode_bundle(payload))
+        path = store.save(bundle, key)
+        rewrite_header(path, lambda header: header["meta"].update(validation_seed=SEED + 1))
         with pytest.raises(BundleSchemaError, match="validation_seed"):
             store.load(key)
 

@@ -1,17 +1,17 @@
-"""Tests for the binary columnar entry format and the read-path bugfixes.
+"""Tests for the binary columnar container and the read-path bugfixes.
 
 Three contracts share this file because they share one failure surface:
 
-* the ``colfmt`` container and codecs must round-trip payloads
-  *bit-identically* — the binary format is an encoding of the dict
-  payload, never a reinterpretation of it;
+* each store's entries must round-trip their objects *bit-identically*
+  through the ``colfmt`` container — edge floats included;
 * store loads stay lazy on the column payload, and corrupt entries are
   quarantined rather than served;
 * transient read errors must never destroy data — an EIO on a valid
-  entry is a miss, not a quarantine (the bug this PR fixes), while
-  non-finite floats must never produce invalid JSON on disk.
+  entry is a miss, not a quarantine, while non-finite floats must never
+  produce invalid JSON on disk.
 """
 
+import dataclasses
 import json
 import math
 
@@ -28,12 +28,9 @@ from repro.runtime import (
     TraceCache,
     TraceStore,
     run_policy,
-    run_to_dict,
-    trace_to_dict,
 )
-from repro.runtime import colfmt, iolayer
-from repro.runtime.bundlestore import BundleKey, BundleStore, bundle_entry_to_dict
-from repro.runtime.export import load_metrics_dicts, save_metrics
+from repro.runtime import bundlestore, colfmt, iolayer, runstore, store as tracestore
+from repro.runtime.bundlestore import BundleKey, BundleStore
 from repro.runtime.iolayer import RETRY_ATTEMPTS, FsFaultEvent, FsFaultPlan
 from repro.runtime.metrics import aggregate
 from repro.baselines import SingleModelPolicy
@@ -95,59 +92,88 @@ def clean_seam():
     iolayer.disarm_fault_plan()
 
 
+#: Floats whose bits a decode must keep: signed zero, NaN, infinities,
+#: the smallest subnormal and the largest double.
+EDGES = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)
+
+
 class TestContainer:
-    def test_trace_payload_round_trips_bit_identically(self, trace, zoo):
-        payload = trace_to_dict(trace, zoo)
-        assert colfmt.decode_trace(colfmt.encode_trace(payload)) == payload
+    def test_trace_payload_round_trips_bit_identically(self, trace, zoo, tmp_path):
+        # The store's one decoder gives back the meta its encoder wrote and
+        # the outcomes it encoded, and encoding those again writes the
+        # same bytes.
+        store = TraceStore(tmp_path)
+        data = store.save(trace, zoo).read_bytes()
+        meta, outcomes = store._decode(store.path_for(trace.scenario, zoo))
+        assert meta == tracestore._meta_to_dict(trace, zoo)
+        assert outcomes == trace.outcomes
+        decoded = ScenarioTrace(scenario=trace.scenario, frames=None, outcomes=outcomes)
+        assert tracestore._encode(decoded, meta) == data
 
-    def test_run_payload_round_trips_bit_identically(self, result, key):
-        payload = run_to_dict(result, key)
-        assert colfmt.decode_run(colfmt.encode_run(payload)) == payload
+    def test_run_payload_round_trips_bit_identically(self, result, key, tmp_path):
+        store = RunStore(tmp_path)
+        data = store.save(result, key).read_bytes()
+        meta, decoded = store._decode(store.path_for(key))
+        assert jsonsafe.dumps(meta, sort_keys=True) == jsonsafe.dumps(
+            runstore._meta_to_dict(result, key), sort_keys=True
+        )  # NaN != NaN: compare the header text a metric NaN writes
+        assert decoded.records == result.records
+        assert runstore._encode(decoded, key) == data
 
-    def test_edge_values_decode_bit_for_bit(self, trace, zoo, result, key):
-        # Re-encoding a decoded payload gives the same bytes only if every
-        # value came back with the bits it went in with (NaN != NaN, so
-        # comparing payloads could not show it).
-        edges = (-0.0, math.nan, math.inf, -math.inf, 5e-324, 1.7976931348623157e308)
-        payload = trace_to_dict(trace, zoo)
-        for m, rows in enumerate(payload["outcomes"].values()):
-            for f, row in enumerate(rows):
-                row[1:4] = [edges[(m + f + k) % len(edges)] for k in range(3)]
-                if row[0] is not None:
-                    row[0] = [edges[(f + k) % len(edges)] for k in range(4)]
-        data = colfmt.encode_trace(payload)
-        assert colfmt.encode_trace(colfmt.decode_trace(data)) == data
-        payload = run_to_dict(result, key)
-        for i, row in enumerate(payload["records"]):
-            row[0] = 2**62 - i
-            for slot in (4, 5, 8, 9, 10, 11, 12, 17):
-                row[slot] = edges[(i + slot) % len(edges)]
-        data = colfmt.encode_run(payload)
-        assert colfmt.encode_run(colfmt.decode_run(data)) == data
+    def test_edge_values_decode_bit_for_bit(self, trace, zoo, result, key, tmp_path):
+        # Re-saving a loaded entry gives the same bytes only if every value
+        # came back with the bits it went in with (NaN != NaN, so comparing
+        # objects could not show it).
+        outcomes = {
+            model: [
+                dataclasses.replace(outcome, confidence=EDGES[(m + f) % 6],
+                                    iou=EDGES[(m + f + 1) % 6], quality=EDGES[(m + f + 2) % 6])
+                for f, outcome in enumerate(rows)
+            ]
+            for m, (model, rows) in enumerate(trace.outcomes.items())
+        }
+        edged = ScenarioTrace(scenario=trace.scenario, frames=None, outcomes=outcomes)
+        data = TraceStore(tmp_path / "t1").save(edged, zoo).read_bytes()
+        loaded = TraceStore(tmp_path / "t1").load(trace.scenario, zoo)
+        assert TraceStore(tmp_path / "t2").save(loaded, zoo).read_bytes() == data
+        records = [
+            dataclasses.replace(record, frame_index=2**62 - i, **{
+                name: EDGES[(i + slot) % 6] for slot, name in enumerate(runstore._FLOAT_FIELDS)
+            })
+            for i, record in enumerate(result.records)
+        ]
+        edged = type(result)(result.policy_name, result.scenario_name, records)
+        data = RunStore(tmp_path / "r1").save(edged, key).read_bytes()
+        loaded = RunStore(tmp_path / "r1").load(key)
+        assert RunStore(tmp_path / "r2").save(loaded, key).read_bytes() == data
 
-    def test_model_order_is_preserved(self, trace, zoo):
-        payload = trace_to_dict(trace, zoo)
-        decoded = colfmt.decode_trace(colfmt.encode_trace(payload))
-        assert list(decoded["outcomes"]) == list(payload["outcomes"])
+    def test_model_order_is_preserved(self, trace, scenario, zoo, tmp_path):
+        store = TraceStore(tmp_path)
+        store.save(trace, zoo)
+        assert list(store.load(scenario, zoo).outcomes) == list(trace.outcomes)
 
-    def test_corrupt_magic_raises(self, trace, zoo):
-        data = bytearray(colfmt.encode_trace(trace_to_dict(trace, zoo)))
-        data[:4] = b"JUNK"
+    def test_corrupt_magic_raises(self, trace, zoo, tmp_path):
+        path = TraceStore(tmp_path).save(trace, zoo)
+        path.write_bytes(b"JUNK" + path.read_bytes()[4:])
         with pytest.raises(colfmt.ColumnFormatError, match="magic"):
-            colfmt.decode_trace(bytes(data))
+            colfmt.read_header(path, tracestore.LAYOUT)
 
-    def test_truncation_raises(self, result, key):
-        data = colfmt.encode_run(run_to_dict(result, key))
+    def test_another_kind_raises(self, result, key, tmp_path):
+        path = RunStore(tmp_path).save(result, key)
+        with pytest.raises(colfmt.ColumnFormatError, match="expected trace container"):
+            colfmt.read_columns(path, tracestore.LAYOUT)
+
+    def test_truncation_raises(self, result, key, tmp_path):
+        path = RunStore(tmp_path).save(result, key)
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
         with pytest.raises(colfmt.ColumnFormatError):
-            colfmt.decode_run(data[: len(data) // 2])
+            colfmt.read_columns(path, runstore.LAYOUT)
 
     def test_header_carries_no_bulk_data(self, result, key, tmp_path):
-        payload = run_to_dict(result, key)
-        path = tmp_path / ("run-x" + colfmt.COL_SUFFIX)
-        path.write_bytes(colfmt.encode_run(payload))
-        header = colfmt.read_run_header(path)
-        assert "records" not in header
-        assert header["metrics"] == payload["metrics"]
+        path = RunStore(tmp_path).save(result, key)
+        meta = colfmt.read_header(path, runstore.LAYOUT)["meta"]
+        assert "records" not in meta
+        assert meta["metrics"] == runstore._metrics_row(aggregate(result))
 
 
 class TestCrossFormat:
@@ -243,23 +269,37 @@ class TestMalformedDescriptors:
     def test_the_header_probe_refuses_a_reshaped_column(
         self, trace, zoo, result, key, bundle, bundle_key, tmp_path
     ):
-        # A trace load reads only the header; its columns decode later,
-        # outside the store's quarantine, so the probe must catch this.
-        for data, column in (
-            (colfmt.encode_trace(trace_to_dict(trace, zoo)), "confidence"),
-            (colfmt.encode_run(run_to_dict(result, key)), "frame_index"),
-            (colfmt.encode_bundle(bundle_entry_to_dict(bundle, bundle_key)), "difficulty"),
+        # A trace load reads only the header; its columns decode later, so
+        # the probe must catch this.
+        for path, column, layout in (
+            (TraceStore(tmp_path / "t").save(trace, zoo), "confidence", tracestore.LAYOUT),
+            (RunStore(tmp_path / "r").save(result, key), "frame_index", runstore.LAYOUT),
+            (BundleStore(tmp_path / "b").save(bundle, bundle_key), "difficulty",
+             bundlestore.LAYOUT),
         ):
-            path = tmp_path / f"{column}.col"
-            path.write_bytes(retag(data, column, TAMPERS["reshaped-in-own-bytes"]))
+            retag_file(path, column, TAMPERS["reshaped-in-own-bytes"])
             with pytest.raises(colfmt.ColumnFormatError, match="shapes"):
-                colfmt.read_header(path)
+                colfmt.read_header(path, layout)
+
+    def test_a_column_listed_twice_is_a_quarantined_miss(
+        self, result, key, tmp_path, rewrite_header
+    ):
+        # Every name is one the layout gives, in its dtype, shape and
+        # bounds; only the count of descriptors tells the extra one apart.
+        store = RunStore(tmp_path)
+        path = store.save(result, key)
+        rewrite_header(path, lambda header: header["columns"].append(dict(header["columns"][0])))
+        with pytest.raises(colfmt.ColumnFormatError, match="not what its encoder writes"):
+            colfmt.read_header(path, runstore.LAYOUT)
+        assert store.load_metrics(key) is None
+        assert store.corrupt_entries == 1
+        assert len(list((tmp_path / "_quarantine").iterdir())) == 1
 
     def test_a_run_code_past_its_vocabulary_is_a_quarantined_miss(self, result, key, tmp_path):
         store = RunStore(tmp_path)
         path = store.save(result, key)
         data = bytearray(path.read_bytes())
-        header = colfmt.read_header(path)
+        header = colfmt.read_header(path, runstore.LAYOUT)
         assert len(header["meta"]["model_names"]) == 1
         descriptor = next(d for d in header["columns"] if d["name"] == "model_code")
         header_len = int.from_bytes(data[8:12], "little")
@@ -325,49 +365,9 @@ class TestNonFiniteJson:
         assert restored["b"] == float("inf") and restored["c"] == -float("inf")
         assert restored["d"] == 1.5
 
-    def test_metrics_with_nan_export_as_valid_json(self, result, tmp_path):
-        metrics = aggregate(result)
-        import dataclasses
-
-        broken = dataclasses.replace(metrics, mean_iou=float("nan"))
-        path = tmp_path / "metrics.jsonl"
-        save_metrics([broken, metrics], path)
-        for line in path.read_text().splitlines():
-            json.loads(line, parse_constant=pytest.fail)
-        rows = load_metrics_dicts(path)
-        assert math.isnan(rows[0]["mean_iou"])
-        assert rows[1]["mean_iou"] == metrics.mean_iou
-
     def test_nan_metric_survives_binary_round_trip(self, result, key, tmp_path):
-        payload = run_to_dict(result, key)
-        payload["metrics"]["mean_iou"] = float("nan")
-        decoded = colfmt.decode_run(colfmt.encode_run(payload))
-        assert math.isnan(decoded["metrics"]["mean_iou"])
-
-
-class TestTornMetricsTail:
-    def _rows(self, result):
-        return [aggregate(result)]
-
-    def test_torn_final_line_is_partial_not_fatal(self, result, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        save_metrics(self._rows(result) * 3, path)
-        text = path.read_text()
-        path.write_text(text.rstrip("\n")[:-20])  # kill the writer mid-line
-        rows = load_metrics_dicts(path)
-        assert rows.partial, "a torn tail must be reported"
-        assert len(rows) == 2, "complete rows before the tear still serve"
-
-    def test_torn_middle_line_still_raises(self, result, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        lines = [jsonsafe.dumps({"ok": i}) for i in range(3)]
-        lines[1] = '{"torn'
-        path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(json.JSONDecodeError):
-            load_metrics_dicts(path)
-
-    def test_clean_file_is_not_partial(self, result, tmp_path):
-        path = tmp_path / "metrics.jsonl"
-        save_metrics(self._rows(result), path)
-        rows = load_metrics_dicts(path)
-        assert not rows.partial and len(rows) == 1
+        [first, *rest] = result.records
+        records = [dataclasses.replace(first, iou=math.nan, ground_truth_present=True), *rest]
+        store = RunStore(tmp_path)
+        store.save(type(result)(result.policy_name, result.scenario_name, records), key)
+        assert math.isnan(store.load_metrics(key).mean_iou)

@@ -240,3 +240,31 @@ class TestQueueMaintenance:
         report = queue.gc(dry_run=False, now=record_path.stat().st_mtime + 2 * WEEK)
         assert report.entries_removed == 0
         assert queue.counts()["done"] == 1
+
+    def test_gc_expires_dead_letters_by_name_and_reads_no_record(self, tmp_path, monkeypatch):
+        from repro.runtime import iolayer
+        from repro.service import JobQueue
+        from repro.service.jobs import UnitJob
+
+        queue = JobQueue(tmp_path / "q", lease_duration=0.1, max_attempts=1)
+        scenario = scenario_by_name("s3_indoor_close_wall").scaled(0.05)
+        queue.enqueue_all(
+            [UnitJob(policy_spec=f"single:{model}@gpu", scenario=scenario)
+             for model in ("yolov7-tiny", "yolov7")],
+            engine_seed=1234,
+        )
+        queue.complete(queue.claim("w1"))
+        queue.fail(queue.claim("w1"), "boom")  # max_attempts=1 -> dead letter
+        assert (queue.counts()["done"], queue.counts()["dead"]) == (1, 1)
+        later = max(path.stat().st_mtime for path in (tmp_path / "q").rglob("job-*")) + WEEK + 1
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("gc read an entry")
+
+        monkeypatch.setattr(iolayer, "read_text", no_read)
+        monkeypatch.setattr(iolayer, "read_bytes", no_read)
+        report = queue.gc(dry_run=False, now=later)
+        monkeypatch.undo()
+        assert report.entries_removed == 1
+        assert [path.name.split(".", 1)[1] for path in (tmp_path / "q").rglob("job-*")] == [
+            "done.json"]

@@ -6,7 +6,6 @@ a changed policy config, trace, platform, or seed — must be a miss or a
 loud :class:`RunSchemaError`, never a silently wrong run.
 """
 
-import json
 import multiprocessing
 import os
 
@@ -21,9 +20,7 @@ from repro.runtime import (
     RunStore,
     ScenarioTrace,
     aggregate,
-    run_from_dict,
     run_policy,
-    run_to_dict,
 )
 from repro.runtime import colfmt, iolayer
 from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
@@ -88,11 +85,6 @@ class TestRoundTrip:
         store.save(result, key)
         assert store.load_metrics(key) == aggregate(result)
 
-    def test_dict_round_trip_survives_json(self, result, key):
-        payload = json.loads(json.dumps(run_to_dict(result, key)))
-        restored = run_from_dict(payload, key)
-        assert restored.records == result.records
-
     def test_missing_key_is_a_miss(self, tmp_path, key):
         store = RunStore(tmp_path)
         assert store.load(key) is None
@@ -108,9 +100,9 @@ class TestRoundTrip:
         assert len(store) == 0
 
 
-def _rewrite(path, payload):
-    """Re-encode an edited run payload at an existing entry path."""
-    path.write_bytes(colfmt.encode_run(payload))
+def set_meta(**fields):
+    """A header change that sets ``fields`` in an entry's meta block."""
+    return lambda header: header["meta"].update(fields)
 
 
 class TestSchemaRejection:
@@ -141,29 +133,41 @@ class TestSchemaRejection:
         assert store.corrupt_entries == 1
         assert not path.exists()
 
-    def test_rejects_wrong_schema_version(self, tmp_path, result, key):
+    def test_rejects_wrong_schema_version(self, tmp_path, result, key, rewrite_header):
         store, path = self._saved(tmp_path, result, key)
-        payload = run_to_dict(result, key)
-        payload["schema_version"] = 99
-        _rewrite(path, payload)
+        rewrite_header(path, set_meta(schema_version=99))
         with pytest.raises(RunSchemaError, match="unsupported run schema"):
             store.load(key)
 
-    def test_rejects_truncated_records(self, tmp_path, result, key):
+    def test_rejects_truncated_records(self, tmp_path, result, key, rewrite_header):
+        # A header that declares more frames than its columns hold
+        # contradicts itself: the entry does not decode, so every reader
+        # sees a quarantined miss, never a loud error or a short run.
         store, path = self._saved(tmp_path, result, key)
-        payload = run_to_dict(result, key)
-        payload["records"] = payload["records"][:-1]
-        _rewrite(path, payload)
-        with pytest.raises(RunSchemaError, match="frames"):
-            store.load(key)
+        rewrite_header(path, set_meta(frame_count=result.frame_count + 1))
+        assert store.load(key) is None
+        assert store.corrupt_entries == 1 and not path.exists()
+        store.save(result, key)
+        assert store.load(key).records == result.records
 
-    def test_rejects_malformed_record_row(self, result, key):
-        # A row the column codec cannot encode never reaches disk, so the
-        # row decoder is exercised directly.
-        payload = run_to_dict(result, key)
-        payload["records"][0] = ["garbage"]
-        with pytest.raises(RunSchemaError, match="malformed run payload"):
-            run_from_dict(payload, key)
+    def test_rejects_malformed_metrics_block(self, tmp_path, result, key, rewrite_header):
+        # The metrics block is the header half of the run decoder: one that
+        # RunMetrics cannot take is corrupt to the warm probe, the full
+        # load and scrub alike.
+        store, path = self._saved(tmp_path, result, key)
+        rewrite_header(path, lambda header: header["meta"]["metrics"].pop("swaps"))
+        tampered = path.read_bytes()
+        [problem] = store.audit()[1]
+        assert path.name in problem and "run metrics do not decode" in problem
+        assert store.load_metrics(key) is None
+        assert store.corrupt_entries == 1 and not path.exists()
+        path.write_bytes(tampered)
+        assert store.load(key) is None
+        assert store.corrupt_entries == 2 and not path.exists()
+        path.write_bytes(tampered)
+        assert store.scrub().quarantined == 1 and not path.exists()
+        store.save(result, key)
+        assert store.load_metrics(key) == aggregate(result)
 
     def test_algorithm_version_bump_orphans_files(self, tmp_path, result, key):
         # A bumped algorithm version changes the file name, so stale runs
@@ -217,14 +221,12 @@ class TestInvalidation:
         store.save(result, key)
         assert store.load(make_key(policy, scenario, zoo, seed=999)) is None
 
-    def test_tampered_identity_block_is_rejected(self, tmp_path, result, key):
+    def test_tampered_identity_block_is_rejected(self, tmp_path, result, key, rewrite_header):
         # A file whose *name* matches but whose identity block does not
         # (hand-edited, or a digest collision) fails loudly.
         store = RunStore(tmp_path)
         path = store.save(result, key)
-        payload = run_to_dict(result, key)
-        payload["engine_seed"] = 4321
-        _rewrite(path, payload)
+        rewrite_header(path, set_meta(engine_seed=4321))
         with pytest.raises(RunSchemaError, match="engine seed"):
             store.load(key)
 
@@ -241,7 +243,7 @@ class TestTornEntry:
         ))
         with iolayer.fault_plan(plan):
             path = store.save(result, key)
-        assert path.stat().st_size < len(colfmt.encode_run(run_to_dict(result, key)))
+        assert path.stat().st_size < RunStore(tmp_path / "whole").save(result, key).stat().st_size
         assert store.commit(result, key) == (path, True)
         assert store.corrupt_entries == 1
         assert store.load(key).records == result.records

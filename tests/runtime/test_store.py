@@ -1,21 +1,13 @@
 """Tests for the on-disk trace store."""
 
 import dataclasses
-import json
 
 import pytest
 
 from repro.data import scenario_by_name
 from repro.models import default_zoo
-from repro.runtime import (
-    ScenarioTrace,
-    TraceCache,
-    TraceSchemaError,
-    TraceStore,
-    trace_from_dict,
-    trace_to_dict,
-)
-from repro.runtime import colfmt, iolayer
+from repro.runtime import ScenarioTrace, TraceCache, TraceSchemaError, TraceStore
+from repro.runtime import iolayer
 from repro.runtime.iolayer import FsFaultEvent, FsFaultPlan
 
 
@@ -35,13 +27,6 @@ def trace(scenario, zoo):
 
 
 class TestRoundTrip:
-    def test_dict_round_trip_is_identical(self, trace, scenario, zoo):
-        payload = json.loads(json.dumps(trace_to_dict(trace, zoo)))
-        restored = trace_from_dict(payload, scenario, zoo)
-        assert restored.outcomes == trace.outcomes
-        assert restored.frame_count == trace.frame_count
-        assert restored.scenario == scenario
-
     def test_save_load_round_trip(self, trace, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
@@ -75,34 +60,30 @@ class TestRoundTrip:
 
 
 class TestValidation:
-    def test_wrong_schema_version_fails_loudly(self, trace, scenario, zoo, tmp_path):
-        # Tamper with the payload, then re-encode it at the entry path.
+    def test_wrong_schema_version_fails_loudly(self, trace, scenario, zoo, tmp_path, rewrite_header):
         store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
-        payload = trace_to_dict(trace, zoo)
-        payload["schema_version"] = 99
-        path.write_bytes(colfmt.encode_trace(payload))
+        rewrite_header(path, lambda header: header["meta"].update(schema_version=99))
         with pytest.raises(TraceSchemaError, match="schema"):
             store.load(scenario, zoo)
 
-    def test_scenario_fingerprint_mismatch_fails(self, trace, scenario, zoo):
-        payload = trace_to_dict(trace, zoo)
+    def test_scenario_fingerprint_mismatch_fails(self, trace, scenario, zoo, tmp_path):
+        # A well-formed entry at another scenario's path: identity is loud.
+        store = TraceStore(tmp_path)
         other = dataclasses.replace(scenario, seed=scenario.seed + 1)
+        target = store.path_for(other, zoo)
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(store.save(trace, zoo).read_bytes())
         with pytest.raises(TraceSchemaError, match="different scenario"):
-            trace_from_dict(payload, other, zoo)
+            store.load(other, zoo)
 
-    def test_zoo_fingerprint_mismatch_fails(self, trace, scenario, zoo):
-        payload = trace_to_dict(trace, zoo)
+    def test_zoo_fingerprint_mismatch_fails(self, trace, scenario, zoo, tmp_path):
+        store = TraceStore(tmp_path)
         smaller = default_zoo()
         smaller.remove("yolov7")
+        store.path_for(scenario, smaller).write_bytes(store.save(trace, zoo).read_bytes())
         with pytest.raises(TraceSchemaError, match="zoo"):
-            trace_from_dict(payload, scenario, smaller)
-
-    def test_malformed_rows_fail(self, trace, scenario, zoo):
-        payload = trace_to_dict(trace, zoo)
-        payload["outcomes"]["yolov7"][0] = ["not", "a", "row"]
-        with pytest.raises(TraceSchemaError, match="malformed"):
-            trace_from_dict(payload, scenario, zoo)
+            store.load(scenario, smaller)
 
 
 class TestStoreBackedCache:
@@ -157,7 +138,7 @@ class TestTornEntry:
         ))
         with iolayer.fault_plan(plan):
             path = store.save(trace, zoo)
-        assert path.stat().st_size < len(colfmt.encode_trace(trace_to_dict(trace, zoo)))
+        assert path.stat().st_size < TraceStore(tmp_path / "whole").save(trace, zoo).stat().st_size
         assert store.load(scenario, zoo) is None
         assert store.corrupt_entries == 1
         assert not path.exists(), "the torn entry must be quarantined"

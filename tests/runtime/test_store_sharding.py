@@ -24,7 +24,9 @@ from repro.baselines import SingleModelPolicy
 from repro.data import scenario_by_name
 from repro.models import default_zoo
 from repro.runtime import RunKey, RunStore, ScenarioTrace, TraceCache, TraceStore, run_policy
-from repro.runtime import run_to_dict, shards, trace_to_dict
+from repro.runtime import iolayer, shards
+from repro.runtime.colfmt import ColumnFormatError
+from repro.runtime.iolayer import RETRY_ATTEMPTS, FsFaultEvent, FsFaultPlan
 from repro.sim import xavier_nx_with_oakd
 from repro.util import jsonsafe
 
@@ -157,10 +159,17 @@ class TestLegacyLayouts:
         # A flat JSON trace entry (a store from before sharding) and a
         # sharded JSON run entry (from before the binary format) ...
         flat = tstore.root / tstore.path_for(scenario, zoo).with_suffix(".json").name
-        flat.write_text(jsonsafe.dumps(trace_to_dict(trace, zoo)), encoding="utf-8")
+        flat.write_text(jsonsafe.dumps({
+            "schema_version": 1, "algorithm_version": 1, "scenario_name": scenario.name,
+            "scenario_fingerprint": scenario.fingerprint(), "zoo_fingerprint": zoo.fingerprint(),
+            "frame_count": trace.frame_count, "outcomes": {},
+        }), encoding="utf-8")
         sharded = rstore.path_for(key).with_suffix(".json")
         sharded.parent.mkdir()
-        sharded.write_text(jsonsafe.dumps(run_to_dict(result, key)), encoding="utf-8")
+        sharded.write_text(jsonsafe.dumps({
+            "schema_version": 1, "algorithm_version": 1, "policy_name": key.policy_name,
+            "engine_seed": key.engine_seed, "frame_count": result.frame_count, "records": [],
+        }), encoding="utf-8")
         # ... and a shard index listing an entry that is not there.
         (sharded.parent / "index.json").write_text(jsonsafe.dumps(
             {"schema_version": 1, "entries": {rstore.path_for(key).name: {}}}
@@ -218,6 +227,41 @@ class TestCrashConsistency:
         assert cache.builds == 1
         assert rebuilt.outcomes == trace.outcomes
         assert store.load(scenario, zoo) is not None
+
+    def test_quarantine_re_runs_the_callers_decoder(self, tmp_path, result, key):
+        # The re-check under the shard lock is the decoder that refused the
+        # entry: one it now decodes (a writer repaired it) stays put, one it
+        # still refuses moves to the quarantine with its bytes.
+        store = RunStore(tmp_path)
+        path = store.save(result, key)
+        data = path.read_bytes()
+
+        def refuse(entry):
+            raise ColumnFormatError(f"{entry.name} refused")
+
+        assert not shards.quarantine_corrupt_entry(tmp_path, path.parent, path.name, store._decode)
+        assert path.exists()
+        assert shards.quarantine_corrupt_entry(tmp_path, path.parent, path.name, refuse)
+        assert not path.exists()
+        [moved] = (tmp_path / shards.QUARANTINE_DIR).iterdir()
+        assert moved.read_bytes() == data
+
+    def test_quarantine_leaves_an_unreadable_or_gone_entry(self, tmp_path, result, key):
+        store = RunStore(tmp_path)
+        path = store.save(result, key)
+        eio = FsFaultPlan(events=(
+            FsFaultEvent(op="read", index=0, kind="eio", count=RETRY_ATTEMPTS * 4, match="run-*"),
+        ))
+        with iolayer.fault_plan(eio):
+            assert not shards.quarantine_corrupt_entry(
+                tmp_path, path.parent, path.name, store._decode
+            )
+        assert path.exists(), "unreadable is not corrupt"
+        path.unlink()
+        assert not shards.quarantine_corrupt_entry(tmp_path, path.parent, path.name, store._decode)
+        assert not (tmp_path / shards.QUARANTINE_DIR).exists() or not any(
+            (tmp_path / shards.QUARANTINE_DIR).iterdir()
+        )
 
 
 class TestParallelWriters:

@@ -28,7 +28,6 @@ from repro.data import ScenarioMatrix
 from repro.data.scenario import register_scenario, scenario_by_name
 from repro.models import default_zoo
 from repro.runtime import ExperimentRunner, RunStore, TraceCache, TraceStore
-from repro.runtime.export import metrics_to_dict
 from repro.runtime.metrics import aggregate
 from repro.service import (
     JobQueue,
@@ -43,7 +42,7 @@ from repro.service import (
     policy_resolver,
     serve_in_thread,
 )
-from repro.service.http import MAX_BODY_BYTES, STOP_POLL_S
+from repro.service.http import MAX_BODY_BYTES, STOP_POLL_S, metrics_to_dict
 from repro.service.jobs import MAX_DEADLINE_S
 
 HTTP_MATRIX = ScenarioMatrix(
@@ -134,6 +133,16 @@ def stream(base, request_id, timeout=120.0):
 def get_json(base, path, timeout=60.0):
     with urllib.request.urlopen(f"{base}{path}", timeout=timeout) as resp:
         return json.load(resp)
+
+
+def test_metrics_block_keys(serial_rows):
+    # The wire row's metrics block: the run's aggregate plus its derived
+    # efficiency, as plain JSON.
+    for (_, scenario), row in serial_rows.items():
+        assert json.loads(json.dumps(row)) == row
+        assert row["scenario"] == scenario and row["frames"] > 0
+        assert 0.0 <= row["mean_iou"] <= 1.0
+        assert row["efficiency_iou_per_joule"] > 0
 
 
 class TestFrontendAdmission:

@@ -119,6 +119,20 @@ class TestEnqueue:
         [record] = queue.records()
         assert record["attempts"] == 1 and record["history"]
 
+    def test_a_lost_record_write_is_not_a_new_job(self, tmp_path, jobs):
+        # The rename that publishes a new record is lost: the job has no
+        # record, so enqueue must not report it added, and the next
+        # enqueue writes it.
+        queue = make_queue(tmp_path, FakeClock())
+        lost = FsFaultPlan(events=(FsFaultEvent(
+            op="replace", index=0, kind="lost_rename", match="job-*"),))
+        with iolayer.fault_plan(lost):
+            assert queue.enqueue(jobs[0]) is False
+        assert queue.counts()["total"] == 0
+        assert not list(queue.root.rglob("job-*.json"))
+        assert queue.enqueue(jobs[0]) is True
+        assert queue.counts()["pending"] == 1
+
     def test_invalid_parameters_rejected(self, tmp_path):
         with pytest.raises(ServiceError):
             JobQueue(tmp_path / "q1", lease_duration=0)
@@ -252,6 +266,19 @@ class TestLeases:
         assert queue.scrub().quarantined == 1
         assert [p.read_bytes() for p in (queue.root / shards.QUARANTINE_DIR).iterdir()] == [
             b"\xff\xfe torn"] * 2
+
+    def test_a_record_that_is_not_an_object_is_quarantined_by_scrub(self, tmp_path, jobs):
+        queue = make_queue(tmp_path, FakeClock())
+        queue.enqueue(jobs[0])
+        [path] = list(shards.iter_entry_paths(queue.root, "job-*.json"))
+        path.write_text("[]", encoding="utf-8")
+        [problem] = queue.audit()[1]
+        assert f"{path.name}: not a JSON object" in problem
+        assert path.exists()  # audit moves nothing
+        assert queue.scrub().quarantined == 1
+        assert not path.exists() and quarantined(queue) == ["[]"]
+        assert queue.enqueue(jobs[0]) is True
+        assert queue.audit()[1] == []
 
     def test_every_torn_copy_of_a_record_is_kept(self, tmp_path, jobs):
         queue = make_queue(tmp_path, FakeClock())

@@ -14,7 +14,7 @@ import pytest
 
 from repro.data import ScenarioMatrix
 from repro.models import default_zoo
-from repro.runtime import ScenarioTrace, TraceStore
+from repro.runtime import RunStore, ScenarioTrace, TraceStore
 from repro.verify import (
     CHECKS,
     FuzzReport,
@@ -148,22 +148,56 @@ class TestHarnessDetectsViolations:
 
     def test_lossy_store_reload_detected(self, trace, zoo, tmp_path, monkeypatch):
         # A store whose reload drifts from what was saved must fail the
-        # round-trip check; simulate the drift at the load boundary.
+        # round-trip check, naming the model, the frame and the field;
+        # simulate the drift at the load boundary.
         tampered = self._tampered(trace, confidence=0.123456)
         monkeypatch.setattr(TraceStore, "load", lambda self, scenario, zoo: tampered)
         result = check_store_roundtrip(trace, zoo, store_root=tmp_path)
         assert not result.passed and "outcomes changed" in result.detail
+        model = next(iter(trace.outcomes))
+        saved = trace.outcomes[model][0].confidence
+        assert result.detail == (
+            f"model {model!r}, frame 0: outcomes changed through the store: "
+            f"confidence differs: saved {saved!r}, loaded 0.123456"
+        )
 
-    def test_store_corruption_fails_loudly(self, trace, zoo, tmp_path):
-        # Real on-disk corruption surfaces as a TraceSchemaError from the
-        # store's own validation, not as a silently wrong trace.
-        from repro.runtime import TraceSchemaError, colfmt, trace_to_dict
+    def test_lossy_run_reload_names_the_frame_and_field(self, trace, zoo, tmp_path, monkeypatch):
+        # The store check also sends one run through a RunStore: a record
+        # that drifts on reload is named by frame and first field.
+        real_load = RunStore.load
+
+        def drifting_load(self, key):
+            result = real_load(self, key)
+            result.records[3] = dataclasses.replace(result.records[3], energy_j=-1.0)
+            return result
+
+        monkeypatch.setattr(RunStore, "load", drifting_load)
+        result = check_store_roundtrip(trace, zoo, store_root=tmp_path)
+        assert not result.passed
+        assert result.detail.startswith(
+            "run of 'yolov7-tiny', frame 3: records changed through the store: "
+            "energy_j differs: saved "
+        )
+        assert result.detail.endswith(", loaded -1.0")
+
+    def test_drifting_stored_metrics_are_named(self, trace, zoo, tmp_path, monkeypatch):
+        real_metrics = RunStore.load_metrics
+        monkeypatch.setattr(RunStore, "load_metrics", lambda self, key: dataclasses.replace(
+            real_metrics(self, key), swaps=99))
+        result = check_store_roundtrip(trace, zoo, store_root=tmp_path)
+        assert not result.passed
+        assert result.detail.startswith("run of 'yolov7-tiny': stored metrics differ: swaps ")
+        assert result.detail.endswith(", stored 99")
+
+    def test_store_corruption_fails_loudly(self, trace, zoo, tmp_path, rewrite_header):
+        # A well-formed entry with another identity surfaces as a
+        # TraceSchemaError from the store's own validation, not as a
+        # silently wrong trace.
+        from repro.runtime import TraceSchemaError
 
         store = TraceStore(tmp_path)
         path = store.save(trace, zoo)
-        payload = trace_to_dict(trace, zoo)
-        payload["scenario_fingerprint"] = "0" * 64
-        path.write_bytes(colfmt.encode_trace(payload))
+        rewrite_header(path, lambda header: header["meta"].update(scenario_fingerprint="0" * 64))
         with pytest.raises(TraceSchemaError):
             store.load(trace.scenario, zoo)
 
