@@ -656,11 +656,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if not scenarios:
         print("no scenarios given", file=sys.stderr)
         return 2
-    try:
-        results = ctx.runner.sweep(policies, scenarios, parallel_runs=args.parallel_runs)
-    except ValueError as exc:
-        print(exc.args[0], file=sys.stderr)
-        return 2
+    results = ctx.runner.sweep(policies, scenarios)
     print(_sweep_table(
         f"Sweep: {len(policies)} policies x {len(scenarios)} scenarios", results
     ))
@@ -791,9 +787,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="comma-separated scenario names (default: the six evaluation ones)")
     sweep_cmd.add_argument("--objective", default="paper", choices=objective_names(),
                            help="knob preset for shift policies (default: paper)")
-    sweep_cmd.add_argument("--parallel-runs", action="store_true",
-                           help="also run (policy, scenario) pairs in worker processes "
-                                "(needs --workers and --trace-store)")
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     serve_cmd = commands.add_parser(

@@ -1,7 +1,7 @@
 """Scenario substrate: scenes, backgrounds, scenarios, frames, datasets.
 
-The grammar's default matrix registers as a lazy scenario source on the
-first registry lookup that reaches the sources (see
+The grammar's default matrix is the scenario registry's generated
+library, expanded on the first lookup that needs it (see
 :mod:`repro.data.scenario`), so every ``g_*`` name resolves in any
 process without ``import repro.data`` generating it.
 """
@@ -16,7 +16,7 @@ __all__, __getattr__, __dir__ = lazy_exports(__name__, {
         "Scenario", "Segment", "evaluation_scenarios", "extended_scenarios", "all_scenarios",
         "night_watch_scenario", "fog_crossing_scenario", "multi_pan_survey_scenario",
         "long_endurance_patrol_scenario", "scenario_by_name", "scenario_names",
-        "register_scenario", "register_scenario_source", "registered_scenarios",
+        "register_scenario", "registered_scenarios",
         "path_position", "PATHS",
     ),
     "grammar": (

@@ -30,10 +30,10 @@ name *and* every content fingerprint — which is what lets generated
 scenarios flow through ``scenario_by_name``, the CLI ``sweep``, the trace
 store, and the experiment runner exactly like hand-written ones.
 
-The :data:`default matrix <DEFAULT_MATRIX>` registers as a lazy scenario
-source when this module is imported, which the scenario registry does on
-its first lookup that reaches the sources, so ``scenario_by_name("g_...")``
-works in any process.
+The :data:`default matrix <DEFAULT_MATRIX>` is the scenario registry's
+generated library: the registry imports this module and expands the
+matrix on its first lookup past the built-ins and the registrations, so
+``scenario_by_name("g_...")`` works in any process.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ import random
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
-from .scenario import Scenario, Segment, register_scenario_source
+from .scenario import Scenario, Segment, register_scenario, registered_scenarios
 
 # Generated scenario names carry this prefix; the built-in library uses
 # "s*" (paper) and "x_*" (extended), so the namespaces never collide.
@@ -471,8 +471,7 @@ class ScenarioMatrix:
     cell becomes one :class:`ScenarioRecipe` whose name encodes the cell,
     so names (and therefore fingerprints) are stable under re-expansion in
     any process.  Use :meth:`scenarios` for the built scenarios and
-    :func:`~.scenario.register_scenario_source` (or :meth:`register`) to
-    make them resolvable by name.
+    :meth:`register` to make them resolvable by name.
     """
 
     name: str
@@ -530,17 +529,23 @@ class ScenarioMatrix:
         return built
 
     def register(self) -> None:
-        """Make this matrix's scenarios resolvable through ``scenario_by_name``."""
-        register_scenario_source(self.scenarios)
+        """Register every scenario of this grid (see :func:`~.scenario.register_scenario`).
+
+        Scenarios that already resolve to equal content are skipped, so
+        registering the same grid again, or the default matrix, is a no-op.
+        """
+        known = {scenario.name: scenario for scenario in registered_scenarios()}
+        for scenario in self.scenarios():
+            if known.get(scenario.name) != scenario:
+                register_scenario(scenario)
 
 
 def default_matrix() -> ScenarioMatrix:
     """The canonical generated library: 144 flights over all six families.
 
-    Registered as a lazy scenario source on the scenario registry's first
-    source lookup, so every ``g_dm_*`` name resolves in any process; the
-    differential fuzz harness (:mod:`repro.verify`) sweeps seeded samples
-    of it in CI.
+    The scenario registry's generated library, so every ``g_dm_*`` name
+    resolves in any process; the differential fuzz harness
+    (:mod:`repro.verify`) sweeps seeded samples of it in CI.
     """
     return ScenarioMatrix(
         name="dm",
@@ -559,4 +564,3 @@ def default_matrix() -> ScenarioMatrix:
 
 
 DEFAULT_MATRIX = default_matrix()
-DEFAULT_MATRIX.register()

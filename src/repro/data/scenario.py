@@ -14,7 +14,6 @@ import functools
 import hashlib
 import math
 from dataclasses import dataclass, replace
-from collections.abc import Callable, Iterable
 
 from .backgrounds import background
 
@@ -410,36 +409,18 @@ def all_scenarios() -> list[Scenario]:
 
 # ------------------------------------------------------- scenario registry
 #
-# Beyond the hand-written library, scenarios can be registered at runtime —
-# individually (:func:`register_scenario`) or in bulk through a lazy
-# *source* (:func:`register_scenario_source`), a zero-argument callable
-# returning scenarios.  Sources are how procedurally generated libraries
-# (the grammar's default matrix, custom :class:`ScenarioMatrix` grids)
-# become first-class: expansion is deferred until the first name lookup and
-# cached, so importing the package never pays for generating hundreds of
-# scenarios nobody asked for.  The grammar's default matrix registers on
-# the first lookup that reaches the sources (:func:`_sources`), so a
-# process that resolves only built-in names never imports the grammar.
-# Because sources are pure functions of code and seeds, every process
-# resolves the same name to a scenario with the same content fingerprint
-# — the property the trace store relies on.
-
-ScenarioSource = Callable[[], Iterable[Scenario]]
+# Beyond the hand-written library, two more kinds of scenario resolve by
+# name: those registered at runtime (:func:`register_scenario`, or a whole
+# :class:`~repro.data.grammar.ScenarioMatrix` grid through its
+# ``register()``), and the grammar's generated library, its default
+# matrix.  The generated library is expanded on the first lookup that
+# gets past the built-ins and the registrations, and cached, so a process
+# that resolves only built-in names never imports the grammar.  It is a
+# pure function of code and seeds, so every process resolves the same
+# name to a scenario with the same content fingerprint — the property the
+# trace store relies on.
 
 _REGISTRY: dict[str, Scenario] = {}
-_SOURCES: list[ScenarioSource] = []
-_SOURCE_CACHE: dict[int, dict[str, Scenario]] = {}
-
-
-def _sources() -> list[ScenarioSource]:
-    """Every registered source, the grammar's default matrix first.
-
-    :mod:`.grammar` registers the default matrix when it is imported;
-    the first call imports it.
-    """
-    from . import grammar  # noqa: F401 - the import registers the default matrix
-
-    return _SOURCES
 
 
 @functools.cache
@@ -454,94 +435,56 @@ def _builtin_by_name() -> dict[str, Scenario]:
     return {scenario.name: scenario for scenario in all_scenarios()}
 
 
+@functools.cache
+def _generated_by_name() -> dict[str, Scenario]:
+    """The grammar's default matrix by name, expanded at most once per process."""
+    from .grammar import DEFAULT_MATRIX
+
+    return {scenario.name: scenario for scenario in DEFAULT_MATRIX.scenarios()}
+
+
 def register_scenario(scenario: Scenario, replace: bool = False) -> None:
     """Register a scenario so :func:`scenario_by_name` can resolve it.
 
-    Names must not shadow the built-in library or a source-generated
-    scenario — explicit registrations resolve *before* sources, so a
-    shadow would make the same name mean different content (and carry a
-    different fingerprint) in processes that never saw the registration.
-    ``replace=True`` permits overwriting an earlier *registered* entry
-    only.
+    Names must not shadow the built-in library or a generated scenario —
+    a shadow would make the same name mean different content (and carry
+    a different fingerprint) in processes that never saw the
+    registration.  ``replace=True`` permits overwriting an earlier
+    *registered* entry only.
     """
     if scenario.name in _builtin_by_name():
         raise ValueError(f"scenario {scenario.name!r} shadows a built-in scenario")
-    for source in _sources():
-        if scenario.name in _expanded_source(source):
-            raise ValueError(
-                f"scenario {scenario.name!r} shadows a source-generated scenario"
-            )
+    if scenario.name in _generated_by_name():
+        raise ValueError(f"scenario {scenario.name!r} shadows a generated scenario")
     if not replace and scenario.name in _REGISTRY:
         raise ValueError(f"scenario {scenario.name!r} already registered")
     _REGISTRY[scenario.name] = scenario
 
 
-def register_scenario_source(source: ScenarioSource) -> None:
-    """Register a lazy bulk source of scenarios (expanded once, on demand)."""
-    sources = _sources()
-    if source not in sources:
-        sources.append(source)
-
-
-def _expanded_source(source: ScenarioSource) -> dict[str, Scenario]:
-    """The name map of one source, expanded at most once per process."""
-    cached = _SOURCE_CACHE.get(id(source))
-    if cached is None:
-        cached = {}
-        for scenario in source():
-            if scenario.name in cached:
-                raise ValueError(
-                    f"scenario source yielded duplicate name {scenario.name!r}"
-                )
-            cached[scenario.name] = scenario
-        _SOURCE_CACHE[id(source)] = cached
-    return cached
-
-
 def registered_scenarios() -> list[Scenario]:
-    """Every runtime-registered scenario: explicit entries, then sources."""
-    scenarios = list(_REGISTRY.values())
-    seen = {s.name for s in scenarios}
-    for source in _sources():
-        for name, scenario in _expanded_source(source).items():
-            if name not in seen:
-                seen.add(name)
-                scenarios.append(scenario)
-    return scenarios
+    """Every scenario beyond the built-ins: registrations, then the generated library."""
+    return [*_REGISTRY.values(), *_generated_by_name().values()]
 
 
 def scenario_names() -> list[str]:
-    """Every resolvable scenario name: built-in library, then registered."""
-    names = list(_builtin_by_name())
-    seen = set(names)
-    for scenario in registered_scenarios():
-        if scenario.name not in seen:
-            seen.add(scenario.name)
-            names.append(scenario.name)
-    return names
+    """Every resolvable scenario name: built-in library, then the rest."""
+    return [*_builtin_by_name(), *(scenario.name for scenario in registered_scenarios())]
 
 
 def scenario_by_name(name: str) -> Scenario:
     """Look up a scenario by its full name.
 
     Resolution order: the built-in library (evaluation + extended flights),
-    explicitly registered scenarios, then lazy sources (generated
-    libraries such as the grammar's default matrix).  An unknown name
-    raises a KeyError enumerating **all** registered names, so callers
+    registered scenarios, then the generated library.  An unknown name
+    raises a KeyError enumerating **all** resolvable names, so callers
     never have to guess what exists.
     """
-    builtin = _builtin_by_name().get(name)
-    if builtin is not None:
-        return builtin
-    registered = _REGISTRY.get(name)
-    if registered is not None:
-        return registered
-    for source in _sources():
-        scenario = _expanded_source(source).get(name)
-        if scenario is not None:
-            return scenario
-    known = ", ".join(scenario_names())
-    raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")
+    scenario = (_builtin_by_name().get(name) or _REGISTRY.get(name)
+                or _generated_by_name().get(name))
+    if scenario is None:
+        known = ", ".join(scenario_names())
+        raise KeyError(f"unknown scenario {name!r}; known scenarios: {known}")
+    return scenario
 
 
 # --------------------------------------------------------------------------

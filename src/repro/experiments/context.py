@@ -115,7 +115,6 @@ class ExperimentContext:
         if self._runner is None:
             self._runner = ExperimentRunner(
                 cache=self.cache,
-                max_workers=self.max_workers,
                 engine_seed=self.engine_seed,
                 run_store=RunStore(self.run_store) if self.run_store is not None else None,
                 fast=self.fast_runs,

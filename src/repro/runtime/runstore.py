@@ -308,7 +308,7 @@ class RunStore(EntryStore):
 
     Entries shard by run-key-digest prefix under ``root/<2-hex>/`` (see
     :class:`~repro.runtime.store.EntryStore`), so service worker threads,
-    parallel sweep workers, and whole separate processes can race on the
+    queue worker processes, and separate invocations can race on the
     same keys and only ever leave complete files behind.  Loads
     re-validate the full identity block: a well-formed entry that does
     not match its key is a loud :class:`RunSchemaError`.  Never a

@@ -3,9 +3,8 @@
 :class:`TraceCache` serves a trace from memory, then from an on-disk
 :class:`~repro.runtime.store.TraceStore`, and builds it only when both
 miss.  The builder (:mod:`repro.runtime.trace`: renderer, detectors,
-worker pool) is imported on the first miss, so a process whose traces
-all come from memory or the store, or that needs none because every run
-is a run-store hit, never loads it.
+worker pool) is imported only to load or build a trace, so a process
+that needs none because every run is a run-store hit never loads it.
 """
 
 from __future__ import annotations
@@ -14,6 +13,8 @@ import threading
 from collections.abc import Iterator, Sequence
 from concurrent.futures import Future
 from typing import TYPE_CHECKING
+
+from .colfmt import ColumnFormatError
 
 if TYPE_CHECKING:
     from ..data.scenario import Scenario
@@ -36,12 +37,13 @@ class TraceCache:
     The cache is safe to share between threads.  Acquisition is
     single-flight: the first caller to miss a scenario loads or builds
     it, and every concurrent caller for the same scenario waits for that
-    one result.  :meth:`get` renders frames before it publishes a trace,
-    so concurrent runs never race to render.  ``max_size`` bounds the memo
-    (materialized frames dominate a long-lived service's footprint):
-    past it the oldest completed traces are dropped and reload from the
-    store on next use; ``0`` keeps nothing beyond the acquisitions in
-    flight, ``None`` keeps everything.
+    one result.  Every trace is published whole — outcomes decoded,
+    frames rendered — because every caller runs a policy over it next,
+    so concurrent runs never race to decode or render.  ``max_size``
+    bounds the memo (materialized frames dominate a long-lived service's
+    footprint): past it the oldest completed traces are dropped and
+    reload from the store on next use; ``0`` keeps nothing beyond the
+    acquisitions in flight, ``None`` keeps everything.
     """
 
     def __init__(
@@ -65,22 +67,17 @@ class TraceCache:
 
     def get(self, scenario: Scenario) -> ScenarioTrace:
         """Return the trace for ``scenario``: memory, then disk, then build."""
-        (trace,) = self._get([scenario], render=True)
+        (trace,) = self.get_all([scenario])
         return trace
 
     def get_all(self, scenarios: Sequence[Scenario]) -> list[ScenarioTrace]:
         """Every scenario's trace, in order; the missing ones built in one fan-out.
 
-        Scenarios in memory or in the store are never rebuilt, and traces
-        loaded from the store stay lazy (a warm-up whose runs happen in
-        other processes never renders).  The rest build together:
-        serially, or — given ``max_workers`` and enough volume — as
-        (scenario, model-chunk) tasks on one process pool while this
-        thread renders frames (see :func:`~repro.runtime.trace._pool_build`).
+        Scenarios in memory or in the store are never rebuilt.  The rest
+        build together: serially, or — given ``max_workers`` and enough
+        volume — as (scenario, model-chunk) tasks on one process pool while
+        this thread renders frames (see :func:`~repro.runtime.trace._pool_build`).
         """
-        return self._get(scenarios, render=False)
-
-    def _get(self, scenarios: Sequence[Scenario], render: bool) -> list[ScenarioTrace]:
         fingerprints = [scenario.fingerprint() for scenario in scenarios]
         futures: dict[str, Future] = {}
         owned: dict[str, tuple[Scenario, Future]] = {}
@@ -94,23 +91,19 @@ class TraceCache:
                     owned[fingerprint] = (scenario, future)
                 futures[fingerprint] = future
         if owned:
-            self._acquire(owned, render)
+            self._acquire(owned)
         return [futures[fingerprint].result() for fingerprint in fingerprints]
 
-    def _acquire(self, owned: dict[str, tuple[Scenario, Future]], render: bool) -> None:
+    def _acquire(self, owned: dict[str, tuple[Scenario, Future]]) -> None:
         """Load or build every owned scenario and publish it to its waiters."""
         try:
             missing: list[str] = []
             for fingerprint, (scenario, future) in owned.items():
-                trace = self.store.load(scenario, self.zoo) if self.store is not None else None
+                trace = self._load(scenario)
                 if trace is None:
                     missing.append(fingerprint)
-                    continue
-                with self._lock:
-                    self.store_hits += 1
-                if render:
-                    _ = trace.frames  # render once, before any consumer
-                self._publish(fingerprint, future, trace)
+                else:
+                    self._publish(fingerprint, future, trace)
             built = self._build([owned[fingerprint][0] for fingerprint in missing]) if missing else ()
             for fingerprint, trace in zip(missing, built, strict=True):
                 with self._lock:
@@ -129,6 +122,26 @@ class TraceCache:
             for _, future in unfinished:
                 future.set_exception(exc)
             raise
+
+    def _load(self, scenario: Scenario) -> ScenarioTrace | None:
+        """The stored trace for ``scenario``, made whole, or None on a miss.
+
+        The store loads a trace lazily; its outcomes decode here, before
+        anyone can see it.  An entry that does not decode is quarantined
+        by the store, so it is a miss like any other, built by the caller
+        and not counted as a store hit.
+        """
+        trace = self.store.load(scenario, self.zoo) if self.store is not None else None
+        if trace is None:
+            return None
+        try:
+            _ = trace.outcomes
+        except ColumnFormatError:
+            return None
+        with self._lock:
+            self.store_hits += 1
+        _ = trace.frames  # render once, before any consumer
+        return trace
 
     def _build(self, scenarios: list[Scenario]) -> Iterator[ScenarioTrace]:
         """Fresh traces for ``scenarios``, in order, fanned out when it pays.

@@ -187,9 +187,13 @@ _LEADING_OUTCOME_FIELDS = ("quality", "box", "confidence")
 
 
 def _first_difference(ours, theirs, names: Sequence[str], labels: tuple[str, str]) -> str:
-    """The first of ``names`` whose values differ, with both values as reprs."""
+    """The first of ``names`` whose values differ, with both values as reprs.
+
+    ``ours`` and ``theirs`` are records read by attribute, or dicts by key.
+    """
+    value = dict.get if isinstance(ours, dict) else getattr
     for name in names:
-        mine, other = getattr(ours, name), getattr(theirs, name)
+        mine, other = value(ours, name), value(theirs, name)
         if mine != other:
             return f"{name} differs: {labels[0]} {mine!r}, {labels[1]} {other!r}"
     return f"{labels[0]} and {labels[1]} differ"
@@ -200,6 +204,9 @@ _OUTCOME_FIELDS = (
     *_LEADING_OUTCOME_FIELDS,
     *(f.name for f in fields(DetectionOutcome) if f.name not in _LEADING_OUTCOME_FIELDS),
 )
+#: Run record and metrics fields, in declaration order.
+_RECORD_FIELDS = tuple(f.name for f in fields(FrameRecord))
+_METRICS_FIELDS = tuple(f.name for f in fields(RunMetrics))
 
 
 def _first_outcome_difference(scalar: DetectionOutcome, batched: DetectionOutcome) -> str:
@@ -307,15 +314,13 @@ def _run_roundtrip(trace: ScenarioTrace, zoo: ModelZoo, root: Path) -> CheckResu
     loaded = store.load(key)
     if loaded is None:
         return _fail("store", f"run of {model!r}: saved run did not load back")
-    drift = _store_drift(result.records, loaded.records, [f.name for f in fields(FrameRecord)],
+    drift = _store_drift(result.records, loaded.records, _RECORD_FIELDS,
                          f"run of {model!r}", "records")
     if drift is not None:
         return _fail("store", drift)
     metrics, expected = store.load_metrics(key), aggregate(result)
     if metrics != expected:
-        difference = _first_difference(
-            expected, metrics, [f.name for f in fields(RunMetrics)], ("aggregate", "stored")
-        )
+        difference = _first_difference(expected, metrics, _METRICS_FIELDS, ("aggregate", "stored"))
         return _fail("store", f"run of {model!r}: stored metrics differ: {difference}")
     return _ok("store")
 
@@ -471,7 +476,8 @@ def check_fast_run_equivalence(
     reference path, once on the fast tier (planned engine, cached
     context, vectorized scheduler) — and demands full
     :class:`FrameRecord` equality on every frame.  On mismatch the
-    detail names the policy, frame, and first differing fields.
+    detail names the policy, the frame and the first differing field
+    with both values.
     """
     factories = (
         list(policy_factories)
@@ -492,15 +498,11 @@ def check_fast_run_equivalence(
             )
         for i, (ref_record, fast_record) in enumerate(zip(reference.records, fast.records, strict=True)):
             if ref_record != fast_record:
-                differing = [
-                    f.name
-                    for f in fields(FrameRecord)
-                    if getattr(ref_record, f.name) != getattr(fast_record, f.name)
-                ]
                 return _fail(
                     "fastrun",
-                    f"policy {label!r}, frame {i}: fast engine diverges on "
-                    f"{', '.join(differing)}",
+                    f"policy {label!r}, frame {i}: fast engine diverges: "
+                    + _first_difference(ref_record, fast_record, _RECORD_FIELDS,
+                                        ("reference", "fast")),
                 )
     return _ok("fastrun")
 
@@ -532,10 +534,10 @@ def check_service_equivalence(
     :class:`~repro.service.SweepService` backed by a temp trace store
     pre-seeded with the trace, then demands: every returned
     :class:`~repro.runtime.metrics.RunMetrics` row equals the serial
-    ``run_policy`` result exactly, each deduplicated job executed at most
-    once, and both stores stayed corruption-free.
+    ``run_policy`` result exactly (a mismatch names the policy and the
+    first differing field with both values), each deduplicated job
+    executed at most once, and both stores stayed corruption-free.
     """
-    from ..runtime.metrics import aggregate
     from ..service import SweepRequest, SweepService, policy_resolver
 
     specs = _service_specs(trace.model_names())
@@ -581,15 +583,11 @@ def check_service_equivalence(
                             f"instead of {trace.scenario.name!r}",
                         )
                     if metrics != serial[spec]:
-                        differing = [
-                            f.name
-                            for f in fields(type(metrics))
-                            if getattr(metrics, f.name) != getattr(serial[spec], f.name)
-                        ]
                         return _fail(
                             "service",
-                            f"policy {spec!r}: service metrics diverge from the serial "
-                            f"run on {', '.join(differing)}",
+                            f"policy {spec!r}: service metrics diverge from the serial run: "
+                            + _first_difference(serial[spec], metrics, _METRICS_FIELDS,
+                                                ("serial", "service")),
                         )
             if service.runs_executed > len(specs):
                 return _fail(
@@ -692,9 +690,10 @@ def check_http_equivalence(
     check), streams the ndjson rows back through ``urllib``, and
     demands: every wire ``metrics`` dict equals
     :func:`~repro.service.http.metrics_to_dict` of the serial run
-    exactly; a submit past the admission bound fails promptly with
-    429 + ``Retry-After`` (bounded by a socket timeout — a hang is a
-    failure, not a wait); and a second server over the same stores —
+    exactly (a mismatch names the first differing key, in sorted order,
+    with both values); a submit past the admission bound fails promptly
+    with 429 + ``Retry-After`` (bounded by a socket timeout — a hang is
+    a failure, not a wait); and a second server over the same stores —
     a full restart — re-serves identical rows with zero runs executed
     and zero traces built.
     """
@@ -703,7 +702,6 @@ def check_http_equivalence(
     import urllib.request
 
     from ..data.scenario import register_scenario, scenario_by_name
-    from ..runtime.metrics import aggregate
     from ..service import (
         SweepFrontend,
         SweepService,
@@ -825,15 +823,14 @@ def check_http_equivalence(
                     f"request wire-{index}: row for {row['scenario']!r} "
                     f"instead of {name!r}",
                 )
-            if row["metrics"] != serial[row["policy_spec"]]:
-                differing = sorted(
-                    key for key in set(row["metrics"]) | set(serial[row["policy_spec"]])
-                    if row["metrics"].get(key) != serial[row["policy_spec"]].get(key)
-                )
+            expected = serial[row["policy_spec"]]
+            if row["metrics"] != expected:
                 return _fail(
                     "http",
-                    f"policy {row['policy_spec']!r}: wire metrics diverge from the "
-                    f"serial run on {', '.join(differing)}",
+                    f"policy {row['policy_spec']!r}: wire metrics diverge from the serial run: "
+                    + _first_difference(expected, row["metrics"],
+                                        sorted(set(expected) | set(row["metrics"])),
+                                        ("serial", "wire")),
                 )
     backend = cold_stats["backend"]
     if backend["runs_executed"] > len(specs):

@@ -174,10 +174,10 @@ class TestScenarioRegistry:
             register_scenario(self._custom("s3_indoor_close_wall"))
 
     def test_register_rejects_generated_shadowing(self):
-        # Explicit registrations resolve before sources; shadowing a
+        # Registrations resolve before the generated library; shadowing a
         # grammar name would give one name two fingerprints across
         # processes, which the trace store cannot survive.
-        with pytest.raises(ValueError, match="source-generated"):
+        with pytest.raises(ValueError, match="shadows a generated"):
             register_scenario(self._custom("g_dm_s001_crx_day_96f"))
 
     def test_register_rejects_duplicates_without_replace(self):
@@ -191,6 +191,34 @@ class TestScenarioRegistry:
             register_scenario(self._custom("t_registered_duplicate"), replace=True)
         finally:
             _REGISTRY.pop(scenario.name, None)
+
+    def test_a_registered_grid_resolves_by_name(self):
+        # The README's user grid: eight scenarios, each registered.
+        from repro.data import ScenarioMatrix, default_matrix
+        from repro.data.scenario import _REGISTRY
+
+        grid = ScenarioMatrix(
+            name="mygrid", compositions=(("crossing",), ("loiter", "pan_burst")),
+            regimes=("day", "fog"), seeds=(1, 2), frame_budgets=(120,),
+        )
+        built = grid.scenarios()
+        assert len(built) == 8
+        before = dict(_REGISTRY)
+        grid.register()
+        try:
+            registered = dict(_REGISTRY)
+            grid.register()  # the same grid again is a no-op
+            default_matrix().register()  # so is the generated library
+            assert _REGISTRY == registered
+            names = scenario_names()
+            listed = [scenario.name for scenario in registered_scenarios()]
+            for scenario in built:
+                assert scenario_by_name(scenario.name) == scenario
+                assert scenario.name in names and scenario.name in listed
+        finally:
+            for scenario in built:
+                _REGISTRY.pop(scenario.name, None)
+        assert _REGISTRY == before
 
     def test_lookups_build_the_builtin_library_once(self, monkeypatch):
         from repro.data import scenario as module

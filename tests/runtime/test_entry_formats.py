@@ -227,7 +227,7 @@ class TestLoadAndScrubAgree:
         assert runner.run_store.load(key).records == want.records
 
     def test_a_trace_with_a_nan_box_coordinate_is_a_quarantined_miss(
-        self, tmp_path, zoo, scenario
+        self, tmp_path, zoo, scenario, policy
     ):
         trace = ScenarioTrace.build(scenario, zoo)
         store = TraceStore(tmp_path)
@@ -251,6 +251,22 @@ class TestLoadAndScrubAgree:
         cache = TraceCache(zoo, store=store)
         assert cache.get(scenario).outcomes == trace.outcomes
         assert (cache.builds, cache.store_hits) == (1, 0)
+
+        # The cache decodes a stored trace before it publishes it: an entry
+        # that does not decode is a miss built in the same call, never a
+        # trace whose outcomes fail on every later read.
+        path.write_bytes(tampered)
+        cache = TraceCache(zoo, store=TraceStore(tmp_path))
+        for _ in range(2):
+            assert cache.get(scenario).outcomes == trace.outcomes
+        assert (cache.builds, cache.store_hits) == (1, 0)
+        assert cache.store.corrupt_entries == 1
+
+        path.write_bytes(tampered)
+        want = ExperimentRunner(zoo).run(policy, scenario)
+        runner = ExperimentRunner(zoo, store=TraceStore(tmp_path))
+        assert runner.run(policy, scenario).records == want.records
+        assert (runner.cache.builds, runner.cache.store.corrupt_entries) == (1, 1)
 
     def test_a_bundle_with_a_renamed_trait_key_is_a_quarantined_miss(
         self, tmp_path, rewrite_header

@@ -5,8 +5,8 @@ import pytest
 from repro.baselines import MarlinPolicy, SingleModelPolicy
 from repro.data import scenario_by_name
 from repro.models import default_zoo
-from repro.runtime import ExperimentRunner, TraceCache, TraceStore
-from repro.sim import gpu_only_soc
+from repro.runtime import ExperimentRunner, TraceCache, TraceStore, aggregate, run_policy
+from repro.sim import gpu_only_soc, xavier_nx_with_oakd
 
 
 @pytest.fixture(scope="module")
@@ -86,27 +86,54 @@ class TestSweep:
         for rows in results.values():
             assert [m.scenario_name for m in rows] == [s.name for s in scenarios]
 
-    def test_parallel_sweep_equals_serial(self, zoo, scenarios, tmp_path):
+    def test_parallel_sweep_equals_serial(self, zoo, scenarios, tmp_path, monkeypatch):
+        # The misses' traces build on the cross-scenario pool and persist;
+        # a second runner loads them whole from the store.  Both sweeps
+        # give the serial rows.
+        import repro.runtime.trace as trace_module
+
         policies = [SingleModelPolicy("yolov7", "gpu"), MarlinPolicy("yolov7-tiny")]
         serial = ExperimentRunner(zoo).sweep(policies, scenarios)
-        parallel = ExperimentRunner(zoo, store=TraceStore(tmp_path), max_workers=2).sweep(
-            policies, scenarios, parallel_runs=True
-        )
-        assert serial == parallel
+        monkeypatch.setattr(trace_module, "MIN_MODEL_FRAMES_PER_WORKER", 1)
+        monkeypatch.setattr(trace_module, "_available_cpus", lambda: 8)
+        pooled = []
+        real_pool_build = trace_module._pool_build
 
-    def test_parallel_runs_require_store(self, zoo, scenarios):
-        runner = ExperimentRunner(zoo, max_workers=2)
-        with pytest.raises(ValueError, match="TraceStore"):
-            runner.sweep([SingleModelPolicy("yolov7", "gpu")], scenarios, parallel_runs=True)
+        def spy(batch, *args):
+            pooled.append(len(batch))
+            return real_pool_build(batch, *args)
+
+        monkeypatch.setattr(trace_module, "_pool_build", spy)
+        parallel = ExperimentRunner(zoo, store=TraceStore(tmp_path), max_workers=2)
+        assert parallel.sweep(policies, scenarios) == serial
+        assert pooled == [len(scenarios)], "the cross-scenario pool never ran"
+        reloaded = ExperimentRunner(zoo, store=TraceStore(tmp_path), max_workers=2)
+        assert reloaded.sweep(policies, scenarios) == serial
+        assert (reloaded.cache.builds, reloaded.cache.store_hits) == (0, len(scenarios))
+        assert pooled == [len(scenarios)], "stored traces must not rebuild"
 
     def test_soc_factory_is_honoured(self, zoo, scenarios):
-        # gpu-only platform: no DLA/OAK-D accelerators, so a policy pinned
-        # to the GPU still runs but the platform differs from the default.
-        runner = ExperimentRunner(zoo, soc=gpu_only_soc)
-        metrics = runner.run_policy_on_scenarios(SingleModelPolicy("yolov7", "gpu"), scenarios)
-        assert len(metrics) == len(scenarios)
-        default_metrics = ExperimentRunner(zoo).run_policy_on_scenarios(
-            SingleModelPolicy("yolov7", "gpu"), scenarios
-        )
+        # The runner's cells run on a fresh default platform; another
+        # platform (the ablation's GPU-only SoC) is a run_policy argument
+        # over the runner's traces.
+        runner = ExperimentRunner(zoo)
+
+        def on(factory, policy):
+            return [
+                aggregate(run_policy(policy, runner.trace(scenario), soc=factory(),
+                                     engine_seed=runner.engine_seed))
+                for scenario in scenarios
+            ]
+
+        # A DLA exists only on the default platform.
+        on_dla = SingleModelPolicy("yolov7-tiny", "dla0")
+        assert runner.run_policy_on_scenarios(on_dla, scenarios) == on(xavier_nx_with_oakd, on_dla)
+        with pytest.raises(KeyError, match="dla0"):
+            on(gpu_only_soc, on_dla)
         # Same model on the same GPU: identical accuracy either way.
+        policy = SingleModelPolicy("yolov7", "gpu")
+        default_metrics = runner.run_policy_on_scenarios(policy, scenarios)
+        assert on(xavier_nx_with_oakd, policy) == default_metrics
+        metrics = on(gpu_only_soc, policy)
+        assert len(metrics) == len(scenarios)
         assert [m.mean_iou for m in metrics] == [m.mean_iou for m in default_metrics]

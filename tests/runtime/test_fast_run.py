@@ -2,9 +2,11 @@
 
 The contract under test is the PR's headline: ``fast=True`` changes
 nothing but wall-clock, and a run-store-backed runner never recomputes
-what it can reload — across policies, scenarios, process pools, and
+what it can reload — across policies, scenarios, concurrent cells, and
 repeat invocations.
 """
+
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -158,19 +160,23 @@ class TestRunStoreBackedRunner:
         assert rows[: len(scenarios)] == rows[len(scenarios):]
 
     def test_parallel_runs_persist_and_rehit(self, zoo, scenarios, tmp_path):
+        # The cell executor is thread-safe: cells run on concurrent threads
+        # of one runner (as the sweep service runs them) share one build per
+        # trace, persist, and a fresh runner rehits every one.
         policies = [SingleModelPolicy("yolov7-tiny"), SingleModelPolicy("yolov7")]
-        parallel = ExperimentRunner(
-            zoo,
-            store=TraceStore(tmp_path / "traces"),
-            run_store=RunStore(tmp_path / "runs"),
-            max_workers=2,
+        cells = [(policy, scenario) for policy in policies for scenario in scenarios]
+        shared = ExperimentRunner(
+            zoo, store=TraceStore(tmp_path / "traces"), run_store=RunStore(tmp_path / "runs")
         )
-        fanned = parallel.sweep(policies, scenarios, parallel_runs=True)
-        serial = ExperimentRunner(zoo, fast=False).sweep(policies, scenarios)
-        assert fanned == serial
-        # Workers persisted their runs; a fresh serial runner rehits them.
+        with ThreadPoolExecutor(max_workers=len(cells)) as pool:
+            results = list(pool.map(lambda cell: shared.run(*cell), cells))
+        reference = ExperimentRunner(zoo, fast=False)
+        assert [r.records for r in results] == [reference.run(*cell).records for cell in cells]
+        assert shared.runs_executed == len(cells)
+        assert shared.cache.builds == len(scenarios)
         warm = ExperimentRunner(
             zoo, store=TraceStore(tmp_path / "traces"), run_store=RunStore(tmp_path / "runs")
         )
-        assert warm.sweep(policies, scenarios) == serial
+        assert warm.sweep(policies, scenarios) == reference.sweep(policies, scenarios)
         assert warm.runs_executed == 0
+        assert warm.run_store_hits == len(cells)

@@ -74,30 +74,41 @@ class TestRunOnScenarios:
         assert len(cache) == 1
 
     def test_forwards_custom_soc_instance(self, zoo):
-        # Regression: sweeps used to ignore a caller's SoC and always run
-        # on a fresh default platform.
-        scenarios = [scenario_by_name("s3_indoor_close_wall").scaled(0.05)]
+        # A caller with its own platform runs the runner's traces through
+        # run_policy(soc=...): the instance it passes is the one each run
+        # uses, reset between scenarios, so every row equals the runner's
+        # own run on a fresh platform.
+        scenarios = [
+            scenario_by_name("s3_indoor_close_wall").scaled(0.05),
+            scenario_by_name("s4_indoor_clutter").scaled(0.05),
+        ]
+        runner = ExperimentRunner(zoo)
+        policy = SingleModelPolicy("yolov7", "gpu")
         soc = xavier_nx_with_oakd()
         assert soc.clock.now == 0.0
-        ExperimentRunner(zoo, soc=soc).run_policy_on_scenarios(
-            SingleModelPolicy("yolov7", "gpu"), scenarios
-        )
-        assert soc.clock.now > 0.0, "provided platform was never used"
+        for scenario in scenarios:
+            result = run_policy(policy, runner.trace(scenario), soc=soc,
+                                engine_seed=runner.engine_seed)
+            assert soc.clock.now > 0.0, "provided platform was never used"
+            assert result.records == runner.run(policy, scenario).records
 
-    def test_forwards_soc_factory(self, zoo):
-        scenarios = [scenario_by_name("s3_indoor_close_wall").scaled(0.05)]
-        built = []
 
-        def factory():
-            soc = xavier_nx_with_oakd()
-            built.append(soc)
-            return soc
-
-        ExperimentRunner(zoo, soc=factory).run_policy_on_scenarios(
-            SingleModelPolicy("yolov7", "gpu"), scenarios
-        )
-        assert len(built) == len(scenarios)
-        assert all(soc.clock.now > 0.0 for soc in built)
+def calls_outside(name, allowed):
+    """``module:line`` of every call to ``name`` in a repro module ``allowed`` rejects."""
+    package = Path(repro.__file__).resolve().parent
+    calls = []
+    for path in sorted(package.rglob("*.py")):
+        module = path.relative_to(package).as_posix()
+        if allowed(module):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if called == name:
+                calls.append(f"{module}:{node.lineno}")
+    return calls
 
 
 class TestOneExecutor:
@@ -105,19 +116,17 @@ class TestOneExecutor:
         # Every command runs its cells through ExperimentRunner; the
         # scalar loop is called directly only by the executor itself and
         # by the differential checks that compare against it.
-        package = Path(repro.__file__).resolve().parent
-        callers = []
-        for path in sorted(package.rglob("*.py")):
-            module = path.relative_to(package).as_posix()
-            if module in ("runtime/runner.py", "runtime/experiment.py") or module.startswith(
-                "verify/"
-            ):
-                continue
-            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name == "run_policy":
-                    callers.append(f"{module}:{node.lineno}")
-        assert callers == []
+        executors = ("runtime/runner.py", "runtime/experiment.py")
+        assert calls_outside(
+            "run_policy", lambda module: module in executors or module.startswith("verify/")
+        ) == []
+
+
+class TestOneProcessPool:
+    def test_only_the_trace_builder_starts_a_process_pool(self):
+        # Trace builds fan out on one pool (runtime/trace.py::_pool_build);
+        # cells run in the calling process, and process-parallel cells are
+        # the queue fleet's worker processes, never a second pool.
+        assert calls_outside(
+            "ProcessPoolExecutor", lambda module: module == "runtime/trace.py"
+        ) == []

@@ -108,6 +108,20 @@ class TestStoreBackedCache:
         assert (cache.builds, cache.store_hits) == (0, 1)
         assert a.outcomes == b.outcomes
 
+    def test_cache_publishes_stored_traces_whole(self, scenario, zoo, tmp_path):
+        # The store loads lazily; the cache decodes outcomes and renders
+        # frames before any caller sees the trace, on get and get_all alike.
+        store = TraceStore(tmp_path)
+        built = TraceCache(zoo, store=store).get(scenario)
+        assert not store.load(scenario, zoo).outcomes_materialized
+        for acquire in (lambda cache: cache.get(scenario),
+                        lambda cache: cache.get_all([scenario, scenario])[1]):
+            cache = TraceCache(zoo, store=TraceStore(tmp_path))
+            loaded = acquire(cache)
+            assert (cache.builds, cache.store_hits) == (0, 1)
+            assert loaded.outcomes_materialized and loaded.frames_materialized
+            assert loaded.outcomes == built.outcomes
+
     def test_different_zoo_gets_its_own_entry(self, scenario, zoo, tmp_path):
         store = TraceStore(tmp_path)
         TraceCache(zoo, store=store).get(scenario)

@@ -245,7 +245,7 @@ class TestLazyExports:
 
         generated = dataclasses.replace(scenario_by_name("s3_indoor_close_wall"),
                                         name="g_dm_s001_crx_day_96f")
-        with pytest.raises(ValueError, match="shadows a source-generated"):
+        with pytest.raises(ValueError, match="shadows a generated"):
             register_scenario(generated)
         """,
     ], ids=["lookup", "names", "register"])

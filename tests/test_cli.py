@@ -245,12 +245,6 @@ class TestCommands:
         assert main(FAST + ["sweep"]) == 2
         assert "POLICIES" in capsys.readouterr().err
 
-    def test_sweep_parallel_runs_requires_store(self, capsys):
-        code = main(FAST + ["--workers", "2", "sweep", "marlin-tiny",
-                            "--scenarios", "s3_indoor_close_wall", "--parallel-runs"])
-        assert code == 2
-        assert "TraceStore" in capsys.readouterr().err
-
     def test_trace_store_persists_across_invocations(self, tmp_path, capsys):
         store = tmp_path / "traces"
         args = FAST + ["--trace-store", str(store), "run", "marlin-tiny", "s3_indoor_close_wall"]
@@ -290,12 +284,11 @@ class TestCommands:
 
     def test_sweep_generated_scenario_with_workers_and_store(self, tmp_path, capsys):
         # Grammar-generated flights must flow through the full runner
-        # stack: worker trace builds, the on-disk store, parallel runs.
+        # stack: worker trace builds and the on-disk store.
         store = tmp_path / "traces"
         code = main(FAST + ["--workers", "2", "--trace-store", str(store),
                             "sweep", "single:yolov7-tiny@gpu,marlin-tiny",
-                            "--scenarios", "g_dm_s001_crx_day_96f,g_dm_s002_loi-pop_fog_96f",
-                            "--parallel-runs"])
+                            "--scenarios", "g_dm_s001_crx_day_96f,g_dm_s002_loi-pop_fog_96f"])
         assert code == 0
         out = capsys.readouterr().out
         assert "g_dm_s001_crx_day_96f" in out and "g_dm_s002_loi-pop_fog_96f" in out

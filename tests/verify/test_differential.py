@@ -9,12 +9,13 @@ nothing).  Seeded and stdlib-random only, sized for tier-1 time.
 
 import dataclasses
 import random
+import re
 
 import pytest
 
 from repro.data import ScenarioMatrix
 from repro.models import default_zoo
-from repro.runtime import RunStore, ScenarioTrace, TraceStore
+from repro.runtime import RunMetrics, RunStore, ScenarioTrace, TraceStore
 from repro.verify import (
     CHECKS,
     FuzzReport,
@@ -260,12 +261,21 @@ class TestHarnessDetectsViolations:
                     record = dataclasses.replace(record, latency_s=record.latency_s * 2)
                 return record
 
+        from repro.runtime import run_policy
+
         result = check_fast_run_equivalence(
             trace, policy_factories=[lambda: TierSensitivePolicy("yolov7-tiny")]
         )
         assert not result.passed
-        assert "tier-sensitive" in result.detail
-        assert "latency_s" in result.detail
+        reference, fast = (
+            run_policy(TierSensitivePolicy("yolov7-tiny"), trace, fast=tier).records[0].latency_s
+            for tier in (False, True)
+        )
+        assert fast == 2 * reference
+        assert result.detail == (
+            "policy 'tier-sensitive', frame 0: fast engine diverges: "
+            f"latency_s differs: reference {reference!r}, fast {fast!r}"
+        )
 
     def test_fastrun_adapts_to_reduced_zoos(self, trace, zoo):
         # A trace built from a reduced zoo must still get a meaningful
@@ -292,12 +302,11 @@ class TestHarnessDetectsViolations:
         )
         assert result.passed, result.detail
 
-    def test_service_divergence_detected(self, trace, zoo, monkeypatch):
-        # A service whose runs are not bit-identical to the serial loop
-        # (here: a skewed engine seed standing in for any concurrency
-        # bug) must fail the service check, naming the differing fields.
+    @pytest.fixture
+    def skewed_executor(self, monkeypatch):
+        # A tier whose runs are not bit-identical to the serial loop (here:
+        # a skewed engine seed standing in for any concurrency bug).
         import repro.runtime.experiment as executor_mod
-        from repro.verify import check_service_equivalence
 
         real = executor_mod.run_policy
 
@@ -305,9 +314,35 @@ class TestHarnessDetectsViolations:
             return real(policy, run_trace, soc=soc, engine_seed=engine_seed + 1, fast=fast)
 
         monkeypatch.setattr(executor_mod, "run_policy", skewed)
+
+    @staticmethod
+    def named_difference(detail, tier):
+        """The field a divergence detail names, after checking both values are shown."""
+        match = re.search(rf"metrics diverge from the serial run: (\w+) differs: "
+                          rf"serial (\S+), {tier} (\S+)$", detail)
+        assert match, detail
+        field, serial, served = match.groups()
+        assert serial != served
+        return field
+
+    def test_service_divergence_detected(self, trace, zoo, skewed_executor):
+        # The service check must fail, naming the first differing field
+        # with both values.
+        from repro.verify import check_service_equivalence
+
         result = check_service_equivalence(trace, zoo)
         assert not result.passed
-        assert "diverge" in result.detail
+        field = self.named_difference(result.detail, "service")
+        assert field in {f.name for f in dataclasses.fields(RunMetrics)}
+
+    def test_http_divergence_detected(self, trace, zoo, skewed_executor):
+        # The same skew behind the wire: the first differing metrics key,
+        # in sorted order, with the serial and the wire value.
+        from repro.verify.differential import check_http_equivalence
+
+        result = check_http_equivalence(trace, zoo)
+        assert not result.passed
+        self.named_difference(result.detail, "wire")
 
     def test_service_duplicate_execution_detected(self, trace, zoo, monkeypatch):
         # A dedup layer that stops deduplicating is a correctness bug for
