@@ -11,11 +11,12 @@ machine two ways:
     in-process; reported per-job so the lease tax is legible;
 ``drain vs bare``
     the same seeded job set executed twice: once by a ``QueueWorker``
-    draining the on-disk queue (claims, store trace reloads, RunStore
-    commits, lease bookkeeping), once as a bare in-memory
-    ``ExperimentRunner`` sweep over warm traces.  The ratio is the full
-    orchestration overhead a single-process caller pays for crash
-    safety.
+    draining the on-disk queue (claims, one trace store load per
+    scenario — the queue hands the worker a scenario's jobs back to
+    back and it keeps the trace it is running — RunStore commits, lease
+    bookkeeping), once as a bare in-memory ``ExperimentRunner`` sweep
+    over warm traces.  The ratio is the full orchestration overhead a
+    single-process caller pays for crash safety.
 
 With ``REPRO_BENCH_ENFORCE_FLOOR=1`` (the CI perf-smoke job) the drain
 overhead is additionally checked against the committed
@@ -75,9 +76,9 @@ def test_queue_benchmark(report, best_of, tmp_path_factory):
     cycle_s, cycled = best_of(cycle)
     assert cycled.counts()["done"] == len(mech_jobs)
 
-    # Warm traces once, shared by both drain paths: the queue path
-    # reloads them from the store per job, the bare path holds them in
-    # memory — the gap between those is part of the overhead story.
+    # Warm traces once, shared by both drain paths: the queue path loads
+    # each scenario's trace from the store once and keeps only the one it
+    # is running, the bare path holds them all in memory.
     trace_store = TraceStore(tmp_path_factory.mktemp("qtraces"))
     cache = TraceCache(zoo, store=trace_store)
     runner = ExperimentRunner(cache=cache)
@@ -105,6 +106,7 @@ def test_queue_benchmark(report, best_of, tmp_path_factory):
 
     drain_s, drained = best_of(drain)
     assert len(drained.run_store) == len(drain_jobs)
+    assert (drained.trace_builds, drained.trace_store_hits) == (0, len(scenarios))
 
     per_enqueue_ms = enqueue_s / len(mech_jobs) * 1e3
     per_cycle_ms = max(cycle_s - enqueue_s, 0.0) / len(mech_jobs) * 1e3

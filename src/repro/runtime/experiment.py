@@ -65,7 +65,8 @@ class ExperimentRunner:
     or 1 = serial), and ``engine_seed`` seeds every run's execution
     engine.  An existing :class:`TraceCache` can be passed instead of a
     zoo to share warm traces with other components; its own store and
-    worker bound then apply.
+    worker bound then apply, and a different ``store`` or any
+    ``max_workers`` beside it is refused.
     """
 
     def __init__(
@@ -89,6 +90,11 @@ class ExperimentRunner:
                 raise ValueError(
                     "pass either a store or a cache built on it, not both "
                     "(the cache's store is the one that would be used)"
+                )
+            if max_workers is not None:
+                raise ValueError(
+                    "pass max_workers to the cache, not beside it "
+                    "(the cache's worker bound is the one that would be used)"
                 )
         self.cache = cache
         self.engine_seed = engine_seed

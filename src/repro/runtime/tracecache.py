@@ -10,7 +10,7 @@ that needs none because every run is a run-store hit never loads it.
 from __future__ import annotations
 
 import threading
-from collections.abc import Iterator, Sequence
+from collections.abc import Collection, Iterator, Sequence
 from concurrent.futures import Future
 from typing import TYPE_CHECKING
 
@@ -41,9 +41,11 @@ class TraceCache:
     frames rendered — because every caller runs a policy over it next,
     so concurrent runs never race to decode or render.  ``max_size``
     bounds the memo (materialized frames dominate a long-lived service's
-    footprint): past it the oldest completed traces are dropped and
-    reload from the store on next use; ``0`` keeps nothing beyond the
-    acquisitions in flight, ``None`` keeps everything.
+    footprint): the oldest completed traces are dropped, and reload from
+    the store on next use, *before* an acquisition would take the memo
+    past it — so a cache of one (a queue worker's) never holds two
+    traces while the next one loads or builds.  ``None`` keeps
+    everything.
     """
 
     def __init__(
@@ -54,8 +56,8 @@ class TraceCache:
         *,
         max_size: int | None = None,
     ) -> None:
-        if max_size is not None and max_size < 0:
-            raise ValueError("max_size must be non-negative (or None for unbounded)")
+        if max_size is not None and max_size < 1:
+            raise ValueError("max_size must be at least 1 (or None for unbounded)")
         self.zoo = zoo
         self.store = store
         self.max_workers = max_workers
@@ -79,6 +81,7 @@ class TraceCache:
         this thread renders frames (see :func:`~repro.runtime.trace._pool_build`).
         """
         fingerprints = [scenario.fingerprint() for scenario in scenarios]
+        asked = set(fingerprints)
         futures: dict[str, Future] = {}
         owned: dict[str, tuple[Scenario, Future]] = {}
         with self._lock:
@@ -87,6 +90,10 @@ class TraceCache:
                     continue
                 future = self._traces.get(fingerprint)
                 if future is None:
+                    # Make room first: a dropped trace is freed before
+                    # this one is loaded or built.
+                    if self.max_size is not None:
+                        self._evict_locked(self.max_size - 1, keep=asked)
                     future = self._traces[fingerprint] = Future()
                     owned[fingerprint] = (scenario, future)
                 futures[fingerprint] = future
@@ -166,30 +173,27 @@ class TraceCache:
 
     def _publish(self, fingerprint: str, future: Future, trace: ScenarioTrace) -> None:
         future.set_result(trace)
-        with self._lock:
-            self._evict_locked(keep=fingerprint)
+        if self.max_size is not None:
+            with self._lock:
+                self._evict_locked(self.max_size, keep=(fingerprint,))
 
-    def _evict_locked(self, keep: str) -> None:
-        """Hold the memo to ``max_size``; ``keep`` is the trace just published.
+    def _evict_locked(self, limit: int, keep: Collection[str]) -> None:
+        """Drop traces until the memo holds at most ``limit``.
 
-        Oldest *completed* entries other than ``keep`` go first
-        (insertion order); entries still being acquired are never
-        dropped.  Results are unaffected either way — traces are pure
-        functions of their scenario.
+        Oldest *completed* entries not in ``keep`` go first (insertion
+        order); entries still being acquired are never dropped, so the
+        memo can run over while acquisitions are in flight.  Results are
+        unaffected either way — traces are pure functions of their
+        scenario.
         """
-        if self.max_size is None:
-            return
-        if self.max_size == 0:
-            self._traces.pop(keep, None)
-            return
-        while len(self._traces) > self.max_size:
+        while len(self._traces) > limit:
             victim = next(
                 (key for key, future in self._traces.items()
-                 if key != keep and future.done()),
+                 if key not in keep and future.done()),
                 None,
             )
             if victim is None:
-                break  # everything else is still being acquired
+                break  # everything else is still being acquired or asked for
             del self._traces[victim]
 
     def __len__(self) -> int:

@@ -24,8 +24,8 @@ compare-and-swap (its nonce is gone) and its late commit is ignored at
 the queue layer.
 
 **A shard is its files.**  A live (pending or leased) record sits at
-``job-v1-<digest32>.json``; when it turns ``done`` or ``dead`` it is
-renamed, under the shard lock, to ``job-v1-<digest32>.done.json`` or
+``job-v2-<digest32>.json``; when it turns ``done`` or ``dead`` it is
+renamed, under the shard lock, to ``job-v2-<digest32>.done.json`` or
 ``.dead.json`` — Maildir's idea: a message's state is where its file
 name puts it.  Every reader lists a shard once and takes a terminal name
 as the record's state without reading it, so a claim reads only live
@@ -33,6 +33,16 @@ records and its cost does not grow with the number of finished jobs.
 One write-order rule keeps names safe to trust: a name may show a
 terminal record as live, never a live record as terminal
 (:meth:`JobQueue._store_locked`).
+
+**A scenario's jobs share a shard.**  Every policy of a sweep runs over
+the same scenario trace, and a trace is the costly input of a job
+(render, detect, or a store reload).  A job digest therefore begins
+with a hash of the scenario fingerprint alone (:func:`job_digest`), so
+a scenario's jobs sit in one shard under adjacent names, and a claim
+walk, which resumes in the shard of its owner's last grant while that
+shard has live records, hands one worker a scenario's jobs back to
+back — the locality rule of delay scheduling (run a task where its
+input already is).  A worker then keeps only the trace it is running.
 
 **At-most-once in effect.**  The queue itself guarantees only
 at-*least*-once execution — a lease can expire while the worker is still
@@ -69,7 +79,7 @@ from ..runtime import iolayer, maintenance, shards
 from ..runtime.iolayer import StoreDegraded
 from .jobs import ServiceError, UnitJob
 
-QUEUE_SCHEMA_VERSION = 1
+QUEUE_SCHEMA_VERSION = 2
 
 #: Every state a job record can be in.
 JOB_STATES = ("pending", "leased", "done", "dead")
@@ -84,10 +94,15 @@ HISTORY_LIMIT = 20
 
 
 def job_digest(policy_spec: str, scenario_fingerprint: str) -> str:
-    """Content address of one unit job (the queue's dedup key, hex)."""
-    return hashlib.sha256(
-        f"{policy_spec}|{scenario_fingerprint}".encode()
-    ).hexdigest()
+    """Content address of one unit job (the queue's dedup key, 64 hex digits).
+
+    The first 16 digits hash the scenario alone, so they pick the shard
+    and order the file names: a scenario's jobs sit side by side.  The
+    other 48 hash the whole job.
+    """
+    scenario = hashlib.sha256(scenario_fingerprint.encode()).hexdigest()
+    job = hashlib.sha256(f"{policy_spec}|{scenario_fingerprint}".encode()).hexdigest()
+    return scenario[:16] + job[:48]
 
 
 def _job_file_name(digest: str, state: str | None = None) -> str:
@@ -234,11 +249,14 @@ def _lease_of(record: dict) -> Lease:
 class JobQueue(maintenance.MaintainedRoot):
     """A sharded on-disk queue of unit jobs with lease/heartbeat semantics.
 
-    All records live under ``root/<2-hex>/job-v1-<digest32>[.done|.dead].json``
+    All records live under ``root/<2-hex>/job-v2-<digest32>[.done|.dead].json``
     — the same shard/lock/atomic-write discipline as the trace and run
     stores (:mod:`repro.runtime.shards`), so any number of processes can
     enqueue, claim, and complete concurrently; health, audit, scrub and
     gc come from :class:`~repro.runtime.maintenance.MaintainedRoot`.
+    The shard and the leading name digits come from the scenario alone,
+    so one owner's claims take a scenario's jobs back to back and a
+    worker reuses the trace it holds.
     ``lease_duration`` is the crash detection horizon; ``max_attempts``
     bounds retries before a job is dead-lettered; backoff between retries
     is ``min(cap, base * 2**(n-1))`` scaled by seeded jitter in

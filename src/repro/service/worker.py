@@ -107,8 +107,10 @@ class QueueWorker:
     is a cell of :attr:`runner`, the executor every tier shares (the
     lease supplies the engine seed), so a queue-drained store
     warm-serves the in-process service and vice versa.  The worker keeps
-    no trace memo — a drain over many scenarios would hold every rendered
-    trace — so each cold job loads or builds its own.
+    the trace of the scenario it is running and drops it before it
+    acquires another, so it never holds two: the queue hands one owner
+    a scenario's jobs back to back (see :mod:`repro.service.queue`), and
+    each scenario's trace is built or loaded once per run of its jobs.
     """
 
     def __init__(
@@ -141,7 +143,7 @@ class QueueWorker:
         )
         #: The cell executor each job runs through.
         self.runner = ExperimentRunner(
-            cache=TraceCache(self.zoo, store=self.trace_store, max_size=0),
+            cache=TraceCache(self.zoo, store=self.trace_store, max_size=1),
             run_store=self.run_store,
         )
         self.poll_interval = poll_interval

@@ -194,7 +194,7 @@ class PlannedExecutionEngine(ExecutionEngine):
     def _make_rng(self, seed: int) -> np.random.Generator:
         from ..models.fastrng import DrawPool, pcg64_state_words
 
-        self._draws = np.empty(0, dtype=np.float64)
+        self._draws: list[float] = []
         self._cursor = 0
         self._pool = DrawPool()  # owns the bit generator we keep re-using
         return self._pool.generator_for(pcg64_state_words([int(seed)], count=1)[0])
@@ -203,8 +203,10 @@ class PlannedExecutionEngine(ExecutionEngine):
         if fraction == 0:
             return mean
         cursor = self._cursor
-        if cursor >= self._draws.shape[0]:
-            self._draws = self._rng.standard_normal(DRAW_SEGMENT)
+        if cursor >= len(self._draws):
+            # Python floats, as the scalar engine's samples are: the same
+            # doubles, and every record field stays a ``float``.
+            self._draws = self._rng.standard_normal(DRAW_SEGMENT).tolist()
             cursor = 0
         self._cursor = cursor + 1
         sample = mean * (1.0 + fraction * self._draws[cursor])

@@ -186,17 +186,33 @@ def check_render_equality(scenario: Scenario, trace: ScenarioTrace | None = None
 _LEADING_OUTCOME_FIELDS = ("quality", "box", "confidence")
 
 
-def _first_difference(ours, theirs, names: Sequence[str], labels: tuple[str, str]) -> str:
-    """The first of ``names`` whose values differ, with both values as reprs.
+def _first_difference(
+    ours, theirs, names: Sequence[str], labels: tuple[str, str]
+) -> str | None:
+    """The first of ``names`` that differs, with both values; None when none does.
 
     ``ours`` and ``theirs`` are records read by attribute, or dicts by key.
+    Equal values of different types (a ``numpy.float64`` against a
+    ``float``) differ too, and the detail names both types: every tier
+    must hand out the same objects, not merely equal ones.
     """
     value = dict.get if isinstance(ours, dict) else getattr
     for name in names:
         mine, other = value(ours, name), value(theirs, name)
         if mine != other:
             return f"{name} differs: {labels[0]} {mine!r}, {labels[1]} {other!r}"
-    return f"{labels[0]} and {labels[1]} differ"
+        if type(mine) is not type(other):
+            return (f"{name} differs in type: {labels[0]} {_type_name(mine)}, "
+                    f"{labels[1]} {_type_name(other)} (both {mine!r})")
+    if ours != theirs:
+        return f"{labels[0]} and {labels[1]} differ"
+    return None
+
+
+def _type_name(value) -> str:
+    """``float`` for a builtin type, ``numpy.float64`` for any other."""
+    kind = type(value)
+    return kind.__qualname__ if kind.__module__ == "builtins" else f"{kind.__module__}.{kind.__qualname__}"
 
 
 #: Outcome fields in the order a divergence is named: the leading three, then the rest.
@@ -209,11 +225,6 @@ _RECORD_FIELDS = tuple(f.name for f in fields(FrameRecord))
 _METRICS_FIELDS = tuple(f.name for f in fields(RunMetrics))
 
 
-def _first_outcome_difference(scalar: DetectionOutcome, batched: DetectionOutcome) -> str:
-    """The first differing outcome field, with both values as reprs."""
-    return _first_difference(scalar, batched, _OUTCOME_FIELDS, ("scalar", "batched"))
-
-
 def _store_drift(
     saved: Sequence, loaded: Sequence, names: Sequence[str], where: str, noun: str
 ) -> str | None:
@@ -221,9 +232,9 @@ def _store_drift(
     if len(loaded) != len(saved):
         return f"{where}: {len(loaded)} {noun} came back for {len(saved)}"
     for index, (ours, theirs) in enumerate(zip(saved, loaded)):
-        if ours != theirs:
-            return (f"{where}, frame {index}: {noun} changed through the store: "
-                    f"{_first_difference(ours, theirs, names, ('saved', 'loaded'))}")
+        difference = _first_difference(ours, theirs, names, ("saved", "loaded"))
+        if difference is not None:
+            return f"{where}, frame {index}: {noun} changed through the store: {difference}"
     return None
 
 
@@ -242,12 +253,11 @@ def check_detect_equality(
             return _fail("detect", f"model {spec.name!r}: trace missing or misaligned")
         for index, scene in enumerate(scenes):
             scalar = detect(spec, scene, (scenario.seed, index))
-            if scalar != batched[index]:
-                return _fail(
-                    "detect",
-                    f"model {spec.name!r}, frame {index}: "
-                    f"{_first_outcome_difference(scalar, batched[index])}",
-                )
+            difference = _first_difference(
+                scalar, batched[index], _OUTCOME_FIELDS, ("scalar", "batched")
+            )
+            if difference is not None:
+                return _fail("detect", f"model {spec.name!r}, frame {index}: {difference}")
     return _ok("detect")
 
 
@@ -318,9 +328,10 @@ def _run_roundtrip(trace: ScenarioTrace, zoo: ModelZoo, root: Path) -> CheckResu
                          f"run of {model!r}", "records")
     if drift is not None:
         return _fail("store", drift)
-    metrics, expected = store.load_metrics(key), aggregate(result)
-    if metrics != expected:
-        difference = _first_difference(expected, metrics, _METRICS_FIELDS, ("aggregate", "stored"))
+    difference = _first_difference(
+        aggregate(result), store.load_metrics(key), _METRICS_FIELDS, ("aggregate", "stored")
+    )
+    if difference is not None:
         return _fail("store", f"run of {model!r}: stored metrics differ: {difference}")
     return _ok("store")
 
@@ -497,12 +508,12 @@ def check_fast_run_equivalence(
                 f"{reference.frame_count} reference frames",
             )
         for i, (ref_record, fast_record) in enumerate(zip(reference.records, fast.records, strict=True)):
-            if ref_record != fast_record:
+            difference = _first_difference(
+                ref_record, fast_record, _RECORD_FIELDS, ("reference", "fast")
+            )
+            if difference is not None:
                 return _fail(
-                    "fastrun",
-                    f"policy {label!r}, frame {i}: fast engine diverges: "
-                    + _first_difference(ref_record, fast_record, _RECORD_FIELDS,
-                                        ("reference", "fast")),
+                    "fastrun", f"policy {label!r}, frame {i}: fast engine diverges: {difference}"
                 )
     return _ok("fastrun")
 
@@ -582,12 +593,14 @@ def check_service_equivalence(
                             f"request {request.request_id}: row for {scenario_name!r} "
                             f"instead of {trace.scenario.name!r}",
                         )
-                    if metrics != serial[spec]:
+                    difference = _first_difference(
+                        serial[spec], metrics, _METRICS_FIELDS, ("serial", "service")
+                    )
+                    if difference is not None:
                         return _fail(
                             "service",
                             f"policy {spec!r}: service metrics diverge from the serial run: "
-                            + _first_difference(serial[spec], metrics, _METRICS_FIELDS,
-                                                ("serial", "service")),
+                            f"{difference}",
                         )
             if service.runs_executed > len(specs):
                 return _fail(
@@ -824,13 +837,15 @@ def check_http_equivalence(
                     f"instead of {name!r}",
                 )
             expected = serial[row["policy_spec"]]
-            if row["metrics"] != expected:
+            difference = _first_difference(
+                expected, row["metrics"], sorted(set(expected) | set(row["metrics"])),
+                ("serial", "wire"),
+            )
+            if difference is not None:
                 return _fail(
                     "http",
                     f"policy {row['policy_spec']!r}: wire metrics diverge from the serial run: "
-                    + _first_difference(expected, row["metrics"],
-                                        sorted(set(expected) | set(row["metrics"])),
-                                        ("serial", "wire")),
+                    f"{difference}",
                 )
     backend = cold_stats["backend"]
     if backend["runs_executed"] > len(specs):

@@ -75,6 +75,13 @@ class TestTraceTier:
         with pytest.raises(ValueError, match="zoo or a cache"):
             ExperimentRunner(zoo, cache=TraceCache(default_zoo()))
 
+    def test_a_worker_bound_beside_a_cache_is_refused(self, zoo):
+        # The cache carries its own bound; one passed beside it would be
+        # silently ignored.
+        with pytest.raises(ValueError, match="max_workers"):
+            ExperimentRunner(cache=TraceCache(zoo), max_workers=4)
+        assert ExperimentRunner(cache=TraceCache(zoo, max_workers=4)).cache.max_workers == 4
+
 
 class TestSweep:
     def test_sweep_shape(self, zoo, scenarios):

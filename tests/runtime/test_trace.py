@@ -87,6 +87,44 @@ class TestTraceCache:
         assert len(cache) == 2
         assert a.outcomes != b.outcomes
 
+    def test_a_bound_of_one_drops_the_held_trace_before_the_next_build(
+        self, zoo, scenario, monkeypatch
+    ):
+        # A queue worker's memo: the trace it holds is gone before the
+        # next scenario's build starts, so two traces are never held.
+        cache = TraceCache(zoo, max_size=1)
+        first = cache.get(scenario)
+        assert cache.get(scenario) is first and cache.builds == 1
+        held_at_build = []
+        real_build = TraceCache._build
+
+        def build(self, scenarios):
+            held_at_build.append(len(self))
+            return real_build(self, scenarios)
+
+        monkeypatch.setattr(TraceCache, "_build", build)
+        second = cache.get(scenario.scaled(0.5))
+        assert held_at_build == [1]  # only the acquisition in flight
+        assert len(cache) == 1 and cache.builds == 2
+        assert cache.get(scenario.scaled(0.5)) is second
+
+    def test_room_is_made_from_traces_the_call_does_not_ask_for(self, zoo, scenario):
+        cache = TraceCache(zoo, max_size=2)
+        held, other, fresh = scenario, scenario.scaled(0.5), scenario.scaled(0.25)
+        first = cache.get(held)
+        cache.get(other)
+        # The memo is full: ``other`` goes, although ``held`` is older,
+        # because this call asks for ``held``.
+        _, built = cache.get_all([held, fresh])
+        assert cache.builds == 3 and len(cache) == 2
+        assert cache.get(held) is first and cache.get(fresh) is built
+        assert cache.builds == 3
+
+    @pytest.mark.parametrize("max_size", [0, -1])
+    def test_a_bound_below_one_is_refused(self, zoo, max_size):
+        with pytest.raises(ValueError, match="at least 1"):
+            TraceCache(zoo, max_size=max_size)
+
 
 class TestParallelBuild:
     def test_parallel_build_matches_serial(self, zoo, scenario):

@@ -8,6 +8,7 @@ deterministically.  Real crash/kill behaviour is covered by
 ``tests/service/test_worker.py`` and the ``faults`` differential check.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -25,7 +26,7 @@ from repro.service import (
     decompose,
     job_digest,
 )
-from repro.service.queue import job_to_dict
+from repro.service.queue import QUEUE_SCHEMA_VERSION, job_to_dict
 
 MATRIX = ScenarioMatrix(
     name="q",
@@ -297,6 +298,61 @@ class TestLeases:
         assert names == [first, f"{first}.1", f"{first}.2"]
         assert quarantined(queue) == ["first tear", "second tear", "third tear"]
 
+    def test_a_live_record_of_the_first_version_is_quarantined(self, tmp_path, jobs):
+        # Version 1 named a job by a hash of (spec, scenario) alone.  Its
+        # live record is an other-version record: the first claim that
+        # reads it quarantines it, and the job enqueued afresh drains.
+        clock = FakeClock()
+        queue = make_queue(tmp_path, clock)
+        job = jobs[0]
+        old_id = hashlib.sha256(f"{job.policy_spec}|{job.key[1]}".encode()).hexdigest()
+        record = {**job_to_dict(job, 1234, 3), "schema_version": 1, "job_id": old_id}
+        shard = queue.root / old_id[:2]
+        shard.mkdir(parents=True)
+        text = json.dumps(record)
+        (shard / f"job-v1-{old_id[:32]}.json").write_text(text, encoding="utf-8")
+        assert queue.claim("w0") is None
+        assert queue.corrupt_records == 1
+        assert quarantined(queue) == [text]
+        assert queue.enqueue(job) is True
+        drain(queue, clock)
+        assert queue.counts() == {"pending": 0, "leased": 0, "done": 1, "dead": 0, "total": 1}
+
+
+class TestScenarioLocality:
+    """A job digest begins with a hash of its scenario alone."""
+
+    def test_one_owner_claims_each_scenarios_jobs_back_to_back(self, tmp_path):
+        matrix = ScenarioMatrix(
+            name="loc", compositions=(("loiter",), ("crossing",), ("popup",)),
+            regimes=("day",), seeds=(3,), frame_budgets=(16,),
+        )
+        scenarios = matrix.scenarios()
+        specs = ("marlin", "marlin-tiny", "single:yolov7-tiny@gpu")
+        queue = make_queue(tmp_path, FakeClock())
+        assert queue.enqueue_all(decompose(SweepRequest(policies=specs, scenarios=tuple(scenarios)))) == 9
+        shard_of: dict[str, set[str]] = {}
+        for path in shards.iter_entry_paths(queue.root, "job-*.json"):
+            record = json.loads(path.read_text(encoding="utf-8"))
+            shard_of.setdefault(record["scenario_fingerprint"], set()).add(path.parent.name)
+        assert len(shard_of) == 3
+        assert all(len(names) == 1 for names in shard_of.values()), shard_of
+        claimed = []
+        while (lease := queue.claim("w0")) is not None:
+            claimed.append(lease.scenario_fingerprint)
+            assert queue.complete(lease)
+        assert len(claimed) == 9
+        runs = [fp for index, fp in enumerate(claimed) if index == 0 or claimed[index - 1] != fp]
+        assert sorted(runs) == sorted(scenario.fingerprint() for scenario in scenarios)
+
+    def test_the_digest_keeps_its_length_and_separates_specs(self, scenarios):
+        fingerprint = scenarios[0].fingerprint()
+        first, second = (job_digest(spec, fingerprint) for spec in ("marlin", "marlin-tiny"))
+        assert len(first) == len(second) == 64
+        assert set(first + second) <= set("0123456789abcdef")
+        assert first[:16] == second[:16] and first[16:32] != second[16:32]
+        assert job_digest("marlin", scenarios[1].fingerprint())[:16] != first[:16]
+
 
 class TestBackoff:
     def test_backoff_is_deterministic_per_seed(self, tmp_path):
@@ -469,7 +525,7 @@ class Killed(BaseException):
 def settled_name(record: dict) -> str:
     """The file name a record has once its transition finished: its state's."""
     shown = f".{record['state']}" if record["state"] in ("done", "dead") else ""
-    return f"job-v1-{record['job_id'][:32]}{shown}.json"
+    return f"job-v{QUEUE_SCHEMA_VERSION}-{record['job_id'][:32]}{shown}.json"
 
 
 def names_show_states(queue) -> bool:
@@ -581,7 +637,7 @@ def write_parent_layout(root, jobs, clock) -> dict[str, str]:
                                "deadline": clock.now + 5.0}
         shard = root / record["job_id"][:2]
         shard.mkdir(parents=True, exist_ok=True)
-        (shard / f"job-v1-{record['job_id'][:32]}.json").write_text(
+        (shard / f"job-v{QUEUE_SCHEMA_VERSION}-{record['job_id'][:32]}.json").write_text(
             json.dumps(record), encoding="utf-8")
         ids[state] = record["job_id"]
     stray = sorted(root.iterdir())[0] / "index.json"
@@ -697,7 +753,8 @@ class TestClaimIndex:
         monkeypatch.setattr(shards, "shard_dirs", lambda root: listings.append(root) or real(root))
         queue.complete(queue.claim("w0"))
         assert len(listings) == 1
-        # Jobs land in shards the cached ring has never seen: the next
+        # The other scenario's jobs land in a shard the cached ring has
+        # never seen: once the first scenario's shard is empty, the next
         # walk ends a full ring without a grant, re-lists, and finds them.
         queue.enqueue_all(rest)
         granted = []

@@ -25,6 +25,7 @@ from repro.service import (
     JobQueue,
     QueueWorker,
     SweepRequest,
+    WorkerHooks,
     WorkerKilled,
     decompose,
     policy_resolver,
@@ -106,20 +107,27 @@ class TestDrain:
         assert warm.trace_builds == 0
         assert warm.warm_completes == len(jobs)
 
-    def test_worker_keeps_no_trace_memo(self, tmp_path, scenarios):
-        # Two cold jobs over one scenario: the first builds the trace, the
-        # second reloads it from the store; nothing stays in memory, so a
+    def test_worker_keeps_only_the_trace_it_runs(self, tmp_path, scenarios):
+        # Two cold scenarios x two specs: the queue hands the worker each
+        # scenario's jobs back to back, so each trace is built once and
+        # never reloaded, and the worker holds one trace at every job — a
         # long drain's footprint does not grow with the scenarios it saw.
+        held = []
+
+        class Probe(WorkerHooks):
+            def before_complete(self, worker, lease):
+                held.append(len(worker.runner.cache))
+
         queue = JobQueue(tmp_path / "q")
         queue.enqueue_all(decompose(SweepRequest(
-            policies=("marlin-tiny", "single:yolov7-tiny@gpu"), scenarios=(scenarios[0],),
+            policies=("marlin-tiny", "single:yolov7-tiny@gpu"), scenarios=tuple(scenarios),
         )), engine_seed=ENGINE_SEED)
         worker = QueueWorker(queue, run_store=tmp_path / "runs",
-                             trace_store=tmp_path / "traces", worker_id="wA")
+                             trace_store=tmp_path / "traces", worker_id="wA", hooks=Probe())
         worker.drain()
-        assert worker.runs_executed == 2
-        assert (worker.trace_builds, worker.trace_store_hits) == (1, 1)
-        assert len(worker.runner.cache) == 0
+        assert worker.runs_executed == 4
+        assert (worker.trace_builds, worker.trace_store_hits) == (2, 0)
+        assert held == [1, 1, 1, 1]
 
     def test_unresolvable_spec_dead_letters_loudly(self, tmp_path, scenarios):
         bad = decompose(SweepRequest(policies=("single:no-such-model",),

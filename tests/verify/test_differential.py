@@ -277,6 +277,52 @@ class TestHarnessDetectsViolations:
             f"latency_s differs: reference {reference!r}, fast {fast!r}"
         )
 
+    def test_fastrun_type_split_detected(self, trace):
+        # Equal values of another type diverge too: a tier that hands out
+        # NumPy scalars where the reference loop (and a run-store reload)
+        # gives floats splits what callers see; the detail names both types.
+        import numpy as np
+
+        from repro.baselines import SingleModelPolicy
+        from repro.runtime import run_policy
+
+        class NumpyScalarPolicy(SingleModelPolicy):
+            def __init__(self, model_name):
+                super().__init__(model_name)
+                self.name = "numpy-scalar"
+
+            def begin(self, services):
+                super().begin(services)
+                self._fast = services.fast
+
+            def step(self, frame):
+                record = super().step(frame)
+                if self._fast:
+                    record = dataclasses.replace(record, latency_s=np.float64(record.latency_s))
+                return record
+
+        result = check_fast_run_equivalence(
+            trace, policy_factories=[lambda: NumpyScalarPolicy("yolov7-tiny")]
+        )
+        assert not result.passed
+        reference = run_policy(NumpyScalarPolicy("yolov7-tiny"), trace, fast=False).records[0]
+        assert type(reference.latency_s) is float
+        assert result.detail == (
+            "policy 'numpy-scalar', frame 0: fast engine diverges: latency_s differs in type: "
+            f"reference float, fast numpy.float64 (both {reference.latency_s!r})"
+        )
+
+    def test_fast_tier_hands_out_python_floats(self, trace):
+        from repro.baselines import MarlinPolicy
+        from repro.runtime import aggregate, run_policy
+
+        result = run_policy(MarlinPolicy("yolov7"), trace, fast=True)
+        for name in ("latency_s", "inference_s", "stall_s", "energy_j"):
+            assert {type(getattr(record, name)) for record in result.records} == {float}, name
+        numpy_fields = [field.name for field in dataclasses.fields(RunMetrics)
+                        if type(getattr(aggregate(result), field.name)).__module__ == "numpy"]
+        assert numpy_fields == []
+
     def test_fastrun_adapts_to_reduced_zoos(self, trace, zoo):
         # A trace built from a reduced zoo must still get a meaningful
         # fastrun check (over the models it has), not a KeyError.
