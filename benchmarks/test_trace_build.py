@@ -19,11 +19,16 @@ JSON metrics, so a ~1.0x "parallel speedup" can never masquerade as a
 real pool measurement; the bench scenario is the longest library flight
 precisely so the pool is exercised wherever the hardware allows it.
 
+The ``small batches`` row times the zoo's detection alone over 24-frame
+batches of the same flight, the shape of a queue drain's short scenarios:
+there a batch's fixed costs (stream seeding, the distractor draws) weigh
+as much as its per-frame work, which a long serial build would hide.
+
 With ``REPRO_BENCH_ENFORCE_FLOOR=1`` (the CI perf-smoke job) the serial
-throughput is additionally checked against the committed
-``benchmarks/baseline.json`` floor (a drop of more than 30% below the
-baseline fails the run), and the binary store reload must keep its
-committed speedup over a serial rebuild — that ratio is what the
+and small-batch throughputs are additionally checked against the
+committed ``benchmarks/baseline.json`` floors (a drop of more than 30%
+below the baseline fails the run), and the binary store reload must keep
+its committed speedup over a serial rebuild — that ratio is what the
 header-probe lazy load buys, so it failing means the load path started
 decoding columns (or rendering) eagerly again.
 """
@@ -32,12 +37,14 @@ import json
 import os
 import pathlib
 
+from repro.data.generator import scenario_scenes
 from repro.models import default_zoo
 from repro.runtime import ScenarioTrace, TraceStore
 from repro.runtime.trace import (
     MIN_MODEL_FRAMES_PER_WORKER,
     _available_cpus,
     _effective_workers,
+    _outcomes_for_specs,
 )
 
 # The longest library flight (1900 frames): the only scenario whose
@@ -46,6 +53,8 @@ from repro.runtime.trace import (
 # silently timing the serial path twice.
 _SCENARIO = "x_long_endurance_3laps_600f"
 _BASELINE = pathlib.Path(__file__).parent / "baseline.json"
+# Frames per small batch: the length of a queue-deep scenario.
+_SMALL_BATCH_FRAMES = 24
 
 
 def _collapse_reasons(requested: int, effective: int, model_frames: int) -> list[str]:
@@ -100,6 +109,16 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
     reload_s, reloaded = best_of(lambda: store.load(scenario, zoo))
     materialized_s, materialized = best_of(reload_materialized)
 
+    # Detection alone, one batch (seeding included) per 24-frame slice.
+    scenes = scenario_scenes(scenario)
+    slices = [
+        scenes[start : start + _SMALL_BATCH_FRAMES]
+        for start in range(0, len(scenes) - _SMALL_BATCH_FRAMES + 1, _SMALL_BATCH_FRAMES)
+    ]
+    small_s, _ = best_of(
+        lambda: [_outcomes_for_specs(scenario.seed, part, zoo.specs()) for part in slices]
+    )
+
     # Identical outcomes on every path — speed never changes results.
     assert parallel.outcomes == serial.outcomes
     assert reloaded.outcomes == serial.outcomes
@@ -111,6 +130,8 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
     parallel_tp = work / parallel_s
     reload_tp = work / reload_s
     materialized_tp = work / materialized_s
+    small_work = len(slices) * _SMALL_BATCH_FRAMES * len(zoo)
+    small_tp = small_work / small_s
     collapse = _collapse_reasons(workers, effective, work)
     parallel_label = f"w={workers}" if effective == workers else f"w={workers}->{effective}"
     parallel_line = (
@@ -131,6 +152,8 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
         f"  ({serial_s / reload_s:.0f}x)",
         f"  ... + outcomes      {materialized_s:8.4f}s  {materialized_tp:10.0f} model-frames/s"
         f"  ({serial_s / materialized_s:.2f}x)",
+        f"  small batches       {small_s:8.4f}s  {small_tp:10.0f} model-frames/s"
+        f"  ({len(slices)} x {_SMALL_BATCH_FRAMES} frames, detection only)",
     ]
     report(
         "trace_build",
@@ -149,10 +172,14 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
             "parallel_s": round(parallel_s, 4),
             "reload_s": round(reload_s, 6),
             "materialized_s": round(materialized_s, 4),
+            "small_batches": len(slices),
+            "small_batch_frames": _SMALL_BATCH_FRAMES,
+            "small_batch_s": round(small_s, 4),
             "serial_model_frames_per_s": round(serial_tp, 1),
             "parallel_model_frames_per_s": round(parallel_tp, 1),
             "reload_model_frames_per_s": round(reload_tp, 1),
             "materialized_model_frames_per_s": round(materialized_tp, 1),
+            "small_batch_model_frames_per_s": round(small_tp, 1),
             "parallel_speedup": round(serial_s / parallel_s, 3),
             "reload_speedup": round(serial_s / reload_s, 3),
             "materialized_speedup": round(serial_s / materialized_s, 3),
@@ -170,6 +197,15 @@ def test_trace_build_benchmark(ctx, report, best_of, tmp_path_factory):
             f"serial trace-build throughput {serial_tp:.0f} model-frames/s fell more than "
             f"30% below the committed baseline "
             f"({baseline['trace_build']['serial_model_frames_per_s']:.0f}; floor {floor:.0f})"
+        )
+        small_floor = (
+            baseline["trace_build"]["small_batch_model_frames_per_s"] * _FLOOR_FRACTION
+        )
+        assert small_tp >= small_floor, (
+            f"small-batch detection throughput {small_tp:.0f} model-frames/s fell more than "
+            f"30% below the committed baseline "
+            f"({baseline['trace_build']['small_batch_model_frames_per_s']:.0f}; "
+            f"floor {small_floor:.0f}): a fixed cost per batch grew"
         )
         reload_floor = baseline["trace_build"]["reload_speedup"]
         assert serial_s / reload_s >= reload_floor, (

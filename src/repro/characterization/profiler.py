@@ -25,7 +25,6 @@ from ..sim.profiles import AcceleratorClass, LoadCost, load_cost
 # that only reads a stored bundle never imports them.
 if TYPE_CHECKING:
     from ..data.dataset import Sample
-    from ..models.detector import DetectionOutcome
     from ..models.zoo import ModelZoo
     from ..sim.soc import SoC
 
@@ -119,19 +118,16 @@ def profile_accuracy(
     """
     import numpy as np
 
-    from ..models.detector import SceneBatch, detect, detect_batch
+    from ..models.detector import OutcomeColumns, SceneBatch, detect, detect_batch
 
     if not samples:
         raise ValueError("profile_accuracy needs at least one sample")
-    traits: dict[str, AccuracyTrait] = {}
-    per_model_scores: dict[str, list[tuple[float, float]]] = {s.name: [] for s in zoo}
-    observations: list[ConfidenceObservation] = []
 
     # The validation set shares one RNG stream seed across samples (the
     # frame index varies), which is exactly the batched kernel's contract;
     # heterogeneous seeds (hand-built samples) fall back to scalar detect.
     stream_seeds = {sample.context_id[0] for sample in samples}
-    outcome_rows: dict[str, list[DetectionOutcome]]
+    columns: dict[str, OutcomeColumns]
     if len(stream_seeds) == 1:
         batch = SceneBatch(
             [sample.scene for sample in samples],
@@ -139,39 +135,41 @@ def profile_accuracy(
             frame_indices=[sample.context_id[1] for sample in samples],
         )
         batch.seed_streams(zoo)
-        outcome_rows = {spec.name: detect_batch(spec, batch) for spec in zoo}
+        columns = {spec.name: detect_batch(spec, batch) for spec in zoo}
     else:
-        outcome_rows = {
-            spec.name: [detect(spec, sample.scene, sample.context_id) for sample in samples]
+        columns = {
+            spec.name: OutcomeColumns.from_outcomes(
+                spec.name, [detect(spec, sample.scene, sample.context_id) for sample in samples]
+            )
             for spec in zoo
         }
 
-    for row, sample in enumerate(samples):
-        readings: dict[str, tuple[float, float]] = {}
-        for spec in zoo:
-            outcome = outcome_rows[spec.name][row]
-            readings[spec.name] = (outcome.confidence, outcome.iou)
-            if sample.ground_truth is not None:
-                per_model_scores[spec.name].append((outcome.iou, outcome.confidence))
-        observations.append(
-            ConfidenceObservation(
-                sample_index=sample.index,
-                difficulty=sample.difficulty,
-                readings=readings,
-            )
+    readings = {
+        name: list(zip(table.confidence.tolist(), table.iou.tolist(), strict=True))
+        for name, table in columns.items()
+    }
+    observations = [
+        ConfidenceObservation(
+            sample_index=sample.index,
+            difficulty=sample.difficulty,
+            readings={name: rows[row] for name, rows in readings.items()},
         )
+        for row, sample in enumerate(samples)
+    ]
 
-    for name, scores in per_model_scores.items():
-        if not scores:
-            raise ValueError("validation set has no frames with ground truth")
-        ious = np.array([s[0] for s in scores])
-        confs = np.array([s[1] for s in scores])
+    # IoU and success rate average over the samples with a ground truth.
+    scored = np.array([sample.ground_truth is not None for sample in samples], dtype=bool)
+    if not scored.any():
+        raise ValueError("validation set has no frames with ground truth")
+    traits: dict[str, AccuracyTrait] = {}
+    for name, table in columns.items():
+        ious = table.iou[scored]
         traits[name] = AccuracyTrait(
             model_name=name,
             mean_iou=float(ious.mean()),
             success_rate=float((ious >= 0.5).mean()),
-            mean_confidence=float(confs.mean()),
-            sample_count=len(scores),
+            mean_confidence=float(table.confidence[scored].mean()),
+            sample_count=int(scored.sum()),
         )
     return traits, observations
 

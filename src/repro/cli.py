@@ -34,7 +34,9 @@ registered length, so it refuses a ``--scale`` other than 1.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
+from collections.abc import MutableMapping
 from typing import TYPE_CHECKING
 
 # Every command imports what it runs inside its own function, and every
@@ -913,8 +915,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: The variables OpenBLAS reads its thread count from when NumPy loads it.
+_BLAS_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+def _default_single_thread_blas(environ: MutableMapping[str, str]) -> None:
+    """Set ``OPENBLAS_NUM_THREADS=1`` unless a BLAS thread count is already set.
+
+    The program's one BLAS call is the tracker's 169 x 256 matrix-vector
+    product, and starting OpenBLAS's thread pool costs a cold process
+    about 50 ms (2 vCPUs).  Process parallelism is repro's own
+    (``--workers``, ``serve --procs``).  A count the user set wins.  Only
+    a process that has not imported NumPy yet is affected; children
+    inherit the setting.
+    """
+    if not any(name in environ for name in _BLAS_THREAD_VARIABLES):
+        environ["OPENBLAS_NUM_THREADS"] = "1"
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
+    _default_single_thread_blas(os.environ)
     parser = build_parser()
     args = parser.parse_args(argv)
     return args.func(args)

@@ -10,6 +10,7 @@ scales, the benchmark harness near full scale.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -67,10 +68,19 @@ class ExperimentContext:
             raise ValueError("validation_size must be positive")
         if self.max_workers is not None and self.max_workers < 1:
             raise ValueError("max_workers must be at least 1")
+        # Threads share a context (``serve --http`` hands one to its handler
+        # and service threads), and two that first touch ``bundle`` together
+        # must not both characterize.  The lock is an attribute, not a
+        # field, so ``dataclasses.replace`` gives the copy its own lock.
+        self._lock = threading.Lock()  # repro: guards[_soc, _bundle, _cache, _graph, _runner]
 
     @property
     def soc(self) -> SoC:
         """The simulated platform (built once)."""
+        with self._lock:
+            return self._soc_locked()
+
+    def _soc_locked(self) -> SoC:
         if self._soc is None:
             self._soc = xavier_nx_with_oakd()
         return self._soc
@@ -78,24 +88,32 @@ class ExperimentContext:
     @property
     def bundle(self) -> CharacterizationBundle:
         """The offline characterization (built once; loaded from the store if kept)."""
+        with self._lock:
+            return self._bundle_locked()
+
+    def _bundle_locked(self) -> CharacterizationBundle:
         if self._bundle is None:
             if self.trace_store is None:
-                self._bundle = self._characterize()
+                bundle = self._characterize_locked()
             else:
                 key = BundleKey(
                     zoo_fingerprint=self.zoo.fingerprint(),
-                    soc_fingerprint=self.soc.fingerprint(),
+                    soc_fingerprint=self._soc_locked().fingerprint(),
                     validation_size=self.validation_size,
                     validation_seed=self.validation_seed,
                     perf_repeats=DEFAULT_PERF_REPEATS,
                 )
-                self._bundle = BundleStore.under(self.trace_store).get(key, self._characterize)
+                bundle = BundleStore.under(self.trace_store).get(key, self._characterize_locked)
+            # Every SHIFT run key reads the digest: filled here, it is
+            # computed once, not once per thread that reads it first.
+            bundle.fingerprint()
+            self._bundle = bundle
         return self._bundle
 
-    def _characterize(self) -> CharacterizationBundle:
+    def _characterize_locked(self) -> CharacterizationBundle:
         return characterize(
             self.zoo,
-            self.soc,
+            self._soc_locked(),
             validation_size=self.validation_size,
             validation_seed=self.validation_seed,
             perf_repeats=DEFAULT_PERF_REPEATS,
@@ -104,6 +122,10 @@ class ExperimentContext:
     @property
     def cache(self) -> TraceCache:
         """Trace cache shared by every policy run (store-backed if configured)."""
+        with self._lock:
+            return self._cache_locked()
+
+    def _cache_locked(self) -> TraceCache:
         if self._cache is None:
             store = TraceStore(self.trace_store) if self.trace_store is not None else None
             self._cache = TraceCache(self.zoo, store=store, max_workers=self.max_workers)
@@ -112,21 +134,25 @@ class ExperimentContext:
     @property
     def runner(self) -> ExperimentRunner:
         """The experiment runner sharing this context's trace tier."""
-        if self._runner is None:
-            self._runner = ExperimentRunner(
-                cache=self.cache,
-                engine_seed=self.engine_seed,
-                run_store=RunStore(self.run_store) if self.run_store is not None else None,
-                fast=self.fast_runs,
-            )
-        return self._runner
+        with self._lock:
+            if self._runner is None:
+                self._runner = ExperimentRunner(
+                    cache=self._cache_locked(),
+                    engine_seed=self.engine_seed,
+                    run_store=RunStore(self.run_store) if self.run_store is not None else None,
+                    fast=self.fast_runs,
+                )
+            return self._runner
 
     @property
     def graph(self) -> ConfidenceGraph:
         """The confidence graph at default parameters (built once)."""
-        if self._graph is None:
-            self._graph = ConfidenceGraph.build(self.bundle.observations)
-        return self._graph
+        with self._lock:
+            if self._graph is None:
+                graph = ConfidenceGraph.build(self._bundle_locked().observations)
+                graph.fingerprint()  # computed once, as the bundle's is
+                self._graph = graph
+            return self._graph
 
     def scenarios(self) -> list[Scenario]:
         """The six evaluation scenarios at this context's scale."""

@@ -18,7 +18,7 @@ the confidence graph mines.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -46,6 +46,11 @@ _SLOW_FRACTION = 0.8  # fraction of the noise *variance* in the slow part
 # box dx, dy, log-scale, and confidence.
 _NOISE_STREAMS = 5
 
+# A distractor's five uniforms, in draw order: its width (a fraction of
+# the frame), its aspect (height / width), its center x and y (fractions
+# of the frame), and its score before the calibration bias.
+_DISTRACTOR_BOUNDS = ((0.04, 0.22), (0.5, 1.1), (0.1, 0.9), (0.1, 0.9), (0.05, 0.30))
+
 ContextId = tuple[int, int]
 
 
@@ -67,6 +72,107 @@ class DetectionOutcome:
     quality: float
     detected: bool
     false_positive: bool
+
+
+class OutcomeColumns(Sequence):
+    """One model's outcomes over a batch of frames, held as columns.
+
+    The columns are the trace store's layout: ``box`` (``(n, 4)`` corners,
+    zeros where ``box_mask`` is false), ``box_mask``, ``confidence``,
+    ``iou``, ``quality``, ``detected`` and ``false_positive``.  Reading
+    frame ``i`` builds its :class:`DetectionOutcome`, with plain ``float``
+    and ``bool`` fields, on first access; the sequence equals any
+    sequence of equal outcomes.
+    """
+
+    def __init__(
+        self,
+        model_name: str,
+        box: np.ndarray,
+        box_mask: np.ndarray,
+        confidence: np.ndarray,
+        iou: np.ndarray,
+        quality: np.ndarray,
+        detected: np.ndarray,
+        false_positive: np.ndarray,
+    ) -> None:
+        self.model_name = model_name
+        self.box = box
+        self.box_mask = box_mask
+        self.confidence = confidence
+        self.iou = iou
+        self.quality = quality
+        self.detected = detected
+        self.false_positive = false_positive
+        self._rows: list[DetectionOutcome | None] | None = None
+        self._values: tuple[list, ...] | None = None
+
+    @classmethod
+    def from_outcomes(
+        cls, model_name: str, outcomes: Sequence[DetectionOutcome]
+    ) -> OutcomeColumns:
+        """The columns of outcome objects; reads serve those same objects."""
+        rows = list(outcomes)
+        columns = cls(
+            model_name,
+            np.array(
+                [(0.0,) * 4 if row.box is None else row.box.as_tuple() for row in rows],
+                dtype=np.float64,
+            ).reshape(len(rows), 4),
+            np.array([row.box is not None for row in rows], dtype=bool),
+            *(np.array([getattr(row, name) for row in rows], dtype=np.float64)
+              for name in ("confidence", "iou", "quality")),
+            *(np.array([getattr(row, name) for row in rows], dtype=bool)
+              for name in ("detected", "false_positive")),
+        )
+        columns._rows = rows
+        return columns
+
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The seven columns, in the order the constructor takes them."""
+        return (self.box, self.box_mask, self.confidence, self.iou, self.quality,
+                self.detected, self.false_positive)
+
+    def __len__(self) -> int:
+        return len(self.confidence)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        if self._rows is None:
+            self._rows = [None] * len(self)
+        outcome = self._rows[index]
+        if outcome is None:
+            outcome = self._rows[index] = self._build(index)
+        return outcome
+
+    def _build(self, index: int) -> DetectionOutcome:
+        if self._values is None:
+            self._values = tuple(column.tolist() for column in self.columns())
+        box, masked, confidence, iou, quality, detected, false_positive = (
+            column[index] for column in self._values
+        )
+        return DetectionOutcome(
+            self.model_name, BoundingBox(*box) if masked else None,
+            confidence, iou, quality, detected, false_positive,
+        )
+
+    def __iter__(self) -> Iterator[DetectionOutcome]:
+        return (self[i] for i in range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __reduce__(self):
+        # Pickles (to and from trace-build workers) carry the columns only.
+        return type(self), (self.model_name, *self.columns())
+
+    def __repr__(self) -> str:
+        return f"OutcomeColumns({self.model_name!r}, {len(self)} frames)"
 
 
 def _model_rng(context_id: ContextId, spec: ModelSpec) -> np.random.Generator:
@@ -144,16 +250,17 @@ def _distractor_boxes(
     intensity = spec.false_positive_rate * (0.8 * clutter + 0.4 * camouflage)
     count = int(rng.poisson(intensity))
     size = float(scene.frame_size)
+    width, aspect, center_x, center_y, score_range = _DISTRACTOR_BOUNDS
     distractors = []
     for _ in range(count):
-        w = float(rng.uniform(0.04, 0.22)) * size
-        h = w * float(rng.uniform(0.5, 1.1))
-        cx = float(rng.uniform(0.1, 0.9)) * size
-        cy = float(rng.uniform(0.1, 0.9)) * size
+        w = float(rng.uniform(*width)) * size
+        h = w * float(rng.uniform(*aspect))
+        cx = float(rng.uniform(*center_x)) * size
+        cy = float(rng.uniform(*center_y)) * size
         # Distractor scores concentrate low but overconfident families push
         # them higher — the bias term leaks into clutter responses too.
         score = float(
-            np.clip(rng.uniform(0.05, 0.30) + 0.6 * spec.calibration.bias * clutter, 0.0, 0.95)
+            np.clip(rng.uniform(*score_range) + 0.6 * spec.calibration.bias * clutter, 0.0, 0.95)
         )
         box = BoundingBox.from_center(cx, cy, w, h).clipped(size, size)
         if not box.is_degenerate():
@@ -293,6 +400,17 @@ class SceneBatch:
         elif len(difficulties) != count:
             raise ValueError("difficulties must align with scenes")
         self.difficulties = list(difficulties)
+        # Per-frame columns of the target and distractor geometry.
+        self.frame_sizes = np.array([float(scene.frame_size) for scene in self.scenes])
+        self.has_truth = np.array([truth is not None for truth in self.truths], dtype=bool)
+        self.truth_boxes = np.array(
+            [(0.0,) * 4 if truth is None else truth.as_tuple() for truth in self.truths],
+            dtype=np.float64,
+        ).reshape(count, 4)
+        self.clutter = np.array([c["clutter"] for c in self.components], dtype=np.float64)
+        camouflage = np.array([c["camouflage"] for c in self.components], dtype=np.float64)
+        # A model's distractor rate is its false-positive rate times this.
+        self._clutter_mix = 0.8 * self.clutter + 0.4 * camouflage
         position = self.frame_indices.astype(np.float64) / _SLOW_PERIOD
         index = np.floor(position)
         frac = position - index
@@ -305,6 +423,8 @@ class SceneBatch:
         self._knot_z: dict[int, np.ndarray] = {}
         self._iid_z: dict[int, np.ndarray] = {}
         self._model_words: dict[int, np.ndarray] = {}
+        # Per (salt, false-positive rate): each distractor's frame and uniforms.
+        self._distractors: dict[tuple[int, float], tuple[np.ndarray, np.ndarray]] = {}
         self._shared_noise: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -323,6 +443,31 @@ class SceneBatch:
                 salts, self.frame_indices, lambda s, frame: [_STREAM_SALT, seed, frame, *s]
             )
             self._model_words.update(zip(salts, words, strict=True))
+        self._draw_distractors(specs)
+
+    def _draw_distractors(self, specs: list[ModelSpec]) -> None:
+        """The distractor draws of every model not drawn yet, in one pass.
+
+        :func:`_distractor_boxes` draws a Poisson count and then five
+        uniforms per distractor from each frame's model stream; the draws
+        depend only on the stream (the salt) and the rate (the model's
+        false-positive rate), so every model of a batch shares one
+        :meth:`~repro.models.fastrng.DrawPool.poisson_items` call.
+        """
+        fresh = [
+            key for key in dict.fromkeys((spec.salt, spec.false_positive_rate) for spec in specs)
+            if key not in self._distractors
+        ]
+        if not fresh:
+            return
+        words = np.concatenate([self._model_words[salt] for salt, _ in fresh])
+        rates = np.concatenate([rate * self._clutter_mix for _, rate in fresh])
+        owners, uniforms = self._pool.poisson_items(words, rates, _DISTRACTOR_BOUNDS)
+        model, frames = np.divmod(owners, len(self))
+        ends = np.searchsorted(model, np.arange(len(fresh) + 1))
+        for i, key in enumerate(fresh):
+            span = slice(ends[i], ends[i + 1])
+            self._distractors[key] = (frames[span], uniforms[span])
 
     def _draw_noise_streams(self, streams: Iterable[int]) -> None:
         """Knot and iid first normals of every stream not drawn yet.
@@ -381,31 +526,76 @@ class SceneBatch:
             self._shared_noise = self.correlated_noise(0, SCENE_NOISE_SIGMA)
         return self._shared_noise
 
-    def model_rng_words(self, spec: ModelSpec) -> np.ndarray:
-        """Seed words of :func:`_model_rng` for every frame of the batch."""
-        self.seed_streams([spec])
-        return self._model_words[spec.salt]
+    def distractor_draws(self, spec: ModelSpec) -> tuple[np.ndarray, np.ndarray]:
+        """``spec``'s distractor draws: each one's frame and five uniforms.
 
-    def model_rng_at(self, words_row: np.ndarray) -> np.random.Generator:
-        """A generator positioned exactly like a fresh :func:`_model_rng`."""
-        return self._pool.generator_for(words_row)
+        Rows follow frame order, then draw order; the uniforms follow
+        :data:`_DISTRACTOR_BOUNDS`.
+        """
+        key = (spec.salt, spec.false_positive_rate)
+        if key not in self._distractors:
+            self.seed_streams([spec])
+        return self._distractors[key]
 
 
-def detect_batch(spec: ModelSpec, batch: SceneBatch) -> list[DetectionOutcome]:
+def _clipped_from_center(
+    cx: np.ndarray, cy: np.ndarray, width: np.ndarray, height: np.ndarray, size: np.ndarray
+) -> np.ndarray:
+    """``BoundingBox.from_center(...).clipped(size, size)`` as ``(n, 4)`` corners.
+
+    Python's ``max(v, 0.0)`` keeps ``v`` unless ``0.0 > v`` and
+    ``min(v, size)`` keeps ``v`` unless ``size < v``; the ``where`` calls
+    keep the same operand, signed zeros included.
+    """
+    half_w = width / 2.0
+    half_h = height / 2.0
+    corners = np.stack([cx - half_w, cy - half_h, cx + half_w, cy + half_h], axis=-1)
+    corners = np.where(0.0 > corners, 0.0, corners)
+    return np.where(size[:, None] < corners, size[:, None], corners)
+
+
+def _solid(boxes: np.ndarray) -> np.ndarray:
+    """Rows of ``(n, 4)`` corners that ``BoundingBox.is_degenerate`` rejects not."""
+    return (boxes[:, 2] - boxes[:, 0] > 0.0) & (boxes[:, 3] - boxes[:, 1] > 0.0)
+
+
+def _area(boxes: np.ndarray) -> np.ndarray:
+    return (boxes[:, 2] - boxes[:, 0]) * (boxes[:, 3] - boxes[:, 1])
+
+
+def _iou_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`~repro.vision.bbox.iou` of each row pair of ``(n, 4)`` corners.
+
+    The same operations in the same order: Python's ``max``/``min`` tie
+    rules for the intersection, then ``a.area + b.area - inter.area``.
+    """
+    x1 = np.where(b[:, 0] > a[:, 0], b[:, 0], a[:, 0])
+    y1 = np.where(b[:, 1] > a[:, 1], b[:, 1], a[:, 1])
+    x2 = np.where(b[:, 2] < a[:, 2], b[:, 2], a[:, 2])
+    y2 = np.where(b[:, 3] < a[:, 3], b[:, 3], a[:, 3])
+    inter = (x2 - x1) * (y2 - y1)
+    union = _area(a) + _area(b) - inter
+    overlap = (x2 > x1) & (y2 > y1) & (union > 0.0)
+    return np.divide(inter, union, out=np.zeros(len(a)), where=overlap)
+
+
+def detect_batch(spec: ModelSpec, batch: SceneBatch) -> OutcomeColumns:
     """Run ``spec`` over every frame of ``batch`` — the vectorized hot path.
 
     Outcomes are bit-identical to ``[detect(spec, scene, (seed, index))
     for ...]``: every RNG stream is seeded by the same ``(context_id,
-    model)`` contract, only materialized in bulk.  Noise, quality, and
-    confidence draws are computed as arrays across all frames; only the
-    irreducibly per-frame parts (box objects, NMS over a handful of
-    candidates, distractor sampling from the per-frame model RNG) stay
-    scalar.
+    model)`` contract, only materialized in bulk, and every step is the
+    scalar path's arithmetic as array operations — the noise, quality and
+    confidence draws, the distractor draws (:meth:`SceneBatch.distractor_draws`),
+    box clipping, NMS and IoU.  Only the target box's ``exp`` stays one
+    scalar call per frame, as :func:`detect` makes it: NumPy's vectorized
+    ``exp`` may differ from its scalar one in the last bit.  The result
+    is an :class:`OutcomeColumns`; outcome objects are built where a
+    caller reads one.
     """
-    scenes = batch.scenes
-    count = len(scenes)
+    count = len(batch)
     if count == 0:
-        return []
+        return OutcomeColumns.from_outcomes(spec.name, [])
     batch.seed_streams([spec])
 
     quality_skill = np.array(
@@ -415,95 +605,81 @@ def detect_batch(spec: ModelSpec, batch: SceneBatch) -> list[DetectionOutcome]:
     private = batch.correlated_noise(spec.salt, spec.model_noise)
     quality = np.clip(quality_skill + shared + private, 0.0, 1.0)
 
-    has_truth = np.array([t is not None for t in batch.truths], dtype=bool)
-    responding = np.flatnonzero(has_truth & (quality >= spec.no_response_floor))
+    # The target candidate: the model's localization of the target, where
+    # it responds at all, scored where the box is not degenerate.
+    responding = np.flatnonzero(batch.has_truth & (quality >= spec.no_response_floor))
+    truth = batch.truth_boxes[responding]
+    truth_w = truth[:, 2] - truth[:, 0]
+    truth_h = truth[:, 3] - truth[:, 1]
+    slack = 1.0 - quality[responding]
+    offset_sigma = 0.22 * slack * np.where(2.0 > truth_w, 2.0, truth_w)
+    dx = batch.correlated_noise(spec.salt + 1, offset_sigma, select=responding)
+    dy = batch.correlated_noise(spec.salt + 2, offset_sigma, select=responding)
+    log_scale = batch.correlated_noise(spec.salt + 3, 0.16 * slack, select=responding)
+    scale = np.array([np.exp(value) for value in log_scale.tolist()], dtype=np.float64)
+    target = _clipped_from_center(
+        (truth[:, 0] + truth[:, 2]) / 2.0 + dx,
+        (truth[:, 1] + truth[:, 3]) / 2.0 + dy,
+        truth_w * scale,
+        truth_h * scale,
+        batch.frame_sizes[responding],
+    )
+    localized = _solid(target)
+    target_frames, target = responding[localized], target[localized]
+    noise = batch.correlated_noise(spec.salt + 4, spec.calibration.noise, select=target_frames)
+    base = spec.calibration.scale * quality[target_frames] + spec.calibration.bias
+    target_scores = np.clip(base + noise, 0.0, 1.0)
 
-    # The model's localization of the target, where it responds at all.
-    predicted: dict[int, BoundingBox] = {}
-    if len(responding):
-        slack = 1.0 - quality[responding]
-        max_widths = np.array(
-            [max(batch.truths[i].width, 2.0) for i in responding], dtype=np.float64
-        )
-        offset_sigma = 0.22 * slack * max_widths
-        dx = batch.correlated_noise(spec.salt + 1, offset_sigma, select=responding)
-        dy = batch.correlated_noise(spec.salt + 2, offset_sigma, select=responding)
-        log_scale = batch.correlated_noise(spec.salt + 3, 0.16 * slack, select=responding)
-        for j, i in enumerate(responding):
-            truth = batch.truths[i]
-            scale = float(np.exp(log_scale[j]))
-            cx, cy = truth.center
-            size = float(scenes[i].frame_size)
-            box = BoundingBox.from_center(
-                cx + float(dx[j]), cy + float(dy[j]), truth.width * scale, truth.height * scale
-            ).clipped(size, size)
-            if not box.is_degenerate():
-                predicted[int(i)] = box
+    frames, uniforms = batch.distractor_draws(spec)
+    size = batch.frame_sizes[frames]
+    widths = uniforms[:, 0] * size
+    distractors = _clipped_from_center(
+        uniforms[:, 2] * size, uniforms[:, 3] * size, widths, widths * uniforms[:, 1], size
+    )
+    scores = np.clip(
+        uniforms[:, 4] + 0.6 * spec.calibration.bias * batch.clutter[frames], 0.0, 0.95
+    )
+    kept = _solid(distractors)
 
-    confidence_by_frame: dict[int, float] = {}
-    if predicted:
-        localized = np.array(sorted(predicted), dtype=np.int64)
-        noise = batch.correlated_noise(
-            spec.salt + 4, spec.calibration.noise, select=localized
-        )
-        base = spec.calibration.scale * quality[localized] + spec.calibration.bias
-        confidences = np.clip(base + noise, 0.0, 1.0)
-        confidence_by_frame = {
-            int(i): float(c) for i, c in zip(localized, confidences, strict=True)
-        }
+    # Candidates in the scalar path's order: a frame's distractors in draw
+    # order, then its target.  The greedy NMS survivor the scalar path
+    # reports is the first viable candidate in NMS order (score, then the
+    # larger area, then x1, y1, x2, y2; a stable sort keeps input order on
+    # ties), which nothing suppresses.  Ranking viable candidates first
+    # and non-viable ones by score puts, where nothing is viable, the
+    # strongest response first: the score the scalar path reports then.
+    cand_frames = np.concatenate([frames[kept], target_frames])
+    cand_boxes = np.concatenate([distractors[kept], target])
+    cand_scores = np.concatenate([scores[kept], target_scores])
+    is_target = np.arange(len(cand_frames)) >= kept.sum()
+    viable = cand_scores >= DEFAULT_CONFIDENCE_THRESHOLD
+    order = np.lexsort((
+        cand_boxes[:, 3], cand_boxes[:, 2], cand_boxes[:, 1], cand_boxes[:, 0],
+        -_area(cand_boxes), -cand_scores, ~viable, cand_frames,
+    ))
+    ranked_frames = cand_frames[order]
+    lead = order[np.flatnonzero(np.diff(ranked_frames, prepend=-1))]
+    win = lead[viable[lead]]
+    win_frames = cand_frames[win]
 
-    model_words = batch.model_rng_words(spec)
-    outcomes: list[DetectionOutcome] = []
-    for i, scene in enumerate(scenes):
-        rng = batch.model_rng_at(model_words[i])
-        components = batch.components[i]
-        candidates = _distractor_boxes(
-            spec, scene, components["clutter"], components["camouflage"], rng
-        )
-        true_candidate: ScoredBox | None = None
-        box = predicted.get(i)
-        if box is not None:
-            true_candidate = ScoredBox(box=box, score=confidence_by_frame[i])
-            candidates.append(true_candidate)
-
-        # NMS: the common cases (zero or one candidate) shortcut the full
-        # suppression pass; single-candidate NMS reduces to the threshold.
-        if not candidates:
-            best = None
-        elif len(candidates) == 1:
-            best = candidates[0] if candidates[0].score >= DEFAULT_CONFIDENCE_THRESHOLD else None
-        else:
-            best = best_detection(candidates)
-
-        frame_quality = float(quality[i])
-        truth = batch.truths[i]
-        if best is None:
-            top_score = max((c.score for c in candidates), default=0.02)
-            outcomes.append(
-                DetectionOutcome(
-                    model_name=spec.name,
-                    box=None,
-                    confidence=float(top_score),
-                    iou=0.0,
-                    quality=frame_quality,
-                    detected=False,
-                    false_positive=False,
-                )
-            )
-            continue
-        achieved_iou = box_iou(best.box, truth) if truth is not None else 0.0
-        is_false_positive = truth is None or (
-            true_candidate is not None and best.box is not true_candidate.box and achieved_iou < 0.1
-        ) or (truth is not None and true_candidate is None)
-        outcomes.append(
-            DetectionOutcome(
-                model_name=spec.name,
-                box=best.box,
-                confidence=best.score,
-                iou=float(achieved_iou),
-                quality=frame_quality,
-                detected=True,
-                false_positive=bool(is_false_positive),
-            )
-        )
-    return outcomes
+    detected = np.zeros(count, dtype=bool)
+    detected[win_frames] = True
+    confidence = np.full(count, 0.02)
+    confidence[cand_frames[lead]] = cand_scores[lead]
+    box = np.zeros((count, 4))
+    box[win_frames] = cand_boxes[win]
+    iou = np.zeros(count)
+    scored = win_frames[batch.has_truth[win_frames]]
+    iou[scored] = _iou_rows(box[scored], batch.truth_boxes[scored])
+    has_target = np.zeros(count, dtype=bool)
+    has_target[target_frames] = True
+    target_won = np.zeros(count, dtype=bool)
+    target_won[win_frames] = is_target[win]
+    false_positive = detected & (
+        ~batch.has_truth
+        | (has_target & ~target_won & (iou < 0.1))
+        | (batch.has_truth & ~has_target)
+    )
+    return OutcomeColumns(
+        spec.name, box, detected.copy(), confidence, iou, quality, detected, false_positive
+    )

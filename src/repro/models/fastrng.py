@@ -24,6 +24,12 @@ This module makes seeded streams cheap in bulk while staying bit-identical:
   process from NumPy's own generator (:func:`layer_tables`), so no NumPy
   constant is copied; the ~1.5% of rows outside the fast path replay
   through one reusable ``PCG64`` via its public ``.state`` setter.
+* :meth:`DrawPool.poisson_items` computes a stream's small-rate
+  ``poisson`` count and the uniforms that follow it (the detector's
+  distractors) from the stream's k-th outputs, each one multiply-add
+  away from its seeded state; NumPy's ``random_poisson_mult`` and
+  ``random_uniform`` become a ``cumprod`` against scalar ``exp(-lam)``
+  and ``low + (high - low) * next_double``.
 * :meth:`DrawPool.generator_for` positions that shared generator where
   ``np.random.default_rng(entropy)`` starts, for streams that draw more
   than one value.
@@ -41,6 +47,7 @@ costs speed, never a wrong value.
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable, Sequence
 
 import numpy as np
@@ -77,6 +84,18 @@ _CHECK_ROWS = 256
 # Rows per vectorized draw: 4096 took half the time of 32k rows in one
 # pass, with a fifth of the peak memory.
 _DRAW_CHUNK = 4096
+
+# --- NumPy's next_double and small-rate Poisson ----------------------------
+_DOUBLE_UNIT = 2.0**-53
+# NumPy draws poisson(lam) by multiplication below this rate (PTRS above).
+_POISSON_MULT_LIMIT = 10.0
+# Outputs a vectorized Poisson count may read: counts up to 7.  At the
+# detector's largest rate (0.96) a count of 8 or more has odds ~2e-5,
+# and such a row replays.
+_POISSON_OUTPUTS = 8
+# The fast Poisson items are checked against the replay on these bounds
+# (one per uniform of an item) and on rates 0.1 .. 2.5.
+_CHECK_BOUNDS = ((0.04, 0.22), (0.5, 1.1), (-2.5, 3.75))
 
 EntropyPart = int | np.ndarray | Sequence[int]
 
@@ -238,13 +257,21 @@ def _pcg64_state_dict(words: np.ndarray) -> dict:
     }
 
 
-def _mul_mult(lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(hi, lo)`` limbs of the 128-bit product ``lo * _MULT_LO``."""
-    a0, a1 = lo & _LOW32, lo >> _U32
-    b0, b1 = _MULT_LO & _LOW32, _MULT_LO >> _U32
+def _mul64(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo)`` limbs of the full 128-bit product of two uint64 operands."""
+    a0, a1 = a & _LOW32, a >> _U32
+    b0, b1 = b & _LOW32, b >> _U32
     p00, p01, p10, p11 = a0 * b0, a0 * b1, a1 * b0, a1 * b1
     mid = (p00 >> _U32) + (p01 & _LOW32) + (p10 & _LOW32)
     return p11 + (p01 >> _U32) + (p10 >> _U32) + (mid >> _U32), (p00 & _LOW32) | (mid << _U32)
+
+
+def _mul128(
+    hi: np.ndarray, lo: np.ndarray, by_hi: np.ndarray, by_lo: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(hi, lo) * (by_hi, by_lo)`` mod 2**128 on uint64 limbs."""
+    prod_hi, prod_lo = _mul64(lo, by_lo)
+    return prod_hi + lo * by_hi + hi * by_lo, prod_lo
 
 
 def _add128(
@@ -258,29 +285,101 @@ def _lcg_step(
     hi: np.ndarray, lo: np.ndarray, inc_hi: np.ndarray, inc_lo: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """PCG64's step ``state * MULT + inc`` (mod 2**128) on uint64 limbs."""
-    prod_hi, prod_lo = _mul_mult(lo)
-    prod_hi = prod_hi + lo * _MULT_HI + hi * _MULT_LO
-    return _add128(prod_hi, prod_lo, inc_hi, inc_lo)
+    return _add128(*_mul128(hi, lo, _MULT_HI, _MULT_LO), inc_hi, inc_lo)
 
 
-def first_outputs(words: np.ndarray) -> np.ndarray:
-    """The first ``next_uint64`` of each freshly seeded PCG64 stream.
+def _seeded(words: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(hi, lo, inc_hi, inc_lo)``: the state ``pcg64_srandom`` leaves per row.
 
-    Replays ``pcg64_srandom`` (``inc = initseq << 1 | 1``; step; add
-    ``initstate``; step), takes one more step and applies the XSL-RR
-    output: ``hi ^ lo`` rotated right by the state's top six bits.
+    Replays ``inc = initseq << 1 | 1``; step; add ``initstate``; step.
     """
     words = np.asarray(words, dtype=np.uint64)
     inc_hi = (words[:, 2] << _U1) | (words[:, 3] >> np.uint64(63))
     inc_lo = (words[:, 3] << _U1) | _U1
     hi, lo = _add128(inc_hi, inc_lo, words[:, 0], words[:, 1])
     hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
-    hi, lo = _lcg_step(hi, lo, inc_hi, inc_lo)
+    return hi, lo, inc_hi, inc_lo
+
+
+def _xsl_rr(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+    """PCG64's output of a stepped state: ``hi ^ lo`` rotated right by its top six bits."""
     rot = hi >> np.uint64(58)
     mixed = hi ^ lo
     # (64 - rot) & 63 keeps the left shift below 64; at rot == 0 both
     # shifts are 0 and the word passes through unrotated, as it should.
     return (mixed >> rot) | (mixed << ((np.uint64(64) - rot) & np.uint64(63)))
+
+
+def first_outputs(words: np.ndarray) -> np.ndarray:
+    """The first ``next_uint64`` of each freshly seeded PCG64 stream."""
+    return _xsl_rr(*_lcg_step(*_seeded(words)))
+
+
+@functools.cache
+def _jump_limbs(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Limbs ``(a_hi, a_lo, s_hi, s_lo)`` of the ``k``-step jump, ``k < count``.
+
+    ``k`` LCG steps take a state ``x`` to ``A_k * x + S_k * inc`` with
+    ``A_k = MULT**k`` and ``S_k = MULT**(k-1) + ... + 1`` (mod 2**128), so
+    any output of a stream is one multiply-add away from its seeded state.
+    """
+    jumps, a, s = [], 1, 0
+    for _ in range(count):
+        jumps.append((a >> 64, a & 0xFFFFFFFFFFFFFFFF, s >> 64, s & 0xFFFFFFFFFFFFFFFF))
+        a, s = (a * _PCG64_MULT) & _MASK128, (s * _PCG64_MULT + 1) & _MASK128
+    return tuple(np.array(limb, dtype=np.uint64) for limb in zip(*jumps))
+
+
+def _doubles_at(
+    state: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray], k: np.ndarray
+) -> np.ndarray:
+    """``next_double`` of output ``k`` (1-based) of seeded streams, broadcast.
+
+    NumPy's ``next_double`` is ``(next_uint64 >> 11) * 2**-53``.
+    """
+    hi, lo, inc_hi, inc_lo = state
+    a_hi, a_lo, s_hi, s_lo = (limb[k] for limb in _jump_limbs(int(k.max()) + 1))
+    stepped = _add128(*_mul128(hi, lo, a_hi, a_lo), *_mul128(inc_hi, inc_lo, s_hi, s_lo))
+    return (_xsl_rr(*stepped) >> np.uint64(11)).astype(np.float64) * _DOUBLE_UNIT
+
+
+def _fast_items(
+    words: np.ndarray, rates: np.ndarray, bounds: Sequence[tuple[float, float]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:meth:`DrawPool.poisson_items` as array arithmetic, for rates in (0, 10).
+
+    NumPy draws ``poisson(lam)`` below 10 by multiplication
+    (``random_poisson_mult``): it multiplies ``next_double`` values until
+    the product falls to ``exp(-lam)``, and the count is the number of
+    products that stayed above.  The products are ``cumprod`` over a
+    stream's first outputs, which multiplies in the same order; the
+    bound is scalar libm ``exp``, as NumPy's C code calls it.  Each
+    ``uniform(low, high)`` is ``low + (high - low) * next_double``.
+    Returns ``(owners, values, unresolved)``: rows whose count needs
+    more than :data:`_POISSON_OUTPUTS` outputs are left to the replay.
+    """
+    state = _seeded(words)
+    products = np.cumprod(
+        _doubles_at(tuple(part[:, None] for part in state), np.arange(1, _POISSON_OUTPUTS + 1)),
+        axis=1,
+    )
+    above = products > np.array([math.exp(-rate) for rate in rates.tolist()])[:, None]
+    resolved = ~above[:, -1]
+    counts = np.where(resolved, above.sum(axis=1), 0)
+    owners = np.repeat(np.arange(len(words)), counts)
+    width = len(bounds)
+    if not len(owners):
+        return owners, np.empty((0, width), dtype=np.float64), np.flatnonzero(~resolved)
+    # The count's draws take outputs 1 .. count + 1; item j's uniforms
+    # follow, one output per bound.
+    item = np.arange(len(owners)) - np.repeat(np.cumsum(counts) - counts, counts)
+    first = counts[owners] + 2 + width * item
+    doubles = _doubles_at(
+        tuple(part[owners][:, None] for part in state), first[:, None] + np.arange(width)
+    )
+    lows = np.array([low for low, _ in bounds], dtype=np.float64)
+    spans = np.array([high - low for low, high in bounds], dtype=np.float64)
+    return owners, lows + spans * doubles, np.flatnonzero(~resolved)
 
 
 def _fast_normals(
@@ -390,6 +489,27 @@ def layer_tables() -> tuple[np.ndarray, np.ndarray]:
     return wi, ki
 
 
+@functools.cache
+def poisson_items_exact() -> bool:
+    """Whether the vectorized Poisson items equal the replay on a fixed sample.
+
+    The arithmetic is NumPy's C code (``random_poisson_mult``,
+    ``random_uniform``), which a build that fuses ``low + range * u``
+    into one rounding, or a future NumPy, would compute differently.  On
+    a disagreement every row replays, which costs speed, never a wrong
+    value.
+    """
+    sample = _check_sample()
+    rates = (np.arange(len(sample)) % 25 + 1) * 0.1
+    every = np.ones(len(sample), dtype=bool)
+    pool = DrawPool()
+    fast = pool._poisson_items(sample, rates, _CHECK_BOUNDS, every)
+    slow = pool._poisson_items(sample, rates, _CHECK_BOUNDS, ~every)
+    return np.array_equal(fast[0], slow[0]) and np.array_equal(
+        fast[1].view(np.uint64), slow[1].view(np.uint64)
+    )
+
+
 class DrawPool:
     """One reusable ``Generator`` re-seeded per stream via cheap state sets.
 
@@ -436,3 +556,64 @@ class DrawPool:
             bit_generator.state = _pcg64_state_dict(row)
             out[i] = draw()
         return out
+
+    def poisson_items(
+        self, words: np.ndarray, rates: Sequence[float] | np.ndarray,
+        bounds: Sequence[tuple[float, float]],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Per stream, ``poisson(rate)`` items of one ``uniform(low, high)`` per bound.
+
+        Row ``i`` of ``words`` (``(N, 4)`` seed words) yields what
+        ``g = np.random.default_rng(entropy_i)`` draws as ``[[g.uniform(low,
+        high) for low, high in bounds] for _ in range(g.poisson(rates[i]))]``.
+        Returns ``(owners, values)``: each item's row, in row order and then
+        draw order, and its ``(items, len(bounds))`` uniforms.  Rates in
+        (0, 10) are computed as arrays; a zero rate draws nothing; any other
+        rate replays (and raises as NumPy does for an invalid one).
+        """
+        words = np.asarray(words, dtype=np.uint64).reshape(-1, 4)
+        rates = np.asarray(rates, dtype=np.float64)
+        fast = (rates > 0.0) & (rates < _POISSON_MULT_LIMIT)
+        if not poisson_items_exact():
+            fast[:] = False
+        return self._poisson_items(words, rates, bounds, fast)
+
+    def _poisson_items(
+        self, words: np.ndarray, rates: np.ndarray,
+        bounds: Sequence[tuple[float, float]], fast: np.ndarray,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`poisson_items` with the rows to compute as arrays named by ``fast``."""
+        owners, values = [], []
+        replay = ~fast & (rates != 0.0)
+        rows = np.flatnonzero(fast)
+        for start in range(0, len(rows), _DRAW_CHUNK):
+            chunk = rows[start : start + _DRAW_CHUNK]
+            drawn, items, unresolved = _fast_items(words[chunk], rates[chunk], bounds)
+            owners.append(chunk[drawn])
+            values.append(items)
+            replay[chunk[unresolved]] = True
+        rows = np.flatnonzero(replay)
+        if len(rows):
+            drawn, items = self.replay_poisson_items(words[rows], rates[rows], bounds)
+            owners.append(rows[drawn])
+            values.append(items)
+        if not owners:
+            return np.zeros(0, dtype=np.intp), np.empty((0, len(bounds)), dtype=np.float64)
+        owners = np.concatenate(owners)
+        order = np.argsort(owners, kind="stable")
+        return owners[order], np.concatenate(values)[order]
+
+    def replay_poisson_items(
+        self, words: np.ndarray, rates: np.ndarray, bounds: Sequence[tuple[float, float]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`poisson_items` by a ``.state`` set and draws per row."""
+        owners, values = [], []
+        for row, (row_words, rate) in enumerate(zip(words, rates.tolist())):
+            generator = self.generator_for(row_words)
+            for _ in range(int(generator.poisson(rate))):
+                owners.append(row)
+                values.append([generator.uniform(low, high) for low, high in bounds])
+        return (
+            np.array(owners, dtype=np.intp),
+            np.array(values, dtype=np.float64).reshape(len(owners), len(bounds)),
+        )

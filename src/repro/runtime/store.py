@@ -71,7 +71,7 @@ if TYPE_CHECKING:
     import numpy as np
 
     from ..data.scenario import Scenario
-    from ..models.detector import DetectionOutcome
+    from ..models.detector import DetectionOutcome, OutcomeColumns
     from ..models.zoo import ModelZoo
     from .trace import ScenarioTrace
 
@@ -145,38 +145,48 @@ def _meta_to_dict(trace: ScenarioTrace, zoo: ModelZoo) -> dict:
     }
 
 
-def _outcome_row(outcome: DetectionOutcome) -> list:
-    """One outcome's fields in column order (``box`` fills ``box`` and ``box_mask``)."""
+def _outcome_row(outcomes: OutcomeColumns) -> list:
+    """One model's outcome columns in entry order (``box_mask`` rides with ``box``)."""
     return [
-        outcome.box,
-        outcome.confidence,
-        outcome.iou,
-        outcome.quality,
-        outcome.detected,
-        outcome.false_positive,
+        outcomes.box,
+        outcomes.confidence,
+        outcomes.iou,
+        outcomes.quality,
+        outcomes.detected,
+        outcomes.false_positive,
     ]
 
 
 def _encode(trace: ScenarioTrace, meta: dict) -> bytes:
-    """A trace entry: the header ``meta``, then one ``[models, frames]`` column per field."""
+    """A trace entry: the header ``meta``, then one ``[models, frames]`` column per field.
+
+    A batched build hands over :class:`~repro.models.detector.OutcomeColumns`,
+    written as they are; outcome lists are laid out as columns first.
+    """
     import numpy as np
+
+    from ..models.detector import OutcomeColumns
 
     models = meta["models"]
     shape = (len(models), meta["frame_count"] if models else 0)
+    tables = []
     for model in models:
-        if len(trace.outcomes[model]) != shape[1]:
+        outcomes = trace.outcomes[model]
+        if len(outcomes) != shape[1]:
             raise colfmt.ColumnFormatError(
-                f"ragged outcomes: {model!r} has {len(trace.outcomes[model])} rows, "
-                f"expected {shape[1]}"
+                f"ragged outcomes: {model!r} has {len(outcomes)} rows, expected {shape[1]}"
             )
-    rows = [_outcome_row(outcome) for model in models for outcome in trace.outcomes[model]]
-    boxes, confidence, iou, quality, detected, false_positive = zip(*rows) if rows else [()] * 6
-    box, box_mask = box_columns(boxes, shape)
-    columns = {"box": box, "box_mask": box_mask}
-    for name, values in (("confidence", confidence), ("iou", iou), ("quality", quality)):
-        columns[name] = np.array(values, dtype=np.float64).reshape(shape)
-    for name, values in (("detected", detected), ("false_positive", false_positive)):
-        columns[name] = np.array(values, dtype=bool).astype(np.uint8).reshape(shape)
+        if not isinstance(outcomes, OutcomeColumns):
+            outcomes = OutcomeColumns.from_outcomes(model, outcomes)
+        tables.append(outcomes)
+    boxes, *values = zip(*map(_outcome_row, tables)) if tables else [()] * 6
+    columns = {
+        "box": np.array(boxes, dtype=np.float64).reshape(*shape, 4),
+        "box_mask": np.array([table.box_mask for table in tables], dtype=np.uint8).reshape(shape),
+    }
+    for name, column in zip(("confidence", "iou", "quality", "detected", "false_positive"), values):
+        dtype = np.float64 if LAYOUT.columns[name] == "f8" else np.uint8
+        columns[name] = np.array(column, dtype=dtype).reshape(shape)
     return colfmt.pack(LAYOUT, meta, columns)
 
 

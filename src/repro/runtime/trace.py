@@ -12,9 +12,9 @@ Building a trace is the repo's hottest path (every model on every frame,
 thousands of frames per scenario).  Two engines keep it fast:
 
 * the **batched detection kernel** (:class:`~repro.models.detector.SceneBatch`
-  + :func:`~repro.models.detector.detect_batch`) materializes every model's
-  noise/quality/confidence streams as arrays across all frames, bit-identical
-  to scalar :func:`~repro.models.detector.detect`;
+  + :func:`~repro.models.detector.detect_batch`) computes every model's
+  outcomes as columns across all frames, bit-identical to scalar
+  :func:`~repro.models.detector.detect`;
 * the **segment-batched renderer** behind
   :func:`~repro.data.generator.render_scenario` stacks each segment's
   pixels in one pass.
@@ -49,7 +49,7 @@ import numpy as np
 from ..data.generator import Frame, render_scenario, scenario_scenes
 from ..data.scenario import Scenario
 from ..data.scene import SceneState
-from ..models.detector import DetectionOutcome, SceneBatch, detect_batch
+from ..models.detector import DetectionOutcome, OutcomeColumns, SceneBatch, detect_batch
 from ..models.spec import ModelSpec
 from ..models.zoo import ModelZoo
 from ..vision.ncc import box_ncc, stacked_ncc
@@ -93,7 +93,7 @@ def _effective_workers(requested: int | None, task_cap: int, model_frames: int) 
 
 def _outcomes_for_specs(
     scenario_seed: int, scenes: list[SceneState], specs: list[ModelSpec]
-) -> dict[str, list[DetectionOutcome]]:
+) -> dict[str, OutcomeColumns]:
     """Batched detection outcomes of ``specs`` over the given scene states.
 
     Module-level so worker processes can unpickle it.  Scene states are
@@ -151,7 +151,7 @@ def _pool_build(
         for scenario, futures in zip(scenarios, submitted, strict=True):
             # Overlap the (serial) rendering with the workers' sweeps.
             frames = render_scenario(scenario)
-            merged: dict[str, list[DetectionOutcome]] = {}
+            merged: dict[str, OutcomeColumns] = {}
             for future in futures:
                 merged.update(future.result())
             # Preserve zoo registration order regardless of chunk layout.
@@ -166,8 +166,10 @@ class ScenarioTrace:
     oracle baselines reading persisted traces) then never pay for
     rendering; the first ``.frames`` access renders lazily and caches.
 
-    ``outcomes`` may likewise be deferred: pass ``outcomes_loader`` (a
-    zero-argument callable) instead and the per-model outcome lists are
+    ``outcomes`` maps each model to its per-frame outcomes: the
+    :class:`~repro.models.detector.OutcomeColumns` of a build, or lists.
+    It may likewise be deferred: pass ``outcomes_loader`` (a
+    zero-argument callable) instead and the per-model outcomes are
     materialized on first ``.outcomes`` access.  That is what makes the
     binary column store fast to open — loading a trace parses a few-KiB
     header for identity checks; the column payload is only decoded into
@@ -179,7 +181,7 @@ class ScenarioTrace:
         self,
         scenario: Scenario,
         frames: list[Frame] | None = None,
-        outcomes: dict[str, list[DetectionOutcome]] | None = None,
+        outcomes: dict[str, Sequence[DetectionOutcome]] | None = None,
         outcomes_loader: "callable | None" = None,
     ) -> None:
         if outcomes is None and outcomes_loader is None:
@@ -203,7 +205,7 @@ class ScenarioTrace:
         )
 
     @property
-    def outcomes(self) -> dict[str, list[DetectionOutcome]]:
+    def outcomes(self) -> dict[str, Sequence[DetectionOutcome]]:
         """Per-model outcome lists, materialized on first access."""
         if self._outcomes is None:
             self._outcomes = self._outcomes_loader()

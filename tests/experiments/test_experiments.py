@@ -4,6 +4,9 @@ These run at a very small scale: the goal is correctness of the harness
 plumbing, not paper-scale numbers (the benchmarks cover those).
 """
 
+import dataclasses
+import threading
+
 import pytest
 
 from repro.core import ShiftConfig
@@ -50,6 +53,57 @@ class TestContext:
                 ExperimentContext(scale=scale)
         with pytest.raises(ValueError):
             ExperimentContext(validation_size=0)
+
+    def test_threads_that_first_touch_the_bundle_together_share_one(self, monkeypatch):
+        """Two threads released together characterize once and hash each digest once."""
+        from repro.characterization import CharacterizationBundle
+        from repro.core import ConfidenceGraph
+        from repro.experiments import context as context_module
+
+        characterized, digests = [], []
+        real_characterize = context_module.characterize
+
+        def counting_characterize(*args, **kwargs):
+            characterized.append(None)
+            return real_characterize(*args, **kwargs)
+
+        def counting_digest(cls):
+            real = cls.fingerprint
+
+            def fingerprint(self):
+                if getattr(self, "_fingerprint", None) is None:
+                    digests.append(cls.__name__)
+                return real(self)
+
+            return fingerprint
+
+        monkeypatch.setattr(context_module, "characterize", counting_characterize)
+        for cls in (CharacterizationBundle, ConfidenceGraph):
+            monkeypatch.setattr(cls, "fingerprint", counting_digest(cls))
+
+        fresh = ExperimentContext(scale=0.05, validation_size=60)
+        barrier = threading.Barrier(2)
+        seen = []
+
+        def first_touch():
+            barrier.wait()
+            bundle, graph = fresh.bundle, fresh.graph
+            seen.append((bundle, graph, bundle.fingerprint(), graph.fingerprint()))
+
+        threads = [threading.Thread(target=first_touch) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert len(characterized) == 1
+        (bundle, graph, *_), (other_bundle, other_graph, *_) = seen
+        assert bundle is other_bundle and graph is other_graph
+        assert sorted(digests) == ["CharacterizationBundle", "ConfidenceGraph"]
+
+    def test_a_replaced_context_gets_its_own_lock(self, ctx):
+        copy = dataclasses.replace(ctx, scale=0.1)
+        assert copy._lock is not ctx._lock
+        assert copy.scale == 0.1 and copy.validation_size == ctx.validation_size
 
 
 class TestTables:

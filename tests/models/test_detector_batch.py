@@ -6,6 +6,8 @@ paper scenarios and the frozen ``x_*`` extended flights — plus arbitrary
 validation-set-shaped batches.  Speed must never change results.
 """
 
+import dataclasses
+import pickle
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -20,8 +22,10 @@ from repro.data import (
     extended_scenarios,
 )
 from repro.data.generator import scenario_scenes
-from repro.models import ModelSpec, default_zoo
-from repro.models.detector import SceneBatch, detect, detect_batch
+from repro.data.scene import difficulty_components
+from repro.models import ModelSpec, default_zoo, detector
+from repro.models.detector import OutcomeColumns, SceneBatch, detect, detect_batch
+from repro.models.spec import ConfidenceCalibration
 
 ZOO = default_zoo()
 
@@ -192,3 +196,128 @@ class TestBulkSeeding:
         batch = SceneBatch([], 5)
         batch.seed_streams(ZOO)
         assert detect_batch(ZOO.specs()[0], batch) == []
+
+
+def _respec(spec, name, **changes):
+    return dataclasses.replace(spec, name=name, **changes)
+
+
+BASE = ZOO.specs()[0]
+# No distractor rate: every frame draws a Poisson count of 0 at rate 0.
+QUIET = _respec(BASE, "quiet", false_positive_rate=0.0)
+# The largest rate, an overconfident bias and a target it never responds
+# to: frames with several distractors, scores clipped at 0.95, and equal
+# top scores ranked by area.
+BUSY = _respec(
+    BASE, "busy", false_positive_rate=2.0, no_response_floor=0.99,
+    calibration=ConfidenceCalibration(scale=0.2, bias=1.5, noise=0.02),
+)
+# Target scores below the distractors': the target box loses NMS.
+SHY = _respec(
+    BASE, "shy", false_positive_rate=2.0,
+    calibration=ConfidenceCalibration(scale=0.1, bias=0.3, noise=0.0),
+)
+
+
+def _scalar_distractors(spec, sample):
+    """The scalar path's distractor draws on one sample: (count drawn, candidates kept)."""
+    components = difficulty_components(sample.scene)
+    clutter, camouflage = components["clutter"], components["camouflage"]
+    rate = spec.false_positive_rate * (0.8 * clutter + 0.4 * camouflage)
+    drawn = int(detector._model_rng(sample.context_id, spec).poisson(rate))
+    rng = detector._model_rng(sample.context_id, spec)
+    return drawn, detector._distractor_boxes(spec, sample.scene, clutter, camouflage, rng)
+
+
+class TestSeededCases:
+    """Seeded batches that reach each branch of the batched kernel, against scalar detect."""
+
+    @pytest.fixture(scope="class")
+    def samples(self):
+        return build_validation_set(size=320, seed=4242)
+
+    @pytest.fixture(scope="class")
+    def batch(self, samples):
+        batch = SceneBatch(
+            [s.scene for s in samples], 4242, frame_indices=[s.context_id[1] for s in samples]
+        )
+        # Rate-0 rows are seeded in one pass with the zoo's.
+        batch.seed_streams([QUIET, BUSY, SHY, *ZOO])
+        return batch
+
+    @staticmethod
+    def _scalar(spec, samples):
+        return [detect(spec, s.scene, s.context_id) for s in samples]
+
+    def test_frames_with_rate_zero(self, samples, batch):
+        assert all(_scalar_distractors(QUIET, s) == (0, []) for s in samples)
+        assert detect_batch(QUIET, batch) == self._scalar(QUIET, samples)
+
+    def test_frames_with_two_or_more_distractors(self, samples, batch):
+        assert max(len(_scalar_distractors(BUSY, s)[1]) for s in samples) >= 3
+        assert detect_batch(BUSY, batch) == self._scalar(BUSY, samples)
+
+    def test_clipped_scores_and_equal_scores_ranked_by_area(self, samples, batch):
+        ties = [
+            [c for c in _scalar_distractors(BUSY, s)[1] if c.score == 0.95] for s in samples
+        ]
+        assert any(len({c.box.area for c in tie}) >= 2 for tie in ties)
+        outcomes = detect_batch(BUSY, batch)
+        assert any(o.detected and o.confidence == 0.95 for o in outcomes)
+        assert outcomes == self._scalar(BUSY, samples)
+
+    def test_a_true_box_that_nms_suppresses(self, samples, batch):
+        outcomes = detect_batch(SHY, batch)
+        assert any(
+            o.detected and o.false_positive and o.quality >= SHY.no_response_floor
+            and s.ground_truth is not None
+            for o, s in zip(outcomes, samples)
+        )
+        assert outcomes == self._scalar(SHY, samples)
+
+    def test_frames_with_no_target(self, samples, batch):
+        absent = [i for i, s in enumerate(samples) if s.ground_truth is None]
+        assert absent
+        for spec in (BUSY, SHY, *ZOO):
+            outcomes = detect_batch(spec, batch)
+            assert [outcomes[i] for i in absent] == [
+                detect(spec, samples[i].scene, samples[i].context_id) for i in absent
+            ]
+
+    def test_a_degenerate_distractor(self, samples, monkeypatch):
+        # With the shipped bounds every distractor center lies inside the
+        # frame, so none clips to nothing.  Centers up to 1.6 frames across
+        # put some left edges past the frame: those clip to zero width and
+        # are dropped after their draws.
+        bounds = list(detector._DISTRACTOR_BOUNDS)
+        bounds[2] = (0.1, 1.6)
+        monkeypatch.setattr(detector, "_DISTRACTOR_BOUNDS", tuple(bounds))
+        assert any(drawn > len(kept) for drawn, kept in map(
+            lambda s: _scalar_distractors(BUSY, s), samples))
+        batch = SceneBatch(
+            [s.scene for s in samples], 4242, frame_indices=[s.context_id[1] for s in samples]
+        )
+        assert detect_batch(BUSY, batch) == self._scalar(BUSY, samples)
+        assert detect_batch(SHY, batch) == self._scalar(SHY, samples)
+
+
+class TestOutcomeColumns:
+    def test_reads_build_each_outcome_once(self):
+        scenario = ROSTER[0]
+        batch = SceneBatch(scenario_scenes(scenario), scenario.seed)
+        outcomes = detect_batch(ZOO.specs()[0], batch)
+        assert outcomes[3] is outcomes[3]
+        assert outcomes[-1] is outcomes[len(outcomes) - 1]
+        assert outcomes[1:3] == [outcomes[1], outcomes[2]]
+        with pytest.raises(IndexError):
+            outcomes[len(outcomes)]
+
+    def test_columns_round_trip_through_pickle_and_objects(self):
+        scenario = ROSTER[1]
+        batch = SceneBatch(scenario_scenes(scenario), scenario.seed)
+        outcomes = detect_batch(ZOO.specs()[2], batch)
+        assert pickle.loads(pickle.dumps(outcomes)) == outcomes
+        rebuilt = OutcomeColumns.from_outcomes(outcomes.model_name, list(outcomes))
+        for ours, theirs in zip(rebuilt.columns(), outcomes.columns(), strict=True):
+            assert ours.dtype == theirs.dtype
+            assert np.array_equal(ours, theirs)

@@ -233,3 +233,76 @@ class TestStreamStateWords:
     def test_an_empty_grid(self):
         grid = fastrng.stream_state_words([3, 4], np.arange(0), lambda s, f: [1, *s, f])
         assert grid.shape == (2, 0, 4)
+
+
+_BOUNDS = ((0.04, 0.22), (0.5, 1.1), (0.1, 0.9), (0.1, 0.9), (0.05, 0.30))
+
+
+def _reference_items(entropy: list[tuple], rates: list[float]) -> tuple[list, list]:
+    owners, values = [], []
+    for row, (key, rate) in enumerate(zip(entropy, rates)):
+        generator = np.random.default_rng(key)
+        for _ in range(generator.poisson(rate)):
+            owners.append(row)
+            values.append([generator.uniform(low, high) for low, high in _BOUNDS])
+    return owners, values
+
+
+class TestPoissonItems:
+    """Distractor-shaped draws: a Poisson count, then five uniforms per item."""
+
+    def test_a_sample_equals_default_rng(self):
+        entropy = [(0x5E1F7, 9301, i, 4093204925) for i in range(600)]
+        rates = [(0.0, 0.07, 0.35, 0.96, 2.4, 9.99)[i % 6] for i in range(600)]
+        words = np.array([_reference_words(e) for e in entropy])
+        owners, values = DrawPool().poisson_items(words, rates, _BOUNDS)
+        expected_owners, expected_values = _reference_items(entropy, rates)
+        assert owners.tolist() == expected_owners
+        assert np.array_equal(_bits(values), _bits(expected_values))
+
+    def test_rates_from_ten_up_and_long_counts_replay(self):
+        # Rate 10 takes NumPy's PTRS branch; rate 6 often needs more
+        # outputs than the vectorized count reads.
+        entropy = [(0x5E1F7, 3, i) for i in range(80)]
+        rates = [10.0 if i % 2 else 6.0 for i in range(80)]
+        words = np.array([_reference_words(e) for e in entropy])
+        owners, values = DrawPool().poisson_items(words, rates, _BOUNDS)
+        expected_owners, expected_values = _reference_items(entropy, rates)
+        assert owners.tolist() == expected_owners
+        assert np.array_equal(_bits(values), _bits(expected_values))
+
+    def test_an_invalid_rate_raises_as_numpy_does(self):
+        words = np.array([_reference_words((1, 2, 3))])
+        with pytest.raises(ValueError):
+            DrawPool().poisson_items(words, [-0.5], _BOUNDS)
+
+    def test_no_rows_and_zero_rates_draw_nothing(self):
+        pool = DrawPool()
+        owners, values = pool.poisson_items(np.zeros((0, 4), dtype=np.uint64), [], _BOUNDS)
+        assert owners.shape == (0,) and values.shape == (0, 5)
+        words = np.random.PCG64(4).random_raw(4 * 10).reshape(-1, 4)
+        owners, values = pool.poisson_items(words, np.zeros(10), _BOUNDS)
+        assert owners.shape == (0,) and values.shape == (0, 5)
+
+    def test_the_vectorized_path_passes_its_own_check(self):
+        assert fastrng.poisson_items_exact()
+
+    def test_a_failed_check_sends_every_row_to_the_replay(self, monkeypatch):
+        monkeypatch.setattr(fastrng, "poisson_items_exact", lambda: False)
+        replayed = []
+        real = DrawPool.replay_poisson_items
+
+        def counting(self, words, rates, bounds):
+            replayed.append(len(words))
+            return real(self, words, rates, bounds)
+
+        monkeypatch.setattr(DrawPool, "replay_poisson_items", counting)
+        words = np.random.PCG64(6).random_raw(4 * 50).reshape(-1, 4)
+        rates = np.full(50, 0.5)
+        owners, values = DrawPool().poisson_items(words, rates, _BOUNDS)
+        assert replayed == [50]
+        fast_owners, fast_values = DrawPool()._poisson_items(
+            words, rates, _BOUNDS, np.ones(50, dtype=bool)
+        )
+        assert np.array_equal(owners, fast_owners)
+        assert np.array_equal(_bits(values), _bits(fast_values))

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro import cli
 from repro.cli import build_parser, main
 
 FAST = ["--scale", "0.03", "--validation", "60"]
@@ -55,6 +56,39 @@ non-GPU      0.0%
 swaps        0
 pairs used   1
 """
+
+
+class TestBlasThreadDefault:
+    """The CLI starts NumPy without OpenBLAS's thread pool, unless told otherwise."""
+
+    def test_an_unset_count_defaults_to_one_thread(self):
+        environ = {"PATH": "/bin"}
+        cli._default_single_thread_blas(environ)
+        assert environ == {"PATH": "/bin", "OPENBLAS_NUM_THREADS": "1"}
+
+    @pytest.mark.parametrize("name", ["OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"])
+    def test_a_count_the_user_set_wins(self, name):
+        environ = {name: "3"}
+        cli._default_single_thread_blas(environ)
+        assert environ == {name: "3"}
+
+    @pytest.mark.parametrize("user_set, expected", [({}, "1"), ({"OPENBLAS_NUM_THREADS": "2"}, "2")])
+    def test_main_sets_it_before_numpy_loads(self, user_set, expected):
+        package_root = Path(repro.__file__).resolve().parent.parent
+        env = {name: value for name, value in os.environ.items()
+               if name not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+        script = (
+            "import contextlib, io, os, sys\n"
+            "from repro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    main(['scenarios'])\n"
+            "print('numpy' in sys.modules, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, timeout=60,
+            env={**env, **user_set, "PYTHONPATH": str(package_root)},
+        )
+        assert done.stdout.split() == ["False", expected], done.stderr
 
 
 class TestParser:
