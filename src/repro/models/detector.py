@@ -105,7 +105,6 @@ class OutcomeColumns(Sequence):
         self.detected = detected
         self.false_positive = false_positive
         self._rows: list[DetectionOutcome | None] | None = None
-        self._values: tuple[list, ...] | None = None
 
     @classmethod
     def from_outcomes(
@@ -147,14 +146,13 @@ class OutcomeColumns(Sequence):
         return outcome
 
     def _build(self, index: int) -> DetectionOutcome:
-        if self._values is None:
-            self._values = tuple(column.tolist() for column in self.columns())
-        box, masked, confidence, iou, quality, detected, false_positive = (
-            column[index] for column in self._values
-        )
+        # Straight from the arrays: a cache of the columns as Python lists
+        # would hold more than the outcome objects the reads keep.
         return DetectionOutcome(
-            self.model_name, BoundingBox(*box) if masked else None,
-            confidence, iou, quality, detected, false_positive,
+            self.model_name,
+            BoundingBox(*self.box[index].tolist()) if self.box_mask[index] else None,
+            self.confidence[index].item(), self.iou[index].item(), self.quality[index].item(),
+            bool(self.detected[index]), bool(self.false_positive[index]),
         )
 
     def __iter__(self) -> Iterator[DetectionOutcome]:

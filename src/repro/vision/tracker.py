@@ -41,10 +41,6 @@ class TemplateTracker:
     position (stride-1 exhaustive match on the small simulated frames) and
     reports the best location.  When the best NCC falls below
     ``loss_threshold`` the target is declared lost.
-
-    The scan gathers into work arrays the tracker keeps between calls
-    (~0.85 MB for 96-pixel float64 frames), so a frame allocates no
-    candidate matrix.
     """
 
     def __init__(
@@ -65,7 +61,6 @@ class TemplateTracker:
         self._centered: np.ndarray | None = None
         self._norm = 0.0
         self._box: BoundingBox | None = None
-        self._work: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     @property
     def has_target(self) -> bool:
@@ -109,25 +104,6 @@ class TemplateTracker:
         self._box = new_box
         return TrackResult(box=new_box, score=best_score, lost=False)
 
-    def _work_arrays(
-        self, image: np.ndarray, count: int
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The scan's kept buffers for ``image``'s width and dtype.
-
-        ``(rows, gathered, flat)``: the template-grid rows of the window,
-        every candidate's cells (later reused for the squares when the
-        image is float64), and the candidates' float64 patches.
-        """
-        side = count * self.template_size
-        work = self._work
-        if work is None or work[0].shape[1] != image.shape[1] or work[0].dtype != image.dtype:
-            work = self._work = (
-                np.empty((side, image.shape[1]), dtype=image.dtype),
-                np.empty((side, side), dtype=image.dtype),
-                np.empty((count * count, self.template_size**2), dtype=np.float64),
-            )
-        return work
-
     def _scan(
         self,
         image: np.ndarray,
@@ -165,17 +141,12 @@ class TemplateTracker:
 
         # gathered[iy * ts + ty, ix * ts + tx] = image[ys[iy, ty], xs[ix, tx]];
         # flat[iy * count + ix] is then the (ts * ts) patch at (dy=iy, dx=ix).
-        rows, gathered, flat = self._work_arrays(image, count)
-        np.take(image, ys.reshape(-1), axis=0, out=rows, mode="clip")
-        np.take(rows, xs.reshape(-1), axis=1, out=gathered, mode="clip")
-        np.copyto(
-            flat.reshape(count, count, ts, ts),
-            gathered.reshape(count, ts, count, ts).transpose(0, 2, 1, 3),
-            casting="unsafe",
-        )
+        rows = np.take(image, ys.reshape(-1), axis=0)
+        gathered = np.take(rows, xs.reshape(-1), axis=1)
+        patches = gathered.reshape(count, ts, count, ts).transpose(0, 2, 1, 3)
+        flat = patches.reshape(count * count, ts * ts).astype(np.float64, copy=False)
         flat -= flat.mean(axis=1, keepdims=True)
-        squares = gathered.reshape(flat.shape) if gathered.dtype == np.float64 else None
-        norms = np.sqrt(np.multiply(flat, flat, out=squares).sum(axis=1))
+        norms = np.sqrt((flat * flat).sum(axis=1))
 
         with np.errstate(invalid="ignore", divide="ignore"):
             scores = (flat @ self._centered) / (norms * self._norm)

@@ -107,7 +107,7 @@ class TestAnchorAndTrack:
 
 
 def _frozen_scan(template, image, cx_prev, cy_prev, box_w, box_h, search_radius=12):
-    """The scan before the tracker kept work arrays, frozen as the reference.
+    """The scan before the two-take gather, frozen as the reference.
 
     One 4-D fancy-index gather, three fresh candidate matrices, and the
     template's centered values and norm recomputed on every call.
@@ -151,7 +151,7 @@ def _bits(result):
 
 
 class TestScanMatchesTheFrozenGather:
-    """The kept-array scan returns the 4-D gather's (score, center), bit for bit."""
+    """The two-take scan returns the 4-D gather's (score, center), bit for bit."""
 
     @pytest.mark.parametrize("dtype", [np.uint8, np.float32, np.float64])
     def test_seeded_images_and_boxes(self, dtype):
